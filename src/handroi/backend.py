@@ -1,26 +1,2 @@
-"""Kernel backend selection.
-
-Hot geometry kernels are JIT-compiled with numba by default. Setting the
-environment variable ``HANDROI_NO_NUMBA=1`` (checked once, at import time)
-selects the pure-numpy fallback instead; both paths compute the same values.
-"""
-
-import os
-
-_DISABLE = os.environ.get("HANDROI_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLE:
-    try:
-        from numba import njit as _njit
-        USE_NUMBA = True
-    except ImportError:
-        USE_NUMBA = False
-else:
-    USE_NUMBA = False
-
-
-def maybe_njit(func):
-    """Apply @njit(cache=True) when numba is enabled, else return func as-is."""
-    if USE_NUMBA:
-        return _njit(cache=True)(func)
-    return func
+"""Geometry runs on numpy alone; the flag is kept for benchmark provenance."""
+USE_NUMBA = False

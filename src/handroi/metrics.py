@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateGold, DegenerateHand, EmptyDataset, JoinError
-from .geometry import RotRect, circular_diff_deg, rotated_iou
+from .errors import DegenerateGold, DegenerateHand, EmptyDataset, JoinError, ParseError
+from .geometry import RotRect, circular_diff_deg, rotated_ious
 from .heuristic import gold_roi
 
 CSV_COLUMNS = ("sample_id", "method", "iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed")
@@ -73,16 +73,29 @@ def evaluate(predict, samples, gold_scale: float = 2.0, method: str = ""):
     """Score one predictor over samples; returns (rows, summary).
 
     `predict` maps a Sample to a RotRect and may raise DegenerateHand.
+    Rows keep the sample order; all IoUs are computed in one batch.
     """
     samples = list(samples)
     if not samples:
         raise EmptyDataset("no samples to evaluate")
-    rows = []
+    golds, preds = [], []
     for s in samples:
-        gold = gold_roi(s.hand, s.width, s.height, scale=gold_scale)
+        golds.append(gold_roi(s.hand, s.width, s.height, scale=gold_scale))
         try:
-            pred = predict(s)
+            preds.append(predict(s))
         except DegenerateHand:
+            preds.append(None)
+    scored = [i for i, pred in enumerate(preds) if pred is not None]
+    ious = rotated_ious(
+        [preds[i] for i in scored],
+        [golds[i] for i in scored],
+        [samples[i].width for i in scored],
+        [samples[i].height for i in scored],
+    )
+    ious = iter(ious.tolist())
+    rows = []
+    for s, gold, pred in zip(samples, golds, preds):
+        if pred is None:
             rows.append(
                 EvalRow(
                     sample_id=s.id,
@@ -95,12 +108,11 @@ def evaluate(predict, samples, gold_scale: float = 2.0, method: str = ""):
                 )
             )
             continue
-        iou = rotated_iou(pred, gold, s.width, s.height)
         rows.append(
             EvalRow(
                 sample_id=s.id,
                 method=method,
-                iou=iou,
+                iou=next(ious),
                 center_err_pct=center_error(pred, gold),
                 scale_err_pct=scale_error(pred, gold),
                 rot_err_deg=rotation_error(pred, gold),
@@ -171,22 +183,40 @@ def write_rows_csv(rows, path):
             )
 
 
+def _optional_float(text):
+    return float(text) if text else None
+
+
+def _parse_row(rec) -> EvalRow:
+    if len(rec) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+    sample_id, method, iou, center, scale, rot, failed = rec
+    if failed not in ("0", "1"):
+        raise ValueError(f"failed must be 0 or 1, got {failed!r}")
+    return EvalRow(
+        sample_id=sample_id,
+        method=method,
+        iou=float(iou),
+        center_err_pct=_optional_float(center),
+        scale_err_pct=_optional_float(scale),
+        rot_err_deg=_optional_float(rot),
+        failed=failed == "1",
+    )
+
+
 def read_rows_csv(path):
+    """Rows written by write_rows_csv; raises ParseError naming the bad line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                EvalRow(
-                    sample_id=rec["sample_id"],
-                    method=rec["method"],
-                    iou=float(rec["iou"]),
-                    center_err_pct=float(rec["center_err_pct"]) if rec["center_err_pct"] else None,
-                    scale_err_pct=float(rec["scale_err_pct"]) if rec["scale_err_pct"] else None,
-                    rot_err_deg=float(rec["rot_err_deg"]) if rec["rot_err_deg"] else None,
-                    failed=rec["failed"] == "1",
-                )
-            )
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(CSV_COLUMNS):
+                raise ValueError(f"header is not {','.join(CSV_COLUMNS)}")
+            for rec in reader:
+                if rec:
+                    rows.append(_parse_row(rec))
+        except (ValueError, csv.Error) as e:
+            raise ParseError(f"{path} line {max(reader.line_num, 1)}: {e}") from None
     return rows
 
 

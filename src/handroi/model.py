@@ -185,11 +185,16 @@ class RoiPredictor:
         }
 
 
+def _head_outputs(angle_mode: str):
+    """Output widths of the center, size and angle heads."""
+    return (2, 1, 2 if angle_mode == "sincos" else 1)
+
+
 def new_predictor(angle_mode: str = "sincos") -> RoiPredictor:
-    angle_out = 2 if angle_mode == "sincos" else 1
+    center_out, size_out, angle_out = _head_outputs(angle_mode)
     return RoiPredictor(
-        center_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, 2]),
-        size_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, 1]),
+        center_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, center_out]),
+        size_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, size_out]),
         angle_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, angle_out]),
         angle_mode=angle_mode,
     )
@@ -289,10 +294,10 @@ def train_predictor(samples, cfg: TrainConfig, gold_scale: float = 2.0):
     samples = list(samples)
     if len(samples) < 2:
         raise EmptyDataset("need at least 2 training samples")
-    angle_out = 2 if cfg.angle_mode == "sincos" else 1
+    center_out, size_out, angle_out = _head_outputs(cfg.angle_mode)
     X, Yc, Ys, Ya = roi_targets(samples, gold_scale, cfg.angle_mode)
-    center, log_c = _train_head(X, Yc, [FEATURE_DIM, *HIDDEN, 2], cfg, head_tag=0)
-    size, log_s = _train_head(X, Ys, [FEATURE_DIM, *HIDDEN, 1], cfg, head_tag=1)
+    center, log_c = _train_head(X, Yc, [FEATURE_DIM, *HIDDEN, center_out], cfg, head_tag=0)
+    size, log_s = _train_head(X, Ys, [FEATURE_DIM, *HIDDEN, size_out], cfg, head_tag=1)
     angle, log_a = _train_head(X, Ya, [FEATURE_DIM, *HIDDEN, angle_out], cfg, head_tag=2)
     predictor = RoiPredictor(
         center_head=center, size_head=size, angle_head=angle, angle_mode=cfg.angle_mode
@@ -361,7 +366,7 @@ def load_weights(path) -> RoiPredictor:
     if version != _VERSION:
         raise VersionError(f"unsupported weights version {version}")
     (spec_len,) = struct.unpack("<H", take(2))
-    feature_spec = take(spec_len).decode("utf-8")
+    feature_spec = take(spec_len).decode("utf-8", errors="replace")
     mode_idx, n_heads = struct.unpack("<BB", take(2))
     if mode_idx >= len(_ANGLE_MODES) or n_heads != 3:
         raise WeightsFormatError(f"bad header in {path}")
@@ -372,6 +377,18 @@ def load_weights(path) -> RoiPredictor:
         if n_layers < 2:
             raise WeightsFormatError(f"bad layer count in {path}")
         shapes.append(list(struct.unpack(f"<{n_layers}I", take(4 * n_layers))))
+    if feature_spec != FEATURE_SPEC:
+        raise WeightsFormatError(
+            f"{path} has feature spec {feature_spec!r}, expected {FEATURE_SPEC!r}"
+        )
+    if any(sizes[0] != FEATURE_DIM for sizes in shapes):
+        raise WeightsFormatError(f"{path} has head input widths other than {FEATURE_DIM}")
+    outputs = tuple(sizes[-1] for sizes in shapes)
+    expected = _head_outputs(angle_mode)
+    if outputs != expected:
+        raise WeightsFormatError(
+            f"{path} has head output widths {outputs}, expected {expected} for {angle_mode} angles"
+        )
     heads = []
     for layer_sizes in shapes:
         weights, biases = [], []

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from handroi import model as md
 from handroi.cli import main
 from handroi.dataset import SynthConfig, read_samples, synth_generate, write_samples
 
@@ -162,6 +163,24 @@ class TestEval:
         )
         assert code == 2
 
+    def test_contradictory_weights_exit_2(self, tmp_path, small_dataset, trained_weights, capsys):
+        data = bytearray(trained_weights.read_bytes())
+        mode_at = 4 + 2 + 2 + len(md.FEATURE_SPEC)
+        data[mode_at] = 1  # scalar angles, but the angle head still has 2 outputs
+        bad = tmp_path / "bad.hroi"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        code = run(
+            "eval",
+            "--dataset", str(small_dataset),
+            "--method", "mlp",
+            "--weights", str(bad),
+            "--out", str(tmp_path / "rows.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "output widths" in err[0]
+
     def test_mlp_with_weights(self, tmp_path, small_dataset, trained_weights):
         out = tmp_path / "rows.csv"
         code = run(
@@ -208,6 +227,28 @@ class TestCompare:
             "--report", str(tmp_path / "r.txt"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (",0.", ",abc", "line 2: could not convert"),
+            ("sample_id,", "id,", "line 1: header"),
+        ],
+    )
+    def test_malformed_rows_exit_2(self, tmp_path, small_dataset, capsys, old, new, message):
+        rows = self.eval_rows(tmp_path, small_dataset, "h")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(rows.read_text().replace(old, new, 1))
+        capsys.readouterr()
+        code = run(
+            "compare",
+            "--rows-a", str(bad),
+            "--rows-b", str(rows),
+            "--report", str(tmp_path / "r.txt"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
     def test_deterministic_outputs(self, tmp_path, small_dataset):
         rows = self.eval_rows(tmp_path, small_dataset, "h")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handroi.errors import DegenerateGeometry, InvalidAspect, InvalidImage
 from handroi.geometry import (
@@ -9,17 +11,29 @@ from handroi.geometry import (
     Vec2,
     angle_deg,
     aspect_distance,
+    areas,
     circular_diff_deg,
-    convex_clip,
+    clip_quads,
     normalize_deg,
-    polygon_area,
     rect_to_quad,
     rotate_vec,
     rotated_iou,
+    rotated_ious,
 )
-from conftest import monte_carlo_iou, random_rect
+from conftest import monte_carlo_iou, random_rect, scalar_quad_iou
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def polygon_area(p):
+    """Area of one unpadded polygon through the batch kernel."""
+    p = np.asarray(p, dtype=np.float64).reshape(1, -1, 2)
+    return float(areas(p, np.array([p.shape[1]]))[0])
+
+
+def clip_one(subject, clip):
+    polys, counts = clip_quads(subject[None], clip[None])
+    return polys[0, : counts[0]]
 
 
 class TestAngleDeg:
@@ -123,12 +137,12 @@ class TestRectToQuad:
 
 class TestConvexClip:
     def test_identical(self):
-        out = convex_clip(UNIT_SQUARE, UNIT_SQUARE)
+        out = clip_one(UNIT_SQUARE, UNIT_SQUARE)
         assert polygon_area(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint(self):
         far = UNIT_SQUARE + 10.0
-        assert convex_clip(UNIT_SQUARE, far).shape[0] == 0
+        assert clip_one(UNIT_SQUARE, far).shape[0] == 0
 
     def test_rotated_square_octagon(self):
         c = np.array([0.5, 0.5])
@@ -137,7 +151,7 @@ class TestConvexClip:
             [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
         )
         rotated = (UNIT_SQUARE - c) @ rot.T + c
-        out = convex_clip(UNIT_SQUARE, rotated)
+        out = clip_one(UNIT_SQUARE, rotated)
         assert out.shape[0] == 8
         assert polygon_area(out) == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-9)
 
@@ -152,6 +166,16 @@ class TestPolygonArea:
 
     def test_triangle(self):
         assert polygon_area(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])) == 2.0
+
+    def test_padding_is_ignored(self):
+        polys = np.array(
+            [
+                [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [9.0, -9.0]],
+                [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                [[5.0, 5.0], [6.0, 5.0], [7.0, 7.0], [8.0, 9.0]],
+            ]
+        )
+        assert areas(polys, np.array([3, 4, 2])).tolist() == [2.0, 1.0, 0.0]
 
 
 class TestRotatedIou:
@@ -201,6 +225,69 @@ class TestRotatedIou:
             exact = rotated_iou(a, b, 640, 480)
             mc = monte_carlo_iou(a, b, 640, 480, 200_000, rng)
             assert exact == pytest.approx(mc, abs=0.01)
+
+
+rects = st.builds(
+    lambda x, y, size, rot: RotRect(Vec2(x, y), size, rot),
+    st.floats(-0.5, 1.5),
+    st.floats(-0.5, 1.5),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 360.0, exclude_max=True),
+)
+pairs = st.lists(
+    st.tuples(rects, rects, st.integers(1, 4000), st.integers(1, 4000)).filter(
+        lambda p: p[0].size > 0 or p[1].size > 0
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def batch(pairs):
+    return [list(col) for col in zip(*pairs)]
+
+
+class TestRotatedIous:
+    @settings(deadline=None)
+    @given(pairs)
+    def test_equals_single_calls_bitwise(self, pairs):
+        ious = rotated_ious(*batch(pairs))
+        singles = np.array([rotated_iou(*p) for p in pairs])
+        assert ious.tobytes() == singles.tobytes()
+
+    @settings(deadline=None)
+    @given(pairs)
+    def test_equals_scalar_reference_bitwise(self, pairs):
+        ious = rotated_ious(*batch(pairs))
+        ref = np.array(
+            [scalar_quad_iou(rect_to_quad(a, w, h), rect_to_quad(b, w, h)) for a, b, w, h in pairs]
+        )
+        assert ious.tobytes() == ref.tobytes()
+
+    @settings(deadline=None)
+    @given(pairs)
+    def test_range_and_symmetry(self, pairs):
+        preds, golds, widths, heights = batch(pairs)
+        ab = rotated_ious(preds, golds, widths, heights)
+        ba = rotated_ious(golds, preds, widths, heights)
+        assert np.all((ab >= 0.0) & (ab <= 1.0))
+        assert np.all(np.abs(ab - ba) <= 1e-12)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(rects, st.integers(1, 4000), st.integers(1, 4000)), min_size=1))
+    def test_identical_pairs_are_one(self, items):
+        items = [(r, w, h) for r, w, h in items if r.size * h >= 1e-3]
+        preds = [r for r, _, _ in items]
+        ious = rotated_ious(preds, preds, [w for _, w, _ in items], [h for _, _, h in items])
+        assert np.all(ious == 1.0)
+
+    def test_empty_batch(self):
+        assert rotated_ious([], [], [], []).shape == (0,)
+
+    def test_bad_dims_in_batch(self):
+        r = RotRect(Vec2(0.5, 0.5), 0.3, 0.0)
+        with pytest.raises(InvalidImage):
+            rotated_ious([r, r], [r, r], [640, 640], [480, 0])
 
 
 class TestCircularDiff:

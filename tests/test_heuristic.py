@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from handroi.errors import DegenerateHand, InvalidAspect
-from handroi.geometry import Vec2, polygon_area, rect_to_quad
+from handroi.geometry import Vec2, areas, rect_to_quad
 from handroi.heuristic import Hand21, calc_hand_roi, closed_form_size, gold_roi
 
 
@@ -132,4 +132,4 @@ class TestGoldRoi:
 
     def test_quad_positive_area(self):
         r = gold_roi(self.axis_aligned_hand(), 400, 400)
-        assert polygon_area(rect_to_quad(r, 400, 400)) > 0
+        assert areas(rect_to_quad(r, 400, 400)[None], np.array([4]))[0] > 0

@@ -3,10 +3,11 @@ import math
 import pytest
 
 from handroi.dataset import SynthConfig, synth_generate
-from handroi.errors import DegenerateGold, DegenerateHand, EmptyDataset, JoinError
-from handroi.geometry import RotRect, Vec2
+from handroi.errors import DegenerateGold, DegenerateHand, EmptyDataset, JoinError, ParseError
+from handroi.geometry import RotRect, Vec2, rotated_iou
 from handroi.heuristic import calc_hand_roi, gold_roi
 from handroi.metrics import (
+    CSV_COLUMNS,
     EvalRow,
     center_error,
     evaluate,
@@ -18,6 +19,9 @@ from handroi.metrics import (
     win_rate,
     write_rows_csv,
 )
+
+
+HEADER = (",".join(CSV_COLUMNS) + "\n").encode()
 
 
 def rect(cx=0.5, cy=0.5, size=0.3, rot=0.0):
@@ -107,6 +111,29 @@ class TestEvaluate:
         with pytest.raises(EmptyDataset):
             evaluate(lambda s: rect(), [])
 
+    def test_interleaved_failures_keep_row_order(self):
+        samples = self.samples(n=40, seed=4)
+        failing = {s.id for s in samples[1::3]}
+
+        def heur(s):
+            if s.id in failing:
+                raise DegenerateHand("skip")
+            return calc_hand_roi(
+                s.pose.wrist.xy(), s.pose.index.xy(), s.pose.pinky.xy(), s.width / s.height
+            )
+
+        rows, summary = evaluate(heur, samples, method="h")
+        assert [r.sample_id for r in rows] == [s.id for s in samples]
+        for s, r in zip(samples, rows):
+            if s.id in failing:
+                assert r.failed and r.iou == 0.0 and r.center_err_pct is None
+            else:
+                gold = gold_roi(s.hand, s.width, s.height)
+                assert not r.failed
+                assert r.iou == rotated_iou(heur(s), gold, s.width, s.height)
+        assert len({s.width / s.height for s in samples}) > 1
+        assert summary.n == len(samples)
+
     def test_row_ranges(self):
         samples = self.samples(n=30, seed=9)
 
@@ -172,6 +199,23 @@ class TestCsvRoundTrip:
         write_rows_csv(rows, path)
         back = read_rows_csv(path)
         assert back == rows
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"sample_id,method,iou\na,m,0.5\n", 1),
+            (b"", 1),
+            (HEADER + b"a,m,0.5,1,2,3,0\nb,m,abc,1,2,3,0\n", 3),
+            (HEADER + b"a,m,0.5,1,2\n", 2),
+            (HEADER + b"a,m,0.5,1,2,3,yes\n", 2),
+            (b"\xff\xfe" + HEADER, 1),
+        ],
+    )
+    def test_malformed_names_line(self, tmp_path, data, line):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            read_rows_csv(path)
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [EvalRow("a", "m", 1 / 3, 0.1, 0.2, 0.3, False)]

@@ -296,6 +296,32 @@ class TestWeightsIo(object):
         with pytest.raises(VersionError):
             load_weights(f)
 
+    def test_foreign_feature_spec(self, rng, tmp_path):
+        p = self.make_predictor(rng)
+        p.feature_spec = "pose6xy+rho/v0"
+        f = tmp_path / "w.hroi"
+        save_weights(p, f)
+        with pytest.raises(WeightsFormatError, match="feature spec"):
+            load_weights(f)
+
+    def test_input_width_not_feature_dim(self, rng, tmp_path):
+        p = self.make_predictor(rng)
+        p.size_head = Mlp.init([FEATURE_DIM - 1, 10, 10, 1], rng)
+        f = tmp_path / "w.hroi"
+        save_weights(p, f)
+        with pytest.raises(WeightsFormatError, match="input widths"):
+            load_weights(f)
+
+    @pytest.mark.parametrize("mode, angle_out", [("sincos", 1), ("scalar", 2)])
+    def test_output_widths_contradict_angle_mode(self, rng, tmp_path, mode, angle_out):
+        p = self.make_predictor(rng)
+        p.angle_mode = mode
+        p.angle_head = Mlp.init([FEATURE_DIM, 10, 10, angle_out], rng)
+        f = tmp_path / "w.hroi"
+        save_weights(p, f)
+        with pytest.raises(WeightsFormatError, match="output widths"):
+            load_weights(f)
+
     def test_truncated(self, rng, tmp_path):
         f = tmp_path / "w.hroi"
         save_weights(self.make_predictor(rng), f)
