@@ -24,6 +24,7 @@ from .errors import (
     DegenerateHand,
     EmptyDataset,
     HandRoiError,
+    InvalidDataset,
     JoinError,
     ParseError,
     WeightsFormatError,
@@ -187,6 +188,8 @@ def cmd_train(args):
         {
             "train_samples": len(train),
             "best_val": {h: min(v for _, _, v in logs[h]) for h in logs},
+            # the first epoch reaching the minimum val loss is the checkpoint kept
+            "best_epoch": {h: min(logs[h], key=lambda row: row[2])[0] for h in logs},
         },
     )
     print(f"wrote weights to {out}")
@@ -393,7 +396,7 @@ def main(argv=None) -> int:
     except NotFound as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (UsageError, EmptyDataset, ParseError, WeightsFormatError, FileNotFoundError, IOError) as e:
+    except (UsageError, InvalidDataset, ParseError, WeightsFormatError, FileNotFoundError, IOError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except HandRoiError as e:

@@ -351,10 +351,13 @@ def sample_to_dict(s: Sample) -> dict:
 def sample_from_dict(d: dict) -> Sample:
     hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in d["hand"]))
     pose = PoseHand(*[Vec3(*map(float, d["pose"][k])) for k in POSE_KEYS])
+    width, height = int(d["width"]), int(d["height"])
+    if width <= 0 or height <= 0:
+        raise ValueError(f"non-positive image dims {width}x{height}")
     return Sample(
         id=str(d["id"]),
-        width=int(d["width"]),
-        height=int(d["height"]),
+        width=width,
+        height=height,
         hand=hand,
         pose=pose,
         was_left=bool(d["was_left"]),

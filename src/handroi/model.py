@@ -37,39 +37,53 @@ _VERSION = 1
 _ANGLE_MODES = ("sincos", "scalar")
 
 
-class Mlp:
-    """Fully-connected net, ReLU on hidden layers, identity output."""
+def _n_params(layer_sizes) -> int:
+    return sum(i * o + o for i, o in zip(layer_sizes, layer_sizes[1:]))
 
-    def __init__(self, layer_sizes, weights, biases):
+
+def _layer_views(layer_sizes, vec):
+    """Per-layer (W, b) views of a flat vector laid out W row-major, then b."""
+    views, off = [], 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        w = vec[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        views.append((w, vec[off : off + fan_out]))
+        off += fan_out
+    return views
+
+
+class Mlp:
+    """Fully-connected net, ReLU on hidden layers, identity output.
+
+    All parameters live in one float64 vector `theta`, per layer W
+    (row-major) then b; `weights` and `biases` are views of it, so theta
+    must be updated in place.
+    """
+
+    def __init__(self, layer_sizes, theta):
         if len(layer_sizes) < 2:
             raise ShapeError("need at least input and output layer")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (layer_sizes[i], layer_sizes[i + 1]) or b.shape != (layer_sizes[i + 1],):
-                raise ShapeError(f"layer {i} shapes inconsistent with {layer_sizes}")
+        n = _n_params(layer_sizes)
+        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64 and theta.shape == (n,)):
+            raise ShapeError(f"theta must be {n} float64 values for layers {list(layer_sizes)}")
         self.layer_sizes = list(layer_sizes)
-        self.weights = weights
-        self.biases = biases
+        self.theta = theta
+        views = _layer_views(layer_sizes, theta)
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
 
     @classmethod
     def init(cls, layer_sizes, rng):
         """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-            lim = math.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(layer_sizes, weights, biases)
+        net = cls.zeros(layer_sizes)
+        for w in net.weights:
+            lim = math.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-lim, lim, size=w.shape)
+        return net
 
     @classmethod
     def zeros(cls, layer_sizes):
-        return cls(
-            layer_sizes,
-            [np.zeros((i, o)) for i, o in zip(layer_sizes, layer_sizes[1:])],
-            [np.zeros(o) for o in layer_sizes[1:]],
-        )
-
-    def copy(self):
-        return Mlp(self.layer_sizes, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return cls(layer_sizes, np.zeros(_n_params(layer_sizes)))
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -84,10 +98,10 @@ class Mlp:
         return a[0] if single else a
 
     def gradient(self, inputs, targets):
-        """Exact MSE gradient over the batch; returns (dWs, dbs, loss).
+        """Exact MSE gradient over the batch; returns (grad, loss).
 
-        Loss is the mean of squared errors over all batch elements and
-        output dimensions.
+        grad is flat in theta's layout. Loss is the mean of squared errors
+        over all batch elements and output dimensions.
         """
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -105,36 +119,25 @@ class Mlp:
         err = acts[-1] - t
         loss = float(np.mean(err ** 2))
         delta = 2.0 * err / err.size
-        dws = [None] * len(self.weights)
-        dbs = [None] * len(self.biases)
+        grad = np.empty_like(self.theta)
+        views = _layer_views(self.layer_sizes, grad)
         for i in range(len(self.weights) - 1, -1, -1):
-            dws[i] = acts[i].T @ delta
-            dbs[i] = delta.sum(axis=0)
+            dw, db = views[i]
+            dw[...] = acts[i].T @ delta
+            db[...] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (acts[i] > 0.0)
-        return dws, dbs, loss
-
-
-def mlp_forward(m: Mlp, x):
-    return m.forward(x)
-
-
-def mlp_gradient(m: Mlp, batch, loss="mse"):
-    if loss != "mse":
-        raise ValueError(f"unsupported loss {loss!r}")
-    inputs, targets = batch
-    dws, dbs, _ = m.gradient(inputs, targets)
-    return dws, dbs
+        return grad, loss
 
 
 def param_count(m: Mlp) -> int:
-    return sum(i * o + o for i, o in zip(m.layer_sizes, m.layer_sizes[1:]))
+    return m.theta.size
 
 
-def featurize(hand: PoseHand, rho: float, mirrored: bool = False) -> np.ndarray:
+def featurize(hand: PoseHand, rho: float) -> np.ndarray:
     """19-value feature vector: 6 keypoints x (x, y, z), then rho.
 
-    Mirroring happens upstream at ingestion; `mirrored` is informational.
+    Left hands arrive already mirrored by ingestion.
     """
     vals = []
     for kp in hand.as_tuple():
@@ -214,10 +217,9 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
     Xtr, Ytr = X[tr_idx], Y[tr_idx]
     Xval, Yval = X[val_idx], Y[val_idx]
 
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    theta = net.theta
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -225,37 +227,27 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
         pred = net.forward(Xs)
         return float(np.mean((pred - Ys) ** 2))
 
-    best = net.copy()
+    best = None
     best_val = math.inf
     log = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(Xtr.shape[0])
         for start in range(0, Xtr.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            dws, dbs, loss = net.gradient(Xtr[idx], Ytr[idx])
+            grad, loss = net.gradient(Xtr[idx], Ytr[idx])
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             if cfg.optimizer == "sgd":
-                for w, dw in zip(net.weights, dws):
-                    w -= cfg.learning_rate * dw
-                for b, db in zip(net.biases, dbs):
-                    b -= cfg.learning_rate * db
+                theta -= cfg.learning_rate * grad
             else:
                 step += 1
                 bc1 = 1.0 - beta1 ** step
                 bc2 = 1.0 - beta2 ** step
-                for w, dw, mw, vw in zip(net.weights, dws, m_w, v_w):
-                    mw *= beta1
-                    mw += (1 - beta1) * dw
-                    vw *= beta2
-                    vw += (1 - beta2) * dw ** 2
-                    w -= cfg.learning_rate * (mw / bc1) / (np.sqrt(vw / bc2) + eps)
-                for b, db, mb, vb in zip(net.biases, dbs, m_b, v_b):
-                    mb *= beta1
-                    mb += (1 - beta1) * db
-                    vb *= beta2
-                    vb += (1 - beta2) * db ** 2
-                    b -= cfg.learning_rate * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad ** 2
+                theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
         train_loss = loss_on(Xtr, Ytr)
         val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
@@ -263,8 +255,8 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
         log.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best = net.copy()
-    return best, log
+            best = theta.copy()
+    return Mlp(layer_sizes, best), log
 
 
 def roi_targets(samples, gold_scale: float = 2.0, angle_mode: str = "sincos"):
@@ -326,8 +318,8 @@ def hybrid_predict(p: RoiPredictor, hand: PoseHand, rho: float) -> RotRect:
 
 # ---------------------------------------------------------------------------
 # weights file: magic "HROI", u16 version, feature spec, angle mode, per-head
-# layer sizes, then raw float64 little-endian parameters (W row-major then b,
-# per layer, heads in center/size/angle order)
+# layer sizes, then each head's theta as raw float64 little-endian (heads in
+# center/size/angle order)
 
 def save_weights(p: RoiPredictor, path):
     heads = (p.center_head, p.size_head, p.angle_head)
@@ -340,9 +332,7 @@ def save_weights(p: RoiPredictor, path):
         parts.append(struct.pack("<B", len(head.layer_sizes)))
         parts.append(struct.pack(f"<{len(head.layer_sizes)}I", *head.layer_sizes))
     for head in heads:
-        for w, b in zip(head.weights, head.biases):
-            parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        parts.append(head.theta.astype("<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -389,15 +379,10 @@ def load_weights(path) -> RoiPredictor:
         raise WeightsFormatError(
             f"{path} has head output widths {outputs}, expected {expected} for {angle_mode} angles"
         )
-    heads = []
-    for layer_sizes in shapes:
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-            weights.append(
-                np.frombuffer(take(8 * fan_in * fan_out), dtype="<f8").reshape(fan_in, fan_out).copy()
-            )
-            biases.append(np.frombuffer(take(8 * fan_out), dtype="<f8").copy())
-        heads.append(Mlp(layer_sizes, weights, biases))
+    heads = [
+        Mlp(sizes, np.frombuffer(take(8 * _n_params(sizes)), dtype="<f8").astype(np.float64))
+        for sizes in shapes
+    ]
     if off != len(data):
         raise WeightsFormatError(f"trailing bytes in {path}")
     return RoiPredictor(

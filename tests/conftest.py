@@ -80,3 +80,82 @@ def scalar_quad_iou(qa, qb):
     inter = area(clip(qa, qb))
     union = area_a + area_b - inter
     return inter / union if union > 0.0 else 0.0
+
+
+def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
+    """Reference trainer: separate W and b arrays, Adam/SGD looped per array.
+
+    Draws the same random stream as `model._train_head` (init per layer,
+    split permutation, one permutation per epoch) and returns
+    (theta, log), theta in the weights file's order: per layer W row-major,
+    then b.
+    """
+    rng = np.random.default_rng([cfg.seed, head_tag])
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    n = X.shape[0]
+    n_val = int(round(cfg.validation_fraction * n))
+    perm = rng.permutation(n)
+    Xtr, Ytr = X[perm[n_val:]], Y[perm[n_val:]]
+    Xval, Yval = X[perm[:n_val]], Y[perm[:n_val]]
+
+    def forward(x):
+        acts = [x]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            a = acts[-1] @ w + b
+            acts.append(np.maximum(a, 0.0) if i < len(weights) - 1 else a)
+        return acts
+
+    def gradient(x, t):
+        acts = forward(x)
+        err = acts[-1] - t
+        delta = 2.0 * err / err.size
+        dws, dbs = [None] * len(weights), [None] * len(biases)
+        for i in range(len(weights) - 1, -1, -1):
+            dws[i] = acts[i].T @ delta
+            dbs[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ weights[i].T) * (acts[i] > 0.0)
+        return dws, dbs
+
+    def loss_on(x, y):
+        return float(np.mean((forward(x)[-1] - y) ** 2))
+
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = cfg.learning_rate
+    step = 0
+    best, best_val, log = None, np.inf, []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(Xtr.shape[0])
+        for start in range(0, Xtr.shape[0], cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            dws, dbs = gradient(Xtr[idx], Ytr[idx])
+            if cfg.optimizer == "sgd":
+                for w, dw in zip(weights, dws):
+                    w -= lr * dw
+                for b, db in zip(biases, dbs):
+                    b -= lr * db
+            else:
+                step += 1
+                bc1 = 1.0 - beta1 ** step
+                bc2 = 1.0 - beta2 ** step
+                for p, g, m, v in zip(weights + biases, dws + dbs, m_w + m_b, v_w + v_b):
+                    m *= beta1
+                    m += (1 - beta1) * g
+                    v *= beta2
+                    v += (1 - beta2) * g ** 2
+                    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        train_loss = loss_on(Xtr, Ytr)
+        val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
+        log.append((epoch, train_loss, val_loss))
+        if val_loss < best_val:
+            best_val = val_loss
+            best = np.concatenate([x for w, b in zip(weights, biases) for x in (w.ravel(), b)])
+    return best, log

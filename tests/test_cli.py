@@ -121,6 +121,34 @@ class TestTrain:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_best_epoch_matches_log(self, tmp_path, small_dataset):
+        out = tmp_path / "m.hroi"
+        # a high learning rate, so that some head's best epoch is not its last
+        argv = ["--epochs", "30", "--seed", "1", "--lr", "0.03"]
+        assert run("train", "--dataset", str(small_dataset), "--out", str(out), *argv) == 0
+        manifest = json.loads((tmp_path / "m.hroi.manifest.json").read_text())
+        rows = [line.split() for line in (tmp_path / "m.hroi.log").read_text().splitlines()]
+        for head in ("center", "size", "angle"):
+            vals = [(float(val), int(epoch)) for h, epoch, _, val in rows if h == head]
+            best_val = min(v for v, _ in vals)
+            first = next(epoch for v, epoch in vals if v == best_val)
+            assert manifest["counts"]["best_val"][head] == best_val
+            assert manifest["counts"]["best_epoch"][head] == first
+        assert min(manifest["counts"]["best_epoch"].values()) < 29
+
+    def test_zero_image_height_exit_2(self, tmp_path, small_dataset, capsys):
+        lines = small_dataset.read_text().splitlines()
+        doc = json.loads(lines[4])
+        doc["height"] = 0
+        lines[4] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("train", "--dataset", str(bad), "--out", str(tmp_path / "m.hroi"))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad} line 5:")
+
     def test_log_and_best_val(self, tmp_path, trained_weights):
         log = (str(trained_weights) + ".log")
         lines = open(log).read().splitlines()
@@ -129,6 +157,29 @@ class TestTrain:
         for head in ("center", "size", "angle"):
             first_val = float(lines[["center", "size", "angle"].index(head) * 30].split()[3])
             assert manifest["counts"]["best_val"][head] <= first_val
+
+
+class TestBadFlagValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--lr", "-1"],
+            ["train", "--epochs", "0"],
+            ["train", "--batch-size", "0"],
+            ["train", "--val-fraction", "1.5"],
+            # 42 training samples, all of them rounded into the validation split
+            ["train", "--val-fraction", "0.99"],
+            ["synth", "--n", "0", "--seed", "1"],
+            ["synth", "--n", "10", "--seed", "1", "--max-tilt-deg", "100"],
+        ],
+    )
+    def test_invalid_value_exit_2(self, tmp_path, small_dataset, capsys, argv):
+        if argv[0] == "train":
+            argv = [*argv, "--dataset", str(small_dataset)]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestEval:

@@ -199,6 +199,16 @@ class TestStatsAndIo:
         write_samples(samples, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [0, -480])
+    def test_read_non_positive_image_dims(self, tmp_path, field, value):
+        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        docs[1][field] = value
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        with pytest.raises(ParseError, match=f"{path} line 2: non-positive image dims"):
+            read_samples(path)
+
     def test_read_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_train_head
 from handroi.errors import (
     EmptyDataset,
     InvalidDataset,
@@ -22,8 +23,6 @@ from handroi.model import (
     featurize,
     hybrid_predict,
     load_weights,
-    mlp_forward,
-    mlp_gradient,
     new_predictor,
     param_count,
     predict_roi,
@@ -33,45 +32,32 @@ from handroi.model import (
 
 
 def finite_diff_grad(net, X, Y, h=1e-5):
-    """Central finite differences of the batch MSE, the independent oracle."""
-    dws = [np.zeros_like(w) for w in net.weights]
-    dbs = [np.zeros_like(b) for b in net.biases]
+    """Central finite differences of the batch MSE over theta, the independent oracle."""
+    theta = net.theta
+    grad = np.zeros_like(theta)
 
     def loss():
         pred = net.forward(X)
         return float(np.mean((pred - Y) ** 2))
 
-    for w, dw in zip(net.weights, dws):
-        it = np.nditer(w, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = w[i]
-            w[i] = orig + h
-            lp = loss()
-            w[i] = orig - h
-            lm = loss()
-            w[i] = orig
-            dw[i] = (lp - lm) / (2 * h)
-    for b, db in zip(net.biases, dbs):
-        for i in range(b.size):
-            orig = b[i]
-            b[i] = orig + h
-            lp = loss()
-            b[i] = orig - h
-            lm = loss()
-            b[i] = orig
-            db[i] = (lp - lm) / (2 * h)
-    return dws, dbs
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        lp = loss()
+        theta[i] = orig - h
+        lm = loss()
+        theta[i] = orig
+        grad[i] = (lp - lm) / (2 * h)
+    return grad
 
 
 def grad_max_rel_err(analytic, numeric):
     worst = 0.0
-    for a, n in zip(analytic, numeric):
-        for av, nv in zip(a.ravel(), n.ravel()):
-            if abs(nv) < 1e-8:
-                worst = max(worst, abs(av - nv))
-            else:
-                worst = max(worst, abs(av - nv) / abs(nv))
+    for av, nv in zip(analytic, numeric):
+        if abs(nv) < 1e-8:
+            worst = max(worst, abs(av - nv))
+        else:
+            worst = max(worst, abs(av - nv) / abs(nv))
     return worst
 
 
@@ -90,12 +76,12 @@ class TestForward:
         assert np.all(net.forward(np.ones(3)) == 0.0)
 
     def test_single_affine(self):
-        net = Mlp([1, 1], [np.array([[2.0]])], [np.array([1.0])])
+        net = Mlp([1, 1], np.array([2.0, 1.0]))
         assert net.forward(np.array([3.0]))[0] == 7.0
 
     def test_relu_identity_passthrough(self):
-        eye = np.eye(3)
-        net = Mlp([3, 3, 3], [eye.copy(), eye.copy()], [np.zeros(3), np.zeros(3)])
+        layer = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
+        net = Mlp([3, 3, 3], np.concatenate([layer, layer]))
         x = np.array([0.5, 0.0, 2.0])
         assert np.allclose(net.forward(x), x)
 
@@ -103,6 +89,21 @@ class TestForward:
         net = Mlp.zeros([3, 2])
         with pytest.raises(ShapeError):
             net.forward(np.ones(4))
+
+    def test_views_share_theta(self):
+        net = Mlp.zeros([2, 3, 1])
+        net.theta[:] = np.arange(13.0)
+        assert net.weights[0].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert net.biases[0].tolist() == [6.0, 7.0, 8.0]
+        assert net.weights[1].ravel().tolist() == [9.0, 10.0, 11.0]
+        assert net.biases[1].tolist() == [12.0]
+
+    @pytest.mark.parametrize(
+        "theta", [np.zeros(12), np.zeros(14), np.zeros((13, 1)), np.zeros(13, dtype=np.float32)]
+    )
+    def test_theta_shape_mismatch(self, theta):
+        with pytest.raises(ShapeError):
+            Mlp([2, 3, 1], theta)
 
 
 class TestParamCount:
@@ -116,14 +117,14 @@ class TestParamCount:
 
 class TestGradient:
     def test_zero_error_zero_grad(self):
-        net = Mlp([1, 1], [np.array([[1.0]])], [np.array([0.0])])
-        dws, dbs = mlp_gradient(net, (np.array([[2.0]]), np.array([[2.0]])))
-        assert dws[0][0, 0] == 0.0 and dbs[0][0] == 0.0
+        net = Mlp([1, 1], np.array([1.0, 0.0]))
+        grad, loss = net.gradient(np.array([[2.0]]), np.array([[2.0]]))
+        assert grad.tolist() == [0.0, 0.0] and loss == 0.0
 
     def test_hand_calculus(self):
-        net = Mlp([1, 1], [np.array([[1.0]])], [np.array([0.0])])
-        dws, _ = mlp_gradient(net, (np.array([[1.0]]), np.array([[0.0]])))
-        assert dws[0][0, 0] == pytest.approx(2.0)
+        net = Mlp([1, 1], np.array([1.0, 0.0]))
+        grad, _ = net.gradient(np.array([[1.0]]), np.array([[0.0]]))
+        assert grad[0] == pytest.approx(2.0)
 
     def test_finite_difference_oracle(self, rng):
         for _ in range(5):
@@ -135,9 +136,8 @@ class TestGradient:
                 b += rng.normal(scale=0.5, size=b.shape)
             X = rng.normal(size=(4, sizes[0]))
             Y = rng.normal(size=(4, sizes[-1]))
-            dws, dbs, _ = net.gradient(X, Y)
-            nws, nbs = finite_diff_grad(net, X, Y)
-            assert grad_max_rel_err(dws + dbs, nws + nbs) < 1e-4
+            grad, _ = net.gradient(X, Y)
+            assert grad_max_rel_err(grad, finite_diff_grad(net, X, Y)) < 1e-4
 
 
 class TestFeaturize:
@@ -186,10 +186,7 @@ class TestTraining:
         cfg = TrainConfig(epochs=20, seed=42)
         a, _ = _train_head(X, Y, [3, 10, 10, 2], cfg, head_tag=0)
         b, _ = _train_head(X, Y, [3, 10, 10, 2], cfg, head_tag=0)
-        for wa, wb in zip(a.weights, b.weights):
-            assert wa.tobytes() == wb.tobytes()
-        for ba, bb in zip(a.biases, b.biases):
-            assert ba.tobytes() == bb.tobytes()
+        assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_best_checkpoint_not_worse_than_first(self, rng):
         X = rng.uniform(size=(60, 3))
@@ -197,6 +194,20 @@ class TestTraining:
         cfg = TrainConfig(epochs=50, seed=1)
         _, log = _train_head(X, Y, [3, 10, 1], cfg, head_tag=0)
         assert min(v for _, _, v in log) <= log[0][2]
+
+    @pytest.mark.parametrize("optimizer, lr", [("adam", 1e-2), ("sgd", 5e-2)])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_matches_per_array_reference(self, rng, optimizer, lr, outputs):
+        X = rng.uniform(-1, 1, size=(90, 5))
+        Y = np.tanh(X @ rng.normal(size=(5, outputs)))
+        cfg = TrainConfig(
+            epochs=25, seed=11, batch_size=16, learning_rate=lr,
+            validation_fraction=0.2, optimizer=optimizer,
+        )
+        net, log = _train_head(X, Y, [5, 10, 10, outputs], cfg, head_tag=outputs)
+        ref_theta, ref_log = reference_train_head(X, Y, [5, 10, 10, outputs], cfg, head_tag=outputs)
+        assert net.theta.tobytes() == ref_theta.tobytes()
+        assert repr(log) == repr(ref_log)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -276,8 +287,7 @@ class TestWeightsIo(object):
             (p.center_head, p.size_head, p.angle_head),
             (q.center_head, q.size_head, q.angle_head),
         ):
-            for wa, wb in zip(ha.weights, hb.weights):
-                assert wa.tobytes() == wb.tobytes()
+            assert ha.theta.tobytes() == hb.theta.tobytes()
 
     def test_reports_shapes(self, rng, tmp_path):
         p = self.make_predictor(rng)
