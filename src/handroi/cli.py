@@ -12,6 +12,7 @@ environment variable when the flag is absent.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .errors import (
     WeightsFormatError,
 )
 from .geometry import rect_to_quad
-from .heuristic import calc_hand_roi, gold_roi
+from .heuristic import calc_hand_roi
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -61,10 +62,10 @@ def _write_manifest(out_path, command, config, counts):
         fh.write("\n")
 
 
-def _predictor_fn(method, weights_path, gold_scale):
+def _predictor_fn(method, weights_path):
     """Sample -> RotRect closure for one method tag."""
-    if method == "gold":
-        return lambda s: gold_roi(s.hand, s.width, s.height, scale=gold_scale)
+    if weights_path is not None and not os.path.isfile(weights_path):
+        raise UsageError(f"weights file not found: {weights_path}")
     if method == "heuristic":
         return lambda s: calc_hand_roi(
             s.pose.wrist.xy(), s.pose.index.xy(), s.pose.pinky.xy(), s.width / s.height
@@ -86,29 +87,12 @@ def _predictor_fn(method, weights_path, gold_scale):
 
 def cmd_synth(args):
     cfg = ds.SynthConfig(
-        n=args.n,
-        seed=args.seed,
-        noise_px=args.noise_px,
-        max_tilt_deg=args.max_tilt_deg,
-        rho_min=args.rho_min,
-        rho_max=args.rho_max,
+        n=args.n, seed=args.seed, noise_px=args.noise_px, max_tilt_deg=args.max_tilt_deg
     )
     samples = ds.synth_generate(cfg)
     out = _resolve(args.out, args)
     ds.write_samples(samples, out)
-    _write_manifest(
-        out,
-        "synth",
-        {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "noise_px": cfg.noise_px,
-            "max_tilt_deg": cfg.max_tilt_deg,
-            "rho_min": cfg.rho_min,
-            "rho_max": cfg.rho_max,
-        },
-        ds.dataset_stats(samples),
-    )
+    _write_manifest(out, "synth", dataclasses.asdict(cfg), ds.dataset_stats(samples))
     print(f"wrote {len(samples)} samples to {out}")
     return EXIT_OK
 
@@ -164,7 +148,7 @@ def cmd_train(args):
         optimizer=args.optimizer,
         angle_mode=args.angle_mode,
     )
-    predictor, logs = md.train_predictor(train, cfg, gold_scale=args.gold_scale)
+    predictor, logs = md.train_predictor(train, cfg)
     out = _resolve(args.out, args)
     md.save_weights(predictor, out)
     with open(f"{out}.log", "w", encoding="utf-8") as fh:
@@ -174,17 +158,7 @@ def cmd_train(args):
     _write_manifest(
         out,
         "train",
-        {
-            "dataset": args.dataset,
-            "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-            "validation_fraction": cfg.validation_fraction,
-            "optimizer": cfg.optimizer,
-            "angle_mode": cfg.angle_mode,
-            "gold_scale": args.gold_scale,
-        },
+        {"dataset": args.dataset, **dataclasses.asdict(cfg)},
         {
             "train_samples": len(train),
             "best_val": {h: min(v for _, _, v in logs[h]) for h in logs},
@@ -201,12 +175,8 @@ def cmd_eval(args):
     test = [s for s in samples if s.split == "test"]
     if not test:
         raise EmptyDataset("dataset has no test split")
-    method = "gold" if args.gold_as_predictor else args.method
-    weights = _resolve(args.weights, args)
-    if weights is not None and not os.path.isfile(weights):
-        raise UsageError(f"weights file not found: {weights}")
-    predict = _predictor_fn(method, weights, args.gold_scale)
-    rows, summary = mx.evaluate(predict, test, gold_scale=args.gold_scale, method=method)
+    predict = _predictor_fn(args.method, _resolve(args.weights, args))
+    rows, summary = mx.evaluate(predict, test, method=args.method)
     out = _resolve(args.out, args)
     mx.write_rows_csv(rows, out)
     summary_path = args.summary or f"{out}.summary.txt"
@@ -214,12 +184,7 @@ def cmd_eval(args):
     _write_manifest(
         out,
         "eval",
-        {
-            "dataset": args.dataset,
-            "method": method,
-            "weights": args.weights,
-            "gold_scale": args.gold_scale,
-        },
+        {"dataset": args.dataset, "method": args.method, "weights": args.weights},
         {"test_samples": len(test), **summary.as_dict()},
     )
     print(f"wrote {len(rows)} rows to {out}")
@@ -249,15 +214,14 @@ def cmd_compare(args):
         fh.write(f"min_iou_pair={sum_a.min_iou!r} vs {sum_b.min_iou!r}\n")
 
     svg_path = args.svg or f"{report}.svg"
-    hist_a = mx.iou_histogram(rows_a, bins=args.bins)
-    hist_b = mx.iou_histogram(rows_b, bins=args.bins)
-    svg = svgmod.histogram_svg([(name_a, hist_a), (name_b, hist_b)], bins=args.bins)
+    hists = [(name_a, mx.iou_histogram(rows_a)), (name_b, mx.iou_histogram(rows_b))]
+    svg = svgmod.histogram_svg(hists, bins=mx.HIST_BINS)
     with open(_resolve(svg_path, args), "w", encoding="utf-8") as fh:
         fh.write(svg)
     _write_manifest(
         report,
         "compare",
-        {"rows_a": args.rows_a, "rows_b": args.rows_b, "bins": args.bins},
+        {"rows_a": args.rows_a, "rows_b": args.rows_b},
         {
             "n": sum_a.n,
             "win_rate_a_over_b": wr_ab,
@@ -274,13 +238,9 @@ def cmd_render(args):
     if not matches:
         raise NotFound(f"sample id {args.id!r} not in dataset")
     s = matches[0]
-    gold = gold_roi(s.hand, s.width, s.height, scale=args.gold_scale)
-    gold_quad = rect_to_quad(gold, s.width, s.height)
+    gold_quad = rect_to_quad(ds.sample_gold_roi(s), s.width, s.height)
     pred_quads = []
-    weights = _resolve(args.weights, args)
-    if weights is not None and not os.path.isfile(weights):
-        raise UsageError(f"weights file not found: {weights}")
-    predict = _predictor_fn(args.method, weights, args.gold_scale)
+    predict = _predictor_fn(args.method, _resolve(args.weights, args))
     try:
         pred = predict(s)
         pred_quads.append(rect_to_quad(pred, s.width, s.height))
@@ -292,13 +252,7 @@ def cmd_render(args):
     _write_manifest(
         out,
         "render",
-        {
-            "dataset": args.dataset,
-            "id": args.id,
-            "method": args.method,
-            "weights": args.weights,
-            "gold_scale": args.gold_scale,
-        },
+        {"dataset": args.dataset, "id": args.id, "method": args.method, "weights": args.weights},
         {"predictions": len(pred_quads)},
     )
     print(f"wrote {out}")
@@ -323,8 +277,6 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--noise-px", type=float, default=1.0)
     p.add_argument("--max-tilt-deg", type=float, default=60.0)
-    p.add_argument("--rho-min", type=float, default=0.75)
-    p.add_argument("--rho-max", type=float, default=1.9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -345,7 +297,6 @@ def build_parser():
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
     p.add_argument("--angle-mode", choices=("sincos", "scalar"), default="sincos")
-    p.add_argument("--gold-scale", type=float, default=2.0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate one method on the test split")
@@ -354,12 +305,6 @@ def build_parser():
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", default=None)
-    p.add_argument("--gold-scale", type=float, default=2.0)
-    p.add_argument(
-        "--gold-as-predictor",
-        action="store_true",
-        help="debug: score the gold ROI against itself",
-    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="compare two row files")
@@ -367,7 +312,6 @@ def build_parser():
     p.add_argument("--rows-b", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--svg", default=None)
-    p.add_argument("--bins", type=int, default=20)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("render", help="schematic SVG of gold and predicted boxes")
@@ -375,7 +319,6 @@ def build_parser():
     p.add_argument("--id", required=True)
     p.add_argument("--method", choices=("heuristic", "mlp", "hybrid"), default="heuristic")
     p.add_argument("--weights", default=None)
-    p.add_argument("--gold-scale", type=float, default=2.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyDataset, InvalidDataset, ParseError
+from .errors import DegenerateHand, DuplicateId, EmptyDataset, InvalidDataset, ParseError
 from .geometry import Vec3
 from .heuristic import (
     Hand21,
@@ -35,6 +35,7 @@ from .heuristic import (
 )
 
 POSE_KEYS = ("shoulder", "elbow", "wrist", "thumb", "index", "pinky")
+SPLITS = ("train", "test")
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,27 @@ def mirror_left(pose: PoseHand, hand: Hand21, width: float):
     return PoseHand(*kps), Hand21(points=pts)
 
 
-def _parse_sidecar_line(line, lineno):
+def sample_gold_roi(s: Sample):
+    """The sample's gold ROI; a degenerate gold hand is an InvalidDataset naming the sample."""
+    try:
+        return gold_roi(s.hand, s.width, s.height)
+    except DegenerateHand as e:
+        raise InvalidDataset(f"sample {s.id!r} has a degenerate gold hand: {e}") from None
+
+
+def _utf8_lines(path):
+    """(line number, stripped text) of each non-blank line; bad UTF-8 is a ParseError."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path} line {lineno}: {e}") from None
+            if line:
+                yield lineno, line
+
+
+def _parse_sidecar_line(line, where):
     try:
         doc = json.loads(line)
         sid = str(doc["id"])
@@ -127,7 +148,7 @@ def _parse_sidecar_line(line, lineno):
     except ParseError:
         raise
     except Exception as e:
-        raise ParseError(f"sidecar line {lineno}: {e}") from e
+        raise ParseError(f"{where}: {e}") from e
     return sid, width, height, handedness, PoseHand(*kps)
 
 
@@ -138,15 +159,12 @@ def merge_pose_sidecar(records, sidecar_path, split="train") -> MergeResult:
     ROI is degenerate are filtered and counted. Left hands are mirrored.
     """
     poses = {}
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            sid, width, height, handedness, pose = _parse_sidecar_line(line, lineno)
-            if sid in poses:
-                raise DuplicateId(f"sidecar line {lineno}: duplicate id {sid!r}")
-            poses[sid] = (width, height, handedness, pose)
+    for lineno, line in _utf8_lines(sidecar_path):
+        where = f"{sidecar_path} line {lineno}"
+        sid, width, height, handedness, pose = _parse_sidecar_line(line, where)
+        if sid in poses:
+            raise DuplicateId(f"{where}: duplicate id {sid!r}")
+        poses[sid] = (width, height, handedness, pose)
 
     samples = []
     missing = 0
@@ -212,6 +230,9 @@ HAND_TEMPLATE = np.array(
 )
 
 SYNTH_HEIGHT = 480
+# range of the synthetic image aspect ratio rho = width / height
+RHO_MIN = 0.75
+RHO_MAX = 1.9
 
 
 @dataclass(frozen=True)
@@ -220,8 +241,6 @@ class SynthConfig:
     seed: int
     noise_px: float = 1.0
     max_tilt_deg: float = 60.0
-    rho_min: float = 0.75
-    rho_max: float = 1.9
 
     def __post_init__(self):
         if self.n <= 0:
@@ -230,8 +249,6 @@ class SynthConfig:
             raise InvalidDataset("noise_px must be >= 0")
         if not (0.0 <= self.max_tilt_deg <= 90.0):
             raise InvalidDataset("max_tilt_deg must be in [0, 90]")
-        if not (0 < self.rho_min <= self.rho_max):
-            raise InvalidDataset("rho range must be positive and ordered")
 
 
 def _rotation_matrix(phi_deg, tilt_deg, axis_deg):
@@ -256,7 +273,7 @@ def _rotation_matrix(phi_deg, tilt_deg, axis_deg):
 
 def _make_synth_sample(rng, cfg, idx, split):
     height = SYNTH_HEIGHT
-    rho = rng.uniform(cfg.rho_min, cfg.rho_max)
+    rho = rng.uniform(RHO_MIN, RHO_MAX)
     width = int(round(rho * height))
 
     phi = rng.uniform(0.0, 360.0)
@@ -324,16 +341,14 @@ def synth_generate(cfg: SynthConfig):
 # ---------------------------------------------------------------------------
 # aggregation and file format
 
-def dataset_stats(samples, filtered=0):
-    """Counts per split and handedness plus the degenerate-filtered count."""
-    out = {
+def dataset_stats(samples):
+    """Counts per split and handedness."""
+    return {
         "n": len(samples),
         "train": sum(1 for s in samples if s.split == "train"),
         "test": sum(1 for s in samples if s.split == "test"),
         "was_left": sum(1 for s in samples if s.was_left),
-        "filtered": filtered,
     }
-    return out
 
 
 def sample_to_dict(s: Sample) -> dict:
@@ -348,20 +363,31 @@ def sample_to_dict(s: Sample) -> dict:
     }
 
 
+def _json_int(d, key):
+    val = d[key]
+    if type(val) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {val!r}")
+    return val
+
+
 def sample_from_dict(d: dict) -> Sample:
     hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in d["hand"]))
     pose = PoseHand(*[Vec3(*map(float, d["pose"][k])) for k in POSE_KEYS])
-    width, height = int(d["width"]), int(d["height"])
+    width, height = _json_int(d, "width"), _json_int(d, "height")
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive image dims {width}x{height}")
+    if type(d["was_left"]) is not bool:
+        raise ValueError(f"was_left must be a JSON boolean, got {d['was_left']!r}")
+    if d["split"] not in SPLITS:
+        raise ValueError(f"split must be 'train' or 'test', got {d['split']!r}")
     return Sample(
         id=str(d["id"]),
         width=width,
         height=height,
         hand=hand,
         pose=pose,
-        was_left=bool(d["was_left"]),
-        split=str(d["split"]),
+        was_left=d["was_left"],
+        split=d["split"],
     )
 
 
@@ -374,15 +400,11 @@ def write_samples(samples, path):
 
 def read_samples(path):
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                samples.append(sample_from_dict(json.loads(line)))
-            except Exception as e:
-                raise ParseError(f"{path} line {lineno}: {e}") from e
+    for lineno, line in _utf8_lines(path):
+        try:
+            samples.append(sample_from_dict(json.loads(line)))
+        except Exception as e:
+            raise ParseError(f"{path} line {lineno}: {e}") from e
     if not samples:
         raise EmptyDataset(f"no samples in {path}")
     return samples

@@ -203,11 +203,18 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     """IoUs (N,) of N ROI pairs in pixel space; 0 where either ROI has no area.
 
     preds[i] and golds[i] are RotRects on an image of widths[i] x heights[i].
+    Each pair is moved so the midpoint of the two first corners is the
+    origin: the shoelace products then scale with the ROIs' sizes rather
+    than their pixel positions, and a small ROI far from the image origin
+    keeps its area's precision, so IoU(a, b) and IoU(b, a) agree to
+    rounding.
     """
     qa = _rect_quads(preds, widths, heights)
     qb = _rect_quads(golds, widths, heights)
     if any(a.size == 0.0 and b.size == 0.0 for a, b in zip(preds, golds)):
         raise DegenerateGeometry("IoU of two zero-area ROIs is undefined")
+    origin = (qa[:, :1] + qb[:, :1]) * 0.5
+    qa, qb = qa - origin, qb - origin
     fours = np.full(qa.shape[0], 4)
     area_a = areas(qa, fours)
     area_b = areas(qb, fours)

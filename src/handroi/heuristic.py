@@ -93,7 +93,11 @@ def closed_form_size(wrist: Vec2, index: Vec2, pinky: Vec2, rho: float) -> float
 
 
 def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0) -> RotRect:
-    """Reference ROI bounding all 21 landmarks, aligned to the wrist->middle-MCP axis."""
+    """Reference ROI bounding all 21 landmarks, aligned to the wrist->middle-MCP axis.
+
+    The default scale=2.0 is the one gold box: training targets and scores
+    both use it, and trained weights assume it.
+    """
     if not (width > 0 and height > 0):
         raise InvalidImage(f"image dims must be positive, got {width}x{height}")
     pts = [(p[0], p[1]) for p in hand.points]

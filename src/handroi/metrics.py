@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .dataset import sample_gold_roi
 from .errors import DegenerateGold, DegenerateHand, EmptyDataset, JoinError, ParseError
 from .geometry import RotRect, circular_diff_deg, rotated_ious
-from .heuristic import gold_roi
 
 CSV_COLUMNS = ("sample_id", "method", "iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed")
+HIST_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,11 @@ def rotation_error(pred: RotRect, gold: RotRect) -> float:
     return circular_diff_deg(pred.rotation, gold.rotation)
 
 
-def evaluate(predict, samples, gold_scale: float = 2.0, method: str = ""):
+def evaluate(predict, samples, method: str = ""):
     """Score one predictor over samples; returns (rows, summary).
 
-    `predict` maps a Sample to a RotRect and may raise DegenerateHand.
+    `predict` maps a Sample to a RotRect and may raise DegenerateHand; a
+    sample whose gold hand is degenerate raises InvalidDataset.
     Rows keep the sample order; all IoUs are computed in one batch.
     """
     samples = list(samples)
@@ -80,7 +82,7 @@ def evaluate(predict, samples, gold_scale: float = 2.0, method: str = ""):
         raise EmptyDataset("no samples to evaluate")
     golds, preds = [], []
     for s in samples:
-        golds.append(gold_roi(s.hand, s.width, s.height, scale=gold_scale))
+        golds.append(sample_gold_roi(s))
         try:
             preds.append(predict(s))
         except DegenerateHand:
@@ -151,7 +153,7 @@ def win_rate(a, b) -> float:
     return wins / len(a)
 
 
-def iou_histogram(rows, bins: int = 20):
+def iou_histogram(rows, bins: int = HIST_BINS):
     """Equal-width bin counts over [0, 1]; last bin right-inclusive."""
     if bins < 1:
         raise ValueError("bins must be >= 1")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import sample_gold_roi
 from .errors import (
     EmptyDataset,
     InvalidDataset,
@@ -26,7 +27,7 @@ from .errors import (
     WeightsFormatError,
 )
 from .geometry import RotRect, Vec2, normalize_deg
-from .heuristic import PoseHand, calc_hand_roi, gold_roi
+from .heuristic import PoseHand, calc_hand_roi
 
 FEATURE_DIM = 19
 HIDDEN = (10, 10)
@@ -177,15 +178,7 @@ class RoiPredictor:
     center_head: Mlp
     size_head: Mlp
     angle_head: Mlp
-    feature_spec: str = FEATURE_SPEC
     angle_mode: str = "sincos"
-
-    def head_shapes(self):
-        return {
-            "center": list(self.center_head.layer_sizes),
-            "size": list(self.size_head.layer_sizes),
-            "angle": list(self.angle_head.layer_sizes),
-        }
 
 
 def _head_outputs(angle_mode: str):
@@ -259,12 +252,12 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
     return Mlp(layer_sizes, best), log
 
 
-def roi_targets(samples, gold_scale: float = 2.0, angle_mode: str = "sincos"):
+def roi_targets(samples, angle_mode: str = "sincos"):
     """Feature matrix and per-head target arrays derived from gold ROIs."""
     feats, centers, sizes, angles = [], [], [], []
     for s in samples:
         rho = s.width / s.height
-        gold = gold_roi(s.hand, s.width, s.height, scale=gold_scale)
+        gold = sample_gold_roi(s)
         feats.append(featurize(s.pose, rho))
         centers.append((gold.center.x, gold.center.y))
         sizes.append((gold.size,))
@@ -281,13 +274,13 @@ def roi_targets(samples, gold_scale: float = 2.0, angle_mode: str = "sincos"):
     )
 
 
-def train_predictor(samples, cfg: TrainConfig, gold_scale: float = 2.0):
+def train_predictor(samples, cfg: TrainConfig):
     """Train the three heads independently; returns (predictor, logs dict)."""
     samples = list(samples)
     if len(samples) < 2:
         raise EmptyDataset("need at least 2 training samples")
     center_out, size_out, angle_out = _head_outputs(cfg.angle_mode)
-    X, Yc, Ys, Ya = roi_targets(samples, gold_scale, cfg.angle_mode)
+    X, Yc, Ys, Ya = roi_targets(samples, cfg.angle_mode)
     center, log_c = _train_head(X, Yc, [FEATURE_DIM, *HIDDEN, center_out], cfg, head_tag=0)
     size, log_s = _train_head(X, Ys, [FEATURE_DIM, *HIDDEN, size_out], cfg, head_tag=1)
     angle, log_a = _train_head(X, Ya, [FEATURE_DIM, *HIDDEN, angle_out], cfg, head_tag=2)
@@ -324,7 +317,7 @@ def hybrid_predict(p: RoiPredictor, hand: PoseHand, rho: float) -> RotRect:
 def save_weights(p: RoiPredictor, path):
     heads = (p.center_head, p.size_head, p.angle_head)
     parts = [_MAGIC, struct.pack("<H", _VERSION)]
-    spec = p.feature_spec.encode("utf-8")
+    spec = FEATURE_SPEC.encode("utf-8")
     parts.append(struct.pack("<H", len(spec)))
     parts.append(spec)
     parts.append(struct.pack("<BB", _ANGLE_MODES.index(p.angle_mode), len(heads)))
@@ -389,6 +382,5 @@ def load_weights(path) -> RoiPredictor:
         center_head=heads[0],
         size_head=heads[1],
         angle_head=heads[2],
-        feature_spec=feature_spec,
         angle_mode=angle_mode,
     )

@@ -14,7 +14,7 @@ def _f(v):
     return f"{v:.2f}"
 
 
-def histogram_svg(series, bins, title="IoU per method", width=640, height=400):
+def histogram_svg(series, bins):
     """Overlaid bar histogram; `series` is a list of (label, counts) pairs.
 
     All count lists must have `bins` entries covering [0, 1].
@@ -22,6 +22,7 @@ def histogram_svg(series, bins, title="IoU per method", width=640, height=400):
     for label, counts in series:
         if len(counts) != bins:
             raise ValueError(f"series {label!r} has {len(counts)} bins, expected {bins}")
+    width, height, title = 640, 400, "IoU per method"
     margin_l, margin_r, margin_t, margin_b = 50, 15, 40, 40
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

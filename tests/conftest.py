@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from handroi.geometry import RotRect, Vec2, rect_to_quad
+from handroi.heuristic import MIDDLE_MCP, WRIST, Hand21
 
 
 @pytest.fixture
@@ -15,6 +18,13 @@ def random_rect(rng, size_lo=0.05, size_hi=0.8):
         size=rng.uniform(size_lo, size_hi),
         rotation=rng.uniform(0.0, 360.0),
     )
+
+
+def with_degenerate_gold(sample):
+    """The sample with its middle knuckle moved onto the wrist, so gold_roi fails."""
+    pts = list(sample.hand.points)
+    pts[MIDDLE_MCP] = pts[WRIST]
+    return dataclasses.replace(sample, hand=Hand21(points=tuple(pts)))
 
 
 def monte_carlo_iou(a, b, width, height, n_points, rng):
@@ -44,8 +54,15 @@ def monte_carlo_iou(a, b, width, height, n_points, rng):
 
 
 def scalar_quad_iou(qa, qb):
-    """Reference IoU of two (4, 2) quads: Sutherland-Hodgman one vertex at a time."""
+    """Reference IoU of two (4, 2) quads: Sutherland-Hodgman one vertex at a time.
+
+    Both quads are first moved so the midpoint of their first corners is
+    the origin, as `rotated_ious` does.
+    """
     qa, qb = np.asarray(qa).tolist(), np.asarray(qb).tolist()
+    ox, oy = (qa[0][0] + qb[0][0]) * 0.5, (qa[0][1] + qb[0][1]) * 0.5
+    qa = [[x - ox, y - oy] for x, y in qa]
+    qb = [[x - ox, y - oy] for x, y in qb]
 
     def area(pts):
         if len(pts) < 3:

@@ -1,15 +1,45 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handroi import model as md
-from handroi.cli import main
+from handroi.cli import build_parser, main
 from handroi.dataset import SynthConfig, read_samples, synth_generate, write_samples
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_quiet(*argv):
+    """Exit code and stderr lines of one command, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue().splitlines()
+
+
+def edit_line(src, dst, index, change):
+    """Copy a dataset, applying change() to the JSON object on line index + 1."""
+    lines = src.read_text().splitlines()
+    doc = json.loads(lines[index])
+    change(doc)
+    lines[index] = json.dumps(doc)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def collapse_middle_knuckle(doc):
+    """Move the middle knuckle (landmark 9) onto the wrist (landmark 0): a degenerate gold hand."""
+    doc["hand"][9] = doc["hand"][0]
 
 
 @pytest.fixture
@@ -80,6 +110,17 @@ class TestIngest:
         manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
         assert manifest["counts"]["train"]["missing_pose"] == 1
 
+    def test_invalid_utf8_sidecar_exit_2(self, tmp_path):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 3)
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1"])
+        sidecar.write_bytes(sidecar.read_bytes() + b"\xff\n")
+        argv = ["--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(tmp_path / "d.jsonl")]
+        code, err = run_quiet("ingest", *argv)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {sidecar} line 3: 'utf-8' codec")
+
     def test_missing_sidecar(self, tmp_path):
         labels = tmp_path / "labels"
         self.make_labels(labels, 1)
@@ -137,12 +178,8 @@ class TestTrain:
         assert min(manifest["counts"]["best_epoch"].values()) < 29
 
     def test_zero_image_height_exit_2(self, tmp_path, small_dataset, capsys):
-        lines = small_dataset.read_text().splitlines()
-        doc = json.loads(lines[4])
-        doc["height"] = 0
-        lines[4] = json.dumps(doc)
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        edit_line(small_dataset, bad, 4, lambda doc: doc.update(height=0))
         capsys.readouterr()
         code = run("train", "--dataset", str(bad), "--out", str(tmp_path / "m.hroi"))
         assert code == 2
@@ -182,6 +219,92 @@ class TestBadFlagValues:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# eval reads the test split and train the train split; line 5 is a train
+# sample and the last line a test sample
+BAD_DATASET_CMDS = {
+    "eval": (["eval", "--method", "heuristic"], -1),
+    "train": (["train", "--epochs", "2"], 4),
+}
+
+
+class TestBadDataset:
+    def run_on(self, tmp_path, command, bad):
+        argv, _ = BAD_DATASET_CMDS[command]
+        return run_quiet(*argv, "--dataset", str(bad), "--out", str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    @pytest.mark.parametrize(
+        "field, value",
+        [("was_left", "false"), ("split", "Test"), ("width", 640.9), ("height", True)],
+    )
+    def test_mistyped_field_exit_2(self, tmp_path, small_dataset, command, field, value):
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 4, lambda doc: doc.update({field: value}))
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {bad} line 5: {field} must be")
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    def test_invalid_utf8_exit_2(self, tmp_path, small_dataset, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(small_dataset.read_bytes() + b'{"id": "\xfe"}\n')
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {bad} line 61: 'utf-8' codec")
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    def test_degenerate_gold_exit_2(self, tmp_path, small_dataset, command):
+        _, index = BAD_DATASET_CMDS[command]
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, index, collapse_middle_knuckle)
+        sid = json.loads(bad.read_text().splitlines()[index])["id"]
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert err == [
+            f"error: sample '{sid}' has a degenerate gold hand: wrist coincides with middle knuckle"
+        ]
+
+
+@pytest.fixture(scope="module")
+def clean_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "clean.jsonl"
+    write_samples(synth_generate(SynthConfig(n=20, seed=5)), path)
+    return path
+
+
+def corruptions(clean):
+    """The clean bytes truncated, or with one to four bits flipped."""
+    def flip(bits):
+        out = bytearray(clean)
+        for pos, bit in bits:
+            out[pos] ^= 1 << bit
+        return bytes(out)
+
+    positions = st.integers(0, len(clean) - 1)
+    return st.one_of(
+        positions.map(lambda n: clean[:n]),
+        st.lists(st.tuples(positions, st.integers(0, 7)), min_size=1, max_size=4).map(flip),
+    )
+
+
+class TestCorruptDatasetProperty:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_exit_0_or_one_error_line(self, clean_dataset, data):
+        bad = clean_dataset.with_name("bad.jsonl")
+        bad.write_bytes(data.draw(corruptions(clean_dataset.read_bytes())))
+        for argv in (
+            ["eval", "--method", "heuristic", "--out", str(bad.with_name("rows.csv"))],
+            ["train", "--epochs", "2", "--out", str(bad.with_name("w.hroi"))],
+        ):
+            code, err = run_quiet(*argv, "--dataset", str(bad))
+            assert code in (0, 2), (argv[0], code, err)
+            if code == 2:
+                assert len(err) == 1 and err[0].startswith("error: "), (argv[0], err)
+            else:
+                assert err == [], (argv[0], err)
+
+
 class TestEval:
     def test_heuristic_needs_no_weights(self, tmp_path, small_dataset):
         out = tmp_path / "rows.csv"
@@ -193,17 +316,6 @@ class TestEval:
         run("eval", "--dataset", str(small_dataset), "--out", str(out))
         keys = [line.split("=")[0] for line in (tmp_path / "rows.csv.summary.txt").read_text().splitlines()]
         assert keys == ["mean_iou", "mean_center_err", "mean_scale_err", "mean_rot_err", "min_iou", "n"]
-
-    def test_gold_as_predictor(self, tmp_path, small_dataset):
-        out = tmp_path / "rows.csv"
-        assert (
-            run("eval", "--dataset", str(small_dataset), "--out", str(out), "--gold-as-predictor")
-            == 0
-        )
-        summary = dict(
-            line.split("=") for line in (tmp_path / "rows.csv.summary.txt").read_text().splitlines()
-        )
-        assert float(summary["mean_iou"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_mlp_missing_weights(self, tmp_path, small_dataset):
         code = run(
@@ -325,6 +437,14 @@ class TestRender:
         assert svg.count("<polygon") == 2
         assert svg.count('stroke="#1f77b4"') == 2
 
+    def test_degenerate_gold_exit_2(self, tmp_path, small_dataset):
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 0, collapse_middle_knuckle)
+        sid = read_samples(small_dataset)[0].id
+        code, err = run_quiet("render", "--dataset", str(bad), "--id", sid, "--out", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert err == [f"error: sample '{sid}' has a degenerate gold hand: wrist coincides with middle knuckle"]
+
     def test_unknown_id_exit_4(self, tmp_path, small_dataset):
         code = run(
             "render",
@@ -357,3 +477,28 @@ class TestDataDir:
             == 0
         )
         assert (other / "d.jsonl").is_file()
+
+
+class TestReadme:
+    def commands(self):
+        """Every `handroi ...` line of README.md's sh blocks, continuations joined."""
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        cmds = []
+        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line.startswith("handroi "):
+                    cmds.append(shlex.split(line)[1:])
+        return cmds
+
+    def test_cli_block_parses(self):
+        cmds = self.commands()
+        assert len(cmds) >= 7
+        parser = build_parser()
+        for argv in cmds:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    parser.parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"README command does not parse: handroi {shlex.join(argv)}\n{err.getvalue()}")

@@ -120,7 +120,15 @@ class TestMergeSidecar:
         sc.write_text(sidecar_line("s1") + "\nnot json\n")
         with pytest.raises(ParseError) as exc:
             merge_pose_sidecar(records, sc)
-        assert "line 2" in str(exc.value)
+        assert f"{sc} line 2" in str(exc.value)
+
+    def test_invalid_utf8_line(self, tmp_path):
+        make_label_file(tmp_path, "s1.json")
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_bytes(sidecar_line("s1").encode() + b"\n\xff\xfe\n")
+        with pytest.raises(ParseError, match=f"{sc} line 2: 'utf-8' codec"):
+            merge_pose_sidecar(records, sc)
 
     def test_duplicate_id(self, tmp_path):
         make_label_file(tmp_path, "s1.json")
@@ -176,9 +184,8 @@ class TestSynth:
 class TestStatsAndIo:
     def test_stats_sum(self):
         samples = synth_generate(SynthConfig(n=40, seed=2))
-        st = dataset_stats(samples, filtered=3)
+        st = dataset_stats(samples)
         assert st["train"] + st["test"] == st["n"] == 40
-        assert st["filtered"] == 3
         assert 0 <= st["was_left"] <= st["n"]
 
     def test_stats_empty(self):
@@ -207,6 +214,37 @@ class TestStatsAndIo:
         path = tmp_path / "data.jsonl"
         path.write_text("".join(json.dumps(d) + "\n" for d in docs))
         with pytest.raises(ParseError, match=f"{path} line 2: non-positive image dims"):
+            read_samples(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("was_left", "false", "was_left must be a JSON boolean"),
+            ("was_left", 0, "was_left must be a JSON boolean"),
+            ("split", "Test", "split must be 'train' or 'test'"),
+            ("split", "val", "split must be 'train' or 'test'"),
+            ("width", 640.9, "width must be a JSON integer"),
+            ("width", "640", "width must be a JSON integer"),
+            ("height", True, "height must be a JSON integer"),
+            ("height", 480.0, "height must be a JSON integer"),
+        ],
+    )
+    def test_read_mistyped_field(self, tmp_path, field, value, message):
+        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        with pytest.raises(ValueError, match=message):
+            sample_from_dict({**docs[1], field: value})
+        docs[1][field] = value
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        with pytest.raises(ParseError, match=f"{path} line 2: {message}"):
+            read_samples(path)
+
+    def test_read_invalid_utf8(self, tmp_path):
+        samples = synth_generate(SynthConfig(n=3, seed=4))
+        path = tmp_path / "data.jsonl"
+        write_samples(samples, path)
+        path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
+        with pytest.raises(ParseError, match=f"{path} line 4: 'utf-8' codec"):
             read_samples(path)
 
     def test_read_empty(self, tmp_path):

@@ -2,8 +2,16 @@ import math
 
 import pytest
 
+from conftest import with_degenerate_gold
 from handroi.dataset import SynthConfig, synth_generate
-from handroi.errors import DegenerateGold, DegenerateHand, EmptyDataset, JoinError, ParseError
+from handroi.errors import (
+    DegenerateGold,
+    DegenerateHand,
+    EmptyDataset,
+    InvalidDataset,
+    JoinError,
+    ParseError,
+)
 from handroi.geometry import RotRect, Vec2, rotated_iou
 from handroi.heuristic import calc_hand_roi, gold_roi
 from handroi.metrics import (
@@ -110,6 +118,12 @@ class TestEvaluate:
     def test_empty(self):
         with pytest.raises(EmptyDataset):
             evaluate(lambda s: rect(), [])
+
+    def test_degenerate_gold_names_sample(self):
+        samples = self.samples(n=3)
+        samples[1] = with_degenerate_gold(samples[1])
+        with pytest.raises(InvalidDataset, match=f"sample '{samples[1].id}' has a degenerate gold hand"):
+            evaluate(lambda s: rect(), samples)
 
     def test_interleaved_failures_keep_row_order(self):
         samples = self.samples(n=40, seed=4)

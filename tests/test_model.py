@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_train_head
+from conftest import reference_train_head, with_degenerate_gold
+from handroi.dataset import SynthConfig, synth_generate
 from handroi.errors import (
     EmptyDataset,
     InvalidDataset,
@@ -16,6 +17,7 @@ from handroi.geometry import Vec3
 from handroi.heuristic import PoseHand, calc_hand_roi
 from handroi.model import (
     FEATURE_DIM,
+    FEATURE_SPEC,
     Mlp,
     RoiPredictor,
     TrainConfig,
@@ -213,6 +215,12 @@ class TestTraining:
         with pytest.raises(EmptyDataset):
             train_predictor([], TrainConfig())
 
+    def test_degenerate_gold_names_sample(self):
+        samples = synth_generate(SynthConfig(n=5, seed=2))
+        samples[3] = with_degenerate_gold(samples[3])
+        with pytest.raises(InvalidDataset, match=f"sample '{samples[3].id}' has a degenerate gold hand"):
+            train_predictor(samples, TrainConfig(epochs=1))
+
     def test_bad_config(self):
         with pytest.raises(InvalidDataset):
             TrainConfig(learning_rate=-1)
@@ -294,7 +302,7 @@ class TestWeightsIo(object):
         f = tmp_path / "w.hroi"
         save_weights(p, f)
         q = load_weights(f)
-        assert q.head_shapes()["size"] == [FEATURE_DIM, 10, 10, 1]
+        assert q.size_head.layer_sizes == [FEATURE_DIM, 10, 10, 1]
         assert param_count(q.size_head) == 321
 
     def test_corrupt_magic(self, rng, tmp_path):
@@ -307,10 +315,12 @@ class TestWeightsIo(object):
             load_weights(f)
 
     def test_foreign_feature_spec(self, rng, tmp_path):
-        p = self.make_predictor(rng)
-        p.feature_spec = "pose6xy+rho/v0"
         f = tmp_path / "w.hroi"
-        save_weights(p, f)
+        save_weights(self.make_predictor(rng), f)
+        data = f.read_bytes()
+        foreign = FEATURE_SPEC.replace("/v1", "/v0").encode()
+        assert FEATURE_SPEC.encode() in data and len(foreign) == len(FEATURE_SPEC)
+        f.write_bytes(data.replace(FEATURE_SPEC.encode(), foreign, 1))
         with pytest.raises(WeightsFormatError, match="feature spec"):
             load_weights(f)
 
