@@ -22,7 +22,7 @@ from . import metrics as mx
 from . import model as md
 from . import svg as svgmod
 from .errors import (
-    DegenerateHand,
+    DuplicateId,
     EmptyDataset,
     HandRoiError,
     InvalidDataset,
@@ -30,8 +30,7 @@ from .errors import (
     ParseError,
     WeightsFormatError,
 )
-from .geometry import rect_to_quad
-from .heuristic import calc_hand_roi
+from .geometry import box_quads, rect_to_quad
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -63,22 +62,18 @@ def _write_manifest(out_path, command, config, counts):
 
 
 def _predictor_fn(method, weights_path):
-    """Sample -> RotRect closure for one method tag."""
+    """The batched predictor of one method tag: samples -> (boxes, failed)."""
     if weights_path is not None and not os.path.isfile(weights_path):
         raise UsageError(f"weights file not found: {weights_path}")
     if method == "heuristic":
-        return lambda s: calc_hand_roi(
-            s.pose.wrist.xy(), s.pose.index.xy(), s.pose.pinky.xy(), s.width / s.height
-        )
+        return lambda samples: md.heuristic_roi(md.featurize(samples))
     if weights_path is None:
         raise UsageError(f"method {method!r} requires --weights")
     predictor = md.load_weights(weights_path)
     if method == "mlp":
-        return lambda s: md.predict_roi(
-            predictor, md.featurize(s.pose, s.width / s.height)
-        )
+        return lambda samples: md.predict_roi(predictor, md.featurize(samples))
     if method == "hybrid":
-        return lambda s: md.hybrid_predict(predictor, s.pose, s.width / s.height)
+        return lambda samples: md.hybrid_predict(predictor, samples)
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -110,6 +105,9 @@ def cmd_ingest(args):
             continue
         records, skipped = ds.parse_panoptic(_resolve(labels, args))
         res = ds.merge_pose_sidecar(records, sidecar, split=split)
+        both = sorted({s.id for s in samples} & {s.id for s in res.samples})
+        if both:
+            raise DuplicateId(f"sample id {both[0]!r} is in both {args.train_labels} and {args.test_labels}")
         samples.extend(res.samples)
         counts[split] = {
             "annotations": len(records),
@@ -240,12 +238,11 @@ def cmd_render(args):
     s = matches[0]
     gold_quad = rect_to_quad(ds.sample_gold_roi(s), s.width, s.height)
     pred_quads = []
-    predict = _predictor_fn(args.method, _resolve(args.weights, args))
-    try:
-        pred = predict(s)
-        pred_quads.append(rect_to_quad(pred, s.width, s.height))
-    except DegenerateHand:
-        print(f"warning: degenerate prediction for {s.id}, rendering gold only", file=sys.stderr)
+    boxes, failed = _predictor_fn(args.method, _resolve(args.weights, args))([s])
+    if failed[0]:
+        print(f"warning: failed prediction for {s.id}, rendering gold only", file=sys.stderr)
+    else:
+        pred_quads.append(box_quads(boxes, [s.width], [s.height])[0])
     out = _resolve(args.out, args)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svgmod.boxes_svg(s.width, s.height, gold_quad, pred_quads))

@@ -93,11 +93,13 @@ def parse_panoptic(labels_dir):
                     for p in pts
                 )
             )
-            is_left = bool(doc.get("is_left", 0))
+            is_left = doc.get("is_left", 0)
+            if type(is_left) is not bool and not (type(is_left) is int and is_left in (0, 1)):
+                raise ValueError(f"is_left must be a JSON boolean or 0 or 1, got {is_left!r}")
         except Exception:
             skipped += 1
             continue
-        records.append(GoldRecord(id=os.path.splitext(name)[0], hand=hand, is_left=is_left))
+        records.append(GoldRecord(id=os.path.splitext(name)[0], hand=hand, is_left=bool(is_left)))
     if not records:
         raise EmptyDataset(f"no parseable annotation files in {labels_dir}")
     return records, skipped
@@ -134,13 +136,10 @@ def _parse_sidecar_line(line, where):
     try:
         doc = json.loads(line)
         sid = str(doc["id"])
-        width = int(doc["width"])
-        height = int(doc["height"])
+        width, height = _image_dims(doc)
         handedness = doc["handedness"]
         if handedness not in ("left", "right"):
             raise ValueError(f"handedness {handedness!r}")
-        if width <= 0 or height <= 0:
-            raise ValueError("non-positive image dims")
         kps = []
         for key in POSE_KEYS:
             x, y, z = doc[key]
@@ -370,12 +369,18 @@ def _json_int(d, key):
     return val
 
 
-def sample_from_dict(d: dict) -> Sample:
-    hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in d["hand"]))
-    pose = PoseHand(*[Vec3(*map(float, d["pose"][k])) for k in POSE_KEYS])
+def _image_dims(d):
+    """(width, height) of a dataset or sidecar line: JSON integers above 0."""
     width, height = _json_int(d, "width"), _json_int(d, "height")
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive image dims {width}x{height}")
+    return width, height
+
+
+def sample_from_dict(d: dict) -> Sample:
+    hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in d["hand"]))
+    pose = PoseHand(*[Vec3(*map(float, d["pose"][k])) for k in POSE_KEYS])
+    width, height = _image_dims(d)
     if type(d["was_left"]) is not bool:
         raise ValueError(f"was_left must be a JSON boolean, got {d['was_left']!r}")
     if d["split"] not in SPLITS:
@@ -400,11 +405,16 @@ def write_samples(samples, path):
 
 def read_samples(path):
     samples = []
+    ids = set()
     for lineno, line in _utf8_lines(path):
         try:
-            samples.append(sample_from_dict(json.loads(line)))
+            s = sample_from_dict(json.loads(line))
         except Exception as e:
             raise ParseError(f"{path} line {lineno}: {e}") from e
+        if s.id in ids:
+            raise DuplicateId(f"{path} line {lineno}: duplicate sample id {s.id!r}")
+        ids.add(s.id)
+        samples.append(s)
     if not samples:
         raise EmptyDataset(f"no samples in {path}")
     return samples

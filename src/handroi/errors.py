@@ -53,10 +53,6 @@ class JoinError(HandRoiError):
     """Two row sets do not cover the same sample ids."""
 
 
-class DegenerateGold(HandRoiError):
-    """Gold ROI has zero size; relative errors are undefined."""
-
-
 class WeightsFormatError(HandRoiError):
     """Weights file is malformed (truncated, bad shapes)."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidAspect, InvalidImage
+from .errors import DegenerateGeometry, InvalidImage
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class Vec3:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise DegenerateGeometry(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
 
-    def xy(self) -> Vec2:
-        return Vec2(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class RotRect:
@@ -59,14 +56,10 @@ class RotRect:
             raise DegenerateGeometry(f"rotation {self.rotation} not normalized to [0, 360)")
 
 
-def normalize_deg(angle: float) -> float:
-    """Map any finite angle to [0, 360)."""
-    a = math.fmod(angle, 360.0)
-    if a < 0:
-        a += 360.0
-    if a >= 360.0:  # fmod artifacts near 360
-        a = 0.0
-    return a
+def normalize_deg(angle):
+    """Map finite angles (a float or an array) to [0, 360)."""
+    a = angle % 360.0
+    return a * (a < 360.0)  # a tiny negative angle rounds up to 360
 
 
 def angle_deg(a: Vec2, b: Vec2) -> float:
@@ -84,19 +77,10 @@ def rotate_vec(v: Vec2, theta_deg: float) -> Vec2:
     return Vec2(v.x * c - v.y * s, v.x * s + v.y * c)
 
 
-def aspect_distance(a: Vec2, b: Vec2, rho: float) -> float:
-    """Distance in height units between normalized points, x corrected by rho."""
-    if not (rho > 0) or not math.isfinite(rho):
-        raise InvalidAspect(f"aspect ratio must be > 0, got {rho}")
-    dx = (a.x - b.x) * rho
-    dy = a.y - b.y
-    return math.hypot(dx, dy)
-
-
-def circular_diff_deg(a: float, b: float) -> float:
-    """Absolute angular difference wrapped on the 360 circle, in [0, 180]."""
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
+def circular_diff_deg(a, b):
+    """Absolute angular difference wrapped on the 360 circle, in [0, 180]; array-valued."""
+    d = np.abs(np.subtract(a, b)) % 360.0
+    return np.minimum(d, 360.0 - d)
 
 
 def quads(cx, cy, size, rot_deg, width, height) -> np.ndarray:
@@ -177,41 +161,42 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
     return polys, counts
 
 
-def _rect_quads(rects, widths, heights) -> np.ndarray:
+def box_array(rects) -> np.ndarray:
+    """The (N, 4) box array of N RotRects: columns cx, cy, size, rotation."""
+    return np.array(
+        [(r.center.x, r.center.y, r.size, r.rotation) for r in rects], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def box_quads(boxes, widths, heights) -> np.ndarray:
+    """Pixel corners (N, 4, 2) of a box array on images of widths x heights."""
     widths = np.asarray(widths, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64)
     bad = np.flatnonzero(~((widths > 0) & (heights > 0)))
     if bad.size:
         i = bad[0]
         raise InvalidImage(f"image dims must be positive, got {widths[i]:g}x{heights[i]:g}")
-    return quads(
-        [r.center.x for r in rects],
-        [r.center.y for r in rects],
-        [r.size for r in rects],
-        [r.rotation for r in rects],
-        widths,
-        heights,
-    )
+    return quads(*np.asarray(boxes, dtype=np.float64).T, widths, heights)
 
 
 def rect_to_quad(r: RotRect, width: float, height: float) -> np.ndarray:
     """Pixel-space corners (4, 2) of the ROI, counter-clockwise (y-down)."""
-    return _rect_quads([r], [width], [height])[0]
+    return box_quads(box_array([r]), [width], [height])[0]
 
 
 def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
-    """IoUs (N,) of N ROI pairs in pixel space; 0 where either ROI has no area.
+    """IoUs (N,) of N pairs of boxes in pixel space; 0 where either box has no area.
 
-    preds[i] and golds[i] are RotRects on an image of widths[i] x heights[i].
+    preds and golds are (N, 4) box arrays on images of widths x heights.
     Each pair is moved so the midpoint of the two first corners is the
     origin: the shoelace products then scale with the ROIs' sizes rather
     than their pixel positions, and a small ROI far from the image origin
     keeps its area's precision, so IoU(a, b) and IoU(b, a) agree to
     rounding.
     """
-    qa = _rect_quads(preds, widths, heights)
-    qb = _rect_quads(golds, widths, heights)
-    if any(a.size == 0.0 and b.size == 0.0 for a, b in zip(preds, golds)):
+    qa = box_quads(preds, widths, heights)
+    qb = box_quads(golds, widths, heights)
+    if np.any((preds[:, 2] == 0.0) & (golds[:, 2] == 0.0)):
         raise DegenerateGeometry("IoU of two zero-area ROIs is undefined")
     origin = (qa[:, :1] + qb[:, :1]) * 0.5
     qa, qb = qa - origin, qb - origin
@@ -226,4 +211,4 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
 
 def rotated_iou(a: RotRect, b: RotRect, width: float, height: float) -> float:
     """IoU of two ROIs computed in pixel space after aspect correction."""
-    return float(rotated_ious([a], [b], [width], [height])[0])
+    return float(rotated_ious(box_array([a]), box_array([b]), [width], [height])[0])

@@ -4,7 +4,8 @@
 from the index and pinky knuckles, the size from the wrist distance, and the
 box is rotated to align with the wrist->center direction. Distances, angles
 and the center shift are all computed in aspect-corrected space (x * rho, y)
-so the resulting ROI is square in pixels.
+so the resulting ROI is square in pixels. It maps N hands at once to a box
+array (see `geometry.box_array`).
 
 `gold_roi` builds the reference ROI from 21 annotated landmarks by rotating
 them into the wrist->middle-knuckle frame and bounding them with a square.
@@ -13,13 +14,14 @@ them into the wrist->middle-knuckle frame and bounding them with a square.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateHand, InvalidAspect, InvalidImage
 from .geometry import (
     RotRect,
     Vec2,
     Vec3,
     angle_deg,
-    aspect_distance,
     normalize_deg,
     rotate_vec,
 )
@@ -66,21 +68,30 @@ class Hand21:
                 raise DegenerateHand(f"confidence {c} outside [0, 1]")
 
 
-def calc_hand_roi(wrist: Vec2, index: Vec2, pinky: Vec2, rho: float) -> RotRect:
-    """ROI from wrist + index/pinky knuckles (the incumbent estimator)."""
-    if not (rho > 0) or not math.isfinite(rho):
-        raise InvalidAspect(f"aspect ratio must be > 0, got {rho}")
-    center = Vec2((2 * index.x + pinky.x) / 3.0, (2 * index.y + pinky.y) / 3.0)
-    size = 2.0 * aspect_distance(center, wrist, rho)
-    if size == 0.0:
-        raise DegenerateHand("wrist coincides with estimated hand center")
+def calc_hand_roi(wrist, index, pinky, rho):
+    """Boxes (N, 4) and failed mask (N,) from (N, 2) wrist/index/pinky knuckles and (N,) rho.
+
+    A row fails when the wrist coincides with the estimated hand center in
+    aspect-corrected space, so the box has no size or no direction.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    bad = rho[~((rho > 0) & np.isfinite(rho))]
+    if bad.size:
+        raise InvalidAspect(f"aspect ratio must be > 0, got {bad[0]}")
+    (wx, wy), (ix, iy), (px, py) = (np.asarray(v, dtype=np.float64).T for v in (wrist, index, pinky))
+    cx = (2 * ix + px) / 3.0
+    cy = (2 * iy + py) / 3.0
+    size = 2.0 * np.hypot((cx - wx) * rho, cy - wy)
     # angle measured in aspect-corrected space so it matches the pixel frame
-    rotation = normalize_deg(
-        angle_deg(Vec2(wrist.x * rho, wrist.y), Vec2(center.x * rho, center.y)) + 90.0
-    )
-    shift = rotate_vec(Vec2(0.0, CENTER_SHIFT * size), rotation)
-    center = Vec2(center.x + shift.x / rho, center.y + shift.y)
-    return RotRect(center=center, size=SIZE_SCALE * size, rotation=rotation)
+    dx, dy = cx * rho - wx * rho, cy - wy
+    failed = (size == 0.0) | ((dx == 0.0) & (dy == 0.0))
+    rotation = normalize_deg(np.degrees(np.arctan2(dy, dx)) + 90.0)
+    # the center moves by (0, CENTER_SHIFT * size) rotated by the box's rotation
+    th = np.radians(rotation)
+    shift = CENTER_SHIFT * size
+    cx = cx + (-shift * np.sin(th)) / rho
+    cy = cy + shift * np.cos(th)
+    return np.column_stack([cx, cy, SIZE_SCALE * size, rotation]), failed
 
 
 def closed_form_size(wrist: Vec2, index: Vec2, pinky: Vec2, rho: float) -> float:
@@ -125,9 +136,11 @@ def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0) -> R
     by = (lo_y + hi_y) / 2.0
     back = rotate_vec(Vec2(bx, by), rotation)
     center_px = Vec2(cx + back.x, cy + back.y)
-
+    size = side * scale / height
+    if not size > 0.0:
+        raise DegenerateHand("landmarks span a box of zero size")
     return RotRect(
         center=Vec2(center_px.x / width, center_px.y / height),
-        size=side * scale / height,
+        size=size,
         rotation=rotation,
     )

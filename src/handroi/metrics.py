@@ -5,19 +5,22 @@ image dimensions, per-axis normalized), scale error (percent of gold size),
 and rotation error (circular, degrees in [0, 180]). Plus aggregate
 summaries, pairwise win rates, and IoU histogram binning.
 
-A prediction that fails with a degenerate-hand error is scored IoU 0 and its
+Predictions and gold ROIs are (N, 4) box arrays (see `geometry.box_array`)
+and the metrics are computed column-wise. A failed prediction (a degenerate
+hand, or a box that is not finite) is scored IoU 0 and its
 center/scale/rotation errors are left out of the means but stay counted, so
 a method cannot improve its numbers by refusing to predict.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .dataset import sample_gold_roi
-from .errors import DegenerateGold, DegenerateHand, EmptyDataset, JoinError, ParseError
-from .geometry import RotRect, circular_diff_deg, rotated_ious
+from .errors import EmptyDataset, JoinError, ParseError
+from .geometry import box_array, circular_diff_deg, rotated_ious
 
 CSV_COLUMNS = ("sample_id", "method", "iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed")
 HIST_BINS = 20
@@ -54,73 +57,49 @@ class MetricsSummary:
         }
 
 
-def center_error(pred: RotRect, gold: RotRect) -> float:
-    """Euclidean distance of normalized centers, in percent."""
-    return 100.0 * math.hypot(pred.center.x - gold.center.x, pred.center.y - gold.center.y)
+def center_error(pred, gold) -> np.ndarray:
+    """Euclidean distances (N,) of normalized centers, in percent."""
+    return 100.0 * np.hypot(pred[:, 0] - gold[:, 0], pred[:, 1] - gold[:, 1])
 
 
-def scale_error(pred: RotRect, gold: RotRect) -> float:
-    """Absolute size difference relative to the gold size, in percent."""
-    if gold.size <= 0:
-        raise DegenerateGold("gold ROI has zero size")
-    return 100.0 * abs(pred.size - gold.size) / gold.size
+def scale_error(pred, gold) -> np.ndarray:
+    """Absolute size differences (N,) relative to the gold sizes, in percent."""
+    return 100.0 * np.abs(pred[:, 2] - gold[:, 2]) / gold[:, 2]
 
 
-def rotation_error(pred: RotRect, gold: RotRect) -> float:
-    return circular_diff_deg(pred.rotation, gold.rotation)
+def rotation_error(pred, gold) -> np.ndarray:
+    return circular_diff_deg(pred[:, 3], gold[:, 3])
 
 
 def evaluate(predict, samples, method: str = ""):
     """Score one predictor over samples; returns (rows, summary).
 
-    `predict` maps a Sample to a RotRect and may raise DegenerateHand; a
-    sample whose gold hand is degenerate raises InvalidDataset.
-    Rows keep the sample order; all IoUs are computed in one batch.
+    `predict` maps the list of N samples to (boxes, failed), an (N, 4) box
+    array and an (N,) bool mask. A row whose scores are not finite (a box
+    too large for float arithmetic) is failed too. A sample whose gold hand
+    is degenerate raises InvalidDataset. Rows keep the sample order.
     """
     samples = list(samples)
     if not samples:
         raise EmptyDataset("no samples to evaluate")
-    golds, preds = [], []
-    for s in samples:
-        golds.append(sample_gold_roi(s))
-        try:
-            preds.append(predict(s))
-        except DegenerateHand:
-            preds.append(None)
-    scored = [i for i, pred in enumerate(preds) if pred is not None]
-    ious = rotated_ious(
-        [preds[i] for i in scored],
-        [golds[i] for i in scored],
-        [samples[i].width for i in scored],
-        [samples[i].height for i in scored],
-    )
-    ious = iter(ious.tolist())
-    rows = []
-    for s, gold, pred in zip(samples, golds, preds):
-        if pred is None:
-            rows.append(
-                EvalRow(
-                    sample_id=s.id,
-                    method=method,
-                    iou=0.0,
-                    center_err_pct=None,
-                    scale_err_pct=None,
-                    rot_err_deg=None,
-                    failed=True,
-                )
-            )
-            continue
-        rows.append(
-            EvalRow(
-                sample_id=s.id,
-                method=method,
-                iou=next(ious),
-                center_err_pct=center_error(pred, gold),
-                scale_err_pct=scale_error(pred, gold),
-                rot_err_deg=rotation_error(pred, gold),
-                failed=False,
-            )
+    golds = box_array([sample_gold_roi(s) for s in samples])
+    boxes, failed = predict(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.column_stack(
+            [
+                rotated_ious(boxes, golds, [s.width for s in samples], [s.height for s in samples]),
+                center_error(boxes, golds),
+                scale_error(boxes, golds),
+                rotation_error(boxes, golds),
+            ]
         )
+    failed = failed | ~np.isfinite(scores).all(axis=1)
+    rows = [
+        EvalRow(s.id, method, 0.0, None, None, None, failed=True)
+        if bad
+        else EvalRow(s.id, method, *vals, failed=False)
+        for s, bad, vals in zip(samples, failed.tolist(), scores.tolist())
+    ]
     return rows, summarize(rows)
 
 

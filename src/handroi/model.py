@@ -7,7 +7,8 @@ deterministic seeded training with SGD or Adam, and a binary weights file
 The predictor holds three heads sharing one 19-value feature vector
 (six (x, y, z) body keypoints + aspect ratio): center (2 outputs),
 size (1 output), and angle (2 outputs interpreted as (sin, cos), or 1
-output in the optional scalar-degrees mode).
+output in the optional scalar-degrees mode). Prediction maps an (N, 19)
+feature matrix to a box array (see `geometry.box_array`) and a failed mask.
 """
 
 import math
@@ -26,8 +27,8 @@ from .errors import (
     VersionError,
     WeightsFormatError,
 )
-from .geometry import RotRect, Vec2, normalize_deg
-from .heuristic import PoseHand, calc_hand_roi
+from .geometry import box_array, normalize_deg
+from .heuristic import calc_hand_roi
 
 FEATURE_DIM = 19
 HIDDEN = (10, 10)
@@ -87,16 +88,15 @@ class Mlp:
         return cls(layer_sizes, np.zeros(_n_params(layer_sizes)))
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        if a.shape[1] != self.layer_sizes[0]:
-            raise ShapeError(f"input width {a.shape[1]} != {self.layer_sizes[0]}")
+        """Outputs (N, out) of the (N, in) input rows."""
+        a = np.asarray(x, dtype=np.float64)
+        if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
+            raise ShapeError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w + b
             if i < len(self.weights) - 1:
                 a = np.maximum(a, 0.0)
-        return a[0] if single else a
+        return a
 
     def gradient(self, inputs, targets):
         """Exact MSE gradient over the batch; returns (grad, loss).
@@ -135,19 +135,21 @@ def param_count(m: Mlp) -> int:
     return m.theta.size
 
 
-def featurize(hand: PoseHand, rho: float) -> np.ndarray:
-    """19-value feature vector: 6 keypoints x (x, y, z), then rho.
+def featurize(samples) -> np.ndarray:
+    """(N, 19) feature matrix: per sample 6 keypoints x (x, y, z), then rho.
 
     Left hands arrive already mirrored by ingestion.
     """
-    vals = []
-    for kp in hand.as_tuple():
-        vals.extend((kp.x, kp.y, kp.z))
-    vals.append(rho)
-    out = np.array(vals, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    X = np.array(
+        [
+            [v for kp in s.pose.as_tuple() for v in (kp.x, kp.y, kp.z)] + [s.width / s.height]
+            for s in samples
+        ],
+        dtype=np.float64,
+    ).reshape(-1, FEATURE_DIM)
+    if not np.all(np.isfinite(X)):
         raise InvalidSample("non-finite feature value")
-    return out
+    return X
 
 
 @dataclass
@@ -254,24 +256,14 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
 
 def roi_targets(samples, angle_mode: str = "sincos"):
     """Feature matrix and per-head target arrays derived from gold ROIs."""
-    feats, centers, sizes, angles = [], [], [], []
-    for s in samples:
-        rho = s.width / s.height
-        gold = sample_gold_roi(s)
-        feats.append(featurize(s.pose, rho))
-        centers.append((gold.center.x, gold.center.y))
-        sizes.append((gold.size,))
-        if angle_mode == "sincos":
-            th = math.radians(gold.rotation)
-            angles.append((math.sin(th), math.cos(th)))
-        else:
-            angles.append((gold.rotation,))
-    return (
-        np.array(feats),
-        np.array(centers),
-        np.array(sizes),
-        np.array(angles),
-    )
+    samples = list(samples)
+    gold = box_array([sample_gold_roi(s) for s in samples])
+    if angle_mode == "sincos":
+        th = np.radians(gold[:, 3])
+        angles = np.column_stack([np.sin(th), np.cos(th)])
+    else:
+        angles = gold[:, 3:]
+    return featurize(samples), gold[:, :2], gold[:, 2:3], angles
 
 
 def train_predictor(samples, cfg: TrainConfig):
@@ -290,23 +282,36 @@ def train_predictor(samples, cfg: TrainConfig):
     return predictor, {"center": log_c, "size": log_s, "angle": log_a}
 
 
-def predict_roi(p: RoiPredictor, f) -> RotRect:
-    f = np.asarray(f, dtype=np.float64)
-    cx, cy = p.center_head.forward(f)
-    size = max(0.0, float(p.size_head.forward(f)[0]))
-    out = p.angle_head.forward(f)
-    if p.angle_mode == "sincos":
-        rotation = normalize_deg(math.degrees(math.atan2(out[0], out[1])))
-    else:
-        rotation = normalize_deg(float(out[0]))
-    return RotRect(center=Vec2(float(cx), float(cy)), size=size, rotation=rotation)
+def predict_roi(p: RoiPredictor, X):
+    """Boxes (N, 4) and failed mask (N,) for the (N, 19) feature matrix X.
+
+    Sizes are clamped at 0. A box that is not finite, e.g. from weights whose
+    forward pass overflows, is a failed row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = p.center_head.forward(X)
+        size = np.maximum(p.size_head.forward(X)[:, 0], 0.0)
+        out = p.angle_head.forward(X)
+        if p.angle_mode == "sincos":
+            rotation = normalize_deg(np.degrees(np.arctan2(out[:, 0], out[:, 1])))
+        else:
+            rotation = normalize_deg(out[:, 0])
+    boxes = np.column_stack([center, size, rotation])
+    return boxes, ~np.isfinite(boxes).all(axis=1)
 
 
-def hybrid_predict(p: RoiPredictor, hand: PoseHand, rho: float) -> RotRect:
+def heuristic_roi(X):
+    """The heuristic's (boxes, failed) from a feature matrix's wrist, index, pinky and rho."""
+    return calc_hand_roi(X[:, 6:8], X[:, 12:14], X[:, 15:17], X[:, 18])
+
+
+def hybrid_predict(p: RoiPredictor, samples):
     """MLP center and size, heuristic rotation (the recommended combination)."""
-    rotation = calc_hand_roi(hand.wrist.xy(), hand.index.xy(), hand.pinky.xy(), rho).rotation
-    mlp = predict_roi(p, featurize(hand, rho))
-    return RotRect(center=mlp.center, size=mlp.size, rotation=rotation)
+    X = featurize(samples)
+    heuristic, heuristic_failed = heuristic_roi(X)
+    boxes, failed = predict_roi(p, X)
+    boxes[:, 3] = heuristic[:, 3]
+    return boxes, failed | heuristic_failed
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +383,8 @@ def load_weights(path) -> RoiPredictor:
     ]
     if off != len(data):
         raise WeightsFormatError(f"trailing bytes in {path}")
+    if not all(np.all(np.isfinite(h.theta)) for h in heads):
+        raise WeightsFormatError(f"non-finite parameters in {path}")
     return RoiPredictor(
         center_head=heads[0],
         size_head=heads[1],

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from handroi.geometry import RotRect, Vec2, rect_to_quad
-from handroi.heuristic import MIDDLE_MCP, WRIST, Hand21
+from handroi.heuristic import CENTER_SHIFT, MIDDLE_MCP, SIZE_SCALE, WRIST, Hand21
 
 
 @pytest.fixture
@@ -176,3 +177,53 @@ def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
             best_val = val_loss
             best = np.concatenate([x for w, b in zip(weights, biases) for x in (w.ravel(), b)])
     return best, log
+
+
+def _reference_normalize_deg(angle):
+    a = math.fmod(angle, 360.0)
+    if a < 0:
+        a += 360.0
+    if a >= 360.0:
+        a = 0.0
+    return a
+
+
+def reference_calc_hand_roi(wrist, index, pinky, rho):
+    """Scalar reference heuristic for one hand: (cx, cy, size, rotation), or None if degenerate.
+
+    wrist, index and pinky are (x, y) pairs. This is the one-hand-at-a-time
+    estimator the batched `calc_hand_roi` replaced, with math-module
+    arithmetic; it returns None where that estimator raised: the wrist on
+    the estimated center (zero size or no direction).
+    """
+    cx = (2 * index[0] + pinky[0]) / 3.0
+    cy = (2 * index[1] + pinky[1]) / 3.0
+    size = 2.0 * math.hypot((cx - wrist[0]) * rho, cy - wrist[1])
+    dx, dy = cx * rho - wrist[0] * rho, cy - wrist[1]
+    if size == 0.0 or (dx == 0.0 and dy == 0.0):
+        return None
+    rotation = _reference_normalize_deg(math.degrees(math.atan2(dy, dx)) + 90.0)
+    th = math.radians(rotation)
+    shift_y = CENTER_SHIFT * size
+    sx = 0.0 * math.cos(th) - shift_y * math.sin(th)
+    sy = 0.0 * math.sin(th) + shift_y * math.cos(th)
+    return cx + sx / rho, cy + sy, SIZE_SCALE * size, rotation
+
+
+def reference_rotation(angle_mode, out):
+    """Rotation in [0, 360) of one row of angle-head outputs, with math-module arithmetic."""
+    if angle_mode == "sincos":
+        return _reference_normalize_deg(math.degrees(math.atan2(out[0], out[1])))
+    return _reference_normalize_deg(float(out[0]))
+
+
+def reference_predict_roi(p, f):
+    """Scalar reference MLP prediction for one (19,) feature row: (cx, cy, size, rotation).
+
+    Each head runs on the row alone, and the box is assembled with
+    math-module arithmetic, as the one-row-at-a-time predictor did.
+    """
+    row = np.asarray(f, dtype=np.float64)[None, :]
+    cx, cy = p.center_head.forward(row)[0]
+    size = max(0.0, float(p.size_head.forward(row)[0, 0]))
+    return float(cx), float(cy), size, reference_rotation(p.angle_mode, p.angle_head.forward(row)[0])

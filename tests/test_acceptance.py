@@ -15,7 +15,7 @@ import pytest
 
 from conftest import monte_carlo_iou, random_rect
 from handroi.cli import main as cli_main
-from handroi.geometry import RotRect, Vec2, rotated_iou
+from handroi.geometry import RotRect, Vec2, box_array, rotated_iou
 from handroi.heuristic import calc_hand_roi, closed_form_size, gold_roi
 from handroi.metrics import (
     EvalRow,
@@ -37,17 +37,20 @@ class TestCriterion1:
     def test_heuristic_closed_form_equivalence(self):
         rng = np.random.default_rng(1001)
         t0 = time.monotonic()
-        worst = 0.0
-        for _ in range(10_000):
-            w = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            i = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            p = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            rho = rng.uniform(0.3, 3.0)
-            worst = max(
-                worst, abs(calc_hand_roi(w, i, p, rho).size - closed_form_size(w, i, p, rho))
-            )
+        # per hand: wrist, index and pinky (x, y) in [0, 1), then rho in [0.3, 3)
+        u = rng.random((10_000, 7))
+        rho = 0.3 + (3.0 - 0.3) * u[:, 6]
+        boxes, failed = calc_hand_roi(u[:, 0:2], u[:, 2:4], u[:, 4:6], rho)
+        worst = max(
+            abs(size - closed_form_size(Vec2(*row[0:2]), Vec2(*row[2:4]), Vec2(*row[4:6]), r))
+            for size, row, r in zip(boxes[:, 2].tolist(), u.tolist(), rho.tolist())
+        )
         elapsed = time.monotonic() - t0
-        report(1, "heuristic/closed-form equivalence", worst < 1e-9 and elapsed < 1.0)
+        report(
+            1,
+            "heuristic/closed-form equivalence",
+            not failed.any() and worst < 1e-9 and elapsed < 1.0,
+        )
 
 
 class TestCriterion2:
@@ -163,14 +166,15 @@ class TestCriterion7:
     def test_metric_properties(self, synth_pipeline):
         rng = np.random.default_rng(1007)
         ok = True
-        for _ in range(300):
-            a = RotRect(Vec2(0.5, 0.5), 0.1, float(rng.uniform(0, 360)))
-            b = RotRect(Vec2(0.5, 0.5), 0.1, float(rng.uniform(0, 360)))
-            e = rotation_error(a, b)
-            ok &= 0.0 <= e <= 180.0
-            ok &= rotation_error(a, a) == 0.0
-            shifted = RotRect(b.center, b.size, b.rotation)
-            ok &= abs(rotation_error(a, shifted) - e) < 1e-9
+        a = np.tile([0.5, 0.5, 0.1, 0.0], (300, 1))
+        b = a.copy()
+        a[:, 3], b[:, 3] = rng.uniform(0, 360, size=(2, 300))
+        e = rotation_error(a, b)
+        ok &= bool(np.all((0.0 <= e) & (e <= 180.0)))
+        ok &= bool(np.all(rotation_error(a, a) == 0.0))
+        shifted = b.copy()
+        shifted[:, :2] += 0.2
+        ok &= bool(np.all(np.abs(rotation_error(a, shifted) - e) < 1e-9))
 
         def mkrow(i, iou):
             return EvalRow(str(i), "m", iou, 1.0, 1.0, 1.0)
@@ -185,7 +189,11 @@ class TestCriterion7:
         from handroi.dataset import read_samples
 
         test = [s for s in read_samples(first["data"]) if s.split == "test"][:200]
-        _, summary = evaluate(lambda s: gold_roi(s.hand, s.width, s.height), test)
+        def gold(samples):
+            boxes = box_array([gold_roi(s.hand, s.width, s.height) for s in samples])
+            return boxes, np.zeros(len(samples), bool)
+
+        _, summary = evaluate(gold, test)
         ok &= abs(summary.mean_iou - 1.0) < 1e-9
         report(7, "metric property suite", ok)
 

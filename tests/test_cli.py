@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,45 @@ class TestIngest:
         code, err = run_quiet("ingest", *argv)
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {sidecar} line 3: 'utf-8' codec")
+
+    @pytest.mark.parametrize("field, value", [("width", 640.9), ("height", True)])
+    def test_mistyped_sidecar_dims_exit_2(self, tmp_path, field, value):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 2)
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1"])
+        edit_line(sidecar, sidecar, 1, lambda doc: doc.update({field: value}))
+        argv = ["--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(tmp_path / "d.jsonl")]
+        code, err = run_quiet("ingest", *argv)
+        assert code == 2
+        assert err == [f"error: {sidecar} line 2: {field} must be a JSON integer, got {value!r}"]
+
+    def test_mistyped_is_left_is_malformed(self, tmp_path):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 3)
+        doc = json.loads((labels / "s1.json").read_text())
+        (labels / "s1.json").write_text(json.dumps({**doc, "is_left": "false"}))
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1", "s2"])
+        out = tmp_path / "d.jsonl"
+        code, err = run_quiet("ingest", "--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(out))
+        assert code == 0 and err == []
+        counts = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())["counts"]["train"]
+        assert counts["malformed_files"] == 1 and counts["kept"] == 2
+        assert [s.id for s in read_samples(out)] == ["s0", "s2"]
+
+    def test_id_in_both_splits_exit_2(self, tmp_path):
+        train, test = tmp_path / "train", tmp_path / "test"
+        self.make_labels(train, 3)
+        self.make_labels(test, 2)
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1", "s2"])
+        out = tmp_path / "d.jsonl"
+        argv = ["--train-labels", str(train), "--test-labels", str(test), "--sidecar", str(sidecar)]
+        code, err = run_quiet("ingest", *argv, "--out", str(out))
+        assert code == 2
+        assert err == [f"error: sample id 's0' is in both {train} and {test}"]
+        assert not out.exists()
 
     def test_missing_sidecar(self, tmp_path):
         labels = tmp_path / "labels"
@@ -264,6 +305,32 @@ class TestBadDataset:
             f"error: sample '{sid}' has a degenerate gold hand: wrist coincides with middle knuckle"
         ]
 
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    def test_duplicate_id_exit_2(self, tmp_path, small_dataset, command):
+        lines = small_dataset.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines + lines[4:5]) + "\n")
+        sid = json.loads(lines[4])["id"]
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert err == [f"error: {bad} line 61: duplicate sample id {sid!r}"]
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    def test_subnormal_gold_extent_exit_2(self, tmp_path, small_dataset, command):
+        _, index = BAD_DATASET_CMDS[command]
+
+        def collapse(doc):
+            # every landmark at the origin but the middle knuckle, one subnormal step away
+            doc["hand"] = [[0.0, 0.0, 1.0]] * 21
+            doc["hand"][9] = [5e-324, 0.0, 1.0]
+
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, index, collapse)
+        sid = json.loads(bad.read_text().splitlines()[index])["id"]
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert err == [f"error: sample '{sid}' has a degenerate gold hand: landmarks span a box of zero size"]
+
 
 @pytest.fixture(scope="module")
 def clean_dataset(tmp_path_factory):
@@ -305,6 +372,29 @@ class TestCorruptDatasetProperty:
                 assert err == [], (argv[0], err)
 
 
+@pytest.fixture(scope="module")
+def clean_weights(tmp_path_factory, clean_dataset):
+    path = tmp_path_factory.mktemp("fuzz_weights") / "clean.hroi"
+    assert run("train", "--dataset", str(clean_dataset), "--out", str(path), "--epochs", "3") == 0
+    return path
+
+
+class TestCorruptWeightsProperty:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_exit_0_or_one_error_line(self, clean_dataset, clean_weights, data):
+        bad = clean_weights.with_name("bad.hroi")
+        bad.write_bytes(data.draw(corruptions(clean_weights.read_bytes())))
+        for method in ("mlp", "hybrid"):
+            argv = ["--method", method, "--weights", str(bad), "--out", str(bad.with_name("rows.csv"))]
+            code, err = run_quiet("eval", "--dataset", str(clean_dataset), *argv)
+            assert code in (0, 2), (method, code, err)
+            if code == 2:
+                assert len(err) == 1 and err[0].startswith("error: "), (method, err)
+            else:
+                assert err == [], (method, err)
+
+
 class TestEval:
     def test_heuristic_needs_no_weights(self, tmp_path, small_dataset):
         out = tmp_path / "rows.csv"
@@ -343,6 +433,17 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "output widths" in err[0]
+
+    @pytest.mark.parametrize("method", ["mlp", "hybrid"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weights_exit_2(self, tmp_path, small_dataset, trained_weights, method, value):
+        bad = tmp_path / "bad.hroi"
+        # the last 8 bytes are the angle head's last bias
+        bad.write_bytes(trained_weights.read_bytes()[:-8] + struct.pack("<d", value))
+        argv = ["--dataset", str(small_dataset), "--method", method, "--weights", str(bad)]
+        code, err = run_quiet("eval", *argv, "--out", str(tmp_path / "rows.csv"))
+        assert code == 2
+        assert err == [f"error: non-finite parameters in {bad}"]
 
     def test_mlp_with_weights(self, tmp_path, small_dataset, trained_weights):
         out = tmp_path / "rows.csv"

@@ -56,6 +56,21 @@ class TestParsePanoptic:
         with pytest.raises(EmptyDataset):
             parse_panoptic(tmp_path)
 
+    def test_is_left_flag(self, tmp_path):
+        for name, flag in (("a", True), ("b", 1), ("c", False), ("d", 0)):
+            make_label_file(tmp_path, f"{name}.json", is_left=flag)
+        # no is_left key: a right hand
+        (tmp_path / "e.json").write_text(json.dumps({"hand_pts": [[1.0 + i, 2.0, 1.0] for i in range(21)]}))
+        records, skipped = parse_panoptic(tmp_path)
+        assert [r.is_left for r in records] == [True, True, False, False, False] and skipped == 0
+
+    @pytest.mark.parametrize("flag", ["false", "true", 2, -1, 1.0, None, [0]])
+    def test_mistyped_is_left_is_malformed(self, tmp_path, flag):
+        make_label_file(tmp_path, "ok.json")
+        make_label_file(tmp_path, "bad.json", is_left=flag)
+        records, skipped = parse_panoptic(tmp_path)
+        assert [r.id for r in records] == ["ok"] and skipped == 1
+
 
 class TestMirrorLeft:
     def pose(self):
@@ -121,6 +136,17 @@ class TestMergeSidecar:
         with pytest.raises(ParseError) as exc:
             merge_pose_sidecar(records, sc)
         assert f"{sc} line 2" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "field, value", [("width", 640.9), ("width", "640"), ("height", True), ("height", 0)]
+    )
+    def test_mistyped_image_dims(self, tmp_path, field, value):
+        make_label_file(tmp_path, "s1.json")
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + sidecar_line("s2", **{field: value}) + "\n")
+        with pytest.raises(ParseError, match=f"{sc} line 2: (non-positive image dims|{field} must be a JSON integer)"):
+            merge_pose_sidecar(records, sc)
 
     def test_invalid_utf8_line(self, tmp_path):
         make_label_file(tmp_path, "s1.json")
@@ -245,6 +271,13 @@ class TestStatsAndIo:
         write_samples(samples, path)
         path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
         with pytest.raises(ParseError, match=f"{path} line 4: 'utf-8' codec"):
+            read_samples(path)
+
+    def test_read_duplicate_id(self, tmp_path):
+        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs + docs[1:2]))
+        with pytest.raises(DuplicateId, match=f"{path} line 4: duplicate sample id '{docs[1]['id']}'"):
             read_samples(path)
 
     def test_read_empty(self, tmp_path):

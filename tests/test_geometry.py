@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handroi.errors import DegenerateGeometry, InvalidAspect, InvalidImage
+from handroi.errors import DegenerateGeometry, InvalidImage
 from handroi.geometry import (
     RotRect,
     Vec2,
     angle_deg,
-    aspect_distance,
     areas,
+    box_array,
     circular_diff_deg,
     clip_quads,
     normalize_deg,
@@ -20,6 +20,7 @@ from handroi.geometry import (
     rotated_iou,
     rotated_ious,
 )
+from handroi.heuristic import SIZE_SCALE, calc_hand_roi
 from conftest import monte_carlo_iou, random_rect, scalar_quad_iou
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -81,20 +82,23 @@ class TestRotateVec:
 
 
 class TestAspectDistance:
+    """The aspect-corrected knuckle distance: x distances scaled by rho, y not.
+
+    It lives inside calc_hand_roi, whose box size is 2 * SIZE_SCALE times the
+    wrist-to-center distance; index and pinky coincide so the center is on them.
+    """
+
+    @staticmethod
+    def distance(wrist, knuckle, rho):
+        boxes, failed = calc_hand_roi([wrist], [knuckle], [knuckle], [rho])
+        assert not failed[0]
+        return boxes[0, 2] / (2 * SIZE_SCALE)
+
     def test_pure_y(self):
-        assert aspect_distance(Vec2(0, 0), Vec2(0, 0.5), 2.0) == pytest.approx(0.5)
+        assert self.distance((0, 0), (0, 0.5), 2.0) == pytest.approx(0.5)
 
     def test_x_scaled(self):
-        assert aspect_distance(Vec2(0.2, 0.5), Vec2(0.4, 0.5), 2.0) == pytest.approx(0.4)
-
-    def test_coincident(self):
-        assert aspect_distance(Vec2(0.1, 0.1), Vec2(0.1, 0.1), 1.5) == 0.0
-
-    def test_bad_rho(self):
-        with pytest.raises(InvalidAspect):
-            aspect_distance(Vec2(0, 0), Vec2(1, 1), 0.0)
-        with pytest.raises(InvalidAspect):
-            aspect_distance(Vec2(0, 0), Vec2(1, 1), -1.0)
+        assert self.distance((0.2, 0.5), (0.4, 0.5), 2.0) == pytest.approx(0.4)
 
 
 class TestRectToQuad:
@@ -244,7 +248,9 @@ pairs = st.lists(
 
 
 def batch(pairs):
-    return [list(col) for col in zip(*pairs)]
+    """(pred boxes, gold boxes, widths, heights) of (RotRect, RotRect, width, height) pairs."""
+    preds, golds, widths, heights = zip(*pairs)
+    return box_array(preds), box_array(golds), list(widths), list(heights)
 
 
 class TestRotatedIous:
@@ -277,17 +283,18 @@ class TestRotatedIous:
     @given(st.lists(st.tuples(rects, st.integers(1, 4000), st.integers(1, 4000)), min_size=1))
     def test_identical_pairs_are_one(self, items):
         items = [(r, w, h) for r, w, h in items if r.size * h >= 1e-3]
-        preds = [r for r, _, _ in items]
+        preds = box_array([r for r, _, _ in items])
         ious = rotated_ious(preds, preds, [w for _, w, _ in items], [h for _, _, h in items])
         assert np.all(ious == 1.0)
 
     def test_empty_batch(self):
-        assert rotated_ious([], [], [], []).shape == (0,)
+        empty = np.empty((0, 4))
+        assert rotated_ious(empty, empty, [], []).shape == (0,)
 
     def test_bad_dims_in_batch(self):
-        r = RotRect(Vec2(0.5, 0.5), 0.3, 0.0)
+        r = box_array([RotRect(Vec2(0.5, 0.5), 0.3, 0.0)] * 2)
         with pytest.raises(InvalidImage):
-            rotated_ious([r, r], [r, r], [640, 640], [480, 0])
+            rotated_ious(r, r, [640, 640], [480, 0])
 
 
 class TestCircularDiff:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_calc_hand_roi
 from handroi.errors import DegenerateHand, InvalidAspect
-from handroi.geometry import Vec2, areas, rect_to_quad
+from handroi.geometry import Vec2, areas, circular_diff_deg, rect_to_quad
 from handroi.heuristic import Hand21, calc_hand_roi, closed_form_size, gold_roi
 
 
@@ -12,46 +15,90 @@ def make_hand(points_xy, conf=1.0):
     return Hand21(points=tuple((x, y, conf) for x, y in points_xy))
 
 
+def one_roi(w, i, p, rho):
+    """(box, failed) of one hand through the batched estimator."""
+    boxes, failed = calc_hand_roi([w], [i], [p], [rho])
+    return boxes[0], failed[0]
+
+
+def random_hands(rng, n):
+    """n random (wrist, index, pinky) knuckle triples in [0, 1]^2 and rho in [0.3, 3]."""
+    pts = rng.uniform(0, 1, size=(n, 3, 2))
+    return pts[:, 0], pts[:, 1], pts[:, 2], rng.uniform(0.3, 3.0, size=n)
+
+
 class TestCalcHandRoi:
     def test_upright_hand(self):
-        r = calc_hand_roi(Vec2(0.5, 0.8), Vec2(0.5, 0.5), Vec2(0.5, 0.5), 1.0)
-        assert r.center.x == pytest.approx(0.5)
-        assert r.center.y == pytest.approx(0.44)
-        assert r.size == pytest.approx(1.62)
-        assert r.rotation == pytest.approx(0.0)
+        (cx, cy, size, rotation), failed = one_roi((0.5, 0.8), (0.5, 0.5), (0.5, 0.5), 1.0)
+        assert not failed
+        assert cx == pytest.approx(0.5)
+        assert cy == pytest.approx(0.44)
+        assert size == pytest.approx(1.62)
+        assert rotation == pytest.approx(0.0)
 
     def test_degenerate(self):
-        p = Vec2(0.5, 0.5)
-        with pytest.raises(DegenerateHand):
-            calc_hand_roi(p, p, p, 1.0)
+        p = (0.5, 0.5)
+        box, failed = one_roi(p, p, p, 1.0)
+        assert failed and box[2] == 0.0
 
     def test_bad_rho(self):
         with pytest.raises(InvalidAspect):
-            calc_hand_roi(Vec2(0, 0), Vec2(1, 0), Vec2(1, 0), -2.0)
+            calc_hand_roi([(0, 0)], [(1, 0)], [(1, 0)], [-2.0])
+        with pytest.raises(InvalidAspect):
+            calc_hand_roi([(0, 0)] * 2, [(1, 0)] * 2, [(1, 0)] * 2, [1.0, math.nan])
 
     def test_size_matches_closed_form(self, rng):
-        for _ in range(1000):
-            w = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            i = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            p = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            rho = rng.uniform(0.3, 3.0)
-            assert abs(calc_hand_roi(w, i, p, rho).size - closed_form_size(w, i, p, rho)) < 1e-9
+        w, i, p, rho = random_hands(rng, 1000)
+        boxes, failed = calc_hand_roi(w, i, p, rho)
+        assert not failed.any()
+        for k in range(1000):
+            ref = closed_form_size(Vec2(*w[k]), Vec2(*i[k]), Vec2(*p[k]), rho[k])
+            assert abs(boxes[k, 2] - ref) < 1e-9
 
     def test_translation_equivariance(self, rng):
-        for _ in range(200):
-            w = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            i = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            p = Vec2(rng.uniform(0, 1), rng.uniform(0, 1))
-            rho = rng.uniform(0.3, 3.0)
-            dx, dy = rng.uniform(-0.5, 0.5, size=2)
-            a = calc_hand_roi(w, i, p, rho)
-            b = calc_hand_roi(
-                Vec2(w.x + dx, w.y + dy), Vec2(i.x + dx, i.y + dy), Vec2(p.x + dx, p.y + dy), rho
-            )
-            assert b.center.x == pytest.approx(a.center.x + dx, abs=1e-9)
-            assert b.center.y == pytest.approx(a.center.y + dy, abs=1e-9)
-            assert b.size == pytest.approx(a.size, abs=1e-9)
-            assert b.rotation == pytest.approx(a.rotation, abs=1e-9)
+        w, i, p, rho = random_hands(rng, 200)
+        d = rng.uniform(-0.5, 0.5, size=(200, 2))
+        a, _ = calc_hand_roi(w, i, p, rho)
+        b, _ = calc_hand_roi(w + d, i + d, p + d, rho)
+        assert np.allclose(b[:, :2], a[:, :2] + d, rtol=0, atol=1e-9)
+        assert np.allclose(b[:, 2], a[:, 2], rtol=0, atol=1e-9)
+        assert np.all(circular_diff_deg(b[:, 3], a[:, 3]) <= 1e-9)
+
+    def test_empty(self):
+        boxes, failed = calc_hand_roi(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), [])
+        assert boxes.shape == (0, 4) and failed.shape == (0,)
+
+
+# knuckles in [-1, 2]^2, often coincident or one subnormal step apart, and
+# rho in [0.2, 5]
+coords = st.one_of(
+    st.floats(-1.0, 2.0),
+    st.sampled_from([0.0, 5e-324, -5e-324, 0.5, 1.0]),
+)
+points = st.tuples(coords, coords)
+hands = st.lists(
+    st.tuples(points, points, points, st.floats(0.2, 5.0)), min_size=1, max_size=40
+)
+
+
+class TestCalcHandRoiReference:
+    """The batched estimator against the scalar one, row by row."""
+
+    @settings(deadline=None)
+    @given(hands)
+    def test_matches_scalar_reference(self, hands):
+        w, i, p, rho = (np.array(col, dtype=np.float64) for col in zip(*hands))
+        boxes, failed = calc_hand_roi(w, i, p, rho)
+        for k, hand in enumerate(hands):
+            ref = reference_calc_hand_roi(*hand)
+            assert failed[k] == (ref is None)
+            if ref is None:
+                continue
+            cx, cy, size, rotation = ref
+            assert abs(boxes[k, 0] - cx) <= 1e-12 and abs(boxes[k, 1] - cy) <= 1e-12
+            assert abs(boxes[k, 2] - size) <= 1e-12
+            assert circular_diff_deg(boxes[k, 3], rotation) <= 1e-12
+            assert 0.0 <= boxes[k, 3] < 360.0
 
 
 class TestClosedFormSize:
@@ -94,6 +141,13 @@ class TestGoldRoi:
     def test_all_coincident(self):
         with pytest.raises(DegenerateHand):
             gold_roi(make_hand([(5.0, 5.0)] * 21), 100, 100)
+
+    def test_subnormal_extent_is_degenerate(self):
+        # the landmarks span one subnormal step, so the box's size rounds to 0
+        pts = [(0.0, 0.0)] * 21
+        pts[9] = (5e-324, 0.0)
+        with pytest.raises(DegenerateHand, match="zero size"):
+            gold_roi(make_hand(pts), 640, 480)
 
     def test_wrist_equals_middle(self):
         pts = [(float(i), float(i)) for i in range(21)]

@@ -1,19 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import with_degenerate_gold
 from handroi.dataset import SynthConfig, synth_generate
-from handroi.errors import (
-    DegenerateGold,
-    DegenerateHand,
-    EmptyDataset,
-    InvalidDataset,
-    JoinError,
-    ParseError,
-)
-from handroi.geometry import RotRect, Vec2, rotated_iou
-from handroi.heuristic import calc_hand_roi, gold_roi
+from handroi.errors import EmptyDataset, InvalidDataset, JoinError, ParseError
+from handroi.geometry import RotRect, Vec2, box_array, rotated_iou
+from handroi.heuristic import gold_roi
 from handroi.metrics import (
     CSV_COLUMNS,
     EvalRow,
@@ -27,52 +21,57 @@ from handroi.metrics import (
     win_rate,
     write_rows_csv,
 )
+from handroi.model import featurize, heuristic_roi
 
 
 HEADER = (",".join(CSV_COLUMNS) + "\n").encode()
 
 
-def rect(cx=0.5, cy=0.5, size=0.3, rot=0.0):
-    return RotRect(Vec2(cx, cy), size, rot)
+def box(cx=0.5, cy=0.5, size=0.3, rot=0.0):
+    """A one-row box array."""
+    return np.array([[cx, cy, size, rot]])
 
 
 def row(sid, iou, method="m"):
     return EvalRow(sid, method, iou, 1.0, 1.0, 1.0)
 
 
+def heuristic(samples):
+    return heuristic_roi(featurize(samples))
+
+
+def gold_predictor(samples):
+    return box_array([gold_roi(s.hand, s.width, s.height) for s in samples]), np.zeros(len(samples), bool)
+
+
 class TestCenterError:
     def test_identical(self):
-        assert center_error(rect(), rect()) == 0.0
+        assert center_error(box(), box())[0] == 0.0
 
     def test_345_triangle(self):
-        assert center_error(rect(0.53, 0.54), rect(0.5, 0.5)) == pytest.approx(5.0)
+        assert center_error(box(0.53, 0.54), box(0.5, 0.5))[0] == pytest.approx(5.0)
 
 
 class TestScaleError:
     def test_identical(self):
-        assert scale_error(rect(), rect()) == 0.0
+        assert scale_error(box(), box())[0] == 0.0
 
     def test_thirty_percent(self):
-        assert scale_error(rect(size=1.3), rect(size=1.0)) == pytest.approx(30.0)
-
-    def test_degenerate_gold(self):
-        with pytest.raises(DegenerateGold):
-            scale_error(rect(), rect(size=0.0))
+        assert scale_error(box(size=1.3), box(size=1.0))[0] == pytest.approx(30.0)
 
 
 class TestRotationError:
     def test_equal(self):
-        assert rotation_error(rect(rot=33.0), rect(rot=33.0)) == 0.0
+        assert rotation_error(box(rot=33.0), box(rot=33.0))[0] == 0.0
 
     def test_wraparound(self):
-        assert rotation_error(rect(rot=350.0), rect(rot=10.0)) == pytest.approx(20.0)
+        assert rotation_error(box(rot=350.0), box(rot=10.0))[0] == pytest.approx(20.0)
 
     def test_range(self, rng):
-        for _ in range(200):
-            e = rotation_error(
-                rect(rot=float(rng.uniform(0, 360))), rect(rot=float(rng.uniform(0, 360)))
-            )
-            assert 0.0 <= e <= 180.0
+        a, b = np.zeros((200, 4)), np.zeros((200, 4))
+        a[:, 3], b[:, 3] = rng.uniform(0, 360, size=(2, 200))
+        e = rotation_error(a, b)
+        assert np.all((0.0 <= e) & (e <= 180.0))
 
 
 class TestEvaluate:
@@ -81,9 +80,7 @@ class TestEvaluate:
 
     def test_gold_as_predictor(self):
         samples = self.samples()
-        rows, summary = evaluate(
-            lambda s: gold_roi(s.hand, s.width, s.height), samples, method="gold"
-        )
+        rows, summary = evaluate(gold_predictor, samples, method="gold")
         assert summary.mean_iou == pytest.approx(1.0, abs=1e-9)
         assert summary.mean_center_err == pytest.approx(0.0, abs=1e-9)
         assert summary.mean_scale_err == pytest.approx(0.0, abs=1e-9)
@@ -92,13 +89,7 @@ class TestEvaluate:
 
     def test_single_sample_summary_equals_row(self):
         samples = self.samples(n=1)
-
-        def heur(s):
-            return calc_hand_roi(
-                s.pose.wrist.xy(), s.pose.index.xy(), s.pose.pinky.xy(), s.width / s.height
-            )
-
-        rows, summary = evaluate(heur, samples)
+        rows, summary = evaluate(heuristic, samples)
         assert summary.mean_iou == rows[0].iou
         assert summary.mean_center_err == rows[0].center_err_pct
         assert summary.min_iou == rows[0].iou and summary.n == 1
@@ -106,8 +97,8 @@ class TestEvaluate:
     def test_failed_prediction_counts_as_zero(self):
         samples = self.samples(n=3)
 
-        def failing(s):
-            raise DegenerateHand("nope")
+        def failing(samples):
+            return np.zeros((len(samples), 4)), np.ones(len(samples), bool)
 
         rows, summary = evaluate(failing, samples)
         assert all(r.failed and r.iou == 0.0 for r in rows)
@@ -117,46 +108,86 @@ class TestEvaluate:
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            evaluate(lambda s: rect(), [])
+            evaluate(lambda samples: (np.zeros((0, 4)), np.zeros(0, bool)), [])
 
     def test_degenerate_gold_names_sample(self):
         samples = self.samples(n=3)
         samples[1] = with_degenerate_gold(samples[1])
         with pytest.raises(InvalidDataset, match=f"sample '{samples[1].id}' has a degenerate gold hand"):
-            evaluate(lambda s: rect(), samples)
+            evaluate(heuristic, samples)
+
+    def test_one_predict_call(self):
+        samples = self.samples(n=7)
+        calls = []
+
+        def counting(batch):
+            calls.append(len(batch))
+            return heuristic(batch)
+
+        evaluate(counting, samples)
+        assert calls == [7]
 
     def test_interleaved_failures_keep_row_order(self):
         samples = self.samples(n=40, seed=4)
-        failing = {s.id for s in samples[1::3]}
 
-        def heur(s):
-            if s.id in failing:
-                raise DegenerateHand("skip")
-            return calc_hand_roi(
-                s.pose.wrist.xy(), s.pose.index.xy(), s.pose.pinky.xy(), s.width / s.height
-            )
+        def heur(samples):
+            boxes, failed = heuristic(samples)
+            failed[1::3] = True
+            return boxes, failed
 
         rows, summary = evaluate(heur, samples, method="h")
+        boxes, _ = heuristic(samples)
         assert [r.sample_id for r in rows] == [s.id for s in samples]
-        for s, r in zip(samples, rows):
-            if s.id in failing:
+        for k, (s, r) in enumerate(zip(samples, rows)):
+            if k % 3 == 1:
                 assert r.failed and r.iou == 0.0 and r.center_err_pct is None
             else:
                 gold = gold_roi(s.hand, s.width, s.height)
+                pred = RotRect(Vec2(boxes[k, 0], boxes[k, 1]), boxes[k, 2], boxes[k, 3])
                 assert not r.failed
-                assert r.iou == rotated_iou(heur(s), gold, s.width, s.height)
+                assert r.iou == rotated_iou(pred, gold, s.width, s.height)
         assert len({s.width / s.height for s in samples}) > 1
         assert summary.n == len(samples)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [math.nan, 0.5, 0.3, 0.0],
+            [0.5, 0.5, math.inf, 0.0],
+            [0.5, -math.inf, 0.3, 10.0],
+            # finite, but its scale error overflows
+            [0.5, 0.5, 1e307, 0.0],
+        ],
+    )
+    def test_non_finite_box_is_failed(self, bad):
+        samples = self.samples(n=3)
+
+        def predict(samples):
+            boxes, failed = heuristic(samples)
+            boxes[1] = bad
+            return boxes, failed
+
+        rows, summary = evaluate(predict, samples)
+        assert [r.failed for r in rows] == [False, True, False]
+        assert rows[1].iou == 0.0 and rows[1].center_err_pct is None
+        assert math.isfinite(summary.mean_center_err) and math.isfinite(summary.mean_scale_err)
+
+    @pytest.mark.parametrize("column, value", [(0, 1e300), (2, 1e200)])
+    def test_huge_finite_box_scores_zero(self, column, value):
+        # its pixel corners or areas overflow, with no warning
+        samples = self.samples(n=2)
+
+        def predict(samples):
+            boxes, failed = heuristic(samples)
+            boxes[0, column] = value
+            return boxes, failed
+
+        rows, _ = evaluate(predict, samples)
+        assert not rows[0].failed and rows[0].iou == 0.0
+
     def test_row_ranges(self):
         samples = self.samples(n=30, seed=9)
-
-        def heur(s):
-            return calc_hand_roi(
-                s.pose.wrist.xy(), s.pose.index.xy(), s.pose.pinky.xy(), s.width / s.height
-            )
-
-        rows, summary = evaluate(heur, samples)
+        rows, summary = evaluate(heuristic, samples)
         for r in rows:
             assert 0.0 <= r.iou <= 1.0
             assert r.center_err_pct >= 0.0

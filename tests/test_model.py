@@ -1,9 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_train_head, with_degenerate_gold
+from conftest import (
+    reference_predict_roi,
+    reference_rotation,
+    reference_train_head,
+    with_degenerate_gold,
+)
 from handroi.dataset import SynthConfig, synth_generate
 from handroi.errors import (
     EmptyDataset,
@@ -13,7 +21,7 @@ from handroi.errors import (
     VersionError,
     WeightsFormatError,
 )
-from handroi.geometry import Vec3
+from handroi.geometry import Vec3, circular_diff_deg
 from handroi.heuristic import PoseHand, calc_hand_roi
 from handroi.model import (
     FEATURE_DIM,
@@ -23,6 +31,7 @@ from handroi.model import (
     TrainConfig,
     _train_head,
     featurize,
+    heuristic_roi,
     hybrid_predict,
     load_weights,
     new_predictor,
@@ -63,34 +72,45 @@ def grad_max_rel_err(analytic, numeric):
     return worst
 
 
-def make_pose(rng=None):
-    if rng is None:
-        vals = np.linspace(0.1, 0.9, 18).reshape(6, 3)
-    else:
-        vals = rng.uniform(0, 1, size=(6, 3))
-    kps = [Vec3(*row) for row in vals]
-    return PoseHand(*kps)
+SAMPLE = synth_generate(SynthConfig(n=1, seed=3))[0]
+
+
+def with_pose(pose, width=640, height=480):
+    """A sample carrying the given pose and image size."""
+    return dataclasses.replace(SAMPLE, pose=pose, width=width, height=height)
+
+
+def random_predictor(rng, angle_mode="sincos"):
+    angle_out = 2 if angle_mode == "sincos" else 1
+    return RoiPredictor(
+        center_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
+        size_head=Mlp.init([FEATURE_DIM, 10, 10, 1], rng),
+        angle_head=Mlp.init([FEATURE_DIM, 10, 10, angle_out], rng),
+        angle_mode=angle_mode,
+    )
 
 
 class TestForward:
     def test_zero_net(self):
         net = Mlp.zeros([3, 4, 2])
-        assert np.all(net.forward(np.ones(3)) == 0.0)
+        assert np.all(net.forward(np.ones((1, 3))) == 0.0)
 
     def test_single_affine(self):
         net = Mlp([1, 1], np.array([2.0, 1.0]))
-        assert net.forward(np.array([3.0]))[0] == 7.0
+        assert net.forward(np.array([[3.0]]))[0, 0] == 7.0
 
     def test_relu_identity_passthrough(self):
         layer = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
         net = Mlp([3, 3, 3], np.concatenate([layer, layer]))
-        x = np.array([0.5, 0.0, 2.0])
+        x = np.array([[0.5, 0.0, 2.0]])
         assert np.allclose(net.forward(x), x)
 
     def test_shape_mismatch(self):
         net = Mlp.zeros([3, 2])
         with pytest.raises(ShapeError):
-            net.forward(np.ones(4))
+            net.forward(np.ones((1, 4)))
+        with pytest.raises(ShapeError):
+            net.forward(np.ones(3))
 
     def test_views_share_theta(self):
         net = Mlp.zeros([2, 3, 1])
@@ -144,19 +164,21 @@ class TestGradient:
 
 class TestFeaturize:
     def test_all_zero(self):
-        pose = PoseHand(*[Vec3(0, 0, 0)] * 6)
-        f = featurize(pose, 1.0)
-        assert f.shape == (19,)
-        assert np.all(f[:18] == 0.0) and f[18] == 1.0
+        f = featurize([with_pose(PoseHand(*[Vec3(0, 0, 0)] * 6), width=480)])
+        assert f.shape == (1, 19)
+        assert np.all(f[0, :18] == 0.0) and f[0, 18] == 1.0
 
     def test_wrist_position(self):
         kps = [Vec3(0, 0, 0)] * 2 + [Vec3(0.5, 0.8, -0.1)] + [Vec3(0, 0, 0)] * 3
-        f = featurize(PoseHand(*kps), 2.0)
-        assert tuple(f[6:9]) == (0.5, 0.8, -0.1)
+        f = featurize([SAMPLE, with_pose(PoseHand(*kps), width=960)])
+        assert tuple(f[1, 6:9]) == (0.5, 0.8, -0.1) and f[1, 18] == 2.0
 
     def test_nonfinite_rho(self):
         with pytest.raises(InvalidSample):
-            featurize(PoseHand(*[Vec3(0, 0, 0)] * 6), float("nan"))
+            featurize([SAMPLE, with_pose(SAMPLE.pose, width=math.nan)])
+
+    def test_empty(self):
+        assert featurize([]).shape == (0, FEATURE_DIM)
 
 
 class TestTraining:
@@ -230,49 +252,90 @@ class TestTraining:
 
 class TestPredict:
     def test_zero_predictor_convention(self):
-        p = new_predictor()
-        r = predict_roi(p, np.zeros(FEATURE_DIM))
-        assert (r.center.x, r.center.y) == (0.0, 0.0)
-        assert r.size == 0.0
-        assert r.rotation == 0.0
+        boxes, failed = predict_roi(new_predictor(), np.zeros((1, FEATURE_DIM)))
+        assert boxes.tolist() == [[0.0, 0.0, 0.0, 0.0]] and not failed[0]
 
     def test_size_clamped_and_rotation_range(self, rng):
-        p = RoiPredictor(
-            center_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
-            size_head=Mlp.init([FEATURE_DIM, 10, 10, 1], rng),
-            angle_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
-        )
-        for _ in range(100):
-            r = predict_roi(p, rng.uniform(-2, 2, size=FEATURE_DIM))
-            assert r.size >= 0.0
-            assert 0.0 <= r.rotation < 360.0
+        p = random_predictor(rng)
+        boxes, failed = predict_roi(p, rng.uniform(-2, 2, size=(100, FEATURE_DIM)))
+        assert not failed.any()
+        assert np.all(boxes[:, 2] >= 0.0)
+        assert np.all((0.0 <= boxes[:, 3]) & (boxes[:, 3] < 360.0))
+
+    def test_overflow_is_failed(self, rng):
+        p = random_predictor(rng)
+        p.center_head.theta[:19] = 1e300  # overflows the first hidden unit of row 0 only
+        X = np.zeros((2, FEATURE_DIM))
+        X[0] = 1e10
+        boxes, failed = predict_roi(p, X)
+        assert failed.tolist() == [True, False]
+        assert np.all(np.isfinite(boxes[1]))
+
+
+features = st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed))
+
+
+class TestPredictReference:
+    """The batched forward and predictor against one-row-at-a-time references."""
+
+    @settings(deadline=None)
+    @given(features, st.integers(1, 60), st.sampled_from(["sincos", "scalar"]))
+    def test_forward_matches_rows(self, rng, n, angle_mode):
+        p = random_predictor(rng, angle_mode)
+        X = rng.uniform(-3, 3, size=(n, FEATURE_DIM))
+        for head in (p.center_head, p.size_head, p.angle_head):
+            out = head.forward(X)
+            rows = np.vstack([head.forward(X[k : k + 1]) for k in range(n)])
+            assert np.all(np.abs(out - rows) <= 1e-12)
+
+    @settings(deadline=None)
+    @given(features, st.integers(1, 60), st.sampled_from(["sincos", "scalar"]))
+    def test_predict_matches_reference(self, rng, n, angle_mode):
+        p = random_predictor(rng, angle_mode)
+        X = rng.uniform(-3, 3, size=(n, FEATURE_DIM))
+        boxes, failed = predict_roi(p, X)
+        angle_out = p.angle_head.forward(X)
+        assert not failed.any()
+        for k in range(n):
+            cx, cy, size, _ = reference_predict_roi(p, X[k])
+            assert abs(boxes[k, 0] - cx) <= 1e-12 and abs(boxes[k, 1] - cy) <= 1e-12
+            assert abs(boxes[k, 2] - size) <= 1e-12
+            # atan2 amplifies the forward's rounding by 1 / |angle outputs|, so
+            # the rotation is checked on the batched outputs: the batched and
+            # per-row outputs agree within 1e-12 (test_forward_matches_rows)
+            rotation = reference_rotation(p.angle_mode, angle_out[k])
+            assert circular_diff_deg(boxes[k, 3], rotation) <= 1e-12
 
 
 class TestHybrid:
     def test_delegation(self, rng):
-        p = RoiPredictor(
-            center_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
-            size_head=Mlp.init([FEATURE_DIM, 10, 10, 1], rng),
-            angle_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
+        p = random_predictor(rng)
+        samples = [
+            with_pose(PoseHand(*[Vec3(*kp) for kp in rng.uniform(0, 1, size=(6, 3))]), width=w)
+            for w in rng.integers(240, 960, size=20).tolist()
+        ]
+        boxes, failed = hybrid_predict(p, samples)
+        heur, heur_failed = heuristic_roi(featurize(samples))
+        mlp, mlp_failed = predict_roi(p, featurize(samples))
+        assert not (failed.any() or heur_failed.any() or mlp_failed.any())
+        assert boxes[:, 3].tolist() == heur[:, 3].tolist()
+        assert boxes[:, :3].tolist() == mlp[:, :3].tolist()
+
+    def test_heuristic_reads_the_pose(self, rng):
+        samples = synth_generate(SynthConfig(n=10, seed=4))
+        boxes, failed = heuristic_roi(featurize(samples))
+        ref, ref_failed = calc_hand_roi(
+            *([(kp.x, kp.y) for kp in (getattr(s.pose, name) for s in samples)]
+              for name in ("wrist", "index", "pinky")),
+            [s.width / s.height for s in samples],
         )
-        for _ in range(20):
-            pose = make_pose(rng)
-            rho = float(rng.uniform(0.5, 2.0))
-            h = hybrid_predict(p, pose, rho)
-            heur = calc_hand_roi(pose.wrist.xy(), pose.index.xy(), pose.pinky.xy(), rho)
-            mlp = predict_roi(p, featurize(pose, rho))
-            assert h.rotation == heur.rotation
-            assert (h.center.x, h.center.y) == (mlp.center.x, mlp.center.y)
-            assert h.size == mlp.size
+        assert boxes.tobytes() == ref.tobytes() and failed.tolist() == ref_failed.tolist()
 
     def test_degenerate_propagates(self):
-        from handroi.errors import DegenerateHand
-
-        p = new_predictor()
         kp = Vec3(0.5, 0.5, 0.0)
-        pose = PoseHand(kp, kp, kp, kp, kp, kp)
-        with pytest.raises(DegenerateHand):
-            hybrid_predict(p, pose, 1.0)
+        degenerate = with_pose(PoseHand(kp, kp, kp, kp, kp, kp))
+        _, failed = hybrid_predict(new_predictor(), [SAMPLE, degenerate])
+        assert failed.tolist() == [False, True]
 
 
 class TestWeightsIo(object):
@@ -340,6 +403,15 @@ class TestWeightsIo(object):
         f = tmp_path / "w.hroi"
         save_weights(p, f)
         with pytest.raises(WeightsFormatError, match="output widths"):
+            load_weights(f)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta(self, rng, tmp_path, value):
+        p = self.make_predictor(rng)
+        p.size_head.theta[7] = value
+        f = tmp_path / "w.hroi"
+        save_weights(p, f)
+        with pytest.raises(WeightsFormatError, match=f"non-finite parameters in {f}"):
             load_weights(f)
 
     def test_truncated(self, rng, tmp_path):
