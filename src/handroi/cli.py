@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import dataset as ds
 from . import metrics as mx
 from . import model as md
@@ -28,9 +30,10 @@ from .errors import (
     InvalidDataset,
     JoinError,
     ParseError,
+    TrainingDiverged,
     WeightsFormatError,
 )
-from .geometry import box_quads, rect_to_quad
+from .geometry import box_quads
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -98,13 +101,14 @@ def cmd_ingest(args):
     sidecar = _resolve(args.sidecar, args)
     if not os.path.isfile(sidecar):
         raise UsageError(f"sidecar file not found: {sidecar}")
+    poses = ds.read_pose_sidecar(sidecar)
     samples = []
     counts = {}
     for split, labels in (("train", args.train_labels), ("test", args.test_labels)):
         if not labels:
             continue
         records, skipped = ds.parse_panoptic(_resolve(labels, args))
-        res = ds.merge_pose_sidecar(records, sidecar, split=split)
+        res = ds.merge_pose_sidecar(records, poses, split=split)
         both = sorted({s.id for s in samples} & {s.id for s in res.samples})
         if both:
             raise DuplicateId(f"sample id {both[0]!r} is in both {args.train_labels} and {args.test_labels}")
@@ -183,7 +187,7 @@ def cmd_eval(args):
         out,
         "eval",
         {"dataset": args.dataset, "method": args.method, "weights": args.weights},
-        {"test_samples": len(test), **summary.as_dict()},
+        {"test_samples": len(test), **dataclasses.asdict(summary)},
     )
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
@@ -192,8 +196,7 @@ def cmd_eval(args):
 def cmd_compare(args):
     rows_a = mx.read_rows_csv(_resolve(args.rows_a, args))
     rows_b = mx.read_rows_csv(_resolve(args.rows_b, args))
-    name_a = rows_a[0].method if rows_a else "a"
-    name_b = rows_b[0].method if rows_b else "b"
+    name_a, name_b = rows_a.method, rows_b.method
     wr_ab = mx.win_rate(rows_a, rows_b)
     wr_ba = mx.win_rate(rows_b, rows_a)
     sum_a = mx.summarize(rows_a)
@@ -207,7 +210,7 @@ def cmd_compare(args):
         fh.write(f"win_rate_a_over_b={wr_ab!r}\n")
         fh.write(f"win_rate_b_over_a={wr_ba!r}\n")
         for tag, summ in (("a", sum_a), ("b", sum_b)):
-            for key, val in summ.as_dict().items():
+            for key, val in dataclasses.asdict(summ).items():
                 fh.write(f"{tag}_{key}={val!r}\n")
         fh.write(f"min_iou_pair={sum_a.min_iou!r} vs {sum_b.min_iou!r}\n")
 
@@ -236,13 +239,15 @@ def cmd_render(args):
     if not matches:
         raise NotFound(f"sample id {args.id!r} not in dataset")
     s = matches[0]
-    gold_quad = rect_to_quad(ds.sample_gold_roi(s), s.width, s.height)
-    pred_quads = []
+    gold = ds.sample_gold_roi(s)
     boxes, failed = _predictor_fn(args.method, _resolve(args.weights, args))([s])
-    if failed[0]:
+    # a finite box can still have pixel corners beyond float range: a failed prediction, as in eval
+    with np.errstate(over="ignore", invalid="ignore"):
+        gold_quad, pred_quad = box_quads([gold, boxes[0]], [s.width] * 2, [s.height] * 2)
+    pred_quads = [pred_quad]
+    if failed[0] or not np.isfinite(pred_quad).all():
         print(f"warning: failed prediction for {s.id}, rendering gold only", file=sys.stderr)
-    else:
-        pred_quads.append(box_quads(boxes, [s.width], [s.height])[0])
+        pred_quads = []
     out = _resolve(args.out, args)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svgmod.boxes_svg(s.width, s.height, gold_quad, pred_quads))
@@ -336,7 +341,7 @@ def main(argv=None) -> int:
     except NotFound as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (UsageError, InvalidDataset, ParseError, WeightsFormatError, FileNotFoundError, IOError) as e:
+    except (UsageError, InvalidDataset, ParseError, TrainingDiverged, WeightsFormatError, IOError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except HandRoiError as e:

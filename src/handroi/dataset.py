@@ -17,6 +17,7 @@ orthographically, and derives the sparse body keypoints from the projection.
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,11 +152,11 @@ def _parse_sidecar_line(line, where):
     return sid, width, height, handedness, PoseHand(*kps)
 
 
-def merge_pose_sidecar(records, sidecar_path, split="train") -> MergeResult:
-    """Inner join of gold records with sidecar pose lines on id.
+def read_pose_sidecar(sidecar_path):
+    """The sidecar's poses by id: {id: (width, height, handedness, PoseHand)}.
 
-    Records without a pose line are dropped and counted; samples whose gold
-    ROI is degenerate are filtered and counted. Left hands are mirrored.
+    A malformed line is a ParseError and a repeated id a DuplicateId, each
+    naming the file and line.
     """
     poses = {}
     for lineno, line in _utf8_lines(sidecar_path):
@@ -164,7 +165,15 @@ def merge_pose_sidecar(records, sidecar_path, split="train") -> MergeResult:
         if sid in poses:
             raise DuplicateId(f"{where}: duplicate id {sid!r}")
         poses[sid] = (width, height, handedness, pose)
+    return poses
 
+
+def merge_pose_sidecar(records, poses, split="train") -> MergeResult:
+    """Inner join of gold records with the poses of `read_pose_sidecar` on id.
+
+    Records without a pose line are dropped and counted; samples whose gold
+    ROI is degenerate are filtered and counted. Left hands are mirrored.
+    """
     samples = []
     missing = 0
     degenerate = 0
@@ -370,10 +379,12 @@ def _json_int(d, key):
 
 
 def _image_dims(d):
-    """(width, height) of a dataset or sidecar line: JSON integers above 0."""
+    """(width, height) of a dataset or sidecar line: JSON integers above 0 that fit a float."""
     width, height = _json_int(d, "width"), _json_int(d, "height")
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive image dims {width}x{height}")
+    if max(width, height) > sys.float_info.max:
+        raise ValueError("image dims too large for a float")
     return width, height
 
 

@@ -6,6 +6,10 @@ because the y axis points down. ROI sizes are stored as fractions of the
 image height; the aspect ratio rho = width / height corrects x distances so
 an ROI is square in pixels.
 
+A box array is an (N, 4) float64 array with one row (cx, cy, size,
+rotation) per box: normalized center, side in height units, and degrees in
+[0, 360).
+
 Polygon batches are (N, K, 2) float64 pixel arrays with an (N,) array of
 vertex counts: row i keeps its counts[i] vertices in its first slots,
 ordered so the signed shoelace sum is non-negative (counter-clockwise in
@@ -21,16 +25,6 @@ from .errors import DegenerateGeometry, InvalidImage
 
 
 @dataclass(frozen=True)
-class Vec2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DegenerateGeometry(f"non-finite Vec2 ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
 class Vec3:
     x: float
     y: float
@@ -41,40 +35,10 @@ class Vec3:
             raise DegenerateGeometry(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
 
 
-@dataclass(frozen=True)
-class RotRect:
-    """Oriented square ROI: normalized center, side in height units, degrees in [0, 360)."""
-
-    center: Vec2
-    size: float
-    rotation: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.size) or self.size < 0:
-            raise DegenerateGeometry(f"invalid size {self.size}")
-        if not math.isfinite(self.rotation) or not (0.0 <= self.rotation < 360.0):
-            raise DegenerateGeometry(f"rotation {self.rotation} not normalized to [0, 360)")
-
-
 def normalize_deg(angle):
     """Map finite angles (a float or an array) to [0, 360)."""
     a = angle % 360.0
     return a * (a < 360.0)  # a tiny negative angle rounds up to 360
-
-
-def angle_deg(a: Vec2, b: Vec2) -> float:
-    """Direction of a->b in degrees, in (-180, 180], y-down atan2 convention."""
-    dx = b.x - a.x
-    dy = b.y - a.y
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateGeometry("angle of coincident points is undefined")
-    return math.degrees(math.atan2(dy, dx))
-
-
-def rotate_vec(v: Vec2, theta_deg: float) -> Vec2:
-    th = math.radians(theta_deg)
-    c, s = math.cos(th), math.sin(th)
-    return Vec2(v.x * c - v.y * s, v.x * s + v.y * c)
 
 
 def circular_diff_deg(a, b):
@@ -161,13 +125,6 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
     return polys, counts
 
 
-def box_array(rects) -> np.ndarray:
-    """The (N, 4) box array of N RotRects: columns cx, cy, size, rotation."""
-    return np.array(
-        [(r.center.x, r.center.y, r.size, r.rotation) for r in rects], dtype=np.float64
-    ).reshape(-1, 4)
-
-
 def box_quads(boxes, widths, heights) -> np.ndarray:
     """Pixel corners (N, 4, 2) of a box array on images of widths x heights."""
     widths = np.asarray(widths, dtype=np.float64)
@@ -177,11 +134,6 @@ def box_quads(boxes, widths, heights) -> np.ndarray:
         i = bad[0]
         raise InvalidImage(f"image dims must be positive, got {widths[i]:g}x{heights[i]:g}")
     return quads(*np.asarray(boxes, dtype=np.float64).T, widths, heights)
-
-
-def rect_to_quad(r: RotRect, width: float, height: float) -> np.ndarray:
-    """Pixel-space corners (4, 2) of the ROI, counter-clockwise (y-down)."""
-    return box_quads(box_array([r]), [width], [height])[0]
 
 
 def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
@@ -194,6 +146,8 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     keeps its area's precision, so IoU(a, b) and IoU(b, a) agree to
     rounding.
     """
+    preds = np.asarray(preds, dtype=np.float64)
+    golds = np.asarray(golds, dtype=np.float64)
     qa = box_quads(preds, widths, heights)
     qb = box_quads(golds, widths, heights)
     if np.any((preds[:, 2] == 0.0) & (golds[:, 2] == 0.0)):
@@ -209,6 +163,6 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=ok)
 
 
-def rotated_iou(a: RotRect, b: RotRect, width: float, height: float) -> float:
-    """IoU of two ROIs computed in pixel space after aspect correction."""
-    return float(rotated_ious(box_array([a]), box_array([b]), [width], [height])[0])
+def rotated_iou(a, b, width: float, height: float) -> float:
+    """IoU of two box rows (cx, cy, size, rotation) on one width x height image."""
+    return float(rotated_ious([a], [b], [width], [height])[0])

@@ -5,10 +5,11 @@ from the index and pinky knuckles, the size from the wrist distance, and the
 box is rotated to align with the wrist->center direction. Distances, angles
 and the center shift are all computed in aspect-corrected space (x * rho, y)
 so the resulting ROI is square in pixels. It maps N hands at once to a box
-array (see `geometry.box_array`).
+array (see the `geometry` module).
 
-`gold_roi` builds the reference ROI from 21 annotated landmarks by rotating
-them into the wrist->middle-knuckle frame and bounding them with a square.
+`gold_roi` builds the reference ROI of one hand, a (cx, cy, size, rotation)
+box row, from 21 annotated landmarks by rotating them into the
+wrist->middle-knuckle frame and bounding them with a square.
 """
 
 import math
@@ -17,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHand, InvalidAspect, InvalidImage
-from .geometry import (
-    RotRect,
-    Vec2,
-    Vec3,
-    angle_deg,
-    normalize_deg,
-    rotate_vec,
-)
+from .geometry import Vec3, normalize_deg
 
 # landmark indices in the standard 21-point hand topology
 WRIST = 0
@@ -94,20 +88,22 @@ def calc_hand_roi(wrist, index, pinky, rho):
     return np.column_stack([cx, cy, SIZE_SCALE * size, rotation]), failed
 
 
-def closed_form_size(wrist: Vec2, index: Vec2, pinky: Vec2, rho: float) -> float:
-    """Single-expression equivalent of the estimator's size computation."""
+def closed_form_size(wx, wy, ix, iy, px, py, rho) -> float:
+    """Single-expression equivalent of the estimator's size, from wrist, index and pinky (x, y)."""
     if not (rho > 0) or not math.isfinite(rho):
         raise InvalidAspect(f"aspect ratio must be > 0, got {rho}")
-    cx = (2 * index.x + pinky.x) / 3.0
-    cy = (2 * index.y + pinky.y) / 3.0
-    return 5.4 * math.sqrt(rho ** 2 * (wrist.x - cx) ** 2 + (wrist.y - cy) ** 2)
+    cx = (2 * ix + px) / 3.0
+    cy = (2 * iy + py) / 3.0
+    return 5.4 * math.sqrt(rho ** 2 * (wx - cx) ** 2 + (wy - cy) ** 2)
 
 
-def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0) -> RotRect:
-    """Reference ROI bounding all 21 landmarks, aligned to the wrist->middle-MCP axis.
+def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0):
+    """Reference box row (cx, cy, size, rotation) bounding all 21 landmarks.
 
-    The default scale=2.0 is the one gold box: training targets and scores
-    both use it, and trained weights assume it.
+    The box is aligned to the wrist->middle-MCP axis. The default scale=2.0
+    is the one gold box: training targets and scores both use it, and
+    trained weights assume it. A box that has no size or is not finite
+    raises DegenerateHand.
     """
     if not (width > 0 and height > 0):
         raise InvalidImage(f"image dims must be positive, got {width}x{height}")
@@ -119,7 +115,7 @@ def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0) -> R
     if all(p == pts[0] for p in pts[1:]):
         raise DegenerateHand("all landmarks coincide")
 
-    rotation = normalize_deg(angle_deg(Vec2(wx, wy), Vec2(mx, my)) + 90.0)
+    rotation = normalize_deg(math.degrees(math.atan2(my - wy, mx - wx)) + 90.0)
     cx = sum(p[0] for p in pts) / 21.0
     cy = sum(p[1] for p in pts) / 21.0
 
@@ -131,16 +127,16 @@ def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0) -> R
     lo_y, hi_y = min(ry), max(ry)
     side = max(hi_x - lo_x, hi_y - lo_y)
 
-    # box center in the rotated frame, mapped back to the image frame
+    # box center in the rotated frame, rotated back to the image frame
     bx = (lo_x + hi_x) / 2.0
     by = (lo_y + hi_y) / 2.0
-    back = rotate_vec(Vec2(bx, by), rotation)
-    center_px = Vec2(cx + back.x, cy + back.y)
-    size = side * scale / height
-    if not size > 0.0:
+    th = math.radians(rotation)
+    c, s = math.cos(th), math.sin(th)
+    center_x = (cx + (bx * c - by * s)) / width
+    center_y = (cy + (bx * s + by * c)) / height
+    box = (center_x, center_y, side * scale / height, rotation)
+    if not all(map(math.isfinite, box)):
+        raise DegenerateHand("landmarks span a box that is not finite")
+    if not box[2] > 0.0:
         raise DegenerateHand("landmarks span a box of zero size")
-    return RotRect(
-        center=Vec2(center_px.x / width, center_px.y / height),
-        size=size,
-        rotation=rotation,
-    )
+    return box

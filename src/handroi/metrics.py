@@ -5,36 +5,46 @@ image dimensions, per-axis normalized), scale error (percent of gold size),
 and rotation error (circular, degrees in [0, 180]). Plus aggregate
 summaries, pairwise win rates, and IoU histogram binning.
 
-Predictions and gold ROIs are (N, 4) box arrays (see `geometry.box_array`)
-and the metrics are computed column-wise. A failed prediction (a degenerate
-hand, or a box that is not finite) is scored IoU 0 and its
-center/scale/rotation errors are left out of the means but stay counted, so
-a method cannot improve its numbers by refusing to predict.
+Predictions and gold ROIs are (N, 4) box arrays (see the `geometry` module)
+and the metrics are computed column-wise into a `Rows` table. A failed
+prediction (a degenerate hand, or a box that is not finite) is scored IoU 0
+and its center/scale/rotation errors are left out of the means but stay
+counted, so a method cannot improve its numbers by refusing to predict.
 """
 
 import csv
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset import sample_gold_roi
 from .errors import EmptyDataset, JoinError, ParseError
-from .geometry import box_array, circular_diff_deg, rotated_ious
+from .geometry import circular_diff_deg, rotated_ious
 
 CSV_COLUMNS = ("sample_id", "method", "iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed")
+ERROR_COLUMNS = CSV_COLUMNS[3:6]
 HIST_BINS = 20
 
 
-@dataclass(frozen=True)
-class EvalRow:
-    sample_id: str
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """One method's scores, one entry per sample in every column.
+
+    iou is in [0, 1] and 0 where a row failed; the three error columns are
+    finite and >= 0 (rot_err_deg <= 180), and NaN where a row failed.
+    """
+
+    ids: tuple
     method: str
-    iou: float
-    center_err_pct: Optional[float]
-    scale_err_pct: Optional[float]
-    rot_err_deg: Optional[float]
-    failed: bool = False
+    iou: np.ndarray
+    center_err_pct: np.ndarray
+    scale_err_pct: np.ndarray
+    rot_err_deg: np.ndarray
+    failed: np.ndarray
+
+    def __len__(self):
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -45,16 +55,6 @@ class MetricsSummary:
     mean_rot_err: float
     min_iou: float
     n: int
-
-    def as_dict(self):
-        return {
-            "mean_iou": self.mean_iou,
-            "mean_center_err": self.mean_center_err,
-            "mean_scale_err": self.mean_scale_err,
-            "mean_rot_err": self.mean_rot_err,
-            "min_iou": self.min_iou,
-            "n": self.n,
-        }
 
 
 def center_error(pred, gold) -> np.ndarray:
@@ -82,7 +82,7 @@ def evaluate(predict, samples, method: str = ""):
     samples = list(samples)
     if not samples:
         raise EmptyDataset("no samples to evaluate")
-    golds = box_array([sample_gold_roi(s) for s in samples])
+    golds = np.array([sample_gold_roi(s) for s in samples], dtype=np.float64)
     boxes, failed = predict(samples)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = np.column_stack(
@@ -94,114 +94,117 @@ def evaluate(predict, samples, method: str = ""):
             ]
         )
     failed = failed | ~np.isfinite(scores).all(axis=1)
-    rows = [
-        EvalRow(s.id, method, 0.0, None, None, None, failed=True)
-        if bad
-        else EvalRow(s.id, method, *vals, failed=False)
-        for s, bad, vals in zip(samples, failed.tolist(), scores.tolist())
-    ]
+    scores[failed] = [0.0, math.nan, math.nan, math.nan]
+    rows = Rows(tuple(s.id for s in samples), method, *scores.T, failed)
     return rows, summarize(rows)
 
 
-def summarize(rows) -> MetricsSummary:
-    if not rows:
+def _mean(col) -> float:
+    """Mean of a column, summed left to right; NaN if it is empty."""
+    return sum(col.tolist()) / col.size if col.size else math.nan
+
+
+def summarize(rows: Rows) -> MetricsSummary:
+    if not len(rows):
         raise EmptyDataset("no rows to summarize")
-    ok = [r for r in rows if not r.failed]
-    ious = [r.iou for r in rows]
-
-    def mean(vals):
-        vals = list(vals)
-        return sum(vals) / len(vals) if vals else float("nan")
-
+    ok = ~rows.failed
     return MetricsSummary(
-        mean_iou=mean(ious),
-        mean_center_err=mean(r.center_err_pct for r in ok),
-        mean_scale_err=mean(r.scale_err_pct for r in ok),
-        mean_rot_err=mean(r.rot_err_deg for r in ok),
-        min_iou=min(ious),
+        mean_iou=_mean(rows.iou),
+        mean_center_err=_mean(rows.center_err_pct[ok]),
+        mean_scale_err=_mean(rows.scale_err_pct[ok]),
+        mean_rot_err=_mean(rows.rot_err_deg[ok]),
+        min_iou=float(rows.iou.min()),
         n=len(rows),
     )
 
 
-def win_rate(a, b) -> float:
+def win_rate(a: Rows, b: Rows) -> float:
     """Fraction of joined samples where a strictly beats b on IoU."""
-    b_by_id = {r.sample_id: r for r in b}
-    if len(b_by_id) != len(b) or set(r.sample_id for r in a) != set(b_by_id) or len(a) != len(b):
+    index_b = {sid: k for k, sid in enumerate(b.ids)}
+    if len(index_b) != len(b) or len(a) != len(b) or set(a.ids) != index_b.keys():
         raise JoinError("row sets do not cover the same sample ids")
-    wins = sum(1 for ra in a if ra.iou > b_by_id[ra.sample_id].iou)
-    return wins / len(a)
+    joined = b.iou[[index_b[sid] for sid in a.ids]]
+    return int(np.count_nonzero(a.iou > joined)) / len(a)
 
 
-def iou_histogram(rows, bins: int = HIST_BINS):
+def iou_histogram(rows: Rows, bins: int = HIST_BINS):
     """Equal-width bin counts over [0, 1]; last bin right-inclusive."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    counts = [0] * bins
-    for r in rows:
-        idx = min(int(r.iou * bins), bins - 1)
-        counts[idx] += 1
-    return counts
+    idx = np.minimum((rows.iou * bins).astype(np.int64), bins - 1)
+    return np.bincount(idx, minlength=bins).tolist()
 
 
 # ---------------------------------------------------------------------------
 # file formats: rows as CSV (fixed column order), summaries as key=value text
 
-def write_rows_csv(rows, path):
+def write_rows_csv(rows: Rows, path):
+    cols = [rows.iou.tolist(), *(getattr(rows, c).tolist() for c in ERROR_COLUMNS)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.sample_id,
-                    r.method,
-                    repr(r.iou),
-                    "" if r.center_err_pct is None else repr(r.center_err_pct),
-                    "" if r.scale_err_pct is None else repr(r.scale_err_pct),
-                    "" if r.rot_err_deg is None else repr(r.rot_err_deg),
-                    int(r.failed),
-                ]
-            )
+        for sid, iou, *errs, bad in zip(rows.ids, *cols, rows.failed.tolist()):
+            errs = ["" if bad else repr(e) for e in errs]
+            writer.writerow([sid, rows.method, repr(iou), *errs, int(bad)])
 
 
-def _optional_float(text):
-    return float(text) if text else None
+def _parse_row(rec):
+    """(sample_id, method, iou, errors, failed) of one CSV record.
 
-
-def _parse_row(rec) -> EvalRow:
+    Raises ValueError unless the record keeps the invariants of `Rows`.
+    """
     if len(rec) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
-    sample_id, method, iou, center, scale, rot, failed = rec
+    sample_id, method, iou, *errs, failed = rec
     if failed not in ("0", "1"):
         raise ValueError(f"failed must be 0 or 1, got {failed!r}")
-    return EvalRow(
-        sample_id=sample_id,
-        method=method,
-        iou=float(iou),
-        center_err_pct=_optional_float(center),
-        scale_err_pct=_optional_float(scale),
-        rot_err_deg=_optional_float(rot),
-        failed=failed == "1",
-    )
+    iou = float(iou)
+    if not 0.0 <= iou <= 1.0:
+        raise ValueError(f"iou {iou!r} is not in [0, 1]")
+    if failed == "1":
+        if iou != 0.0 or any(errs):
+            raise ValueError("a failed row needs iou 0 and empty error fields")
+        return sample_id, method, 0.0, [math.nan] * 3, True
+    if not all(errs):
+        raise ValueError("a row that is not failed needs all three error fields")
+    errs = [float(e) for e in errs]
+    for name, val in zip(ERROR_COLUMNS, errs):
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"{name} {val!r} is not finite and >= 0")
+    if errs[2] > 180.0:
+        raise ValueError(f"rot_err_deg {errs[2]!r} is above 180")
+    return sample_id, method, iou, errs, False
 
 
-def read_rows_csv(path):
-    """Rows written by write_rows_csv; raises ParseError naming the bad line."""
-    rows = []
+def read_rows_csv(path) -> Rows:
+    """The table written by write_rows_csv; raises ParseError naming the bad line.
+
+    The file needs at least one row, every row the same method, and every
+    row the invariants of `Rows`, with empty error fields where it failed.
+    """
+    parsed = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(CSV_COLUMNS):
                 raise ValueError(f"header is not {','.join(CSV_COLUMNS)}")
             for rec in reader:
-                if rec:
-                    rows.append(_parse_row(rec))
+                if not rec:
+                    continue
+                parsed.append(_parse_row(rec))
+                method, first = parsed[-1][1], parsed[0][1]
+                if method != first:
+                    raise ValueError(f"method {method!r} differs from the first row's {first!r}")
+            if not parsed:
+                raise ValueError("no rows after the header")
         except (ValueError, csv.Error) as e:
             raise ParseError(f"{path} line {max(reader.line_num, 1)}: {e}") from None
-    return rows
+    ids, methods, iou, errs, failed = zip(*parsed)
+    errs = np.array(errs, dtype=np.float64)
+    return Rows(ids, methods[0], np.array(iou), *errs.T, np.array(failed))
 
 
 def write_summary(summary: MetricsSummary, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for key, val in summary.as_dict().items():
+        for key, val in asdict(summary).items():
             fh.write(f"{key}={val!r}\n")

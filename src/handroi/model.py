@@ -8,7 +8,7 @@ The predictor holds three heads sharing one 19-value feature vector
 (six (x, y, z) body keypoints + aspect ratio): center (2 outputs),
 size (1 output), and angle (2 outputs interpreted as (sin, cos), or 1
 output in the optional scalar-degrees mode). Prediction maps an (N, 19)
-feature matrix to a box array (see `geometry.box_array`) and a failed mask.
+feature matrix to a box array (see the `geometry` module) and a failed mask.
 """
 
 import math
@@ -27,7 +27,7 @@ from .errors import (
     VersionError,
     WeightsFormatError,
 )
-from .geometry import box_array, normalize_deg
+from .geometry import normalize_deg
 from .heuristic import calc_hand_roi
 
 FEATURE_DIM = 19
@@ -231,7 +231,7 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
             idx = order[start : start + cfg.batch_size]
             grad, loss = net.gradient(Xtr[idx], Ytr[idx])
             if not math.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                raise TrainingDiverged(f"training diverged: non-finite loss at epoch {epoch}")
             if cfg.optimizer == "sgd":
                 theta -= cfg.learning_rate * grad
             else:
@@ -246,7 +246,7 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
         train_loss = loss_on(Xtr, Ytr)
         val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise TrainingDiverged(f"non-finite epoch loss at epoch {epoch}")
+            raise TrainingDiverged(f"training diverged: non-finite epoch loss at epoch {epoch}")
         log.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
@@ -257,7 +257,7 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
 def roi_targets(samples, angle_mode: str = "sincos"):
     """Feature matrix and per-head target arrays derived from gold ROIs."""
     samples = list(samples)
-    gold = box_array([sample_gold_roi(s) for s in samples])
+    gold = np.array([sample_gold_roi(s) for s in samples], dtype=np.float64).reshape(-1, 4)
     if angle_mode == "sincos":
         th = np.radians(gold[:, 3])
         angles = np.column_stack([np.sin(th), np.cos(th)])
@@ -273,9 +273,12 @@ def train_predictor(samples, cfg: TrainConfig):
         raise EmptyDataset("need at least 2 training samples")
     center_out, size_out, angle_out = _head_outputs(cfg.angle_mode)
     X, Yc, Ys, Ya = roi_targets(samples, cfg.angle_mode)
-    center, log_c = _train_head(X, Yc, [FEATURE_DIM, *HIDDEN, center_out], cfg, head_tag=0)
-    size, log_s = _train_head(X, Ys, [FEATURE_DIM, *HIDDEN, size_out], cfg, head_tag=1)
-    angle, log_a = _train_head(X, Ya, [FEATURE_DIM, *HIDDEN, angle_out], cfg, head_tag=2)
+    # features or targets too large for float arithmetic end in a non-finite
+    # loss, which _train_head raises as TrainingDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        center, log_c = _train_head(X, Yc, [FEATURE_DIM, *HIDDEN, center_out], cfg, head_tag=0)
+        size, log_s = _train_head(X, Ys, [FEATURE_DIM, *HIDDEN, size_out], cfg, head_tag=1)
+        angle, log_a = _train_head(X, Ya, [FEATURE_DIM, *HIDDEN, angle_out], cfg, head_tag=2)
     predictor = RoiPredictor(
         center_head=center, size_head=size, angle_head=angle, angle_mode=cfg.angle_mode
     )
@@ -301,8 +304,13 @@ def predict_roi(p: RoiPredictor, X):
 
 
 def heuristic_roi(X):
-    """The heuristic's (boxes, failed) from a feature matrix's wrist, index, pinky and rho."""
-    return calc_hand_roi(X[:, 6:8], X[:, 12:14], X[:, 15:17], X[:, 18])
+    """The heuristic's (boxes, failed) from a feature matrix's wrist, index, pinky and rho.
+
+    Keypoints too large for float arithmetic give a box that is not finite,
+    which evaluate and render treat as a failed prediction.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return calc_hand_roi(X[:, 6:8], X[:, 12:14], X[:, 15:17], X[:, 18])
 
 
 def hybrid_predict(p: RoiPredictor, samples):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from handroi.geometry import RotRect, Vec2, rect_to_quad
+from handroi.geometry import box_quads
 from handroi.heuristic import CENTER_SHIFT, MIDDLE_MCP, SIZE_SCALE, WRIST, Hand21
 
 
@@ -13,12 +13,10 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_rect(rng, size_lo=0.05, size_hi=0.8):
-    return RotRect(
-        center=Vec2(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)),
-        size=rng.uniform(size_lo, size_hi),
-        rotation=rng.uniform(0.0, 360.0),
-    )
+def random_box(rng, size_lo=0.05, size_hi=0.8):
+    """A random box row (cx, cy, size, rotation)."""
+    cx, cy = rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)
+    return cx, cy, rng.uniform(size_lo, size_hi), rng.uniform(0.0, 360.0)
 
 
 def with_degenerate_gold(sample):
@@ -29,9 +27,8 @@ def with_degenerate_gold(sample):
 
 
 def monte_carlo_iou(a, b, width, height, n_points, rng):
-    """Independent IoU oracle: uniform point sampling over the union's bbox."""
-    qa = rect_to_quad(a, width, height)
-    qb = rect_to_quad(b, width, height)
+    """Independent IoU oracle of two box rows: uniform point sampling over the union's bbox."""
+    qa, qb = box_quads([a, b], [width] * 2, [height] * 2)
     allpts = np.vstack([qa, qb])
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)

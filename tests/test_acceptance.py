@@ -6,6 +6,8 @@ annotation directories and a pose sidecar, supplied via environment
 variables, and is skipped when they are absent.
 """
 
+import hashlib
+import json
 import math
 import os
 import time
@@ -13,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import monte_carlo_iou, random_rect
+from conftest import monte_carlo_iou, random_box
 from handroi.cli import main as cli_main
-from handroi.geometry import RotRect, Vec2, box_array, rotated_iou
+from handroi.geometry import rotated_iou
 from handroi.heuristic import calc_hand_roi, closed_form_size, gold_roi
 from handroi.metrics import (
-    EvalRow,
+    Rows,
     evaluate,
     read_rows_csv,
     rotation_error,
@@ -42,7 +44,7 @@ class TestCriterion1:
         rho = 0.3 + (3.0 - 0.3) * u[:, 6]
         boxes, failed = calc_hand_roi(u[:, 0:2], u[:, 2:4], u[:, 4:6], rho)
         worst = max(
-            abs(size - closed_form_size(Vec2(*row[0:2]), Vec2(*row[2:4]), Vec2(*row[4:6]), r))
+            abs(size - closed_form_size(*row[0:6], r))
             for size, row, r in zip(boxes[:, 2].tolist(), u.tolist(), rho.tolist())
         )
         elapsed = time.monotonic() - t0
@@ -59,12 +61,12 @@ class TestCriterion2:
         t0 = time.monotonic()
         worst = 0.0
         for _ in range(100):
-            a, b = random_rect(rng), random_rect(rng)
+            a, b = random_box(rng), random_box(rng)
             exact = rotated_iou(a, b, 640, 480)
             mc = monte_carlo_iou(a, b, 640, 480, 1_000_000, rng)
             worst = max(worst, abs(exact - mc))
-        a = RotRect(Vec2(0.5, 0.5), 0.4, 0.0)
-        b = RotRect(Vec2(0.5, 0.5), 0.4, 45.0)
+        a = (0.5, 0.5, 0.4, 0.0)
+        b = (0.5, 0.5, 0.4, 45.0)
         rotated_err = abs(rotated_iou(a, b, 500, 500) - 1 / math.sqrt(2))
         elapsed = time.monotonic() - t0
         report(
@@ -135,12 +137,10 @@ def synth_pipeline(tmp_path_factory):
 class TestCriterion5:
     def test_synthetic_end_to_end(self, synth_pipeline):
         first, _, elapsed = synth_pipeline
-        rows_h = read_rows_csv(first["rows_h"])
-        rows_y = read_rows_csv(first["rows_y"])
-        mean_h = sum(r.iou for r in rows_h) / len(rows_h)
-        mean_y = sum(r.iou for r in rows_y) / len(rows_y)
-        min_h = min(r.iou for r in rows_h)
-        min_y = min(r.iou for r in rows_y)
+        iou_h = read_rows_csv(first["rows_h"]).iou
+        iou_y = read_rows_csv(first["rows_y"]).iou
+        mean_h, mean_y = iou_h.mean(), iou_y.mean()
+        min_h, min_y = iou_h.min(), iou_y.min()
         print(
             f"  synthetic: hybrid mean {mean_y:.3f} vs heuristic {mean_h:.3f}; "
             f"min {min_y:.3f} vs {min_h:.3f}; first run {elapsed:.0f}s"
@@ -176,13 +176,13 @@ class TestCriterion7:
         shifted[:, :2] += 0.2
         ok &= bool(np.all(np.abs(rotation_error(a, shifted) - e) < 1e-9))
 
-        def mkrow(i, iou):
-            return EvalRow(str(i), "m", iou, 1.0, 1.0, 1.0)
+        def mkrows(iou):
+            ones = np.ones(len(iou))
+            return Rows(tuple(map(str, range(len(iou)))), "m", iou, ones, ones, ones, ones == 0)
 
         for _ in range(50):
-            n = 40
-            a = [mkrow(i, float(rng.choice([0.1, 0.5, 0.9]))) for i in range(n)]
-            b = [mkrow(i, float(rng.choice([0.1, 0.5, 0.9]))) for i in range(n)]
+            a = mkrows(rng.choice([0.1, 0.5, 0.9], size=40))
+            b = mkrows(rng.choice([0.1, 0.5, 0.9], size=40))
             ok &= win_rate(a, b) + win_rate(b, a) <= 1.0
 
         first, _, _ = synth_pipeline
@@ -190,12 +190,59 @@ class TestCriterion7:
 
         test = [s for s in read_samples(first["data"]) if s.split == "test"][:200]
         def gold(samples):
-            boxes = box_array([gold_roi(s.hand, s.width, s.height) for s in samples])
+            boxes = np.array([gold_roi(s.hand, s.width, s.height) for s in samples])
             return boxes, np.zeros(len(samples), bool)
 
         _, summary = evaluate(gold, test)
         ok &= abs(summary.mean_iou - 1.0) < 1e-9
         report(7, "metric property suite", ok)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "acceptance.json")
+
+
+def read_kv(path):
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split("=", 1) for line in fh if "=" in line)
+
+
+class TestGoldenOutputs:
+    """The acceptance run's outputs against values recorded in tests/golden.
+
+    The bytes depend on numpy's float arithmetic, so the golden file holds
+    the numpy version it was recorded with, and the test skips under another.
+    A change that alters these outputs on purpose updates the file and says
+    which value changed and why.
+    """
+
+    @pytest.fixture
+    def golden(self):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if np.__version__ != doc["numpy"]:
+            pytest.skip(f"golden outputs were recorded with numpy {doc['numpy']}, this is {np.__version__}")
+        return doc
+
+    def test_summary_and_win_rates(self, synth_pipeline, golden):
+        first, _, _ = synth_pipeline
+        for method, key in (("heuristic", "rows_h"), ("hybrid", "rows_y")):
+            summary = read_kv(f"{first[key]}.summary.txt")
+            for name, want in golden["summary"][method].items():
+                assert float(summary[name]) == pytest.approx(want, abs=1e-9), (method, name)
+        report_kv = read_kv(first["report"])
+        assert float(report_kv["win_rate_a_over_b"]) == pytest.approx(
+            golden["win_rate"]["hybrid_over_heuristic"], abs=1e-9
+        )
+        assert float(report_kv["win_rate_b_over_a"]) == pytest.approx(
+            golden["win_rate"]["heuristic_over_hybrid"], abs=1e-9
+        )
+
+    def test_output_hashes(self, synth_pipeline, golden):
+        first, _, _ = synth_pipeline
+        files = [first[k] for k in ("data", "weights", "rows_h", "rows_y", "report")]
+        files.append(first["weights"].with_name(first["weights"].name + ".log"))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        assert got == golden["sha256"]
 
 
 REAL_TRAIN = os.environ.get("HANDROI_PANOPTIC_TRAIN")
@@ -245,8 +292,7 @@ class TestCriterion8:
             outs[method] = read_rows_csv(rows)
 
         def mean(rows, attr):
-            vals = [getattr(r, attr) for r in rows if getattr(r, attr) is not None]
-            return sum(vals) / len(vals)
+            return np.nanmean(getattr(rows, attr))
 
         for method, rows in outs.items():
             print(

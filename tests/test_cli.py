@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from handroi import model as md
 from handroi.cli import build_parser, main
 from handroi.dataset import SynthConfig, read_samples, synth_generate, write_samples
+from handroi.metrics import CSV_COLUMNS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -249,6 +250,8 @@ class TestBadFlagValues:
             ["train", "--val-fraction", "0.99"],
             ["synth", "--n", "0", "--seed", "1"],
             ["synth", "--n", "10", "--seed", "1", "--max-tilt-deg", "100"],
+            # a learning rate so large that the loss stops being finite
+            ["train", "--lr", "1e300"],
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, small_dataset, capsys, argv):
@@ -332,6 +335,42 @@ class TestBadDataset:
         assert err == [f"error: sample '{sid}' has a degenerate gold hand: landmarks span a box of zero size"]
 
 
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    def test_overflowing_gold_box_exit_2(self, tmp_path, small_dataset, command):
+        _, index = BAD_DATASET_CMDS[command]
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, index, lambda doc: doc["hand"][0].__setitem__(0, 1e308))
+        sid = json.loads(bad.read_text().splitlines()[index])["id"]
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        message = "landmarks span a box that is not finite"
+        assert err == [f"error: sample '{sid}' has a degenerate gold hand: {message}"]
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_dims_too_large_for_a_float_exit_2(self, tmp_path, small_dataset, command, field):
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 4, lambda doc: doc.update({field: int("9" * 400)}))
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert err == [f"error: {bad} line 5: image dims too large for a float"]
+
+    def test_overflowing_pose_fails_the_row(self, tmp_path, small_dataset):
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, -1, lambda doc: doc["pose"]["wrist"].__setitem__(0, 1e308))
+        code, err = self.run_on(tmp_path, "eval", bad)
+        assert code == 0 and err == []
+        last = (tmp_path / "out").read_text().splitlines()[-1].split(",")
+        assert last[2:] == ["0.0", "", "", "", "1"]
+
+    def test_overflowing_pose_training_diverges_exit_2(self, tmp_path, small_dataset):
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 4, lambda doc: doc["pose"]["wrist"].__setitem__(0, 1e308))
+        code, err = self.run_on(tmp_path, "train", bad)
+        assert code == 2
+        assert err == ["error: training diverged: non-finite loss at epoch 0"]
+
+
 @pytest.fixture(scope="module")
 def clean_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "clean.jsonl"
@@ -354,22 +393,71 @@ def corruptions(clean):
     )
 
 
+def json_values():
+    """Any JSON value, with the extremes a number field can hold: huge integers, NaN, infinities."""
+    numbers = st.one_of(
+        st.integers(),
+        st.sampled_from([0, -1, 10**308, 10**400, -(10**400)]),
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        st.floats(),
+    )
+    scalars = st.one_of(st.none(), st.booleans(), st.text(max_size=4), numbers)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+def value_paths(doc, prefix=()):
+    """The key path of every value nested in a JSON document, the document itself excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield prefix + (key,)
+        yield from value_paths(val, prefix + (key,))
+
+
+def with_mutated_value(data, clean):
+    """The clean JSONL bytes with one value of one line replaced by any JSON value."""
+    lines = clean.decode("utf-8").splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    doc = json.loads(lines[index])
+    *parents, key = data.draw(st.sampled_from(list(value_paths(doc))))
+    owner = doc
+    for parent in parents:
+        owner = owner[parent]
+    owner[key] = data.draw(json_values())
+    lines[index] = json.dumps(doc)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def assert_exit_0_or_one_error_line(label, codes, code, err):
+    """An exit code among codes; one `error:` line on stderr if it is not 0, else none."""
+    assert code in codes, (label, code, err)
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: "), (label, err)
+    else:
+        assert err == [], (label, err)
+
+
 class TestCorruptDatasetProperty:
-    @settings(deadline=None)
-    @given(data=st.data())
-    def test_exit_0_or_one_error_line(self, clean_dataset, data):
-        bad = clean_dataset.with_name("bad.jsonl")
-        bad.write_bytes(data.draw(corruptions(clean_dataset.read_bytes())))
+    def check(self, bad):
         for argv in (
             ["eval", "--method", "heuristic", "--out", str(bad.with_name("rows.csv"))],
             ["train", "--epochs", "2", "--out", str(bad.with_name("w.hroi"))],
         ):
             code, err = run_quiet(*argv, "--dataset", str(bad))
-            assert code in (0, 2), (argv[0], code, err)
-            if code == 2:
-                assert len(err) == 1 and err[0].startswith("error: "), (argv[0], err)
-            else:
-                assert err == [], (argv[0], err)
+            assert_exit_0_or_one_error_line(argv[0], (0, 2), code, err)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_exit_0_or_one_error_line(self, clean_dataset, data):
+        bad = clean_dataset.with_name("bad.jsonl")
+        bad.write_bytes(data.draw(corruptions(clean_dataset.read_bytes())))
+        self.check(bad)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_mutated_value_exit_0_or_one_error_line(self, clean_dataset, data):
+        bad = clean_dataset.with_name("bad.jsonl")
+        bad.write_bytes(with_mutated_value(data, clean_dataset.read_bytes()))
+        self.check(bad)
 
 
 @pytest.fixture(scope="module")
@@ -388,11 +476,43 @@ class TestCorruptWeightsProperty:
         for method in ("mlp", "hybrid"):
             argv = ["--method", method, "--weights", str(bad), "--out", str(bad.with_name("rows.csv"))]
             code, err = run_quiet("eval", "--dataset", str(clean_dataset), *argv)
-            assert code in (0, 2), (method, code, err)
-            if code == 2:
-                assert len(err) == 1 and err[0].startswith("error: "), (method, err)
-            else:
-                assert err == [], (method, err)
+            assert_exit_0_or_one_error_line(method, (0, 2), code, err)
+
+
+@pytest.fixture(scope="module")
+def clean_rows(tmp_path_factory, clean_dataset, clean_weights):
+    """A hybrid rows CSV of the clean dataset; its weights barely train, so some rows may fail."""
+    path = tmp_path_factory.mktemp("fuzz_rows") / "clean.csv"
+    argv = ["--method", "hybrid", "--weights", str(clean_weights), "--out", str(path)]
+    assert run_quiet("eval", "--dataset", str(clean_dataset), *argv)[0] == 0
+    return path
+
+
+def with_mutated_cell(data, clean):
+    """The clean CSV bytes with one cell replaced by a number or any short text."""
+    lines = clean.decode("utf-8").splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[index].split(",")
+    column = data.draw(st.integers(0, len(cells) - 1))
+    numbers = st.one_of(st.floats(), st.integers(), st.sampled_from(["", "-0.0", "1", "0", "180.5"]))
+    cells[column] = str(data.draw(st.one_of(numbers, st.text(max_size=4))))
+    lines[index] = ",".join(cells)
+    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+
+
+class TestCorruptRowsProperty:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_exit_0_or_one_error_line(self, clean_rows, data):
+        clean = clean_rows.read_bytes()
+        bad = clean_rows.with_name("bad.csv")
+        if data.draw(st.booleans()):
+            bad.write_bytes(with_mutated_cell(data, clean))
+        else:
+            bad.write_bytes(data.draw(corruptions(clean)))
+        report = bad.with_name("r.txt")
+        code, err = run_quiet("compare", "--rows-a", str(bad), "--rows-b", str(clean_rows), "--report", str(report))
+        assert_exit_0_or_one_error_line("compare", (0, 2, 3), code, err)
 
 
 class TestEval:
@@ -457,6 +577,25 @@ class TestEval:
         assert code == 0
 
 
+def edit_rows(text, old, new):
+    """The rows CSV text with old replaced by new.
+
+    old is a literal string, whose first occurrence is replaced, or a
+    (line, column) cell address; a column of None cuts the file before
+    that line.
+    """
+    if isinstance(old, str):
+        return text.replace(old, new, 1)
+    line, column = old
+    lines = text.splitlines()
+    if column is None:
+        return "\n".join(lines[: line - 1]) + "\n"
+    cells = lines[line - 1].split(",")
+    cells[CSV_COLUMNS.index(column)] = new
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
 class TestCompare:
     def eval_rows(self, tmp_path, small_dataset, name):
         out = tmp_path / f"{name}.csv"
@@ -497,12 +636,29 @@ class TestCompare:
         [
             (",0.", ",abc", "line 2: could not convert"),
             ("sample_id,", "id,", "line 1: header"),
+            pytest.param((2, None), None, "line 1: no rows after the header", id="header-only"),
+            pytest.param((3, "method"), "mlp", "line 3: method 'mlp' differs from the first row's 'heuristic'",
+                         id="mixed-methods"),
+            pytest.param((2, "iou"), "nan", "line 2: iou nan is not in [0, 1]", id="iou-nan"),
+            pytest.param((2, "iou"), "inf", "line 2: iou inf is not in [0, 1]", id="iou-inf"),
+            pytest.param((2, "iou"), "-0.5", "line 2: iou -0.5 is not in [0, 1]", id="iou-negative"),
+            pytest.param((2, "iou"), "7", "line 2: iou 7.0 is not in [0, 1]", id="iou-above-1"),
+            pytest.param((2, "failed"), "1", "line 2: a failed row needs iou 0 and empty error fields",
+                         id="failed-with-scores"),
+            pytest.param((2, "scale_err_pct"), "", "line 2: a row that is not failed needs all three error fields",
+                         id="scored-with-empty-error"),
+            pytest.param((2, "center_err_pct"), "-1.0", "line 2: center_err_pct -1.0 is not finite and >= 0",
+                         id="error-negative"),
+            pytest.param((2, "scale_err_pct"), "inf", "line 2: scale_err_pct inf is not finite and >= 0",
+                         id="error-inf"),
+            pytest.param((2, "rot_err_deg"), "180.5", "line 2: rot_err_deg 180.5 is above 180",
+                         id="rotation-above-180"),
         ],
     )
     def test_malformed_rows_exit_2(self, tmp_path, small_dataset, capsys, old, new, message):
         rows = self.eval_rows(tmp_path, small_dataset, "h")
         bad = tmp_path / "bad.csv"
-        bad.write_text(rows.read_text().replace(old, new, 1))
+        bad.write_text(edit_rows(rows.read_text(), old, new))
         capsys.readouterr()
         code = run(
             "compare",
@@ -537,6 +693,22 @@ class TestRender:
         svg = out.read_text()
         assert svg.count("<polygon") == 2
         assert svg.count('stroke="#1f77b4"') == 2
+
+    def test_overflowing_prediction_renders_gold_only(self, tmp_path, small_dataset, trained_weights):
+        # the center head's output bias for x: a finite box whose pixel corners overflow
+        data = bytearray(trained_weights.read_bytes())
+        theta_at = len(data) - 8 * (332 + 321 + 332)
+        data[theta_at + 8 * 330 : theta_at + 8 * 331] = struct.pack("<d", 1e306)
+        bad = tmp_path / "bad.hroi"
+        bad.write_bytes(bytes(data))
+        sid = read_samples(small_dataset)[0].id
+        out = tmp_path / "box.svg"
+        argv = ["--dataset", str(small_dataset), "--id", sid, "--method", "mlp", "--weights", str(bad)]
+        code, err = run_quiet("render", *argv, "--out", str(out))
+        assert code == 0
+        assert err == [f"warning: failed prediction for {sid}, rendering gold only"]
+        svg = out.read_text()
+        assert svg.count("<polygon") == 1 and "inf" not in svg
 
     def test_degenerate_gold_exit_2(self, tmp_path, small_dataset):
         bad = tmp_path / "bad.jsonl"

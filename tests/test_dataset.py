@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from handroi.dataset import (
     merge_pose_sidecar,
     mirror_left,
     parse_panoptic,
+    read_pose_sidecar,
     read_samples,
     sample_from_dict,
     sample_to_dict,
@@ -19,7 +21,7 @@ from handroi.dataset import (
     write_samples,
 )
 from handroi.errors import DuplicateId, EmptyDataset, InvalidDataset, ParseError
-from handroi.geometry import Vec3, rect_to_quad
+from handroi.geometry import Vec3, box_quads
 from handroi.heuristic import Hand21, PoseHand, gold_roi
 
 
@@ -105,7 +107,7 @@ class TestMergeSidecar:
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\n")
-        res = merge_pose_sidecar(records, sc)
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
         assert len(res.samples) == 1
         assert res.missing_pose == 1
 
@@ -114,7 +116,7 @@ class TestMergeSidecar:
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1", handedness="left") + "\n")
-        res = merge_pose_sidecar(records, sc)
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
         s = res.samples[0]
         assert s.was_left
         assert s.pose.wrist.x == pytest.approx(1.0 - (0.3 + 0.05 * 2))
@@ -125,7 +127,7 @@ class TestMergeSidecar:
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text("\n".join(sidecar_line(f"s{i}") for i in range(3)))
-        res = merge_pose_sidecar(records, sc)
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
         assert len(res.samples) == 3
 
     def test_malformed_line(self, tmp_path):
@@ -134,42 +136,44 @@ class TestMergeSidecar:
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\nnot json\n")
         with pytest.raises(ParseError) as exc:
-            merge_pose_sidecar(records, sc)
+            read_pose_sidecar(sc)
         assert f"{sc} line 2" in str(exc.value)
 
     @pytest.mark.parametrize(
-        "field, value", [("width", 640.9), ("width", "640"), ("height", True), ("height", 0)]
+        "field, value",
+        [
+            ("width", 640.9),
+            ("width", "640"),
+            ("height", True),
+            ("height", 0),
+            pytest.param("width", 10**400, id="width-too-large-for-a-float"),
+        ],
     )
     def test_mistyped_image_dims(self, tmp_path, field, value):
-        make_label_file(tmp_path, "s1.json")
-        records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\n" + sidecar_line("s2", **{field: value}) + "\n")
-        with pytest.raises(ParseError, match=f"{sc} line 2: (non-positive image dims|{field} must be a JSON integer)"):
-            merge_pose_sidecar(records, sc)
+        message = f"(non-positive image dims|{field} must be a JSON integer|image dims too large for a float)"
+        with pytest.raises(ParseError, match=f"{sc} line 2: {message}"):
+            read_pose_sidecar(sc)
 
     def test_invalid_utf8_line(self, tmp_path):
-        make_label_file(tmp_path, "s1.json")
-        records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_bytes(sidecar_line("s1").encode() + b"\n\xff\xfe\n")
         with pytest.raises(ParseError, match=f"{sc} line 2: 'utf-8' codec"):
-            merge_pose_sidecar(records, sc)
+            read_pose_sidecar(sc)
 
     def test_duplicate_id(self, tmp_path):
-        make_label_file(tmp_path, "s1.json")
-        records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\n" + sidecar_line("s1") + "\n")
         with pytest.raises(DuplicateId):
-            merge_pose_sidecar(records, sc)
+            read_pose_sidecar(sc)
 
     def test_degenerate_filtered(self, tmp_path):
         make_label_file(tmp_path, "s1.json", pts=[[5.0, 5.0, 1.0]] * 21)
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\n")
-        res = merge_pose_sidecar(records, sc)
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
         assert res.samples == [] and res.degenerate == 1
 
 
@@ -188,7 +192,7 @@ class TestSynth:
     def test_gold_contains_landmarks(self):
         for s in synth_generate(SynthConfig(n=30, seed=5, max_tilt_deg=75, noise_px=2)):
             r = gold_roi(s.hand, s.width, s.height, scale=1.0)
-            quad = rect_to_quad(r, s.width, s.height)
+            quad = box_quads([r], [s.width], [s.height])[0]
             for px, py, _ in s.hand.points:
                 for i in range(4):
                     ax, ay = quad[i]
@@ -253,6 +257,8 @@ class TestStatsAndIo:
             ("width", "640", "width must be a JSON integer"),
             ("height", True, "height must be a JSON integer"),
             ("height", 480.0, "height must be a JSON integer"),
+            pytest.param("height", int(sys.float_info.max) + 1, "image dims too large for a float",
+                         id="height-too-large-for-a-float"),
         ],
     )
     def test_read_mistyped_field(self, tmp_path, field, value, message):

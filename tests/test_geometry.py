@@ -7,21 +7,16 @@ from hypothesis import strategies as st
 
 from handroi.errors import DegenerateGeometry, InvalidImage
 from handroi.geometry import (
-    RotRect,
-    Vec2,
-    angle_deg,
     areas,
-    box_array,
+    box_quads,
     circular_diff_deg,
     clip_quads,
     normalize_deg,
-    rect_to_quad,
-    rotate_vec,
     rotated_iou,
     rotated_ious,
 )
 from handroi.heuristic import SIZE_SCALE, calc_hand_roi
-from conftest import monte_carlo_iou, random_rect, scalar_quad_iou
+from conftest import monte_carlo_iou, random_box, scalar_quad_iou
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -35,50 +30,6 @@ def polygon_area(p):
 def clip_one(subject, clip):
     polys, counts = clip_quads(subject[None], clip[None])
     return polys[0, : counts[0]]
-
-
-class TestAngleDeg:
-    def test_positive_x_axis(self):
-        assert angle_deg(Vec2(0, 0), Vec2(1, 0)) == 0.0
-
-    def test_straight_up(self):
-        assert angle_deg(Vec2(0.5, 0.8), Vec2(0.5, 0.5)) == pytest.approx(-90.0)
-
-    def test_diagonal_y_down(self):
-        assert angle_deg(Vec2(0, 0), Vec2(1, 1)) == pytest.approx(45.0)
-
-    def test_coincident_raises(self):
-        with pytest.raises(DegenerateGeometry):
-            angle_deg(Vec2(0.3, 0.3), Vec2(0.3, 0.3))
-
-    def test_range(self, rng):
-        for _ in range(200):
-            a = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            b = Vec2(rng.uniform(-1, 1) + 2, rng.uniform(-1, 1))
-            assert -180.0 < angle_deg(a, b) <= 180.0
-
-
-class TestRotateVec:
-    def test_identity(self):
-        v = rotate_vec(Vec2(1, 0), 0)
-        assert (v.x, v.y) == (1.0, 0.0)
-
-    def test_quarter_turn(self):
-        v = rotate_vec(Vec2(0, -0.08), 90)
-        assert v.x == pytest.approx(0.08, abs=1e-12)
-        assert v.y == pytest.approx(0.0, abs=1e-12)
-
-    def test_full_turn(self):
-        v = rotate_vec(Vec2(1, 0), 360)
-        assert v.x == pytest.approx(1.0, abs=1e-12)
-        assert v.y == pytest.approx(0.0, abs=1e-12)
-
-    def test_norm_preserved(self, rng):
-        for _ in range(200):
-            v = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            th = rng.uniform(-720, 720)
-            r = rotate_vec(v, th)
-            assert math.hypot(r.x, r.y) == pytest.approx(math.hypot(v.x, v.y), abs=1e-12)
 
 
 class TestAspectDistance:
@@ -101,37 +52,37 @@ class TestAspectDistance:
         assert self.distance((0.2, 0.5), (0.4, 0.5), 2.0) == pytest.approx(0.4)
 
 
-class TestRectToQuad:
+def box_quad(box, width, height):
+    """Pixel corners (4, 2) of one box row."""
+    return box_quads([box], [width], [height])[0]
+
+
+class TestBoxQuads:
     def test_square_image_axis_aligned(self):
-        r = RotRect(Vec2(0.5, 0.5), 0.5, 0.0)
-        q = rect_to_quad(r, 100, 100)
+        q = box_quad((0.5, 0.5, 0.5, 0.0), 100, 100)
         got = {(round(x), round(y)) for x, y in q}
         assert got == {(25, 25), (25, 75), (75, 75), (75, 25)}
 
     def test_zero_size_degenerate(self):
-        r = RotRect(Vec2(0.5, 0.5), 0.0, 0.0)
-        q = rect_to_quad(r, 100, 100)
+        q = box_quad((0.5, 0.5, 0.0, 0.0), 100, 100)
         assert np.allclose(q, q[0])
         assert polygon_area(q) == 0.0
 
     def test_aspect_correction_square_in_pixels(self):
-        r = RotRect(Vec2(0.5, 0.5), 0.5, 0.0)
-        q = rect_to_quad(r, 200, 100)
+        q = box_quad((0.5, 0.5, 0.5, 0.0), 200, 100)
         xs, ys = q[:, 0], q[:, 1]
         assert xs.min() == pytest.approx(75) and xs.max() == pytest.approx(125)
         assert ys.min() == pytest.approx(25) and ys.max() == pytest.approx(75)
         assert np.mean(xs) == pytest.approx(100) and np.mean(ys) == pytest.approx(50)
 
     def test_invalid_dims(self):
-        r = RotRect(Vec2(0.5, 0.5), 0.5, 0.0)
         with pytest.raises(InvalidImage):
-            rect_to_quad(r, 0, 100)
+            box_quad((0.5, 0.5, 0.5, 0.0), 0, 100)
 
     def test_orientation_positive_shoelace(self, rng):
         # CCW contract: signed shoelace sum stays non-negative for any rotation
         for _ in range(100):
-            r = random_rect(rng)
-            q = rect_to_quad(r, 640, 480)
+            q = box_quad(random_box(rng), 640, 480)
             s = 0.0
             for i in range(4):
                 j = (i + 1) % 4
@@ -184,40 +135,40 @@ class TestPolygonArea:
 
 class TestRotatedIou:
     def test_self(self):
-        r = RotRect(Vec2(0.4, 0.6), 0.3, 33.0)
+        r = (0.4, 0.6, 0.3, 33.0)
         assert rotated_iou(r, r, 640, 480) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint(self):
-        a = RotRect(Vec2(0.1, 0.1), 0.05, 0.0)
-        b = RotRect(Vec2(0.9, 0.9), 0.05, 0.0)
+        a = (0.1, 0.1, 0.05, 0.0)
+        b = (0.9, 0.9, 0.05, 0.0)
         assert rotated_iou(a, b, 640, 480) == 0.0
 
     def test_rotated_45_is_inv_sqrt2(self):
-        a = RotRect(Vec2(0.5, 0.5), 0.4, 0.0)
-        b = RotRect(Vec2(0.5, 0.5), 0.4, 45.0)
+        a = (0.5, 0.5, 0.4, 0.0)
+        b = (0.5, 0.5, 0.4, 45.0)
         assert rotated_iou(a, b, 500, 500) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_both_degenerate_raises(self):
-        a = RotRect(Vec2(0.5, 0.5), 0.0, 0.0)
+        a = (0.5, 0.5, 0.0, 0.0)
         with pytest.raises(DegenerateGeometry):
             rotated_iou(a, a, 100, 100)
 
     def test_one_degenerate_is_zero(self):
-        a = RotRect(Vec2(0.5, 0.5), 0.0, 0.0)
-        b = RotRect(Vec2(0.5, 0.5), 0.3, 0.0)
+        a = (0.5, 0.5, 0.0, 0.0)
+        b = (0.5, 0.5, 0.3, 0.0)
         assert rotated_iou(a, b, 100, 100) == 0.0
 
     def test_symmetry(self, rng):
         for _ in range(50):
-            a, b = random_rect(rng), random_rect(rng)
+            a, b = random_box(rng), random_box(rng)
             assert rotated_iou(a, b, 640, 480) == pytest.approx(
                 rotated_iou(b, a, 640, 480), abs=1e-12
             )
 
     def test_square_symmetry_90deg(self, rng):
         for _ in range(50):
-            a, b = random_rect(rng), random_rect(rng)
-            b90 = RotRect(b.center, b.size, normalize_deg(b.rotation + 90))
+            a, b = random_box(rng), random_box(rng)
+            b90 = (*b[:3], normalize_deg(b[3] + 90))
             assert rotated_iou(a, b, 640, 480) == pytest.approx(
                 rotated_iou(a, b90, 640, 480), abs=1e-9
             )
@@ -225,22 +176,21 @@ class TestRotatedIou:
     def test_monte_carlo_agreement_small(self, rng):
         # quick version of the acceptance check (fewer pairs/points)
         for _ in range(10):
-            a, b = random_rect(rng), random_rect(rng)
+            a, b = random_box(rng), random_box(rng)
             exact = rotated_iou(a, b, 640, 480)
             mc = monte_carlo_iou(a, b, 640, 480, 200_000, rng)
             assert exact == pytest.approx(mc, abs=0.01)
 
 
-rects = st.builds(
-    lambda x, y, size, rot: RotRect(Vec2(x, y), size, rot),
+boxes = st.tuples(
     st.floats(-0.5, 1.5),
     st.floats(-0.5, 1.5),
     st.floats(0.0, 1.5),
     st.floats(0.0, 360.0, exclude_max=True),
 )
 pairs = st.lists(
-    st.tuples(rects, rects, st.integers(1, 4000), st.integers(1, 4000)).filter(
-        lambda p: p[0].size > 0 or p[1].size > 0
+    st.tuples(boxes, boxes, st.integers(1, 4000), st.integers(1, 4000)).filter(
+        lambda p: p[0][2] > 0 or p[1][2] > 0
     ),
     min_size=1,
     max_size=30,
@@ -248,9 +198,9 @@ pairs = st.lists(
 
 
 def batch(pairs):
-    """(pred boxes, gold boxes, widths, heights) of (RotRect, RotRect, width, height) pairs."""
+    """(pred boxes, gold boxes, widths, heights) of (box row, box row, width, height) pairs."""
     preds, golds, widths, heights = zip(*pairs)
-    return box_array(preds), box_array(golds), list(widths), list(heights)
+    return np.array(preds), np.array(golds), list(widths), list(heights)
 
 
 class TestRotatedIous:
@@ -266,7 +216,7 @@ class TestRotatedIous:
     def test_equals_scalar_reference_bitwise(self, pairs):
         ious = rotated_ious(*batch(pairs))
         ref = np.array(
-            [scalar_quad_iou(rect_to_quad(a, w, h), rect_to_quad(b, w, h)) for a, b, w, h in pairs]
+            [scalar_quad_iou(box_quad(a, w, h), box_quad(b, w, h)) for a, b, w, h in pairs]
         )
         assert ious.tobytes() == ref.tobytes()
 
@@ -280,10 +230,10 @@ class TestRotatedIous:
         assert np.all(np.abs(ab - ba) <= 1e-12)
 
     @settings(deadline=None)
-    @given(st.lists(st.tuples(rects, st.integers(1, 4000), st.integers(1, 4000)), min_size=1))
+    @given(st.lists(st.tuples(boxes, st.integers(1, 4000), st.integers(1, 4000)), min_size=1))
     def test_identical_pairs_are_one(self, items):
-        items = [(r, w, h) for r, w, h in items if r.size * h >= 1e-3]
-        preds = box_array([r for r, _, _ in items])
+        items = [(r, w, h) for r, w, h in items if r[2] * h >= 1e-3]
+        preds = np.array([r for r, _, _ in items]).reshape(-1, 4)
         ious = rotated_ious(preds, preds, [w for _, w, _ in items], [h for _, _, h in items])
         assert np.all(ious == 1.0)
 
@@ -292,7 +242,7 @@ class TestRotatedIous:
         assert rotated_ious(empty, empty, [], []).shape == (0,)
 
     def test_bad_dims_in_batch(self):
-        r = box_array([RotRect(Vec2(0.5, 0.5), 0.3, 0.0)] * 2)
+        r = np.array([(0.5, 0.5, 0.3, 0.0)] * 2)
         with pytest.raises(InvalidImage):
             rotated_ious(r, r, [640, 640], [480, 0])
 

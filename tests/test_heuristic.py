@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_calc_hand_roi
 from handroi.errors import DegenerateHand, InvalidAspect
-from handroi.geometry import Vec2, areas, circular_diff_deg, rect_to_quad
+from handroi.geometry import areas, box_quads, circular_diff_deg
 from handroi.heuristic import Hand21, calc_hand_roi, closed_form_size, gold_roi
 
 
@@ -52,7 +52,7 @@ class TestCalcHandRoi:
         boxes, failed = calc_hand_roi(w, i, p, rho)
         assert not failed.any()
         for k in range(1000):
-            ref = closed_form_size(Vec2(*w[k]), Vec2(*i[k]), Vec2(*p[k]), rho[k])
+            ref = closed_form_size(*w[k], *i[k], *p[k], rho[k])
             assert abs(boxes[k, 2] - ref) < 1e-9
 
     def test_translation_equivariance(self, rng):
@@ -103,16 +103,14 @@ class TestCalcHandRoiReference:
 
 class TestClosedFormSize:
     def test_horizontal(self):
-        assert closed_form_size(Vec2(0, 0), Vec2(0.3, 0), Vec2(0.3, 0), 1.0) == pytest.approx(1.62)
+        assert closed_form_size(0, 0, 0.3, 0, 0.3, 0, 1.0) == pytest.approx(1.62)
 
     def test_aspect(self):
-        assert closed_form_size(
-            Vec2(0.2, 0.5), Vec2(0.4, 0.5), Vec2(0.4, 0.5), 2.0
-        ) == pytest.approx(2.16)
+        assert closed_form_size(0.2, 0.5, 0.4, 0.5, 0.4, 0.5, 2.0) == pytest.approx(2.16)
 
     def test_coincident_is_zero(self):
-        p = Vec2(0.1, 0.9)
-        assert closed_form_size(p, p, p, 1.3) == pytest.approx(0.0, abs=1e-12)
+        p = (0.1, 0.9)
+        assert closed_form_size(*p, *p, *p, 1.3) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGoldRoi:
@@ -125,18 +123,17 @@ class TestGoldRoi:
         return make_hand(pts)
 
     def test_axis_aligned_rotation_zero(self):
-        r = gold_roi(self.axis_aligned_hand(), 400, 400, scale=1.0)
-        assert r.rotation == pytest.approx(0.0)
+        _, _, size, rotation = gold_roi(self.axis_aligned_hand(), 400, 400, scale=1.0)
+        assert rotation == pytest.approx(0.0)
         # square side = larger extent of the landmark bbox, in height units
-        assert r.size == pytest.approx(100.0 / 400.0)
+        assert size == pytest.approx(100.0 / 400.0)
 
     def test_scale_linearity(self):
         h = self.axis_aligned_hand()
         r1 = gold_roi(h, 400, 400, scale=1.0)
         r2 = gold_roi(h, 400, 400, scale=2.0)
-        assert r2.size == pytest.approx(2 * r1.size)
-        assert (r2.center.x, r2.center.y) == (r1.center.x, r1.center.y)
-        assert r2.rotation == r1.rotation
+        assert r2[2] == pytest.approx(2 * r1[2])
+        assert (r2[0], r2[1], r2[3]) == (r1[0], r1[1], r1[3])
 
     def test_all_coincident(self):
         with pytest.raises(DegenerateHand):
@@ -162,7 +159,7 @@ class TestGoldRoi:
             hand = make_hand([tuple(p) for p in pts])
             scale = rng.uniform(1.0, 3.0)
             r = gold_roi(hand, w, h, scale=scale)
-            quad = rect_to_quad(r, w, h)
+            quad = box_quads([r], [w], [h])[0]
             for px, py in pts:
                 for i in range(4):
                     ax, ay = quad[i]
@@ -179,11 +176,11 @@ class TestGoldRoi:
             for i in range(1, 21):
                 if i != 9:
                     pts[i] = tuple(rng.uniform(0, 300, size=2))
-            r = gold_roi(make_hand(pts), 300, 300)
+            rotation = gold_roi(make_hand(pts), 300, 300)[3]
             if ref is None:
-                ref = r.rotation
-            assert r.rotation == pytest.approx(ref)
+                ref = rotation
+            assert rotation == pytest.approx(ref)
 
     def test_quad_positive_area(self):
         r = gold_roi(self.axis_aligned_hand(), 400, 400)
-        assert areas(rect_to_quad(r, 400, 400)[None], np.array([4]))[0] > 0
+        assert areas(box_quads([r], [400], [400]), np.array([4]))[0] > 0

@@ -6,11 +6,11 @@ import pytest
 from conftest import with_degenerate_gold
 from handroi.dataset import SynthConfig, synth_generate
 from handroi.errors import EmptyDataset, InvalidDataset, JoinError, ParseError
-from handroi.geometry import RotRect, Vec2, box_array, rotated_iou
+from handroi.geometry import rotated_iou
 from handroi.heuristic import gold_roi
 from handroi.metrics import (
     CSV_COLUMNS,
-    EvalRow,
+    Rows,
     center_error,
     evaluate,
     iou_histogram,
@@ -32,8 +32,10 @@ def box(cx=0.5, cy=0.5, size=0.3, rot=0.0):
     return np.array([[cx, cy, size, rot]])
 
 
-def row(sid, iou, method="m"):
-    return EvalRow(sid, method, iou, 1.0, 1.0, 1.0)
+def table(ids, ious, method="m"):
+    """A rows table of scored rows with the given ids and IoUs, each error 1."""
+    ones = np.ones(len(ids))
+    return Rows(tuple(ids), method, np.array(ious, dtype=np.float64), ones, ones, ones, ones == 0)
 
 
 def heuristic(samples):
@@ -41,7 +43,7 @@ def heuristic(samples):
 
 
 def gold_predictor(samples):
-    return box_array([gold_roi(s.hand, s.width, s.height) for s in samples]), np.zeros(len(samples), bool)
+    return np.array([gold_roi(s.hand, s.width, s.height) for s in samples]), np.zeros(len(samples), bool)
 
 
 class TestCenterError:
@@ -90,9 +92,9 @@ class TestEvaluate:
     def test_single_sample_summary_equals_row(self):
         samples = self.samples(n=1)
         rows, summary = evaluate(heuristic, samples)
-        assert summary.mean_iou == rows[0].iou
-        assert summary.mean_center_err == rows[0].center_err_pct
-        assert summary.min_iou == rows[0].iou and summary.n == 1
+        assert summary.mean_iou == rows.iou[0]
+        assert summary.mean_center_err == rows.center_err_pct[0]
+        assert summary.min_iou == rows.iou[0] and summary.n == len(rows) == 1
 
     def test_failed_prediction_counts_as_zero(self):
         samples = self.samples(n=3)
@@ -101,7 +103,7 @@ class TestEvaluate:
             return np.zeros((len(samples), 4)), np.ones(len(samples), bool)
 
         rows, summary = evaluate(failing, samples)
-        assert all(r.failed and r.iou == 0.0 for r in rows)
+        assert rows.failed.all() and np.all(rows.iou == 0.0)
         assert summary.mean_iou == 0.0
         assert math.isnan(summary.mean_center_err)
         assert summary.n == 3
@@ -137,15 +139,14 @@ class TestEvaluate:
 
         rows, summary = evaluate(heur, samples, method="h")
         boxes, _ = heuristic(samples)
-        assert [r.sample_id for r in rows] == [s.id for s in samples]
-        for k, (s, r) in enumerate(zip(samples, rows)):
+        assert rows.ids == tuple(s.id for s in samples) and rows.method == "h"
+        for k, s in enumerate(samples):
             if k % 3 == 1:
-                assert r.failed and r.iou == 0.0 and r.center_err_pct is None
+                assert rows.failed[k] and rows.iou[k] == 0.0 and math.isnan(rows.center_err_pct[k])
             else:
                 gold = gold_roi(s.hand, s.width, s.height)
-                pred = RotRect(Vec2(boxes[k, 0], boxes[k, 1]), boxes[k, 2], boxes[k, 3])
-                assert not r.failed
-                assert r.iou == rotated_iou(pred, gold, s.width, s.height)
+                assert not rows.failed[k]
+                assert rows.iou[k] == rotated_iou(boxes[k], gold, s.width, s.height)
         assert len({s.width / s.height for s in samples}) > 1
         assert summary.n == len(samples)
 
@@ -168,8 +169,8 @@ class TestEvaluate:
             return boxes, failed
 
         rows, summary = evaluate(predict, samples)
-        assert [r.failed for r in rows] == [False, True, False]
-        assert rows[1].iou == 0.0 and rows[1].center_err_pct is None
+        assert rows.failed.tolist() == [False, True, False]
+        assert rows.iou[1] == 0.0 and math.isnan(rows.center_err_pct[1])
         assert math.isfinite(summary.mean_center_err) and math.isfinite(summary.mean_scale_err)
 
     @pytest.mark.parametrize("column, value", [(0, 1e300), (2, 1e200)])
@@ -183,67 +184,100 @@ class TestEvaluate:
             return boxes, failed
 
         rows, _ = evaluate(predict, samples)
-        assert not rows[0].failed and rows[0].iou == 0.0
+        assert not rows.failed[0] and rows.iou[0] == 0.0
 
     def test_row_ranges(self):
         samples = self.samples(n=30, seed=9)
         rows, summary = evaluate(heuristic, samples)
-        for r in rows:
-            assert 0.0 <= r.iou <= 1.0
-            assert r.center_err_pct >= 0.0
-            assert r.scale_err_pct >= 0.0
-            assert 0.0 <= r.rot_err_deg <= 180.0
+        assert not rows.failed.any()
+        assert np.all((0.0 <= rows.iou) & (rows.iou <= 1.0))
+        assert np.all(rows.center_err_pct >= 0.0)
+        assert np.all(rows.scale_err_pct >= 0.0)
+        assert np.all((0.0 <= rows.rot_err_deg) & (rows.rot_err_deg <= 180.0))
         assert summary.min_iou <= summary.mean_iou
 
 
 class TestWinRate:
     def test_self_is_zero(self):
-        rows = [row("a", 0.5), row("b", 0.7)]
+        rows = table(["a", "b"], [0.5, 0.7])
         assert win_rate(rows, rows) == 0.0
 
     def test_fraction(self):
-        a = [row(str(i), 0.8 if i < 63 else 0.1) for i in range(100)]
-        b = [row(str(i), 0.5) for i in range(100)]
+        ids = [str(i) for i in range(100)]
+        a = table(ids, [0.8 if i < 63 else 0.1 for i in range(100)])
+        b = table(ids, [0.5] * 100)
         assert win_rate(a, b) == pytest.approx(0.63)
+
+    def test_joins_on_ids_not_order(self):
+        a = table(["x", "y", "z"], [0.9, 0.1, 0.5])
+        b = table(["z", "y", "x"], [0.4, 0.2, 0.95])
+        assert win_rate(a, b) == pytest.approx(1 / 3)
 
     def test_disjoint_ids(self):
         with pytest.raises(JoinError):
-            win_rate([row("a", 0.5)], [row("b", 0.5)])
+            win_rate(table(["a"], [0.5]), table(["b"], [0.5]))
+
+    def test_duplicate_ids(self):
+        with pytest.raises(JoinError):
+            win_rate(table(["a", "b"], [0.5, 0.5]), table(["a", "a"], [0.5, 0.5]))
 
     def test_sum_bound(self, rng):
         ids = [str(i) for i in range(50)]
-        a = [row(i, float(rng.choice([0.2, 0.5, 0.8]))) for i in ids]
-        b = [row(i, float(rng.choice([0.2, 0.5, 0.8]))) for i in ids]
+        a = table(ids, rng.choice([0.2, 0.5, 0.8], size=50))
+        b = table(ids, rng.choice([0.2, 0.5, 0.8], size=50))
         wa, wb = win_rate(a, b), win_rate(b, a)
-        ties = sum(1 for ra, rb in zip(a, b) if ra.iou == rb.iou)
+        ties = int(np.count_nonzero(a.iou == b.iou))
         assert wa + wb <= 1.0
         assert (wa + wb == 1.0) == (ties == 0)
 
 
+class TestSummarize:
+    def test_sums_left_to_right(self):
+        # an exact or compensated sum gives a mean of 0.5 here, a left-to-right sum 0.0
+        ious = [1.0, 1e100, 1.0, -1e100]
+        s = summarize(table("abcd", ious))
+        assert s.mean_iou == sum(ious) / 4 == 0.0
+
+    def test_failed_rows_out_of_error_means(self):
+        rows = table("abc", [0.5, 0.0, 0.25])
+        rows.failed[1] = True
+        rows.center_err_pct[:] = [2.0, math.nan, 4.0]
+        s = summarize(rows)
+        assert s.mean_center_err == 3.0 and s.mean_iou == 0.25 and s.min_iou == 0.0 and s.n == 3
+
+
 class TestHistogram:
     def test_all_ones_in_last_bin(self):
-        counts = iou_histogram([row(str(i), 1.0) for i in range(7)])
+        counts = iou_histogram(table([str(i) for i in range(7)], [1.0] * 7))
         assert counts[-1] == 7 and sum(counts) == 7
 
     def test_uniform_one_per_bin(self):
-        rows = [row(str(i), 0.025 + i * 0.05) for i in range(20)]
+        rows = table([str(i) for i in range(20)], [0.025 + i * 0.05 for i in range(20)])
         assert iou_histogram(rows, bins=20) == [1] * 20
 
     def test_counts_sum(self, rng):
-        rows = [row(str(i), float(rng.uniform(0, 1))) for i in range(123)]
+        rows = table([str(i) for i in range(123)], rng.uniform(0, 1, size=123))
         assert sum(iou_histogram(rows, bins=13)) == 123
 
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        rows = [
-            EvalRow("a", "m", 0.5, 1.25, 30.0, 12.5, False),
-            EvalRow("b", "m", 0.0, None, None, None, True),
-        ]
+        rows = Rows(
+            ("a", "b"),
+            "m",
+            np.array([0.5, 0.0]),
+            np.array([1.25, math.nan]),
+            np.array([30.0, math.nan]),
+            np.array([12.5, math.nan]),
+            np.array([False, True]),
+        )
         path = tmp_path / "rows.csv"
         write_rows_csv(rows, path)
+        assert path.read_text().splitlines()[1:] == ["a,m,0.5,1.25,30.0,12.5,0", "b,m,0.0,,,,1"]
         back = read_rows_csv(path)
-        assert back == rows
+        assert back.ids == rows.ids and back.method == rows.method
+        for column in ("iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed"):
+            assert np.array_equal(getattr(back, column), getattr(rows, column), equal_nan=True), column
 
     @pytest.mark.parametrize(
         "data, line",
@@ -254,6 +288,16 @@ class TestCsvRoundTrip:
             (HEADER + b"a,m,0.5,1,2\n", 2),
             (HEADER + b"a,m,0.5,1,2,3,yes\n", 2),
             (b"\xff\xfe" + HEADER, 1),
+            (HEADER, 1),
+            (HEADER + b"a,m,0.5,1,2,3,0\nb,n,0.5,1,2,3,0\n", 3),
+            (HEADER + b"a,m,nan,1,2,3,0\n", 2),
+            (HEADER + b"a,m,1.5,1,2,3,0\n", 2),
+            (HEADER + b"a,m,0.0,1,2,3,1\n", 2),
+            (HEADER + b"a,m,0.5,,,,1\n", 2),
+            (HEADER + b"a,m,0.5,1,,3,0\n", 2),
+            (HEADER + b"a,m,0.5,1,-2,3,0\n", 2),
+            (HEADER + b"a,m,0.5,1,2,inf,0\n", 2),
+            (HEADER + b"a,m,0.5,1,2,181,0\n", 2),
         ],
     )
     def test_malformed_names_line(self, tmp_path, data, line):
@@ -263,7 +307,7 @@ class TestCsvRoundTrip:
             read_rows_csv(path)
 
     def test_deterministic_bytes(self, tmp_path):
-        rows = [EvalRow("a", "m", 1 / 3, 0.1, 0.2, 0.3, False)]
+        rows = table(["a"], [1 / 3])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_rows_csv(rows, p1)
         write_rows_csv(rows, p2)
