@@ -2,7 +2,7 @@
 
 Every command is deterministic given its flags, writes a `.manifest.json`
 next to each main output echoing the effective configuration, and uses a
-fixed exit-code contract:
+fixed exit-code contract, carried by each error type (see `errors`):
 
     0 success, 1 internal error, 2 usage or missing input,
     3 data mismatch between files, 4 id not found.
@@ -23,31 +23,11 @@ from . import dataset as ds
 from . import metrics as mx
 from . import model as md
 from . import svg as svgmod
-from .errors import (
-    DuplicateId,
-    EmptyDataset,
-    HandRoiError,
-    InvalidDataset,
-    JoinError,
-    ParseError,
-    TrainingDiverged,
-    WeightsFormatError,
-)
+from .errors import DuplicateId, EmptyDataset, HandRoiError, NotFound, UsageError
 from .geometry import box_quads
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-EXIT_MISMATCH = 3
-EXIT_NOT_FOUND = 4
-
-
-class NotFound(HandRoiError):
-    pass
-
-
-class UsageError(HandRoiError):
-    pass
 
 
 def _resolve(path, args):
@@ -147,14 +127,13 @@ def cmd_train(args):
         epochs=args.epochs,
         seed=args.seed,
         validation_fraction=args.val_fraction,
-        optimizer=args.optimizer,
         angle_mode=args.angle_mode,
     )
     predictor, logs = md.train_predictor(train, cfg)
     out = _resolve(args.out, args)
     md.save_weights(predictor, out)
     with open(f"{out}.log", "w", encoding="utf-8") as fh:
-        for head in ("center", "size", "angle"):
+        for head in md.HEADS:
             for epoch, tr, val in logs[head]:
                 fh.write(f"{head} {epoch} {tr!r} {val!r}\n")
     _write_manifest(
@@ -297,7 +276,6 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
     p.add_argument("--angle-mode", choices=("sincos", "scalar"), default="sincos")
     p.set_defaults(func=cmd_train)
 
@@ -335,18 +313,12 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except JoinError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except NotFound as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    except (UsageError, InvalidDataset, ParseError, TrainingDiverged, WeightsFormatError, IOError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except HandRoiError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return e.exit_code
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ scale: it poses a canonical 3-D hand, tilts it out of plane, projects it
 orthographically, and derives the sparse body keypoints from the projection.
 """
 
+import itertools
 import json
 import math
 import os
@@ -88,6 +89,7 @@ def parse_panoptic(labels_dir):
             pts = doc["hand_pts"]
             if len(pts) != 21:
                 raise ValueError(f"{len(pts)} landmarks")
+            _check_json_numbers(pts)
             hand = Hand21(
                 points=tuple(
                     (float(p[0]), float(p[1]), float(p[2]) if len(p) > 2 else 1.0)
@@ -141,10 +143,9 @@ def _parse_sidecar_line(line, where):
         handedness = doc["handedness"]
         if handedness not in ("left", "right"):
             raise ValueError(f"handedness {handedness!r}")
-        kps = []
-        for key in POSE_KEYS:
-            x, y, z = doc[key]
-            kps.append(Vec3(float(x), float(y), float(z)))
+        kps = [doc[key] for key in POSE_KEYS]
+        _check_json_numbers(kps)
+        kps = [Vec3(float(x), float(y), float(z)) for x, y, z in kps]
     except ParseError:
         raise
     except Exception as e:
@@ -185,11 +186,12 @@ def merge_pose_sidecar(records, poses, split="train") -> MergeResult:
         width, height, handedness, pose = entry
         hand = rec.hand
         was_left = handedness == "left" or rec.is_left
-        if was_left:
-            pose, hand = mirror_left(pose, hand, width)
         try:
+            # a mirrored landmark beyond float range is a degenerate hand too
+            if was_left:
+                pose, hand = mirror_left(pose, hand, width)
             gold_roi(hand, width, height)
-        except Exception:
+        except DegenerateHand:
             degenerate += 1
             continue
         samples.append(
@@ -339,7 +341,7 @@ def synth_generate(cfg: SynthConfig):
             s = _make_synth_sample(rng, cfg, i, split)
             try:
                 gold_roi(s.hand, s.width, s.height)
-            except Exception:
+            except DegenerateHand:
                 continue
             break
         samples.append(s)
@@ -371,6 +373,19 @@ def sample_to_dict(s: Sample) -> dict:
     }
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _check_json_numbers(points):
+    """ValueError for a value of the points (lists) that is not a JSON integer or float.
+
+    float() would take strings such as "341.2" and booleans. The type set is built without a Python loop.
+    """
+    if not set(map(type, itertools.chain.from_iterable(points))) <= _NUMBER_TYPES:
+        bad = next(v for v in itertools.chain.from_iterable(points) if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"expected a JSON number, got {bad!r}")
+
+
 def _json_int(d, key):
     val = d[key]
     if type(val) is not int:
@@ -389,8 +404,10 @@ def _image_dims(d):
 
 
 def sample_from_dict(d: dict) -> Sample:
+    pose = [d["pose"][k] for k in POSE_KEYS]
+    _check_json_numbers(d["hand"] + pose)
     hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in d["hand"]))
-    pose = PoseHand(*[Vec3(*map(float, d["pose"][k])) for k in POSE_KEYS])
+    pose = PoseHand(*[Vec3(*map(float, kp)) for kp in pose])
     width, height = _image_dims(d)
     if type(d["was_left"]) is not bool:
         raise ValueError(f"was_left must be a JSON boolean, got {d['was_left']!r}")

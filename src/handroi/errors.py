@@ -1,8 +1,24 @@
-"""Typed errors shared across the package."""
+"""Typed errors shared across the package.
+
+Each error carries the exit code the command line returns for it: 2 for
+usage, input, weights and divergence errors, 3 for a mismatch between
+files, 4 for an id that is not found, 1 for any other (internal) error.
+"""
 
 
 class HandRoiError(Exception):
     """Base class for all handroi errors."""
+    exit_code = 1
+
+
+class UsageError(HandRoiError):
+    """A command line asks for something the command cannot do."""
+    exit_code = 2
+
+
+class NotFound(HandRoiError):
+    """A requested sample id is not in the dataset."""
+    exit_code = 4
 
 
 class DegenerateGeometry(HandRoiError):
@@ -31,6 +47,7 @@ class ShapeError(HandRoiError):
 
 class InvalidDataset(HandRoiError):
     """Dataset cannot be used for the requested operation."""
+    exit_code = 2
 
 
 class EmptyDataset(InvalidDataset):
@@ -39,10 +56,12 @@ class EmptyDataset(InvalidDataset):
 
 class TrainingDiverged(HandRoiError):
     """Loss became non-finite during training."""
+    exit_code = 2
 
 
 class ParseError(HandRoiError):
     """A data file could not be parsed; carries file/line context."""
+    exit_code = 2
 
 
 class DuplicateId(ParseError):
@@ -51,10 +70,12 @@ class DuplicateId(ParseError):
 
 class JoinError(HandRoiError):
     """Two row sets do not cover the same sample ids."""
+    exit_code = 3
 
 
 class WeightsFormatError(HandRoiError):
     """Weights file is malformed (truncated, bad shapes)."""
+    exit_code = 2
 
 
 class VersionError(WeightsFormatError):

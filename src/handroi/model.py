@@ -1,8 +1,8 @@
 """Micro-MLP stack and the three-headed ROI predictor.
 
 Everything is plain numpy float64: forward pass, exact MSE backprop,
-deterministic seeded training with SGD or Adam, and a binary weights file
-(magic "HROI") that round-trips bitwise.
+deterministic seeded Adam training, and a binary weights file (magic
+"HROI") that round-trips bitwise.
 
 The predictor holds three heads sharing one 19-value feature vector
 (six (x, y, z) body keypoints + aspect ratio): center (2 outputs),
@@ -33,6 +33,8 @@ from .heuristic import calc_hand_roi
 FEATURE_DIM = 19
 HIDDEN = (10, 10)
 FEATURE_SPEC = "pose6xyz+rho/v1"
+# the predictor's heads, in training (seed tag), log and weights-file order
+HEADS = ("center", "size", "angle")
 
 _MAGIC = b"HROI"
 _VERSION = 1
@@ -87,22 +89,26 @@ class Mlp:
     def zeros(cls, layer_sizes):
         return cls(layer_sizes, np.zeros(_n_params(layer_sizes)))
 
+    def _activations(self, x):
+        """The input and each layer's output, for the (N, in) rows x."""
+        acts = [x]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = acts[-1] @ w + b
+            acts.append(np.maximum(a, 0.0) if i < len(self.weights) - 1 else a)
+        return acts
+
     def forward(self, x):
         """Outputs (N, out) of the (N, in) input rows."""
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ShapeError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i < len(self.weights) - 1:
-                a = np.maximum(a, 0.0)
-        return a
+        return self._activations(a)[-1]
 
     def gradient(self, inputs, targets):
-        """Exact MSE gradient over the batch; returns (grad, loss).
+        """Exact gradient, flat in theta's layout, of the batch's MSE.
 
-        grad is flat in theta's layout. Loss is the mean of squared errors
-        over all batch elements and output dimensions.
+        The loss is the mean of squared errors over all batch elements and
+        output dimensions.
         """
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -110,15 +116,8 @@ class Mlp:
             raise ShapeError("batch inputs and targets disagree in length")
         if x.shape[1] != self.layer_sizes[0] or t.shape[1] != self.layer_sizes[-1]:
             raise ShapeError("batch widths inconsistent with the network layout")
-        acts = [x]
-        a = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i < len(self.weights) - 1:
-                a = np.maximum(a, 0.0)
-            acts.append(a)
+        acts = self._activations(x)
         err = acts[-1] - t
-        loss = float(np.mean(err ** 2))
         delta = 2.0 * err / err.size
         grad = np.empty_like(self.theta)
         views = _layer_views(self.layer_sizes, grad)
@@ -128,11 +127,7 @@ class Mlp:
             db[...] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (acts[i] > 0.0)
-        return grad, loss
-
-
-def param_count(m: Mlp) -> int:
-    return m.theta.size
+        return grad
 
 
 def featurize(samples) -> np.ndarray:
@@ -159,7 +154,6 @@ class TrainConfig:
     epochs: int = 500
     seed: int = 0
     validation_fraction: float = 0.1
-    optimizer: str = "adam"
     angle_mode: str = "sincos"
 
     def __post_init__(self):
@@ -169,8 +163,6 @@ class TrainConfig:
             raise InvalidDataset("batch_size and epochs must be positive")
         if not (0.0 <= self.validation_fraction < 1.0):
             raise InvalidDataset("validation_fraction must be in [0, 1)")
-        if self.optimizer not in ("sgd", "adam"):
-            raise InvalidDataset(f"unknown optimizer {self.optimizer!r}")
         if self.angle_mode not in _ANGLE_MODES:
             raise InvalidDataset(f"unknown angle_mode {self.angle_mode!r}")
 
@@ -184,22 +176,21 @@ class RoiPredictor:
 
 
 def _head_outputs(angle_mode: str):
-    """Output widths of the center, size and angle heads."""
+    """Output widths of the heads, in HEADS order."""
     return (2, 1, 2 if angle_mode == "sincos" else 1)
 
 
 def new_predictor(angle_mode: str = "sincos") -> RoiPredictor:
-    center_out, size_out, angle_out = _head_outputs(angle_mode)
-    return RoiPredictor(
-        center_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, center_out]),
-        size_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, size_out]),
-        angle_head=Mlp.zeros([FEATURE_DIM, *HIDDEN, angle_out]),
-        angle_mode=angle_mode,
-    )
+    heads = (Mlp.zeros([FEATURE_DIM, *HIDDEN, out]) for out in _head_outputs(angle_mode))
+    return RoiPredictor(*heads, angle_mode=angle_mode)
 
 
 def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
-    """Train one head; returns (net, per-epoch log rows)."""
+    """Train one head with Adam; returns (net, per-epoch log rows).
+
+    A non-finite train or validation loss at the end of an epoch raises
+    TrainingDiverged.
+    """
     rng = np.random.default_rng([cfg.seed, head_tag])
     net = Mlp.init(layer_sizes, rng)
     n = X.shape[0]
@@ -229,24 +220,19 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
         order = rng.permutation(Xtr.shape[0])
         for start in range(0, Xtr.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            grad, loss = net.gradient(Xtr[idx], Ytr[idx])
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"training diverged: non-finite loss at epoch {epoch}")
-            if cfg.optimizer == "sgd":
-                theta -= cfg.learning_rate * grad
-            else:
-                step += 1
-                bc1 = 1.0 - beta1 ** step
-                bc2 = 1.0 - beta2 ** step
-                m *= beta1
-                m += (1 - beta1) * grad
-                v *= beta2
-                v += (1 - beta2) * grad ** 2
-                theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            grad = net.gradient(Xtr[idx], Ytr[idx])
+            step += 1
+            bc1 = 1.0 - beta1 ** step
+            bc2 = 1.0 - beta2 ** step
+            m *= beta1
+            m += (1 - beta1) * grad
+            v *= beta2
+            v += (1 - beta2) * grad ** 2
+            theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
         train_loss = loss_on(Xtr, Ytr)
         val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise TrainingDiverged(f"training diverged: non-finite epoch loss at epoch {epoch}")
+            raise TrainingDiverged(f"training diverged: non-finite loss at epoch {epoch}")
         log.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
@@ -267,22 +253,19 @@ def roi_targets(samples, angle_mode: str = "sincos"):
 
 
 def train_predictor(samples, cfg: TrainConfig):
-    """Train the three heads independently; returns (predictor, logs dict)."""
+    """Train the heads independently; returns (predictor, {head name: log rows})."""
     samples = list(samples)
     if len(samples) < 2:
         raise EmptyDataset("need at least 2 training samples")
-    center_out, size_out, angle_out = _head_outputs(cfg.angle_mode)
-    X, Yc, Ys, Ya = roi_targets(samples, cfg.angle_mode)
+    X, *targets = roi_targets(samples, cfg.angle_mode)
+    nets, logs = [], {}
     # features or targets too large for float arithmetic end in a non-finite
     # loss, which _train_head raises as TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore"):
-        center, log_c = _train_head(X, Yc, [FEATURE_DIM, *HIDDEN, center_out], cfg, head_tag=0)
-        size, log_s = _train_head(X, Ys, [FEATURE_DIM, *HIDDEN, size_out], cfg, head_tag=1)
-        angle, log_a = _train_head(X, Ya, [FEATURE_DIM, *HIDDEN, angle_out], cfg, head_tag=2)
-    predictor = RoiPredictor(
-        center_head=center, size_head=size, angle_head=angle, angle_mode=cfg.angle_mode
-    )
-    return predictor, {"center": log_c, "size": log_s, "angle": log_a}
+        for tag, (name, Y, out) in enumerate(zip(HEADS, targets, _head_outputs(cfg.angle_mode))):
+            net, logs[name] = _train_head(X, Y, [FEATURE_DIM, *HIDDEN, out], cfg, head_tag=tag)
+            nets.append(net)
+    return RoiPredictor(*nets, angle_mode=cfg.angle_mode), logs
 
 
 def predict_roi(p: RoiPredictor, X):
@@ -364,7 +347,7 @@ def load_weights(path) -> RoiPredictor:
     (spec_len,) = struct.unpack("<H", take(2))
     feature_spec = take(spec_len).decode("utf-8", errors="replace")
     mode_idx, n_heads = struct.unpack("<BB", take(2))
-    if mode_idx >= len(_ANGLE_MODES) or n_heads != 3:
+    if mode_idx >= len(_ANGLE_MODES) or n_heads != len(HEADS):
         raise WeightsFormatError(f"bad header in {path}")
     angle_mode = _ANGLE_MODES[mode_idx]
     shapes = []
@@ -393,9 +376,4 @@ def load_weights(path) -> RoiPredictor:
         raise WeightsFormatError(f"trailing bytes in {path}")
     if not all(np.all(np.isfinite(h.theta)) for h in heads):
         raise WeightsFormatError(f"non-finite parameters in {path}")
-    return RoiPredictor(
-        center_head=heads[0],
-        size_head=heads[1],
-        angle_head=heads[2],
-        angle_mode=angle_mode,
-    )
+    return RoiPredictor(*heads, angle_mode=angle_mode)

@@ -98,7 +98,7 @@ def scalar_quad_iou(qa, qb):
 
 
 def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
-    """Reference trainer: separate W and b arrays, Adam/SGD looped per array.
+    """Reference trainer: separate W and b arrays, Adam looped per array.
 
     Draws the same random stream as `model._train_head` (init per layer,
     split permutation, one permutation per epoch) and returns
@@ -152,21 +152,15 @@ def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
         for start in range(0, Xtr.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             dws, dbs = gradient(Xtr[idx], Ytr[idx])
-            if cfg.optimizer == "sgd":
-                for w, dw in zip(weights, dws):
-                    w -= lr * dw
-                for b, db in zip(biases, dbs):
-                    b -= lr * db
-            else:
-                step += 1
-                bc1 = 1.0 - beta1 ** step
-                bc2 = 1.0 - beta2 ** step
-                for p, g, m, v in zip(weights + biases, dws + dbs, m_w + m_b, v_w + v_b):
-                    m *= beta1
-                    m += (1 - beta1) * g
-                    v *= beta2
-                    v += (1 - beta2) * g ** 2
-                    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            step += 1
+            bc1 = 1.0 - beta1 ** step
+            bc2 = 1.0 - beta2 ** step
+            for p, g, m, v in zip(weights + biases, dws + dbs, m_w + m_b, v_w + v_b):
+                m *= beta1
+                m += (1 - beta1) * g
+                v *= beta2
+                v += (1 - beta2) * g ** 2
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         train_loss = loss_on(Xtr, Ytr)
         val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
         log.append((epoch, train_loss, val_loss))

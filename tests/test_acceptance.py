@@ -26,7 +26,7 @@ from handroi.metrics import (
     rotation_error,
     win_rate,
 )
-from handroi.model import Mlp, param_count
+from handroi.model import Mlp
 from test_model import finite_diff_grad, grad_max_rel_err
 
 
@@ -88,7 +88,7 @@ class TestCriterion3:
                 b += rng.normal(scale=0.5, size=b.shape)
             X = rng.normal(size=(5, sizes[0]))
             Y = rng.normal(size=(5, sizes[-1]))
-            grad, _ = net.gradient(X, Y)
+            grad = net.gradient(X, Y)
             worst = max(worst, grad_max_rel_err(grad, finite_diff_grad(net, X, Y)))
         elapsed = time.monotonic() - t0
         report(3, "analytic vs finite-difference gradients", worst < 1e-4 and elapsed < 10.0)
@@ -97,9 +97,9 @@ class TestCriterion3:
 class TestCriterion4:
     def test_parameter_counts(self):
         # the 1-output size head cannot also have 332 parameters; it has 321
-        center = param_count(Mlp.zeros([19, 10, 10, 2]))
-        angle = param_count(Mlp.zeros([19, 10, 10, 2]))
-        size = param_count(Mlp.zeros([19, 10, 10, 1]))
+        center = Mlp.zeros([19, 10, 10, 2]).theta.size
+        angle = Mlp.zeros([19, 10, 10, 2]).theta.size
+        size = Mlp.zeros([19, 10, 10, 1]).theta.size
         report(4, "head parameter counts", center == 332 and angle == 332 and size == 321)
 
 
@@ -198,7 +198,20 @@ class TestCriterion7:
         report(7, "metric property suite", ok)
 
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "acceptance.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def load_golden(name):
+    """A golden file's values; skips the test under a numpy other than the recorded one."""
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if np.__version__ != doc["numpy"]:
+        pytest.skip(f"golden outputs were recorded with numpy {doc['numpy']}, this is {np.__version__}")
+    return doc
+
+
+def sha256s(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
 def read_kv(path):
@@ -217,11 +230,7 @@ class TestGoldenOutputs:
 
     @pytest.fixture
     def golden(self):
-        with open(GOLDEN, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if np.__version__ != doc["numpy"]:
-            pytest.skip(f"golden outputs were recorded with numpy {doc['numpy']}, this is {np.__version__}")
-        return doc
+        return load_golden("acceptance.json")
 
     def test_summary_and_win_rates(self, synth_pipeline, golden):
         first, _, _ = synth_pipeline
@@ -241,8 +250,23 @@ class TestGoldenOutputs:
         first, _, _ = synth_pipeline
         files = [first[k] for k in ("data", "weights", "rows_h", "rows_y", "report")]
         files.append(first["weights"].with_name(first["weights"].name + ".log"))
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-        assert got == golden["sha256"]
+        assert sha256s(files) == golden["sha256"]
+
+
+class TestScalarGoldenOutputs:
+    """A small --angle-mode scalar run's weights, log and mlp rows against tests/golden/scalar.json."""
+
+    def test_output_hashes(self, tmp_path):
+        golden = load_golden("scalar.json")
+        data, weights, rows = tmp_path / "data.jsonl", tmp_path / "model.hroi", tmp_path / "mlp.csv"
+        for argv in (
+            ["synth", "--n", "600", "--seed", "11", "--out", str(data)],
+            ["train", "--dataset", str(data), "--out", str(weights), "--epochs", "40", "--seed", "3",
+             "--angle-mode", "scalar"],
+            ["eval", "--dataset", str(data), "--method", "mlp", "--weights", str(weights), "--out", str(rows)],
+        ):
+            assert cli_main(argv) == 0, argv
+        assert sha256s([weights, tmp_path / "model.hroi.log", rows]) == golden["sha256"]
 
 
 REAL_TRAIN = os.environ.get("HANDROI_PANOPTIC_TRAIN")

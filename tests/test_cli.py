@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handroi import cli
+from handroi import errors
 from handroi import model as md
 from handroi.cli import build_parser, main
 from handroi.dataset import SynthConfig, read_samples, synth_generate, write_samples
@@ -136,6 +138,33 @@ class TestIngest:
         assert code == 2
         assert err == [f"error: {sidecar} line 2: {field} must be a JSON integer, got {value!r}"]
 
+    @pytest.mark.parametrize("value", ["341.2", True])
+    def test_non_number_sidecar_keypoint_exit_2(self, tmp_path, value):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 2)
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1"])
+        edit_line(sidecar, sidecar, 1, lambda doc: doc["wrist"].__setitem__(0, value))
+        argv = ["--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(tmp_path / "d.jsonl")]
+        code, err = run_quiet("ingest", *argv)
+        assert code == 2
+        assert err == [f"error: {sidecar} line 2: expected a JSON number, got {value!r}"]
+
+    @pytest.mark.parametrize("value", ["341.2", True])
+    def test_non_number_landmark_is_malformed(self, tmp_path, value):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 3)
+        doc = json.loads((labels / "s1.json").read_text())
+        doc["hand_pts"][4][1] = value
+        (labels / "s1.json").write_text(json.dumps(doc))
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1", "s2"])
+        out = tmp_path / "d.jsonl"
+        code, err = run_quiet("ingest", "--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(out))
+        assert code == 0 and err == []
+        counts = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())["counts"]["train"]
+        assert counts["malformed_files"] == 1 and counts["kept"] == 2
+
     def test_mistyped_is_left_is_malformed(self, tmp_path):
         labels = tmp_path / "labels"
         self.make_labels(labels, 3)
@@ -228,6 +257,18 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad} line 5:")
 
+    def test_huge_learning_rate_diverges_exit_2(self, tmp_path, small_dataset):
+        argv = ["--dataset", str(small_dataset), "--out", str(tmp_path / "m.hroi"), "--lr", "1e300"]
+        code, err = run_quiet("train", *argv)
+        assert code == 2
+        assert err == ["error: training diverged: non-finite loss at epoch 0"]
+
+    def test_no_optimizer_flag(self, tmp_path, small_dataset):
+        argv = ["--dataset", str(small_dataset), "--out", str(tmp_path / "m.hroi"), "--optimizer", "adam"]
+        code, err = run_quiet("train", *argv)
+        assert code == 2
+        assert "unrecognized arguments: --optimizer adam" in err[-1]
+
     def test_log_and_best_val(self, tmp_path, trained_weights):
         log = (str(trained_weights) + ".log")
         lines = open(log).read().splitlines()
@@ -287,6 +328,16 @@ class TestBadDataset:
         code, err = self.run_on(tmp_path, command, bad)
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {bad} line 5: {field} must be")
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    @pytest.mark.parametrize("value", ["341.2", True])
+    @pytest.mark.parametrize("field, outer, inner", [("hand", 3, 0), ("pose", "wrist", 2)])
+    def test_non_number_landmark_exit_2(self, tmp_path, small_dataset, command, value, field, outer, inner):
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 4, lambda doc: doc[field][outer].__setitem__(inner, value))
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert err == [f"error: {bad} line 5: expected a JSON number, got {value!r}"]
 
     @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
     def test_invalid_utf8_exit_2(self, tmp_path, small_dataset, command):
@@ -515,6 +566,64 @@ class TestCorruptRowsProperty:
         assert_exit_0_or_one_error_line("compare", (0, 2, 3), code, err)
 
 
+@pytest.fixture(scope="module")
+def clean_ingest(tmp_path_factory):
+    """Annotation directories (train and test) and a pose sidecar of synthetic samples.
+
+    Every third sample is left-handed in the sidecar, so ingest mirrors it.
+    """
+    base = tmp_path_factory.mktemp("fuzz_ingest")
+    lines = []
+    for i, s in enumerate(synth_generate(SynthConfig(n=8, seed=6))):
+        labels = base / ("train" if i < 5 else "test")
+        labels.mkdir(exist_ok=True)
+        (labels / f"s{i}.json").write_text(json.dumps({"hand_pts": [list(p) for p in s.hand.points], "is_left": 0}))
+        doc = {"id": f"s{i}", "width": s.width, "height": s.height, "handedness": "left" if i % 3 == 0 else "right"}
+        for key, kp in zip(("shoulder", "elbow", "wrist", "thumb", "index", "pinky"), s.pose.as_tuple()):
+            doc[key] = [kp.x, kp.y, kp.z]
+        lines.append(json.dumps(doc))
+    (base / "poses.jsonl").write_text("\n".join(lines) + "\n")
+    return base
+
+
+def ingest_quiet(base, sidecar):
+    argv = ["--train-labels", str(base / "train"), "--test-labels", str(base / "test")]
+    return run_quiet("ingest", *argv, "--sidecar", str(sidecar), "--out", str(base / "out.jsonl"))
+
+
+def corrupted(data, clean):
+    """The clean bytes truncated, bit-flipped, or with one JSON value replaced."""
+    if data.draw(st.booleans()):
+        return with_mutated_value(data, clean)
+    return data.draw(corruptions(clean))
+
+
+class TestCorruptIngestProperty:
+    def test_clean_inputs_ingest(self, clean_ingest):
+        assert ingest_quiet(clean_ingest, clean_ingest / "poses.jsonl") == (0, [])
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_corrupt_sidecar(self, clean_ingest, data):
+        bad = clean_ingest / "bad.jsonl"
+        bad.write_bytes(corrupted(data, (clean_ingest / "poses.jsonl").read_bytes()))
+        code, err = ingest_quiet(clean_ingest, bad)
+        assert_exit_0_or_one_error_line("ingest", (0, 2, 3, 4), code, err)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_corrupt_annotation(self, clean_ingest, data):
+        files = sorted(clean_ingest.glob("t*/*.json"))
+        path = data.draw(st.sampled_from(files))
+        clean = path.read_bytes()
+        try:
+            path.write_bytes(corrupted(data, clean))
+            code, err = ingest_quiet(clean_ingest, clean_ingest / "poses.jsonl")
+        finally:
+            path.write_bytes(clean)
+        assert_exit_0_or_one_error_line("ingest", (0, 2, 3, 4), code, err)
+
+
 class TestEval:
     def test_heuristic_needs_no_weights(self, tmp_path, small_dataset):
         out = tmp_path / "rows.csv"
@@ -733,6 +842,34 @@ class TestRender:
         for out in (a, b):
             run("render", "--dataset", str(small_dataset), "--id", samples[0].id, "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.UsageError, 2),
+            (errors.InvalidDataset, 2),
+            (errors.EmptyDataset, 2),
+            (errors.ParseError, 2),
+            (errors.DuplicateId, 2),
+            (errors.TrainingDiverged, 2),
+            (errors.WeightsFormatError, 2),
+            (errors.VersionError, 2),
+            (errors.JoinError, 3),
+            (errors.NotFound, 4),
+            (errors.HandRoiError, 1),
+            (errors.DegenerateHand, 1),
+            (errors.ShapeError, 1),
+            (OSError, 2),
+        ],
+    )
+    def test_exit_code_of_error_type(self, tmp_path, monkeypatch, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_synth", fail)
+        assert run_quiet("synth", "--n", "1", "--seed", "1", "--out", str(tmp_path / "d")) == (code, ["error: boom"])
 
 
 class TestDataDir:

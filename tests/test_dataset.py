@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import handroi.dataset
 from handroi.dataset import (
     GoldRecord,
     MergeResult,
@@ -30,6 +31,32 @@ def make_label_file(dirpath, name, pts=None, is_left=0):
         pts = [[100.0 + 10 * (i % 5), 200.0 + 10 * (i // 5), 1.0] for i in range(21)]
     (dirpath / name).write_text(json.dumps({"hand_pts": pts, "is_left": is_left}))
     return pts
+
+
+# JSON values that are not numbers but that float() used to accept
+NON_NUMBERS = ["341.2", True, False]
+
+
+class GoldRoiBug(Exception):
+    """An error gold_roi is not documented to raise."""
+
+
+@pytest.fixture
+def buggy_gold_roi(monkeypatch):
+    """Make the dataset module's gold_roi raise GoldRoiBug; a second call fails the test.
+
+    pytest.fail raises a BaseException, so it escapes a handler that
+    swallowed the first error and would otherwise redraw forever.
+    """
+    calls = []
+
+    def gold_roi(*args, **kwargs):
+        if calls:
+            pytest.fail("gold_roi was called again after its error was swallowed")
+        calls.append(args)
+        raise GoldRoiBug("bug")
+
+    monkeypatch.setattr(handroi.dataset, "gold_roi", gold_roi)
 
 
 def sidecar_line(sid, width=640, height=480, handedness="right"):
@@ -65,6 +92,21 @@ class TestParsePanoptic:
         (tmp_path / "e.json").write_text(json.dumps({"hand_pts": [[1.0 + i, 2.0, 1.0] for i in range(21)]}))
         records, skipped = parse_panoptic(tmp_path)
         assert [r.is_left for r in records] == [True, True, False, False, False] and skipped == 0
+
+    def test_integer_landmarks(self, tmp_path):
+        make_label_file(tmp_path, "a.json", pts=[[100 + 10 * (i % 5), 200 + i // 5, 1] for i in range(21)])
+        records, skipped = parse_panoptic(tmp_path)
+        assert skipped == 0 and records[0].hand.points[6] == (110.0, 201.0, 1.0)
+
+    @pytest.mark.parametrize("value", NON_NUMBERS)
+    @pytest.mark.parametrize("coord", [0, 1, 2])
+    def test_non_number_landmark_is_malformed(self, tmp_path, coord, value):
+        make_label_file(tmp_path, "ok.json")
+        pts = make_label_file(tmp_path, "bad.json")
+        pts[4][coord] = value
+        make_label_file(tmp_path, "bad.json", pts=pts)
+        records, skipped = parse_panoptic(tmp_path)
+        assert [r.id for r in records] == ["ok"] and skipped == 1
 
     @pytest.mark.parametrize("flag", ["false", "true", 2, -1, 1.0, None, [0]])
     def test_mistyped_is_left_is_malformed(self, tmp_path, flag):
@@ -156,6 +198,23 @@ class TestMergeSidecar:
         with pytest.raises(ParseError, match=f"{sc} line 2: {message}"):
             read_pose_sidecar(sc)
 
+    @pytest.mark.parametrize("value", NON_NUMBERS)
+    @pytest.mark.parametrize("key, coord", [("wrist", 0), ("pinky", 2)])
+    def test_non_number_keypoint(self, tmp_path, key, coord, value):
+        doc = json.loads(sidecar_line("s2"))
+        doc[key][coord] = value
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(ParseError, match=f"{sc} line 2: expected a JSON number, got {value!r}"):
+            read_pose_sidecar(sc)
+
+    def test_integer_keypoints(self, tmp_path):
+        doc = json.loads(sidecar_line("s1"))
+        doc["wrist"] = [1, 0, -1]
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(json.dumps(doc) + "\n")
+        assert read_pose_sidecar(sc)["s1"][3].wrist == Vec3(1.0, 0.0, -1.0)
+
     def test_invalid_utf8_line(self, tmp_path):
         sc = tmp_path / "poses.jsonl"
         sc.write_bytes(sidecar_line("s1").encode() + b"\n\xff\xfe\n")
@@ -175,6 +234,26 @@ class TestMergeSidecar:
         sc.write_text(sidecar_line("s1") + "\n")
         res = merge_pose_sidecar(records, read_pose_sidecar(sc))
         assert res.samples == [] and res.degenerate == 1
+
+    def test_mirror_beyond_float_range_is_degenerate(self, tmp_path):
+        pts = make_label_file(tmp_path, "s1.json")
+        pts[4][0] = -1e308
+        make_label_file(tmp_path, "s1.json", pts=pts)
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        # width - x overflows when the left hand is mirrored
+        sc.write_text(sidecar_line("s1", width=10**308, handedness="left") + "\n")
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
+        assert res.samples == [] and res.degenerate == 1
+
+    def test_gold_roi_bug_propagates(self, tmp_path, buggy_gold_roi):
+        make_label_file(tmp_path, "s1.json")
+        make_label_file(tmp_path, "s2.json")
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + sidecar_line("s2") + "\n")
+        with pytest.raises(GoldRoiBug):
+            merge_pose_sidecar(records, read_pose_sidecar(sc))
 
 
 class TestSynth:
@@ -203,6 +282,10 @@ class TestSynth:
     def test_every_sample_has_valid_gold(self):
         for s in synth_generate(SynthConfig(n=100, seed=3)):
             gold_roi(s.hand, s.width, s.height)
+
+    def test_gold_roi_bug_propagates(self, buggy_gold_roi):
+        with pytest.raises(GoldRoiBug):
+            synth_generate(SynthConfig(n=3, seed=1))
 
     def test_bad_config(self):
         with pytest.raises(InvalidDataset):
@@ -270,6 +353,27 @@ class TestStatsAndIo:
         path.write_text("".join(json.dumps(d) + "\n" for d in docs))
         with pytest.raises(ParseError, match=f"{path} line 2: {message}"):
             read_samples(path)
+
+    @pytest.mark.parametrize("value", NON_NUMBERS)
+    @pytest.mark.parametrize("field, coord", [("hand", (3, 0)), ("hand", (3, 2)), ("pose", ("wrist", 1))])
+    def test_read_non_number_landmark(self, tmp_path, field, coord, value):
+        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        outer, inner = coord
+        docs[1][field][outer][inner] = value
+        message = f"expected a JSON number, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            sample_from_dict(docs[1])
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        with pytest.raises(ParseError, match=f"{path} line 2: {message}"):
+            read_samples(path)
+
+    def test_read_integer_landmarks(self):
+        doc = sample_to_dict(synth_generate(SynthConfig(n=1, seed=4))[0])
+        doc["hand"][3] = [300, 200, 1]
+        doc["pose"]["wrist"] = [0, 1, 0]
+        s = sample_from_dict(doc)
+        assert s.hand.points[3] == (300.0, 200.0, 1.0) and s.pose.wrist == Vec3(0.0, 1.0, 0.0)
 
     def test_read_invalid_utf8(self, tmp_path):
         samples = synth_generate(SynthConfig(n=3, seed=4))
