@@ -7,8 +7,7 @@ fixed exit-code contract, carried by each error type (see `errors`):
     0 success, 1 internal error, 2 usage or missing input,
     3 data mismatch between files, 4 id not found.
 
-Relative paths are resolved against --data-dir, or the HANDROI_DATA_DIR
-environment variable when the flag is absent.
+Relative paths are resolved against --data-dir when it is given.
 """
 
 import argparse
@@ -28,13 +27,14 @@ from .geometry import box_quads
 
 EXIT_OK = 0
 EXIT_USAGE = 2
+# prediction methods of eval and render; all but the heuristic read --weights
+METHODS = ("heuristic", "mlp", "hybrid")
 
 
 def _resolve(path, args):
     if path is None or os.path.isabs(path):
         return path
-    base = args.data_dir or os.environ.get("HANDROI_DATA_DIR")
-    return os.path.join(base, path) if base else path
+    return os.path.join(args.data_dir, path) if args.data_dir else path
 
 
 def _write_manifest(out_path, command, config, counts):
@@ -45,19 +45,22 @@ def _write_manifest(out_path, command, config, counts):
 
 
 def _predictor_fn(method, weights_path):
-    """The batched predictor of one method tag: samples -> (boxes, failed)."""
+    """The batched predictor of one of METHODS: samples -> (boxes, failed)."""
     if weights_path is not None and not os.path.isfile(weights_path):
         raise UsageError(f"weights file not found: {weights_path}")
-    if method == "heuristic":
-        return lambda samples: md.heuristic_roi(md.featurize(samples))
-    if weights_path is None:
-        raise UsageError(f"method {method!r} requires --weights")
-    predictor = md.load_weights(weights_path)
-    if method == "mlp":
-        return lambda samples: md.predict_roi(predictor, md.featurize(samples))
-    if method == "hybrid":
-        return lambda samples: md.hybrid_predict(predictor, samples)
-    raise UsageError(f"unknown method {method!r}")
+    if method != "heuristic":
+        if weights_path is None:
+            raise UsageError(f"method {method!r} requires --weights")
+        predictor = md.load_weights(weights_path)
+
+    def predict(samples):
+        X = md.featurize(samples)
+        if method == "heuristic":
+            return md.heuristic_roi(X)
+        # looked up per call, so a wrapper patched onto the model module is seen
+        return (md.predict_roi if method == "mlp" else md.hybrid_predict)(predictor, X)
+
+    return predict
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +163,7 @@ def cmd_eval(args):
     rows, summary = mx.evaluate(predict, test, method=args.method)
     out = _resolve(args.out, args)
     mx.write_rows_csv(rows, out)
-    summary_path = args.summary or f"{out}.summary.txt"
-    mx.write_summary(summary, _resolve(summary_path, args))
+    mx.write_summary(summary, _resolve(args.summary, args) or f"{out}.summary.txt")
     _write_manifest(
         out,
         "eval",
@@ -193,10 +195,10 @@ def cmd_compare(args):
                 fh.write(f"{tag}_{key}={val!r}\n")
         fh.write(f"min_iou_pair={sum_a.min_iou!r} vs {sum_b.min_iou!r}\n")
 
-    svg_path = args.svg or f"{report}.svg"
+    svg_path = _resolve(args.svg, args) or f"{report}.svg"
     hists = [(name_a, mx.iou_histogram(rows_a)), (name_b, mx.iou_histogram(rows_b))]
     svg = svgmod.histogram_svg(hists, bins=mx.HIST_BINS)
-    with open(_resolve(svg_path, args), "w", encoding="utf-8") as fh:
+    with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(svg)
     _write_manifest(
         report,
@@ -249,7 +251,7 @@ def build_parser():
     parser.add_argument(
         "--data-dir",
         default=None,
-        help="base directory for relative paths (overrides HANDROI_DATA_DIR)",
+        help="base directory for relative paths",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -276,12 +278,12 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--angle-mode", choices=("sincos", "scalar"), default="sincos")
+    p.add_argument("--angle-mode", choices=md.ANGLE_MODES, default="sincos")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate one method on the test split")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--method", choices=("heuristic", "mlp", "hybrid"), default="heuristic")
+    p.add_argument("--method", choices=METHODS, default="heuristic")
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", default=None)
@@ -297,7 +299,7 @@ def build_parser():
     p = sub.add_parser("render", help="schematic SVG of gold and predicted boxes")
     p.add_argument("--dataset", required=True)
     p.add_argument("--id", required=True)
-    p.add_argument("--method", choices=("heuristic", "mlp", "hybrid"), default="heuristic")
+    p.add_argument("--method", choices=METHODS, default="heuristic")
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)

@@ -102,27 +102,30 @@ def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0):
 
     The box is aligned to the wrist->middle-MCP axis. The default scale=2.0
     is the one gold box: training targets and scores both use it, and
-    trained weights assume it. A box that has no size or is not finite
-    raises DegenerateHand.
+    trained weights assume it. A box that has no size or is not finite, or
+    a landmark outside [-width, 2 width] x [-height, 2 height], raises
+    DegenerateHand.
     """
     if not (width > 0 and height > 0):
         raise InvalidImage(f"image dims must be positive, got {width}x{height}")
-    pts = [(p[0], p[1]) for p in hand.points]
-    wx, wy = pts[WRIST]
-    mx, my = pts[MIDDLE_MCP]
+    xs = [p[0] for p in hand.points]
+    ys = [p[1] for p in hand.points]
+    wx, wy = xs[WRIST], ys[WRIST]
+    mx, my = xs[MIDDLE_MCP], ys[MIDDLE_MCP]
     if wx == mx and wy == my:
         raise DegenerateHand("wrist coincides with middle knuckle")
-    if all(p == pts[0] for p in pts[1:]):
+    left, right, top, bottom = min(xs), max(xs), min(ys), max(ys)
+    if left == right and top == bottom:
         raise DegenerateHand("all landmarks coincide")
 
     rotation = normalize_deg(math.degrees(math.atan2(my - wy, mx - wx)) + 90.0)
-    cx = sum(p[0] for p in pts) / 21.0
-    cy = sum(p[1] for p in pts) / 21.0
+    cx = sum(xs) / 21.0
+    cy = sum(ys) / 21.0
 
     th = math.radians(-rotation)
     c, s = math.cos(th), math.sin(th)
-    rx = [(p[0] - cx) * c - (p[1] - cy) * s for p in pts]
-    ry = [(p[0] - cx) * s + (p[1] - cy) * c for p in pts]
+    rx = [(x - cx) * c - (y - cy) * s for x, y in zip(xs, ys)]
+    ry = [(x - cx) * s + (y - cy) * c for x, y in zip(xs, ys)]
     lo_x, hi_x = min(rx), max(rx)
     lo_y, hi_y = min(ry), max(ry)
     side = max(hi_x - lo_x, hi_y - lo_y)
@@ -139,4 +142,6 @@ def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0):
         raise DegenerateHand("landmarks span a box that is not finite")
     if not box[2] > 0.0:
         raise DegenerateHand("landmarks span a box of zero size")
+    if left < -width or right > 2 * width or top < -height or bottom > 2 * height:
+        raise DegenerateHand(f"a landmark lies outside [{-width}, {2 * width}] x [{-height}, {2 * height}]")
     return box

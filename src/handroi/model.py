@@ -4,11 +4,13 @@ Everything is plain numpy float64: forward pass, exact MSE backprop,
 deterministic seeded Adam training, and a binary weights file (magic
 "HROI") that round-trips bitwise.
 
-The predictor holds three heads sharing one 19-value feature vector
-(six (x, y, z) body keypoints + aspect ratio): center (2 outputs),
-size (1 output), and angle (2 outputs interpreted as (sin, cos), or 1
-output in the optional scalar-degrees mode). Prediction maps an (N, 19)
-feature matrix to a box array (see the `geometry` module) and a failed mask.
+The predictor holds three heads, in `HEADS` order and laid out by
+`head_layouts`, sharing one 19-value feature vector (six (x, y, z) body
+keypoints + aspect ratio): center (2 outputs), size (1 output), and angle
+(2 outputs interpreted as (sin, cos), or 1 output in the optional
+scalar-degrees mode). The heuristic, MLP and hybrid predictions each map an
+(N, 19) feature matrix to a box array (see the `geometry` module) and a
+failed mask.
 """
 
 import math
@@ -36,9 +38,17 @@ FEATURE_SPEC = "pose6xyz+rho/v1"
 # the predictor's heads, in training (seed tag), log and weights-file order
 HEADS = ("center", "size", "angle")
 
+# angle head outputs: a (sin, cos) pair, or one value in degrees; the index is the weights-file mode byte
+ANGLE_MODES = ("sincos", "scalar")
+
 _MAGIC = b"HROI"
 _VERSION = 1
-_ANGLE_MODES = ("sincos", "scalar")
+
+
+def head_layouts(angle_mode: str):
+    """Layer sizes of the heads, in HEADS order: two hidden layers each, angle outputs per mode."""
+    angle_out = 2 if angle_mode == "sincos" else 1
+    return [[FEATURE_DIM, *HIDDEN, out] for out in (2, 1, angle_out)]
 
 
 def _n_params(layer_sizes) -> int:
@@ -163,26 +173,18 @@ class TrainConfig:
             raise InvalidDataset("batch_size and epochs must be positive")
         if not (0.0 <= self.validation_fraction < 1.0):
             raise InvalidDataset("validation_fraction must be in [0, 1)")
-        if self.angle_mode not in _ANGLE_MODES:
+        if self.angle_mode not in ANGLE_MODES:
             raise InvalidDataset(f"unknown angle_mode {self.angle_mode!r}")
 
 
 @dataclass
 class RoiPredictor:
-    center_head: Mlp
-    size_head: Mlp
-    angle_head: Mlp
+    heads: tuple  # one Mlp per HEADS entry, laid out as head_layouts(angle_mode)
     angle_mode: str = "sincos"
 
 
-def _head_outputs(angle_mode: str):
-    """Output widths of the heads, in HEADS order."""
-    return (2, 1, 2 if angle_mode == "sincos" else 1)
-
-
 def new_predictor(angle_mode: str = "sincos") -> RoiPredictor:
-    heads = (Mlp.zeros([FEATURE_DIM, *HIDDEN, out]) for out in _head_outputs(angle_mode))
-    return RoiPredictor(*heads, angle_mode=angle_mode)
+    return RoiPredictor(tuple(map(Mlp.zeros, head_layouts(angle_mode))), angle_mode)
 
 
 def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
@@ -262,10 +264,10 @@ def train_predictor(samples, cfg: TrainConfig):
     # features or targets too large for float arithmetic end in a non-finite
     # loss, which _train_head raises as TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore"):
-        for tag, (name, Y, out) in enumerate(zip(HEADS, targets, _head_outputs(cfg.angle_mode))):
-            net, logs[name] = _train_head(X, Y, [FEATURE_DIM, *HIDDEN, out], cfg, head_tag=tag)
+        for tag, (name, Y, layout) in enumerate(zip(HEADS, targets, head_layouts(cfg.angle_mode))):
+            net, logs[name] = _train_head(X, Y, layout, cfg, head_tag=tag)
             nets.append(net)
-    return RoiPredictor(*nets, angle_mode=cfg.angle_mode), logs
+    return RoiPredictor(tuple(nets), cfg.angle_mode), logs
 
 
 def predict_roi(p: RoiPredictor, X):
@@ -275,9 +277,8 @@ def predict_roi(p: RoiPredictor, X):
     forward pass overflows, is a failed row.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        center = p.center_head.forward(X)
-        size = np.maximum(p.size_head.forward(X)[:, 0], 0.0)
-        out = p.angle_head.forward(X)
+        center, size, out = (head.forward(X) for head in p.heads)
+        size = np.maximum(size[:, 0], 0.0)
         if p.angle_mode == "sincos":
             rotation = normalize_deg(np.degrees(np.arctan2(out[:, 0], out[:, 1])))
         else:
@@ -296,9 +297,8 @@ def heuristic_roi(X):
         return calc_hand_roi(X[:, 6:8], X[:, 12:14], X[:, 15:17], X[:, 18])
 
 
-def hybrid_predict(p: RoiPredictor, samples):
-    """MLP center and size, heuristic rotation (the recommended combination)."""
-    X = featurize(samples)
+def hybrid_predict(p: RoiPredictor, X):
+    """MLP center and size, heuristic rotation (the recommended combination), for the feature matrix X."""
     heuristic, heuristic_failed = heuristic_roi(X)
     boxes, failed = predict_roi(p, X)
     boxes[:, 3] = heuristic[:, 3]
@@ -306,74 +306,53 @@ def hybrid_predict(p: RoiPredictor, samples):
 
 
 # ---------------------------------------------------------------------------
-# weights file: magic "HROI", u16 version, feature spec, angle mode, per-head
-# layer sizes, then each head's theta as raw float64 little-endian (heads in
-# center/size/angle order)
+# weights file: the header of the predictor's angle mode (magic "HROI", u16
+# version, feature spec, angle mode, per-head layer sizes), then each head's
+# theta as raw float64 little-endian, heads in HEADS order
+
+def _header(angle_mode: str) -> bytes:
+    spec = FEATURE_SPEC.encode("utf-8")
+    layouts = head_layouts(angle_mode)
+    return b"".join(
+        [
+            _MAGIC,
+            struct.pack("<HH", _VERSION, len(spec)),
+            spec,
+            struct.pack("<BB", ANGLE_MODES.index(angle_mode), len(layouts)),
+            *(struct.pack(f"<B{len(sizes)}I", len(sizes), *sizes) for sizes in layouts),
+        ]
+    )
+
 
 def save_weights(p: RoiPredictor, path):
-    heads = (p.center_head, p.size_head, p.angle_head)
-    parts = [_MAGIC, struct.pack("<H", _VERSION)]
-    spec = FEATURE_SPEC.encode("utf-8")
-    parts.append(struct.pack("<H", len(spec)))
-    parts.append(spec)
-    parts.append(struct.pack("<BB", _ANGLE_MODES.index(p.angle_mode), len(heads)))
-    for head in heads:
-        parts.append(struct.pack("<B", len(head.layer_sizes)))
-        parts.append(struct.pack(f"<{len(head.layer_sizes)}I", *head.layer_sizes))
-    for head in heads:
-        parts.append(head.theta.astype("<f8").tobytes())
+    layouts = head_layouts(p.angle_mode)
+    if [head.layer_sizes for head in p.heads] != layouts:
+        raise ShapeError(f"heads must be laid out {layouts} for {p.angle_mode} angles")
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(_header(p.angle_mode) + b"".join(head.theta.astype("<f8").tobytes() for head in p.heads))
 
 
 def load_weights(path) -> RoiPredictor:
     with open(path, "rb") as fh:
         data = fh.read()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise WeightsFormatError(f"truncated weights file {path}")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    if take(4) != _MAGIC:
-        raise VersionError(f"{path} is not a handroi weights file")
-    (version,) = struct.unpack("<H", take(2))
-    if version != _VERSION:
-        raise VersionError(f"unsupported weights version {version}")
-    (spec_len,) = struct.unpack("<H", take(2))
-    feature_spec = take(spec_len).decode("utf-8", errors="replace")
-    mode_idx, n_heads = struct.unpack("<BB", take(2))
-    if mode_idx >= len(_ANGLE_MODES) or n_heads != len(HEADS):
-        raise WeightsFormatError(f"bad header in {path}")
-    angle_mode = _ANGLE_MODES[mode_idx]
-    shapes = []
-    for _ in range(n_heads):
-        (n_layers,) = struct.unpack("<B", take(1))
-        if n_layers < 2:
-            raise WeightsFormatError(f"bad layer count in {path}")
-        shapes.append(list(struct.unpack(f"<{n_layers}I", take(4 * n_layers))))
-    if feature_spec != FEATURE_SPEC:
+    if data[:6] != _MAGIC + struct.pack("<H", _VERSION):
+        raise VersionError(f"{path} is not a version {_VERSION} handroi weights file")
+    for angle_mode in ANGLE_MODES:
+        header = _header(angle_mode)
+        if data.startswith(header):
+            break
+    else:
         raise WeightsFormatError(
-            f"{path} has feature spec {feature_spec!r}, expected {FEATURE_SPEC!r}"
+            f"bad header in {path}: expected feature spec {FEATURE_SPEC!r} "
+            f"and heads laid out as {head_layouts('sincos')} or {head_layouts('scalar')}"
         )
-    if any(sizes[0] != FEATURE_DIM for sizes in shapes):
-        raise WeightsFormatError(f"{path} has head input widths other than {FEATURE_DIM}")
-    outputs = tuple(sizes[-1] for sizes in shapes)
-    expected = _head_outputs(angle_mode)
-    if outputs != expected:
-        raise WeightsFormatError(
-            f"{path} has head output widths {outputs}, expected {expected} for {angle_mode} angles"
-        )
-    heads = [
-        Mlp(sizes, np.frombuffer(take(8 * _n_params(sizes)), dtype="<f8").astype(np.float64))
-        for sizes in shapes
-    ]
-    if off != len(data):
-        raise WeightsFormatError(f"trailing bytes in {path}")
-    if not all(np.all(np.isfinite(h.theta)) for h in heads):
+    layouts = head_layouts(angle_mode)
+    counts = [_n_params(sizes) for sizes in layouts]
+    body = data[len(header) :]
+    if len(body) != 8 * sum(counts):
+        raise WeightsFormatError(f"{path} holds {len(body)} parameter bytes, expected {8 * sum(counts)}")
+    theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(theta)):
         raise WeightsFormatError(f"non-finite parameters in {path}")
-    return RoiPredictor(*heads, angle_mode=angle_mode)
+    thetas = np.split(theta, np.cumsum(counts)[:-1])
+    return RoiPredictor(tuple(map(Mlp, layouts, thetas)), angle_mode)

@@ -215,6 +215,5 @@ def reference_predict_roi(p, f):
     math-module arithmetic, as the one-row-at-a-time predictor did.
     """
     row = np.asarray(f, dtype=np.float64)[None, :]
-    cx, cy = p.center_head.forward(row)[0]
-    size = max(0.0, float(p.size_head.forward(row)[0, 0]))
-    return float(cx), float(cy), size, reference_rotation(p.angle_mode, p.angle_head.forward(row)[0])
+    (cx, cy), (size,), angle_out = (head.forward(row)[0] for head in p.heads)
+    return float(cx), float(cy), max(0.0, float(size)), reference_rotation(p.angle_mode, angle_out)

@@ -26,7 +26,7 @@ from handroi.metrics import (
     rotation_error,
     win_rate,
 )
-from handroi.model import Mlp
+from handroi.model import Mlp, head_layouts
 from test_model import finite_diff_grad, grad_max_rel_err
 
 
@@ -97,9 +97,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_parameter_counts(self):
         # the 1-output size head cannot also have 332 parameters; it has 321
-        center = Mlp.zeros([19, 10, 10, 2]).theta.size
-        angle = Mlp.zeros([19, 10, 10, 2]).theta.size
-        size = Mlp.zeros([19, 10, 10, 1]).theta.size
+        center, size, angle = (Mlp.zeros(sizes).theta.size for sizes in head_layouts("sincos"))
         report(4, "head parameter counts", center == 332 and angle == 332 and size == 321)
 
 

@@ -192,6 +192,22 @@ class TestIngest:
         assert err == [f"error: sample id 's0' is in both {train} and {test}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("x", [-641.0, 1281.0, 1e308])
+    def test_landmark_far_outside_image_is_degenerate(self, tmp_path, x):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 3)
+        doc = json.loads((labels / "s1.json").read_text())
+        doc["hand_pts"][3][0] = x  # the sidecar's images are 640x480
+        (labels / "s1.json").write_text(json.dumps(doc))
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1", "s2"])
+        out = tmp_path / "d.jsonl"
+        argv = ["--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(out)]
+        assert run_quiet("ingest", *argv) == (0, [])
+        assert [s.id for s in read_samples(out)] == ["s0", "s2"]
+        manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
+        assert manifest["counts"]["train"]["degenerate"] == 1
+
     def test_missing_sidecar(self, tmp_path):
         labels = tmp_path / "labels"
         self.make_labels(labels, 1)
@@ -270,10 +286,9 @@ class TestTrain:
         assert "unrecognized arguments: --optimizer adam" in err[-1]
 
     def test_log_and_best_val(self, tmp_path, trained_weights):
-        log = (str(trained_weights) + ".log")
-        lines = open(log).read().splitlines()
+        lines = trained_weights.with_name("model.hroi.log").read_text().splitlines()
         assert len(lines) == 30 * 3
-        manifest = json.loads(open(str(trained_weights) + ".manifest.json").read())
+        manifest = json.loads(trained_weights.with_name("model.hroi.manifest.json").read_text())
         for head in ("center", "size", "angle"):
             first_val = float(lines[["center", "size", "angle"].index(head) * 30].split()[3])
             assert manifest["counts"]["best_val"][head] <= first_val
@@ -396,6 +411,19 @@ class TestBadDataset:
         assert code == 2
         message = "landmarks span a box that is not finite"
         assert err == [f"error: sample '{sid}' has a degenerate gold hand: {message}"]
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    def test_landmark_far_outside_image_exit_2(self, tmp_path, small_dataset, command):
+        _, index = BAD_DATASET_CMDS[command]
+        bad = tmp_path / "bad.jsonl"
+        # a landmark that is not the wrist: the gold box stays finite, but is far off the image
+        edit_line(small_dataset, bad, index, lambda doc: doc["hand"][3].__setitem__(0, 1e300))
+        doc = json.loads(bad.read_text().splitlines()[index])
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        bound = f"[-{doc['width']}, {2 * doc['width']}] x [-{doc['height']}, {2 * doc['height']}]"
+        message = f"a landmark lies outside {bound}"
+        assert err == [f"error: sample '{doc['id']}' has a degenerate gold hand: {message}"]
 
     @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
     @pytest.mark.parametrize("field", ["width", "height"])
@@ -661,7 +689,37 @@ class TestEval:
         )
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "output widths" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: bad header in {bad}")
+
+    def eval_mlp(self, tmp_path, small_dataset, weights):
+        argv = ["--dataset", str(small_dataset), "--method", "mlp", "--weights", str(weights)]
+        return run_quiet("eval", *argv, "--out", str(tmp_path / "rows.csv"))
+
+    def test_hidden_layers_not_10x10_exit_2(self, tmp_path, small_dataset):
+        # a well-formed file of the old per-head layout whose center head is [19, 5, 5, 2]
+        bad = tmp_path / "bad.hroi"
+        bad.write_bytes(weights_file("sincos", [[19, 5, 5, 2], [19, 10, 10, 1], [19, 10, 10, 2]]))
+        code, err = self.eval_mlp(tmp_path, small_dataset, bad)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: bad header in {bad}")
+
+    @pytest.mark.parametrize("angle_mode", md.ANGLE_MODES)
+    def test_any_changed_header_byte_exit_2(self, tmp_path, small_dataset, angle_mode):
+        good = tmp_path / "good.hroi"
+        md.save_weights(md.new_predictor(angle_mode), good)
+        assert self.eval_mlp(tmp_path, small_dataset, good) == (0, [])
+        clean = good.read_bytes()
+        # magic, version, spec length, spec, angle mode, head count, then per head 4 layer sizes
+        header_len = 4 + 2 + 2 + len(md.FEATURE_SPEC) + 2 + 3 * (1 + 4 * 4)
+        bad = tmp_path / "bad.hroi"
+        for offset in range(header_len):
+            for flip in (0x01, 0xFF):
+                data = bytearray(clean)
+                data[offset] ^= flip
+                bad.write_bytes(bytes(data))
+                code, err = self.eval_mlp(tmp_path, small_dataset, bad)
+                assert code == 2, (offset, flip)
+                assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], (offset, err)
 
     @pytest.mark.parametrize("method", ["mlp", "hybrid"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -684,6 +742,18 @@ class TestEval:
             "--out", str(out),
         )
         assert code == 0
+
+
+def weights_file(angle_mode, layouts):
+    """Bytes of a weights file with the given per-head layer sizes and zero parameters."""
+    spec = md.FEATURE_SPEC.encode()
+    data = b"HROI" + struct.pack("<HH", 1, len(spec)) + spec
+    data += struct.pack("<BB", ("sincos", "scalar").index(angle_mode), len(layouts))
+    n_params = 0
+    for sizes in layouts:
+        data += struct.pack(f"<B{len(sizes)}I", len(sizes), *sizes)
+        n_params += sum(i * o + o for i, o in zip(sizes, sizes[1:]))
+    return data + bytes(8 * n_params)
 
 
 def edit_rows(text, old, new):
@@ -827,6 +897,15 @@ class TestRender:
         assert code == 2
         assert err == [f"error: sample '{sid}' has a degenerate gold hand: wrist coincides with middle knuckle"]
 
+    def test_landmark_far_outside_image_exit_2(self, tmp_path, small_dataset):
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 0, lambda doc: doc["hand"][3].__setitem__(1, -1e300))
+        sid = read_samples(small_dataset)[0].id
+        code, err = run_quiet("render", "--dataset", str(bad), "--id", sid, "--out", str(tmp_path / "x.svg"))
+        assert code == 2
+        message = "a landmark lies outside [-"
+        assert len(err) == 1 and err[0].startswith(f"error: sample '{sid}' has a degenerate gold hand: {message}")
+
     def test_unknown_id_exit_4(self, tmp_path, small_dataset):
         code = run(
             "render",
@@ -873,20 +952,20 @@ class TestExitCodes:
 
 
 class TestDataDir:
-    def test_env_var_base(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HANDROI_DATA_DIR", str(tmp_path))
-        assert run("synth", "--n", "10", "--seed", "1", "--out", "d.jsonl") == 0
-        assert (tmp_path / "d.jsonl").is_file()
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        other = tmp_path / "other"
-        other.mkdir()
-        monkeypatch.setenv("HANDROI_DATA_DIR", str(tmp_path))
-        assert (
-            run("--data-dir", str(other), "synth", "--n", "10", "--seed", "1", "--out", "d.jsonl")
-            == 0
-        )
-        assert (other / "d.jsonl").is_file()
+    @pytest.mark.parametrize("relative_base", [False, True])
+    def test_flag_resolves_relative_paths(self, tmp_path, monkeypatch, relative_base):
+        (tmp_path / "base").mkdir()
+        monkeypatch.chdir(tmp_path)
+        base = ["--data-dir", "base" if relative_base else str(tmp_path / "base")]
+        steps = [
+            ["synth", "--n", "10", "--seed", "1", "--out", "d.jsonl"],
+            ["eval", "--dataset", "d.jsonl", "--out", "rows.csv"],
+            ["compare", "--rows-a", "rows.csv", "--rows-b", "rows.csv", "--report", "r.txt"],
+        ]
+        assert [run_quiet(*base, *argv) for argv in steps] == [(0, [])] * 3
+        written = ["d.jsonl", "rows.csv", "rows.csv.summary.txt", "r.txt", "r.txt.svg"]
+        assert all((tmp_path / "base" / name).is_file() for name in written)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base"]
 
 
 class TestReadme:

@@ -152,6 +152,26 @@ class TestGoldRoi:
         with pytest.raises(DegenerateHand):
             gold_roi(make_hand(pts), 100, 100)
 
+    @pytest.mark.parametrize("index", [0, 3, 9])
+    @pytest.mark.parametrize("axis, sign", [(0, -1), (0, 1), (1, -1), (1, 1)])
+    def test_landmark_beyond_bound_is_degenerate(self, index, axis, sign):
+        # the bound is [-width, 2 width] x [-height, 2 height]; on it the hand is kept
+        width, height = 400, 300
+        pts = [list(p) for p in ((150.0, 250.0), *[(140.0 + i, 100.0 + 2 * i) for i in range(1, 21)])]
+        limit = (-1.0 if sign < 0 else 2.0) * (width, height)[axis]
+        pts[index][axis] = limit
+        gold_roi(make_hand([tuple(p) for p in pts]), width, height)
+        pts[index][axis] = math.nextafter(limit, sign * math.inf)
+        with pytest.raises(DegenerateHand, match=r"a landmark lies outside \[-400, 800\] x \[-300, 600\]"):
+            gold_roi(make_hand([tuple(p) for p in pts]), width, height)
+
+    def test_far_landmark_with_finite_box_is_degenerate(self):
+        # one landmark far to the right still spans a finite box; it is rejected by the bound
+        pts = [(150.0, 250.0), *[(140.0 + i, 100.0 + 2 * i) for i in range(1, 21)]]
+        pts[3] = (1e300, 100.0)
+        with pytest.raises(DegenerateHand, match="a landmark lies outside"):
+            gold_roi(make_hand(pts), 640, 480)
+
     def test_contains_all_landmarks(self, rng):
         for _ in range(100):
             w, h = rng.integers(200, 800, size=2)

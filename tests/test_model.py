@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -80,13 +81,26 @@ def with_pose(pose, width=640, height=480):
 
 
 def random_predictor(rng, angle_mode="sincos"):
+    """Heads initialised in HEADS order, with the 10x10 hidden layers the weights file holds."""
     angle_out = 2 if angle_mode == "sincos" else 1
-    return RoiPredictor(
-        center_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
-        size_head=Mlp.init([FEATURE_DIM, 10, 10, 1], rng),
-        angle_head=Mlp.init([FEATURE_DIM, 10, 10, angle_out], rng),
-        angle_mode=angle_mode,
-    )
+    layouts = ([FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, angle_out])
+    return RoiPredictor(tuple(Mlp.init(sizes, rng) for sizes in layouts), angle_mode)
+
+
+# byte offsets in a weights file: the angle-mode byte, then per head a u8
+# layer count and four u32 layer sizes
+MODE_AT = 4 + 2 + 2 + len(FEATURE_SPEC)
+
+
+def layer_size_at(head, layer):
+    return MODE_AT + 2 + 17 * head + 1 + 4 * layer
+
+
+def patched(path, offset, value):
+    """Overwrite the byte at offset of the file at path."""
+    data = bytearray(path.read_bytes())
+    data[offset] = value
+    path.write_bytes(bytes(data))
 
 
 class TestForward:
@@ -259,7 +273,7 @@ class TestPredict:
 
     def test_overflow_is_failed(self, rng):
         p = random_predictor(rng)
-        p.center_head.theta[:19] = 1e300  # overflows the first hidden unit of row 0 only
+        p.heads[0].theta[:19] = 1e300  # overflows the first hidden unit of row 0 only
         X = np.zeros((2, FEATURE_DIM))
         X[0] = 1e10
         boxes, failed = predict_roi(p, X)
@@ -278,7 +292,7 @@ class TestPredictReference:
     def test_forward_matches_rows(self, rng, n, angle_mode):
         p = random_predictor(rng, angle_mode)
         X = rng.uniform(-3, 3, size=(n, FEATURE_DIM))
-        for head in (p.center_head, p.size_head, p.angle_head):
+        for head in p.heads:
             out = head.forward(X)
             rows = np.vstack([head.forward(X[k : k + 1]) for k in range(n)])
             assert np.all(np.abs(out - rows) <= 1e-12)
@@ -289,7 +303,7 @@ class TestPredictReference:
         p = random_predictor(rng, angle_mode)
         X = rng.uniform(-3, 3, size=(n, FEATURE_DIM))
         boxes, failed = predict_roi(p, X)
-        angle_out = p.angle_head.forward(X)
+        angle_out = p.heads[2].forward(X)
         assert not failed.any()
         for k in range(n):
             cx, cy, size, _ = reference_predict_roi(p, X[k])
@@ -309,9 +323,10 @@ class TestHybrid:
             with_pose(PoseHand(*[Vec3(*kp) for kp in rng.uniform(0, 1, size=(6, 3))]), width=w)
             for w in rng.integers(240, 960, size=20).tolist()
         ]
-        boxes, failed = hybrid_predict(p, samples)
-        heur, heur_failed = heuristic_roi(featurize(samples))
-        mlp, mlp_failed = predict_roi(p, featurize(samples))
+        X = featurize(samples)
+        boxes, failed = hybrid_predict(p, X)
+        heur, heur_failed = heuristic_roi(X)
+        mlp, mlp_failed = predict_roi(p, X)
         assert not (failed.any() or heur_failed.any() or mlp_failed.any())
         assert boxes[:, 3].tolist() == heur[:, 3].tolist()
         assert boxes[:, :3].tolist() == mlp[:, :3].tolist()
@@ -329,43 +344,64 @@ class TestHybrid:
     def test_degenerate_propagates(self):
         kp = Vec3(0.5, 0.5, 0.0)
         degenerate = with_pose(PoseHand(kp, kp, kp, kp, kp, kp))
-        _, failed = hybrid_predict(new_predictor(), [SAMPLE, degenerate])
+        _, failed = hybrid_predict(new_predictor(), featurize([SAMPLE, degenerate]))
         assert failed.tolist() == [False, True]
 
 
 class TestWeightsIo(object):
-    def make_predictor(self, rng):
-        return RoiPredictor(
-            center_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
-            size_head=Mlp.init([FEATURE_DIM, 10, 10, 1], rng),
-            angle_head=Mlp.init([FEATURE_DIM, 10, 10, 2], rng),
-        )
-
-    def test_round_trip_bitwise(self, rng, tmp_path):
-        p = self.make_predictor(rng)
+    @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
+    def test_round_trip_bitwise(self, rng, tmp_path, angle_mode):
+        p = random_predictor(rng, angle_mode)
         f1 = tmp_path / "a.hroi"
         f2 = tmp_path / "b.hroi"
         save_weights(p, f1)
         q = load_weights(f1)
         save_weights(q, f2)
         assert f1.read_bytes() == f2.read_bytes()
-        for ha, hb in zip(
-            (p.center_head, p.size_head, p.angle_head),
-            (q.center_head, q.size_head, q.angle_head),
-        ):
+        assert q.angle_mode == angle_mode
+        for ha, hb in zip(p.heads, q.heads, strict=True):
             assert ha.theta.tobytes() == hb.theta.tobytes()
 
     def test_reports_shapes(self, rng, tmp_path):
-        p = self.make_predictor(rng)
+        p = random_predictor(rng)
         f = tmp_path / "w.hroi"
         save_weights(p, f)
         q = load_weights(f)
-        assert q.size_head.layer_sizes == [FEATURE_DIM, 10, 10, 1]
-        assert q.size_head.theta.size == 321
+        assert q.heads[1].layer_sizes == [FEATURE_DIM, 10, 10, 1]
+        assert q.heads[1].theta.size == 321
+
+    @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
+    def test_header_bytes(self, tmp_path, angle_mode):
+        f = tmp_path / "w.hroi"
+        save_weights(new_predictor(angle_mode), f)
+        header = b"HROI" + struct.pack("<HH", 1, len(FEATURE_SPEC)) + FEATURE_SPEC.encode()
+        header += struct.pack("<BB", ["sincos", "scalar"].index(angle_mode), 3)
+        angle_out = 2 if angle_mode == "sincos" else 1
+        for out in (2, 1, angle_out):
+            header += struct.pack("<B4I", 4, FEATURE_DIM, 10, 10, out)
+        data = f.read_bytes()
+        assert data[: len(header)] == header
+        assert len(data) == len(header) + 8 * (332 + 321 + 310 + 11 * angle_out)
+
+    @pytest.mark.parametrize(
+        "layouts, angle_mode",
+        [
+            ([[FEATURE_DIM, 5, 5, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 2]], "sincos"),
+            ([[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 1]], "sincos"),
+            ([[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 2]], "scalar"),
+            ([[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1]], "sincos"),
+        ],
+    )
+    def test_save_rejects_other_layouts(self, tmp_path, layouts, angle_mode):
+        p = RoiPredictor(tuple(map(Mlp.zeros, layouts)), angle_mode)
+        f = tmp_path / "w.hroi"
+        with pytest.raises(ShapeError, match=f"laid out .* for {angle_mode} angles"):
+            save_weights(p, f)
+        assert not f.exists()
 
     def test_corrupt_magic(self, rng, tmp_path):
         f = tmp_path / "w.hroi"
-        save_weights(self.make_predictor(rng), f)
+        save_weights(random_predictor(rng), f)
         data = bytearray(f.read_bytes())
         data[:4] = b"XXXX"
         f.write_bytes(bytes(data))
@@ -374,7 +410,7 @@ class TestWeightsIo(object):
 
     def test_foreign_feature_spec(self, rng, tmp_path):
         f = tmp_path / "w.hroi"
-        save_weights(self.make_predictor(rng), f)
+        save_weights(random_predictor(rng), f)
         data = f.read_bytes()
         foreign = FEATURE_SPEC.replace("/v1", "/v0").encode()
         assert FEATURE_SPEC.encode() in data and len(foreign) == len(FEATURE_SPEC)
@@ -383,27 +419,24 @@ class TestWeightsIo(object):
             load_weights(f)
 
     def test_input_width_not_feature_dim(self, rng, tmp_path):
-        p = self.make_predictor(rng)
-        p.size_head = Mlp.init([FEATURE_DIM - 1, 10, 10, 1], rng)
         f = tmp_path / "w.hroi"
-        save_weights(p, f)
-        with pytest.raises(WeightsFormatError, match="input widths"):
+        save_weights(random_predictor(rng), f)
+        patched(f, layer_size_at(1, 0), FEATURE_DIM - 1)  # the size head's input width
+        with pytest.raises(WeightsFormatError, match="bad header"):
             load_weights(f)
 
     @pytest.mark.parametrize("mode, angle_out", [("sincos", 1), ("scalar", 2)])
     def test_output_widths_contradict_angle_mode(self, rng, tmp_path, mode, angle_out):
-        p = self.make_predictor(rng)
-        p.angle_mode = mode
-        p.angle_head = Mlp.init([FEATURE_DIM, 10, 10, angle_out], rng)
         f = tmp_path / "w.hroi"
-        save_weights(p, f)
-        with pytest.raises(WeightsFormatError, match="output widths"):
+        save_weights(random_predictor(rng, mode), f)
+        patched(f, layer_size_at(2, 3), angle_out)  # the angle head's output width
+        with pytest.raises(WeightsFormatError, match="bad header"):
             load_weights(f)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta(self, rng, tmp_path, value):
-        p = self.make_predictor(rng)
-        p.size_head.theta[7] = value
+        p = random_predictor(rng)
+        p.heads[1].theta[7] = value
         f = tmp_path / "w.hroi"
         save_weights(p, f)
         with pytest.raises(WeightsFormatError, match=f"non-finite parameters in {f}"):
@@ -411,7 +444,7 @@ class TestWeightsIo(object):
 
     def test_truncated(self, rng, tmp_path):
         f = tmp_path / "w.hroi"
-        save_weights(self.make_predictor(rng), f)
+        save_weights(random_predictor(rng), f)
         f.write_bytes(f.read_bytes()[:-7])
         with pytest.raises(WeightsFormatError):
             load_weights(f)
