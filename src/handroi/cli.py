@@ -27,7 +27,7 @@ from .geometry import box_quads
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-# prediction methods of eval and render; all but the heuristic read --weights
+# prediction methods of eval and render; all but the heuristic read --weights, and it takes none
 METHODS = ("heuristic", "mlp", "hybrid")
 
 
@@ -46,11 +46,14 @@ def _write_manifest(out_path, command, config, counts):
 
 def _predictor_fn(method, weights_path):
     """The batched predictor of one of METHODS: samples -> (boxes, failed)."""
-    if weights_path is not None and not os.path.isfile(weights_path):
+    if method == "heuristic":
+        if weights_path is not None:
+            raise UsageError(f"method {method!r} reads no weights")
+    elif weights_path is None:
+        raise UsageError(f"method {method!r} requires --weights")
+    elif not os.path.isfile(weights_path):
         raise UsageError(f"weights file not found: {weights_path}")
-    if method != "heuristic":
-        if weights_path is None:
-            raise UsageError(f"method {method!r} requires --weights")
+    else:
         predictor = md.load_weights(weights_path)
 
     def predict(samples):
@@ -124,14 +127,7 @@ def cmd_ingest(args):
 def cmd_train(args):
     samples = ds.read_samples(_resolve(args.dataset, args))
     train = [s for s in samples if s.split == "train"]
-    cfg = md.TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        validation_fraction=args.val_fraction,
-        angle_mode=args.angle_mode,
-    )
+    cfg = md.TrainConfig(epochs=args.epochs, seed=args.seed, angle_mode=args.angle_mode)
     predictor, logs = md.train_predictor(train, cfg)
     out = _resolve(args.out, args)
     md.save_weights(predictor, out)
@@ -163,7 +159,7 @@ def cmd_eval(args):
     rows, summary = mx.evaluate(predict, test, method=args.method)
     out = _resolve(args.out, args)
     mx.write_rows_csv(rows, out)
-    mx.write_summary(summary, _resolve(args.summary, args) or f"{out}.summary.txt")
+    mx.write_summary(summary, f"{out}.summary.txt")
     _write_manifest(
         out,
         "eval",
@@ -195,11 +191,9 @@ def cmd_compare(args):
                 fh.write(f"{tag}_{key}={val!r}\n")
         fh.write(f"min_iou_pair={sum_a.min_iou!r} vs {sum_b.min_iou!r}\n")
 
-    svg_path = _resolve(args.svg, args) or f"{report}.svg"
     hists = [(name_a, mx.iou_histogram(rows_a)), (name_b, mx.iou_histogram(rows_b))]
-    svg = svgmod.histogram_svg(hists, bins=mx.HIST_BINS)
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    with open(f"{report}.svg", "w", encoding="utf-8") as fh:
+        fh.write(svgmod.histogram_svg(hists))
     _write_manifest(
         report,
         "compare",
@@ -273,11 +267,8 @@ def build_parser():
     p = sub.add_parser("train", help="train the three-headed MLP predictor")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--angle-mode", choices=md.ANGLE_MODES, default="sincos")
     p.set_defaults(func=cmd_train)
 
@@ -286,14 +277,12 @@ def build_parser():
     p.add_argument("--method", choices=METHODS, default="heuristic")
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="compare two row files")
     p.add_argument("--rows-a", required=True)
     p.add_argument("--rows-b", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("render", help="schematic SVG of gold and predicted boxes")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHand, DuplicateId, EmptyDataset, InvalidDataset, ParseError
+from .errors import DegenerateGeometry, DegenerateHand, DuplicateId, EmptyDataset, InvalidDataset, ParseError
 from .geometry import Vec3
 from .heuristic import (
     Hand21,
@@ -243,6 +243,8 @@ SYNTH_HEIGHT = 480
 # range of the synthetic image aspect ratio rho = width / height
 RHO_MIN = 0.75
 RHO_MAX = 1.9
+# consecutive degenerate draws of one sample after which synth_generate gives up
+MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -255,8 +257,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.n <= 0:
             raise InvalidDataset("n must be positive")
-        if self.noise_px < 0:
-            raise InvalidDataset("noise_px must be >= 0")
+        if self.seed < 0:
+            raise InvalidDataset(f"seed must be >= 0, got {self.seed}")
+        if not (0.0 <= self.noise_px < math.inf):
+            raise InvalidDataset(f"noise_px must be finite and >= 0, got {self.noise_px}")
         if not (0.0 <= self.max_tilt_deg <= 90.0):
             raise InvalidDataset("max_tilt_deg must be in [0, 90]")
 
@@ -331,19 +335,26 @@ def _make_synth_sample(rng, cfg, idx, split):
 
 
 def synth_generate(cfg: SynthConfig):
-    """Deterministic synthetic samples; 70/30 train/test split by index."""
+    """Deterministic synthetic samples; 70/30 train/test split by index.
+
+    A sample whose gold hand is degenerate or whose landmarks or keypoints
+    are not finite is drawn again, and MAX_REDRAWS such draws in a row
+    raise InvalidDataset naming the sample index.
+    """
     rng = np.random.default_rng(cfg.seed)
     n_train = int(round(0.7 * cfg.n))
     samples = []
     for i in range(cfg.n):
         split = "train" if i < n_train else "test"
-        while True:
-            s = _make_synth_sample(rng, cfg, i, split)
+        for _ in range(MAX_REDRAWS):
             try:
+                s = _make_synth_sample(rng, cfg, i, split)
                 gold_roi(s.hand, s.width, s.height)
-            except DegenerateHand:
+            except (DegenerateHand, DegenerateGeometry):
                 continue
             break
+        else:
+            raise InvalidDataset(f"synthetic sample {i} drew a degenerate hand {MAX_REDRAWS} times in a row")
         samples.append(s)
     return samples
 

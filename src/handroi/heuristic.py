@@ -97,12 +97,12 @@ def closed_form_size(wx, wy, ix, iy, px, py, rho) -> float:
     return 5.4 * math.sqrt(rho ** 2 * (wx - cx) ** 2 + (wy - cy) ** 2)
 
 
-def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0):
-    """Reference box row (cx, cy, size, rotation) bounding all 21 landmarks.
+def gold_roi(hand: Hand21, width: float, height: float):
+    """Reference box row (cx, cy, size, rotation): a square twice the landmarks' extent.
 
-    The box is aligned to the wrist->middle-MCP axis. The default scale=2.0
-    is the one gold box: training targets and scores both use it, and
-    trained weights assume it. A box that has no size or is not finite, or
+    The box is aligned to the wrist->middle-MCP axis. It is the one gold
+    box: training targets and scores both use it, and trained weights
+    assume it. A box that has no size or is not finite, or
     a landmark outside [-width, 2 width] x [-height, 2 height], raises
     DegenerateHand.
     """
@@ -137,7 +137,7 @@ def gold_roi(hand: Hand21, width: float, height: float, scale: float = 2.0):
     c, s = math.cos(th), math.sin(th)
     center_x = (cx + (bx * c - by * s)) / width
     center_y = (cy + (bx * s + by * c)) / height
-    box = (center_x, center_y, side * scale / height, rotation)
+    box = (center_x, center_y, side * 2.0 / height, rotation)
     if not all(map(math.isfinite, box)):
         raise DegenerateHand("landmarks span a box that is not finite")
     if not box[2] > 0.0:

@@ -127,12 +127,10 @@ def win_rate(a: Rows, b: Rows) -> float:
     return int(np.count_nonzero(a.iou > joined)) / len(a)
 
 
-def iou_histogram(rows: Rows, bins: int = HIST_BINS):
-    """Equal-width bin counts over [0, 1]; last bin right-inclusive."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    idx = np.minimum((rows.iou * bins).astype(np.int64), bins - 1)
-    return np.bincount(idx, minlength=bins).tolist()
+def iou_histogram(rows: Rows):
+    """HIST_BINS equal-width bin counts over [0, 1]; last bin right-inclusive."""
+    idx = np.minimum((rows.iou * HIST_BINS).astype(np.int64), HIST_BINS - 1)
+    return np.bincount(idx, minlength=HIST_BINS).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ from .heuristic import calc_hand_roi
 
 FEATURE_DIM = 19
 HIDDEN = (10, 10)
+# the one training recipe: Adam step size, minibatch size, and the share of
+# the train split held out to pick each head's best epoch
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 32
+VALIDATION_FRACTION = 0.1
 FEATURE_SPEC = "pose6xyz+rho/v1"
 # the predictor's heads, in training (seed tag), log and weights-file order
 HEADS = ("center", "size", "angle")
@@ -159,20 +164,15 @@ def featurize(samples) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 32
     epochs: int = 500
     seed: int = 0
-    validation_fraction: float = 0.1
     angle_mode: str = "sincos"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidDataset(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise InvalidDataset("batch_size and epochs must be positive")
-        if not (0.0 <= self.validation_fraction < 1.0):
-            raise InvalidDataset("validation_fraction must be in [0, 1)")
+        if self.epochs < 1:
+            raise InvalidDataset("epochs must be positive")
+        if self.seed < 0:
+            raise InvalidDataset(f"seed must be >= 0, got {self.seed}")
         if self.angle_mode not in ANGLE_MODES:
             raise InvalidDataset(f"unknown angle_mode {self.angle_mode!r}")
 
@@ -196,14 +196,11 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
     rng = np.random.default_rng([cfg.seed, head_tag])
     net = Mlp.init(layer_sizes, rng)
     n = X.shape[0]
-    n_val = int(round(cfg.validation_fraction * n))
+    # round(0.1 n) < n for every n >= 1, so the train part is never empty
+    n_val = int(round(VALIDATION_FRACTION * n))
     perm = rng.permutation(n)
-    val_idx = perm[:n_val]
-    tr_idx = perm[n_val:]
-    if tr_idx.size == 0:
-        raise InvalidDataset("validation split leaves no training samples")
-    Xtr, Ytr = X[tr_idx], Y[tr_idx]
-    Xval, Yval = X[val_idx], Y[val_idx]
+    Xtr, Ytr = X[perm[n_val:]], Y[perm[n_val:]]
+    Xval, Yval = X[perm[:n_val]], Y[perm[:n_val]]
 
     theta = net.theta
     m = np.zeros_like(theta)
@@ -220,8 +217,8 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
     log = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(Xtr.shape[0])
-        for start in range(0, Xtr.shape[0], cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, Xtr.shape[0], BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             grad = net.gradient(Xtr[idx], Ytr[idx])
             step += 1
             bc1 = 1.0 - beta1 ** step
@@ -230,7 +227,7 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
             m += (1 - beta1) * grad
             v *= beta2
             v += (1 - beta2) * grad ** 2
-            theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            theta -= LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + eps)
         train_loss = loss_on(Xtr, Ytr)
         val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):

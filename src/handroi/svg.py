@@ -14,11 +14,12 @@ def _f(v):
     return f"{v:.2f}"
 
 
-def histogram_svg(series, bins):
-    """Overlaid bar histogram; `series` is a list of (label, counts) pairs.
+def histogram_svg(series):
+    """Overlaid bar histogram; `series` is a non-empty list of (label, counts) pairs.
 
-    All count lists must have `bins` entries covering [0, 1].
+    The count lists are equal-width bins covering [0, 1], all of one length.
     """
+    bins = len(series[0][1])
     for label, counts in series:
         if len(counts) != bins:
             raise ValueError(f"series {label!r} has {len(counts)} bins, expected {bins}")

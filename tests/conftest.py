@@ -6,6 +6,7 @@ import pytest
 
 from handroi.geometry import box_quads
 from handroi.heuristic import CENTER_SHIFT, MIDDLE_MCP, SIZE_SCALE, WRIST, Hand21
+from handroi.model import BATCH_SIZE, LEARNING_RATE, VALIDATION_FRACTION
 
 
 @pytest.fixture
@@ -17,6 +18,12 @@ def random_box(rng, size_lo=0.05, size_hi=0.8):
     """A random box row (cx, cy, size, rotation)."""
     cx, cy = rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)
     return cx, cy, rng.uniform(size_lo, size_hi), rng.uniform(0.0, 360.0)
+
+
+def tight_box(gold):
+    """The gold box row at half its size: the square just spanning the landmarks."""
+    cx, cy, size, rotation = gold
+    return cx, cy, size / 2, rotation
 
 
 def with_degenerate_gold(sample):
@@ -112,7 +119,7 @@ def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
         weights.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     n = X.shape[0]
-    n_val = int(round(cfg.validation_fraction * n))
+    n_val = int(round(VALIDATION_FRACTION * n))
     perm = rng.permutation(n)
     Xtr, Ytr = X[perm[n_val:]], Y[perm[n_val:]]
     Xval, Yval = X[perm[:n_val]], Y[perm[:n_val]]
@@ -144,13 +151,12 @@ def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
     m_b = [np.zeros_like(b) for b in biases]
     v_b = [np.zeros_like(b) for b in biases]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    lr = cfg.learning_rate
     step = 0
     best, best_val, log = None, np.inf, []
     for epoch in range(cfg.epochs):
         order = rng.permutation(Xtr.shape[0])
-        for start in range(0, Xtr.shape[0], cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, Xtr.shape[0], BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             dws, dbs = gradient(Xtr[idx], Ytr[idx])
             step += 1
             bc1 = 1.0 - beta1 ** step
@@ -160,7 +166,7 @@ def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
                 m += (1 - beta1) * g
                 v *= beta2
                 v += (1 - beta2) * g ** 2
-                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+                p -= LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + eps)
         train_loss = loss_on(Xtr, Ytr)
         val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
         log.append((epoch, train_loss, val_loss))

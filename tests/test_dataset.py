@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import handroi.dataset
+from conftest import tight_box
 from handroi.dataset import (
     GoldRecord,
     MergeResult,
@@ -270,8 +271,7 @@ class TestSynth:
 
     def test_gold_contains_landmarks(self):
         for s in synth_generate(SynthConfig(n=30, seed=5, max_tilt_deg=75, noise_px=2)):
-            r = gold_roi(s.hand, s.width, s.height, scale=1.0)
-            quad = box_quads([r], [s.width], [s.height])[0]
+            quad = box_quads([tight_box(gold_roi(s.hand, s.width, s.height))], [s.width], [s.height])[0]
             for px, py, _ in s.hand.points:
                 for i in range(4):
                     ax, ay = quad[i]

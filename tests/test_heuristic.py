@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_calc_hand_roi
+from conftest import reference_calc_hand_roi, tight_box
 from handroi.errors import DegenerateHand, InvalidAspect
 from handroi.geometry import areas, box_quads, circular_diff_deg
 from handroi.heuristic import Hand21, calc_hand_roi, closed_form_size, gold_roi
@@ -123,17 +123,10 @@ class TestGoldRoi:
         return make_hand(pts)
 
     def test_axis_aligned_rotation_zero(self):
-        _, _, size, rotation = gold_roi(self.axis_aligned_hand(), 400, 400, scale=1.0)
+        _, _, size, rotation = gold_roi(self.axis_aligned_hand(), 400, 400)
         assert rotation == pytest.approx(0.0)
-        # square side = larger extent of the landmark bbox, in height units
-        assert size == pytest.approx(100.0 / 400.0)
-
-    def test_scale_linearity(self):
-        h = self.axis_aligned_hand()
-        r1 = gold_roi(h, 400, 400, scale=1.0)
-        r2 = gold_roi(h, 400, 400, scale=2.0)
-        assert r2[2] == pytest.approx(2 * r1[2])
-        assert (r2[0], r2[1], r2[3]) == (r1[0], r1[1], r1[3])
+        # square side = twice the larger extent of the landmark bbox, in height units
+        assert size == pytest.approx(2 * 100.0 / 400.0)
 
     def test_all_coincident(self):
         with pytest.raises(DegenerateHand):
@@ -177,9 +170,8 @@ class TestGoldRoi:
             w, h = rng.integers(200, 800, size=2)
             pts = rng.uniform([0.2 * w, 0.2 * h], [0.8 * w, 0.8 * h], size=(21, 2))
             hand = make_hand([tuple(p) for p in pts])
-            scale = rng.uniform(1.0, 3.0)
-            r = gold_roi(hand, w, h, scale=scale)
-            quad = box_quads([r], [w], [h])[0]
+            # the tight box, half the gold one, already holds every landmark
+            quad = box_quads([tight_box(gold_roi(hand, w, h))], [w], [h])[0]
             for px, py in pts:
                 for i in range(4):
                     ax, ay = quad[i]

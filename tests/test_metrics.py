@@ -10,6 +10,7 @@ from handroi.geometry import rotated_iou
 from handroi.heuristic import gold_roi
 from handroi.metrics import (
     CSV_COLUMNS,
+    HIST_BINS,
     Rows,
     center_error,
     evaluate,
@@ -253,11 +254,12 @@ class TestHistogram:
 
     def test_uniform_one_per_bin(self):
         rows = table([str(i) for i in range(20)], [0.025 + i * 0.05 for i in range(20)])
-        assert iou_histogram(rows, bins=20) == [1] * 20
+        assert HIST_BINS == 20 and iou_histogram(rows) == [1] * 20
 
     def test_counts_sum(self, rng):
         rows = table([str(i) for i in range(123)], rng.uniform(0, 1, size=123))
-        assert sum(iou_histogram(rows, bins=13)) == 123
+        counts = iou_histogram(rows)
+        assert len(counts) == HIST_BINS and sum(counts) == 123
 
 
 class TestCsvRoundTrip:

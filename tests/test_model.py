@@ -198,10 +198,7 @@ class TestTraining:
     def test_constant_target(self, rng):
         X = rng.uniform(0, 1, size=(40, 3))
         Y = np.full((40, 1), 0.7)
-        cfg = TrainConfig(
-            epochs=200, seed=9, batch_size=8, learning_rate=0.05, validation_fraction=0.0
-        )
-        net, log = _train_head(X, Y, [3, 10, 10, 1], cfg, head_tag=0)
+        net, log = _train_head(X, Y, [3, 10, 10, 1], TrainConfig(epochs=4000, seed=9), head_tag=0)
         final = float(np.mean((net.forward(X) - Y) ** 2))
         assert final < 1e-6
 
@@ -210,12 +207,16 @@ class TestTraining:
         b = rng.normal(size=2)
         X = rng.uniform(-1, 1, size=(300, 4))
         Y = X @ A + b
-        cfg = TrainConfig(
-            epochs=300, seed=3, batch_size=32, validation_fraction=0.1, learning_rate=5e-3
-        )
-        net, log = _train_head(X, Y, [4, 10, 10, 2], cfg, head_tag=1)
+        net, log = _train_head(X, Y, [4, 10, 10, 2], TrainConfig(epochs=1000, seed=3), head_tag=1)
         best_val = min(v for _, _, v in log)
         assert best_val < 1e-4
+
+    def test_under_five_samples_validate_on_train(self, rng):
+        # round(0.1 n) is 0 for n < 5, so the validation loss is the train loss
+        X = rng.uniform(size=(4, 3))
+        Y = rng.uniform(size=(4, 1))
+        _, log = _train_head(X, Y, [3, 10, 1], TrainConfig(epochs=3, seed=0), head_tag=0)
+        assert all(tr == val for _, tr, val in log)
 
     def test_determinism(self, rng):
         X = rng.uniform(size=(50, 3))
@@ -236,9 +237,7 @@ class TestTraining:
     def test_matches_per_array_reference(self, rng, outputs):
         X = rng.uniform(-1, 1, size=(90, 5))
         Y = np.tanh(X @ rng.normal(size=(5, outputs)))
-        cfg = TrainConfig(
-            epochs=25, seed=11, batch_size=16, learning_rate=1e-2, validation_fraction=0.2,
-        )
+        cfg = TrainConfig(epochs=25, seed=11)
         net, log = _train_head(X, Y, [5, 10, 10, outputs], cfg, head_tag=outputs)
         ref_theta, ref_log = reference_train_head(X, Y, [5, 10, 10, outputs], cfg, head_tag=outputs)
         assert net.theta.tobytes() == ref_theta.tobytes()
@@ -254,9 +253,10 @@ class TestTraining:
         with pytest.raises(InvalidDataset, match=f"sample '{samples[3].id}' has a degenerate gold hand"):
             train_predictor(samples, TrainConfig(epochs=1))
 
-    def test_bad_config(self):
+    @pytest.mark.parametrize("kwargs", [{"epochs": 0}, {"seed": -1}, {"angle_mode": "radians"}])
+    def test_bad_config(self, kwargs):
         with pytest.raises(InvalidDataset):
-            TrainConfig(learning_rate=-1)
+            TrainConfig(**kwargs)
 
 
 class TestPredict:
