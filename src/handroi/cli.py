@@ -13,6 +13,7 @@ Relative paths are resolved against --data-dir when it is given.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from . import dataset as ds
 from . import metrics as mx
 from . import model as md
 from . import svg as svgmod
-from .errors import DuplicateId, EmptyDataset, HandRoiError, NotFound, UsageError
+from .errors import HandRoiError, InputError, NotFound
 from .geometry import box_quads
 
 EXIT_OK = 0
@@ -37,8 +38,17 @@ def _resolve(path, args):
     return os.path.join(args.data_dir, path) if args.data_dir else path
 
 
+def _json_safe(val):
+    """val with each float that is not finite, nested in dicts, replaced by None (JSON null)."""
+    if isinstance(val, dict):
+        return {k: _json_safe(v) for k, v in val.items()}
+    if isinstance(val, float) and not math.isfinite(val):
+        return None
+    return val
+
+
 def _write_manifest(out_path, command, config, counts):
-    doc = {"command": command, "config": config, "counts": counts}
+    doc = _json_safe({"command": command, "config": config, "counts": counts})
     with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -48,11 +58,11 @@ def _predictor_fn(method, weights_path):
     """The batched predictor of one of METHODS: samples -> (boxes, failed)."""
     if method == "heuristic":
         if weights_path is not None:
-            raise UsageError(f"method {method!r} reads no weights")
+            raise InputError(f"method {method!r} reads no weights")
     elif weights_path is None:
-        raise UsageError(f"method {method!r} requires --weights")
+        raise InputError(f"method {method!r} requires --weights")
     elif not os.path.isfile(weights_path):
-        raise UsageError(f"weights file not found: {weights_path}")
+        raise InputError(f"weights file not found: {weights_path}")
     else:
         predictor = md.load_weights(weights_path)
 
@@ -83,10 +93,10 @@ def cmd_synth(args):
 
 def cmd_ingest(args):
     if not args.train_labels and not args.test_labels:
-        raise UsageError("need --train-labels and/or --test-labels")
+        raise InputError("need --train-labels and/or --test-labels")
     sidecar = _resolve(args.sidecar, args)
     if not os.path.isfile(sidecar):
-        raise UsageError(f"sidecar file not found: {sidecar}")
+        raise InputError(f"sidecar file not found: {sidecar}")
     poses = ds.read_pose_sidecar(sidecar)
     samples = []
     counts = {}
@@ -97,7 +107,7 @@ def cmd_ingest(args):
         res = ds.merge_pose_sidecar(records, poses, split=split)
         both = sorted({s.id for s in samples} & {s.id for s in res.samples})
         if both:
-            raise DuplicateId(f"sample id {both[0]!r} is in both {args.train_labels} and {args.test_labels}")
+            raise InputError(f"sample id {both[0]!r} is in both {args.train_labels} and {args.test_labels}")
         samples.extend(res.samples)
         counts[split] = {
             "annotations": len(records),
@@ -107,7 +117,7 @@ def cmd_ingest(args):
             "kept": len(res.samples),
         }
     if not samples:
-        raise EmptyDataset("no samples survived ingestion")
+        raise InputError("no samples survived ingestion")
     out = _resolve(args.out, args)
     ds.write_samples(samples, out)
     _write_manifest(
@@ -154,7 +164,7 @@ def cmd_eval(args):
     samples = ds.read_samples(_resolve(args.dataset, args))
     test = [s for s in samples if s.split == "test"]
     if not test:
-        raise EmptyDataset("dataset has no test split")
+        raise InputError("dataset has no test split")
     predict = _predictor_fn(args.method, _resolve(args.weights, args))
     rows, summary = mx.evaluate(predict, test, method=args.method)
     out = _resolve(args.out, args)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DegenerateHand, DuplicateId, EmptyDataset, InvalidDataset, ParseError
+from .errors import DegenerateHand, InputError
 from .geometry import Vec3
 from .heuristic import (
     Hand21,
@@ -104,7 +104,7 @@ def parse_panoptic(labels_dir):
             continue
         records.append(GoldRecord(id=os.path.splitext(name)[0], hand=hand, is_left=bool(is_left)))
     if not records:
-        raise EmptyDataset(f"no parseable annotation files in {labels_dir}")
+        raise InputError(f"no parseable annotation files in {labels_dir}")
     return records, skipped
 
 
@@ -116,21 +116,21 @@ def mirror_left(pose: PoseHand, hand: Hand21, width: float):
 
 
 def sample_gold_roi(s: Sample):
-    """The sample's gold ROI; a degenerate gold hand is an InvalidDataset naming the sample."""
+    """The sample's gold ROI; a degenerate gold hand is an InputError naming the sample."""
     try:
         return gold_roi(s.hand, s.width, s.height)
     except DegenerateHand as e:
-        raise InvalidDataset(f"sample {s.id!r} has a degenerate gold hand: {e}") from None
+        raise InputError(f"sample {s.id!r} has a degenerate gold hand: {e}") from None
 
 
 def _utf8_lines(path):
-    """(line number, stripped text) of each non-blank line; bad UTF-8 is a ParseError."""
+    """(line number, stripped text) of each non-blank line; bad UTF-8 is an InputError."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as e:
-                raise ParseError(f"{path} line {lineno}: {e}") from None
+                raise InputError(f"{path} line {lineno}: {e}") from None
             if line:
                 yield lineno, line
 
@@ -146,25 +146,23 @@ def _parse_sidecar_line(line, where):
         kps = [doc[key] for key in POSE_KEYS]
         _check_json_numbers(kps)
         kps = [Vec3(float(x), float(y), float(z)) for x, y, z in kps]
-    except ParseError:
-        raise
     except Exception as e:
-        raise ParseError(f"{where}: {e}") from e
+        raise InputError(f"{where}: {e}") from e
     return sid, width, height, handedness, PoseHand(*kps)
 
 
 def read_pose_sidecar(sidecar_path):
     """The sidecar's poses by id: {id: (width, height, handedness, PoseHand)}.
 
-    A malformed line is a ParseError and a repeated id a DuplicateId, each
-    naming the file and line.
+    A malformed line or a repeated id is an InputError naming the file and
+    line.
     """
     poses = {}
     for lineno, line in _utf8_lines(sidecar_path):
         where = f"{sidecar_path} line {lineno}"
         sid, width, height, handedness, pose = _parse_sidecar_line(line, where)
         if sid in poses:
-            raise DuplicateId(f"{where}: duplicate id {sid!r}")
+            raise InputError(f"{where}: duplicate id {sid!r}")
         poses[sid] = (width, height, handedness, pose)
     return poses
 
@@ -256,13 +254,13 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n <= 0:
-            raise InvalidDataset("n must be positive")
+            raise InputError("n must be positive")
         if self.seed < 0:
-            raise InvalidDataset(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.noise_px < math.inf):
-            raise InvalidDataset(f"noise_px must be finite and >= 0, got {self.noise_px}")
+            raise InputError(f"noise_px must be finite and >= 0, got {self.noise_px}")
         if not (0.0 <= self.max_tilt_deg <= 90.0):
-            raise InvalidDataset("max_tilt_deg must be in [0, 90]")
+            raise InputError("max_tilt_deg must be in [0, 90]")
 
 
 def _rotation_matrix(phi_deg, tilt_deg, axis_deg):
@@ -339,7 +337,7 @@ def synth_generate(cfg: SynthConfig):
 
     A sample whose gold hand is degenerate or whose landmarks or keypoints
     are not finite is drawn again, and MAX_REDRAWS such draws in a row
-    raise InvalidDataset naming the sample index.
+    raise InputError naming the sample index.
     """
     rng = np.random.default_rng(cfg.seed)
     n_train = int(round(0.7 * cfg.n))
@@ -350,11 +348,11 @@ def synth_generate(cfg: SynthConfig):
             try:
                 s = _make_synth_sample(rng, cfg, i, split)
                 gold_roi(s.hand, s.width, s.height)
-            except (DegenerateHand, DegenerateGeometry):
+            except DegenerateHand:
                 continue
             break
         else:
-            raise InvalidDataset(f"synthetic sample {i} drew a degenerate hand {MAX_REDRAWS} times in a row")
+            raise InputError(f"synthetic sample {i} drew a degenerate hand {MAX_REDRAWS} times in a row")
         samples.append(s)
     return samples
 
@@ -449,11 +447,11 @@ def read_samples(path):
         try:
             s = sample_from_dict(json.loads(line))
         except Exception as e:
-            raise ParseError(f"{path} line {lineno}: {e}") from e
+            raise InputError(f"{path} line {lineno}: {e}") from e
         if s.id in ids:
-            raise DuplicateId(f"{path} line {lineno}: duplicate sample id {s.id!r}")
+            raise InputError(f"{path} line {lineno}: duplicate sample id {s.id!r}")
         ids.add(s.id)
         samples.append(s)
     if not samples:
-        raise EmptyDataset(f"no samples in {path}")
+        raise InputError(f"no samples in {path}")
     return samples

@@ -1,71 +1,22 @@
-"""Typed errors shared across the package.
+"""The package's errors: one type per command-line exit code.
 
-Each error carries the exit code the command line returns for it: 2 for
-usage, input, weights and divergence errors, 3 for a mismatch between
-files, 4 for an id that is not found, 1 for any other (internal) error.
+Each type carries the exit code the command line returns for it: 2 for an
+input the command cannot use (a flag value, a malformed or empty file, a
+weights file of another layout, training that diverges), 3 for two row
+files that do not cover the same sample ids, 4 for an id that is not
+found, and 1 for a broken internal precondition that no command-line
+input reaches. DegenerateHand is the one error that callers catch.
 """
 
 
 class HandRoiError(Exception):
-    """Base class for all handroi errors."""
+    """Base class of all handroi errors; raised itself for a broken internal precondition."""
     exit_code = 1
 
 
-class UsageError(HandRoiError):
-    """A command line asks for something the command cannot do."""
+class InputError(HandRoiError):
+    """A command line, data file or weights file the command cannot use."""
     exit_code = 2
-
-
-class NotFound(HandRoiError):
-    """A requested sample id is not in the dataset."""
-    exit_code = 4
-
-
-class DegenerateGeometry(HandRoiError):
-    """Geometric input has no usable extent (coincident points, zero areas)."""
-
-
-class InvalidAspect(HandRoiError):
-    """Aspect ratio must be strictly positive."""
-
-
-class InvalidImage(HandRoiError):
-    """Image dimensions must be strictly positive."""
-
-
-class DegenerateHand(HandRoiError):
-    """Hand keypoints collapse to a zero-size hand."""
-
-
-class InvalidSample(HandRoiError):
-    """Sample carries non-finite or otherwise unusable values."""
-
-
-class ShapeError(HandRoiError):
-    """Array shapes are inconsistent with the network layout."""
-
-
-class InvalidDataset(HandRoiError):
-    """Dataset cannot be used for the requested operation."""
-    exit_code = 2
-
-
-class EmptyDataset(InvalidDataset):
-    """No usable samples."""
-
-
-class TrainingDiverged(HandRoiError):
-    """Loss became non-finite during training."""
-    exit_code = 2
-
-
-class ParseError(HandRoiError):
-    """A data file could not be parsed; carries file/line context."""
-    exit_code = 2
-
-
-class DuplicateId(ParseError):
-    """The same sample id appears more than once."""
 
 
 class JoinError(HandRoiError):
@@ -73,10 +24,10 @@ class JoinError(HandRoiError):
     exit_code = 3
 
 
-class WeightsFormatError(HandRoiError):
-    """Weights file is malformed (truncated, bad shapes)."""
-    exit_code = 2
+class NotFound(HandRoiError):
+    """A requested sample id is not in the dataset."""
+    exit_code = 4
 
 
-class VersionError(WeightsFormatError):
-    """Weights file magic or format version is not recognized."""
+class DegenerateHand(HandRoiError):
+    """Hand landmarks or keypoints give no usable box: too few, coincident or not finite."""

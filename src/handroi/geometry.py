@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidImage
+from .errors import DegenerateHand, HandRoiError
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class Vec3:
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise DegenerateGeometry(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
+            raise DegenerateHand(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
 
 
 def normalize_deg(angle):
@@ -45,27 +45,6 @@ def circular_diff_deg(a, b):
     """Absolute angular difference wrapped on the 360 circle, in [0, 180]; array-valued."""
     d = np.abs(np.subtract(a, b)) % 360.0
     return np.minimum(d, 360.0 - d)
-
-
-def quads(cx, cy, size, rot_deg, width, height) -> np.ndarray:
-    """Pixel corners (N, 4, 2) of N oriented squares given in normalized coords.
-
-    Corner offsets are laid out in height units, rotated, aspect-corrected
-    back to normalized x, then scaled to pixels. Corner order keeps the
-    shoelace sum non-negative.
-    """
-    cx, cy, size, rot_deg, width, height = (
-        np.asarray(v, dtype=np.float64)[:, None] for v in (cx, cy, size, rot_deg, width, height)
-    )
-    th = rot_deg * (math.pi / 180.0)
-    c, s = np.cos(th), np.sin(th)
-    h = size * 0.5
-    ox = h * np.array([-1.0, 1.0, 1.0, -1.0])
-    oy = h * np.array([-1.0, -1.0, 1.0, 1.0])
-    rx = ox * c - oy * s
-    ry = ox * s + oy * c
-    rho = width / height
-    return np.stack([(cx + rx / rho) * width, (cy + ry) * height], axis=-1)
 
 
 def areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -126,14 +105,29 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
 
 
 def box_quads(boxes, widths, heights) -> np.ndarray:
-    """Pixel corners (N, 4, 2) of a box array on images of widths x heights."""
+    """Pixel corners (N, 4, 2) of a box array on images of widths x heights.
+
+    Corner offsets are laid out in height units, rotated, aspect-corrected
+    back to normalized x, then scaled to pixels. Corner order keeps the
+    shoelace sum non-negative.
+    """
     widths = np.asarray(widths, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64)
     bad = np.flatnonzero(~((widths > 0) & (heights > 0)))
     if bad.size:
         i = bad[0]
-        raise InvalidImage(f"image dims must be positive, got {widths[i]:g}x{heights[i]:g}")
-    return quads(*np.asarray(boxes, dtype=np.float64).T, widths, heights)
+        raise HandRoiError(f"image dims must be positive, got {widths[i]:g}x{heights[i]:g}")
+    cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T[:, :, None]
+    width, height = widths[:, None], heights[:, None]
+    th = rot_deg * (math.pi / 180.0)
+    c, s = np.cos(th), np.sin(th)
+    h = size * 0.5
+    ox = h * np.array([-1.0, 1.0, 1.0, -1.0])
+    oy = h * np.array([-1.0, -1.0, 1.0, 1.0])
+    rx = ox * c - oy * s
+    ry = ox * s + oy * c
+    rho = width / height
+    return np.stack([(cx + rx / rho) * width, (cy + ry) * height], axis=-1)
 
 
 def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
@@ -151,7 +145,7 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     qa = box_quads(preds, widths, heights)
     qb = box_quads(golds, widths, heights)
     if np.any((preds[:, 2] == 0.0) & (golds[:, 2] == 0.0)):
-        raise DegenerateGeometry("IoU of two zero-area ROIs is undefined")
+        raise HandRoiError("IoU of two zero-area ROIs is undefined")
     origin = (qa[:, :1] + qb[:, :1]) * 0.5
     qa, qb = qa - origin, qb - origin
     fours = np.full(qa.shape[0], 4)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHand, InvalidAspect, InvalidImage
+from .errors import DegenerateHand, HandRoiError
 from .geometry import Vec3, normalize_deg
 
 # landmark indices in the standard 21-point hand topology
@@ -71,7 +71,7 @@ def calc_hand_roi(wrist, index, pinky, rho):
     rho = np.asarray(rho, dtype=np.float64)
     bad = rho[~((rho > 0) & np.isfinite(rho))]
     if bad.size:
-        raise InvalidAspect(f"aspect ratio must be > 0, got {bad[0]}")
+        raise HandRoiError(f"aspect ratio must be > 0, got {bad[0]}")
     (wx, wy), (ix, iy), (px, py) = (np.asarray(v, dtype=np.float64).T for v in (wrist, index, pinky))
     cx = (2 * ix + px) / 3.0
     cy = (2 * iy + py) / 3.0
@@ -91,7 +91,7 @@ def calc_hand_roi(wrist, index, pinky, rho):
 def closed_form_size(wx, wy, ix, iy, px, py, rho) -> float:
     """Single-expression equivalent of the estimator's size, from wrist, index and pinky (x, y)."""
     if not (rho > 0) or not math.isfinite(rho):
-        raise InvalidAspect(f"aspect ratio must be > 0, got {rho}")
+        raise HandRoiError(f"aspect ratio must be > 0, got {rho}")
     cx = (2 * ix + px) / 3.0
     cy = (2 * iy + py) / 3.0
     return 5.4 * math.sqrt(rho ** 2 * (wx - cx) ** 2 + (wy - cy) ** 2)
@@ -107,7 +107,7 @@ def gold_roi(hand: Hand21, width: float, height: float):
     DegenerateHand.
     """
     if not (width > 0 and height > 0):
-        raise InvalidImage(f"image dims must be positive, got {width}x{height}")
+        raise HandRoiError(f"image dims must be positive, got {width}x{height}")
     xs = [p[0] for p in hand.points]
     ys = [p[1] for p in hand.points]
     wx, wy = xs[WRIST], ys[WRIST]

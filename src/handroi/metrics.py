@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import sample_gold_roi
-from .errors import EmptyDataset, JoinError, ParseError
+from .errors import InputError, JoinError
 from .geometry import circular_diff_deg, rotated_ious
 
 CSV_COLUMNS = ("sample_id", "method", "iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed")
@@ -77,11 +77,11 @@ def evaluate(predict, samples, method: str = ""):
     `predict` maps the list of N samples to (boxes, failed), an (N, 4) box
     array and an (N,) bool mask. A row whose scores are not finite (a box
     too large for float arithmetic) is failed too. A sample whose gold hand
-    is degenerate raises InvalidDataset. Rows keep the sample order.
+    is degenerate raises InputError. Rows keep the sample order.
     """
     samples = list(samples)
     if not samples:
-        raise EmptyDataset("no samples to evaluate")
+        raise InputError("no samples to evaluate")
     golds = np.array([sample_gold_roi(s) for s in samples], dtype=np.float64)
     boxes, failed = predict(samples)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -106,7 +106,7 @@ def _mean(col) -> float:
 
 def summarize(rows: Rows) -> MetricsSummary:
     if not len(rows):
-        raise EmptyDataset("no rows to summarize")
+        raise InputError("no rows to summarize")
     ok = ~rows.failed
     return MetricsSummary(
         mean_iou=_mean(rows.iou),
@@ -175,12 +175,14 @@ def _parse_row(rec):
 
 
 def read_rows_csv(path) -> Rows:
-    """The table written by write_rows_csv; raises ParseError naming the bad line.
+    """The table written by write_rows_csv; raises InputError naming the bad line.
 
-    The file needs at least one row, every row the same method, and every
-    row the invariants of `Rows`, with empty error fields where it failed.
+    The file needs at least one row, every row the same method and its own
+    sample id, and every row the invariants of `Rows`, with empty error
+    fields where it failed.
     """
     parsed = []
+    ids = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -190,13 +192,16 @@ def read_rows_csv(path) -> Rows:
                 if not rec:
                     continue
                 parsed.append(_parse_row(rec))
-                method, first = parsed[-1][1], parsed[0][1]
+                (sid, method), first = parsed[-1][:2], parsed[0][1]
                 if method != first:
                     raise ValueError(f"method {method!r} differs from the first row's {first!r}")
+                if sid in ids:
+                    raise ValueError(f"duplicate sample id {sid!r}")
+                ids.add(sid)
             if not parsed:
                 raise ValueError("no rows after the header")
         except (ValueError, csv.Error) as e:
-            raise ParseError(f"{path} line {max(reader.line_num, 1)}: {e}") from None
+            raise InputError(f"{path} line {max(reader.line_num, 1)}: {e}") from None
     ids, methods, iou, errs, failed = zip(*parsed)
     errs = np.array(errs, dtype=np.float64)
     return Rows(ids, methods[0], np.array(iou), *errs.T, np.array(failed))

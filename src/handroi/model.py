@@ -20,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import sample_gold_roi
-from .errors import (
-    EmptyDataset,
-    InvalidDataset,
-    InvalidSample,
-    ShapeError,
-    TrainingDiverged,
-    VersionError,
-    WeightsFormatError,
-)
+from .errors import HandRoiError, InputError
 from .geometry import normalize_deg
 from .heuristic import calc_hand_roi
 
@@ -81,10 +73,10 @@ class Mlp:
 
     def __init__(self, layer_sizes, theta):
         if len(layer_sizes) < 2:
-            raise ShapeError("need at least input and output layer")
+            raise HandRoiError("need at least input and output layer")
         n = _n_params(layer_sizes)
         if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64 and theta.shape == (n,)):
-            raise ShapeError(f"theta must be {n} float64 values for layers {list(layer_sizes)}")
+            raise HandRoiError(f"theta must be {n} float64 values for layers {list(layer_sizes)}")
         self.layer_sizes = list(layer_sizes)
         self.theta = theta
         views = _layer_views(layer_sizes, theta)
@@ -116,7 +108,7 @@ class Mlp:
         """Outputs (N, out) of the (N, in) input rows."""
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
-            raise ShapeError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
+            raise HandRoiError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
         return self._activations(a)[-1]
 
     def gradient(self, inputs, targets):
@@ -128,9 +120,9 @@ class Mlp:
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         if x.shape[0] != t.shape[0]:
-            raise ShapeError("batch inputs and targets disagree in length")
+            raise HandRoiError("batch inputs and targets disagree in length")
         if x.shape[1] != self.layer_sizes[0] or t.shape[1] != self.layer_sizes[-1]:
-            raise ShapeError("batch widths inconsistent with the network layout")
+            raise HandRoiError("batch widths inconsistent with the network layout")
         acts = self._activations(x)
         err = acts[-1] - t
         delta = 2.0 * err / err.size
@@ -158,7 +150,7 @@ def featurize(samples) -> np.ndarray:
         dtype=np.float64,
     ).reshape(-1, FEATURE_DIM)
     if not np.all(np.isfinite(X)):
-        raise InvalidSample("non-finite feature value")
+        raise HandRoiError("non-finite feature value")
     return X
 
 
@@ -170,11 +162,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise InvalidDataset("epochs must be positive")
+            raise InputError("epochs must be positive")
         if self.seed < 0:
-            raise InvalidDataset(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.angle_mode not in ANGLE_MODES:
-            raise InvalidDataset(f"unknown angle_mode {self.angle_mode!r}")
+            raise InputError(f"unknown angle_mode {self.angle_mode!r}")
 
 
 @dataclass
@@ -191,7 +183,7 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
     """Train one head with Adam; returns (net, per-epoch log rows).
 
     A non-finite train or validation loss at the end of an epoch raises
-    TrainingDiverged.
+    InputError.
     """
     rng = np.random.default_rng([cfg.seed, head_tag])
     net = Mlp.init(layer_sizes, rng)
@@ -231,7 +223,7 @@ def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
         train_loss = loss_on(Xtr, Ytr)
         val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise TrainingDiverged(f"training diverged: non-finite loss at epoch {epoch}")
+            raise InputError(f"training diverged: non-finite loss at epoch {epoch}")
         log.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
@@ -255,11 +247,11 @@ def train_predictor(samples, cfg: TrainConfig):
     """Train the heads independently; returns (predictor, {head name: log rows})."""
     samples = list(samples)
     if len(samples) < 2:
-        raise EmptyDataset("need at least 2 training samples")
+        raise InputError("need at least 2 training samples")
     X, *targets = roi_targets(samples, cfg.angle_mode)
     nets, logs = [], {}
     # features or targets too large for float arithmetic end in a non-finite
-    # loss, which _train_head raises as TrainingDiverged
+    # loss, which _train_head raises as an InputError
     with np.errstate(over="ignore", invalid="ignore"):
         for tag, (name, Y, layout) in enumerate(zip(HEADS, targets, head_layouts(cfg.angle_mode))):
             net, logs[name] = _train_head(X, Y, layout, cfg, head_tag=tag)
@@ -324,7 +316,7 @@ def _header(angle_mode: str) -> bytes:
 def save_weights(p: RoiPredictor, path):
     layouts = head_layouts(p.angle_mode)
     if [head.layer_sizes for head in p.heads] != layouts:
-        raise ShapeError(f"heads must be laid out {layouts} for {p.angle_mode} angles")
+        raise HandRoiError(f"heads must be laid out {layouts} for {p.angle_mode} angles")
     with open(path, "wb") as fh:
         fh.write(_header(p.angle_mode) + b"".join(head.theta.astype("<f8").tobytes() for head in p.heads))
 
@@ -333,13 +325,13 @@ def load_weights(path) -> RoiPredictor:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:6] != _MAGIC + struct.pack("<H", _VERSION):
-        raise VersionError(f"{path} is not a version {_VERSION} handroi weights file")
+        raise InputError(f"{path} is not a version {_VERSION} handroi weights file")
     for angle_mode in ANGLE_MODES:
         header = _header(angle_mode)
         if data.startswith(header):
             break
     else:
-        raise WeightsFormatError(
+        raise InputError(
             f"bad header in {path}: expected feature spec {FEATURE_SPEC!r} "
             f"and heads laid out as {head_layouts('sincos')} or {head_layouts('scalar')}"
         )
@@ -347,9 +339,9 @@ def load_weights(path) -> RoiPredictor:
     counts = [_n_params(sizes) for sizes in layouts]
     body = data[len(header) :]
     if len(body) != 8 * sum(counts):
-        raise WeightsFormatError(f"{path} holds {len(body)} parameter bytes, expected {8 * sum(counts)}")
+        raise InputError(f"{path} holds {len(body)} parameter bytes, expected {8 * sum(counts)}")
     theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(theta)):
-        raise WeightsFormatError(f"non-finite parameters in {path}")
+        raise InputError(f"non-finite parameters in {path}")
     thetas = np.split(theta, np.cumsum(counts)[:-1])
     return RoiPredictor(tuple(map(Mlp, layouts, thetas)), angle_mode)

@@ -85,7 +85,7 @@ def _polygon(quad, color):
 
 
 def _bottom_tick(quad):
-    # geometry.quads' corner order puts the pre-rotation bottom edge at 2 -> 3
+    # geometry.box_quads' corner order puts the pre-rotation bottom edge at 2 -> 3
     (x1, y1), (x2, y2) = quad[2], quad[3]
     return (
         f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '

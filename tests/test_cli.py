@@ -313,6 +313,8 @@ class TestBadFlagValues:
             ["synth", "--n", "10", "--seed", "1", "--noise-px", "inf"],
             # finite, but so large that every draw of a sample is degenerate
             ["synth", "--n", "10", "--seed", "1", "--noise-px", "1e200"],
+            # some draws overflow a pose keypoint, which Vec3 rejects as a degenerate hand
+            ["synth", "--n", "10", "--seed", "1", "--noise-px", "1e308"],
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, small_dataset, capsys, argv):
@@ -760,6 +762,25 @@ class TestEval:
         assert code == 2
         assert err == [f"error: non-finite parameters in {bad}"]
 
+    def test_all_failed_manifest_is_strict_json(self, tmp_path, small_dataset):
+        # every forward pass overflows, so every row fails and the error means are NaN
+        p = md.new_predictor()
+        for head in p.heads:
+            head.theta[:] = 1e300
+        weights = tmp_path / "huge.hroi"
+        md.save_weights(p, weights)
+        assert self.eval_mlp(tmp_path, small_dataset, weights) == (0, [])
+
+        def reject(name):
+            raise ValueError(f"manifest holds the non-JSON constant {name}")
+
+        manifest = (tmp_path / "rows.csv.manifest.json").read_text()
+        counts = json.loads(manifest, parse_constant=reject)["counts"]
+        assert counts["mean_iou"] == 0.0
+        assert counts["mean_center_err"] is None
+        assert counts["mean_scale_err"] is None and counts["mean_rot_err"] is None
+        assert "mean_center_err=nan\n" in (tmp_path / "rows.csv.summary.txt").read_text()
+
     def test_mlp_with_weights(self, tmp_path, small_dataset, trained_weights):
         out = tmp_path / "rows.csv"
         code = run(
@@ -885,6 +906,18 @@ class TestCompare:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
+    def test_repeated_id_exit_2(self, tmp_path, small_dataset):
+        rows = self.eval_rows(tmp_path, small_dataset, "h")
+        text = rows.read_text()
+        sid = text.splitlines()[1].split(",")[0]
+        dup = tmp_path / "dup.csv"
+        dup.write_text(edit_rows(text, (4, "sample_id"), sid))
+        report = tmp_path / "r.txt"
+        code, err = run_quiet("compare", "--rows-a", str(dup), "--rows-b", str(dup), "--report", str(report))
+        assert code == 2
+        assert err == [f"error: {dup} line 4: duplicate sample id {sid!r}"]
+        assert not report.exists()
+
     def test_deterministic_outputs(self, tmp_path, small_dataset):
         rows = self.eval_rows(tmp_path, small_dataset, "h")
         r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
@@ -959,26 +992,22 @@ class TestRender:
         assert a.read_bytes() == b.read_bytes()
 
 
+def error_types():
+    """(type, exit code) of every exception class handroi.errors defines, then of OSError."""
+    types = [v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)]
+    return [(t, t.exit_code) for t in types] + [(OSError, 2)]
+
+
+# error types that handroi.errors no longer defines; the README must not name them
+DELETED_ERROR_TYPES = (
+    "DegenerateGeometry", "DuplicateId", "EmptyDataset", "InvalidAspect", "InvalidDataset", "InvalidImage",
+    "InvalidSample", "ParseError", "ShapeError", "TrainingDiverged", "UsageError", "VersionError",
+    "WeightsFormatError",
+)
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize(
-        "error, code",
-        [
-            (errors.UsageError, 2),
-            (errors.InvalidDataset, 2),
-            (errors.EmptyDataset, 2),
-            (errors.ParseError, 2),
-            (errors.DuplicateId, 2),
-            (errors.TrainingDiverged, 2),
-            (errors.WeightsFormatError, 2),
-            (errors.VersionError, 2),
-            (errors.JoinError, 3),
-            (errors.NotFound, 4),
-            (errors.HandRoiError, 1),
-            (errors.DegenerateHand, 1),
-            (errors.ShapeError, 1),
-            (OSError, 2),
-        ],
-    )
+    @pytest.mark.parametrize("error, code", error_types())
     def test_exit_code_of_error_type(self, tmp_path, monkeypatch, error, code):
         def fail(args):
             raise error("boom")
@@ -1041,6 +1070,15 @@ class TestReadme:
         with open(README, encoding="utf-8") as fh:
             text = re.sub(r"```.*?```", "", fh.read(), flags=re.S)
         return [span.split() for span in re.findall(r"`([^`]+)`", text)]
+
+    def test_error_table_matches_errors_module(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        # each row of the error table: | `TypeName` | `exit code` | ...
+        table = [(name, int(code)) for name, code in re.findall(r"^\| `(\w+)` \| `(\d)` \|", text, flags=re.M)]
+        assert sorted(table) == sorted((t.__name__, code) for t, code in error_types())
+        assert [name for name in DELETED_ERROR_TYPES if re.search(rf"\b{name}\b", text)] == []
+        assert [name for name in DELETED_ERROR_TYPES if hasattr(errors, name)] == []
 
     def test_spans_name_only_parser_flags(self):
         flags = self.parser_flags()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handroi.errors import DegenerateGeometry, InvalidImage
+from handroi.errors import DegenerateHand, HandRoiError
 from handroi.geometry import (
+    Vec3,
     areas,
     box_quads,
     circular_diff_deg,
@@ -76,7 +77,7 @@ class TestBoxQuads:
         assert np.mean(xs) == pytest.approx(100) and np.mean(ys) == pytest.approx(50)
 
     def test_invalid_dims(self):
-        with pytest.raises(InvalidImage):
+        with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x100$"):
             box_quad((0.5, 0.5, 0.5, 0.0), 0, 100)
 
     def test_orientation_positive_shoelace(self, rng):
@@ -150,7 +151,7 @@ class TestRotatedIou:
 
     def test_both_degenerate_raises(self):
         a = (0.5, 0.5, 0.0, 0.0)
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(HandRoiError, match="^IoU of two zero-area ROIs is undefined$"):
             rotated_iou(a, a, 100, 100)
 
     def test_one_degenerate_is_zero(self):
@@ -243,7 +244,7 @@ class TestRotatedIous:
 
     def test_bad_dims_in_batch(self):
         r = np.array([(0.5, 0.5, 0.3, 0.0)] * 2)
-        with pytest.raises(InvalidImage):
+        with pytest.raises(HandRoiError, match="^image dims must be positive, got 640x0$"):
             rotated_ious(r, r, [640, 640], [480, 0])
 
 
@@ -265,3 +266,11 @@ class TestCircularDiff:
             assert circular_diff_deg(a, b) == pytest.approx(circular_diff_deg(b, a))
             assert circular_diff_deg(a, a + 360.0 * k) == pytest.approx(0.0, abs=1e-9)
             assert 0.0 <= circular_diff_deg(a, b) <= 180.0
+
+
+class TestVec3:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_degenerate_hand(self, value):
+        # synth redraws a sample on DegenerateHand alone, so an overflowing keypoint must raise it
+        with pytest.raises(DegenerateHand, match=r"^non-finite Vec3 \("):
+            Vec3(0.5, 0.5, value)

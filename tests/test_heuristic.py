@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_calc_hand_roi, tight_box
-from handroi.errors import DegenerateHand, InvalidAspect
+from handroi.errors import DegenerateHand, HandRoiError
 from handroi.geometry import areas, box_quads, circular_diff_deg
 from handroi.heuristic import Hand21, calc_hand_roi, closed_form_size, gold_roi
 
@@ -42,9 +42,9 @@ class TestCalcHandRoi:
         assert failed and box[2] == 0.0
 
     def test_bad_rho(self):
-        with pytest.raises(InvalidAspect):
+        with pytest.raises(HandRoiError, match="^aspect ratio must be > 0, got -2.0$"):
             calc_hand_roi([(0, 0)], [(1, 0)], [(1, 0)], [-2.0])
-        with pytest.raises(InvalidAspect):
+        with pytest.raises(HandRoiError, match="^aspect ratio must be > 0, got nan$"):
             calc_hand_roi([(0, 0)] * 2, [(1, 0)] * 2, [(1, 0)] * 2, [1.0, math.nan])
 
     def test_size_matches_closed_form(self, rng):
@@ -127,6 +127,15 @@ class TestGoldRoi:
         assert rotation == pytest.approx(0.0)
         # square side = twice the larger extent of the landmark bbox, in height units
         assert size == pytest.approx(2 * 100.0 / 400.0)
+
+    def test_zero_confidence_landmark_still_bounded(self):
+        # the gold box bounds all 21 landmarks whatever their confidence
+        pts = list(self.axis_aligned_hand().points)
+        pts[20] = (330.0, 200.0, 0.0)
+        gold = gold_roi(Hand21(points=tuple(pts)), 400, 400)
+        assert gold[2] == pytest.approx(2 * 210.0 / 400.0)
+        quad = box_quads([tight_box(gold)], [400], [400])[0]
+        assert quad[:, 0].max() == pytest.approx(330.0)
 
     def test_all_coincident(self):
         with pytest.raises(DegenerateHand):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import with_degenerate_gold
 from handroi.dataset import SynthConfig, synth_generate
-from handroi.errors import EmptyDataset, InvalidDataset, JoinError, ParseError
+from handroi.errors import InputError, JoinError
 from handroi.geometry import rotated_iou
 from handroi.heuristic import gold_roi
 from handroi.metrics import (
@@ -110,13 +110,13 @@ class TestEvaluate:
         assert summary.n == 3
 
     def test_empty(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(InputError, match="^no samples to evaluate$"):
             evaluate(lambda samples: (np.zeros((0, 4)), np.zeros(0, bool)), [])
 
     def test_degenerate_gold_names_sample(self):
         samples = self.samples(n=3)
         samples[1] = with_degenerate_gold(samples[1])
-        with pytest.raises(InvalidDataset, match=f"sample '{samples[1].id}' has a degenerate gold hand"):
+        with pytest.raises(InputError, match=f"sample '{samples[1].id}' has a degenerate gold hand"):
             evaluate(heuristic, samples)
 
     def test_one_predict_call(self):
@@ -300,12 +300,13 @@ class TestCsvRoundTrip:
             (HEADER + b"a,m,0.5,1,-2,3,0\n", 2),
             (HEADER + b"a,m,0.5,1,2,inf,0\n", 2),
             (HEADER + b"a,m,0.5,1,2,181,0\n", 2),
+            (HEADER + b"a,m,0.5,1,2,3,0\nb,m,0.5,1,2,3,0\na,m,0.5,1,2,3,0\n", 4),
         ],
     )
     def test_malformed_names_line(self, tmp_path, data, line):
         path = tmp_path / "rows.csv"
         path.write_bytes(data)
-        with pytest.raises(ParseError, match=f"line {line}:"):
+        with pytest.raises(InputError, match=f"line {line}:"):
             read_rows_csv(path)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -14,14 +15,7 @@ from conftest import (
     with_degenerate_gold,
 )
 from handroi.dataset import SynthConfig, synth_generate
-from handroi.errors import (
-    EmptyDataset,
-    InvalidDataset,
-    InvalidSample,
-    ShapeError,
-    VersionError,
-    WeightsFormatError,
-)
+from handroi.errors import HandRoiError, InputError
 from handroi.geometry import Vec3, circular_diff_deg
 from handroi.heuristic import PoseHand, calc_hand_roi
 from handroi.model import (
@@ -120,9 +114,9 @@ class TestForward:
 
     def test_shape_mismatch(self):
         net = Mlp.zeros([3, 2])
-        with pytest.raises(ShapeError):
+        with pytest.raises(HandRoiError, match=r"^input shape \(1, 4\) is not \(N, 3\)$"):
             net.forward(np.ones((1, 4)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(HandRoiError, match=r"^input shape \(3,\) is not \(N, 3\)$"):
             net.forward(np.ones(3))
 
     def test_views_share_theta(self):
@@ -137,7 +131,7 @@ class TestForward:
         "theta", [np.zeros(12), np.zeros(14), np.zeros((13, 1)), np.zeros(13, dtype=np.float32)]
     )
     def test_theta_shape_mismatch(self, theta):
-        with pytest.raises(ShapeError):
+        with pytest.raises(HandRoiError, match=r"^theta must be 13 float64 values for layers \[2, 3, 1\]$"):
             Mlp([2, 3, 1], theta)
 
 
@@ -187,7 +181,7 @@ class TestFeaturize:
         assert tuple(f[1, 6:9]) == (0.5, 0.8, -0.1) and f[1, 18] == 2.0
 
     def test_nonfinite_rho(self):
-        with pytest.raises(InvalidSample):
+        with pytest.raises(HandRoiError, match="^non-finite feature value$"):
             featurize([SAMPLE, with_pose(SAMPLE.pose, width=math.nan)])
 
     def test_empty(self):
@@ -244,18 +238,25 @@ class TestTraining:
         assert repr(log) == repr(ref_log)
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(InputError, match="^need at least 2 training samples$"):
             train_predictor([], TrainConfig())
 
     def test_degenerate_gold_names_sample(self):
         samples = synth_generate(SynthConfig(n=5, seed=2))
         samples[3] = with_degenerate_gold(samples[3])
-        with pytest.raises(InvalidDataset, match=f"sample '{samples[3].id}' has a degenerate gold hand"):
+        with pytest.raises(InputError, match=f"sample '{samples[3].id}' has a degenerate gold hand"):
             train_predictor(samples, TrainConfig(epochs=1))
 
-    @pytest.mark.parametrize("kwargs", [{"epochs": 0}, {"seed": -1}, {"angle_mode": "radians"}])
-    def test_bad_config(self, kwargs):
-        with pytest.raises(InvalidDataset):
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"epochs": 0}, "epochs must be positive"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"angle_mode": "radians"}, "unknown angle_mode 'radians'"),
+        ],
+    )
+    def test_bad_config(self, kwargs, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
             TrainConfig(**kwargs)
 
 
@@ -395,7 +396,7 @@ class TestWeightsIo(object):
     def test_save_rejects_other_layouts(self, tmp_path, layouts, angle_mode):
         p = RoiPredictor(tuple(map(Mlp.zeros, layouts)), angle_mode)
         f = tmp_path / "w.hroi"
-        with pytest.raises(ShapeError, match=f"laid out .* for {angle_mode} angles"):
+        with pytest.raises(HandRoiError, match=f"laid out .* for {angle_mode} angles"):
             save_weights(p, f)
         assert not f.exists()
 
@@ -405,7 +406,7 @@ class TestWeightsIo(object):
         data = bytearray(f.read_bytes())
         data[:4] = b"XXXX"
         f.write_bytes(bytes(data))
-        with pytest.raises(VersionError):
+        with pytest.raises(InputError, match=f"^{re.escape(str(f))} is not a version 1 handroi weights file$"):
             load_weights(f)
 
     def test_foreign_feature_spec(self, rng, tmp_path):
@@ -415,14 +416,14 @@ class TestWeightsIo(object):
         foreign = FEATURE_SPEC.replace("/v1", "/v0").encode()
         assert FEATURE_SPEC.encode() in data and len(foreign) == len(FEATURE_SPEC)
         f.write_bytes(data.replace(FEATURE_SPEC.encode(), foreign, 1))
-        with pytest.raises(WeightsFormatError, match="feature spec"):
+        with pytest.raises(InputError, match="feature spec"):
             load_weights(f)
 
     def test_input_width_not_feature_dim(self, rng, tmp_path):
         f = tmp_path / "w.hroi"
         save_weights(random_predictor(rng), f)
         patched(f, layer_size_at(1, 0), FEATURE_DIM - 1)  # the size head's input width
-        with pytest.raises(WeightsFormatError, match="bad header"):
+        with pytest.raises(InputError, match="bad header"):
             load_weights(f)
 
     @pytest.mark.parametrize("mode, angle_out", [("sincos", 1), ("scalar", 2)])
@@ -430,7 +431,7 @@ class TestWeightsIo(object):
         f = tmp_path / "w.hroi"
         save_weights(random_predictor(rng, mode), f)
         patched(f, layer_size_at(2, 3), angle_out)  # the angle head's output width
-        with pytest.raises(WeightsFormatError, match="bad header"):
+        with pytest.raises(InputError, match="bad header"):
             load_weights(f)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -439,12 +440,14 @@ class TestWeightsIo(object):
         p.heads[1].theta[7] = value
         f = tmp_path / "w.hroi"
         save_weights(p, f)
-        with pytest.raises(WeightsFormatError, match=f"non-finite parameters in {f}"):
+        with pytest.raises(InputError, match=f"non-finite parameters in {f}"):
             load_weights(f)
 
     def test_truncated(self, rng, tmp_path):
         f = tmp_path / "w.hroi"
-        save_weights(random_predictor(rng), f)
+        p = random_predictor(rng)
+        save_weights(p, f)
         f.write_bytes(f.read_bytes()[:-7])
-        with pytest.raises(WeightsFormatError):
+        n = 8 * sum(head.theta.size for head in p.heads)
+        with pytest.raises(InputError, match=f"^{re.escape(str(f))} holds {n - 7} parameter bytes, expected {n}$"):
             load_weights(f)
