@@ -2,7 +2,11 @@
 
 Everything is plain numpy float64: forward pass, exact MSE backprop,
 deterministic seeded Adam training, and a binary weights file (magic
-"HROI") that round-trips bitwise.
+"HROI") that round-trips bitwise. The heads train together, their hidden
+layers stacked into one gradient and one Adam step per minibatch; each head
+keeps its own seeded stream, so its weights are byte-identical to training
+it alone, and the first epoch at which any head's loss is not finite stops
+training.
 
 The predictor holds three heads, in `HEADS` order and laid out by
 `head_layouts`, sharing one 19-value feature vector (six (x, y, z) body
@@ -52,15 +56,72 @@ def _n_params(layer_sizes) -> int:
     return sum(i * o + o for i, o in zip(layer_sizes, layer_sizes[1:]))
 
 
-def _layer_views(layer_sizes, vec):
-    """Per-layer (W, b) views of a flat vector laid out W row-major, then b."""
-    views, off = [], 0
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+def _stack_views(layouts, vec):
+    """(hidden, outputs) views of a flat vector holding the heads of `layouts`.
+
+    The heads share their hidden layer sizes. Each hidden layer is stored
+    once for all K heads, W as (K, in, out) then b as (K, out); each head's
+    output layer follows, W (row-major) then b, in head order. For one head
+    this is an Mlp's theta layout: per layer W, then b.
+    """
+    k, sizes = len(layouts), layouts[0][:-1]
+    hidden, off = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        w = vec[off : off + k * fan_in * fan_out].reshape(k, fan_in, fan_out)
+        off += w.size
+        hidden.append((w, vec[off : off + k * fan_out].reshape(k, fan_out)))
+        off += k * fan_out
+    outputs = []
+    for fan_in, fan_out in (layout[-2:] for layout in layouts):
         w = vec[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
-        off += fan_in * fan_out
-        views.append((w, vec[off : off + fan_out]))
+        off += w.size
+        outputs.append((w, vec[off : off + fan_out]))
         off += fan_out
-    return views
+    return hidden, outputs
+
+
+def _hidden_activations(hidden, x):
+    """The (K, N, in) input rows and each hidden layer's ReLU output, per head."""
+    acts = [x]
+    for w, b in hidden:
+        acts.append(np.maximum(acts[-1] @ w + b[:, None, :], 0.0))
+    return acts
+
+
+def _gradient(params, grads, x, targets):
+    """Write each head's exact batch-MSE gradient into `grads`.
+
+    params and grads are _stack_views of theta and of a gradient buffer; x
+    holds the (K, B, in) batch rows and targets[k] head k's (B, out) rows.
+    Head k's loss is the mean of squared errors over its batch elements and
+    output dimensions. Each output layer runs on its own: one stacked over
+    heads of unequal widths would take other BLAS kernels and other bits.
+    """
+    hidden, outputs = params
+    acts = _hidden_activations(hidden, x)
+    deltas = []
+    for a, (w, b), t, (dw, db) in zip(acts[-1], outputs, targets, grads[1]):
+        err = a @ w + b - t
+        delta = 2.0 * err / err.size
+        dw[...] = a.T @ delta
+        db[...] = delta.sum(axis=0)
+        deltas.append(delta @ w.T)
+    if not hidden:
+        return
+    delta = np.stack(deltas) * (acts[-1] > 0.0)
+    for i in range(len(hidden) - 1, -1, -1):
+        dw, db = grads[0][i]
+        dw[...] = acts[i].transpose(0, 2, 1) @ delta
+        db[...] = delta.sum(axis=1)
+        if i > 0:
+            delta = (delta @ hidden[i][0].transpose(0, 2, 1)) * (acts[i] > 0.0)
+
+
+def _losses(params, x, targets):
+    """Each head's MSE over the (K, N, in) rows x and its (N, out) targets."""
+    hidden, outputs = params
+    h = _hidden_activations(hidden, x)[-1]
+    return [float(np.mean((a @ w + b - t) ** 2)) for a, (w, b), t in zip(h, outputs, targets)]
 
 
 class Mlp:
@@ -68,7 +129,8 @@ class Mlp:
 
     All parameters live in one float64 vector `theta`, per layer W
     (row-major) then b; `weights` and `biases` are views of it, so theta
-    must be updated in place.
+    must be updated in place. The net is the one-head case of the stacked
+    trainer's layout.
     """
 
     def __init__(self, layer_sizes, theta):
@@ -79,9 +141,10 @@ class Mlp:
             raise HandRoiError(f"theta must be {n} float64 values for layers {list(layer_sizes)}")
         self.layer_sizes = list(layer_sizes)
         self.theta = theta
-        views = _layer_views(layer_sizes, theta)
-        self.weights = [w for w, _ in views]
-        self.biases = [b for _, b in views]
+        self._params = _stack_views([self.layer_sizes], theta)
+        hidden, [output] = self._params
+        self.weights = [w[0] for w, _ in hidden] + [output[0]]
+        self.biases = [b[0] for _, b in hidden] + [output[1]]
 
     @classmethod
     def init(cls, layer_sizes, rng):
@@ -96,20 +159,13 @@ class Mlp:
     def zeros(cls, layer_sizes):
         return cls(layer_sizes, np.zeros(_n_params(layer_sizes)))
 
-    def _activations(self, x):
-        """The input and each layer's output, for the (N, in) rows x."""
-        acts = [x]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = acts[-1] @ w + b
-            acts.append(np.maximum(a, 0.0) if i < len(self.weights) - 1 else a)
-        return acts
-
     def forward(self, x):
         """Outputs (N, out) of the (N, in) input rows."""
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise HandRoiError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
-        return self._activations(a)[-1]
+        hidden, [(w, b)] = self._params
+        return _hidden_activations(hidden, a[None])[-1][0] @ w + b
 
     def gradient(self, inputs, targets):
         """Exact gradient, flat in theta's layout, of the batch's MSE.
@@ -123,17 +179,8 @@ class Mlp:
             raise HandRoiError("batch inputs and targets disagree in length")
         if x.shape[1] != self.layer_sizes[0] or t.shape[1] != self.layer_sizes[-1]:
             raise HandRoiError("batch widths inconsistent with the network layout")
-        acts = self._activations(x)
-        err = acts[-1] - t
-        delta = 2.0 * err / err.size
-        grad = np.empty_like(self.theta)
-        views = _layer_views(self.layer_sizes, grad)
-        for i in range(len(self.weights) - 1, -1, -1):
-            dw, db = views[i]
-            dw[...] = acts[i].T @ delta
-            db[...] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.weights[i].T) * (acts[i] > 0.0)
+        grad = np.zeros_like(self.theta)
+        _gradient(self._params, _stack_views([self.layer_sizes], grad), x[None], [t])
         return grad
 
 
@@ -179,56 +226,77 @@ def new_predictor(angle_mode: str = "sincos") -> RoiPredictor:
     return RoiPredictor(tuple(map(Mlp.zeros, head_layouts(angle_mode))), angle_mode)
 
 
-def _train_head(X, Y, layer_sizes, cfg: TrainConfig, head_tag: int):
-    """Train one head with Adam; returns (net, per-epoch log rows).
+def _train_heads(X, targets, layouts, cfg: TrainConfig):
+    """Train the heads of `layouts` together with Adam; returns (nets, per-head epoch log rows).
 
-    A non-finite train or validation loss at the end of an epoch raises
-    InputError.
+    targets[k] holds head k's (N, out) target rows. Head k draws its init,
+    its validation split and each epoch's order from its own stream
+    default_rng([seed, k]), so every head's weights and log are bitwise the
+    same as training it alone. Each step runs one stacked gradient (see
+    `_stack_views`) and one elementwise Adam update of all heads' parameters.
+    A non-finite train or validation loss of any head at the end of an epoch
+    raises InputError; features or targets too large for float arithmetic
+    end that way.
     """
-    rng = np.random.default_rng([cfg.seed, head_tag])
-    net = Mlp.init(layer_sizes, rng)
-    n = X.shape[0]
+    k, n = len(layouts), X.shape[0]
+    rngs = [np.random.default_rng([cfg.seed, tag]) for tag in range(k)]
+    theta = np.zeros(sum(map(_n_params, layouts)))
+    # each head's slots of the stacked theta, in its own Mlp theta order
+    hidden, outputs = _stack_views(layouts, np.arange(theta.size))
+    slots = [
+        np.concatenate([a[h].ravel() for layer in hidden for a in layer] + [a.ravel() for a in outputs[h]])
+        for h in range(k)
+    ]
+    params = _stack_views(layouts, theta)
     # round(0.1 n) < n for every n >= 1, so the train part is never empty
     n_val = int(round(VALIDATION_FRACTION * n))
-    perm = rng.permutation(n)
-    Xtr, Ytr = X[perm[n_val:]], Y[perm[n_val:]]
-    Xval, Yval = X[perm[:n_val]], Y[perm[:n_val]]
+    n_train = n - n_val
+    perms = []
+    for rng, layout, slot in zip(rngs, layouts, slots):
+        theta[slot] = Mlp.init(layout, rng).theta
+        perms.append(rng.permutation(n))
+    perms = np.array(perms)
+    Xtr, Xval = X[perms[:, n_val:]], X[perms[:, :n_val]]
+    Ytr = [Y[p] for Y, p in zip(targets, perms[:, n_val:])]
+    Yval = [Y[p] for Y, p in zip(targets, perms[:, :n_val])]
 
-    theta = net.theta
+    grad = np.zeros_like(theta)
+    grads = _stack_views(layouts, grad)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    def loss_on(Xs, Ys):
-        pred = net.forward(Xs)
-        return float(np.mean((pred - Ys) ** 2))
-
-    best = None
-    best_val = math.inf
-    log = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(Xtr.shape[0])
-        for start in range(0, Xtr.shape[0], BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            grad = net.gradient(Xtr[idx], Ytr[idx])
-            step += 1
-            bc1 = 1.0 - beta1 ** step
-            bc2 = 1.0 - beta2 ** step
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad ** 2
-            theta -= LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        train_loss = loss_on(Xtr, Ytr)
-        val_loss = loss_on(Xval, Yval) if n_val > 0 else train_loss
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise InputError(f"training diverged: non-finite loss at epoch {epoch}")
-        log.append((epoch, train_loss, val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best = theta.copy()
-    return Mlp(layer_sizes, best), log
+    best = [None] * k
+    best_val = [math.inf] * k
+    logs = [[] for _ in range(k)]
+    rows = np.arange(k)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = np.array([rng.permutation(n_train) for rng in rngs])
+            Xep = Xtr[rows, order]
+            Yep = [Y[o] for Y, o in zip(Ytr, order)]
+            for start in range(0, n_train, BATCH_SIZE):
+                batch = slice(start, start + BATCH_SIZE)
+                _gradient(params, grads, Xep[:, batch], [Y[batch] for Y in Yep])
+                step += 1
+                bc1 = 1.0 - beta1 ** step
+                bc2 = 1.0 - beta2 ** step
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad ** 2
+                theta -= LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            train_loss = _losses(params, Xtr, Ytr)
+            val_loss = _losses(params, Xval, Yval) if n_val > 0 else train_loss
+            if not all(map(math.isfinite, train_loss + val_loss)):
+                raise InputError(f"training diverged: non-finite loss at epoch {epoch}")
+            for h in range(k):
+                logs[h].append((epoch, train_loss[h], val_loss[h]))
+                if val_loss[h] < best_val[h]:
+                    best_val[h] = val_loss[h]
+                    best[h] = theta[slots[h]]
+    return [Mlp(layout, b) for layout, b in zip(layouts, best)], logs
 
 
 def roi_targets(samples, angle_mode: str = "sincos"):
@@ -244,19 +312,13 @@ def roi_targets(samples, angle_mode: str = "sincos"):
 
 
 def train_predictor(samples, cfg: TrainConfig):
-    """Train the heads independently; returns (predictor, {head name: log rows})."""
+    """Train the heads together (see `_train_heads`); returns (predictor, {head name: log rows})."""
     samples = list(samples)
     if len(samples) < 2:
         raise InputError("need at least 2 training samples")
     X, *targets = roi_targets(samples, cfg.angle_mode)
-    nets, logs = [], {}
-    # features or targets too large for float arithmetic end in a non-finite
-    # loss, which _train_head raises as an InputError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tag, (name, Y, layout) in enumerate(zip(HEADS, targets, head_layouts(cfg.angle_mode))):
-            net, logs[name] = _train_head(X, Y, layout, cfg, head_tag=tag)
-            nets.append(net)
-    return RoiPredictor(tuple(nets), cfg.angle_mode), logs
+    nets, logs = _train_heads(X, targets, head_layouts(cfg.angle_mode), cfg)
+    return RoiPredictor(tuple(nets), cfg.angle_mode), dict(zip(HEADS, logs))
 
 
 def predict_roi(p: RoiPredictor, X):

@@ -107,8 +107,8 @@ def scalar_quad_iou(qa, qb):
 def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
     """Reference trainer: separate W and b arrays, Adam looped per array.
 
-    Draws the same random stream as `model._train_head` (init per layer,
-    split permutation, one permutation per epoch) and returns
+    Draws the same random stream as one head of `model._train_heads` (init
+    per layer, split permutation, one permutation per epoch) and returns
     (theta, log), theta in the weights file's order: per layer W row-major,
     then b.
     """

@@ -24,8 +24,9 @@ from handroi.model import (
     Mlp,
     RoiPredictor,
     TrainConfig,
-    _train_head,
+    _train_heads,
     featurize,
+    head_layouts,
     heuristic_roi,
     hybrid_predict,
     load_weights,
@@ -188,11 +189,17 @@ class TestFeaturize:
         assert featurize([]).shape == (0, FEATURE_DIM)
 
 
+def train_one(X, Y, layer_sizes, cfg):
+    """(net, log) of one head trained alone, on seed tag 0."""
+    [net], [log] = _train_heads(X, [Y], [layer_sizes], cfg)
+    return net, log
+
+
 class TestTraining:
     def test_constant_target(self, rng):
         X = rng.uniform(0, 1, size=(40, 3))
         Y = np.full((40, 1), 0.7)
-        net, log = _train_head(X, Y, [3, 10, 10, 1], TrainConfig(epochs=4000, seed=9), head_tag=0)
+        net, log = train_one(X, Y, [3, 10, 10, 1], TrainConfig(epochs=4000, seed=9))
         final = float(np.mean((net.forward(X) - Y) ** 2))
         assert final < 1e-6
 
@@ -201,30 +208,31 @@ class TestTraining:
         b = rng.normal(size=2)
         X = rng.uniform(-1, 1, size=(300, 4))
         Y = X @ A + b
-        net, log = _train_head(X, Y, [4, 10, 10, 2], TrainConfig(epochs=1000, seed=3), head_tag=1)
-        best_val = min(v for _, _, v in log)
-        assert best_val < 1e-4
+        # two heads, so that the second one trains on seed tag 1
+        _, logs = _train_heads(X, [Y, Y], [[4, 10, 10, 2]] * 2, TrainConfig(epochs=1000, seed=3))
+        for log in logs:
+            assert min(v for _, _, v in log) < 1e-4
 
     def test_under_five_samples_validate_on_train(self, rng):
         # round(0.1 n) is 0 for n < 5, so the validation loss is the train loss
         X = rng.uniform(size=(4, 3))
         Y = rng.uniform(size=(4, 1))
-        _, log = _train_head(X, Y, [3, 10, 1], TrainConfig(epochs=3, seed=0), head_tag=0)
+        _, log = train_one(X, Y, [3, 10, 1], TrainConfig(epochs=3, seed=0))
         assert all(tr == val for _, tr, val in log)
 
     def test_determinism(self, rng):
         X = rng.uniform(size=(50, 3))
         Y = rng.uniform(size=(50, 2))
         cfg = TrainConfig(epochs=20, seed=42)
-        a, _ = _train_head(X, Y, [3, 10, 10, 2], cfg, head_tag=0)
-        b, _ = _train_head(X, Y, [3, 10, 10, 2], cfg, head_tag=0)
+        a, _ = train_one(X, Y, [3, 10, 10, 2], cfg)
+        b, _ = train_one(X, Y, [3, 10, 10, 2], cfg)
         assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_best_checkpoint_not_worse_than_first(self, rng):
         X = rng.uniform(size=(60, 3))
         Y = X @ rng.normal(size=(3, 1))
         cfg = TrainConfig(epochs=50, seed=1)
-        _, log = _train_head(X, Y, [3, 10, 1], cfg, head_tag=0)
+        _, log = train_one(X, Y, [3, 10, 1], cfg)
         assert min(v for _, _, v in log) <= log[0][2]
 
     @pytest.mark.parametrize("outputs", [1, 2])
@@ -232,10 +240,35 @@ class TestTraining:
         X = rng.uniform(-1, 1, size=(90, 5))
         Y = np.tanh(X @ rng.normal(size=(5, outputs)))
         cfg = TrainConfig(epochs=25, seed=11)
-        net, log = _train_head(X, Y, [5, 10, 10, outputs], cfg, head_tag=outputs)
-        ref_theta, ref_log = reference_train_head(X, Y, [5, 10, 10, outputs], cfg, head_tag=outputs)
-        assert net.theta.tobytes() == ref_theta.tobytes()
-        assert repr(log) == repr(ref_log)
+        layout = [5, 10, 10, outputs]
+        nets, logs = _train_heads(X, [Y] * 3, [layout] * 3, cfg)
+        for tag, (net, log) in enumerate(zip(nets, logs)):
+            ref_theta, ref_log = reference_train_head(X, Y, layout, cfg, head_tag=tag)
+            assert net.theta.tobytes() == ref_theta.tobytes()
+            assert repr(log) == repr(ref_log)
+
+    @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
+    def test_stacked_heads_match_reference_one_by_one(self, rng, angle_mode):
+        # 38 samples: 4 held out, and the 34 train rows end in a minibatch of 2
+        X = rng.uniform(-1, 1, size=(38, FEATURE_DIM))
+        # the size head has one output, the sincos angle head two
+        layouts = head_layouts(angle_mode)
+        targets = [np.tanh(X @ rng.normal(size=(FEATURE_DIM, sizes[-1]))) for sizes in layouts]
+        cfg = TrainConfig(epochs=15, seed=5, angle_mode=angle_mode)
+        nets, logs = _train_heads(X, targets, layouts, cfg)
+        for tag, (net, log, Y, sizes) in enumerate(zip(nets, logs, targets, layouts)):
+            ref_theta, ref_log = reference_train_head(X, Y, sizes, cfg, head_tag=tag)
+            assert net.theta.tobytes() == ref_theta.tobytes()
+            assert repr(log) == repr(ref_log)
+
+    def test_one_head_overflowing_stops_all_at_epoch_0(self, rng):
+        X = rng.uniform(size=(40, FEATURE_DIM))
+        layouts = head_layouts("sincos")
+        targets = [rng.uniform(size=(40, sizes[-1])) for sizes in layouts]
+        # only the size head's targets are too large to square
+        targets[1] = np.full((40, 1), 1e300)
+        with pytest.raises(InputError, match="^training diverged: non-finite loss at epoch 0$"):
+            _train_heads(X, targets, layouts, TrainConfig(epochs=5, seed=0))
 
     def test_empty_dataset(self):
         with pytest.raises(InputError, match="^need at least 2 training samples$"):
