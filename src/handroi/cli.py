@@ -55,7 +55,7 @@ def _write_manifest(out_path, command, config, counts):
 
 
 def _predictor_fn(method, weights_path):
-    """The batched predictor of one of METHODS: samples -> (boxes, failed)."""
+    """The batched predictor of one of METHODS: Dataset -> (boxes, failed)."""
     if method == "heuristic":
         if weights_path is not None:
             raise InputError(f"method {method!r} reads no weights")
@@ -66,8 +66,8 @@ def _predictor_fn(method, weights_path):
     else:
         predictor = md.load_weights(weights_path)
 
-    def predict(samples):
-        X = md.featurize(samples)
+    def predict(data):
+        X = md.featurize(data)
         if method == "heuristic":
             return md.heuristic_roi(X)
         # looked up per call, so a wrapper patched onto the model module is seen
@@ -135,8 +135,8 @@ def cmd_ingest(args):
 
 
 def cmd_train(args):
-    samples = ds.read_samples(_resolve(args.dataset, args))
-    train = [s for s in samples if s.split == "train"]
+    data = ds.read_samples(_resolve(args.dataset, args))
+    train = data.select(data.split == "train")
     cfg = md.TrainConfig(epochs=args.epochs, seed=args.seed, angle_mode=args.angle_mode)
     predictor, logs = md.train_predictor(train, cfg)
     out = _resolve(args.out, args)
@@ -161,9 +161,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    samples = ds.read_samples(_resolve(args.dataset, args))
-    test = [s for s in samples if s.split == "test"]
-    if not test:
+    data = ds.read_samples(_resolve(args.dataset, args))
+    test = data.select(data.split == "test")
+    if not len(test):
         raise InputError("dataset has no test split")
     predict = _predictor_fn(args.method, _resolve(args.weights, args))
     rows, summary = mx.evaluate(predict, test, method=args.method)
@@ -219,23 +219,23 @@ def cmd_compare(args):
 
 
 def cmd_render(args):
-    samples = ds.read_samples(_resolve(args.dataset, args))
-    matches = [s for s in samples if s.id == args.id]
-    if not matches:
+    data = ds.read_samples(_resolve(args.dataset, args))
+    matches = np.flatnonzero(data.ids == args.id)
+    if not matches.size:
         raise NotFound(f"sample id {args.id!r} not in dataset")
-    s = matches[0]
-    gold = ds.sample_gold_roi(s)
-    boxes, failed = _predictor_fn(args.method, _resolve(args.weights, args))([s])
+    s = data.select(matches[:1])
+    gold = ds.gold_boxes(s)[0]
+    boxes, failed = _predictor_fn(args.method, _resolve(args.weights, args))(s)
     # a finite box can still have pixel corners beyond float range: a failed prediction, as in eval
     with np.errstate(over="ignore", invalid="ignore"):
-        gold_quad, pred_quad = box_quads([gold, boxes[0]], [s.width] * 2, [s.height] * 2)
+        gold_quad, pred_quad = box_quads([gold, boxes[0]], [s.width[0]] * 2, [s.height[0]] * 2)
     pred_quads = [pred_quad]
     if failed[0] or not np.isfinite(pred_quad).all():
-        print(f"warning: failed prediction for {s.id}, rendering gold only", file=sys.stderr)
+        print(f"warning: failed prediction for {args.id}, rendering gold only", file=sys.stderr)
         pred_quads = []
     out = _resolve(args.out, args)
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svgmod.boxes_svg(s.width, s.height, gold_quad, pred_quads))
+        fh.write(svgmod.boxes_svg(int(s.width[0]), int(s.height[0]), gold_quad, pred_quads))
     _write_manifest(
         out,
         "render",

@@ -1,4 +1,10 @@
-"""Dataset ingestion and synthesis.
+"""Dataset ingestion, synthesis, and the dataset file's two sides.
+
+The write side (ingestion, synthesis, `write_samples`) builds one `Sample`
+object per sample and writes one JSON object per line. The read side
+(`read_samples`) parses that file straight into a columnar `Dataset`: one
+array per field, checked in bulk, with no per-sample objects; `gold_boxes`
+gives its gold boxes in one batch.
 
 Real data comes in two parts joined by sample id:
   * a directory of per-image annotation files (JSON with a 21x3 "hand_pts"
@@ -19,11 +25,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateHand, InputError
+from .errors import DegenerateHand, HandRoiError, InputError
 from .geometry import Vec3
 from .heuristic import (
     Hand21,
@@ -34,6 +40,7 @@ from .heuristic import (
     THUMB_LOW,
     WRIST,
     gold_roi,
+    gold_rois,
 )
 
 POSE_KEYS = ("shoulder", "elbow", "wrist", "thumb", "index", "pinky")
@@ -113,14 +120,6 @@ def mirror_left(pose: PoseHand, hand: Hand21, width: float):
     kps = [Vec3(1.0 - kp.x, kp.y, kp.z) for kp in pose.as_tuple()]
     pts = tuple((width - x, y, c) for x, y, c in hand.points)
     return PoseHand(*kps), Hand21(points=pts)
-
-
-def sample_gold_roi(s: Sample):
-    """The sample's gold ROI; a degenerate gold hand is an InputError naming the sample."""
-    try:
-        return gold_roi(s.hand, s.width, s.height)
-    except DegenerateHand as e:
-        raise InputError(f"sample {s.id!r} has a degenerate gold hand: {e}") from None
 
 
 def _utf8_lines(path):
@@ -412,27 +411,6 @@ def _image_dims(d):
     return width, height
 
 
-def sample_from_dict(d: dict) -> Sample:
-    pose = [d["pose"][k] for k in POSE_KEYS]
-    _check_json_numbers(d["hand"] + pose)
-    hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in d["hand"]))
-    pose = PoseHand(*[Vec3(*map(float, kp)) for kp in pose])
-    width, height = _image_dims(d)
-    if type(d["was_left"]) is not bool:
-        raise ValueError(f"was_left must be a JSON boolean, got {d['was_left']!r}")
-    if d["split"] not in SPLITS:
-        raise ValueError(f"split must be 'train' or 'test', got {d['split']!r}")
-    return Sample(
-        id=str(d["id"]),
-        width=width,
-        height=height,
-        hand=hand,
-        pose=pose,
-        was_left=d["was_left"],
-        split=d["split"],
-    )
-
-
 def write_samples(samples, path):
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
@@ -440,18 +418,187 @@ def write_samples(samples, path):
             fh.write("\n")
 
 
-def read_samples(path):
-    samples = []
-    ids = set()
+# ---------------------------------------------------------------------------
+# read side: the dataset file as columns
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """N samples as columns, in file order.
+
+    ids and split ("train" or "test") hold Python strings, width and height
+    the image dims (JSON integers above 0) as float64, and was_left bools.
+    hand is the (N, 21, 3) float64 array of pixel landmarks (x, y,
+    confidence), pose the (N, 6, 3) float64 array of normalized keypoints
+    (x, y, z) in POSE_KEYS order; a left hand's are already mirrored. Every
+    value is finite and every confidence in [0, 1].
+    """
+
+    ids: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+    split: np.ndarray
+    was_left: np.ndarray
+    hand: np.ndarray
+    pose: np.ndarray
+
+    def __len__(self):
+        return len(self.ids)
+
+    def select(self, rows) -> "Dataset":
+        """The samples at rows, an index array or a bool mask, in that order."""
+        return Dataset(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+# JSON values per dataset line: 21 hand landmarks, then the pose keypoints, 3 values each
+_LINE_VALUES = 3 * (21 + len(POSE_KEYS))
+
+
+def dataset_from_docs(docs, source) -> Dataset:
+    """The Dataset of docs, (line number, JSON value) pairs in file order.
+
+    A bad line is an InputError naming the source and the line. A line is
+    bad if it is not an object with an id, integer width and height above 0
+    that fit a float, a split in SPLITS and a boolean was_left; if its hand
+    is not 21 [x, y, confidence] landmarks or its pose not the POSE_KEYS
+    [x, y, z] keypoints; if its id repeats an earlier line's; or if one of
+    its values fails `_check_values`. The fields and shapes are checked
+    line by line; the values of all lines at once at the end, and also
+    before a line that fails earlier is named, so the error names the first
+    bad line.
+    """
+    lines, ids, dims, splits, lefts, vals = [], [], [], [], [], []
+    seen = set()
+    try:
+        for lineno, d in docs:
+            try:
+                sid = str(d["id"])
+                width, height = _image_dims(d)
+                if type(d["was_left"]) is not bool:
+                    raise ValueError(f"was_left must be a JSON boolean, got {d['was_left']!r}")
+                if d["split"] not in SPLITS:
+                    raise ValueError(f"split must be 'train' or 'test', got {d['split']!r}")
+                hand = d["hand"]
+                pose = [d["pose"][k] for k in POSE_KEYS]
+                if len(hand) != 21:
+                    raise ValueError(f"expected 21 landmarks, got {len(hand)}")
+                if set(map(len, hand + pose)) != {3}:
+                    raise ValueError("expected [x, y, confidence] landmarks and [x, y, z] keypoints")
+                if sid in seen:
+                    raise ValueError(f"duplicate sample id {sid!r}")
+            except Exception as e:
+                raise InputError(f"{source} line {lineno}: {e}") from e
+            seen.add(sid)
+            lines.append(lineno)
+            ids.append(sid)
+            dims.append((width, height))
+            splits.append(d["split"])
+            lefts.append(d["was_left"])
+            vals.extend(itertools.chain.from_iterable(hand))
+            vals.extend(itertools.chain.from_iterable(pose))
+    except InputError:
+        _check_values(source, lines, vals)
+        raise
+    if not lines:
+        raise InputError(f"no samples in {source}")
+    values = _check_values(source, lines, vals)
+    width, height = np.array(dims, dtype=np.float64).T
+    return Dataset(
+        ids=np.array(ids, dtype=object),
+        width=width,
+        height=height,
+        split=np.array(splits, dtype=object),
+        was_left=np.array(lefts, dtype=bool),
+        hand=values[:, :21],
+        pose=values[:, 21:],
+    )
+
+
+def _as_float(v):
+    """v as a float: +-inf for an integer beyond float range, NaN for a value that is not a number."""
+    if type(v) not in _NUMBER_TYPES:
+        return math.nan
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _check_values(source, lines, vals):
+    """The (N, 27, 3) float64 landmarks then keypoints of N lines, from their JSON values.
+
+    vals holds each line's _LINE_VALUES values in order, lines the line
+    numbers. Each check runs on all lines at once. A line fails if it holds
+    a value that is not a JSON number, a landmark x or y or a keypoint
+    value that is not finite, or a confidence outside [0, 1]; the
+    InputError names the first line that fails, and the first of these
+    checks it fails.
+    """
+    n = len(lines)
+    is_number, values = None, None
+    if set(map(type, vals)) <= _NUMBER_TYPES:
+        try:
+            values = np.array(vals, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range
+            pass
+    else:
+        is_number = np.fromiter(map(_NUMBER_TYPES.__contains__, map(type, vals)), bool, len(vals))
+    if values is None:
+        values = np.fromiter(map(_as_float, vals), np.float64, len(vals))
+    values = values.reshape(n, _LINE_VALUES // 3, 3)
+    hand, conf, pose = values[:, :21, :2], values[:, :21, 2], values[:, 21:]
+    conf_ok = (conf >= 0.0) & (conf <= 1.0)
+    def first_non_number(i):
+        return next(v for v in vals[i * _LINE_VALUES :] if type(v) not in _NUMBER_TYPES)
+
+    checks = [
+        (
+            np.zeros(n, bool) if is_number is None else ~is_number.reshape(n, -1).all(axis=1),
+            lambda i: f"expected a JSON number, got {first_non_number(i)!r}",
+        ),
+        (~np.isfinite(hand).all(axis=(1, 2)), lambda i: "non-finite landmark coordinate"),
+        (~conf_ok.all(axis=1), lambda i: f"confidence {conf[i][~conf_ok[i]][0]} outside [0, 1]"),
+        (
+            ~np.isfinite(pose).all(axis=(1, 2)),
+            lambda i: f"non-finite {POSE_KEYS[np.argmin(np.isfinite(pose[i]).all(axis=1))]} keypoint",
+        ),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(describe(i) for mask, describe in checks if mask[i])
+        raise InputError(f"{source} line {lines[i]}: {message}")
+    return values
+
+
+def _json_lines(path):
+    """(line number, JSON value) of each non-blank line; bad UTF-8 or JSON is an InputError."""
     for lineno, line in _utf8_lines(path):
         try:
-            s = sample_from_dict(json.loads(line))
-        except Exception as e:
+            doc = json.loads(line)
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
             raise InputError(f"{path} line {lineno}: {e}") from e
-        if s.id in ids:
-            raise InputError(f"{path} line {lineno}: duplicate sample id {s.id!r}")
-        ids.add(s.id)
-        samples.append(s)
-    if not samples:
-        raise InputError(f"no samples in {path}")
-    return samples
+        yield lineno, doc
+
+
+def read_samples(path) -> Dataset:
+    """The dataset file written by write_samples, as columns (see `dataset_from_docs`)."""
+    return dataset_from_docs(_json_lines(path), path)
+
+
+def gold_boxes(data: Dataset):
+    """The (N, 4) gold boxes of the samples (see `heuristic.gold_rois`).
+
+    A degenerate gold hand is an InputError naming the first such sample,
+    and why, in `gold_roi`'s words.
+    """
+    boxes, degenerate = gold_rois(data.hand, data.width, data.height)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        hand = Hand21(points=tuple(map(tuple, data.hand[i].tolist())))
+        try:
+            gold_roi(hand, int(data.width[i]), int(data.height[i]))
+        except DegenerateHand as e:
+            raise InputError(f"sample {data.ids[i]!r} has a degenerate gold hand: {e}") from None
+        raise HandRoiError(f"gold_rois and gold_roi disagree on sample {data.ids[i]!r}")
+    return boxes

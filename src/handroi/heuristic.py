@@ -9,7 +9,9 @@ array (see the `geometry` module).
 
 `gold_roi` builds the reference ROI of one hand, a (cx, cy, size, rotation)
 box row, from 21 annotated landmarks by rotating them into the
-wrist->middle-knuckle frame and bounding them with a square.
+wrist->middle-knuckle frame and bounding them with a square. `gold_rois`
+builds the boxes of N hands at once from an (N, 21, 3) landmark array, with
+the same bits as calling `gold_roi` on each hand.
 """
 
 import math
@@ -145,3 +147,81 @@ def gold_roi(hand: Hand21, width: float, height: float):
     if left < -width or right > 2 * width or top < -height or bottom > 2 * height:
         raise DegenerateHand(f"a landmark lies outside [{-width}, {2 * width}] x [{-height}, {2 * height}]")
     return box
+
+
+def _extreme(cols, beats):
+    """Row-wise min (beats=np.less) or max (np.greater) of a list of (N,) columns.
+
+    As the builtin min and max take it: a later value replaces the current
+    one only if it beats it, so the first of equal values (0.0 and -0.0)
+    wins and a NaN only when it comes first.
+    """
+    out = cols[0]
+    for col in cols[1:]:
+        out = np.where(beats(col, out), col, out)
+    return out
+
+
+def _math_map(fn, arr):
+    """fn of the math module applied to each value of a float array."""
+    return np.fromiter(map(fn, arr.tolist()), dtype=np.float64, count=arr.size)
+
+
+def gold_rois(hand, width, height):
+    """Gold boxes (N, 4) and degenerate mask (N,) of an (N, 21, 3) landmark array.
+
+    Row i is bitwise `gold_roi` of hand i on a width[i] x height[i] image,
+    and degenerate marks the rows where `gold_roi` raises DegenerateHand;
+    their boxes are NaN. The arithmetic keeps the scalar's order: the
+    landmarks are summed left to right (as the builtin sum does before
+    Python 3.12), min and max keep the first of equals, and the angles and
+    their cosines and sines come from the math module, one row at a time
+    (numpy's arctan2 differs in the last bits). The dims are float64, so
+    image dims above 2**53 are rounded before the bound check, which
+    `gold_roi` makes on the exact integers.
+    """
+    hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
+    width = np.asarray(width, dtype=np.float64)
+    height = np.asarray(height, dtype=np.float64)
+    bad = np.flatnonzero(~((width > 0) & (height > 0)))
+    if bad.size:
+        raise HandRoiError(f"image dims must be positive, got {width[bad[0]]:g}x{height[bad[0]]:g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gold_rois(hand, width, height)
+
+
+def _gold_rois(hand, width, height):
+    # one (N,) column per landmark, so each step below is the scalar's step on every row
+    xs, ys = list(hand[:, :, 0].T), list(hand[:, :, 1].T)
+    wx, wy, mx, my = xs[WRIST], ys[WRIST], xs[MIDDLE_MCP], ys[MIDDLE_MCP]
+    left, right = _extreme(xs, np.less), _extreme(xs, np.greater)
+    top, bottom = _extreme(ys, np.less), _extreme(ys, np.greater)
+
+    angle = np.fromiter(map(math.atan2, (my - wy).tolist(), (mx - wx).tolist()), np.float64, len(wx))
+    rotation = normalize_deg(_math_map(math.degrees, angle) + 90.0)
+    cx, cy = sum(xs) / 21.0, sum(ys) / 21.0
+
+    th = _math_map(math.radians, -rotation)
+    c, s = _math_map(math.cos, th), _math_map(math.sin, th)
+    rx = [(x - cx) * c - (y - cy) * s for x, y in zip(xs, ys)]
+    ry = [(x - cx) * s + (y - cy) * c for x, y in zip(xs, ys)]
+    lo_x, hi_x = _extreme(rx, np.less), _extreme(rx, np.greater)
+    lo_y, hi_y = _extreme(ry, np.less), _extreme(ry, np.greater)
+    side = _extreme([hi_x - lo_x, hi_y - lo_y], np.greater)
+
+    bx = (lo_x + hi_x) / 2.0
+    by = (lo_y + hi_y) / 2.0
+    th = _math_map(math.radians, rotation)
+    c, s = _math_map(math.cos, th), _math_map(math.sin, th)
+    boxes = np.column_stack(
+        [(cx + (bx * c - by * s)) / width, (cy + (bx * s + by * c)) / height, side * 2.0 / height, rotation]
+    )
+    degenerate = (
+        ((wx == mx) & (wy == my))
+        | ((left == right) & (top == bottom))
+        | ~np.isfinite(boxes).all(axis=1)
+        | ~(boxes[:, 2] > 0.0)
+        | (left < -width) | (right > 2 * width) | (top < -height) | (bottom > 2 * height)
+    )
+    boxes[degenerate] = math.nan
+    return boxes, degenerate

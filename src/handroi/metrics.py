@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import sample_gold_roi
+from .dataset import gold_boxes
 from .errors import InputError, JoinError
 from .geometry import circular_diff_deg, rotated_ious
 
@@ -71,23 +71,24 @@ def rotation_error(pred, gold) -> np.ndarray:
     return circular_diff_deg(pred[:, 3], gold[:, 3])
 
 
-def evaluate(predict, samples, method: str = ""):
-    """Score one predictor over samples; returns (rows, summary).
+def evaluate(predict, data, method: str = ""):
+    """Score one predictor over a Dataset; returns (rows, summary).
 
-    `predict` maps the list of N samples to (boxes, failed), an (N, 4) box
-    array and an (N,) bool mask. A row whose scores are not finite (a box
-    too large for float arithmetic) is failed too. A sample whose gold hand
-    is degenerate raises InputError. Rows keep the sample order.
+    `predict` maps the Dataset of N samples to (boxes, failed), an (N, 4)
+    box array and an (N,) bool mask. The gold boxes come from
+    `dataset.gold_boxes`, all in one batch, so a sample whose gold hand is
+    degenerate raises InputError naming it. A row whose scores are not
+    finite (a box too large for float arithmetic) is failed too. Rows keep
+    the sample order.
     """
-    samples = list(samples)
-    if not samples:
+    if not len(data):
         raise InputError("no samples to evaluate")
-    golds = np.array([sample_gold_roi(s) for s in samples], dtype=np.float64)
-    boxes, failed = predict(samples)
+    golds = gold_boxes(data)
+    boxes, failed = predict(data)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = np.column_stack(
             [
-                rotated_ious(boxes, golds, [s.width for s in samples], [s.height for s in samples]),
+                rotated_ious(boxes, golds, data.width, data.height),
                 center_error(boxes, golds),
                 scale_error(boxes, golds),
                 rotation_error(boxes, golds),
@@ -95,7 +96,7 @@ def evaluate(predict, samples, method: str = ""):
         )
     failed = failed | ~np.isfinite(scores).all(axis=1)
     scores[failed] = [0.0, math.nan, math.nan, math.nan]
-    rows = Rows(tuple(s.id for s in samples), method, *scores.T, failed)
+    rows = Rows(tuple(data.ids.tolist()), method, *scores.T, failed)
     return rows, summarize(rows)
 
 

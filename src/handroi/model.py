@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import sample_gold_roi
+from .dataset import gold_boxes
 from .errors import HandRoiError, InputError
 from .geometry import normalize_deg
 from .heuristic import calc_hand_roi
@@ -184,18 +184,13 @@ class Mlp:
         return grad
 
 
-def featurize(samples) -> np.ndarray:
-    """(N, 19) feature matrix: per sample 6 keypoints x (x, y, z), then rho.
+def featurize(data) -> np.ndarray:
+    """(N, 19) feature matrix of a Dataset: per sample its 6 pose keypoints' (x, y, z), then rho.
 
-    Left hands arrive already mirrored by ingestion.
+    rho is the image's width / height. Left hands arrive already mirrored by
+    ingestion.
     """
-    X = np.array(
-        [
-            [v for kp in s.pose.as_tuple() for v in (kp.x, kp.y, kp.z)] + [s.width / s.height]
-            for s in samples
-        ],
-        dtype=np.float64,
-    ).reshape(-1, FEATURE_DIM)
+    X = np.column_stack([data.pose.reshape(len(data), FEATURE_DIM - 1), data.width / data.height])
     if not np.all(np.isfinite(X)):
         raise HandRoiError("non-finite feature value")
     return X
@@ -299,24 +294,27 @@ def _train_heads(X, targets, layouts, cfg: TrainConfig):
     return [Mlp(layout, b) for layout, b in zip(layouts, best)], logs
 
 
-def roi_targets(samples, angle_mode: str = "sincos"):
-    """Feature matrix and per-head target arrays derived from gold ROIs."""
-    samples = list(samples)
-    gold = np.array([sample_gold_roi(s) for s in samples], dtype=np.float64).reshape(-1, 4)
+def roi_targets(data, angle_mode: str = "sincos"):
+    """Feature matrix and per-head target arrays of a Dataset, from its gold boxes.
+
+    The targets are the gold centers (N, 2), sizes (N, 1) and angles: (N, 2)
+    (sin, cos) pairs, or (N, 1) degrees in the scalar mode. A degenerate
+    gold hand is an InputError naming the sample (see `dataset.gold_boxes`).
+    """
+    gold = gold_boxes(data)
     if angle_mode == "sincos":
         th = np.radians(gold[:, 3])
         angles = np.column_stack([np.sin(th), np.cos(th)])
     else:
         angles = gold[:, 3:]
-    return featurize(samples), gold[:, :2], gold[:, 2:3], angles
+    return featurize(data), gold[:, :2], gold[:, 2:3], angles
 
 
-def train_predictor(samples, cfg: TrainConfig):
-    """Train the heads together (see `_train_heads`); returns (predictor, {head name: log rows})."""
-    samples = list(samples)
-    if len(samples) < 2:
+def train_predictor(data, cfg: TrainConfig):
+    """Train the heads on a Dataset together (see `_train_heads`); returns (predictor, {head name: log rows})."""
+    if len(data) < 2:
         raise InputError("need at least 2 training samples")
-    X, *targets = roi_targets(samples, cfg.angle_mode)
+    X, *targets = roi_targets(data, cfg.angle_mode)
     nets, logs = _train_heads(X, targets, head_layouts(cfg.angle_mode), cfg)
     return RoiPredictor(tuple(nets), cfg.angle_mode), dict(zip(HEADS, logs))
 

@@ -1,11 +1,13 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from handroi.dataset import dataset_from_docs, sample_to_dict
 from handroi.geometry import box_quads
-from handroi.heuristic import CENTER_SHIFT, MIDDLE_MCP, SIZE_SCALE, WRIST, Hand21
+from handroi.heuristic import CENTER_SHIFT, MIDDLE_MCP, SIZE_SCALE, WRIST, Hand21, gold_roi
 from handroi.model import BATCH_SIZE, LEARNING_RATE, VALIDATION_FRACTION
 
 
@@ -24,6 +26,26 @@ def tight_box(gold):
     """The gold box row at half its size: the square just spanning the landmarks."""
     cx, cy, size, rotation = gold
     return cx, cy, size / 2, rotation
+
+
+def make_dataset(samples):
+    """The Dataset that read_samples gives for the file write_samples writes of the samples.
+
+    It runs read_samples' own column builder on the samples' JSON objects,
+    so its checks and errors are the reader's, naming "<samples>" line k for
+    the k-th sample.
+    """
+    docs = (json.loads(json.dumps(sample_to_dict(s))) for s in samples)
+    return dataset_from_docs(enumerate(docs, 1), "<samples>")
+
+
+def scalar_gold_predictor(data):
+    """(boxes, failed) of the scalar gold_roi on each sample of a Dataset: a predictor that is never off."""
+    boxes = [
+        gold_roi(Hand21(points=tuple(map(tuple, hand))), int(w), int(h))
+        for hand, w, h in zip(data.hand.tolist(), data.width, data.height)
+    ]
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4), np.zeros(len(data), bool)
 
 
 def with_degenerate_gold(sample):

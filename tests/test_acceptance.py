@@ -15,10 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import monte_carlo_iou, random_box
+from conftest import monte_carlo_iou, random_box, scalar_gold_predictor
 from handroi.cli import main as cli_main
 from handroi.geometry import rotated_iou
-from handroi.heuristic import calc_hand_roi, closed_form_size, gold_roi
+from handroi.heuristic import calc_hand_roi, closed_form_size
 from handroi.metrics import (
     Rows,
     evaluate,
@@ -186,12 +186,9 @@ class TestCriterion7:
         first, _, _ = synth_pipeline
         from handroi.dataset import read_samples
 
-        test = [s for s in read_samples(first["data"]) if s.split == "test"][:200]
-        def gold(samples):
-            boxes = np.array([gold_roi(s.hand, s.width, s.height) for s in samples])
-            return boxes, np.zeros(len(samples), bool)
-
-        _, summary = evaluate(gold, test)
+        data = read_samples(first["data"])
+        test = data.select(np.flatnonzero(data.split == "test")[:200])
+        _, summary = evaluate(scalar_gold_predictor, test)
         ok &= abs(summary.mean_iou - 1.0) < 1e-9
         report(7, "metric property suite", ok)
 

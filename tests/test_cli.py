@@ -180,7 +180,7 @@ class TestIngest:
         assert code == 0 and err == []
         counts = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())["counts"]["train"]
         assert counts["malformed_files"] == 1 and counts["kept"] == 2
-        assert [s.id for s in read_samples(out)] == ["s0", "s2"]
+        assert read_samples(out).ids.tolist() == ["s0", "s2"]
 
     def test_id_in_both_splits_exit_2(self, tmp_path):
         train, test = tmp_path / "train", tmp_path / "test"
@@ -207,7 +207,7 @@ class TestIngest:
         out = tmp_path / "d.jsonl"
         argv = ["--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(out)]
         assert run_quiet("ingest", *argv) == (0, [])
-        assert [s.id for s in read_samples(out)] == ["s0", "s2"]
+        assert read_samples(out).ids.tolist() == ["s0", "s2"]
         manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
         assert manifest["counts"]["train"]["degenerate"] == 1
 
@@ -383,6 +383,18 @@ class TestBadDataset:
         assert err == [
             f"error: sample '{sid}' has a degenerate gold hand: wrist coincides with middle knuckle"
         ]
+
+    @pytest.mark.parametrize("command, lines", [("eval", (-6, -1)), ("train", (4, 20))])
+    @pytest.mark.parametrize("change", [collapse_middle_knuckle, lambda doc: doc["hand"][3].__setitem__(0, 1e300)])
+    def test_first_degenerate_gold_named(self, tmp_path, small_dataset, command, lines, change):
+        # two degenerate gold hands in the split the command reads: the error names the earlier
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, lines[1], collapse_middle_knuckle)
+        edit_line(bad, bad, lines[0], change)
+        sid = json.loads(bad.read_text().splitlines()[lines[0]])["id"]
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: sample '{sid}' has a degenerate gold hand: ")
 
     @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
     def test_duplicate_id_exit_2(self, tmp_path, small_dataset, command):
@@ -676,7 +688,7 @@ class TestEval:
             weights.write_bytes(b"junk")
         argv = ["--dataset", str(small_dataset), "--method", "heuristic", "--weights", str(weights)]
         if command == "render":
-            argv += ["--id", read_samples(small_dataset)[0].id]
+            argv += ["--id", read_samples(small_dataset).ids[0]]
         code, err = run_quiet(command, *argv, "--out", str(tmp_path / "out"))
         assert (code, err) == (2, ["error: method 'heuristic' reads no weights"])
         assert {p.name for p in tmp_path.iterdir()} == ({"data.jsonl", "junk.hroi"} if exists else {"data.jsonl"})
@@ -929,12 +941,12 @@ class TestCompare:
 
 class TestRender:
     def test_two_boxes_two_ticks(self, tmp_path, small_dataset):
-        samples = read_samples(small_dataset)
+        data = read_samples(small_dataset)
         out = tmp_path / "box.svg"
         code = run(
             "render",
             "--dataset", str(small_dataset),
-            "--id", samples[0].id,
+            "--id", data.ids[0],
             "--out", str(out),
         )
         assert code == 0
@@ -949,7 +961,7 @@ class TestRender:
         data[theta_at + 8 * 330 : theta_at + 8 * 331] = struct.pack("<d", 1e306)
         bad = tmp_path / "bad.hroi"
         bad.write_bytes(bytes(data))
-        sid = read_samples(small_dataset)[0].id
+        sid = read_samples(small_dataset).ids[0]
         out = tmp_path / "box.svg"
         argv = ["--dataset", str(small_dataset), "--id", sid, "--method", "mlp", "--weights", str(bad)]
         code, err = run_quiet("render", *argv, "--out", str(out))
@@ -961,7 +973,7 @@ class TestRender:
     def test_degenerate_gold_exit_2(self, tmp_path, small_dataset):
         bad = tmp_path / "bad.jsonl"
         edit_line(small_dataset, bad, 0, collapse_middle_knuckle)
-        sid = read_samples(small_dataset)[0].id
+        sid = read_samples(small_dataset).ids[0]
         code, err = run_quiet("render", "--dataset", str(bad), "--id", sid, "--out", str(tmp_path / "x.svg"))
         assert code == 2
         assert err == [f"error: sample '{sid}' has a degenerate gold hand: wrist coincides with middle knuckle"]
@@ -969,7 +981,7 @@ class TestRender:
     def test_landmark_far_outside_image_exit_2(self, tmp_path, small_dataset):
         bad = tmp_path / "bad.jsonl"
         edit_line(small_dataset, bad, 0, lambda doc: doc["hand"][3].__setitem__(1, -1e300))
-        sid = read_samples(small_dataset)[0].id
+        sid = read_samples(small_dataset).ids[0]
         code, err = run_quiet("render", "--dataset", str(bad), "--id", sid, "--out", str(tmp_path / "x.svg"))
         assert code == 2
         message = "a landmark lies outside [-"
@@ -985,10 +997,10 @@ class TestRender:
         assert code == 4
 
     def test_deterministic(self, tmp_path, small_dataset):
-        samples = read_samples(small_dataset)
+        sid = read_samples(small_dataset).ids[0]
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         for out in (a, b):
-            run("render", "--dataset", str(small_dataset), "--id", samples[0].id, "--out", str(out))
+            run("render", "--dataset", str(small_dataset), "--id", sid, "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 
@@ -8,9 +9,7 @@ import pytest
 import handroi.dataset
 from conftest import tight_box
 from handroi.dataset import (
-    GoldRecord,
-    MergeResult,
-    Sample,
+    POSE_KEYS,
     SynthConfig,
     dataset_stats,
     merge_pose_sidecar,
@@ -18,7 +17,6 @@ from handroi.dataset import (
     parse_panoptic,
     read_pose_sidecar,
     read_samples,
-    sample_from_dict,
     sample_to_dict,
     synth_generate,
     write_samples,
@@ -59,6 +57,39 @@ def buggy_gold_roi(monkeypatch):
         raise GoldRoiBug("bug")
 
     monkeypatch.setattr(handroi.dataset, "gold_roi", gold_roi)
+
+
+SHAPES = r"expected \[x, y, confidence\] landmarks and \[x, y, z\] keypoints"
+# a line after the first bad one that is bad too; the error still names the first
+LATER_BAD_LINES = ["none", "string keypoint", "nan landmark", "non-positive dims", "malformed"]
+
+
+def write_docs(path, docs, later="none"):
+    """Write docs as a dataset file, then the later bad line of that kind."""
+    lines = [json.dumps(d) for d in docs]
+    if later == "malformed":
+        lines.append('{"id": "late", "hand": [[1.0, 2.0')
+    elif later != "none":
+        doc = sample_to_dict(synth_generate(SynthConfig(n=1, seed=99))[0])
+        if later == "string keypoint":
+            doc["pose"]["wrist"][0] = "0.5"
+        elif later == "nan landmark":
+            doc["hand"][5][1] = math.nan
+        else:
+            doc["width"] = 0
+        lines.append(json.dumps(doc))
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def assert_columns(data, samples):
+    """The dataset holds the samples' fields, value for value."""
+    assert data.ids.tolist() == [s.id for s in samples]
+    assert data.width.tolist() == [s.width for s in samples]
+    assert data.height.tolist() == [s.height for s in samples]
+    assert data.split.tolist() == [s.split for s in samples]
+    assert data.was_left.tolist() == [s.was_left for s in samples]
+    assert data.hand.tolist() == [list(map(list, s.hand.points)) for s in samples]
+    assert data.pose.tolist() == [[[kp.x, kp.y, kp.z] for kp in s.pose.as_tuple()] for s in samples]
 
 
 def sidecar_line(sid, width=640, height=480, handedness="right"):
@@ -310,7 +341,17 @@ class TestStatsAndIo:
         path = tmp_path / "data.jsonl"
         write_samples(samples, path)
         back = read_samples(path)
-        assert [sample_to_dict(s) for s in back] == [sample_to_dict(s) for s in samples]
+        assert len(back) == 10 and back.hand.shape == (10, 21, 3) and back.pose.shape == (10, 6, 3)
+        assert_columns(back, samples)
+
+    def test_select(self, tmp_path):
+        samples = synth_generate(SynthConfig(n=10, seed=4))
+        path = tmp_path / "data.jsonl"
+        write_samples(samples, path)
+        data = read_samples(path)
+        assert_columns(data.select([7, 2]), [samples[7], samples[2]])
+        assert_columns(data.select(data.split == "test"), [s for s in samples if s.split == "test"])
+        assert len(data.select([])) == 0
 
     def test_write_deterministic(self, tmp_path):
         samples = synth_generate(SynthConfig(n=10, seed=4))
@@ -319,13 +360,14 @@ class TestStatsAndIo:
         write_samples(samples, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("later", LATER_BAD_LINES)
     @pytest.mark.parametrize("field", ["width", "height"])
     @pytest.mark.parametrize("value", [0, -480])
-    def test_read_non_positive_image_dims(self, tmp_path, field, value):
+    def test_read_non_positive_image_dims(self, tmp_path, field, value, later):
         docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
         docs[1][field] = value
         path = tmp_path / "data.jsonl"
-        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        write_docs(path, docs, later)
         with pytest.raises(InputError, match=f"{path} line 2: non-positive image dims"):
             read_samples(path)
 
@@ -342,38 +384,49 @@ class TestStatsAndIo:
             ("height", 480.0, "height must be a JSON integer"),
             pytest.param("height", int(sys.float_info.max) + 1, "image dims too large for a float",
                          id="height-too-large-for-a-float"),
+            ("hand", [[math.nan, 200.0, 1.0]] * 21, "non-finite landmark coordinate"),
+            ("hand", [[300.0, math.inf, 1.0]] * 21, "non-finite landmark coordinate"),
+            pytest.param("hand", [[300.0, 10**400, 1.0]] * 21, "non-finite landmark coordinate",
+                         id="hand-integer-beyond-float-range"),
+            ("hand", [[300.0, 200.0, 1.5]] * 21, r"confidence 1.5 outside \[0, 1\]"),
+            ("hand", [[300.0, 200.0, math.nan]] * 21, r"confidence nan outside \[0, 1\]"),
+            ("hand", [[300.0, 200.0, 1.0]] * 20, "expected 21 landmarks, got 20"),
+            ("hand", [[300.0, 200.0]] * 21, SHAPES),
+            ("pose", {k: [0.5, 0.5, -math.inf] for k in POSE_KEYS}, "non-finite shoulder keypoint"),
+            ("pose", {k: [0.5, 0.5] for k in POSE_KEYS}, SHAPES),
         ],
     )
-    def test_read_mistyped_field(self, tmp_path, field, value, message):
+    @pytest.mark.parametrize("later", LATER_BAD_LINES)
+    def test_read_mistyped_field(self, tmp_path, field, value, message, later):
         docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
-        with pytest.raises(ValueError, match=message):
-            sample_from_dict({**docs[1], field: value})
         docs[1][field] = value
         path = tmp_path / "data.jsonl"
-        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        write_docs(path, docs, later)
         with pytest.raises(InputError, match=f"{path} line 2: {message}"):
             read_samples(path)
 
+    @pytest.mark.parametrize("later", LATER_BAD_LINES)
     @pytest.mark.parametrize("value", NON_NUMBERS)
     @pytest.mark.parametrize("field, coord", [("hand", (3, 0)), ("hand", (3, 2)), ("pose", ("wrist", 1))])
-    def test_read_non_number_landmark(self, tmp_path, field, coord, value):
+    def test_read_non_number_landmark(self, tmp_path, field, coord, value, later):
         docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
         outer, inner = coord
         docs[1][field][outer][inner] = value
         message = f"expected a JSON number, got {value!r}"
-        with pytest.raises(ValueError, match=message):
-            sample_from_dict(docs[1])
         path = tmp_path / "data.jsonl"
-        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        write_docs(path, docs, later)
         with pytest.raises(InputError, match=f"{path} line 2: {message}"):
             read_samples(path)
 
-    def test_read_integer_landmarks(self):
+    def test_read_integer_landmarks(self, tmp_path):
         doc = sample_to_dict(synth_generate(SynthConfig(n=1, seed=4))[0])
         doc["hand"][3] = [300, 200, 1]
         doc["pose"]["wrist"] = [0, 1, 0]
-        s = sample_from_dict(doc)
-        assert s.hand.points[3] == (300.0, 200.0, 1.0) and s.pose.wrist == Vec3(0.0, 1.0, 0.0)
+        path = tmp_path / "data.jsonl"
+        write_docs(path, [doc])
+        data = read_samples(path)
+        assert data.hand[0, 3].tolist() == [300.0, 200.0, 1.0] and data.pose[0, 2].tolist() == [0.0, 1.0, 0.0]
+        assert data.hand.dtype == data.pose.dtype == np.float64
 
     def test_read_invalid_utf8(self, tmp_path):
         samples = synth_generate(SynthConfig(n=3, seed=4))
@@ -383,10 +436,17 @@ class TestStatsAndIo:
         with pytest.raises(InputError, match=f"{path} line 4: 'utf-8' codec"):
             read_samples(path)
 
-    def test_read_duplicate_id(self, tmp_path):
+    def test_read_deeply_nested_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(InputError, match=f"{path} line 1: maximum recursion depth exceeded"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("later", LATER_BAD_LINES)
+    def test_read_duplicate_id(self, tmp_path, later):
         docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
         path = tmp_path / "data.jsonl"
-        path.write_text("".join(json.dumps(d) + "\n" for d in docs + docs[1:2]))
+        write_docs(path, docs + docs[1:2], later)
         with pytest.raises(InputError, match=f"{path} line 4: duplicate sample id '{docs[1]['id']}'"):
             read_samples(path)
 

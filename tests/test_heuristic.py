@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import reference_calc_hand_roi, tight_box
 from handroi.errors import DegenerateHand, HandRoiError
 from handroi.geometry import areas, box_quads, circular_diff_deg
-from handroi.heuristic import Hand21, calc_hand_roi, closed_form_size, gold_roi
+from handroi.dataset import HAND_TEMPLATE, SynthConfig, synth_generate
+from handroi.heuristic import MIDDLE_MCP, WRIST, Hand21, calc_hand_roi, closed_form_size, gold_roi, gold_rois
 
 
 def make_hand(points_xy, conf=1.0):
@@ -205,3 +206,72 @@ class TestGoldRoi:
     def test_quad_positive_area(self):
         r = gold_roi(self.axis_aligned_hand(), 400, 400)
         assert areas(box_quads([r], [400], [400]), np.array([4]))[0] > 0
+
+
+# how a drawn hand is posed; the last four kinds always give a degenerate gold hand
+HAND_KINDS = ("in plane", "out of plane", "tiny", "far off-center")
+DEGENERATE_KINDS = ("wrist on middle knuckle", "all coincident", "landmark outside bound", "box not finite")
+
+
+@st.composite
+def gold_hands(draw):
+    """(kind, (21, 3) landmarks, width, height) of one drawn hand."""
+    kind = draw(st.sampled_from(HAND_KINDS + DEGENERATE_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width, height = (int(v) for v in rng.integers(1, 4000, size=2))
+    # a random rotation in 3-D tilts the hand out of the image plane
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0] if kind != "in plane" else np.eye(3)
+    scale = min(width, height) * rng.uniform(0.05, 0.5)
+    if kind == "tiny":
+        scale *= 10.0 ** -draw(st.integers(3, 320))
+    pts = scale * (HAND_TEMPLATE @ rot.T)[:, :2] + rng.normal(scale=scale * 0.02, size=(21, 2))
+    center = rng.uniform([-1.0, -1.0], [2.0, 2.0]) if kind == "far off-center" else rng.uniform(0.2, 0.8, 2)
+    pts += center * (width, height)
+    if kind == "wrist on middle knuckle":
+        pts[MIDDLE_MCP] = pts[WRIST]
+    elif kind == "all coincident":
+        pts[:] = pts[0]
+    elif kind == "landmark outside bound":
+        axis = int(rng.integers(2))
+        dim = (width, height)[axis]
+        pts[int(rng.integers(21)), axis] = math.nextafter(*((-dim, -math.inf), (2 * dim, math.inf))[rng.integers(2)])
+    elif kind == "box not finite":
+        # dims so large that the bound holds, and landmarks too far apart for a finite box
+        width = height = 1e308
+        pts[3], pts[4] = (1.7e308, 0.0), (-9e307, 0.0)
+    conf = rng.choice([0.0, 1.0, rng.uniform()], size=(21, 1))
+    return kind, np.hstack([pts, conf]), width, height
+
+
+class TestGoldRoisReference:
+    """The batched gold boxes against the scalar gold_roi, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(gold_hands(), min_size=1, max_size=8))
+    def test_matches_scalar_bitwise(self, drawn):
+        kinds, hands, widths, heights = zip(*drawn)
+        boxes, degenerate = gold_rois(np.array(hands), widths, heights)
+        assert boxes.shape == (len(drawn), 4) and degenerate.dtype == bool
+        for k, (kind, hand, width, height) in enumerate(drawn):
+            try:
+                ref = gold_roi(Hand21(points=tuple(map(tuple, hand.tolist()))), width, height)
+            except DegenerateHand:
+                assert degenerate[k] and np.isnan(boxes[k]).all(), kind
+                continue
+            assert kind not in DEGENERATE_KINDS
+            assert not degenerate[k] and boxes[k].tobytes() == np.array(ref).tobytes(), kind
+
+    def test_synthetic_dataset_bitwise(self):
+        samples = synth_generate(SynthConfig(n=300, seed=8, max_tilt_deg=80, noise_px=2))
+        hands = np.array([s.hand.points for s in samples])
+        boxes, degenerate = gold_rois(hands, [s.width for s in samples], [s.height for s in samples])
+        ref = np.array([gold_roi(s.hand, s.width, s.height) for s in samples])
+        assert not degenerate.any() and boxes.tobytes() == ref.tobytes()
+
+    def test_empty(self):
+        boxes, degenerate = gold_rois(np.zeros((0, 21, 3)), [], [])
+        assert boxes.shape == (0, 4) and degenerate.shape == (0,)
+
+    def test_bad_dims(self):
+        with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x480$"):
+            gold_rois(np.ones((1, 21, 3)), [0], [480])

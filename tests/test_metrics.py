@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import with_degenerate_gold
+from conftest import make_dataset, scalar_gold_predictor, with_degenerate_gold
 from handroi.dataset import SynthConfig, synth_generate
 from handroi.errors import InputError, JoinError
 from handroi.geometry import rotated_iou
-from handroi.heuristic import gold_roi
 from handroi.metrics import (
     CSV_COLUMNS,
     HIST_BINS,
@@ -39,12 +38,8 @@ def table(ids, ious, method="m"):
     return Rows(tuple(ids), method, np.array(ious, dtype=np.float64), ones, ones, ones, ones == 0)
 
 
-def heuristic(samples):
-    return heuristic_roi(featurize(samples))
-
-
-def gold_predictor(samples):
-    return np.array([gold_roi(s.hand, s.width, s.height) for s in samples]), np.zeros(len(samples), bool)
+def heuristic(data):
+    return heuristic_roi(featurize(data))
 
 
 class TestCenterError:
@@ -81,9 +76,12 @@ class TestEvaluate:
     def samples(self, n=20, seed=2):
         return synth_generate(SynthConfig(n=n, seed=seed, max_tilt_deg=50))
 
+    def data(self, n=20, seed=2):
+        return make_dataset(self.samples(n, seed))
+
     def test_gold_as_predictor(self):
-        samples = self.samples()
-        rows, summary = evaluate(gold_predictor, samples, method="gold")
+        samples = self.data()
+        rows, summary = evaluate(scalar_gold_predictor, samples, method="gold")
         assert summary.mean_iou == pytest.approx(1.0, abs=1e-9)
         assert summary.mean_center_err == pytest.approx(0.0, abs=1e-9)
         assert summary.mean_scale_err == pytest.approx(0.0, abs=1e-9)
@@ -91,14 +89,14 @@ class TestEvaluate:
         assert summary.n == len(samples)
 
     def test_single_sample_summary_equals_row(self):
-        samples = self.samples(n=1)
+        samples = self.data(n=1)
         rows, summary = evaluate(heuristic, samples)
         assert summary.mean_iou == rows.iou[0]
         assert summary.mean_center_err == rows.center_err_pct[0]
         assert summary.min_iou == rows.iou[0] and summary.n == len(rows) == 1
 
     def test_failed_prediction_counts_as_zero(self):
-        samples = self.samples(n=3)
+        samples = self.data(n=3)
 
         def failing(samples):
             return np.zeros((len(samples), 4)), np.ones(len(samples), bool)
@@ -111,16 +109,16 @@ class TestEvaluate:
 
     def test_empty(self):
         with pytest.raises(InputError, match="^no samples to evaluate$"):
-            evaluate(lambda samples: (np.zeros((0, 4)), np.zeros(0, bool)), [])
+            evaluate(lambda data: (np.zeros((0, 4)), np.zeros(0, bool)), self.data(n=1).select([]))
 
     def test_degenerate_gold_names_sample(self):
         samples = self.samples(n=3)
         samples[1] = with_degenerate_gold(samples[1])
         with pytest.raises(InputError, match=f"sample '{samples[1].id}' has a degenerate gold hand"):
-            evaluate(heuristic, samples)
+            evaluate(heuristic, make_dataset(samples))
 
     def test_one_predict_call(self):
-        samples = self.samples(n=7)
+        samples = self.data(n=7)
         calls = []
 
         def counting(batch):
@@ -131,25 +129,25 @@ class TestEvaluate:
         assert calls == [7]
 
     def test_interleaved_failures_keep_row_order(self):
-        samples = self.samples(n=40, seed=4)
+        data = self.data(n=40, seed=4)
 
-        def heur(samples):
-            boxes, failed = heuristic(samples)
+        def heur(data):
+            boxes, failed = heuristic(data)
             failed[1::3] = True
             return boxes, failed
 
-        rows, summary = evaluate(heur, samples, method="h")
-        boxes, _ = heuristic(samples)
-        assert rows.ids == tuple(s.id for s in samples) and rows.method == "h"
-        for k, s in enumerate(samples):
+        rows, summary = evaluate(heur, data, method="h")
+        boxes, _ = heuristic(data)
+        golds, _ = scalar_gold_predictor(data)
+        assert rows.ids == tuple(data.ids) and rows.method == "h"
+        for k, (w, h) in enumerate(zip(data.width, data.height)):
             if k % 3 == 1:
                 assert rows.failed[k] and rows.iou[k] == 0.0 and math.isnan(rows.center_err_pct[k])
             else:
-                gold = gold_roi(s.hand, s.width, s.height)
                 assert not rows.failed[k]
-                assert rows.iou[k] == rotated_iou(boxes[k], gold, s.width, s.height)
-        assert len({s.width / s.height for s in samples}) > 1
-        assert summary.n == len(samples)
+                assert rows.iou[k] == rotated_iou(boxes[k], golds[k], w, h)
+        assert len(set((data.width / data.height).tolist())) > 1
+        assert summary.n == len(data)
 
     @pytest.mark.parametrize(
         "bad",
@@ -162,7 +160,7 @@ class TestEvaluate:
         ],
     )
     def test_non_finite_box_is_failed(self, bad):
-        samples = self.samples(n=3)
+        samples = self.data(n=3)
 
         def predict(samples):
             boxes, failed = heuristic(samples)
@@ -177,7 +175,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("column, value", [(0, 1e300), (2, 1e200)])
     def test_huge_finite_box_scores_zero(self, column, value):
         # its pixel corners or areas overflow, with no warning
-        samples = self.samples(n=2)
+        samples = self.data(n=2)
 
         def predict(samples):
             boxes, failed = heuristic(samples)
@@ -188,7 +186,7 @@ class TestEvaluate:
         assert not rows.failed[0] and rows.iou[0] == 0.0
 
     def test_row_ranges(self):
-        samples = self.samples(n=30, seed=9)
+        samples = self.data(n=30, seed=9)
         rows, summary = evaluate(heuristic, samples)
         assert not rows.failed.any()
         assert np.all((0.0 <= rows.iou) & (rows.iou <= 1.0))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    make_dataset,
     reference_predict_roi,
     reference_rotation,
     reference_train_head,
@@ -73,6 +74,11 @@ SAMPLE = synth_generate(SynthConfig(n=1, seed=3))[0]
 def with_pose(pose, width=640, height=480):
     """A sample carrying the given pose and image size."""
     return dataclasses.replace(SAMPLE, pose=pose, width=width, height=height)
+
+
+def featurize_samples(samples):
+    """featurize of the samples read as one dataset, their ids renumbered so that none repeats."""
+    return featurize(make_dataset([dataclasses.replace(s, id=f"s{k}") for k, s in enumerate(samples)]))
 
 
 def random_predictor(rng, angle_mode="sincos"):
@@ -172,21 +178,23 @@ class TestGradient:
 
 class TestFeaturize:
     def test_all_zero(self):
-        f = featurize([with_pose(PoseHand(*[Vec3(0, 0, 0)] * 6), width=480)])
+        f = featurize_samples([with_pose(PoseHand(*[Vec3(0, 0, 0)] * 6), width=480)])
         assert f.shape == (1, 19)
         assert np.all(f[0, :18] == 0.0) and f[0, 18] == 1.0
 
     def test_wrist_position(self):
         kps = [Vec3(0, 0, 0)] * 2 + [Vec3(0.5, 0.8, -0.1)] + [Vec3(0, 0, 0)] * 3
-        f = featurize([SAMPLE, with_pose(PoseHand(*kps), width=960)])
+        f = featurize_samples([SAMPLE, with_pose(PoseHand(*kps), width=960)])
         assert tuple(f[1, 6:9]) == (0.5, 0.8, -0.1) and f[1, 18] == 2.0
 
     def test_nonfinite_rho(self):
+        # a file cannot hold such a width: the reader takes only integers above 0
+        data = make_dataset([SAMPLE])
         with pytest.raises(HandRoiError, match="^non-finite feature value$"):
-            featurize([SAMPLE, with_pose(SAMPLE.pose, width=math.nan)])
+            featurize(dataclasses.replace(data, width=np.array([math.nan])))
 
     def test_empty(self):
-        assert featurize([]).shape == (0, FEATURE_DIM)
+        assert featurize(make_dataset([SAMPLE]).select([])).shape == (0, FEATURE_DIM)
 
 
 def train_one(X, Y, layer_sizes, cfg):
@@ -272,13 +280,13 @@ class TestTraining:
 
     def test_empty_dataset(self):
         with pytest.raises(InputError, match="^need at least 2 training samples$"):
-            train_predictor([], TrainConfig())
+            train_predictor(make_dataset([SAMPLE]).select([]), TrainConfig())
 
     def test_degenerate_gold_names_sample(self):
         samples = synth_generate(SynthConfig(n=5, seed=2))
         samples[3] = with_degenerate_gold(samples[3])
         with pytest.raises(InputError, match=f"sample '{samples[3].id}' has a degenerate gold hand"):
-            train_predictor(samples, TrainConfig(epochs=1))
+            train_predictor(make_dataset(samples), TrainConfig(epochs=1))
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -357,7 +365,7 @@ class TestHybrid:
             with_pose(PoseHand(*[Vec3(*kp) for kp in rng.uniform(0, 1, size=(6, 3))]), width=w)
             for w in rng.integers(240, 960, size=20).tolist()
         ]
-        X = featurize(samples)
+        X = featurize_samples(samples)
         boxes, failed = hybrid_predict(p, X)
         heur, heur_failed = heuristic_roi(X)
         mlp, mlp_failed = predict_roi(p, X)
@@ -367,7 +375,7 @@ class TestHybrid:
 
     def test_heuristic_reads_the_pose(self, rng):
         samples = synth_generate(SynthConfig(n=10, seed=4))
-        boxes, failed = heuristic_roi(featurize(samples))
+        boxes, failed = heuristic_roi(featurize(make_dataset(samples)))
         ref, ref_failed = calc_hand_roi(
             *([(kp.x, kp.y) for kp in (getattr(s.pose, name) for s in samples)]
               for name in ("wrist", "index", "pinky")),
@@ -378,7 +386,7 @@ class TestHybrid:
     def test_degenerate_propagates(self):
         kp = Vec3(0.5, 0.5, 0.0)
         degenerate = with_pose(PoseHand(kp, kp, kp, kp, kp, kp))
-        _, failed = hybrid_predict(new_predictor(), featurize([SAMPLE, degenerate]))
+        _, failed = hybrid_predict(new_predictor(), featurize_samples([SAMPLE, degenerate]))
         assert failed.tolist() == [False, True]
 
 

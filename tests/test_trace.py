@@ -48,3 +48,12 @@ def test_tracer_records_every_predictor_layer(tmp_path):
         assert calls[name] > 0, name
     notes = spans.notes(tracer.spans, "heuristic.gold_roi")
     assert notes and all(note is not None for note in notes)
+    # the row-count notes, which the benchmark's used_frac divides: 40 samples, 28 train and 12 test
+    row_counts = {
+        "dataset.read_samples": [40, 40, 40],
+        "model.train_predictor": [28],
+        "metrics.evaluate": [12, 12],
+    }
+    for name, counts in row_counts.items():
+        notes = spans.notes(tracer.spans, name)
+        assert notes == counts and all(type(note) is int for note in notes), name
