@@ -78,7 +78,9 @@ class MergeResult:
 def parse_panoptic(labels_dir):
     """Read every annotation file in the directory, lexicographic order.
 
-    Returns (records, skipped) where skipped counts malformed files.
+    Returns (records, skipped) where skipped counts malformed files: one
+    that is not 21 [x, y, confidence] landmarks of JSON numbers, or whose
+    is_left is not a JSON boolean or 0 or 1.
     """
     try:
         names = sorted(os.listdir(labels_dir))
@@ -96,13 +98,10 @@ def parse_panoptic(labels_dir):
             pts = doc["hand_pts"]
             if len(pts) != 21:
                 raise ValueError(f"{len(pts)} landmarks")
+            if set(map(len, pts)) != {3}:
+                raise ValueError("expected [x, y, confidence] landmarks")
             _check_json_numbers(pts)
-            hand = Hand21(
-                points=tuple(
-                    (float(p[0]), float(p[1]), float(p[2]) if len(p) > 2 else 1.0)
-                    for p in pts
-                )
-            )
+            hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in pts))
             is_left = doc.get("is_left", 0)
             if type(is_left) is not bool and not (type(is_left) is int and is_left in (0, 1)):
                 raise ValueError(f"is_left must be a JSON boolean or 0 or 1, got {is_left!r}")
@@ -303,23 +302,18 @@ def _make_synth_sample(rng, cfg, idx, split):
     shift = np.array([tx, ty])
 
     hand_px = proj + shift + rng.normal(scale=cfg.noise_px, size=(21, 2))
-    hand = Hand21(points=tuple((float(x), float(y), 1.0) for x, y in hand_px))
-
-    def pose_point(p3):
-        noisy = p3[:2] + shift + rng.normal(scale=cfg.noise_px, size=2)
-        z = (p3[2] + rng.normal(scale=cfg.noise_px)) / height
-        return Vec3(float(noisy[0] / width), float(noisy[1] / height), float(z))
+    hand = Hand21(points=tuple((x, y, 1.0) for x, y in hand_px.tolist()))
 
     wrist3 = pts3[WRIST]
     arm_dir = wrist3 - pts3[MIDDLE_MCP]
-    pose = PoseHand(
-        shoulder=pose_point(wrist3 + 5.2 * arm_dir),
-        elbow=pose_point(wrist3 + 2.3 * arm_dir),
-        wrist=pose_point(wrist3),
-        thumb=pose_point(pts3[THUMB_LOW]),
-        index=pose_point(pts3[INDEX_MCP]),
-        pinky=pose_point(pts3[PINKY_MCP]),
-    )
+    # the POSE_KEYS keypoints: shoulder and elbow on the arm, then the wrist, thumb, index and pinky
+    arm = wrist3 + np.array([[5.2], [2.3]]) * arm_dir
+    kps = np.vstack([arm, pts3[[WRIST, THUMB_LOW, INDEX_MCP, PINKY_MCP]]])
+    # one draw of each keypoint's x, y, z noise in turn; x and y are shifted before the noise is added
+    kps[:, :2] += shift
+    kps += rng.normal(scale=cfg.noise_px, size=(len(POSE_KEYS), 3))
+    kps /= (width, height, height)
+    pose = PoseHand(*(Vec3(*kp) for kp in kps.tolist()))
     return Sample(
         id=f"synth-{cfg.seed}-{idx:05d}",
         width=width,
@@ -411,10 +405,14 @@ def _image_dims(d):
     return width, height
 
 
+# every dataset line's encoder; one json.dumps(d, sort_keys=True, separators=(",", ":")) builds each call
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def write_samples(samples, path):
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            fh.write(json.dumps(sample_to_dict(s), sort_keys=True, separators=(",", ":")))
+            fh.write(_LINE_ENCODER.encode(sample_to_dict(s)))
             fh.write("\n")
 
 

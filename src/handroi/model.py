@@ -6,7 +6,10 @@ deterministic seeded Adam training, and a binary weights file (magic
 layers stacked into one gradient and one Adam step per minibatch; each head
 keeps its own seeded stream, so its weights are byte-identical to training
 it alone, and the first epoch at which any head's loss is not finite stops
-training.
+training. A training step allocates no array memory: the gradient's work
+arrays are made once per minibatch size and Adam's two temporaries once per
+training call, and every product and ufunc writes into them with out=, with
+the same bits as the allocating expressions.
 
 The predictor holds three heads, in `HEADS` order and laid out by
 `head_layouts`, sharing one 19-value feature vector (six (x, y, z) body
@@ -88,33 +91,55 @@ def _hidden_activations(hidden, x):
     return acts
 
 
-def _gradient(params, grads, x, targets):
+def _work_buffers(layouts, batch):
+    """The work arrays of `_gradient` for `batch` rows of the heads of `layouts`.
+
+    Per hidden layer: the (K, batch, out) ReLU outputs, their > 0 mask and
+    the delta at that layer's output; per head: its (batch, out) error rows.
+    """
+    hs = [np.empty((len(layouts), batch, size)) for size in layouts[0][1:-1]]
+    masks = [np.empty(h.shape, bool) for h in hs]
+    return hs, masks, [np.empty_like(h) for h in hs], [np.empty((batch, sizes[-1])) for sizes in layouts]
+
+
+def _gradient(params, grads, x, targets, bufs):
     """Write each head's exact batch-MSE gradient into `grads`.
 
     params and grads are _stack_views of theta and of a gradient buffer; x
-    holds the (K, B, in) batch rows and targets[k] head k's (B, out) rows.
+    holds the (K, B, in) batch rows, targets[k] head k's (B, out) rows and
+    bufs the `_work_buffers` of B rows, which are reused from call to call.
     Head k's loss is the mean of squared errors over its batch elements and
-    output dimensions. Each output layer runs on its own: one stacked over
+    output dimensions. Every product and ufunc writes with out= into bufs or
+    straight into grads, in the order of the allocating expression, so the
+    bits are unchanged. Each output layer runs on its own: one stacked over
     heads of unequal widths would take other BLAS kernels and other bits.
     """
     hidden, outputs = params
-    acts = _hidden_activations(hidden, x)
-    deltas = []
-    for a, (w, b), t, (dw, db) in zip(acts[-1], outputs, targets, grads[1]):
-        err = a @ w + b - t
-        delta = 2.0 * err / err.size
-        dw[...] = a.T @ delta
-        db[...] = delta.sum(axis=0)
-        deltas.append(delta @ w.T)
-    if not hidden:
-        return
-    delta = np.stack(deltas) * (acts[-1] > 0.0)
+    hs, masks, deltas, errs = bufs
+    acts = [x, *hs]
+    for a, (w, b), h, mask in zip(acts, hidden, hs, masks):
+        np.matmul(a, w, out=h)
+        np.add(h, b[:, None, :], out=h)
+        np.maximum(h, 0.0, out=h)
+        np.greater(h, 0.0, out=mask)
+    for k, (a, (w, b), t, (dw, db), err) in enumerate(zip(acts[-1], outputs, targets, grads[1], errs)):
+        np.matmul(a, w, out=err)
+        err += b
+        err -= t
+        err *= 2.0
+        err /= err.size
+        np.matmul(a.T, err, out=dw)
+        np.add.reduce(err, axis=0, out=db)
+        if hidden:
+            np.matmul(err, w.T, out=deltas[-1][k])
     for i in range(len(hidden) - 1, -1, -1):
+        delta = deltas[i]
+        delta *= masks[i]
         dw, db = grads[0][i]
-        dw[...] = acts[i].transpose(0, 2, 1) @ delta
-        db[...] = delta.sum(axis=1)
+        np.matmul(acts[i].transpose(0, 2, 1), delta, out=dw)
+        np.add.reduce(delta, axis=1, out=db)
         if i > 0:
-            delta = (delta @ hidden[i][0].transpose(0, 2, 1)) * (acts[i] > 0.0)
+            np.matmul(delta, hidden[i][0].transpose(0, 2, 1), out=deltas[i - 1])
 
 
 def _losses(params, x, targets):
@@ -180,7 +205,8 @@ class Mlp:
         if x.shape[1] != self.layer_sizes[0] or t.shape[1] != self.layer_sizes[-1]:
             raise HandRoiError("batch widths inconsistent with the network layout")
         grad = np.zeros_like(self.theta)
-        _gradient(self._params, _stack_views([self.layer_sizes], grad), x[None], [t])
+        bufs = _work_buffers([self.layer_sizes], x.shape[0])
+        _gradient(self._params, _stack_views([self.layer_sizes], grad), x[None], [t], bufs)
         return grad
 
 
@@ -259,8 +285,14 @@ def _train_heads(X, targets, layouts, cfg: TrainConfig):
     grads = _stack_views(layouts, grad)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    tmp1, tmp2 = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    one_minus_beta1, one_minus_beta2 = 1 - beta1, 1 - beta2
     step = 0
+    # each minibatch's rows and the work buffers of its size, made once per size
+    starts = range(0, n_train, BATCH_SIZE)
+    bufs = {size: _work_buffers(layouts, size) for size in {min(BATCH_SIZE, n_train - s) for s in starts}}
+    batches = [(slice(s, s + BATCH_SIZE), bufs[min(BATCH_SIZE, n_train - s)]) for s in starts]
 
     best = [None] * k
     best_val = [math.inf] * k
@@ -271,17 +303,27 @@ def _train_heads(X, targets, layouts, cfg: TrainConfig):
             order = np.array([rng.permutation(n_train) for rng in rngs])
             Xep = Xtr[rows, order]
             Yep = [Y[o] for Y, o in zip(Ytr, order)]
-            for start in range(0, n_train, BATCH_SIZE):
-                batch = slice(start, start + BATCH_SIZE)
-                _gradient(params, grads, Xep[:, batch], [Y[batch] for Y in Yep])
+            for batch, buf in batches:
+                _gradient(params, grads, Xep[:, batch], [Y[batch] for Y in Yep], buf)
                 step += 1
                 bc1 = 1.0 - beta1 ** step
                 bc2 = 1.0 - beta2 ** step
+                # m, v and theta as in m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
+                # theta -= lr (m / bc1) / (sqrt(v / bc2) + eps), operation for operation
                 m *= beta1
-                m += (1 - beta1) * grad
+                np.multiply(grad, one_minus_beta1, out=tmp1)
+                m += tmp1
                 v *= beta2
-                v += (1 - beta2) * grad ** 2
-                theta -= LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + eps)
+                np.square(grad, out=tmp1)
+                tmp1 *= one_minus_beta2
+                v += tmp1
+                np.divide(m, bc1, out=tmp1)
+                tmp1 *= LEARNING_RATE
+                np.divide(v, bc2, out=tmp2)
+                np.sqrt(tmp2, out=tmp2)
+                tmp2 += eps
+                tmp1 /= tmp2
+                theta -= tmp1
             train_loss = _losses(params, Xtr, Ytr)
             val_loss = _losses(params, Xval, Yval) if n_val > 0 else train_loss
             if not all(map(math.isfinite, train_loss + val_loss)):

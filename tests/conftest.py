@@ -5,9 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from handroi.dataset import dataset_from_docs, sample_to_dict
-from handroi.geometry import box_quads
-from handroi.heuristic import CENTER_SHIFT, MIDDLE_MCP, SIZE_SCALE, WRIST, Hand21, gold_roi
+from handroi.dataset import (
+    HAND_TEMPLATE,
+    RHO_MAX,
+    RHO_MIN,
+    SYNTH_HEIGHT,
+    Sample,
+    _rotation_matrix,
+    dataset_from_docs,
+    sample_to_dict,
+)
+from handroi.geometry import Vec3, box_quads
+from handroi.heuristic import (
+    CENTER_SHIFT,
+    INDEX_MCP,
+    MIDDLE_MCP,
+    PINKY_MCP,
+    SIZE_SCALE,
+    THUMB_LOW,
+    WRIST,
+    Hand21,
+    PoseHand,
+    gold_roi,
+)
 from handroi.model import BATCH_SIZE, LEARNING_RATE, VALIDATION_FRACTION
 
 
@@ -196,6 +216,60 @@ def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
             best_val = val_loss
             best = np.concatenate([x for w, b in zip(weights, biases) for x in (w.ravel(), b)])
     return best, log
+
+
+def reference_synth_sample(rng, cfg, idx, split):
+    """Reference for `dataset._make_synth_sample`: the same draws, one keypoint at a time.
+
+    Each pose keypoint draws its x and y noise with normal(size=2), then its
+    z noise with normal(), and every value is converted with float().
+    """
+    height = SYNTH_HEIGHT
+    rho = rng.uniform(RHO_MIN, RHO_MAX)
+    width = int(round(rho * height))
+
+    phi = rng.uniform(0.0, 360.0)
+    tilt = rng.uniform(0.0, cfg.max_tilt_deg)
+    axis = rng.uniform(0.0, 360.0)
+    rot = _rotation_matrix(phi, tilt, axis)
+    scale = rng.uniform(0.18, 0.32) * height
+    pts3 = scale * (HAND_TEMPLATE @ rot.T)
+    proj = pts3[:, :2]
+
+    margin = 0.06 * min(width, height)
+    lo = proj.min(axis=0)
+    hi = proj.max(axis=0)
+    tx = rng.uniform(margin - lo[0], width - margin - hi[0])
+    ty = rng.uniform(margin - lo[1], height - margin - hi[1])
+    shift = np.array([tx, ty])
+
+    hand_px = proj + shift + rng.normal(scale=cfg.noise_px, size=(21, 2))
+    hand = Hand21(points=tuple((float(x), float(y), 1.0) for x, y in hand_px))
+
+    def pose_point(p3):
+        noisy = p3[:2] + shift + rng.normal(scale=cfg.noise_px, size=2)
+        z = (p3[2] + rng.normal(scale=cfg.noise_px)) / height
+        return Vec3(float(noisy[0] / width), float(noisy[1] / height), float(z))
+
+    wrist3 = pts3[WRIST]
+    arm_dir = wrist3 - pts3[MIDDLE_MCP]
+    pose = PoseHand(
+        shoulder=pose_point(wrist3 + 5.2 * arm_dir),
+        elbow=pose_point(wrist3 + 2.3 * arm_dir),
+        wrist=pose_point(wrist3),
+        thumb=pose_point(pts3[THUMB_LOW]),
+        index=pose_point(pts3[INDEX_MCP]),
+        pinky=pose_point(pts3[PINKY_MCP]),
+    )
+    return Sample(
+        id=f"synth-{cfg.seed}-{idx:05d}",
+        width=width,
+        height=height,
+        hand=hand,
+        pose=pose,
+        was_left=False,
+        split=split,
+    )
 
 
 def _reference_normalize_deg(angle):

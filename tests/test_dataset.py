@@ -2,14 +2,19 @@ import json
 import math
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import handroi.dataset
-from conftest import tight_box
+from conftest import reference_synth_sample, tight_box
 from handroi.dataset import (
     POSE_KEYS,
+    Sample,
     SynthConfig,
     dataset_stats,
     merge_pose_sidecar,
@@ -137,6 +142,15 @@ class TestParsePanoptic:
         make_label_file(tmp_path, "ok.json")
         pts = make_label_file(tmp_path, "bad.json")
         pts[4][coord] = value
+        make_label_file(tmp_path, "bad.json", pts=pts)
+        records, skipped = parse_panoptic(tmp_path)
+        assert [r.id for r in records] == ["ok"] and skipped == 1
+
+    @pytest.mark.parametrize("point", [[110.0, 201.0], [110.0, 201.0, 0.9, 12345.0]], ids=["2-values", "4-values"])
+    def test_landmark_not_x_y_confidence_is_malformed(self, tmp_path, point):
+        make_label_file(tmp_path, "ok.json")
+        pts = make_label_file(tmp_path, "bad.json")
+        pts[6] = point
         make_label_file(tmp_path, "bad.json", pts=pts)
         records, skipped = parse_panoptic(tmp_path)
         assert [r.id for r in records] == ["ok"] and skipped == 1
@@ -318,6 +332,26 @@ class TestSynth:
         with pytest.raises(GoldRoiBug):
             synth_generate(SynthConfig(n=3, seed=1))
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 2**32),
+        st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        st.one_of(st.sampled_from([0.0, 90.0]), st.floats(0.0, 90.0)),
+    )
+    def test_matches_per_keypoint_reference(self, seed, noise_px, max_tilt_deg):
+        cfg = SynthConfig(n=4, seed=seed, noise_px=noise_px, max_tilt_deg=max_tilt_deg)
+        samples = synth_generate(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(handroi.dataset, "_make_synth_sample", reference_synth_sample)
+            expected = synth_generate(cfg)
+        assert samples == expected
+        # the file bytes too, which tell -0.0 from 0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
+            write_samples(samples, got)
+            write_samples(expected, want)
+            assert got.read_bytes() == want.read_bytes()
+
     def test_bad_config(self):
         with pytest.raises(InputError, match="^n must be positive$"):
             SynthConfig(n=0, seed=1)
@@ -328,13 +362,13 @@ class TestSynth:
 class TestStatsAndIo:
     def test_stats_sum(self):
         samples = synth_generate(SynthConfig(n=40, seed=2))
-        st = dataset_stats(samples)
-        assert st["train"] + st["test"] == st["n"] == 40
-        assert 0 <= st["was_left"] <= st["n"]
+        stats = dataset_stats(samples)
+        assert stats["train"] + stats["test"] == stats["n"] == 40
+        assert 0 <= stats["was_left"] <= stats["n"]
 
     def test_stats_empty(self):
-        st = dataset_stats([])
-        assert st["n"] == 0 and st["train"] == 0 and st["test"] == 0
+        stats = dataset_stats([])
+        assert stats["n"] == 0 and stats["train"] == 0 and stats["test"] == 0
 
     def test_round_trip(self, tmp_path):
         samples = synth_generate(SynthConfig(n=10, seed=4))
@@ -352,6 +386,18 @@ class TestStatsAndIo:
         assert_columns(data.select([7, 2]), [samples[7], samples[2]])
         assert_columns(data.select(data.split == "test"), [s for s in samples if s.split == "test"])
         assert len(data.select([])) == 0
+
+    def test_lines_are_json_dumps(self, tmp_path):
+        # each line is json.dumps of the sample's dict, escapes and float reprs included
+        hand = Hand21(points=((-0.0, 5e-324, 1.0), (1e300, 2.0, 0.0), *((float(i), 3.0, 0.5) for i in range(19))))
+        pose = PoseHand(Vec3(-0.0, 5e-324, 1e300), *[Vec3(1.0, -2.0, 3.0)] * 5)
+        odd = Sample(id="hand-ü-手", width=640, height=480, hand=hand, pose=pose, was_left=True, split="test")
+        samples = [odd, *synth_generate(SynthConfig(n=2, seed=4))]
+        path = tmp_path / "data.jsonl"
+        write_samples(samples, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == [json.dumps(sample_to_dict(s), sort_keys=True, separators=(",", ":")) for s in samples] + [""]
+        assert '"id":"hand-\\u00fc-\\u624b"' in lines[0] and '"was_left":true' in lines[0]
 
     def test_write_deterministic(self, tmp_path):
         samples = synth_generate(SynthConfig(n=10, seed=4))

@@ -256,9 +256,11 @@ class TestTraining:
             assert repr(log) == repr(ref_log)
 
     @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
-    def test_stacked_heads_match_reference_one_by_one(self, rng, angle_mode):
-        # 38 samples: 4 held out, and the 34 train rows end in a minibatch of 2
-        X = rng.uniform(-1, 1, size=(38, FEATURE_DIM))
+    # round(0.1 n) held out: 38 leaves 34 train rows, a last minibatch of 2; 37 leaves 33, one of 1;
+    # 36 leaves exactly one full minibatch of 32; 4 holds none out and trains on one short minibatch
+    @pytest.mark.parametrize("n", [38, 37, 36, 4])
+    def test_stacked_heads_match_reference_one_by_one(self, rng, angle_mode, n):
+        X = rng.uniform(-1, 1, size=(n, FEATURE_DIM))
         # the size head has one output, the sincos angle head two
         layouts = head_layouts(angle_mode)
         targets = [np.tanh(X @ rng.normal(size=(FEATURE_DIM, sizes[-1]))) for sizes in layouts]

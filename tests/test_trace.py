@@ -1,6 +1,7 @@
 """Tooling guard: the benchmark's tracer (`perfbench/spans.py`) must install on
-the package and record a span for every predictor layer, so a refactor that
-breaks `perfbench/run.py --trace 1` fails the test suite."""
+the package and record a span for every predictor layer and for the synth,
+write and training functions it times, so a refactor that breaks
+`perfbench/run.py --trace 1` fails the test suite."""
 
 import contextlib
 import importlib.util
@@ -39,8 +40,12 @@ def test_tracer_records_every_predictor_layer(tmp_path):
     assert codes == [0] * len(steps)
     calls, _, _ = spans.aggregate(tracer.spans)
     for name in (
+        "dataset.synth_generate",
+        "dataset.write_samples",
         "heuristic.gold_roi",
         "heuristic.calc_hand_roi",
+        "model.train_predictor",
+        "model.Mlp.forward",
         "model.featurize",
         "model.predict_roi",
         "model.hybrid_predict",
