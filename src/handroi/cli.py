@@ -148,7 +148,7 @@ def cmd_train(args):
     _write_manifest(
         out,
         "train",
-        {"dataset": args.dataset, **dataclasses.asdict(cfg)},
+        {"dataset": args.dataset, "dataset_sha256": data.sha256, **dataclasses.asdict(cfg)},
         {
             "train_samples": len(train),
             "best_val": {h: min(v for _, _, v in logs[h]) for h in logs},
@@ -161,11 +161,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    predict = _predictor_fn(args.method, _resolve(args.weights, args))
     data = ds.read_samples(_resolve(args.dataset, args))
     test = data.select(data.split == "test")
     if not len(test):
         raise InputError("dataset has no test split")
-    predict = _predictor_fn(args.method, _resolve(args.weights, args))
     rows, summary = mx.evaluate(predict, test, method=args.method)
     out = _resolve(args.out, args)
     mx.write_rows_csv(rows, out)
@@ -173,7 +173,7 @@ def cmd_eval(args):
     _write_manifest(
         out,
         "eval",
-        {"dataset": args.dataset, "method": args.method, "weights": args.weights},
+        {"dataset": args.dataset, "dataset_sha256": data.sha256, "method": args.method, "weights": args.weights},
         {"test_samples": len(test), **dataclasses.asdict(summary)},
     )
     print(f"wrote {len(rows)} rows to {out}")
@@ -219,13 +219,14 @@ def cmd_compare(args):
 
 
 def cmd_render(args):
+    predict = _predictor_fn(args.method, _resolve(args.weights, args))
     data = ds.read_samples(_resolve(args.dataset, args))
     matches = np.flatnonzero(data.ids == args.id)
     if not matches.size:
         raise NotFound(f"sample id {args.id!r} not in dataset")
     s = data.select(matches[:1])
     gold = ds.gold_boxes(s)[0]
-    boxes, failed = _predictor_fn(args.method, _resolve(args.weights, args))(s)
+    boxes, failed = predict(s)
     # a finite box can still have pixel corners beyond float range: a failed prediction, as in eval
     with np.errstate(over="ignore", invalid="ignore"):
         gold_quad, pred_quad = box_quads([gold, boxes[0]], [s.width[0]] * 2, [s.height[0]] * 2)
@@ -239,7 +240,13 @@ def cmd_render(args):
     _write_manifest(
         out,
         "render",
-        {"dataset": args.dataset, "id": args.id, "method": args.method, "weights": args.weights},
+        {
+            "dataset": args.dataset,
+            "dataset_sha256": data.sha256,
+            "id": args.id,
+            "method": args.method,
+            "weights": args.weights,
+        },
         {"predictions": len(pred_quads)},
     )
     print(f"wrote {out}")

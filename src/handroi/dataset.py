@@ -4,7 +4,9 @@ The write side (ingestion, synthesis, `write_samples`) builds one `Sample`
 object per sample and writes one JSON object per line. The read side
 (`read_samples`) parses that file straight into a columnar `Dataset`: one
 array per field, checked in bulk, with no per-sample objects; `gold_boxes`
-gives its gold boxes in one batch.
+gives its gold boxes in one batch. The columns of a file that parsed are
+kept beside it in a cache keyed by the sha256 of its bytes, so a later read
+of the same bytes skips JSON decoding.
 
 Real data comes in two parts joined by sample id:
   * a directory of per-image annotation files (JSON with a 21x3 "hand_pts"
@@ -20,12 +22,15 @@ scale: it poses a canonical 3-D hand, tilts it out of plane, projects it
 orthographically, and derives the sparse body keypoints from the projection.
 """
 
+import hashlib
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+import zipfile
+import zlib
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,16 +126,15 @@ def mirror_left(pose: PoseHand, hand: Hand21, width: float):
     return PoseHand(*kps), Hand21(points=pts)
 
 
-def _utf8_lines(path):
-    """(line number, stripped text) of each non-blank line; bad UTF-8 is an InputError."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise InputError(f"{path} line {lineno}: {e}") from None
-            if line:
-                yield lineno, line
+def _utf8_lines(raw_lines, path):
+    """(line number, stripped text) of each non-blank line of path's raw lines; bad UTF-8 is an InputError."""
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path} line {lineno}: {e}") from None
+        if line:
+            yield lineno, line
 
 
 def _parse_sidecar_line(line, where):
@@ -156,12 +160,13 @@ def read_pose_sidecar(sidecar_path):
     line.
     """
     poses = {}
-    for lineno, line in _utf8_lines(sidecar_path):
-        where = f"{sidecar_path} line {lineno}"
-        sid, width, height, handedness, pose = _parse_sidecar_line(line, where)
-        if sid in poses:
-            raise InputError(f"{where}: duplicate id {sid!r}")
-        poses[sid] = (width, height, handedness, pose)
+    with open(sidecar_path, "rb") as fh:
+        for lineno, line in _utf8_lines(fh, sidecar_path):
+            where = f"{sidecar_path} line {lineno}"
+            sid, width, height, handedness, pose = _parse_sidecar_line(line, where)
+            if sid in poses:
+                raise InputError(f"{where}: duplicate id {sid!r}")
+            poses[sid] = (width, height, handedness, pose)
     return poses
 
 
@@ -429,7 +434,9 @@ class Dataset:
     hand is the (N, 21, 3) float64 array of pixel landmarks (x, y,
     confidence), pose the (N, 6, 3) float64 array of normalized keypoints
     (x, y, z) in POSE_KEYS order; a left hand's are already mirrored. Every
-    value is finite and every confidence in [0, 1].
+    value is finite and every confidence in [0, 1]. sha256 is the hex digest
+    of the file the columns were read from (None if they were not read from
+    a file).
     """
 
     ids: np.ndarray
@@ -439,15 +446,18 @@ class Dataset:
     was_left: np.ndarray
     hand: np.ndarray
     pose: np.ndarray
+    sha256: str | None = None
 
     def __len__(self):
         return len(self.ids)
 
     def select(self, rows) -> "Dataset":
         """The samples at rows, an index array or a bool mask, in that order."""
-        return Dataset(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return replace(self, **{name: getattr(self, name)[rows] for name in COLUMNS})
 
 
+# the array fields of a Dataset, one entry per sample each
+COLUMNS = ("ids", "width", "height", "split", "was_left", "hand", "pose")
 # JSON values per dataset line: 21 hand landmarks, then the pose keypoints, 3 values each
 _LINE_VALUES = 3 * (21 + len(POSE_KEYS))
 
@@ -522,15 +532,32 @@ def _as_float(v):
         return math.inf if v > 0 else -math.inf
 
 
+def _value_checks(hand, pose):
+    """[(bad-row mask, describe(row))] of N samples' (N, 21, 3) landmarks and (N, 6, 3) keypoints.
+
+    A row is bad if a landmark x or y or a keypoint value is not finite, or
+    a confidence is outside [0, 1]; describe gives the error of a bad row.
+    """
+    conf = hand[:, :, 2]
+    conf_ok = (conf >= 0.0) & (conf <= 1.0)
+    return [
+        (~np.isfinite(hand[:, :, :2]).all(axis=(1, 2)), lambda i: "non-finite landmark coordinate"),
+        (~conf_ok.all(axis=1), lambda i: f"confidence {conf[i][~conf_ok[i]][0]} outside [0, 1]"),
+        (
+            ~np.isfinite(pose).all(axis=(1, 2)),
+            lambda i: f"non-finite {POSE_KEYS[np.argmin(np.isfinite(pose[i]).all(axis=1))]} keypoint",
+        ),
+    ]
+
+
 def _check_values(source, lines, vals):
     """The (N, 27, 3) float64 landmarks then keypoints of N lines, from their JSON values.
 
     vals holds each line's _LINE_VALUES values in order, lines the line
     numbers. Each check runs on all lines at once. A line fails if it holds
-    a value that is not a JSON number, a landmark x or y or a keypoint
-    value that is not finite, or a confidence outside [0, 1]; the
-    InputError names the first line that fails, and the first of these
-    checks it fails.
+    a value that is not a JSON number, or a value that fails
+    `_value_checks`; the InputError names the first line that fails, and
+    the first of these checks it fails.
     """
     n = len(lines)
     is_number, values = None, None
@@ -544,8 +571,7 @@ def _check_values(source, lines, vals):
     if values is None:
         values = np.fromiter(map(_as_float, vals), np.float64, len(vals))
     values = values.reshape(n, _LINE_VALUES // 3, 3)
-    hand, conf, pose = values[:, :21, :2], values[:, :21, 2], values[:, 21:]
-    conf_ok = (conf >= 0.0) & (conf <= 1.0)
+
     def first_non_number(i):
         return next(v for v in vals[i * _LINE_VALUES :] if type(v) not in _NUMBER_TYPES)
 
@@ -554,12 +580,7 @@ def _check_values(source, lines, vals):
             np.zeros(n, bool) if is_number is None else ~is_number.reshape(n, -1).all(axis=1),
             lambda i: f"expected a JSON number, got {first_non_number(i)!r}",
         ),
-        (~np.isfinite(hand).all(axis=(1, 2)), lambda i: "non-finite landmark coordinate"),
-        (~conf_ok.all(axis=1), lambda i: f"confidence {conf[i][~conf_ok[i]][0]} outside [0, 1]"),
-        (
-            ~np.isfinite(pose).all(axis=(1, 2)),
-            lambda i: f"non-finite {POSE_KEYS[np.argmin(np.isfinite(pose[i]).all(axis=1))]} keypoint",
-        ),
+        *_value_checks(values[:, :21], values[:, 21:]),
     ]
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
@@ -569,9 +590,9 @@ def _check_values(source, lines, vals):
     return values
 
 
-def _json_lines(path):
-    """(line number, JSON value) of each non-blank line; bad UTF-8 or JSON is an InputError."""
-    for lineno, line in _utf8_lines(path):
+def _json_lines(raw_lines, path):
+    """(line number, JSON value) of each non-blank line of path's raw lines; bad UTF-8 or JSON is an InputError."""
+    for lineno, line in _utf8_lines(raw_lines, path):
         try:
             doc = json.loads(line)
         except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
@@ -579,9 +600,126 @@ def _json_lines(path):
         yield lineno, doc
 
 
+# the column cache of a dataset file is the file's path plus this suffix
+CACHE_SUFFIX = ".cols.npz"
+# version of the cache's member layout; a cache of another version is rebuilt
+CACHE_LAYOUT = 1
+# what reading a damaged or foreign cache file raises: np.load and zipfile (a flipped flag bit reads as
+# an encrypted member, RuntimeError, or an unknown compression method, NotImplementedError), the npy
+# header parser and json
+_CACHE_ERRORS = (
+    OSError,
+    EOFError,
+    ValueError,
+    KeyError,
+    RuntimeError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
+
 def read_samples(path) -> Dataset:
-    """The dataset file written by write_samples, as columns (see `dataset_from_docs`)."""
-    return dataset_from_docs(_json_lines(path), path)
+    """The dataset file written by write_samples, as columns (see `dataset_from_docs`).
+
+    The columns of the file's bytes come from the cache `<path>.cols.npz`
+    if it holds them, that is if its key is the sha256 of the file's bytes
+    and its columns pass the checks a parse makes (`_cached_dataset`).
+    Otherwise the file is parsed, and the columns of a parse that succeeds
+    are written to the cache (`_write_cache`), keyed by the sha256 of the
+    bytes the parse read.
+    """
+    cache = f"{path}{CACHE_SUFFIX}"
+    if os.path.exists(cache):
+        with open(path, "rb") as fh:
+            data = _cached_dataset(cache, hashlib.sha256(fh.read()).hexdigest())
+        if data is not None:
+            return data
+    # parsed line by line, which holds less memory than parsing the bytes hashed above
+    parsed = hashlib.sha256()
+    with open(path, "rb") as fh:
+        raw_lines = (parsed.update(raw) or raw for raw in fh)
+        data = replace(dataset_from_docs(_json_lines(raw_lines, path), path), sha256=parsed.hexdigest())
+    _write_cache(cache, data)
+    return data
+
+
+def _write_cache(cache, data):
+    """Write data's columns, keyed by data.sha256, to the cache file; an OSError leaves none and is not raised.
+
+    The members are layout (CACHE_LAYOUT), sha256, ids (the ASCII JSON text
+    of the id list as uint8, since a numpy string array drops trailing
+    NULs), split as a unicode array, and the other columns as they are.
+    The file is written under a temporary name and then renamed, so a
+    reader never sees part of it.
+    """
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    ids = json.dumps(data.ids.tolist()).encode("ascii")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                layout=np.int64(CACHE_LAYOUT),
+                sha256=np.str_(data.sha256),
+                ids=np.frombuffer(ids, np.uint8),
+                split=data.split.astype(str),
+                **{name: getattr(data, name) for name in ("width", "height", "was_left", "hand", "pose")},
+            )
+        os.replace(tmp, cache)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _cached_dataset(cache, digest):
+    """The Dataset in the cache file if its key is (CACHE_LAYOUT, digest) and its columns are valid, else None.
+
+    Valid columns have a Dataset's shapes and dtypes, at least one sample,
+    unique string ids, splits in SPLITS, finite integer dims above 0, and
+    values that pass `_value_checks`, the check a parse makes. A missing,
+    damaged or foreign file is None too.
+    """
+    try:
+        with open(cache, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                return None
+            with npz:
+                if npz["layout"].tolist() != CACHE_LAYOUT or npz["sha256"].tolist() != digest:
+                    return None
+                cols = {name: npz[name] for name in COLUMNS}
+        ids = json.loads(cols["ids"].tobytes())
+    except _CACHE_ERRORS:
+        return None
+    n = len(ids) if type(ids) is list else 0
+    shapes = {
+        "width": (np.float64, (n,)),
+        "height": (np.float64, (n,)),
+        "was_left": (np.bool_, (n,)),
+        "hand": (np.float64, (n, 21, 3)),
+        "pose": (np.float64, (n, len(POSE_KEYS), 3)),
+    }
+    if (
+        not n
+        or any(cols[name].dtype != dtype or cols[name].shape != shape for name, (dtype, shape) in shapes.items())
+        or cols["split"].dtype.kind != "U"
+        or cols["split"].shape != (n,)
+        or set(map(type, ids)) != {str}
+        or len(set(ids)) != n
+    ):
+        return None
+    dims = np.concatenate([cols["width"], cols["height"]])
+    if not (
+        np.isin(cols["split"], SPLITS).all()
+        and (np.isfinite(dims) & (dims > 0) & (dims == np.floor(dims))).all()
+        and not any(mask.any() for mask, _ in _value_checks(cols["hand"], cols["pose"]))
+    ):
+        return None
+    return Dataset(
+        **{**cols, "ids": np.array(ids, dtype=object), "split": cols["split"].astype(object)}, sha256=digest
+    )
 
 
 def gold_boxes(data: Dataset):

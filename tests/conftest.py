@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from handroi.dataset import (
+    CACHE_SUFFIX,
     HAND_TEMPLATE,
     RHO_MAX,
     RHO_MIN,
@@ -57,6 +58,12 @@ def make_dataset(samples):
     """
     docs = (json.loads(json.dumps(sample_to_dict(s))) for s in samples)
     return dataset_from_docs(enumerate(docs, 1), "<samples>")
+
+
+def read_cache(dataset_path):
+    """The members of a dataset file's column cache, as a dict of arrays; the file is closed again."""
+    with np.load(f"{dataset_path}{CACHE_SUFFIX}", allow_pickle=False) as npz:
+        return dict(npz)
 
 
 def scalar_gold_predictor(data):

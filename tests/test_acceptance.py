@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import monte_carlo_iou, random_box, scalar_gold_predictor
+from conftest import monte_carlo_iou, random_box, read_cache, scalar_gold_predictor
 from handroi.cli import main as cli_main
 from handroi.geometry import rotated_iou
 from handroi.heuristic import calc_hand_roi, closed_form_size
@@ -246,6 +246,12 @@ class TestGoldenOutputs:
         files = [first[k] for k in ("data", "weights", "rows_h", "rows_y", "report")]
         files.append(first["weights"].with_name(first["weights"].name + ".log"))
         assert sha256s(files) == golden["sha256"]
+
+    def test_evals_read_the_column_cache(self, synth_pipeline):
+        # train parsed the dataset and left its column cache, so both evals, whose rows the hashes above pin, read it
+        first, _, _ = synth_pipeline
+        cache = read_cache(first["data"])
+        assert cache["sha256"].tolist() == hashlib.sha256(first["data"].read_bytes()).hexdigest()
 
 
 class TestScalarGoldenOutputs:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import fnmatch
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from handroi import cli
 from handroi import errors
 from handroi import model as md
 from handroi.cli import build_parser, main
-from handroi.dataset import SynthConfig, read_samples, synth_generate, write_samples
+from handroi.dataset import CACHE_SUFFIX, SynthConfig, read_samples, synth_generate, write_samples
 from handroi.metrics import CSV_COLUMNS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -688,10 +689,39 @@ class TestEval:
             weights.write_bytes(b"junk")
         argv = ["--dataset", str(small_dataset), "--method", "heuristic", "--weights", str(weights)]
         if command == "render":
-            argv += ["--id", read_samples(small_dataset).ids[0]]
+            # not read_samples: its column cache would be one more file in tmp_path
+            argv += ["--id", json.loads(small_dataset.read_text().splitlines()[0])["id"]]
         code, err = run_quiet(command, *argv, "--out", str(tmp_path / "out"))
+        # the weights are checked before the dataset is read, so no cache is written either
         assert (code, err) == (2, ["error: method 'heuristic' reads no weights"])
         assert {p.name for p in tmp_path.iterdir()} == ({"data.jsonl", "junk.hroi"} if exists else {"data.jsonl"})
+
+    @pytest.mark.parametrize("method", ["heuristic", "hybrid"])
+    def test_same_bytes_with_and_without_cache(self, tmp_path, small_dataset, trained_weights, method):
+        cache = small_dataset.with_name(small_dataset.name + CACHE_SUFFIX)
+        out = tmp_path / "rows.csv"
+        argv = ["eval", "--dataset", str(small_dataset), "--method", method, "--out", str(out)]
+        argv += ["--weights", str(trained_weights)] if method == "hybrid" else []
+        outputs = []
+        for cached in (True, False):
+            # train left the cache; the second run reads without it and writes it again
+            assert cache.is_file()
+            if not cached:
+                cache.unlink()
+            assert run_quiet(*argv) == (0, [])
+            outputs.append([p.read_bytes() for p in (out, tmp_path / "rows.csv.summary.txt",
+                                                     tmp_path / "rows.csv.manifest.json")])
+        assert cache.is_file() and outputs[0] == outputs[1]
+
+    def test_manifests_record_dataset_sha256(self, tmp_path, small_dataset, trained_weights):
+        sid = json.loads(small_dataset.read_text().splitlines()[0])["id"]
+        assert run_quiet("eval", "--dataset", str(small_dataset), "--out", str(tmp_path / "rows.csv")) == (0, [])
+        render = ["render", "--dataset", str(small_dataset), "--id", sid, "--out", str(tmp_path / "box.svg")]
+        assert run_quiet(*render) == (0, [])
+        want = hashlib.sha256(small_dataset.read_bytes()).hexdigest()
+        for out in (trained_weights, tmp_path / "rows.csv", tmp_path / "box.svg"):
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            assert manifest["config"]["dataset_sha256"] == want
 
     def test_no_summary_flag(self, tmp_path, small_dataset):
         argv = ["--dataset", str(small_dataset), "--out", str(tmp_path / "rows.csv"), "--summary", "s.txt"]

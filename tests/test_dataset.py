@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+import os
 import re
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handroi.dataset
-from conftest import reference_synth_sample, tight_box
+from conftest import read_cache, reference_synth_sample, tight_box
 from handroi.dataset import (
+    CACHE_SUFFIX,
     POSE_KEYS,
     Sample,
     SynthConfig,
@@ -501,3 +506,226 @@ class TestStatsAndIo:
         path.write_text("")
         with pytest.raises(InputError, match=f"no samples in {re.escape(str(path))}$"):
             read_samples(path)
+
+
+# ids a numpy string array would not keep: trailing NULs, non-ASCII text, a lone surrogate ("\ud800" in JSON)
+ODD_IDS = ["a\x00", "\x00", "hand-ü-手", "\ud800", "x\ud800\x00"]
+
+
+@contextmanager
+def no_parse():
+    """Fail the test if read_samples decodes the dataset's JSON lines instead of reading its cache."""
+    with mock.patch.object(handroi.dataset, "dataset_from_docs", side_effect=AssertionError("parsed")):
+        yield
+
+
+def assert_same_columns(got, want):
+    """Bitwise-equal float columns, equal ids, split and was_left, and the same sha256."""
+    for name in ("width", "height", "hand", "pose"):
+        assert getattr(got, name).dtype == np.float64
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.ids.tolist() == want.ids.tolist() and got.split.tolist() == want.split.tolist()
+    assert got.was_left.tolist() == want.was_left.tolist() and got.was_left.dtype == bool
+    assert got.ids.dtype == got.split.dtype == object and got.sha256 == want.sha256
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6) | st.just(-0.0)
+confidence = st.floats(0.0, 1.0) | st.sampled_from([0, 1, -0.0])
+sample_docs = st.lists(
+    st.text(st.characters(exclude_categories=())) | st.sampled_from(ODD_IDS), min_size=1, max_size=4, unique=True
+).flatmap(
+    lambda ids: st.tuples(
+        *(
+            st.fixed_dictionaries(
+                {
+                    "id": st.just(sid),
+                    "width": st.integers(1, 10**6),
+                    "height": st.integers(1, 10**6),
+                    "split": st.sampled_from(["train", "test"]),
+                    "was_left": st.booleans(),
+                    "hand": st.lists(st.tuples(finite, finite, confidence).map(list), min_size=21, max_size=21),
+                    "pose": st.fixed_dictionaries({k: st.tuples(finite, finite, finite).map(list) for k in POSE_KEYS}),
+                }
+            )
+            for sid in ids
+        )
+    )
+)
+
+
+class TestColumnCache:
+    def write(self, path, n=6):
+        write_samples(synth_generate(SynthConfig(n=n, seed=4)), path)
+        return path
+
+    @settings(max_examples=60, deadline=None)
+    @given(sample_docs)
+    def test_hit_equals_parse(self, docs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+            first = read_samples(path)
+            assert first.ids.tolist() == [d["id"] for d in docs]
+            assert first.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+            with no_parse():
+                assert_same_columns(read_samples(path), first)
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["data.jsonl", "data.jsonl.cols.npz"]
+
+    def test_odd_ids_round_trip(self, tmp_path):
+        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=len(ODD_IDS), seed=4))]
+        for doc, sid in zip(docs, ODD_IDS):
+            doc["id"] = sid
+        path = tmp_path / "data.jsonl"
+        write_docs(path, docs)
+        assert "\\ud800" in path.read_text()
+        assert read_samples(path).ids.tolist() == ODD_IDS
+        with no_parse():
+            assert read_samples(path).ids.tolist() == ODD_IDS
+
+    def test_key_and_layout(self, tmp_path):
+        path = self.write(tmp_path / "data.jsonl")
+        data = read_samples(path)
+        cache = read_cache(path)
+        assert cache["sha256"].tolist() == data.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert cache["layout"].tolist() == handroi.dataset.CACHE_LAYOUT
+        assert sorted(cache) == sorted(["layout", "sha256", *handroi.dataset.COLUMNS])
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [(",1.0]", ",0.5]", None), (",1.0]", ",9.0]", r"line 2: confidence 9.0 outside \[0, 1\]")],
+    )
+    def test_same_size_edit_misses(self, tmp_path, old, new, error):
+        path = self.write(tmp_path / "data.jsonl")
+        read_samples(path)
+        stat = path.stat()
+        lines = path.read_text().split("\n")
+        lines[1] = lines[1].replace(old, new, 1)
+        path.write_text("\n".join(lines))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+        if error:
+            with pytest.raises(InputError, match=error):
+                read_samples(path)
+            return
+        data = read_samples(path)
+        assert 0.5 in data.hand[1, :, 2]
+        Path(f"{path}{CACHE_SUFFIX}").unlink()
+        assert_same_columns(data, read_samples(path))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated",
+            "not a zip",
+            "empty",
+            "npy",
+            "wrong key",
+            "wrong layout",
+            "no layout",
+            "hand shape",
+            "width dtype",
+            "big-endian pose",
+            "split dtype",
+            "NaN landmark",
+            "inf keypoint",
+            "confidence 1.5",
+            "width 0",
+            "height 480.5",
+            "split val",
+            "duplicate id",
+            "id not a string",
+            "ids not JSON",
+            "no samples",
+        ],
+    )
+    def test_bad_cache_misses_and_is_rewritten(self, tmp_path, damage):
+        path = self.write(tmp_path / "data.jsonl")
+        want = read_samples(path)
+        cache_path = Path(f"{path}{CACHE_SUFFIX}")
+        good = cache_path.read_bytes()
+        members = read_cache(path)
+        ids = json.loads(members["ids"].tobytes())
+        edits = {
+            "wrong key": lambda m: m.update(sha256=np.str_("0" * 64)),
+            "wrong layout": lambda m: m.update(layout=np.int64(handroi.dataset.CACHE_LAYOUT + 1)),
+            "no layout": lambda m: m.pop("layout"),
+            "hand shape": lambda m: m.update(hand=m["hand"][:, :20]),
+            "width dtype": lambda m: m.update(width=m["width"].astype(np.float32)),
+            "big-endian pose": lambda m: m.update(pose=m["pose"].astype(">f8")),
+            "split dtype": lambda m: m.update(split=m["split"] == "test"),
+            "NaN landmark": lambda m: m["hand"].__setitem__((2, 5, 0), math.nan),
+            "inf keypoint": lambda m: m["pose"].__setitem__((3, 1, 2), math.inf),
+            "confidence 1.5": lambda m: m["hand"].__setitem__((0, 0, 2), 1.5),
+            "width 0": lambda m: m["width"].__setitem__(1, 0.0),
+            "height 480.5": lambda m: m["height"].__setitem__(1, 480.5),
+            "split val": lambda m: m.update(split=np.array(["val"] * len(ids))),
+            "duplicate id": lambda m: m.update(ids=np.frombuffer(json.dumps([ids[0], *ids[:-1]]).encode(), np.uint8)),
+            "id not a string": lambda m: m.update(ids=np.frombuffer(json.dumps([1, *ids[1:]]).encode(), np.uint8)),
+            "ids not JSON": lambda m: m.update(ids=m["ids"][:-1]),
+            "no samples": lambda m: m.update(
+                {k: v[:0] for k, v in m.items() if k not in ("layout", "sha256", "ids")},
+                ids=np.frombuffer(b"[]", np.uint8),
+            ),
+        }
+        if damage == "truncated":
+            cache_path.write_bytes(good[: len(good) // 2])
+        elif damage == "not a zip":
+            cache_path.write_bytes(b"\x93NUMPY is not a zip" + good)
+        elif damage == "empty":
+            cache_path.write_bytes(b"")
+        elif damage == "npy":
+            with cache_path.open("wb") as fh:
+                np.save(fh, want.hand)
+        else:
+            edits[damage](members)
+            with cache_path.open("wb") as fh:
+                np.savez(fh, **members)
+        calls = []
+        real = handroi.dataset.dataset_from_docs
+        with mock.patch.object(handroi.dataset, "dataset_from_docs", side_effect=lambda *a: calls.append(1) or real(*a)):
+            assert_same_columns(read_samples(path), want)
+        assert calls == [1]
+        assert cache_path.read_bytes() == good
+        with no_parse():
+            assert_same_columns(read_samples(path), want)
+
+    def test_damaged_bytes_never_change_the_result(self, tmp_path):
+        path = self.write(tmp_path / "data.jsonl", n=2)
+        want = read_samples(path)
+        cache_path = Path(f"{path}{CACHE_SUFFIX}")
+        good = cache_path.read_bytes()
+        rng = np.random.default_rng(3)
+        for k in range(0, len(good), 7):
+            flipped = bytearray(good)
+            flipped[k] ^= 1 << int(rng.integers(8))
+            for damaged in (good[:k], bytes(flipped)):
+                cache_path.write_bytes(damaged)
+                assert_same_columns(read_samples(path), want)
+
+    @pytest.mark.parametrize("later", ["malformed", "nan landmark"])
+    def test_failed_parse_leaves_no_cache(self, tmp_path, later):
+        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        write_docs(tmp_path / "data.jsonl", docs, later)
+        with pytest.raises(InputError, match="line 4"):
+            read_samples(tmp_path / "data.jsonl")
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    @pytest.mark.parametrize("failing", ["savez", "replace"])
+    def test_write_error_skips_the_cache(self, tmp_path, monkeypatch, failing):
+        path = self.write(tmp_path / "data.jsonl")
+        want = read_samples(path)
+        Path(f"{path}{CACHE_SUFFIX}").unlink()
+
+        def savez(fh, **members):
+            fh.write(b"PK\x03\x04 half a cache")
+            raise OSError(28, "No space left on device")
+
+        def replace(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        if failing == "savez":
+            monkeypatch.setattr(handroi.dataset.np, "savez", savez)
+        else:
+            monkeypatch.setattr(handroi.dataset.os, "replace", replace)
+        assert_same_columns(read_samples(path), want)
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
