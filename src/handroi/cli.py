@@ -98,25 +98,27 @@ def cmd_ingest(args):
     if not os.path.isfile(sidecar):
         raise InputError(f"sidecar file not found: {sidecar}")
     poses = ds.read_pose_sidecar(sidecar)
-    samples = []
-    counts = {}
+    parts, seen, counts = [], set(), {}
     for split, labels in (("train", args.train_labels), ("test", args.test_labels)):
         if not labels:
             continue
         records, skipped = ds.parse_panoptic(_resolve(labels, args))
         res = ds.merge_pose_sidecar(records, poses, split=split)
-        both = sorted({s.id for s in samples} & {s.id for s in res.samples})
+        ids = res.data.ids.tolist()
+        both = sorted(seen.intersection(ids))
         if both:
             raise InputError(f"sample id {both[0]!r} is in both {args.train_labels} and {args.test_labels}")
-        samples.extend(res.samples)
+        seen.update(ids)
+        parts.append(res.data)
         counts[split] = {
             "annotations": len(records),
             "malformed_files": skipped,
             "missing_pose": res.missing_pose,
             "degenerate": res.degenerate,
-            "kept": len(res.samples),
+            "kept": len(ids),
         }
-    if not samples:
+    samples = ds.concat(parts)
+    if not len(samples):
         raise InputError("no samples survived ingestion")
     out = _resolve(args.out, args)
     ds.write_samples(samples, out)

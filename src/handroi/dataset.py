@@ -1,12 +1,16 @@
 """Dataset ingestion, synthesis, and the dataset file's two sides.
 
-The write side (ingestion, synthesis, `write_samples`) builds one `Sample`
-object per sample and writes one JSON object per line. The read side
-(`read_samples`) parses that file straight into a columnar `Dataset`: one
-array per field, checked in bulk, with no per-sample objects; `gold_boxes`
-gives its gold boxes in one batch. The columns of a file that parsed are
-kept beside it in a cache keyed by the sha256 of its bytes, so a later read
-of the same bytes skips JSON decoding.
+The file holds one JSON object per line, which `write_samples` writes from
+either side's samples: synthesis builds one `Sample` object per sample,
+while ingestion reads the annotation files and the pose sidecar into
+columns, checks their values in bulk, joins them by id, mirrors the left
+hands and drops the degenerate ones in batches, and passes the result as a
+columnar `Dataset` with no per-sample objects. The read side
+(`read_samples`) parses the file straight into a `Dataset` too: one array
+per field, checked in bulk; `gold_boxes` gives its gold boxes in one
+batch. The columns of a file that parsed are kept beside it in a cache
+keyed by the sha256 of its bytes, so a later read of the same bytes skips
+JSON decoding.
 
 Real data comes in two parts joined by sample id:
   * a directory of per-image annotation files (JSON with a 21x3 "hand_pts"
@@ -53,13 +57,6 @@ SPLITS = ("train", "test")
 
 
 @dataclass(frozen=True)
-class GoldRecord:
-    id: str
-    hand: Hand21
-    is_left: bool
-
-
-@dataclass(frozen=True)
 class Sample:
     id: str
     width: int
@@ -70,60 +67,102 @@ class Sample:
     split: str
 
 
+# ---------------------------------------------------------------------------
+# real-data ingestion
+
+
+@dataclass(frozen=True, eq=False)
+class Annotations:
+    """The parseable files of an annotation directory as columns, in file order.
+
+    ids holds each file's name without its .json extension (an object
+    array of str), hand the (N, 21, 3) float64 landmarks (x, y, confidence)
+    and is_left the files' is_left flags as bools.
+    """
+
+    ids: np.ndarray
+    hand: np.ndarray
+    is_left: np.ndarray
+
+    def __len__(self):
+        return len(self.ids)
+
+
+@dataclass(frozen=True, eq=False)
+class PoseSidecar:
+    """The lines of a pose sidecar as columns, in file order.
+
+    rows maps each line's id to its row. width and height hold the image
+    dims as Python ints (object arrays), so they keep every digit; left
+    marks the lines whose handedness is "left", and pose is the (M, 6, 3)
+    float64 array of keypoints (x, y, z) in POSE_KEYS order.
+    """
+
+    rows: dict
+    width: np.ndarray
+    height: np.ndarray
+    left: np.ndarray
+    pose: np.ndarray
+
+
 @dataclass
 class MergeResult:
-    samples: list
+    data: "Dataset"
     missing_pose: int
     degenerate: int
 
 
-# ---------------------------------------------------------------------------
-# real-data ingestion
-
 def parse_panoptic(labels_dir):
     """Read every annotation file in the directory, lexicographic order.
 
-    Returns (records, skipped) where skipped counts malformed files: one
-    that is not 21 [x, y, confidence] landmarks of JSON numbers, or whose
-    is_left is not a JSON boolean or 0 or 1.
+    Returns (records, skipped): the Annotations of the files that parse,
+    and the count of malformed files. A file is malformed if it is not 21
+    [x, y, confidence] landmarks of JSON numbers with finite x and y and a
+    confidence in [0, 1], or if its is_left is not a JSON boolean or 0 or 1.
+    Each file's structure is checked as it is read, the values of all files
+    at once at the end.
     """
     try:
-        names = sorted(os.listdir(labels_dir))
+        with os.scandir(labels_dir) as it:
+            entries = sorted((e for e in it if e.name.endswith(".json")), key=lambda e: e.name)
     except OSError as e:
         raise IOError(f"cannot read labels directory {labels_dir}: {e}") from e
-    records = []
+    ids, lefts, vals = [], [], []
     skipped = 0
-    for name in names:
-        path = os.path.join(labels_dir, name)
-        if not os.path.isfile(path) or not name.endswith(".json"):
+    for entry in entries:
+        try:
+            if not entry.is_file():  # follows a symlink, as os.path.isfile does
+                continue
+        except OSError:  # an entry that cannot be stat'ed is no file, as for os.path.isfile
             continue
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(entry.path, "rb") as fh:
+                # strict UTF-8 text, as a text-mode read gives it: a UTF-8 BOM or a UTF-16 file is malformed
+                doc = json.loads(fh.read().decode("utf-8"))
             pts = doc["hand_pts"]
-            if len(pts) != 21:
-                raise ValueError(f"{len(pts)} landmarks")
-            if set(map(len, pts)) != {3}:
-                raise ValueError("expected [x, y, confidence] landmarks")
-            _check_json_numbers(pts)
-            hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in pts))
             is_left = doc.get("is_left", 0)
-            if type(is_left) is not bool and not (type(is_left) is int and is_left in (0, 1)):
-                raise ValueError(f"is_left must be a JSON boolean or 0 or 1, got {is_left!r}")
+            ok = (
+                len(pts) == 21
+                and set(map(len, pts)) == {3}
+                and (type(is_left) is bool or (type(is_left) is int and is_left in (0, 1)))
+            )
         except Exception:
+            ok = False
+        if not ok:
             skipped += 1
             continue
-        records.append(GoldRecord(id=os.path.splitext(name)[0], hand=hand, is_left=bool(is_left)))
-    if not records:
+        ids.append(os.path.splitext(entry.name)[0])
+        lefts.append(is_left)
+        vals.extend(itertools.chain.from_iterable(pts))
+    hand, checks = _stacked_values(vals, len(ids), landmarks=21, keypoints=0)
+    good = ~np.logical_or.reduce([mask for mask, _ in checks])
+    skipped += len(ids) - int(good.sum())
+    if not good.any():
         raise InputError(f"no parseable annotation files in {labels_dir}")
+    records = Annotations(
+        ids=np.array(ids, dtype=object)[good], hand=hand[good], is_left=np.array(lefts, dtype=bool)[good]
+    )
     return records, skipped
-
-
-def mirror_left(pose: PoseHand, hand: Hand21, width: float):
-    """Reflect x; normalized pose x -> 1-x, pixel landmark x -> width-x."""
-    kps = [Vec3(1.0 - kp.x, kp.y, kp.z) for kp in pose.as_tuple()]
-    pts = tuple((width - x, y, c) for x, y, c in hand.points)
-    return PoseHand(*kps), Hand21(points=pts)
 
 
 def _utf8_lines(raw_lines, path):
@@ -137,76 +176,94 @@ def _utf8_lines(raw_lines, path):
             yield lineno, line
 
 
-def _parse_sidecar_line(line, where):
-    try:
-        doc = json.loads(line)
-        sid = str(doc["id"])
-        width, height = _image_dims(doc)
-        handedness = doc["handedness"]
-        if handedness not in ("left", "right"):
-            raise ValueError(f"handedness {handedness!r}")
-        kps = [doc[key] for key in POSE_KEYS]
-        _check_json_numbers(kps)
-        kps = [Vec3(float(x), float(y), float(z)) for x, y, z in kps]
-    except Exception as e:
-        raise InputError(f"{where}: {e}") from e
-    return sid, width, height, handedness, PoseHand(*kps)
+def read_pose_sidecar(sidecar_path) -> PoseSidecar:
+    """The sidecar's lines as PoseSidecar columns.
 
-
-def read_pose_sidecar(sidecar_path):
-    """The sidecar's poses by id: {id: (width, height, handedness, PoseHand)}.
-
-    A malformed line or a repeated id is an InputError naming the file and
-    line.
+    A bad line is an InputError naming the file and the line. A line is bad
+    if it is not an object with an id, integer width and height above 0
+    that fit a float, a handedness of "left" or "right" and the POSE_KEYS
+    [x, y, z] keypoints of JSON numbers; if its id repeats an earlier
+    line's; or if a keypoint value is not finite. The structure is checked
+    line by line; the values of all lines at once at the end, and also
+    before a line that fails earlier is named, so the error names the first
+    bad line.
     """
-    poses = {}
-    with open(sidecar_path, "rb") as fh:
-        for lineno, line in _utf8_lines(fh, sidecar_path):
-            where = f"{sidecar_path} line {lineno}"
-            sid, width, height, handedness, pose = _parse_sidecar_line(line, where)
-            if sid in poses:
-                raise InputError(f"{where}: duplicate id {sid!r}")
-            poses[sid] = (width, height, handedness, pose)
-    return poses
+    rows, lines, widths, heights, lefts, vals = {}, [], [], [], [], []
+    try:
+        with open(sidecar_path, "rb") as fh:
+            for lineno, line in _utf8_lines(fh, sidecar_path):
+                where = f"{sidecar_path} line {lineno}"
+                try:
+                    doc = json.loads(line)
+                    sid = str(doc["id"])
+                    width, height = _image_dims(doc)
+                    handedness = doc["handedness"]
+                    if handedness not in ("left", "right"):
+                        raise ValueError(f"handedness {handedness!r}")
+                    kps = [doc[key] for key in POSE_KEYS]
+                    _check_json_numbers(kps)
+                    kps = [(x, y, z) for x, y, z in kps]  # a keypoint of other than 3 values fails to unpack
+                except Exception as e:
+                    raise InputError(f"{where}: {e}") from e
+                lines.append(lineno)
+                vals.extend(itertools.chain.from_iterable(kps))
+                # a repeated id is named only if the line's values, checked by the handler below, pass
+                if sid in rows:
+                    raise InputError(f"{where}: duplicate id {sid!r}")
+                rows[sid] = len(rows)
+                widths.append(width)
+                heights.append(height)
+                lefts.append(handedness == "left")
+    except InputError:
+        _check_values(sidecar_path, lines, vals, landmarks=0)
+        raise
+    return PoseSidecar(
+        rows=rows,
+        width=np.array(widths, dtype=object),
+        height=np.array(heights, dtype=object),
+        left=np.array(lefts, dtype=bool),
+        pose=_check_values(sidecar_path, lines, vals, landmarks=0),
+    )
 
 
 def merge_pose_sidecar(records, poses, split="train") -> MergeResult:
-    """Inner join of gold records with the poses of `read_pose_sidecar` on id.
+    """Inner join of Annotations with the PoseSidecar of `read_pose_sidecar` on id.
 
-    Records without a pose line are dropped and counted; samples whose gold
-    ROI is degenerate are filtered and counted. Left hands are mirrored.
+    Returns the split's samples as a Dataset, in the records' order, whose
+    width and height are the sidecar's Python ints. Records without a pose
+    line are dropped and counted. A sample is left if its sidecar
+    handedness is "left" or its is_left is set, and is mirrored: landmark x
+    becomes width - x and keypoint x 1 - x. Samples whose gold ROI is then
+    degenerate (one `gold_rois` call; a mirrored x beyond float range is
+    degenerate too) are dropped and counted.
     """
-    samples = []
-    missing = 0
-    degenerate = 0
-    for rec in records:
-        entry = poses.get(rec.id)
-        if entry is None:
-            missing += 1
-            continue
-        width, height, handedness, pose = entry
-        hand = rec.hand
-        was_left = handedness == "left" or rec.is_left
-        try:
-            # a mirrored landmark beyond float range is a degenerate hand too
-            if was_left:
-                pose, hand = mirror_left(pose, hand, width)
-            gold_roi(hand, width, height)
-        except DegenerateHand:
-            degenerate += 1
-            continue
-        samples.append(
-            Sample(
-                id=rec.id,
-                width=width,
-                height=height,
-                hand=hand,
-                pose=pose,
-                was_left=was_left,
-                split=split,
-            )
-        )
-    return MergeResult(samples=samples, missing_pose=missing, degenerate=degenerate)
+    rows = np.array([poses.rows.get(sid, -1) for sid in records.ids.tolist()], dtype=np.intp)
+    found = rows >= 0
+    rows = rows[found]
+    width, height = poses.width[rows], poses.height[rows]
+    width_f, height_f = width.astype(np.float64), height.astype(np.float64)
+    was_left = poses.left[rows] | records.is_left[found]
+    hand, pose = records.hand[found], poses.pose[rows]
+    with np.errstate(over="ignore"):
+        hand[was_left, :, 0] = width_f[was_left, None] - hand[was_left, :, 0]
+    pose[was_left, :, 0] = 1.0 - pose[was_left, :, 0]
+    degenerate = gold_rois(hand, width_f, height_f)[1]
+    # gold_rois bounds the landmarks by [-width, 2 width] x [-height, 2 height] of the float dims, gold_roi of
+    # the exact integers; they differ only where a dim of 2**53 or more rounds up, so those rows are bounded again
+    for i in np.flatnonzero((width_f >= 2.0**53) | (height_f >= 2.0**53)).tolist():
+        (xs, ys), w, h = hand[i, :, :2].T.tolist(), width[i], height[i]
+        degenerate[i] |= min(xs) < -w or max(xs) > 2 * w or min(ys) < -h or max(ys) > 2 * h
+    keep = ~degenerate
+    data = Dataset(
+        ids=records.ids[found][keep],
+        width=width[keep],
+        height=height[keep],
+        split=np.full(int(keep.sum()), split, dtype=object),
+        was_left=was_left[keep],
+        hand=hand[keep],
+        pose=pose[keep],
+    )
+    return MergeResult(data=data, missing_pose=int((~found).sum()), degenerate=int(degenerate.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +416,12 @@ def synth_generate(cfg: SynthConfig):
 # aggregation and file format
 
 def dataset_stats(samples):
-    """Counts per split and handedness."""
-    return {
-        "n": len(samples),
-        "train": sum(1 for s in samples if s.split == "train"),
-        "test": sum(1 for s in samples if s.split == "test"),
-        "was_left": sum(1 for s in samples if s.was_left),
-    }
+    """Counts per split and handedness of a list of Sample or a Dataset."""
+    if isinstance(samples, Dataset):
+        split, was_left = samples.split.tolist(), samples.was_left.tolist()
+    else:
+        split, was_left = [s.split for s in samples], [s.was_left for s in samples]
+    return {"n": len(split), "train": split.count("train"), "test": split.count("test"), "was_left": sum(was_left)}
 
 
 def sample_to_dict(s: Sample) -> dict:
@@ -415,10 +471,28 @@ _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def write_samples(samples, path):
+    """Write samples, a list of Sample or a Dataset, one JSON object per line (see `sample_to_dict`)."""
+    docs = _column_docs(samples) if isinstance(samples, Dataset) else map(sample_to_dict, samples)
     with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(_LINE_ENCODER.encode(sample_to_dict(s)))
+        for doc in docs:
+            fh.write(_LINE_ENCODER.encode(doc))
             fh.write("\n")
+
+
+def _column_docs(data):
+    """The line of each sample of a Dataset, as `sample_to_dict` gives it for the same Sample."""
+    poses = [dict(zip(POSE_KEYS, kps)) for kps in data.pose.tolist()]
+    columns = (data.ids, data.width, data.height, data.split, data.was_left, data.hand)
+    for (sid, width, height, split, was_left, hand), pose in zip(zip(*(c.tolist() for c in columns)), poses):
+        yield {
+            "id": sid,
+            "width": width,
+            "height": height,
+            "split": split,
+            "was_left": was_left,
+            "hand": hand,
+            "pose": pose,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +504,9 @@ class Dataset:
     """N samples as columns, in file order.
 
     ids and split ("train" or "test") hold Python strings, width and height
-    the image dims (JSON integers above 0) as float64, and was_left bools.
+    the image dims (JSON integers above 0) as float64 (as Python ints, an
+    object array, in the samples `merge_pose_sidecar` gives, so that
+    `write_samples` writes every digit), and was_left bools.
     hand is the (N, 21, 3) float64 array of pixel landmarks (x, y,
     confidence), pose the (N, 6, 3) float64 array of normalized keypoints
     (x, y, z) in POSE_KEYS order; a left hand's are already mirrored. Every
@@ -458,8 +534,11 @@ class Dataset:
 
 # the array fields of a Dataset, one entry per sample each
 COLUMNS = ("ids", "width", "height", "split", "was_left", "hand", "pose")
-# JSON values per dataset line: 21 hand landmarks, then the pose keypoints, 3 values each
-_LINE_VALUES = 3 * (21 + len(POSE_KEYS))
+
+
+def concat(parts) -> Dataset:
+    """The samples of the Datasets parts, in order."""
+    return Dataset(**{name: np.concatenate([getattr(p, name) for p in parts]) for name in COLUMNS})
 
 
 def dataset_from_docs(docs, source) -> Dataset:
@@ -523,9 +602,7 @@ def dataset_from_docs(docs, source) -> Dataset:
 
 
 def _as_float(v):
-    """v as a float: +-inf for an integer beyond float range, NaN for a value that is not a number."""
-    if type(v) not in _NUMBER_TYPES:
-        return math.nan
+    """v, a JSON number, as a float: +-inf for an integer beyond float range."""
     try:
         return float(v)
     except OverflowError:
@@ -537,6 +614,7 @@ def _value_checks(hand, pose):
 
     A row is bad if a landmark x or y or a keypoint value is not finite, or
     a confidence is outside [0, 1]; describe gives the error of a bad row.
+    Either array may hold no points, (N, 0, 3), and then passes.
     """
     conf = hand[:, :, 2]
     conf_ok = (conf >= 0.0) & (conf <= 1.0)
@@ -550,38 +628,51 @@ def _value_checks(hand, pose):
     ]
 
 
-def _check_values(source, lines, vals):
-    """The (N, 27, 3) float64 landmarks then keypoints of N lines, from their JSON values.
+def _stacked_values(vals, n, landmarks, keypoints):
+    """(values, checks) of n rows of JSON values: landmarks (x, y, confidence), then keypoints (x, y, z).
 
-    vals holds each line's _LINE_VALUES values in order, lines the line
-    numbers. Each check runs on all lines at once. A line fails if it holds
-    a value that is not a JSON number, or a value that fails
-    `_value_checks`; the InputError names the first line that fails, and
-    the first of these checks it fails.
+    vals holds each row's 3 * (landmarks + keypoints) values in order;
+    values is their (n, landmarks + keypoints, 3) float64 array. checks is
+    [(bad-row mask, describe(row))]: a row that holds a value that is not a
+    JSON number, then `_value_checks`. Each check runs on all rows at once.
     """
-    n = len(lines)
-    is_number, values = None, None
-    if set(map(type, vals)) <= _NUMBER_TYPES:
-        try:
-            values = np.array(vals, dtype=np.float64)
-        except OverflowError:  # an integer beyond float range
-            pass
-    else:
-        is_number = np.fromiter(map(_NUMBER_TYPES.__contains__, map(type, vals)), bool, len(vals))
-    if values is None:
-        values = np.fromiter(map(_as_float, vals), np.float64, len(vals))
-    values = values.reshape(n, _LINE_VALUES // 3, 3)
+    width = 3 * (landmarks + keypoints)
+    is_number, numbers = None, vals
+    if not set(map(type, vals)) <= _NUMBER_TYPES:
+        number_mask = list(map(_NUMBER_TYPES.__contains__, map(type, vals)))
+        is_number, numbers = np.array(number_mask, dtype=bool), list(itertools.compress(vals, number_mask))
+    try:
+        values = np.array(numbers, dtype=np.float64)
+    except OverflowError:  # an integer beyond float range
+        values = np.fromiter(map(_as_float, numbers), np.float64, len(numbers))
+    if is_number is not None:  # a value that is not a number reads as NaN
+        stacked = np.full(len(vals), math.nan)
+        stacked[is_number] = values
+        values = stacked
+    values = values.reshape(n, landmarks + keypoints, 3)
 
     def first_non_number(i):
-        return next(v for v in vals[i * _LINE_VALUES :] if type(v) not in _NUMBER_TYPES)
+        return next(v for v in vals[i * width :] if type(v) not in _NUMBER_TYPES)
 
     checks = [
         (
-            np.zeros(n, bool) if is_number is None else ~is_number.reshape(n, -1).all(axis=1),
+            np.zeros(n, bool) if is_number is None else ~is_number.reshape(n, width).all(axis=1),
             lambda i: f"expected a JSON number, got {first_non_number(i)!r}",
         ),
-        *_value_checks(values[:, :21], values[:, 21:]),
+        *_value_checks(values[:, :landmarks], values[:, landmarks:]),
     ]
+    return values, checks
+
+
+def _check_values(source, lines, vals, landmarks=21):
+    """The (N, landmarks + 6, 3) float64 landmarks then keypoints of N lines, from their JSON values.
+
+    vals holds each line's values in order (see `_stacked_values`), lines
+    the line numbers. A line fails if it fails one of `_stacked_values`'s
+    checks; the InputError names the first line that fails, and the first
+    check it fails.
+    """
+    values, checks = _stacked_values(vals, len(lines), landmarks, len(POSE_KEYS))
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))

@@ -1,21 +1,29 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from handroi import cli
 from handroi.dataset import (
     CACHE_SUFFIX,
     HAND_TEMPLATE,
+    POSE_KEYS,
     RHO_MAX,
     RHO_MIN,
     SYNTH_HEIGHT,
     Sample,
+    _check_json_numbers,
+    _image_dims,
     _rotation_matrix,
     dataset_from_docs,
+    dataset_stats,
     sample_to_dict,
+    write_samples,
 )
+from handroi.errors import DegenerateHand, InputError
 from handroi.geometry import Vec3, box_quads
 from handroi.heuristic import (
     CENTER_SHIFT,
@@ -326,3 +334,140 @@ def reference_predict_roi(p, f):
     row = np.asarray(f, dtype=np.float64)[None, :]
     (cx, cy), (size,), angle_out = (head.forward(row)[0] for head in p.heads)
     return float(cx), float(cy), max(0.0, float(size)), reference_rotation(p.angle_mode, angle_out)
+
+
+def reference_ingest(args):
+    """Reference for `cli.cmd_ingest`: the object-based ingest, one sample at a time.
+
+    Each annotation file becomes a Hand21 and each sidecar line a PoseHand
+    of Vec3s, checked value by value as they are built; a left sample is
+    mirrored object by object and the scalar gold_roi filters each joined
+    sample, which becomes a Sample. It writes the same files and raises the
+    same errors as the command. Its one wording of today's command is the
+    sidecar's "non-finite <key> keypoint", which also names an integer
+    beyond float range.
+    """
+    if not args.train_labels and not args.test_labels:
+        raise InputError("need --train-labels and/or --test-labels")
+    sidecar = cli._resolve(args.sidecar, args)
+    if not os.path.isfile(sidecar):
+        raise InputError(f"sidecar file not found: {sidecar}")
+    poses = _reference_read_pose_sidecar(sidecar)
+    samples = []
+    counts = {}
+    for split, labels in (("train", args.train_labels), ("test", args.test_labels)):
+        if not labels:
+            continue
+        records, skipped = _reference_parse_panoptic(cli._resolve(labels, args))
+        kept, missing, degenerate = _reference_merge(records, poses, split)
+        both = sorted({s.id for s in samples} & {s.id for s in kept})
+        if both:
+            raise InputError(f"sample id {both[0]!r} is in both {args.train_labels} and {args.test_labels}")
+        samples.extend(kept)
+        counts[split] = {
+            "annotations": len(records),
+            "malformed_files": skipped,
+            "missing_pose": missing,
+            "degenerate": degenerate,
+            "kept": len(kept),
+        }
+    if not samples:
+        raise InputError("no samples survived ingestion")
+    out = cli._resolve(args.out, args)
+    write_samples(samples, out)
+    config = {"train_labels": args.train_labels, "test_labels": args.test_labels, "sidecar": args.sidecar}
+    cli._write_manifest(out, "ingest", config, {**counts, "total": dataset_stats(samples)})
+    print(f"wrote {len(samples)} samples to {out}")
+    return cli.EXIT_OK
+
+
+def _reference_parse_panoptic(labels_dir):
+    """[(id, Hand21, is_left)] of the directory's annotation files, and the count of malformed ones."""
+    try:
+        names = sorted(os.listdir(labels_dir))
+    except OSError as e:
+        raise IOError(f"cannot read labels directory {labels_dir}: {e}") from e
+    records = []
+    skipped = 0
+    for name in names:
+        path = os.path.join(labels_dir, name)
+        if not os.path.isfile(path) or not name.endswith(".json"):
+            continue
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            pts = doc["hand_pts"]
+            if len(pts) != 21:
+                raise ValueError(f"{len(pts)} landmarks")
+            if set(map(len, pts)) != {3}:
+                raise ValueError("expected [x, y, confidence] landmarks")
+            _check_json_numbers(pts)
+            hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in pts))
+            is_left = doc.get("is_left", 0)
+            if type(is_left) is not bool and not (type(is_left) is int and is_left in (0, 1)):
+                raise ValueError(f"is_left must be a JSON boolean or 0 or 1, got {is_left!r}")
+        except Exception:
+            skipped += 1
+            continue
+        records.append((os.path.splitext(name)[0], hand, bool(is_left)))
+    if not records:
+        raise InputError(f"no parseable annotation files in {labels_dir}")
+    return records, skipped
+
+
+def _reference_read_pose_sidecar(path):
+    """{id: (width, height, handedness, PoseHand)} of the sidecar's lines."""
+    poses = {}
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            where = f"{path} line {lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise InputError(f"{where}: {e}") from None
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+                sid = str(doc["id"])
+                width, height = _image_dims(doc)
+                handedness = doc["handedness"]
+                if handedness not in ("left", "right"):
+                    raise ValueError(f"handedness {handedness!r}")
+                kps = [doc[key] for key in POSE_KEYS]
+                _check_json_numbers(kps)
+                pose = []
+                for key, (x, y, z) in zip(POSE_KEYS, kps):
+                    try:
+                        pose.append(Vec3(float(x), float(y), float(z)))
+                    except (OverflowError, DegenerateHand):
+                        raise ValueError(f"non-finite {key} keypoint") from None
+            except Exception as e:
+                raise InputError(f"{where}: {e}") from e
+            if sid in poses:
+                raise InputError(f"{where}: duplicate id {sid!r}")
+            poses[sid] = (width, height, handedness, PoseHand(*pose))
+    return poses
+
+
+def _reference_merge(records, poses, split):
+    """(samples, missing_pose, degenerate) of the inner join of records and poses on id."""
+    samples = []
+    missing = degenerate = 0
+    for sid, hand, is_left in records:
+        entry = poses.get(sid)
+        if entry is None:
+            missing += 1
+            continue
+        width, height, handedness, pose = entry
+        was_left = handedness == "left" or is_left
+        try:
+            if was_left:
+                pose = PoseHand(*(Vec3(1.0 - kp.x, kp.y, kp.z) for kp in pose.as_tuple()))
+                hand = Hand21(points=tuple((width - x, y, c) for x, y, c in hand.points))
+            gold_roi(hand, width, height)
+        except DegenerateHand:
+            degenerate += 1
+            continue
+        samples.append(Sample(id=sid, width=width, height=height, hand=hand, pose=pose, was_left=was_left, split=split))
+    return samples, missing, degenerate

@@ -19,11 +19,12 @@ from conftest import read_cache, reference_synth_sample, tight_box
 from handroi.dataset import (
     CACHE_SUFFIX,
     POSE_KEYS,
+    Dataset,
     Sample,
     SynthConfig,
+    concat,
     dataset_stats,
     merge_pose_sidecar,
-    mirror_left,
     parse_panoptic,
     read_pose_sidecar,
     read_samples,
@@ -31,7 +32,7 @@ from handroi.dataset import (
     synth_generate,
     write_samples,
 )
-from handroi.errors import InputError
+from handroi.errors import DegenerateHand, InputError
 from handroi.geometry import Vec3, box_quads
 from handroi.heuristic import Hand21, PoseHand, gold_roi
 
@@ -114,7 +115,8 @@ class TestParsePanoptic:
         make_label_file(tmp_path, "b.json")
         make_label_file(tmp_path, "a.json")
         records, skipped = parse_panoptic(tmp_path)
-        assert [r.id for r in records] == ["a", "b"]
+        assert records.ids.tolist() == ["a", "b"] and len(records) == 2
+        assert records.hand.shape == (2, 21, 3) and records.hand.dtype == np.float64
         assert skipped == 0
 
     def test_malformed_skipped(self, tmp_path):
@@ -128,20 +130,26 @@ class TestParsePanoptic:
         with pytest.raises(InputError, match=f"no parseable annotation files in {re.escape(str(tmp_path))}$"):
             parse_panoptic(tmp_path)
 
+    def test_not_a_directory(self, tmp_path):
+        path = tmp_path / "labels"
+        path.write_text("")
+        with pytest.raises(OSError, match=f"cannot read labels directory {re.escape(str(path))}: .*Not a directory"):
+            parse_panoptic(path)
+
     def test_is_left_flag(self, tmp_path):
         for name, flag in (("a", True), ("b", 1), ("c", False), ("d", 0)):
             make_label_file(tmp_path, f"{name}.json", is_left=flag)
         # no is_left key: a right hand
         (tmp_path / "e.json").write_text(json.dumps({"hand_pts": [[1.0 + i, 2.0, 1.0] for i in range(21)]}))
         records, skipped = parse_panoptic(tmp_path)
-        assert [r.is_left for r in records] == [True, True, False, False, False] and skipped == 0
+        assert records.is_left.tolist() == [True, True, False, False, False] and skipped == 0
 
     def test_integer_landmarks(self, tmp_path):
         make_label_file(tmp_path, "a.json", pts=[[100 + 10 * (i % 5), 200 + i // 5, 1] for i in range(21)])
         records, skipped = parse_panoptic(tmp_path)
-        assert skipped == 0 and records[0].hand.points[6] == (110.0, 201.0, 1.0)
+        assert skipped == 0 and records.hand[0, 6].tolist() == [110.0, 201.0, 1.0]
 
-    @pytest.mark.parametrize("value", NON_NUMBERS)
+    @pytest.mark.parametrize("value", NON_NUMBERS + [None, [1.0]])
     @pytest.mark.parametrize("coord", [0, 1, 2])
     def test_non_number_landmark_is_malformed(self, tmp_path, coord, value):
         make_label_file(tmp_path, "ok.json")
@@ -149,7 +157,19 @@ class TestParsePanoptic:
         pts[4][coord] = value
         make_label_file(tmp_path, "bad.json", pts=pts)
         records, skipped = parse_panoptic(tmp_path)
-        assert [r.id for r in records] == ["ok"] and skipped == 1
+        assert records.ids.tolist() == ["ok"] and skipped == 1
+
+    @pytest.mark.parametrize(
+        "coord, value",
+        [(0, math.nan), (1, math.inf), (0, -math.inf), (1, 10**400), (2, math.nan), (2, -0.1), (2, 1.5), (2, 10**400)],
+    )
+    def test_bad_value_is_malformed(self, tmp_path, coord, value):
+        make_label_file(tmp_path, "ok.json")
+        pts = make_label_file(tmp_path, "bad.json")
+        pts[7][coord] = value
+        make_label_file(tmp_path, "bad.json", pts=pts)
+        records, skipped = parse_panoptic(tmp_path)
+        assert records.ids.tolist() == ["ok"] and skipped == 1
 
     @pytest.mark.parametrize("point", [[110.0, 201.0], [110.0, 201.0, 0.9, 12345.0]], ids=["2-values", "4-values"])
     def test_landmark_not_x_y_confidence_is_malformed(self, tmp_path, point):
@@ -158,40 +178,69 @@ class TestParsePanoptic:
         pts[6] = point
         make_label_file(tmp_path, "bad.json", pts=pts)
         records, skipped = parse_panoptic(tmp_path)
-        assert [r.id for r in records] == ["ok"] and skipped == 1
+        assert records.ids.tolist() == ["ok"] and skipped == 1
 
     @pytest.mark.parametrize("flag", ["false", "true", 2, -1, 1.0, None, [0]])
     def test_mistyped_is_left_is_malformed(self, tmp_path, flag):
         make_label_file(tmp_path, "ok.json")
         make_label_file(tmp_path, "bad.json", is_left=flag)
         records, skipped = parse_panoptic(tmp_path)
-        assert [r.id for r in records] == ["ok"] and skipped == 1
+        assert records.ids.tolist() == ["ok"] and skipped == 1
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+    def test_not_plain_utf8_is_malformed(self, tmp_path, encoding):
+        make_label_file(tmp_path, "ok.json")
+        doc = (tmp_path / "ok.json").read_text()
+        (tmp_path / "bad.json").write_bytes(doc.encode(encoding))
+        records, skipped = parse_panoptic(tmp_path)
+        assert records.ids.tolist() == ["ok"] and skipped == 1
+
+    def test_directory_entries(self, tmp_path):
+        make_label_file(tmp_path, "a.json")
+        make_label_file(tmp_path, ".json")  # os.path.splitext keeps a leading dot: its id is ".json"
+        make_label_file(tmp_path, "notes.txt")
+        (tmp_path / "x.json").mkdir()
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        make_label_file(outside, "target")
+        (tmp_path / "linked.json").symlink_to(outside / "target")
+        (tmp_path / "broken.json").symlink_to(tmp_path / "nowhere")
+        records, skipped = parse_panoptic(tmp_path)
+        assert records.ids.tolist() == [".json", "a", "linked"] and skipped == 0
 
 
-class TestMirrorLeft:
-    def pose(self):
-        return PoseHand(*[Vec3(0.3, 0.4, -0.05)] * 6)
+def left_label_and_pose(tmp_path, is_left, handedness):
+    """The Dataset of one sample merged from a label file and a sidecar line with this handedness."""
+    pts = make_label_file(tmp_path, "s1.json", is_left=is_left)
+    sc = tmp_path / "poses.jsonl"
+    sc.write_text(sidecar_line("s1", width=100, handedness=handedness) + "\n")
+    records, _ = parse_panoptic(tmp_path)
+    return pts, json.loads(sidecar_line("s1")), merge_pose_sidecar(records, read_pose_sidecar(sc)).data
 
-    def hand(self):
-        return Hand21(points=tuple((10.0, 20.0 + i, 1.0) for i in range(21)))
 
-    def test_reflection(self):
-        pose, hand = mirror_left(self.pose(), self.hand(), 100)
-        assert pose.wrist.x == pytest.approx(0.7)
-        assert pose.wrist.y == 0.4 and pose.wrist.z == -0.05
-        assert hand.points[0][0] == 90.0
+class TestMirror:
+    @pytest.mark.parametrize(
+        "is_left, handedness, mirrored",
+        [(0, "right", False), (0, "left", True), (1, "right", True), (True, "left", True)],
+        ids=["right", "handedness-only", "is_left-only", "both"],
+    )
+    def test_left_hands_mirrored_once(self, tmp_path, is_left, handedness, mirrored):
+        pts, doc, data = left_label_and_pose(tmp_path, is_left, handedness)
+        assert data.was_left.tolist() == [mirrored]
+        flip = (lambda x, w: w - x) if mirrored else (lambda x, w: x)
+        assert data.hand[0].tolist() == [[flip(x, 100), y, c] for x, y, c in pts]
+        assert data.pose[0].tolist() == [[flip(doc[k][0], 1.0), doc[k][1], doc[k][2]] for k in POSE_KEYS]
 
-    def test_involution(self):
-        p1, h1 = mirror_left(self.pose(), self.hand(), 100)
-        p2, h2 = mirror_left(p1, h1, 100)
-        assert p2.wrist.x == pytest.approx(0.3, abs=1e-12)
-        assert h2.points[5][0] == pytest.approx(10.0, abs=1e-12)
-
-    def test_preserves_y_distances(self):
-        _, h1 = mirror_left(self.pose(), self.hand(), 100)
-        orig = self.hand()
-        for a, b in zip(orig.points, h1.points):
-            assert a[1] == b[1]
+    def test_mirror_beyond_float_range_is_degenerate(self, tmp_path):
+        pts = make_label_file(tmp_path, "s1.json")
+        pts[4][0] = -1e308
+        make_label_file(tmp_path, "s1.json", pts=pts)
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        # width - x overflows when the left hand is mirrored
+        sc.write_text(sidecar_line("s1", width=10**308, handedness="left") + "\n")
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
+        assert len(res.data) == 0 and res.degenerate == 1
 
 
 class TestMergeSidecar:
@@ -201,28 +250,26 @@ class TestMergeSidecar:
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\n")
-        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
-        assert len(res.samples) == 1
-        assert res.missing_pose == 1
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc), split="test")
+        assert res.data.ids.tolist() == ["s1"] and res.data.split.tolist() == ["test"]
+        assert res.missing_pose == 1 and res.degenerate == 0
 
-    def test_left_mirrored(self, tmp_path):
+    def test_no_pose_at_all(self, tmp_path):
         make_label_file(tmp_path, "s1.json")
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
-        sc.write_text(sidecar_line("s1", handedness="left") + "\n")
+        sc.write_text("\n")
         res = merge_pose_sidecar(records, read_pose_sidecar(sc))
-        s = res.samples[0]
-        assert s.was_left
-        assert s.pose.wrist.x == pytest.approx(1.0 - (0.3 + 0.05 * 2))
+        assert len(res.data) == 0 and res.data.hand.shape == (0, 21, 3) and res.missing_pose == 1
 
     def test_full_join(self, tmp_path):
         for i in range(3):
             make_label_file(tmp_path, f"s{i}.json")
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
-        sc.write_text("\n".join(sidecar_line(f"s{i}") for i in range(3)))
+        sc.write_text("\n".join(sidecar_line(f"s{i}") for i in (2, 0, 1)))
         res = merge_pose_sidecar(records, read_pose_sidecar(sc))
-        assert len(res.samples) == 3
+        assert res.data.ids.tolist() == ["s0", "s1", "s2"]
 
     def test_malformed_line(self, tmp_path):
         make_label_file(tmp_path, "s1.json")
@@ -259,12 +306,48 @@ class TestMergeSidecar:
         with pytest.raises(InputError, match=f"{sc} line 2: expected a JSON number, got {value!r}"):
             read_pose_sidecar(sc)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+    @pytest.mark.parametrize("key, coord", [("shoulder", 0), ("wrist", 1), ("pinky", 2)])
+    def test_non_finite_keypoint(self, tmp_path, key, coord, value):
+        doc = json.loads(sidecar_line("s2"))
+        doc[key][coord] = value
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(sc))} line 2: non-finite {key} keypoint$"):
+            read_pose_sidecar(sc)
+
+    @pytest.mark.parametrize("later", ["not json", "non-positive dims", "duplicate id", "invalid utf-8", "string"])
+    def test_bad_value_named_before_later_bad_line(self, tmp_path, later):
+        doc = json.loads(sidecar_line("s2"))
+        doc["elbow"][1] = math.nan
+        late = {
+            "not json": b"{",
+            "non-positive dims": sidecar_line("s3", width=0).encode(),
+            "duplicate id": sidecar_line("s1").encode(),
+            "invalid utf-8": b"\xff",
+            "string": sidecar_line("s3").replace("0.4", '"0.4"', 1).encode(),
+        }[later]
+        sc = tmp_path / "poses.jsonl"
+        sc.write_bytes(b"\n".join([sidecar_line("s1").encode(), json.dumps(doc).encode(), b"", late, b""]))
+        with pytest.raises(InputError, match=f"^{re.escape(str(sc))} line 2: non-finite elbow keypoint$"):
+            read_pose_sidecar(sc)
+
+    def test_duplicate_line_names_its_bad_value(self, tmp_path):
+        doc = json.loads(sidecar_line("s1"))
+        doc["index"][0] = math.inf
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(InputError, match=f"{sc} line 2: non-finite index keypoint$"):
+            read_pose_sidecar(sc)
+
     def test_integer_keypoints(self, tmp_path):
         doc = json.loads(sidecar_line("s1"))
         doc["wrist"] = [1, 0, -1]
         sc = tmp_path / "poses.jsonl"
-        sc.write_text(json.dumps(doc) + "\n")
-        assert read_pose_sidecar(sc)["s1"][3].wrist == Vec3(1.0, 0.0, -1.0)
+        sc.write_text(sidecar_line("s0") + "\n" + json.dumps(doc) + "\n")
+        poses = read_pose_sidecar(sc)
+        assert poses.rows == {"s0": 0, "s1": 1}
+        assert poses.pose[1, POSE_KEYS.index("wrist")].tolist() == [1.0, 0.0, -1.0]
 
     def test_invalid_utf8_line(self, tmp_path):
         sc = tmp_path / "poses.jsonl"
@@ -280,31 +363,76 @@ class TestMergeSidecar:
 
     def test_degenerate_filtered(self, tmp_path):
         make_label_file(tmp_path, "s1.json", pts=[[5.0, 5.0, 1.0]] * 21)
-        records, _ = parse_panoptic(tmp_path)
-        sc = tmp_path / "poses.jsonl"
-        sc.write_text(sidecar_line("s1") + "\n")
-        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
-        assert res.samples == [] and res.degenerate == 1
-
-    def test_mirror_beyond_float_range_is_degenerate(self, tmp_path):
-        pts = make_label_file(tmp_path, "s1.json")
-        pts[4][0] = -1e308
-        make_label_file(tmp_path, "s1.json", pts=pts)
-        records, _ = parse_panoptic(tmp_path)
-        sc = tmp_path / "poses.jsonl"
-        # width - x overflows when the left hand is mirrored
-        sc.write_text(sidecar_line("s1", width=10**308, handedness="left") + "\n")
-        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
-        assert res.samples == [] and res.degenerate == 1
-
-    def test_gold_roi_bug_propagates(self, tmp_path, buggy_gold_roi):
-        make_label_file(tmp_path, "s1.json")
         make_label_file(tmp_path, "s2.json")
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\n" + sidecar_line("s2") + "\n")
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
+        assert res.data.ids.tolist() == ["s2"] and res.degenerate == 1
+
+    @pytest.mark.parametrize(
+        "width, x, degenerate",
+        [
+            # 2**53 + 3 rounds up to the float 2**53 + 4: the landmark at 2 (2**53 + 4) lies beyond 2 width
+            (2**53 + 3, 2.0**54 + 8, True),
+            (2**53 + 4, 2.0**54 + 8, False),
+            # 10**308 rounds up too: the float -10**308 lies below -width
+            (10**308, -1e308, True),
+            (10**308, -1e307, False),
+        ],
+    )
+    def test_bounds_of_exact_dims(self, tmp_path, width, x, degenerate):
+        pts = make_label_file(tmp_path, "s1.json")
+        pts[4][0] = x
+        make_label_file(tmp_path, "s1.json", pts=pts)
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1", width=width) + "\n")
+        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
+        assert res.degenerate == int(degenerate)
+        # as the scalar gold_roi decides on the exact integers
+        hand = Hand21(points=tuple(map(tuple, records.hand[0].tolist())))
+        try:
+            gold_roi(hand, width, 480)
+        except DegenerateHand:
+            assert degenerate
+        else:
+            assert not degenerate
+
+    def test_dims_written_digit_for_digit(self, tmp_path):
+        make_label_file(tmp_path, "s1.json")
+        make_label_file(tmp_path, "s2.json")
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1", width=2**53 + 1) + "\n" + sidecar_line("s2", height=10**308) + "\n")
+        data = merge_pose_sidecar(records, read_pose_sidecar(sc)).data
+        write_samples(data, tmp_path / "data.jsonl")
+        docs = [json.loads(line) for line in (tmp_path / "data.jsonl").read_text().splitlines()]
+        assert [(d["width"], d["height"]) for d in docs] == [(2**53 + 1, 480), (640, 10**308)]
+
+    def test_gold_rois_bug_propagates(self, tmp_path, monkeypatch):
+        def gold_rois(*args):
+            raise GoldRoiBug("bug")
+
+        monkeypatch.setattr(handroi.dataset, "gold_rois", gold_rois)
+        make_label_file(tmp_path, "s1.json")
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n")
         with pytest.raises(GoldRoiBug):
             merge_pose_sidecar(records, read_pose_sidecar(sc))
+
+    def test_no_per_sample_objects(self, tmp_path, monkeypatch):
+        for name in ("gold_roi", "Hand21", "PoseHand", "Vec3", "Sample"):
+            monkeypatch.setattr(handroi.dataset, name, lambda *a, **k: pytest.fail("a per-sample object"))
+        for i in range(3):
+            make_label_file(tmp_path, f"s{i}.json", is_left=i % 2)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text("\n".join(sidecar_line(f"s{i}", handedness=("left", "right")[i % 2]) for i in range(3)))
+        records, _ = parse_panoptic(tmp_path)
+        data = merge_pose_sidecar(records, read_pose_sidecar(sc)).data
+        write_samples(data, tmp_path / "data.jsonl")
+        assert len(read_samples(tmp_path / "data.jsonl")) == 3
 
 
 class TestSynth:
@@ -403,6 +531,26 @@ class TestStatsAndIo:
         lines = path.read_text(encoding="utf-8").split("\n")
         assert lines == [json.dumps(sample_to_dict(s), sort_keys=True, separators=(",", ":")) for s in samples] + [""]
         assert '"id":"hand-\\u00fc-\\u624b"' in lines[0] and '"was_left":true' in lines[0]
+
+    def test_columns_write_the_bytes_of_their_samples(self, tmp_path):
+        # the merged columns of ingest go through the same line encoder as Sample objects
+        hand = Hand21(points=((-0.0, 5e-324, 1.0), (1e300, 2.0, 0.0), *((float(i), 3.0, 0.5) for i in range(19))))
+        pose = PoseHand(Vec3(-0.0, 5e-324, 1e300), *[Vec3(1.0, -2.0, 3.0)] * 5)
+        odd = Sample(id="hand-ü-手", width=2**53 + 1, height=10**308, hand=hand, pose=pose, was_left=True, split="test")
+        samples = [odd, *synth_generate(SynthConfig(n=3, seed=4))]
+        data = Dataset(
+            ids=np.array([s.id for s in samples], dtype=object),
+            width=np.array([s.width for s in samples], dtype=object),
+            height=np.array([s.height for s in samples], dtype=object),
+            split=np.array([s.split for s in samples], dtype=object),
+            was_left=np.array([s.was_left for s in samples]),
+            hand=np.array([s.hand.points for s in samples]),
+            pose=np.array([[[kp.x, kp.y, kp.z] for kp in s.pose.as_tuple()] for s in samples]),
+        )
+        write_samples(samples, tmp_path / "samples.jsonl")
+        write_samples(concat([data.select([0, 1]), data.select([2, 3])]), tmp_path / "columns.jsonl")
+        assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "samples.jsonl").read_bytes()
+        assert dataset_stats(data) == dataset_stats(samples) == {"n": 4, "train": 2, "test": 2, "was_left": 1}
 
     def test_write_deterministic(self, tmp_path):
         samples = synth_generate(SynthConfig(n=10, seed=4))

@@ -1,11 +1,12 @@
 """Tooling guard: the benchmark's tracer (`perfbench/spans.py`) must install on
 the package and record a span for every predictor layer and for the synth,
-write and training functions it times, so a refactor that breaks
+ingest, write and training functions it times, so a refactor that breaks
 `perfbench/run.py --trace 1` fails the test suite."""
 
 import contextlib
 import importlib.util
 import io
+import json
 import os
 
 from handroi.cli import main
@@ -62,3 +63,40 @@ def test_tracer_records_every_predictor_layer(tmp_path):
     for name, counts in row_counts.items():
         notes = spans.notes(tracer.spans, name)
         assert notes == counts and all(type(note) is int for note in notes), name
+
+
+def test_tracer_records_ingest(tmp_path):
+    """The ingest spans, and the file counts the benchmark's dataset.parse_panoptic.files reads from their notes."""
+    spans = load_spans()
+    for split, good in (("train", 3), ("test", 2)):
+        (tmp_path / split).mkdir()
+        for i in range(good):
+            pts = [[100.0 + 10 * (j % 5), 200.0 + 10 * (j // 5), 1.0] for j in range(21)]
+            (tmp_path / split / f"{split}{i}.json").write_text(json.dumps({"hand_pts": pts, "is_left": i % 2}))
+    (tmp_path / "train" / "bad.json").write_text("{not json")
+    pose = {key: [0.3, 0.4, 0.0] for key in ("shoulder", "elbow", "wrist", "thumb", "index", "pinky")}
+    with open(tmp_path / "poses.jsonl", "w", encoding="utf-8") as fh:
+        for sid in ("train0", "train1", "train2", "test0", "test1"):
+            fh.write(json.dumps({"id": sid, "width": 640, "height": 480, "handedness": "right", **pose}) + "\n")
+    argv = ["ingest", "--train-labels", str(tmp_path / "train"), "--test-labels", str(tmp_path / "test"),
+            "--sidecar", str(tmp_path / "poses.jsonl"), "--out", str(tmp_path / "data.jsonl")]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls, _, _ = spans.aggregate(tracer.spans)
+    for name, count in (
+        ("cli.ingest", 1),
+        ("dataset.parse_panoptic", 2),
+        ("dataset.merge_pose_sidecar", 2),
+        ("dataset.write_samples", 1),
+        ("heuristic.gold_roi", 0),
+    ):
+        assert calls[name] == count, name
+    # files parsed plus files skipped, per split: 3 + 1 in train, 2 + 0 in test
+    notes = spans.notes(tracer.spans, "dataset.parse_panoptic")
+    assert notes == [4, 2] and all(type(note) is int for note in notes)
