@@ -83,11 +83,11 @@ def cmd_synth(args):
     cfg = ds.SynthConfig(
         n=args.n, seed=args.seed, noise_px=args.noise_px, max_tilt_deg=args.max_tilt_deg
     )
-    samples = ds.synth_generate(cfg)
+    data = ds.synth_dataset(cfg)
     out = _resolve(args.out, args)
-    ds.write_samples(samples, out)
-    _write_manifest(out, "synth", dataclasses.asdict(cfg), ds.dataset_stats(samples))
-    print(f"wrote {len(samples)} samples to {out}")
+    ds.write_samples(data, out)
+    _write_manifest(out, "synth", dataclasses.asdict(cfg), ds.dataset_stats(data))
+    print(f"wrote {len(data)} samples to {out}")
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Dataset ingestion, synthesis, and the dataset file's two sides.
 
 The file holds one JSON object per line, which `write_samples` writes from
-either side's samples: synthesis builds one `Sample` object per sample,
-while ingestion reads the annotation files and the pose sidecar into
-columns, checks their values in bulk, joins them by id, mirrors the left
-hands and drops the degenerate ones in batches, and passes the result as a
-columnar `Dataset` with no per-sample objects. The read side
+a columnar `Dataset` that either side builds with no per-sample objects.
+Synthesis draws its attempts' raw random values in stream order, builds
+their geometry and checks their gold hands in batches (`synth_dataset`).
+Ingestion reads the annotation files and the pose sidecar into columns,
+checks their values in bulk, joins them by id, mirrors the left hands and
+drops the degenerate ones in batches. The read side
 (`read_samples`) parses the file straight into a `Dataset` too: one array
 per field, checked in bulk; `gold_boxes` gives its gold boxes in one
 batch. The columns of a file that parsed are kept beside it in a cache
@@ -48,6 +49,7 @@ from .heuristic import (
     PoseHand,
     THUMB_LOW,
     WRIST,
+    _math_map,
     gold_roi,
     gold_rois,
 )
@@ -301,8 +303,11 @@ SYNTH_HEIGHT = 480
 # range of the synthetic image aspect ratio rho = width / height
 RHO_MIN = 0.75
 RHO_MAX = 1.9
-# consecutive degenerate draws of one sample after which synth_generate gives up
+# consecutive degenerate attempts at one sample after which synth_dataset gives up
 MAX_REDRAWS = 100
+# attempts that synth_dataset builds and checks at a time; their temporaries take several times the memory
+# of the samples they give, so a block bounds them for any n
+SYNTH_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -323,93 +328,148 @@ class SynthConfig:
             raise InputError("max_tilt_deg must be in [0, 90]")
 
 
-def _rotation_matrix(phi_deg, tilt_deg, axis_deg):
-    """In-plane rotation by phi composed with a tilt about an in-plane axis."""
-    t = math.radians(tilt_deg)
-    a = math.radians(axis_deg)
-    ux, uy = math.cos(a), math.sin(a)
-    c, s = math.cos(t), math.sin(t)
+def _uniform(lo, hi, u):
+    """`rng.uniform(lo, hi)`, bit for bit, of the raw draw u that `rng.random()` gives in its place."""
+    return lo + (hi - lo) * u
+
+
+def _rotation_matrices(phi_deg, tilt_deg, axis_deg):
+    """(N, 3, 3) rotations: an in-plane rotation by phi composed with a tilt about an in-plane axis.
+
+    The angles and their cosines and sines come from the math module, one
+    value at a time, as in `heuristic.gold_rois`.
+    """
+    t, a, p = (_math_map(math.radians, deg) for deg in (tilt_deg, axis_deg, phi_deg))
+    ux, uy = _math_map(math.cos, a), _math_map(math.sin, a)
+    c, s = _math_map(math.cos, t), _math_map(math.sin, t)
     # Rodrigues for axis (ux, uy, 0)
-    tilt = np.array(
+    tilt = np.stack(
         [
-            [c + ux * ux * (1 - c), ux * uy * (1 - c), uy * s],
-            [ux * uy * (1 - c), c + uy * uy * (1 - c), -ux * s],
-            [-uy * s, ux * s, c],
-        ]
-    )
-    p = math.radians(phi_deg)
-    cp, sp = math.cos(p), math.sin(p)
-    inplane = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
+            c + ux * ux * (1 - c), ux * uy * (1 - c), uy * s,
+            ux * uy * (1 - c), c + uy * uy * (1 - c), -ux * s,
+            -uy * s, ux * s, c,
+        ],
+        axis=1,
+    ).reshape(-1, 3, 3)
+    cp, sp = _math_map(math.cos, p), _math_map(math.sin, p)
+    zero, one = np.zeros_like(cp), np.ones_like(cp)
+    inplane = np.stack([cp, -sp, zero, sp, cp, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
     return inplane @ tilt
 
 
-def _make_synth_sample(rng, cfg, idx, split):
+def _synth_attempts(cfg, u, z):
+    """(width, hand, pose) of M attempts from their raw draws: u (M, 7) uniforms and z (M, 60) normals.
+
+    width is the (M,) float64 image widths (every height is SYNTH_HEIGHT),
+    hand the (M, 21, 3) pixel landmarks and pose the (M, 6, 3) normalized
+    keypoints. u holds rho, phi, tilt, axis, scale and the tx and ty
+    shifts, z the landmarks' x and y noise, then the keypoints' x, y and z.
+    """
     height = SYNTH_HEIGHT
-    rho = rng.uniform(RHO_MIN, RHO_MAX)
-    width = int(round(rho * height))
+    rho = _uniform(RHO_MIN, RHO_MAX, u[:, 0])
+    width = np.rint(rho * height)  # round half to even, as the builtin round
 
-    phi = rng.uniform(0.0, 360.0)
-    tilt = rng.uniform(0.0, cfg.max_tilt_deg)
-    axis = rng.uniform(0.0, 360.0)
-    rot = _rotation_matrix(phi, tilt, axis)
-    scale = rng.uniform(0.18, 0.32) * height
-    pts3 = scale * (HAND_TEMPLATE @ rot.T)
-    proj = pts3[:, :2]
+    rots = _rotation_matrices(_uniform(0.0, 360.0, u[:, 1]), _uniform(0.0, cfg.max_tilt_deg, u[:, 2]),
+                              _uniform(0.0, 360.0, u[:, 3]))
+    scale = _uniform(0.18, 0.32, u[:, 4]) * height
+    pts3 = scale[:, None, None] * (HAND_TEMPLATE @ rots.transpose(0, 2, 1))
+    proj = pts3[:, :, :2]
 
-    margin = 0.06 * min(width, height)
-    lo = proj.min(axis=0)
-    hi = proj.max(axis=0)
-    tx = rng.uniform(margin - lo[0], width - margin - hi[0])
-    ty = rng.uniform(margin - lo[1], height - margin - hi[1])
-    shift = np.array([tx, ty])
+    margin = 0.06 * np.minimum(width, height)
+    lo = proj.min(axis=1)
+    hi = proj.max(axis=1)
+    tx = _uniform(margin - lo[:, 0], width - margin - hi[:, 0], u[:, 5])
+    ty = _uniform(margin - lo[:, 1], height - margin - hi[:, 1], u[:, 6])
+    shift = np.stack([tx, ty], axis=1)[:, None]
 
-    hand_px = proj + shift + rng.normal(scale=cfg.noise_px, size=(21, 2))
-    hand = Hand21(points=tuple((x, y, 1.0) for x, y in hand_px.tolist()))
+    with np.errstate(over="ignore"):  # a huge noise_px overflows to inf, and the attempt is degenerate
+        noise = 0.0 + cfg.noise_px * z  # rng.normal(scale=noise_px), bit for bit
+    hand = np.ones((len(u), 21, 3))
+    hand[:, :, :2] = proj + shift + noise[:, :42].reshape(-1, 21, 2)
 
-    wrist3 = pts3[WRIST]
-    arm_dir = wrist3 - pts3[MIDDLE_MCP]
+    wrist3 = pts3[:, WRIST]
+    arm_dir = wrist3 - pts3[:, MIDDLE_MCP]
     # the POSE_KEYS keypoints: shoulder and elbow on the arm, then the wrist, thumb, index and pinky
-    arm = wrist3 + np.array([[5.2], [2.3]]) * arm_dir
-    kps = np.vstack([arm, pts3[[WRIST, THUMB_LOW, INDEX_MCP, PINKY_MCP]]])
-    # one draw of each keypoint's x, y, z noise in turn; x and y are shifted before the noise is added
-    kps[:, :2] += shift
-    kps += rng.normal(scale=cfg.noise_px, size=(len(POSE_KEYS), 3))
-    kps /= (width, height, height)
-    pose = PoseHand(*(Vec3(*kp) for kp in kps.tolist()))
-    return Sample(
-        id=f"synth-{cfg.seed}-{idx:05d}",
-        width=width,
-        height=height,
-        hand=hand,
-        pose=pose,
-        was_left=False,
-        split=split,
+    arm = wrist3[:, None] + np.array([[5.2], [2.3]]) * arm_dir[:, None]
+    kps = np.concatenate([arm, pts3[:, [WRIST, THUMB_LOW, INDEX_MCP, PINKY_MCP]]], axis=1)
+    # x and y are shifted before the noise is added
+    kps[:, :, :2] += shift
+    kps += noise[:, 42:].reshape(-1, len(POSE_KEYS), 3)
+    kps[:, :, 0] /= width[:, None]
+    kps[:, :, 1:] /= height
+    return width, hand, kps
+
+
+def synth_dataset(cfg: SynthConfig) -> "Dataset":
+    """Deterministic synthetic samples as a Dataset; 70/30 train/test split by index.
+
+    The generator draws attempts from one stream, each as `rng.random(7)`
+    (rho, phi, tilt, axis, scale and the tx and ty shifts) and then
+    `rng.standard_normal(60)` (the landmarks' noise, then the keypoints'),
+    and builds and checks them in batches: an attempt whose gold hand is
+    degenerate (one `gold_rois` call) or whose keypoints are not finite is
+    redrawn. Sample k is the k-th attempt that is not; MAX_REDRAWS
+    degenerate attempts in a row raise InputError naming the index of the
+    sample they were drawn for. A batch draws as many attempts as samples
+    are missing, at most SYNTH_BLOCK, so none is drawn after the n-th
+    sample. The dims are Python ints, as in the samples
+    `merge_pose_sidecar` gives.
+
+    An attempt draws its 60 normals even if its landmark noise overflows:
+    a noise_px that can overflow (|noise_px * z| > 1.8e308) leaves no
+    landmark inside the gold bounds, so no attempt of such a config is
+    accepted however many normals each one takes.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    widths, hands, poses = [], [], []
+    accepted = run = 0  # run: degenerate attempts since the last accepted one
+    while accepted < cfg.n:
+        m = min(cfg.n - accepted, SYNTH_BLOCK)
+        u, z = np.empty((m, 7)), np.empty((m, 60))
+        for k in range(m):
+            rng.random(out=u[k])
+            rng.standard_normal(out=z[k])
+        width, hand, pose = _synth_attempts(cfg, u, z)
+        # a landmark that is not finite lies outside the bounds gold_rois checks
+        bad = gold_rois(hand, width, np.full_like(width, SYNTH_HEIGHT))[1] | ~np.isfinite(pose).all(axis=(1, 2))
+        for is_bad in bad.tolist():
+            run = run + 1 if is_bad else 0
+            accepted += not is_bad
+            if run == MAX_REDRAWS:
+                raise InputError(f"synthetic sample {accepted} drew a degenerate hand {MAX_REDRAWS} times in a row")
+        widths.append(width[~bad])
+        hands.append(hand[~bad])
+        poses.append(pose[~bad])
+    n_train = int(round(0.7 * cfg.n))
+    return Dataset(
+        ids=np.array([f"synth-{cfg.seed}-{i:05d}" for i in range(cfg.n)], dtype=object),
+        width=np.concatenate(widths).astype(np.int64).astype(object),
+        height=np.full(cfg.n, SYNTH_HEIGHT, dtype=object),
+        split=np.array(["train"] * n_train + ["test"] * (cfg.n - n_train), dtype=object),
+        was_left=np.zeros(cfg.n, dtype=bool),
+        hand=np.concatenate(hands),
+        pose=np.concatenate(poses),
     )
 
 
 def synth_generate(cfg: SynthConfig):
-    """Deterministic synthetic samples; 70/30 train/test split by index.
+    """The samples of `synth_dataset(cfg)` as a list of Sample.
 
-    A sample whose gold hand is degenerate or whose landmarks or keypoints
-    are not finite is drawn again, and MAX_REDRAWS such draws in a row
-    raise InputError naming the sample index.
+    Only the benchmark's ingest set-up and the tests still read synthetic
+    samples as objects; the synth command writes the Dataset itself.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n_train = int(round(0.7 * cfg.n))
-    samples = []
-    for i in range(cfg.n):
-        split = "train" if i < n_train else "test"
-        for _ in range(MAX_REDRAWS):
-            try:
-                s = _make_synth_sample(rng, cfg, i, split)
-                gold_roi(s.hand, s.width, s.height)
-            except DegenerateHand:
-                continue
-            break
-        else:
-            raise InputError(f"synthetic sample {i} drew a degenerate hand {MAX_REDRAWS} times in a row")
-        samples.append(s)
-    return samples
+    return [
+        Sample(
+            id=d["id"],
+            width=d["width"],
+            height=d["height"],
+            hand=Hand21(points=tuple(map(tuple, d["hand"]))),
+            pose=PoseHand(*(Vec3(*d["pose"][key]) for key in POSE_KEYS)),
+            was_left=d["was_left"],
+            split=d["split"],
+        )
+        for d in _column_docs(synth_dataset(cfg))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +539,26 @@ def write_samples(samples, path):
             fh.write("\n")
 
 
+# rows of a Dataset that `_column_docs` converts to Python values at a time; the values of a whole
+# dataset would take several times the memory of its arrays
+_DOC_BLOCK_ROWS = 256
+
+
 def _column_docs(data):
     """The line of each sample of a Dataset, as `sample_to_dict` gives it for the same Sample."""
-    poses = [dict(zip(POSE_KEYS, kps)) for kps in data.pose.tolist()]
-    columns = (data.ids, data.width, data.height, data.split, data.was_left, data.hand)
-    for (sid, width, height, split, was_left, hand), pose in zip(zip(*(c.tolist() for c in columns)), poses):
-        yield {
-            "id": sid,
-            "width": width,
-            "height": height,
-            "split": split,
-            "was_left": was_left,
-            "hand": hand,
-            "pose": pose,
-        }
+    columns = (data.ids, data.width, data.height, data.split, data.was_left, data.hand, data.pose)
+    for start in range(0, len(data), _DOC_BLOCK_ROWS):
+        block = (c[start : start + _DOC_BLOCK_ROWS].tolist() for c in columns)
+        for sid, width, height, split, was_left, hand, pose in zip(*block):
+            yield {
+                "id": sid,
+                "width": width,
+                "height": height,
+                "split": split,
+                "was_left": was_left,
+                "hand": hand,
+                "pose": dict(zip(POSE_KEYS, pose)),
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +571,8 @@ class Dataset:
 
     ids and split ("train" or "test") hold Python strings, width and height
     the image dims (JSON integers above 0) as float64 (as Python ints, an
-    object array, in the samples `merge_pose_sidecar` gives, so that
-    `write_samples` writes every digit), and was_left bools.
+    object array, in the samples `merge_pose_sidecar` and `synth_dataset`
+    give, so that `write_samples` writes every digit), and was_left bools.
     hand is the (N, 21, 3) float64 array of pixel landmarks (x, y,
     confidence), pose the (N, 6, 3) float64 array of normalized keypoints
     (x, y, z) in POSE_KEYS order; a left hand's are already mirrored. Every

@@ -10,6 +10,7 @@ from handroi import cli
 from handroi.dataset import (
     CACHE_SUFFIX,
     HAND_TEMPLATE,
+    MAX_REDRAWS,
     POSE_KEYS,
     RHO_MAX,
     RHO_MIN,
@@ -17,7 +18,6 @@ from handroi.dataset import (
     Sample,
     _check_json_numbers,
     _image_dims,
-    _rotation_matrix,
     dataset_from_docs,
     dataset_stats,
     sample_to_dict,
@@ -233,11 +233,33 @@ def reference_train_head(X, Y, layer_sizes, cfg, head_tag):
     return best, log
 
 
+def reference_rotation_matrix(phi_deg, tilt_deg, axis_deg):
+    """Reference for `dataset._rotation_matrices`: one (3, 3) rotation from Python floats."""
+    t = math.radians(tilt_deg)
+    a = math.radians(axis_deg)
+    ux, uy = math.cos(a), math.sin(a)
+    c, s = math.cos(t), math.sin(t)
+    # Rodrigues for axis (ux, uy, 0)
+    tilt = np.array(
+        [
+            [c + ux * ux * (1 - c), ux * uy * (1 - c), uy * s],
+            [ux * uy * (1 - c), c + uy * uy * (1 - c), -ux * s],
+            [-uy * s, ux * s, c],
+        ]
+    )
+    p = math.radians(phi_deg)
+    cp, sp = math.cos(p), math.sin(p)
+    inplane = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
+    return inplane @ tilt
+
+
 def reference_synth_sample(rng, cfg, idx, split):
-    """Reference for `dataset._make_synth_sample`: the same draws, one keypoint at a time.
+    """One synthetic draw, as a Sample, drawn from rng with the scalar draws one value or keypoint at a time.
 
     Each pose keypoint draws its x and y noise with normal(size=2), then its
-    z noise with normal(), and every value is converted with float().
+    z noise with normal(), and every value is converted with float(). A
+    landmark that is not finite raises DegenerateHand before the keypoint
+    noise is drawn, and a keypoint that is not finite raises it too.
     """
     height = SYNTH_HEIGHT
     rho = rng.uniform(RHO_MIN, RHO_MAX)
@@ -246,7 +268,7 @@ def reference_synth_sample(rng, cfg, idx, split):
     phi = rng.uniform(0.0, 360.0)
     tilt = rng.uniform(0.0, cfg.max_tilt_deg)
     axis = rng.uniform(0.0, 360.0)
-    rot = _rotation_matrix(phi, tilt, axis)
+    rot = reference_rotation_matrix(phi, tilt, axis)
     scale = rng.uniform(0.18, 0.32) * height
     pts3 = scale * (HAND_TEMPLATE @ rot.T)
     proj = pts3[:, :2]
@@ -285,6 +307,30 @@ def reference_synth_sample(rng, cfg, idx, split):
         was_left=False,
         split=split,
     )
+
+
+def reference_synth_generate(cfg, max_redraws=MAX_REDRAWS):
+    """Reference for `dataset.synth_dataset`: one `reference_synth_sample` and one scalar `gold_roi` per draw.
+
+    A draw that raises DegenerateHand is drawn again; max_redraws of them in
+    a row raise the InputError that names the sample index.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n_train = int(round(0.7 * cfg.n))
+    samples = []
+    for i in range(cfg.n):
+        split = "train" if i < n_train else "test"
+        for _ in range(max_redraws):
+            try:
+                s = reference_synth_sample(rng, cfg, i, split)
+                gold_roi(s.hand, s.width, s.height)
+            except DegenerateHand:
+                continue
+            break
+        else:
+            raise InputError(f"synthetic sample {i} drew a degenerate hand {max_redraws} times in a row")
+        samples.append(s)
+    return samples
 
 
 def _reference_normalize_deg(angle):

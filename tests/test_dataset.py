@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handroi.dataset
-from conftest import read_cache, reference_synth_sample, tight_box
+from conftest import read_cache, reference_synth_generate, tight_box
 from handroi.dataset import (
     CACHE_SUFFIX,
     POSE_KEYS,
@@ -29,6 +29,7 @@ from handroi.dataset import (
     read_pose_sidecar,
     read_samples,
     sample_to_dict,
+    synth_dataset,
     synth_generate,
     write_samples,
 )
@@ -49,25 +50,25 @@ NON_NUMBERS = ["341.2", True, False]
 
 
 class GoldRoiBug(Exception):
-    """An error gold_roi is not documented to raise."""
+    """An error gold_rois is not documented to raise."""
 
 
 @pytest.fixture
-def buggy_gold_roi(monkeypatch):
-    """Make the dataset module's gold_roi raise GoldRoiBug; a second call fails the test.
+def buggy_gold_rois(monkeypatch):
+    """Make the dataset module's gold_rois raise GoldRoiBug; a second call fails the test.
 
     pytest.fail raises a BaseException, so it escapes a handler that
-    swallowed the first error and would otherwise redraw forever.
+    swallowed the first error and would otherwise redraw.
     """
     calls = []
 
-    def gold_roi(*args, **kwargs):
+    def gold_rois(*args, **kwargs):
         if calls:
-            pytest.fail("gold_roi was called again after its error was swallowed")
+            pytest.fail("gold_rois was called again after its error was swallowed")
         calls.append(args)
         raise GoldRoiBug("bug")
 
-    monkeypatch.setattr(handroi.dataset, "gold_roi", gold_roi)
+    monkeypatch.setattr(handroi.dataset, "gold_rois", gold_rois)
 
 
 SHAPES = r"expected \[x, y, confidence\] landmarks and \[x, y, z\] keypoints"
@@ -461,29 +462,56 @@ class TestSynth:
         for s in synth_generate(SynthConfig(n=100, seed=3)):
             gold_roi(s.hand, s.width, s.height)
 
-    def test_gold_roi_bug_propagates(self, buggy_gold_roi):
+    @pytest.mark.parametrize("generate", [synth_dataset, synth_generate])
+    def test_gold_rois_bug_propagates(self, buggy_gold_rois, generate):
         with pytest.raises(GoldRoiBug):
-            synth_generate(SynthConfig(n=3, seed=1))
+            generate(SynthConfig(n=3, seed=1))
 
-    @settings(deadline=None, max_examples=40)
+    def test_no_per_sample_objects(self, tmp_path, monkeypatch):
+        for name in ("gold_roi", "Hand21", "PoseHand", "Vec3", "Sample"):
+            monkeypatch.setattr(handroi.dataset, name, lambda *a, **k: pytest.fail("a per-sample object"))
+        data = synth_dataset(SynthConfig(n=30, seed=2, noise_px=300.0))
+        write_samples(data, tmp_path / "data.jsonl")
+        assert dataset_stats(data) == {"n": 30, "train": 21, "test": 9, "was_left": 0}
+
+    @settings(deadline=None, max_examples=60)
     @given(
+        st.integers(1, 40),
         st.integers(0, 2**32),
-        st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 20.0),
+            # many draws are redrawn, and above ~400 px the redraw budget of a sample may run out
+            st.floats(300.0, 450.0),
+            # the budget of sample 0 runs out; at 1e308 the landmark noise of a draw can overflow
+            st.sampled_from([1e200, 1e308]),
+        ),
         st.one_of(st.sampled_from([0.0, 90.0]), st.floats(0.0, 90.0)),
+        # attempts per batch: a run of degenerate attempts and the samples span batches at 1 and 7
+        st.sampled_from([1, 7, handroi.dataset.SYNTH_BLOCK]),
+        # the redraw budget: at 300-450 px a run of 1 or 3 degenerate attempts is common, one of 100 rare
+        st.sampled_from([1, 3, handroi.dataset.MAX_REDRAWS]),
     )
-    def test_matches_per_keypoint_reference(self, seed, noise_px, max_tilt_deg):
-        cfg = SynthConfig(n=4, seed=seed, noise_px=noise_px, max_tilt_deg=max_tilt_deg)
-        samples = synth_generate(cfg)
+    def test_matches_scalar_reference(self, n, seed, noise_px, max_tilt_deg, block, budget):
+        cfg = SynthConfig(n=n, seed=seed, noise_px=noise_px, max_tilt_deg=max_tilt_deg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(handroi.dataset, "_make_synth_sample", reference_synth_sample)
-            expected = synth_generate(cfg)
-        assert samples == expected
-        # the file bytes too, which tell -0.0 from 0.0
-        with tempfile.TemporaryDirectory() as tmp:
-            got, want = Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
-            write_samples(samples, got)
-            write_samples(expected, want)
-            assert got.read_bytes() == want.read_bytes()
+            mp.setattr(handroi.dataset, "SYNTH_BLOCK", block)
+            mp.setattr(handroi.dataset, "MAX_REDRAWS", budget)
+            try:
+                expected = reference_synth_generate(cfg, budget)
+            except InputError as e:
+                for generate in (synth_dataset, synth_generate):
+                    with pytest.raises(InputError) as got:
+                        generate(cfg)
+                    assert str(got.value) == str(e)
+                return
+            assert synth_generate(cfg) == expected
+            # the file bytes too, which tell -0.0 from 0.0 and 640 from 640.0
+            with tempfile.TemporaryDirectory() as tmp:
+                got, want = Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
+                write_samples(synth_dataset(cfg), got)
+                write_samples(expected, want)
+                assert got.read_bytes() == want.read_bytes()
 
     def test_bad_config(self):
         with pytest.raises(InputError, match="^n must be positive$"):

@@ -271,6 +271,6 @@ class TestCircularDiff:
 class TestVec3:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_is_degenerate_hand(self, value):
-        # synth redraws a sample on DegenerateHand alone, so an overflowing keypoint must raise it
+        # conftest's scalar synth oracle redraws on DegenerateHand alone, so an overflowing keypoint must raise it
         with pytest.raises(DegenerateHand, match=r"^non-finite Vec3 \("):
             Vec3(0.5, 0.5, value)
