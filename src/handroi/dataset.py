@@ -32,14 +32,13 @@ import itertools
 import json
 import math
 import os
-import sys
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateHand, HandRoiError, InputError
+from .errors import InputError
 from .geometry import Vec3
 from .heuristic import (
     Hand21,
@@ -50,7 +49,7 @@ from .heuristic import (
     THUMB_LOW,
     WRIST,
     _math_map,
-    gold_roi,
+    degenerate_reason,
     gold_rois,
 )
 
@@ -95,9 +94,9 @@ class PoseSidecar:
     """The lines of a pose sidecar as columns, in file order.
 
     rows maps each line's id to its row. width and height hold the image
-    dims as Python ints (object arrays), so they keep every digit; left
-    marks the lines whose handedness is "left", and pose is the (M, 6, 3)
-    float64 array of keypoints (x, y, z) in POSE_KEYS order.
+    dims as float64 (see `_image_dims`); left marks the lines whose
+    handedness is "left", and pose is the (M, 6, 3) float64 array of
+    keypoints (x, y, z) in POSE_KEYS order.
     """
 
     rows: dict
@@ -182,13 +181,12 @@ def read_pose_sidecar(sidecar_path) -> PoseSidecar:
     """The sidecar's lines as PoseSidecar columns.
 
     A bad line is an InputError naming the file and the line. A line is bad
-    if it is not an object with an id, integer width and height above 0
-    that fit a float, a handedness of "left" or "right" and the POSE_KEYS
-    [x, y, z] keypoints of JSON numbers; if its id repeats an earlier
-    line's; or if a keypoint value is not finite. The structure is checked
-    line by line; the values of all lines at once at the end, and also
-    before a line that fails earlier is named, so the error names the first
-    bad line.
+    if it is not an object with an id, dims that pass `_image_dims`, a
+    handedness of "left" or "right" and the POSE_KEYS [x, y, z] keypoints
+    of JSON numbers; if its id repeats an earlier line's; or if a keypoint
+    value is not finite. The structure is checked line by line; the values
+    of all lines at once at the end, and also before a line that fails
+    earlier is named, so the error names the first bad line.
     """
     rows, lines, widths, heights, lefts, vals = {}, [], [], [], [], []
     try:
@@ -221,8 +219,8 @@ def read_pose_sidecar(sidecar_path) -> PoseSidecar:
         raise
     return PoseSidecar(
         rows=rows,
-        width=np.array(widths, dtype=object),
-        height=np.array(heights, dtype=object),
+        width=np.array(widths, dtype=np.float64),
+        height=np.array(heights, dtype=np.float64),
         left=np.array(lefts, dtype=bool),
         pose=_check_values(sidecar_path, lines, vals, landmarks=0),
     )
@@ -231,30 +229,22 @@ def read_pose_sidecar(sidecar_path) -> PoseSidecar:
 def merge_pose_sidecar(records, poses, split="train") -> MergeResult:
     """Inner join of Annotations with the PoseSidecar of `read_pose_sidecar` on id.
 
-    Returns the split's samples as a Dataset, in the records' order, whose
-    width and height are the sidecar's Python ints. Records without a pose
-    line are dropped and counted. A sample is left if its sidecar
-    handedness is "left" or its is_left is set, and is mirrored: landmark x
-    becomes width - x and keypoint x 1 - x. Samples whose gold ROI is then
-    degenerate (one `gold_rois` call; a mirrored x beyond float range is
-    degenerate too) are dropped and counted.
+    Returns the split's samples as a Dataset, in the records' order.
+    Records without a pose line are dropped and counted. A sample is left
+    if its sidecar handedness is "left" or its is_left is set, and is
+    mirrored: landmark x becomes width - x and keypoint x 1 - x. Samples
+    whose gold ROI is then degenerate (one `gold_rois` call) are dropped
+    and counted.
     """
     rows = np.array([poses.rows.get(sid, -1) for sid in records.ids.tolist()], dtype=np.intp)
     found = rows >= 0
     rows = rows[found]
     width, height = poses.width[rows], poses.height[rows]
-    width_f, height_f = width.astype(np.float64), height.astype(np.float64)
     was_left = poses.left[rows] | records.is_left[found]
     hand, pose = records.hand[found], poses.pose[rows]
-    with np.errstate(over="ignore"):
-        hand[was_left, :, 0] = width_f[was_left, None] - hand[was_left, :, 0]
+    hand[was_left, :, 0] = width[was_left, None] - hand[was_left, :, 0]
     pose[was_left, :, 0] = 1.0 - pose[was_left, :, 0]
-    degenerate = gold_rois(hand, width_f, height_f)[1]
-    # gold_rois bounds the landmarks by [-width, 2 width] x [-height, 2 height] of the float dims, gold_roi of
-    # the exact integers; they differ only where a dim of 2**53 or more rounds up, so those rows are bounded again
-    for i in np.flatnonzero((width_f >= 2.0**53) | (height_f >= 2.0**53)).tolist():
-        (xs, ys), w, h = hand[i, :, :2].T.tolist(), width[i], height[i]
-        degenerate[i] |= min(xs) < -w or max(xs) > 2 * w or min(ys) < -h or max(ys) > 2 * h
+    degenerate = gold_rois(hand, width, height)[1] > 0
     keep = ~degenerate
     data = Dataset(
         ids=records.ids[found][keep],
@@ -412,8 +402,7 @@ def synth_dataset(cfg: SynthConfig) -> "Dataset":
     degenerate attempts in a row raise InputError naming the index of the
     sample they were drawn for. A batch draws as many attempts as samples
     are missing, at most SYNTH_BLOCK, so none is drawn after the n-th
-    sample. The dims are Python ints, as in the samples
-    `merge_pose_sidecar` gives.
+    sample.
 
     An attempt draws its 60 normals even if its landmark noise overflows:
     a noise_px that can overflow (|noise_px * z| > 1.8e308) leaves no
@@ -431,7 +420,7 @@ def synth_dataset(cfg: SynthConfig) -> "Dataset":
             rng.standard_normal(out=z[k])
         width, hand, pose = _synth_attempts(cfg, u, z)
         # a landmark that is not finite lies outside the bounds gold_rois checks
-        bad = gold_rois(hand, width, np.full_like(width, SYNTH_HEIGHT))[1] | ~np.isfinite(pose).all(axis=(1, 2))
+        bad = (gold_rois(hand, width, np.full_like(width, SYNTH_HEIGHT))[1] > 0) | ~np.isfinite(pose).all(axis=(1, 2))
         for is_bad in bad.tolist():
             run = run + 1 if is_bad else 0
             accepted += not is_bad
@@ -443,8 +432,8 @@ def synth_dataset(cfg: SynthConfig) -> "Dataset":
     n_train = int(round(0.7 * cfg.n))
     return Dataset(
         ids=np.array([f"synth-{cfg.seed}-{i:05d}" for i in range(cfg.n)], dtype=object),
-        width=np.concatenate(widths).astype(np.int64).astype(object),
-        height=np.full(cfg.n, SYNTH_HEIGHT, dtype=object),
+        width=np.concatenate(widths),
+        height=np.full(cfg.n, float(SYNTH_HEIGHT)),
         split=np.array(["train"] * n_train + ["test"] * (cfg.n - n_train), dtype=object),
         was_left=np.zeros(cfg.n, dtype=bool),
         hand=np.concatenate(hands),
@@ -516,13 +505,17 @@ def _json_int(d, key):
     return val
 
 
+# the largest image dim a line may hold; every integer up to it is exact in float64
+MAX_DIM = 2**53
+
+
 def _image_dims(d):
-    """(width, height) of a dataset or sidecar line: JSON integers above 0 that fit a float."""
+    """(width, height) of a dataset or sidecar line: JSON integers in [1, MAX_DIM]."""
     width, height = _json_int(d, "width"), _json_int(d, "height")
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive image dims {width}x{height}")
-    if max(width, height) > sys.float_info.max:
-        raise ValueError("image dims too large for a float")
+    if max(width, height) > MAX_DIM:
+        raise ValueError("image dims above 2**53")
     return width, height
 
 
@@ -545,8 +538,9 @@ _DOC_BLOCK_ROWS = 256
 
 
 def _column_docs(data):
-    """The line of each sample of a Dataset, as `sample_to_dict` gives it for the same Sample."""
-    columns = (data.ids, data.width, data.height, data.split, data.was_left, data.hand, data.pose)
+    """The line of each sample of a Dataset, as `sample_to_dict` gives it for the same Sample; dims as integers."""
+    width, height = data.width.astype(np.int64), data.height.astype(np.int64)
+    columns = (data.ids, width, height, data.split, data.was_left, data.hand, data.pose)
     for start in range(0, len(data), _DOC_BLOCK_ROWS):
         block = (c[start : start + _DOC_BLOCK_ROWS].tolist() for c in columns)
         for sid, width, height, split, was_left, hand, pose in zip(*block):
@@ -570,9 +564,8 @@ class Dataset:
     """N samples as columns, in file order.
 
     ids and split ("train" or "test") hold Python strings, width and height
-    the image dims (JSON integers above 0) as float64 (as Python ints, an
-    object array, in the samples `merge_pose_sidecar` and `synth_dataset`
-    give, so that `write_samples` writes every digit), and was_left bools.
+    the image dims (integers in [1, MAX_DIM], each exact) as float64, and
+    was_left bools.
     hand is the (N, 21, 3) float64 array of pixel landmarks (x, y,
     confidence), pose the (N, 6, 3) float64 array of normalized keypoints
     (x, y, z) in POSE_KEYS order; a left hand's are already mirrored. Every
@@ -611,14 +604,13 @@ def dataset_from_docs(docs, source) -> Dataset:
     """The Dataset of docs, (line number, JSON value) pairs in file order.
 
     A bad line is an InputError naming the source and the line. A line is
-    bad if it is not an object with an id, integer width and height above 0
-    that fit a float, a split in SPLITS and a boolean was_left; if its hand
-    is not 21 [x, y, confidence] landmarks or its pose not the POSE_KEYS
-    [x, y, z] keypoints; if its id repeats an earlier line's; or if one of
-    its values fails `_check_values`. The fields and shapes are checked
-    line by line; the values of all lines at once at the end, and also
-    before a line that fails earlier is named, so the error names the first
-    bad line.
+    bad if it is not an object with an id, dims that pass `_image_dims`, a
+    split in SPLITS and a boolean was_left; if its hand is not 21 [x, y,
+    confidence] landmarks or its pose not the POSE_KEYS [x, y, z]
+    keypoints; if its id repeats an earlier line's; or if one of its values
+    fails `_check_values`. The fields and shapes are checked line by line;
+    the values of all lines at once at the end, and also before a line that
+    fails earlier is named, so the error names the first bad line.
     """
     lines, ids, dims, splits, lefts, vals = [], [], [], [], [], []
     seen = set()
@@ -834,7 +826,7 @@ def _cached_dataset(cache, digest):
     """The Dataset in the cache file if its key is (CACHE_LAYOUT, digest) and its columns are valid, else None.
 
     Valid columns have a Dataset's shapes and dtypes, at least one sample,
-    unique string ids, splits in SPLITS, finite integer dims above 0, and
+    unique string ids, splits in SPLITS, integer dims in [1, MAX_DIM], and
     values that pass `_value_checks`, the check a parse makes. A missing,
     damaged or foreign file is None too.
     """
@@ -870,7 +862,7 @@ def _cached_dataset(cache, digest):
     dims = np.concatenate([cols["width"], cols["height"]])
     if not (
         np.isin(cols["split"], SPLITS).all()
-        and (np.isfinite(dims) & (dims > 0) & (dims == np.floor(dims))).all()
+        and ((dims > 0) & (dims <= MAX_DIM) & (dims == np.floor(dims))).all()
         and not any(mask.any() for mask, _ in _value_checks(cols["hand"], cols["pose"]))
     ):
         return None
@@ -885,13 +877,9 @@ def gold_boxes(data: Dataset):
     A degenerate gold hand is an InputError naming the first such sample,
     and why, in `gold_roi`'s words.
     """
-    boxes, degenerate = gold_rois(data.hand, data.width, data.height)
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        hand = Hand21(points=tuple(map(tuple, data.hand[i].tolist())))
-        try:
-            gold_roi(hand, int(data.width[i]), int(data.height[i]))
-        except DegenerateHand as e:
-            raise InputError(f"sample {data.ids[i]!r} has a degenerate gold hand: {e}") from None
-        raise HandRoiError(f"gold_rois and gold_roi disagree on sample {data.ids[i]!r}")
+    boxes, reason = gold_rois(data.hand, data.width, data.height)
+    if reason.any():
+        i = int(np.argmax(reason > 0))
+        why = degenerate_reason(reason[i], data.width[i], data.height[i])
+        raise InputError(f"sample {data.ids[i]!r} has a degenerate gold hand: {why}")
     return boxes

@@ -90,15 +90,6 @@ def calc_hand_roi(wrist, index, pinky, rho):
     return np.column_stack([cx, cy, SIZE_SCALE * size, rotation]), failed
 
 
-def closed_form_size(wx, wy, ix, iy, px, py, rho) -> float:
-    """Single-expression equivalent of the estimator's size, from wrist, index and pinky (x, y)."""
-    if not (rho > 0) or not math.isfinite(rho):
-        raise HandRoiError(f"aspect ratio must be > 0, got {rho}")
-    cx = (2 * ix + px) / 3.0
-    cy = (2 * iy + py) / 3.0
-    return 5.4 * math.sqrt(rho ** 2 * (wx - cx) ** 2 + (wy - cy) ** 2)
-
-
 def gold_roi(hand: Hand21, width: float, height: float):
     """Reference box row (cx, cy, size, rotation): a square twice the landmarks' extent.
 
@@ -167,18 +158,33 @@ def _math_map(fn, arr):
     return np.fromiter(map(fn, arr.tolist()), dtype=np.float64, count=arr.size)
 
 
-def gold_rois(hand, width, height):
-    """Gold boxes (N, 4) and degenerate mask (N,) of an (N, 21, 3) landmark array.
+# why `gold_roi` finds a hand degenerate, in the order it checks; `gold_rois` gives the first that holds
+DEGENERATE_REASONS = (
+    "wrist coincides with middle knuckle",
+    "all landmarks coincide",
+    "landmarks span a box that is not finite",
+    "landmarks span a box of zero size",
+    "a landmark lies outside [{}, {}] x [{}, {}]",
+)
 
-    Row i is bitwise `gold_roi` of hand i on a width[i] x height[i] image,
-    and degenerate marks the rows where `gold_roi` raises DegenerateHand;
-    their boxes are NaN. The arithmetic keeps the scalar's order: the
-    landmarks are summed left to right (as the builtin sum does before
-    Python 3.12), min and max keep the first of equals, and the angles and
-    their cosines and sines come from the math module, one row at a time
-    (numpy's arctan2 differs in the last bits). The dims are float64, so
-    image dims above 2**53 are rounded before the bound check, which
-    `gold_roi` makes on the exact integers.
+
+def degenerate_reason(reason, width, height):
+    """`gold_roi`'s DegenerateHand message for a reason of `gold_rois` on a width x height image."""
+    w, h = int(width), int(height)
+    return DEGENERATE_REASONS[reason - 1].format(-w, 2 * w, -h, 2 * h)
+
+
+def gold_rois(hand, width, height):
+    """Gold boxes (N, 4) and reasons (N,) of an (N, 21, 3) landmark array.
+
+    Row i is bitwise `gold_roi` of hand i on a width[i] x height[i] image.
+    reason[i] is 0 where `gold_roi` returns a box and, where it raises
+    DegenerateHand, the number (from 1) of the DEGENERATE_REASONS entry it
+    raises; the boxes of those rows are NaN. The arithmetic keeps the
+    scalar's order: the landmarks are summed left to right (as the builtin
+    sum does before Python 3.12), min and max keep the first of equals, and
+    the angles and their cosines and sines come from the math module, one
+    row at a time (numpy's arctan2 differs in the last bits).
     """
     hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
     width = np.asarray(width, dtype=np.float64)
@@ -216,12 +222,15 @@ def _gold_rois(hand, width, height):
     boxes = np.column_stack(
         [(cx + (bx * c - by * s)) / width, (cy + (bx * s + by * c)) / height, side * 2.0 / height, rotation]
     )
-    degenerate = (
-        ((wx == mx) & (wy == my))
-        | ((left == right) & (top == bottom))
-        | ~np.isfinite(boxes).all(axis=1)
-        | ~(boxes[:, 2] > 0.0)
-        | (left < -width) | (right > 2 * width) | (top < -height) | (bottom > 2 * height)
+    reason = np.select(
+        [
+            (wx == mx) & (wy == my),
+            (left == right) & (top == bottom),
+            ~np.isfinite(boxes).all(axis=1),
+            ~(boxes[:, 2] > 0.0),
+            (left < -width) | (right > 2 * width) | (top < -height) | (bottom > 2 * height),
+        ],
+        range(1, len(DEGENERATE_REASONS) + 1),
     )
-    boxes[degenerate] = math.nan
-    return boxes, degenerate
+    boxes[reason > 0] = math.nan
+    return boxes, reason

@@ -17,13 +17,12 @@ from handroi.dataset import (
     SYNTH_HEIGHT,
     Sample,
     _check_json_numbers,
-    _image_dims,
     dataset_from_docs,
     dataset_stats,
     sample_to_dict,
     write_samples,
 )
-from handroi.errors import DegenerateHand, InputError
+from handroi.errors import DegenerateHand, HandRoiError, InputError
 from handroi.geometry import Vec3, box_quads
 from handroi.heuristic import (
     CENTER_SHIFT,
@@ -333,6 +332,15 @@ def reference_synth_generate(cfg, max_redraws=MAX_REDRAWS):
     return samples
 
 
+def closed_form_size(wx, wy, ix, iy, px, py, rho) -> float:
+    """Single-expression equivalent of the estimator's size, from wrist, index and pinky (x, y)."""
+    if not (rho > 0) or not math.isfinite(rho):
+        raise HandRoiError(f"aspect ratio must be > 0, got {rho}")
+    cx = (2 * ix + px) / 3.0
+    cy = (2 * iy + py) / 3.0
+    return 5.4 * math.sqrt(rho ** 2 * (wx - cx) ** 2 + (wy - cy) ** 2)
+
+
 def _reference_normalize_deg(angle):
     a = math.fmod(angle, 360.0)
     if a < 0:
@@ -476,7 +484,7 @@ def _reference_read_pose_sidecar(path):
             try:
                 doc = json.loads(line)
                 sid = str(doc["id"])
-                width, height = _image_dims(doc)
+                width, height = _reference_dims(doc)
                 handedness = doc["handedness"]
                 if handedness not in ("left", "right"):
                     raise ValueError(f"handedness {handedness!r}")
@@ -494,6 +502,20 @@ def _reference_read_pose_sidecar(path):
                 raise InputError(f"{where}: duplicate id {sid!r}")
             poses[sid] = (width, height, handedness, PoseHand(*pose))
     return poses
+
+
+def _reference_dims(doc):
+    """(width, height) of a sidecar line: JSON integers from 1 to 2**53, so that each is exact as a float."""
+    dims = []
+    for key in ("width", "height"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} must be a JSON integer, got {doc[key]!r}")
+        dims.append(doc[key])
+    if min(dims) <= 0:
+        raise ValueError(f"non-positive image dims {dims[0]}x{dims[1]}")
+    if max(dims) > 2**53:
+        raise ValueError("image dims above 2**53")
+    return dims
 
 
 def _reference_merge(records, poses, split):

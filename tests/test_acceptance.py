@@ -15,10 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import monte_carlo_iou, random_box, read_cache, scalar_gold_predictor
+from conftest import closed_form_size, monte_carlo_iou, random_box, read_cache, scalar_gold_predictor
 from handroi.cli import main as cli_main
 from handroi.geometry import rotated_iou
-from handroi.heuristic import calc_hand_roi, closed_form_size
+from handroi.heuristic import calc_hand_roi
 from handroi.metrics import (
     Rows,
     evaluate,

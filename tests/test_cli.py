@@ -20,6 +20,8 @@ from handroi import errors
 from handroi import model as md
 from handroi.cli import build_parser, main
 from handroi.dataset import CACHE_SUFFIX, SynthConfig, read_samples, synth_generate, write_samples
+from handroi.errors import DegenerateHand
+from handroi.heuristic import Hand21, gold_roi
 from handroi.metrics import CSV_COLUMNS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -141,6 +143,19 @@ class TestIngest:
         code, err = run_quiet("ingest", *argv)
         assert code == 2
         assert err == [f"error: {sidecar} line 2: {field} must be a JSON integer, got {value!r}"]
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_sidecar_dims_above_2_53_exit_2(self, tmp_path, field):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 2)
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1"])
+        argv = ["--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(tmp_path / "d.jsonl")]
+        # 2**53 is the largest dim a line may hold
+        edit_line(sidecar, sidecar, 1, lambda doc: doc.update({field: 2**53}))
+        assert run_quiet("ingest", *argv) == (0, [])
+        edit_line(sidecar, sidecar, 1, lambda doc: doc.update({field: 2**53 + 1}))
+        assert run_quiet("ingest", *argv) == (2, [f"error: {sidecar} line 2: image dims above 2**53"])
 
     @pytest.mark.parametrize("value", ["341.2", True])
     def test_non_number_sidecar_keypoint_exit_2(self, tmp_path, value):
@@ -455,7 +470,35 @@ class TestBadDataset:
         edit_line(small_dataset, bad, 4, lambda doc: doc.update({field: int("9" * 400)}))
         code, err = self.run_on(tmp_path, command, bad)
         assert code == 2
-        assert err == [f"error: {bad} line 5: image dims too large for a float"]
+        assert err == [f"error: {bad} line 5: image dims above 2**53"]
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    def test_dims_above_2_53_exit_2(self, tmp_path, small_dataset, command):
+        # 2**53 + 3 would round to the float 2**53 + 4, whose bound 2 (2**53 + 4) holds the landmark at 2**54 + 8;
+        # the bound of the exact integer does not
+        def change(doc):
+            doc["width"] = 2**53 + 3
+            doc["hand"][4][0] = 2**54 + 8
+
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 0, change)
+        code, err = self.run_on(tmp_path, command, bad)
+        assert (code, err) == (2, [f"error: {bad} line 1: image dims above 2**53"])
+
+    @pytest.mark.parametrize("x, degenerate", [(2.0**54, False), (2.0**54 + 4, True)])
+    def test_largest_dims_bound_as_gold_roi(self, tmp_path, small_dataset, x, degenerate):
+        # the last line is a test sample, which eval reads
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, -1, lambda doc: doc.update(width=2**53) or doc["hand"][4].__setitem__(0, x))
+        doc = json.loads(bad.read_text().splitlines()[-1])
+        code, err = self.run_on(tmp_path, "eval", bad)
+        # as the scalar gold_roi decides on the exact integers
+        try:
+            gold_roi(Hand21(points=tuple(map(tuple, doc["hand"]))), doc["width"], doc["height"])
+        except DegenerateHand as e:
+            assert degenerate and (code, err) == (2, [f"error: sample '{doc['id']}' has a degenerate gold hand: {e}"])
+        else:
+            assert not degenerate and (code, err) == (0, [])
 
     def test_overflowing_pose_fails_the_row(self, tmp_path, small_dataset):
         bad = tmp_path / "bad.jsonl"

@@ -35,7 +35,7 @@ from handroi.dataset import (
 )
 from handroi.errors import DegenerateHand, InputError
 from handroi.geometry import Vec3, box_quads
-from handroi.heuristic import Hand21, PoseHand, gold_roi
+from handroi.heuristic import Hand21, PoseHand, gold_roi, gold_rois
 
 
 def make_label_file(dirpath, name, pts=None, is_left=0):
@@ -234,12 +234,16 @@ class TestMirror:
 
     def test_mirror_beyond_float_range_is_degenerate(self, tmp_path):
         pts = make_label_file(tmp_path, "s1.json")
-        pts[4][0] = -1e308
+        pts[4][0] = -1.7e308
         make_label_file(tmp_path, "s1.json", pts=pts)
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
-        # width - x overflows when the left hand is mirrored
+        # a dim beyond 2**53 is no image dim, so width - x cannot overflow when the left hand is mirrored
         sc.write_text(sidecar_line("s1", width=10**308, handedness="left") + "\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(sc))} line 1: image dims above 2\*\*53$"):
+            read_pose_sidecar(sc)
+        # at the largest width the mirrored x stays finite, and lies beyond 2 width
+        sc.write_text(sidecar_line("s1", width=2**53, handedness="left") + "\n")
         res = merge_pose_sidecar(records, read_pose_sidecar(sc))
         assert len(res.data) == 0 and res.degenerate == 1
 
@@ -288,12 +292,13 @@ class TestMergeSidecar:
             ("height", True),
             ("height", 0),
             pytest.param("width", 10**400, id="width-too-large-for-a-float"),
+            pytest.param("height", 2**53 + 1, id="height-above-2**53"),
         ],
     )
     def test_mistyped_image_dims(self, tmp_path, field, value):
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1") + "\n" + sidecar_line("s2", **{field: value}) + "\n")
-        message = f"(non-positive image dims|{field} must be a JSON integer|image dims too large for a float)"
+        message = rf"(non-positive image dims|{field} must be a JSON integer|image dims above 2\*\*53$)"
         with pytest.raises(InputError, match=f"{sc} line 2: {message}"):
             read_pose_sidecar(sc)
 
@@ -374,29 +379,44 @@ class TestMergeSidecar:
     @pytest.mark.parametrize(
         "width, x, degenerate",
         [
-            # 2**53 + 3 rounds up to the float 2**53 + 4: the landmark at 2 (2**53 + 4) lies beyond 2 width
-            (2**53 + 3, 2.0**54 + 8, True),
-            (2**53 + 4, 2.0**54 + 8, False),
-            # 10**308 rounds up too: the float -10**308 lies below -width
-            (10**308, -1e308, True),
-            (10**308, -1e307, False),
+            # 2**53 is the largest dim a line may hold; its bounds -2**53 and 2**54 are exact floats, and the
+            # next float beyond each lies outside
+            (2**53, 2.0**54, False),
+            (2**53, 2.0**54 + 4, True),
+            (2**53, -(2.0**53), False),
+            (2**53, -(2.0**53) - 2, True),
+            # 2**53 + 3 would round up to the float 2**53 + 4, which bounds 2**54 + 8; no line may hold it
+            (2**53 + 3, 2.0**54 + 8, None),
+            (10**308, -1e308, None),
         ],
     )
     def test_bounds_of_exact_dims(self, tmp_path, width, x, degenerate):
+        # the ingest side: an annotation file joined to its sidecar line
         pts = make_label_file(tmp_path, "s1.json")
         pts[4][0] = x
         make_label_file(tmp_path, "s1.json", pts=pts)
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1", width=width) + "\n")
-        res = merge_pose_sidecar(records, read_pose_sidecar(sc))
-        assert res.degenerate == int(degenerate)
+        # the read side: a dataset line of the same hand and dims
+        doc = {**sample_to_dict(synth_generate(SynthConfig(n=1, seed=4))[0]), "width": width, "hand": pts}
+        path = tmp_path / "data.jsonl"
+        write_docs(path, [doc])
+        if degenerate is None:
+            for read, source in ((read_pose_sidecar, sc), (read_samples, path)):
+                with pytest.raises(InputError, match=rf"^{re.escape(str(source))} line 1: image dims above 2\*\*53$"):
+                    read(source)
+            return
+        assert merge_pose_sidecar(records, read_pose_sidecar(sc)).degenerate == int(degenerate)
+        data = read_samples(path)
+        # reason 5: a landmark outside the bounds
+        assert gold_rois(data.hand, data.width, data.height)[1].tolist() == [5 if degenerate else 0]
         # as the scalar gold_roi decides on the exact integers
         hand = Hand21(points=tuple(map(tuple, records.hand[0].tolist())))
         try:
             gold_roi(hand, width, 480)
-        except DegenerateHand:
-            assert degenerate
+        except DegenerateHand as e:
+            assert degenerate and str(e) == f"a landmark lies outside [{-(2**53)}, {2**54}] x [-480, 960]"
         else:
             assert not degenerate
 
@@ -405,11 +425,15 @@ class TestMergeSidecar:
         make_label_file(tmp_path, "s2.json")
         records, _ = parse_panoptic(tmp_path)
         sc = tmp_path / "poses.jsonl"
-        sc.write_text(sidecar_line("s1", width=2**53 + 1) + "\n" + sidecar_line("s2", height=10**308) + "\n")
+        sc.write_text(sidecar_line("s1", width=2**53 - 1) + "\n" + sidecar_line("s2", height=2**53) + "\n")
         data = merge_pose_sidecar(records, read_pose_sidecar(sc)).data
         write_samples(data, tmp_path / "data.jsonl")
         docs = [json.loads(line) for line in (tmp_path / "data.jsonl").read_text().splitlines()]
-        assert [(d["width"], d["height"]) for d in docs] == [(2**53 + 1, 480), (640, 10**308)]
+        assert [(d["width"], d["height"]) for d in docs] == [(2**53 - 1, 480), (640, 2**53)]
+        # one above the largest dim is no image dim
+        sc.write_text(sidecar_line("s1", width=2**53 + 1) + "\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(sc))} line 1: image dims above 2\*\*53$"):
+            read_pose_sidecar(sc)
 
     def test_gold_rois_bug_propagates(self, tmp_path, monkeypatch):
         def gold_rois(*args):
@@ -424,7 +448,8 @@ class TestMergeSidecar:
             merge_pose_sidecar(records, read_pose_sidecar(sc))
 
     def test_no_per_sample_objects(self, tmp_path, monkeypatch):
-        for name in ("gold_roi", "Hand21", "PoseHand", "Vec3", "Sample"):
+        monkeypatch.setattr(handroi.heuristic, "gold_roi", lambda *a, **k: pytest.fail("a per-sample gold_roi"))
+        for name in ("Hand21", "PoseHand", "Vec3", "Sample"):
             monkeypatch.setattr(handroi.dataset, name, lambda *a, **k: pytest.fail("a per-sample object"))
         for i in range(3):
             make_label_file(tmp_path, f"s{i}.json", is_left=i % 2)
@@ -468,7 +493,8 @@ class TestSynth:
             generate(SynthConfig(n=3, seed=1))
 
     def test_no_per_sample_objects(self, tmp_path, monkeypatch):
-        for name in ("gold_roi", "Hand21", "PoseHand", "Vec3", "Sample"):
+        monkeypatch.setattr(handroi.heuristic, "gold_roi", lambda *a, **k: pytest.fail("a per-sample gold_roi"))
+        for name in ("Hand21", "PoseHand", "Vec3", "Sample"):
             monkeypatch.setattr(handroi.dataset, name, lambda *a, **k: pytest.fail("a per-sample object"))
         data = synth_dataset(SynthConfig(n=30, seed=2, noise_px=300.0))
         write_samples(data, tmp_path / "data.jsonl")
@@ -564,12 +590,12 @@ class TestStatsAndIo:
         # the merged columns of ingest go through the same line encoder as Sample objects
         hand = Hand21(points=((-0.0, 5e-324, 1.0), (1e300, 2.0, 0.0), *((float(i), 3.0, 0.5) for i in range(19))))
         pose = PoseHand(Vec3(-0.0, 5e-324, 1e300), *[Vec3(1.0, -2.0, 3.0)] * 5)
-        odd = Sample(id="hand-ü-手", width=2**53 + 1, height=10**308, hand=hand, pose=pose, was_left=True, split="test")
+        odd = Sample(id="hand-ü-手", width=2**53, height=2**53 - 1, hand=hand, pose=pose, was_left=True, split="test")
         samples = [odd, *synth_generate(SynthConfig(n=3, seed=4))]
         data = Dataset(
             ids=np.array([s.id for s in samples], dtype=object),
-            width=np.array([s.width for s in samples], dtype=object),
-            height=np.array([s.height for s in samples], dtype=object),
+            width=np.array([s.width for s in samples], dtype=np.float64),
+            height=np.array([s.height for s in samples], dtype=np.float64),
             split=np.array([s.split for s in samples], dtype=object),
             was_left=np.array([s.was_left for s in samples]),
             hand=np.array([s.hand.points for s in samples]),
@@ -579,6 +605,17 @@ class TestStatsAndIo:
         write_samples(concat([data.select([0, 1]), data.select([2, 3])]), tmp_path / "columns.jsonl")
         assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "samples.jsonl").read_bytes()
         assert dataset_stats(data) == dataset_stats(samples) == {"n": 4, "train": 2, "test": 2, "was_left": 1}
+
+    def test_dims_are_one_float64_column(self, tmp_path):
+        make_label_file(tmp_path, "s1.json")
+        records, _ = parse_panoptic(tmp_path)
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1", width=2**53) + "\n")
+        poses = read_pose_sidecar(sc)
+        synth = synth_dataset(SynthConfig(n=3, seed=4))
+        write_samples(synth, tmp_path / "data.jsonl")
+        for data in (poses, synth, merge_pose_sidecar(records, poses).data, read_samples(tmp_path / "data.jsonl")):
+            assert data.width.dtype == data.height.dtype == np.float64, type(data)
 
     def test_write_deterministic(self, tmp_path):
         samples = synth_generate(SynthConfig(n=10, seed=4))
@@ -609,8 +646,9 @@ class TestStatsAndIo:
             ("width", "640", "width must be a JSON integer"),
             ("height", True, "height must be a JSON integer"),
             ("height", 480.0, "height must be a JSON integer"),
-            pytest.param("height", int(sys.float_info.max) + 1, "image dims too large for a float",
+            pytest.param("height", int(sys.float_info.max) + 1, r"image dims above 2\*\*53$",
                          id="height-too-large-for-a-float"),
+            pytest.param("width", 2**53 + 1, r"image dims above 2\*\*53$", id="width-above-2**53"),
             ("hand", [[math.nan, 200.0, 1.0]] * 21, "non-finite landmark coordinate"),
             ("hand", [[300.0, math.inf, 1.0]] * 21, "non-finite landmark coordinate"),
             pytest.param("hand", [[300.0, 10**400, 1.0]] * 21, "non-finite landmark coordinate",
@@ -715,7 +753,7 @@ sample_docs = st.lists(
             st.fixed_dictionaries(
                 {
                     "id": st.just(sid),
-                    "width": st.integers(1, 10**6),
+                    "width": st.integers(1, 10**6) | st.just(2**53),
                     "height": st.integers(1, 10**6),
                     "split": st.sampled_from(["train", "test"]),
                     "was_left": st.booleans(),
@@ -807,6 +845,8 @@ class TestColumnCache:
             "confidence 1.5",
             "width 0",
             "height 480.5",
+            "width 2**53 + 2",
+            "height inf",
             "split val",
             "duplicate id",
             "id not a string",
@@ -834,6 +874,9 @@ class TestColumnCache:
             "confidence 1.5": lambda m: m["hand"].__setitem__((0, 0, 2), 1.5),
             "width 0": lambda m: m["width"].__setitem__(1, 0.0),
             "height 480.5": lambda m: m["height"].__setitem__(1, 480.5),
+            # an integer a parse rejects, exact in float64
+            "width 2**53 + 2": lambda m: m["width"].__setitem__(1, 2.0**53 + 2),
+            "height inf": lambda m: m["height"].__setitem__(1, math.inf),
             "split val": lambda m: m.update(split=np.array(["val"] * len(ids))),
             "duplicate id": lambda m: m.update(ids=np.frombuffer(json.dumps([ids[0], *ids[:-1]]).encode(), np.uint8)),
             "id not a string": lambda m: m.update(ids=np.frombuffer(json.dumps([1, *ids[1:]]).encode(), np.uint8)),

@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_calc_hand_roi, tight_box
+from conftest import closed_form_size, reference_calc_hand_roi, tight_box
 from handroi.errors import DegenerateHand, HandRoiError
 from handroi.geometry import areas, box_quads, circular_diff_deg
 from handroi.dataset import HAND_TEMPLATE, SynthConfig, synth_generate
-from handroi.heuristic import MIDDLE_MCP, WRIST, Hand21, calc_hand_roi, closed_form_size, gold_roi, gold_rois
+from handroi.heuristic import (
+    DEGENERATE_REASONS,
+    MIDDLE_MCP,
+    WRIST,
+    Hand21,
+    calc_hand_roi,
+    degenerate_reason,
+    gold_roi,
+    gold_rois,
+)
 
 
 def make_hand(points_xy, conf=1.0):
@@ -208,9 +217,16 @@ class TestGoldRoi:
         assert areas(box_quads([r], [400], [400]), np.array([4]))[0] > 0
 
 
-# how a drawn hand is posed; the last four kinds always give a degenerate gold hand
+# how a drawn hand is posed; the last five kinds always give a degenerate gold hand, one for each of
+# DEGENERATE_REASONS
 HAND_KINDS = ("in plane", "out of plane", "tiny", "far off-center")
-DEGENERATE_KINDS = ("wrist on middle knuckle", "all coincident", "landmark outside bound", "box not finite")
+DEGENERATE_KINDS = (
+    "wrist on middle knuckle",
+    "all coincident",
+    "box not finite",
+    "zero size",
+    "landmark outside bound",
+)
 
 
 @st.composite
@@ -239,6 +255,10 @@ def gold_hands(draw):
         # dims so large that the bound holds, and landmarks too far apart for a finite box
         width = height = 1e308
         pts[3], pts[4] = (1.7e308, 0.0), (-9e307, 0.0)
+    elif kind == "zero size":
+        # the landmarks span one subnormal step, so the box's size rounds to 0
+        pts[:] = 0.0
+        pts[MIDDLE_MCP, 0] = 5e-324
     conf = rng.choice([0.0, 1.0, rng.uniform()], size=(21, 1))
     return kind, np.hstack([pts, conf]), width, height
 
@@ -250,27 +270,29 @@ class TestGoldRoisReference:
     @given(st.lists(gold_hands(), min_size=1, max_size=8))
     def test_matches_scalar_bitwise(self, drawn):
         kinds, hands, widths, heights = zip(*drawn)
-        boxes, degenerate = gold_rois(np.array(hands), widths, heights)
-        assert boxes.shape == (len(drawn), 4) and degenerate.dtype == bool
+        boxes, reason = gold_rois(np.array(hands), widths, heights)
+        assert boxes.shape == (len(drawn), 4) and reason.shape == (len(drawn),)
         for k, (kind, hand, width, height) in enumerate(drawn):
             try:
                 ref = gold_roi(Hand21(points=tuple(map(tuple, hand.tolist()))), width, height)
-            except DegenerateHand:
-                assert degenerate[k] and np.isnan(boxes[k]).all(), kind
+            except DegenerateHand as e:
+                assert 0 < reason[k] <= len(DEGENERATE_REASONS) and np.isnan(boxes[k]).all(), kind
+                # the first of gold_roi's checks that fails, in its words
+                assert degenerate_reason(reason[k], width, height) == str(e), kind
                 continue
             assert kind not in DEGENERATE_KINDS
-            assert not degenerate[k] and boxes[k].tobytes() == np.array(ref).tobytes(), kind
+            assert reason[k] == 0 and boxes[k].tobytes() == np.array(ref).tobytes(), kind
 
     def test_synthetic_dataset_bitwise(self):
         samples = synth_generate(SynthConfig(n=300, seed=8, max_tilt_deg=80, noise_px=2))
         hands = np.array([s.hand.points for s in samples])
-        boxes, degenerate = gold_rois(hands, [s.width for s in samples], [s.height for s in samples])
+        boxes, reason = gold_rois(hands, [s.width for s in samples], [s.height for s in samples])
         ref = np.array([gold_roi(s.hand, s.width, s.height) for s in samples])
-        assert not degenerate.any() and boxes.tobytes() == ref.tobytes()
+        assert not reason.any() and boxes.tobytes() == ref.tobytes()
 
     def test_empty(self):
-        boxes, degenerate = gold_rois(np.zeros((0, 21, 3)), [], [])
-        assert boxes.shape == (0, 4) and degenerate.shape == (0,)
+        boxes, reason = gold_rois(np.zeros((0, 21, 3)), [], [])
+        assert boxes.shape == (0, 4) and reason.shape == (0,)
 
     def test_bad_dims(self):
         with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x480$"):
