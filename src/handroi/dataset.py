@@ -13,13 +13,12 @@ batch. The columns of a file that parsed are kept beside it in a cache
 keyed by the sha256 of its bytes, so a later read of the same bytes skips
 JSON decoding.
 
-Real data comes in two parts joined by sample id:
-  * a directory of per-image annotation files (JSON with a 21x3 "hand_pts"
-    array of (x, y, confidence) pixel landmarks and an "is_left" flag),
-  * a line-delimited JSON sidecar of externally produced body keypoints,
-    one object per line with fields: id, width, height, handedness
-    ("left"/"right"), and shoulder/elbow/wrist/thumb/index/pinky, each a
-    [x, y, z] triple in normalized image coordinates.
+Real data comes in two parts joined by sample id: a directory of per-image
+annotation files, ANNOTATION records of 21 (x, y, confidence) pixel
+landmarks, and a line-delimited JSON sidecar of externally produced body
+keypoints, SIDECAR records of [x, y, z] keypoints in normalized image
+coordinates. One function checks each record kind's structure by its table
+(`_records`), and one the values of all records at once (`_stacked_values`).
 
 Left-hand samples are mirrored at ingestion so everything downstream sees
 right-handed geometry. The synthetic generator replaces both inputs at desk
@@ -34,6 +33,7 @@ import math
 import os
 import zipfile
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,19 +117,29 @@ def parse_panoptic(labels_dir):
     """Read every annotation file in the directory, lexicographic order.
 
     Returns (records, skipped): the Annotations of the files that parse,
-    and the count of malformed files. A file is malformed if it is not 21
-    [x, y, confidence] landmarks of JSON numbers with finite x and y and a
-    confidence in [0, 1], or if its is_left is not a JSON boolean or 0 or 1.
-    Each file's structure is checked as it is read, the values of all files
-    at once at the end.
+    and the count of malformed files: those that are not strict UTF-8 JSON
+    holding an ANNOTATION record, checked as each file is read, or whose
+    values fail a check of `_stacked_values`, checked for all files at once.
     """
     try:
         with os.scandir(labels_dir) as it:
             entries = sorted((e for e in it if e.name.endswith(".json")), key=lambda e: e.name)
     except OSError as e:
         raise IOError(f"cannot read labels directory {labels_dir}: {e}") from e
-    ids, lefts, vals = [], [], []
-    skipped = 0
+    ids, (is_left,), vals, faults = _records(_annotation_files(entries), ANNOTATION)
+    hand, checks = _stacked_values(vals, len(ids), ANNOTATION.landmarks, ANNOTATION.keypoints)
+    good = ~np.logical_or.reduce([mask for mask, _ in checks])
+    if not good.any():
+        raise InputError(f"no parseable annotation files in {labels_dir}")
+    ids, is_left = np.array(ids, dtype=object)[good], np.array(is_left, dtype=bool)[good]
+    return Annotations(ids=ids, hand=hand[good], is_left=is_left), len(faults) + int((~good).sum())
+
+
+def _annotation_files(entries):
+    """(id, JSON value) of each file among the directory entries: its name without .json, and its contents.
+
+    A file that is not strict UTF-8 JSON has the ValueError that says why as its value.
+    """
     for entry in entries:
         try:
             if not entry.is_file():  # follows a symlink, as os.path.isfile does
@@ -140,90 +150,18 @@ def parse_panoptic(labels_dir):
             with open(entry.path, "rb") as fh:
                 # strict UTF-8 text, as a text-mode read gives it: a UTF-8 BOM or a UTF-16 file is malformed
                 doc = json.loads(fh.read().decode("utf-8"))
-            pts = doc["hand_pts"]
-            is_left = doc.get("is_left", 0)
-            ok = (
-                len(pts) == 21
-                and set(map(len, pts)) == {3}
-                and (type(is_left) is bool or (type(is_left) is int and is_left in (0, 1)))
-            )
-        except Exception:
-            ok = False
-        if not ok:
-            skipped += 1
-            continue
-        ids.append(os.path.splitext(entry.name)[0])
-        lefts.append(is_left)
-        vals.extend(itertools.chain.from_iterable(pts))
-    hand, checks = _stacked_values(vals, len(ids), landmarks=21, keypoints=0)
-    good = ~np.logical_or.reduce([mask for mask, _ in checks])
-    skipped += len(ids) - int(good.sum())
-    if not good.any():
-        raise InputError(f"no parseable annotation files in {labels_dir}")
-    records = Annotations(
-        ids=np.array(ids, dtype=object)[good], hand=hand[good], is_left=np.array(lefts, dtype=bool)[good]
-    )
-    return records, skipped
-
-
-def _utf8_lines(raw_lines, path):
-    """(line number, stripped text) of each non-blank line of path's raw lines; bad UTF-8 is an InputError."""
-    for lineno, raw in enumerate(raw_lines, 1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as e:
-            raise InputError(f"{path} line {lineno}: {e}") from None
-        if line:
-            yield lineno, line
+        except (OSError, ValueError, RecursionError) as e:  # RecursionError: nested too deep
+            doc = ValueError(str(e))
+        yield os.path.splitext(entry.name)[0], doc
 
 
 def read_pose_sidecar(sidecar_path) -> PoseSidecar:
-    """The sidecar's lines as PoseSidecar columns.
-
-    A bad line is an InputError naming the file and the line. A line is bad
-    if it is not an object with an id, dims that pass `_image_dims`, a
-    handedness of "left" or "right" and the POSE_KEYS [x, y, z] keypoints
-    of JSON numbers; if its id repeats an earlier line's; or if a keypoint
-    value is not finite. The structure is checked line by line; the values
-    of all lines at once at the end, and also before a line that fails
-    earlier is named, so the error names the first bad line.
-    """
-    rows, lines, widths, heights, lefts, vals = {}, [], [], [], [], []
-    try:
-        with open(sidecar_path, "rb") as fh:
-            for lineno, line in _utf8_lines(fh, sidecar_path):
-                where = f"{sidecar_path} line {lineno}"
-                try:
-                    doc = json.loads(line)
-                    sid = str(doc["id"])
-                    width, height = _image_dims(doc)
-                    handedness = doc["handedness"]
-                    if handedness not in ("left", "right"):
-                        raise ValueError(f"handedness {handedness!r}")
-                    kps = [doc[key] for key in POSE_KEYS]
-                    _check_json_numbers(kps)
-                    kps = [(x, y, z) for x, y, z in kps]  # a keypoint of other than 3 values fails to unpack
-                except Exception as e:
-                    raise InputError(f"{where}: {e}") from e
-                lines.append(lineno)
-                vals.extend(itertools.chain.from_iterable(kps))
-                # a repeated id is named only if the line's values, checked by the handler below, pass
-                if sid in rows:
-                    raise InputError(f"{where}: duplicate id {sid!r}")
-                rows[sid] = len(rows)
-                widths.append(width)
-                heights.append(height)
-                lefts.append(handedness == "left")
-    except InputError:
-        _check_values(sidecar_path, lines, vals, landmarks=0)
-        raise
-    return PoseSidecar(
-        rows=rows,
-        width=np.array(widths, dtype=np.float64),
-        height=np.array(heights, dtype=np.float64),
-        left=np.array(lefts, dtype=bool),
-        pose=_check_values(sidecar_path, lines, vals, landmarks=0),
-    )
+    """The sidecar's lines, SIDECAR records, as PoseSidecar columns; see `_checked_lines` for a bad line."""
+    with open(sidecar_path, "rb") as fh:
+        (ids, dims, handedness), pose = _checked_lines(sidecar_path, _json_lines(fh), SIDECAR)
+    width, height = np.array(dims, dtype=np.float64).reshape(-1, 2).T
+    left = np.array(handedness, dtype=object) == "left"
+    return PoseSidecar(rows=dict(zip(ids, range(len(ids)))), width=width, height=height, left=left, pose=pose)
 
 
 def merge_pose_sidecar(records, poses, split="train") -> MergeResult:
@@ -485,40 +423,6 @@ def sample_to_dict(s: Sample) -> dict:
     }
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _check_json_numbers(points):
-    """ValueError for a value of the points (lists) that is not a JSON integer or float.
-
-    float() would take strings such as "341.2" and booleans. The type set is built without a Python loop.
-    """
-    if not set(map(type, itertools.chain.from_iterable(points))) <= _NUMBER_TYPES:
-        bad = next(v for v in itertools.chain.from_iterable(points) if type(v) not in _NUMBER_TYPES)
-        raise ValueError(f"expected a JSON number, got {bad!r}")
-
-
-def _json_int(d, key):
-    val = d[key]
-    if type(val) is not int:
-        raise ValueError(f"{key} must be a JSON integer, got {val!r}")
-    return val
-
-
-# the largest image dim a line may hold; every integer up to it is exact in float64
-MAX_DIM = 2**53
-
-
-def _image_dims(d):
-    """(width, height) of a dataset or sidecar line: JSON integers in [1, MAX_DIM]."""
-    width, height = _json_int(d, "width"), _json_int(d, "height")
-    if width <= 0 or height <= 0:
-        raise ValueError(f"non-positive image dims {width}x{height}")
-    if max(width, height) > MAX_DIM:
-        raise ValueError("image dims above 2**53")
-    return width, height
-
-
 # every dataset line's encoder; one json.dumps(d, sort_keys=True, separators=(",", ":")) builds each call
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -601,62 +505,182 @@ def concat(parts) -> Dataset:
 
 
 def dataset_from_docs(docs, source) -> Dataset:
-    """The Dataset of docs, (line number, JSON value) pairs in file order.
+    """The Dataset of docs, (line number, JSON value) pairs in file order, each a DATASET record.
 
-    A bad line is an InputError naming the source and the line. A line is
-    bad if it is not an object with an id, dims that pass `_image_dims`, a
-    split in SPLITS and a boolean was_left; if its hand is not 21 [x, y,
-    confidence] landmarks or its pose not the POSE_KEYS [x, y, z]
-    keypoints; if its id repeats an earlier line's; or if one of its values
-    fails `_check_values`. The fields and shapes are checked line by line;
-    the values of all lines at once at the end, and also before a line that
-    fails earlier is named, so the error names the first bad line.
+    A bad line is an InputError (see `_checked_lines`), and so is a source with no lines.
     """
-    lines, ids, dims, splits, lefts, vals = [], [], [], [], [], []
-    seen = set()
-    try:
-        for lineno, d in docs:
-            try:
-                sid = str(d["id"])
-                width, height = _image_dims(d)
-                if type(d["was_left"]) is not bool:
-                    raise ValueError(f"was_left must be a JSON boolean, got {d['was_left']!r}")
-                if d["split"] not in SPLITS:
-                    raise ValueError(f"split must be 'train' or 'test', got {d['split']!r}")
-                hand = d["hand"]
-                pose = [d["pose"][k] for k in POSE_KEYS]
-                if len(hand) != 21:
-                    raise ValueError(f"expected 21 landmarks, got {len(hand)}")
-                if set(map(len, hand + pose)) != {3}:
-                    raise ValueError("expected [x, y, confidence] landmarks and [x, y, z] keypoints")
-                if sid in seen:
-                    raise ValueError(f"duplicate sample id {sid!r}")
-            except Exception as e:
-                raise InputError(f"{source} line {lineno}: {e}") from e
-            seen.add(sid)
-            lines.append(lineno)
-            ids.append(sid)
-            dims.append((width, height))
-            splits.append(d["split"])
-            lefts.append(d["was_left"])
-            vals.extend(itertools.chain.from_iterable(hand))
-            vals.extend(itertools.chain.from_iterable(pose))
-    except InputError:
-        _check_values(source, lines, vals)
-        raise
-    if not lines:
+    (ids, dims, was_left, split), values = _checked_lines(source, docs, DATASET)
+    if not ids:
         raise InputError(f"no samples in {source}")
-    values = _check_values(source, lines, vals)
     width, height = np.array(dims, dtype=np.float64).T
     return Dataset(
         ids=np.array(ids, dtype=object),
         width=width,
         height=height,
-        split=np.array(splits, dtype=object),
-        was_left=np.array(lefts, dtype=bool),
+        split=np.array(split, dtype=object),
+        was_left=np.array(was_left, dtype=bool),
         hand=values[:, :21],
         pose=values[:, 21:],
     )
+
+
+# ---------------------------------------------------------------------------
+# JSON records: one structure check for the annotation files, the sidecar lines and the dataset lines
+
+
+def _field(key, ok, message):
+    """The rule of the field key: its value if ok(value), else the ValueError message.format(value)."""
+
+    def rule(d):
+        if not ok(d[key]):
+            raise ValueError(message.format(d[key]))
+        return d[key]
+
+    return rule
+
+
+_string_id = _field("id", lambda v: type(v) is str, "id must be a JSON string, got {!r}")
+# the largest image dim a line may hold; every integer up to it is exact in float64
+MAX_DIM = 2**53
+
+
+def _image_dims(d):
+    """(width, height) of a dataset or sidecar line: JSON integers in [1, MAX_DIM]."""
+    for key in ("width", "height"):
+        if type(d[key]) is not int:
+            raise ValueError(f"{key} must be a JSON integer, got {d[key]!r}")
+    width, height = d["width"], d["height"]
+    if width <= 0 or height <= 0:
+        raise ValueError(f"non-positive image dims {width}x{height}")
+    if max(width, height) > MAX_DIM:
+        raise ValueError("image dims above 2**53")
+    return width, height
+
+
+def _is_left(d):
+    """An annotation file's is_left: a JSON boolean, or 0 or 1; 0 if it has none."""
+    flag = d.get("is_left", 0)
+    if type(flag) is not bool and not (type(flag) is int and flag in (0, 1)):
+        raise ValueError(f"is_left must be a JSON boolean or 0 or 1, got {flag!r}")
+    return flag
+
+
+def _landmarks(d, key):
+    """d[key], a JSON array of 21 landmarks."""
+    if type(d[key]) is not list:
+        raise ValueError(f"{key} must be a JSON array, got {d[key]!r}")
+    if len(d[key]) != 21:
+        raise ValueError(f"expected 21 landmarks, got {len(d[key])}")
+    return d[key]
+
+
+def _keypoints(pose):
+    """The POSE_KEYS keypoints of pose, a JSON object."""
+    if type(pose) is not dict:
+        raise ValueError(f"pose must be a JSON object, got {pose!r}")
+    return [pose[key] for key in POSE_KEYS]
+
+
+# The structure of one kind of JSON record, a JSON object (see `_records`). fields holds the rule of each
+# column in the order a record's faults are named: rule(record) gives its value, or raises ValueError
+# (KeyError for a missing key). Then points(record) gives its landmarks and keypoints, each a JSON array of
+# 3 values, else the record's fault is shape.
+RecordKind = namedtuple("RecordKind", "fields points shape landmarks keypoints")
+
+ANNOTATION = RecordKind(  # an annotation file, whose id is its name
+    fields=(_is_left,),
+    points=lambda d: _landmarks(d, "hand_pts"),
+    shape="expected [x, y, confidence] landmarks",
+    landmarks=21,
+    keypoints=0,
+)
+SIDECAR = RecordKind(  # a sidecar line, whose keypoints are fields of its own
+    fields=(_string_id, _image_dims, _field("handedness", ("left", "right").__contains__, "handedness {!r}")),
+    points=_keypoints,
+    shape="expected [x, y, z] keypoints",
+    landmarks=0,
+    keypoints=len(POSE_KEYS),
+)
+DATASET = RecordKind(  # a dataset line
+    fields=(
+        _string_id,
+        _image_dims,
+        _field("was_left", lambda v: type(v) is bool, "was_left must be a JSON boolean, got {!r}"),
+        _field("split", SPLITS.__contains__, "split must be 'train' or 'test', got {!r}"),
+    ),
+    points=lambda d: _landmarks(d, "hand") + _keypoints(d["pose"]),
+    shape="expected [x, y, confidence] landmarks and [x, y, z] keypoints",
+    landmarks=21,
+    keypoints=len(POSE_KEYS),
+)
+
+
+def _records(pairs, kind):
+    """(wheres, columns, vals, faults) of (where, JSON value) pairs, each checked for kind's structure.
+
+    Of the values that have it, wheres holds the where, columns a tuple per
+    field of their field values and vals their points' values in order
+    (see `_stacked_values`). faults holds (where, message) of each value
+    that lacks it, naming its first fault; a ValueError value is its fault.
+    """
+    wheres, rows, vals, faults = [], [], [], []
+    for where, doc in pairs:
+        try:
+            if type(doc) is not dict:
+                raise doc if isinstance(doc, ValueError) else ValueError("expected a JSON object")
+            row = tuple([rule(doc) for rule in kind.fields])
+            points = kind.points(doc)
+            if set(map(type, points)) != {list} or set(map(len, points)) != {3}:
+                raise ValueError(kind.shape)
+        except (KeyError, ValueError) as e:
+            faults.append((where, str(e)))
+            continue
+        wheres.append(where)
+        rows.append(row)
+        vals.extend(itertools.chain.from_iterable(points))
+    return wheres, list(zip(*rows)) or [()] * len(kind.fields), vals, faults
+
+
+def _checked_lines(source, pairs, kind):
+    """(columns, values) of (line number, JSON value) pairs whose first field is an id (see `_records`).
+
+    values is the (N, points, 3) float64 array of the N lines' points. The
+    first bad line is an InputError naming the source and the line: a line
+    that lacks kind's structure, fails a check of `_stacked_values` or
+    repeats an earlier line's id, named for the first of these it does.
+    """
+    lines, columns, vals, faults = _records(pairs, kind)
+    values, checks = _stacked_values(vals, len(lines), kind.landmarks, kind.keypoints)
+    ids, first = columns[0], {}
+    repeated = np.array([first.setdefault(sid, i) != i for i, sid in enumerate(ids)], dtype=bool)
+    checks.append((repeated, lambda i: f"duplicate id {ids[i]!r}"))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not faults or lines[i] < faults[0][0]:
+            faults = [(lines[i], next(describe(i) for mask, describe in checks if mask[i]))]
+    if faults:
+        raise InputError(f"{source} line {faults[0][0]}: {faults[0][1]}")
+    return columns, values
+
+
+def _json_lines(raw_lines):
+    """(line number, JSON value) of each non-blank line of raw lines (bytes).
+
+    A line that is not UTF-8 JSON has the ValueError that says why as its value.
+    """
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            doc = json.loads(line)
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON; RecursionError: nested too deep
+            doc = ValueError(str(e))
+        yield lineno, doc
+
+
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _as_float(v):
@@ -722,33 +746,6 @@ def _stacked_values(vals, n, landmarks, keypoints):
     return values, checks
 
 
-def _check_values(source, lines, vals, landmarks=21):
-    """The (N, landmarks + 6, 3) float64 landmarks then keypoints of N lines, from their JSON values.
-
-    vals holds each line's values in order (see `_stacked_values`), lines
-    the line numbers. A line fails if it fails one of `_stacked_values`'s
-    checks; the InputError names the first line that fails, and the first
-    check it fails.
-    """
-    values, checks = _stacked_values(vals, len(lines), landmarks, len(POSE_KEYS))
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        message = next(describe(i) for mask, describe in checks if mask[i])
-        raise InputError(f"{source} line {lines[i]}: {message}")
-    return values
-
-
-def _json_lines(raw_lines, path):
-    """(line number, JSON value) of each non-blank line of path's raw lines; bad UTF-8 or JSON is an InputError."""
-    for lineno, line in _utf8_lines(raw_lines, path):
-        try:
-            doc = json.loads(line)
-        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
-            raise InputError(f"{path} line {lineno}: {e}") from e
-        yield lineno, doc
-
-
 # the column cache of a dataset file is the file's path plus this suffix
 CACHE_SUFFIX = ".cols.npz"
 # version of the cache's member layout; a cache of another version is rebuilt
@@ -788,7 +785,7 @@ def read_samples(path) -> Dataset:
     parsed = hashlib.sha256()
     with open(path, "rb") as fh:
         raw_lines = (parsed.update(raw) or raw for raw in fh)
-        data = replace(dataset_from_docs(_json_lines(raw_lines, path), path), sha256=parsed.hexdigest())
+        data = replace(dataset_from_docs(_json_lines(raw_lines), path), sha256=parsed.hexdigest())
     _write_cache(cache, data)
     return data
 

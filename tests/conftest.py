@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from handroi.dataset import (
     RHO_MIN,
     SYNTH_HEIGHT,
     Sample,
-    _check_json_numbers,
     dataset_from_docs,
     dataset_stats,
     sample_to_dict,
@@ -435,6 +435,13 @@ def reference_ingest(args):
     return cli.EXIT_OK
 
 
+def _check_json_numbers(points):
+    """ValueError for a value of the points (lists) that is not a JSON integer or float; float() takes strings."""
+    bad = [v for v in itertools.chain.from_iterable(points) if type(v) not in (int, float)]
+    if bad:
+        raise ValueError(f"expected a JSON number, got {bad[0]!r}")
+
+
 def _reference_parse_panoptic(labels_dir):
     """[(id, Hand21, is_left)] of the directory's annotation files, and the count of malformed ones."""
     try:
@@ -483,7 +490,9 @@ def _reference_read_pose_sidecar(path):
                 continue
             try:
                 doc = json.loads(line)
-                sid = str(doc["id"])
+                sid = doc["id"]
+                if type(sid) is not str:
+                    raise ValueError(f"id must be a JSON string, got {sid!r}")
                 width, height = _reference_dims(doc)
                 handedness = doc["handedness"]
                 if handedness not in ("left", "right"):

@@ -169,6 +169,16 @@ class TestIngest:
         assert code == 2
         assert err == [f"error: {sidecar} line 2: expected a JSON number, got {value!r}"]
 
+    @pytest.mark.parametrize("value", [None, True, 7])
+    def test_non_string_sidecar_id_exit_2(self, tmp_path, value):
+        labels = tmp_path / "labels"
+        self.make_labels(labels, 2)
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0", "s1"])
+        edit_line(sidecar, sidecar, 1, lambda doc: doc.update({"id": value}))
+        argv = ["--train-labels", str(labels), "--sidecar", str(sidecar), "--out", str(tmp_path / "d.jsonl")]
+        assert run_quiet("ingest", *argv) == (2, [f"error: {sidecar} line 2: id must be a JSON string, got {value!r}"])
+
     @pytest.mark.parametrize("value", ["341.2", True])
     def test_non_number_landmark_is_malformed(self, tmp_path, value):
         labels = tmp_path / "labels"
@@ -361,7 +371,7 @@ class TestBadDataset:
     @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
     @pytest.mark.parametrize(
         "field, value",
-        [("was_left", "false"), ("split", "Test"), ("width", 640.9), ("height", True)],
+        [("was_left", "false"), ("split", "Test"), ("width", 640.9), ("height", True), ("id", None), ("id", 7)],
     )
     def test_mistyped_field_exit_2(self, tmp_path, small_dataset, command, field, value):
         bad = tmp_path / "bad.jsonl"
@@ -420,7 +430,7 @@ class TestBadDataset:
         sid = json.loads(lines[4])["id"]
         code, err = self.run_on(tmp_path, command, bad)
         assert code == 2
-        assert err == [f"error: {bad} line 61: duplicate sample id {sid!r}"]
+        assert err == [f"error: {bad} line 61: duplicate id {sid!r}"]
 
     @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
     def test_subnormal_gold_extent_exit_2(self, tmp_path, small_dataset, command):

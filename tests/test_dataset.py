@@ -172,7 +172,11 @@ class TestParsePanoptic:
         records, skipped = parse_panoptic(tmp_path)
         assert records.ids.tolist() == ["ok"] and skipped == 1
 
-    @pytest.mark.parametrize("point", [[110.0, 201.0], [110.0, 201.0, 0.9, 12345.0]], ids=["2-values", "4-values"])
+    @pytest.mark.parametrize(
+        "point",
+        [[110.0, 201.0], [110.0, 201.0, 0.9, 12345.0], "abc", {"x": 110.0, "y": 201.0, "c": 0.9}],
+        ids=["2-values", "4-values", "string", "object"],
+    )
     def test_landmark_not_x_y_confidence_is_malformed(self, tmp_path, point):
         make_label_file(tmp_path, "ok.json")
         pts = make_label_file(tmp_path, "bad.json")
@@ -322,7 +326,11 @@ class TestMergeSidecar:
         with pytest.raises(InputError, match=f"^{re.escape(str(sc))} line 2: non-finite {key} keypoint$"):
             read_pose_sidecar(sc)
 
-    @pytest.mark.parametrize("later", ["not json", "non-positive dims", "duplicate id", "invalid utf-8", "string"])
+    @pytest.mark.parametrize(
+        "later",
+        ["not json", "non-positive dims", "duplicate id", "invalid utf-8", "string", "not an object", "null id",
+         "2-value keypoint"],
+    )
     def test_bad_value_named_before_later_bad_line(self, tmp_path, later):
         doc = json.loads(sidecar_line("s2"))
         doc["elbow"][1] = math.nan
@@ -332,10 +340,43 @@ class TestMergeSidecar:
             "duplicate id": sidecar_line("s1").encode(),
             "invalid utf-8": b"\xff",
             "string": sidecar_line("s3").replace("0.4", '"0.4"', 1).encode(),
+            "not an object": b"[1, 2]",
+            "null id": sidecar_line("s3").replace('"s3"', "null").encode(),
+            "2-value keypoint": sidecar_line("s3").replace(", -0.0]", "]", 1).encode(),
         }[later]
         sc = tmp_path / "poses.jsonl"
         sc.write_bytes(b"\n".join([sidecar_line("s1").encode(), json.dumps(doc).encode(), b"", late, b""]))
         with pytest.raises(InputError, match=f"^{re.escape(str(sc))} line 2: non-finite elbow keypoint$"):
+            read_pose_sidecar(sc)
+
+    @pytest.mark.parametrize(
+        "point",
+        [[0.3, 0.4], [0.3, 0.4, 0.0, 1.0], "xyz", {"x": 0.3, "y": 0.4, "z": 0.0}],
+        ids=["2-values", "4-values", "string", "object"],
+    )
+    def test_keypoint_not_x_y_z(self, tmp_path, point):
+        doc = json.loads(sidecar_line("s2"))
+        doc["thumb"] = point
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(sc))} line 2: expected \[x, y, z\] keypoints$"):
+            read_pose_sidecar(sc)
+
+    @pytest.mark.parametrize("sid", [None, True, 7, ["s2"]])
+    def test_non_string_id(self, tmp_path, sid):
+        doc = json.loads(sidecar_line("s2"))
+        doc["id"] = sid
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + json.dumps(doc) + "\n")
+        message = f"id must be a JSON string, got {sid!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(f'{sc} line 2: {message}')}$"):
+            read_pose_sidecar(sc)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"s2"', "7", "null"])
+    def test_line_not_an_object(self, tmp_path, line):
+        sc = tmp_path / "poses.jsonl"
+        sc.write_text(sidecar_line("s1") + "\n" + line + "\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(sc))} line 2: expected a JSON object$"):
             read_pose_sidecar(sc)
 
     def test_duplicate_line_names_its_bad_value(self, tmp_path):
@@ -659,6 +700,15 @@ class TestStatsAndIo:
             ("hand", [[300.0, 200.0]] * 21, SHAPES),
             ("pose", {k: [0.5, 0.5, -math.inf] for k in POSE_KEYS}, "non-finite shoulder keypoint"),
             ("pose", {k: [0.5, 0.5] for k in POSE_KEYS}, SHAPES),
+            pytest.param("hand", [[300.0, 200.0, 1.0]] * 20 + ["abc"], SHAPES, id="hand-string-point"),
+            pytest.param("hand", [{"x": 300.0, "y": 200.0, "c": 1.0}] * 21, SHAPES, id="hand-object-point"),
+            pytest.param("hand", "a" * 21, "hand must be a JSON array, got 'a{21}'$", id="hand-string"),
+            pytest.param("pose", {k: "xyz" for k in POSE_KEYS}, SHAPES, id="pose-string-point"),
+            pytest.param("pose", {k: dict(x=0.5, y=0.5, z=0.0) for k in POSE_KEYS}, SHAPES, id="pose-object-point"),
+            pytest.param("pose", [[0.5, 0.5, 0.0]] * 6, r"pose must be a JSON object, got \[\[0.5", id="pose-list"),
+            pytest.param("id", None, "id must be a JSON string, got None$", id="id-null"),
+            pytest.param("id", True, "id must be a JSON string, got True$", id="id-true"),
+            pytest.param("id", 7, "id must be a JSON string, got 7$", id="id-number"),
         ],
     )
     @pytest.mark.parametrize("later", LATER_BAD_LINES)
@@ -681,6 +731,24 @@ class TestStatsAndIo:
         path = tmp_path / "data.jsonl"
         write_docs(path, docs, later)
         with pytest.raises(InputError, match=f"{path} line 2: {message}"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("later", LATER_BAD_LINES)
+    def test_read_duplicate_line_names_its_bad_value(self, tmp_path, later):
+        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        repeat = json.loads(json.dumps(docs[0]))
+        repeat["hand"][5][1] = math.nan
+        path = tmp_path / "data.jsonl"
+        write_docs(path, docs + [repeat], later)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))} line 4: non-finite landmark coordinate$"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"synth"', "7", "null"])
+    def test_read_line_not_an_object(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        write_samples(synth_generate(SynthConfig(n=3, seed=4)), path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))} line 4: expected a JSON object$"):
             read_samples(path)
 
     def test_read_integer_landmarks(self, tmp_path):
@@ -712,7 +780,7 @@ class TestStatsAndIo:
         docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
         path = tmp_path / "data.jsonl"
         write_docs(path, docs + docs[1:2], later)
-        with pytest.raises(InputError, match=f"{path} line 4: duplicate sample id '{docs[1]['id']}'"):
+        with pytest.raises(InputError, match=f"{path} line 4: duplicate id '{docs[1]['id']}'$"):
             read_samples(path)
 
     def test_read_empty(self, tmp_path):

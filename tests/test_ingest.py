@@ -38,13 +38,15 @@ ANNOTATION_FAULTS = [
     "22 landmarks",
     "2-value point",
     "4-value point",
+    "string point",
+    "object point",
     "non-number",
     "non-finite",
     "confidence",
     "utf-8 bom",
     "utf-16",
 ]
-SIDECAR_FAULTS = ["non-finite", "non-number", "bad dims", "not json", "handedness", "no keypoint"]
+SIDECAR_FAULTS = ["non-finite", "non-number", "bad dims", "not json", "handedness", "no keypoint", "non-string id"]
 # the hand of a sample: as drawn, with its middle knuckle on the wrist or all landmarks on one point
 # (degenerate), or with a landmark x at -width, on the bound of the gold box's check (mirrored, at 2 width)
 HANDS = ["as drawn", "as drawn", "knuckle on wrist", "one point", "at -width", "at -width"]
@@ -112,6 +114,10 @@ def annotation_bytes(spec, sample):
         pts[i] = pts[i][:2]
     elif fault == "4-value point":
         pts[i] = pts[i] + [0.5]
+    elif fault == "string point":
+        pts[i] = "xyc"
+    elif fault == "object point":
+        pts[i] = dict(zip("xyc", pts[i]))
     elif fault == "non-number":
         pts[i][j] = NON_NUMBERS[k % len(NON_NUMBERS)]
     elif fault == "non-finite":
@@ -155,6 +161,8 @@ def sidecar_lines(spec, sample):
         doc["handedness"] = "up"
     elif fault == "no keypoint":
         del doc[key]
+    elif fault == "non-string id":
+        doc["id"] = [None, 7, True, [spec["id"]]][k % 4]
     line = "{bad" if fault == "not json" else json.dumps(doc)
     lines = [spec["blank_lines"] + line + "\n"]
     return lines * 2 if fault == "duplicate" else lines
