@@ -14,6 +14,11 @@ def _f(v):
     return f"{v:.2f}"
 
 
+def _escape(text):
+    """text as XML character data; the stdlib escapes (html, xml.sax.saxutils) cost a large import."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def histogram_svg(series):
     """Overlaid bar histogram; `series` is a non-empty list of (label, counts) pairs.
 
@@ -73,7 +78,7 @@ def histogram_svg(series):
         )
         parts.append(
             f'<text x="{x0 + 27}" y="{ly + 10}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,6 +10,7 @@ import re
 import shlex
 import struct
 import time
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -1020,6 +1021,16 @@ class TestCompare:
             run("compare", "--rows-a", str(rows), "--rows-b", str(rows), "--report", str(report))
         assert r1.read_bytes() == r2.read_bytes()
         assert (tmp_path / "r1.txt.svg").read_bytes() == (tmp_path / "r2.txt.svg").read_bytes()
+
+    def test_method_name_is_escaped_in_the_svg(self, tmp_path, small_dataset):
+        rows = self.eval_rows(tmp_path, small_dataset, "h")
+        odd = tmp_path / "odd.csv"
+        odd.write_text(rows.read_text().replace(",heuristic,", ",a&b<c>,"))
+        report = tmp_path / "r.txt"
+        assert run("compare", "--rows-a", str(odd), "--rows-b", str(rows), "--report", str(report)) == 0
+        svg = ElementTree.parse(tmp_path / "r.txt.svg")
+        labels = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels[-2:] == ["a&b<c>", "heuristic"]
 
 
 class TestRender:
