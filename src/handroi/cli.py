@@ -145,8 +145,8 @@ def cmd_train(args):
     md.save_weights(predictor, out)
     with open(f"{out}.log", "w", encoding="utf-8") as fh:
         for head in md.HEADS:
-            for epoch, tr, val in logs[head]:
-                fh.write(f"{head} {epoch} {tr!r} {val!r}\n")
+            for it, tr, val in logs[head]:
+                fh.write(f"{head} {it} {tr!r} {val!r}\n")
     _write_manifest(
         out,
         "train",
@@ -154,7 +154,7 @@ def cmd_train(args):
         {
             "train_samples": len(train),
             "best_val": {h: min(v for _, _, v in logs[h]) for h in logs},
-            # the first epoch reaching the minimum val loss is the checkpoint kept
+            # the first iteration reaching the minimum val loss is the checkpoint kept
             "best_epoch": {h: min(logs[h], key=lambda row: row[2])[0] for h in logs},
         },
     )
@@ -286,7 +286,7 @@ def build_parser():
     p = sub.add_parser("train", help="train the three-headed MLP predictor")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--angle-mode", choices=md.ANGLE_MODES, default="sincos")
     p.set_defaults(func=cmd_train)

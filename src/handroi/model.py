@@ -1,15 +1,12 @@
 """Micro-MLP stack and the three-headed ROI predictor.
 
 Everything is plain numpy float64: forward pass, exact MSE backprop,
-deterministic seeded Adam training, and a binary weights file (magic
-"HROI") that round-trips bitwise. The heads train together, their hidden
-layers stacked into one gradient and one Adam step per minibatch; each head
-keeps its own seeded stream, so its weights are byte-identical to training
-it alone, and the first epoch at which any head's loss is not finite stops
-training. A training step allocates no array memory: the gradient's work
-arrays are made once per minibatch size and Adam's two temporaries once per
-training call, and every product and ufunc writes into them with out=, with
-the same bits as the allocating expressions.
+deterministic full-batch L-BFGS training, and a binary weights file (magic
+"HROI") that round-trips bitwise. Each head trains on its own: it draws its
+init and then its validation split from its own seeded stream, and L-BFGS
+minimises its MSE over the whole train split, with `Mlp.forward` for the
+loss and `Mlp.gradient` for the gradient. The weights of the lowest
+validation loss are kept, and a loss that is not finite stops training.
 
 The predictor holds three heads, in `HEADS` order and laid out by
 `head_layouts`, sharing one 19-value feature vector (six (x, y, z) body
@@ -22,6 +19,7 @@ failed mask.
 
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +31,14 @@ from .heuristic import calc_hand_roi
 
 FEATURE_DIM = 19
 HIDDEN = (10, 10)
-# the one training recipe: Adam step size, minibatch size, and the share of
-# the train split held out to pick each head's best epoch
-LEARNING_RATE = 1e-3
-BATCH_SIZE = 32
+# the share of the train split held out to pick each head's best iteration
 VALIDATION_FRACTION = 0.1
+# L-BFGS (Liu & Nocedal, 1989): the (step, gradient change) pairs kept, the
+# Armijo sufficient-decrease constant, and the times a line search halves
+# its step before it gives up
+HISTORY = 10
+ARMIJO = 1e-4
+MAX_HALVINGS = 30
 FEATURE_SPEC = "pose6xyz+rho/v1"
 # the predictor's heads, in training (seed tag), log and weights-file order
 HEADS = ("center", "size", "angle")
@@ -59,94 +60,15 @@ def _n_params(layer_sizes) -> int:
     return sum(i * o + o for i, o in zip(layer_sizes, layer_sizes[1:]))
 
 
-def _stack_views(layouts, vec):
-    """(hidden, outputs) views of a flat vector holding the heads of `layouts`.
-
-    The heads share their hidden layer sizes. Each hidden layer is stored
-    once for all K heads, W as (K, in, out) then b as (K, out); each head's
-    output layer follows, W (row-major) then b, in head order. For one head
-    this is an Mlp's theta layout: per layer W, then b.
-    """
-    k, sizes = len(layouts), layouts[0][:-1]
-    hidden, off = [], 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = vec[off : off + k * fan_in * fan_out].reshape(k, fan_in, fan_out)
-        off += w.size
-        hidden.append((w, vec[off : off + k * fan_out].reshape(k, fan_out)))
-        off += k * fan_out
-    outputs = []
-    for fan_in, fan_out in (layout[-2:] for layout in layouts):
+def _layer_views(layer_sizes, vec):
+    """Per-layer (W, b) views of a flat vector laid out as an Mlp's theta."""
+    views, off = [], 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         w = vec[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
         off += w.size
-        outputs.append((w, vec[off : off + fan_out]))
+        views.append((w, vec[off : off + fan_out]))
         off += fan_out
-    return hidden, outputs
-
-
-def _hidden_activations(hidden, x):
-    """The (K, N, in) input rows and each hidden layer's ReLU output, per head."""
-    acts = [x]
-    for w, b in hidden:
-        acts.append(np.maximum(acts[-1] @ w + b[:, None, :], 0.0))
-    return acts
-
-
-def _work_buffers(layouts, batch):
-    """The work arrays of `_gradient` for `batch` rows of the heads of `layouts`.
-
-    Per hidden layer: the (K, batch, out) ReLU outputs, their > 0 mask and
-    the delta at that layer's output; per head: its (batch, out) error rows.
-    """
-    hs = [np.empty((len(layouts), batch, size)) for size in layouts[0][1:-1]]
-    masks = [np.empty(h.shape, bool) for h in hs]
-    return hs, masks, [np.empty_like(h) for h in hs], [np.empty((batch, sizes[-1])) for sizes in layouts]
-
-
-def _gradient(params, grads, x, targets, bufs):
-    """Write each head's exact batch-MSE gradient into `grads`.
-
-    params and grads are _stack_views of theta and of a gradient buffer; x
-    holds the (K, B, in) batch rows, targets[k] head k's (B, out) rows and
-    bufs the `_work_buffers` of B rows, which are reused from call to call.
-    Head k's loss is the mean of squared errors over its batch elements and
-    output dimensions. Every product and ufunc writes with out= into bufs or
-    straight into grads, in the order of the allocating expression, so the
-    bits are unchanged. Each output layer runs on its own: one stacked over
-    heads of unequal widths would take other BLAS kernels and other bits.
-    """
-    hidden, outputs = params
-    hs, masks, deltas, errs = bufs
-    acts = [x, *hs]
-    for a, (w, b), h, mask in zip(acts, hidden, hs, masks):
-        np.matmul(a, w, out=h)
-        np.add(h, b[:, None, :], out=h)
-        np.maximum(h, 0.0, out=h)
-        np.greater(h, 0.0, out=mask)
-    for k, (a, (w, b), t, (dw, db), err) in enumerate(zip(acts[-1], outputs, targets, grads[1], errs)):
-        np.matmul(a, w, out=err)
-        err += b
-        err -= t
-        err *= 2.0
-        err /= err.size
-        np.matmul(a.T, err, out=dw)
-        np.add.reduce(err, axis=0, out=db)
-        if hidden:
-            np.matmul(err, w.T, out=deltas[-1][k])
-    for i in range(len(hidden) - 1, -1, -1):
-        delta = deltas[i]
-        delta *= masks[i]
-        dw, db = grads[0][i]
-        np.matmul(acts[i].transpose(0, 2, 1), delta, out=dw)
-        np.add.reduce(delta, axis=1, out=db)
-        if i > 0:
-            np.matmul(delta, hidden[i][0].transpose(0, 2, 1), out=deltas[i - 1])
-
-
-def _losses(params, x, targets):
-    """Each head's MSE over the (K, N, in) rows x and its (N, out) targets."""
-    hidden, outputs = params
-    h = _hidden_activations(hidden, x)[-1]
-    return [float(np.mean((a @ w + b - t) ** 2)) for a, (w, b), t in zip(h, outputs, targets)]
+    return views
 
 
 class Mlp:
@@ -154,8 +76,8 @@ class Mlp:
 
     All parameters live in one float64 vector `theta`, per layer W
     (row-major) then b; `weights` and `biases` are views of it, so theta
-    must be updated in place. The net is the one-head case of the stacked
-    trainer's layout.
+    must be updated in place. Training reads the net only through
+    `forward`, for the loss, and `gradient`.
     """
 
     def __init__(self, layer_sizes, theta):
@@ -166,10 +88,7 @@ class Mlp:
             raise HandRoiError(f"theta must be {n} float64 values for layers {list(layer_sizes)}")
         self.layer_sizes = list(layer_sizes)
         self.theta = theta
-        self._params = _stack_views([self.layer_sizes], theta)
-        hidden, [output] = self._params
-        self.weights = [w[0] for w, _ in hidden] + [output[0]]
-        self.biases = [b[0] for _, b in hidden] + [output[1]]
+        self.weights, self.biases = map(list, zip(*_layer_views(layer_sizes, theta)))
 
     @classmethod
     def init(cls, layer_sizes, rng):
@@ -184,13 +103,19 @@ class Mlp:
     def zeros(cls, layer_sizes):
         return cls(layer_sizes, np.zeros(_n_params(layer_sizes)))
 
+    def _hidden(self, x):
+        """The (N, in) input rows and each hidden layer's ReLU output."""
+        acts = [x]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        return acts
+
     def forward(self, x):
         """Outputs (N, out) of the (N, in) input rows."""
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise HandRoiError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
-        hidden, [(w, b)] = self._params
-        return _hidden_activations(hidden, a[None])[-1][0] @ w + b
+        return self._hidden(a)[-1] @ self.weights[-1] + self.biases[-1]
 
     def gradient(self, inputs, targets):
         """Exact gradient, flat in theta's layout, of the batch's MSE.
@@ -204,9 +129,16 @@ class Mlp:
             raise HandRoiError("batch inputs and targets disagree in length")
         if x.shape[1] != self.layer_sizes[0] or t.shape[1] != self.layer_sizes[-1]:
             raise HandRoiError("batch widths inconsistent with the network layout")
-        grad = np.zeros_like(self.theta)
-        bufs = _work_buffers([self.layer_sizes], x.shape[0])
-        _gradient(self._params, _stack_views([self.layer_sizes], grad), x[None], [t], bufs)
+        grad = np.empty_like(self.theta)
+        grads = _layer_views(self.layer_sizes, grad)
+        acts = self._hidden(x)
+        delta = 2.0 * (acts[-1] @ self.weights[-1] + self.biases[-1] - t) / t.size
+        for i in range(len(grads) - 1, -1, -1):
+            dw, db = grads[i]
+            dw[...] = acts[i].T @ delta
+            db[...] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * (acts[i] > 0.0)
         return grad
 
 
@@ -224,7 +156,7 @@ def featurize(data) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 500
+    epochs: int = 1000
     seed: int = 0
     angle_mode: str = "sincos"
 
@@ -247,93 +179,100 @@ def new_predictor(angle_mode: str = "sincos") -> RoiPredictor:
     return RoiPredictor(tuple(map(Mlp.zeros, head_layouts(angle_mode))), angle_mode)
 
 
+def _loss(net, x, y):
+    return float(np.mean((net.forward(x) - y) ** 2))
+
+
+def _direction(grad, history):
+    """The L-BFGS direction -H grad, H the inverse Hessian estimate of the (s, y, 1 / y.s) pairs, oldest first.
+
+    Two-loop recursion, the initial H scaled by s.y / y.y of the newest pair.
+    """
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(history):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if history:
+        s, y, _ = history[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(history, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lbfgs(net, train, val, iterations):
+    """Minimise the net's MSE on the (x, y) rows `train` by L-BFGS from its theta; returns (best theta, log rows).
+
+    Each iteration tries the unit step along `_direction` of the last HISTORY
+    pairs (a steepest-descent step of length at most 1), halves it until the
+    loss meets the Armijo condition, and logs (iteration, train loss,
+    validation loss on `val`). A direction that does not descend, or a line
+    search that gives up and keeps theta, clears the history, so the next
+    step is steepest descent. The theta that first reached the lowest
+    validation loss is returned. A non-finite loss raises InputError.
+    """
+    theta = net.theta
+    loss, grad = _loss(net, *train), net.gradient(*train)
+    history = deque(maxlen=HISTORY)
+    best, best_val, log = None, math.inf, []
+    for it in range(iterations):
+        d = _direction(grad, history)
+        slope = grad @ d
+        if not slope < 0.0:
+            history.clear()
+            d, slope = -grad, -(grad @ grad)
+        start = theta.copy()
+        # a unit step along a large raw gradient overshoots
+        step = 1.0 if history else 1.0 / max(1.0, math.sqrt(grad @ grad))
+        for _ in range(MAX_HALVINGS + 1):
+            np.add(start, step * d, out=theta)
+            new_loss = _loss(net, *train)
+            if new_loss <= loss + ARMIJO * step * slope:
+                new_grad = net.gradient(*train)
+                s, y = theta - start, new_grad - grad
+                sy = s @ y
+                if sy > 0.0:
+                    history.append((s, y, 1.0 / sy))
+                loss, grad = new_loss, new_grad
+                break
+            step /= 2.0
+        else:
+            theta[...] = start
+            history.clear()
+        val_loss = _loss(net, *val)
+        if not (math.isfinite(loss) and math.isfinite(val_loss)):
+            raise InputError(f"training diverged: non-finite loss at epoch {it}")
+        log.append((it, loss, val_loss))
+        if val_loss < best_val:
+            best, best_val = theta.copy(), val_loss
+    return best, log
+
+
 def _train_heads(X, targets, layouts, cfg: TrainConfig):
-    """Train the heads of `layouts` together with Adam; returns (nets, per-head epoch log rows).
+    """Train the heads of `layouts` one by one with `_lbfgs`; returns (nets, per-head log rows).
 
     targets[k] holds head k's (N, out) target rows. Head k draws its init,
-    its validation split and each epoch's order from its own stream
-    default_rng([seed, k]), so every head's weights and log are bitwise the
-    same as training it alone. Each step runs one stacked gradient (see
-    `_stack_views`) and one elementwise Adam update of all heads' parameters.
-    A non-finite train or validation loss of any head at the end of an epoch
-    raises InputError; features or targets too large for float arithmetic
-    end that way.
+    then its validation split, from its own stream default_rng([seed, k]),
+    so its weights and log are the same whichever heads train with it.
+    Features or targets too large for float arithmetic end in InputError.
     """
-    k, n = len(layouts), X.shape[0]
-    rngs = [np.random.default_rng([cfg.seed, tag]) for tag in range(k)]
-    theta = np.zeros(sum(map(_n_params, layouts)))
-    # each head's slots of the stacked theta, in its own Mlp theta order
-    hidden, outputs = _stack_views(layouts, np.arange(theta.size))
-    slots = [
-        np.concatenate([a[h].ravel() for layer in hidden for a in layer] + [a.ravel() for a in outputs[h]])
-        for h in range(k)
-    ]
-    params = _stack_views(layouts, theta)
+    n = X.shape[0]
     # round(0.1 n) < n for every n >= 1, so the train part is never empty
     n_val = int(round(VALIDATION_FRACTION * n))
-    n_train = n - n_val
-    perms = []
-    for rng, layout, slot in zip(rngs, layouts, slots):
-        theta[slot] = Mlp.init(layout, rng).theta
-        perms.append(rng.permutation(n))
-    perms = np.array(perms)
-    Xtr, Xval = X[perms[:, n_val:]], X[perms[:, :n_val]]
-    Ytr = [Y[p] for Y, p in zip(targets, perms[:, n_val:])]
-    Yval = [Y[p] for Y, p in zip(targets, perms[:, :n_val])]
-
-    grad = np.zeros_like(theta)
-    grads = _stack_views(layouts, grad)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    tmp1, tmp2 = np.empty_like(theta), np.empty_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    one_minus_beta1, one_minus_beta2 = 1 - beta1, 1 - beta2
-    step = 0
-    # each minibatch's rows and the work buffers of its size, made once per size
-    starts = range(0, n_train, BATCH_SIZE)
-    bufs = {size: _work_buffers(layouts, size) for size in {min(BATCH_SIZE, n_train - s) for s in starts}}
-    batches = [(slice(s, s + BATCH_SIZE), bufs[min(BATCH_SIZE, n_train - s)]) for s in starts]
-
-    best = [None] * k
-    best_val = [math.inf] * k
-    logs = [[] for _ in range(k)]
-    rows = np.arange(k)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = np.array([rng.permutation(n_train) for rng in rngs])
-            Xep = Xtr[rows, order]
-            Yep = [Y[o] for Y, o in zip(Ytr, order)]
-            for batch, buf in batches:
-                _gradient(params, grads, Xep[:, batch], [Y[batch] for Y in Yep], buf)
-                step += 1
-                bc1 = 1.0 - beta1 ** step
-                bc2 = 1.0 - beta2 ** step
-                # m, v and theta as in m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
-                # theta -= lr (m / bc1) / (sqrt(v / bc2) + eps), operation for operation
-                m *= beta1
-                np.multiply(grad, one_minus_beta1, out=tmp1)
-                m += tmp1
-                v *= beta2
-                np.square(grad, out=tmp1)
-                tmp1 *= one_minus_beta2
-                v += tmp1
-                np.divide(m, bc1, out=tmp1)
-                tmp1 *= LEARNING_RATE
-                np.divide(v, bc2, out=tmp2)
-                np.sqrt(tmp2, out=tmp2)
-                tmp2 += eps
-                tmp1 /= tmp2
-                theta -= tmp1
-            train_loss = _losses(params, Xtr, Ytr)
-            val_loss = _losses(params, Xval, Yval) if n_val > 0 else train_loss
-            if not all(map(math.isfinite, train_loss + val_loss)):
-                raise InputError(f"training diverged: non-finite loss at epoch {epoch}")
-            for h in range(k):
-                logs[h].append((epoch, train_loss[h], val_loss[h]))
-                if val_loss[h] < best_val[h]:
-                    best_val[h] = val_loss[h]
-                    best[h] = theta[slots[h]]
-    return [Mlp(layout, b) for layout, b in zip(layouts, best)], logs
+    nets, logs = [], []
+    for tag, (Y, layout) in enumerate(zip(targets, layouts)):
+        rng = np.random.default_rng([cfg.seed, tag])
+        net = Mlp.init(layout, rng)
+        perm = rng.permutation(n)
+        train = perm[n_val:]
+        # under 5 rows none is held out, and the train rows validate
+        val = perm[:n_val] if n_val else train
+        theta, log = _lbfgs(net, (X[train], Y[train]), (X[val], Y[val]), cfg.epochs)
+        nets.append(Mlp(layout, theta))
+        logs.append(log)
+    return nets, logs
 
 
 def roi_targets(data, angle_mode: str = "sincos"):
@@ -353,7 +292,7 @@ def roi_targets(data, angle_mode: str = "sincos"):
 
 
 def train_predictor(data, cfg: TrainConfig):
-    """Train the heads on a Dataset together (see `_train_heads`); returns (predictor, {head name: log rows})."""
+    """Train the heads on a Dataset (see `_train_heads`); returns (predictor, {head name: log rows})."""
     if len(data) < 2:
         raise InputError("need at least 2 training samples")
     X, *targets = roi_targets(data, cfg.angle_mode)

@@ -55,6 +55,7 @@ def test_tracer_records_every_predictor_layer(tmp_path):
         "heuristic.calc_hand_roi",
         "model.train_predictor",
         "model.Mlp.forward",
+        "model.Mlp.gradient",
         "model.featurize",
         "model.predict_roi",
         "model.hybrid_predict",
