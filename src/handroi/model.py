@@ -4,9 +4,12 @@ Everything is plain numpy float64: forward pass, exact MSE backprop,
 deterministic full-batch L-BFGS training, and a binary weights file (magic
 "HROI") that round-trips bitwise. Each head trains on its own: it draws its
 init and then its validation split from its own seeded stream, and L-BFGS
-minimises its MSE over the whole train split, with `Mlp.forward` for the
-loss and `Mlp.gradient` for the gradient. The weights of the lowest
-validation loss are kept, and a loss that is not finite stops training.
+minimises its MSE over the whole train split, evaluating each line-search
+trial with one `Mlp.gradient` call (loss and gradient from one forward
+pass) and each validation loss with `Mlp.forward`. The weights of the
+lowest validation loss are kept, a loss that is not finite stops training,
+and an iteration that changes nothing ends it early (every later one would
+repeat it).
 
 The predictor holds three heads, in `HEADS` order and laid out by
 `head_layouts`, sharing one 19-value feature vector (six (x, y, z) body
@@ -71,13 +74,19 @@ def _layer_views(layer_sizes, vec):
     return views
 
 
+def _mse(err):
+    """The mean of the squared errors as a float, bitwise np.mean(err ** 2) without its Python overhead."""
+    return float(np.add.reduce(np.square(err), axis=None) / err.size)
+
+
 class Mlp:
     """Fully-connected net, ReLU on hidden layers, identity output.
 
     All parameters live in one float64 vector `theta`, per layer W
     (row-major) then b; `weights` and `biases` are views of it, so theta
     must be updated in place. Training reads the net only through
-    `forward`, for the loss, and `gradient`.
+    `gradient`, for the train loss and its gradient, and `forward`, for the
+    validation loss.
     """
 
     def __init__(self, layer_sizes, theta):
@@ -118,10 +127,11 @@ class Mlp:
         return self._hidden(a)[-1] @ self.weights[-1] + self.biases[-1]
 
     def gradient(self, inputs, targets):
-        """Exact gradient, flat in theta's layout, of the batch's MSE.
+        """(loss, exact gradient flat in theta's layout) of the batch's MSE, from one forward pass.
 
         The loss is the mean of squared errors over all batch elements and
-        output dimensions.
+        output dimensions, a float equal bitwise to
+        `np.mean((forward(inputs) - targets) ** 2)`.
         """
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -132,14 +142,15 @@ class Mlp:
         grad = np.empty_like(self.theta)
         grads = _layer_views(self.layer_sizes, grad)
         acts = self._hidden(x)
-        delta = 2.0 * (acts[-1] @ self.weights[-1] + self.biases[-1] - t) / t.size
+        err = acts[-1] @ self.weights[-1] + self.biases[-1] - t
+        delta = 2.0 * err / t.size
         for i in range(len(grads) - 1, -1, -1):
             dw, db = grads[i]
             dw[...] = acts[i].T @ delta
             db[...] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (acts[i] > 0.0)
-        return grad
+        return _mse(err), grad
 
 
 def featurize(data) -> np.ndarray:
@@ -180,7 +191,7 @@ def new_predictor(angle_mode: str = "sincos") -> RoiPredictor:
 
 
 def _loss(net, x, y):
-    return float(np.mean((net.forward(x) - y) ** 2))
+    return _mse(net.forward(x) - y)
 
 
 def _direction(grad, history):
@@ -191,13 +202,13 @@ def _direction(grad, history):
     q = -grad
     alphas = []
     for s, y, rho in reversed(history):
-        alphas.append(rho * (s @ q))
+        alphas.append(rho * float(s @ q))
         q -= alphas[-1] * y
     if history:
         s, y, _ = history[-1]
-        q *= (s @ y) / (y @ y)
+        q *= float(s @ y) / float(y @ y)
     for (s, y, rho), alpha in zip(history, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
+        q += (alpha - rho * float(y @ q)) * s
     return q
 
 
@@ -208,31 +219,35 @@ def _lbfgs(net, train, val, iterations):
     Each iteration tries the unit step along `_direction` of the last HISTORY
     pairs (a steepest-descent step of length at most 1), halves it until the
     loss meets the Armijo condition, and logs (iteration, train loss,
-    validation loss on `val`). A direction that does not descend, or a line
-    search that gives up and keeps theta, clears the history, so the next
-    step is steepest descent. The theta that first reached the lowest
-    validation loss is returned. A non-finite loss raises InputError.
+    validation loss on `val`). Each trial costs one `Mlp.gradient` call, its
+    loss and gradient. A direction that does not descend, or a line search
+    that gives up and keeps theta, clears the history, so the next step is
+    steepest descent. An iteration that leaves theta and the history as they
+    were is a fixed point: every later one would repeat it, so its row is
+    logged for each of them and training ends. The theta that first reached
+    the lowest validation loss is returned. A non-finite loss raises
+    InputError.
     """
     theta = net.theta
-    loss, grad = _loss(net, *train), net.gradient(*train)
+    loss, grad = net.gradient(*train)
     history = deque(maxlen=HISTORY)
     best, best_val, log = None, math.inf, []
     for it in range(iterations):
+        pairs = len(history)
         d = _direction(grad, history)
-        slope = grad @ d
+        slope = float(grad @ d)
         if not slope < 0.0:
             history.clear()
-            d, slope = -grad, -(grad @ grad)
+            d, slope = -grad, -float(grad @ grad)
         start = theta.copy()
         # a unit step along a large raw gradient overshoots
         step = 1.0 if history else 1.0 / max(1.0, math.sqrt(grad @ grad))
         for _ in range(MAX_HALVINGS + 1):
             np.add(start, step * d, out=theta)
-            new_loss = _loss(net, *train)
+            new_loss, new_grad = net.gradient(*train)
             if new_loss <= loss + ARMIJO * step * slope:
-                new_grad = net.gradient(*train)
                 s, y = theta - start, new_grad - grad
-                sy = s @ y
+                sy = float(s @ y)
                 if sy > 0.0:
                     history.append((s, y, 1.0 / sy))
                 loss, grad = new_loss, new_grad
@@ -247,6 +262,10 @@ def _lbfgs(net, train, val, iterations):
         log.append((it, loss, val_loss))
         if val_loss < best_val:
             best, best_val = theta.copy(), val_loss
+        # an unchanged theta appends no pair (s is 0), so an unchanged length means no history was cleared
+        if len(history) == pairs and theta.tobytes() == start.tobytes():
+            log.extend((later, loss, val_loss) for later in range(it + 1, iterations))
+            break
     return best, log
 
 

@@ -97,7 +97,7 @@ class TestCriterion3:
                 b += rng.normal(scale=0.5, size=b.shape)
             X = rng.normal(size=(5, sizes[0]))
             Y = rng.normal(size=(5, sizes[-1]))
-            grad = net.gradient(X, Y)
+            _, grad = net.gradient(X, Y)
             worst = max(worst, grad_max_rel_err(grad, finite_diff_grad(net, X, Y)))
         elapsed = time.monotonic() - t0
         report(3, "analytic vs finite-difference gradients", worst < 1e-4 and elapsed < 10.0)

@@ -154,13 +154,24 @@ class TestParamCount:
 class TestGradient:
     def test_zero_error_zero_grad(self):
         net = Mlp([1, 1], np.array([1.0, 0.0]))
-        grad = net.gradient(np.array([[2.0]]), np.array([[2.0]]))
-        assert grad.tolist() == [0.0, 0.0]
+        loss, grad = net.gradient(np.array([[2.0]]), np.array([[2.0]]))
+        assert loss == 0.0 and grad.tolist() == [0.0, 0.0]
 
     def test_hand_calculus(self):
         net = Mlp([1, 1], np.array([1.0, 0.0]))
-        grad = net.gradient(np.array([[1.0]]), np.array([[0.0]]))
-        assert grad[0] == pytest.approx(2.0)
+        loss, grad = net.gradient(np.array([[1.0]]), np.array([[0.0]]))
+        assert loss == 1.0 and grad[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("out", [1, 2])
+    def test_loss_is_forward_mse_bitwise(self, rng, out):
+        # the train losses that training logs come from gradient, the validation losses from forward
+        for _ in range(5):
+            sizes = [int(rng.integers(2, 20)) for _ in range(int(rng.integers(1, 4)))] + [out]
+            net = Mlp.init(sizes, rng)
+            X = rng.normal(size=(int(rng.integers(1, 300)), sizes[0]))
+            Y = rng.normal(size=(len(X), out))
+            loss, _ = net.gradient(X, Y)
+            assert type(loss) is float and loss == float(np.mean((net.forward(X) - Y) ** 2))
 
     def test_finite_difference_oracle(self, rng):
         for _ in range(5):
@@ -172,7 +183,7 @@ class TestGradient:
                 b += rng.normal(scale=0.5, size=b.shape)
             X = rng.normal(size=(4, sizes[0]))
             Y = rng.normal(size=(4, sizes[-1]))
-            grad = net.gradient(X, Y)
+            _, grad = net.gradient(X, Y)
             assert grad_max_rel_err(grad, finite_diff_grad(net, X, Y)) < 1e-4
 
 
@@ -201,6 +212,25 @@ def train_one(X, Y, layer_sizes, cfg):
     """(net, log) of one head trained alone, on seed tag 0."""
     [net], [log] = _train_heads(X, [Y], [layer_sizes], cfg)
     return net, log
+
+
+def least_squares_problem(rng):
+    """(X, Y) of a noisy affine map from 5 to 3 values, which a net with no hidden layer fits by least squares."""
+    X = rng.normal(size=(200, 5))
+    Y = X @ rng.normal(size=(5, 3)) + rng.normal(size=3) + rng.normal(scale=0.1, size=(200, 3))
+    return X, Y
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each later call of Mlp.<name>."""
+    calls, method = [], getattr(Mlp, name)
+
+    def counted(self, *args):
+        calls.append(None)
+        return method(self, *args)
+
+    monkeypatch.setattr(Mlp, name, counted)
+    return calls
 
 
 class TestTraining:
@@ -251,12 +281,40 @@ class TestTraining:
         assert len(train) == 200 and all(b <= a for a, b in zip(train, train[1:]))
 
     def test_linear_net_reaches_least_squares(self, rng):
-        X = rng.normal(size=(200, 5))
-        Y = X @ rng.normal(size=(5, 3)) + rng.normal(size=3) + rng.normal(scale=0.1, size=(200, 3))
+        X, Y = least_squares_problem(rng)
         theta, _ = _lbfgs(Mlp.init([5, 3], rng), (X, Y), (X, Y), 200)
         coef = np.linalg.lstsq(np.column_stack([X, np.ones(len(X))]), Y, rcond=None)[0]
         # theta holds W (5, 3) row-major, then b: the last row of the least-squares coefficients
         assert np.max(np.abs(theta - coef.ravel())) < 1e-6
+
+    def test_fixed_point_repeats_its_row_to_the_budget(self, rng):
+        X, Y = least_squares_problem(rng)
+        theta0 = Mlp.init([5, 3], rng).theta
+        n = 100
+        nets = [Mlp([5, 3], theta0.copy()) for _ in range(2)]
+        best_n, log_n = _lbfgs(nets[0], (X, Y), (X, Y), n)
+        best_2n, log_2n = _lbfgs(nets[1], (X, Y), (X, Y), 2 * n)
+        assert repr(log_2n[:n]) == repr(log_n)
+        assert best_2n.tobytes() == best_n.tobytes() and nets[1].theta.tobytes() == nets[0].theta.tobytes()
+        # the run of budget n reached its fixed point: its last row repeats to the end of the longer run
+        assert repr(log_2n[n:]) == repr([(it, *log_n[-1][1:]) for it in range(n, 2 * n)])
+
+    def test_fixed_point_stops_evaluating(self, rng, monkeypatch):
+        X, Y = least_squares_problem(rng)
+        net = Mlp.init([5, 3], rng)
+        gradients = count_calls(monkeypatch, "gradient")
+        _, log = _lbfgs(net, (X, Y), (X, Y), 2000)
+        assert len(log) == 2000 and len(gradients) < 200
+
+    def test_train_rows_are_evaluated_only_by_gradient(self, rng, monkeypatch):
+        # a run with no fixed point: its validation losses are the only forward passes
+        X = rng.uniform(-1, 1, size=(90, 5))
+        Y = np.tanh(X @ rng.normal(size=(5, 2)))
+        net = Mlp.init([5, 10, 10, 2], rng)
+        forwards, gradients = count_calls(monkeypatch, "forward"), count_calls(monkeypatch, "gradient")
+        k = 30
+        _lbfgs(net, (X, Y), (X[:9], Y[:9]), k)
+        assert len(forwards) == k and len(gradients) >= k + 1
 
     @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
     # round(0.1 n) held out: 38 holds out 4 rows; 4 holds none out and validates on the train rows

@@ -61,6 +61,8 @@ def test_tracer_records_every_predictor_layer(tmp_path):
         "model.hybrid_predict",
     ):
         assert calls[name] > 0, name
+    # training forwards only the validation rows, once per head and iteration; the hybrid eval once per head
+    assert calls["model.Mlp.forward"] == 3 * 2 + 3
     notes = spans.notes(tracer.spans, "heuristic.gold_roi")
     assert notes and all(note is not None for note in notes)
     # the row-count notes, which the benchmark's used_frac divides: 40 samples, 28 train and 12 test
