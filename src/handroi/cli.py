@@ -139,7 +139,7 @@ def cmd_ingest(args):
 def cmd_train(args):
     data = ds.read_samples(_resolve(args.dataset, args))
     train = data.select(data.split == "train")
-    cfg = md.TrainConfig(epochs=args.epochs, seed=args.seed, angle_mode=args.angle_mode)
+    cfg = md.TrainConfig(epochs=args.epochs, seed=args.seed)
     predictor, logs = md.train_predictor(train, cfg)
     out = _resolve(args.out, args)
     md.save_weights(predictor, out)
@@ -288,7 +288,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--angle-mode", choices=md.ANGLE_MODES, default="sincos")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate one method on the test split")

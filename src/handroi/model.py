@@ -11,13 +11,12 @@ lowest validation loss are kept, a loss that is not finite stops training,
 and an iteration that changes nothing ends it early (every later one would
 repeat it).
 
-The predictor holds three heads, in `HEADS` order and laid out by
-`head_layouts`, sharing one 19-value feature vector (six (x, y, z) body
+A predictor is a tuple of three heads, in `HEADS` order and laid out as
+`HEAD_LAYOUTS`, sharing one 19-value feature vector (six (x, y, z) body
 keypoints + aspect ratio): center (2 outputs), size (1 output), and angle
-(2 outputs interpreted as (sin, cos), or 1 output in the optional
-scalar-degrees mode). The heuristic, MLP and hybrid predictions each map an
-(N, 19) feature matrix to a box array (see the `geometry` module) and a
-failed mask.
+(2 outputs interpreted as (sin, cos)). The heuristic, MLP and hybrid
+predictions each map an (N, 19) feature matrix to a box array (see the
+`geometry` module) and a failed mask.
 """
 
 import math
@@ -45,18 +44,11 @@ MAX_HALVINGS = 30
 FEATURE_SPEC = "pose6xyz+rho/v1"
 # the predictor's heads, in training (seed tag), log and weights-file order
 HEADS = ("center", "size", "angle")
-
-# angle head outputs: a (sin, cos) pair, or one value in degrees; the index is the weights-file mode byte
-ANGLE_MODES = ("sincos", "scalar")
+# layer sizes of the heads, in HEADS order: two hidden layers each, the angle head a (sin, cos) pair
+HEAD_LAYOUTS = [[FEATURE_DIM, *HIDDEN, out] for out in (2, 1, 2)]
 
 _MAGIC = b"HROI"
 _VERSION = 1
-
-
-def head_layouts(angle_mode: str):
-    """Layer sizes of the heads, in HEADS order: two hidden layers each, angle outputs per mode."""
-    angle_out = 2 if angle_mode == "sincos" else 1
-    return [[FEATURE_DIM, *HIDDEN, out] for out in (2, 1, angle_out)]
 
 
 def _n_params(layer_sizes) -> int:
@@ -169,25 +161,12 @@ def featurize(data) -> np.ndarray:
 class TrainConfig:
     epochs: int = 1000
     seed: int = 0
-    angle_mode: str = "sincos"
 
     def __post_init__(self):
         if self.epochs < 1:
             raise InputError("epochs must be positive")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.angle_mode not in ANGLE_MODES:
-            raise InputError(f"unknown angle_mode {self.angle_mode!r}")
-
-
-@dataclass
-class RoiPredictor:
-    heads: tuple  # one Mlp per HEADS entry, laid out as head_layouts(angle_mode)
-    angle_mode: str = "sincos"
-
-
-def new_predictor(angle_mode: str = "sincos") -> RoiPredictor:
-    return RoiPredictor(tuple(map(Mlp.zeros, head_layouts(angle_mode))), angle_mode)
 
 
 def _loss(net, x, y):
@@ -294,44 +273,40 @@ def _train_heads(X, targets, layouts, cfg: TrainConfig):
     return nets, logs
 
 
-def roi_targets(data, angle_mode: str = "sincos"):
+def roi_targets(data):
     """Feature matrix and per-head target arrays of a Dataset, from its gold boxes.
 
-    The targets are the gold centers (N, 2), sizes (N, 1) and angles: (N, 2)
-    (sin, cos) pairs, or (N, 1) degrees in the scalar mode. A degenerate
-    gold hand is an InputError naming the sample (see `dataset.gold_boxes`).
+    The targets are the gold centers (N, 2), sizes (N, 1) and angles as
+    (N, 2) (sin, cos) pairs. A degenerate gold hand is an InputError naming
+    the sample (see `dataset.gold_boxes`).
     """
     gold = gold_boxes(data)
-    if angle_mode == "sincos":
-        th = np.radians(gold[:, 3])
-        angles = np.column_stack([np.sin(th), np.cos(th)])
-    else:
-        angles = gold[:, 3:]
-    return featurize(data), gold[:, :2], gold[:, 2:3], angles
+    th = np.radians(gold[:, 3])
+    return featurize(data), gold[:, :2], gold[:, 2:3], np.column_stack([np.sin(th), np.cos(th)])
 
 
 def train_predictor(data, cfg: TrainConfig):
-    """Train the heads on a Dataset (see `_train_heads`); returns (predictor, {head name: log rows})."""
+    """Train the heads on a Dataset (see `_train_heads`); returns (predictor, {head name: log rows}).
+
+    The predictor is the tuple of the trained heads, in HEADS order.
+    """
     if len(data) < 2:
         raise InputError("need at least 2 training samples")
-    X, *targets = roi_targets(data, cfg.angle_mode)
-    nets, logs = _train_heads(X, targets, head_layouts(cfg.angle_mode), cfg)
-    return RoiPredictor(tuple(nets), cfg.angle_mode), dict(zip(HEADS, logs))
+    X, *targets = roi_targets(data)
+    nets, logs = _train_heads(X, targets, HEAD_LAYOUTS, cfg)
+    return tuple(nets), dict(zip(HEADS, logs))
 
 
-def predict_roi(p: RoiPredictor, X):
-    """Boxes (N, 4) and failed mask (N,) for the (N, 19) feature matrix X.
+def predict_roi(heads, X):
+    """Boxes (N, 4) and failed mask (N,) of a predictor's heads for the (N, 19) feature matrix X.
 
     Sizes are clamped at 0. A box that is not finite, e.g. from weights whose
     forward pass overflows, is a failed row.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        center, size, out = (head.forward(X) for head in p.heads)
+        center, size, out = (head.forward(X) for head in heads)
         size = np.maximum(size[:, 0], 0.0)
-        if p.angle_mode == "sincos":
-            rotation = normalize_deg(np.degrees(np.arctan2(out[:, 0], out[:, 1])))
-        else:
-            rotation = normalize_deg(out[:, 0])
+        rotation = normalize_deg(np.degrees(np.arctan2(out[:, 0], out[:, 1])))
     boxes = np.column_stack([center, size, rotation])
     return boxes, ~np.isfinite(boxes).all(axis=1)
 
@@ -346,62 +321,55 @@ def heuristic_roi(X):
         return calc_hand_roi(X[:, 6:8], X[:, 12:14], X[:, 15:17], X[:, 18])
 
 
-def hybrid_predict(p: RoiPredictor, X):
+def hybrid_predict(heads, X):
     """MLP center and size, heuristic rotation (the recommended combination), for the feature matrix X."""
     heuristic, heuristic_failed = heuristic_roi(X)
-    boxes, failed = predict_roi(p, X)
+    boxes, failed = predict_roi(heads, X)
     boxes[:, 3] = heuristic[:, 3]
     return boxes, failed | heuristic_failed
 
 
 # ---------------------------------------------------------------------------
-# weights file: the header of the predictor's angle mode (magic "HROI", u16
-# version, feature spec, angle mode, per-head layer sizes), then each head's
+# weights file: one header (magic "HROI", u16 version, feature spec, angle
+# mode byte 0 for (sin, cos) angles, per-head layer sizes), then each head's
 # theta as raw float64 little-endian, heads in HEADS order
 
-def _header(angle_mode: str) -> bytes:
-    spec = FEATURE_SPEC.encode("utf-8")
-    layouts = head_layouts(angle_mode)
-    return b"".join(
-        [
-            _MAGIC,
-            struct.pack("<HH", _VERSION, len(spec)),
-            spec,
-            struct.pack("<BB", ANGLE_MODES.index(angle_mode), len(layouts)),
-            *(struct.pack(f"<B{len(sizes)}I", len(sizes), *sizes) for sizes in layouts),
-        ]
-    )
+_SPEC = FEATURE_SPEC.encode("utf-8")
+_HEADER = b"".join(
+    [
+        _MAGIC,
+        struct.pack("<HH", _VERSION, len(_SPEC)),
+        _SPEC,
+        struct.pack("<BB", 0, len(HEAD_LAYOUTS)),
+        *(struct.pack(f"<B{len(sizes)}I", len(sizes), *sizes) for sizes in HEAD_LAYOUTS),
+    ]
+)
 
 
-def save_weights(p: RoiPredictor, path):
-    layouts = head_layouts(p.angle_mode)
-    if [head.layer_sizes for head in p.heads] != layouts:
-        raise HandRoiError(f"heads must be laid out {layouts} for {p.angle_mode} angles")
+def save_weights(heads, path):
+    if [head.layer_sizes for head in heads] != HEAD_LAYOUTS:
+        raise HandRoiError(f"heads must be laid out {HEAD_LAYOUTS}")
     with open(path, "wb") as fh:
-        fh.write(_header(p.angle_mode) + b"".join(head.theta.astype("<f8").tobytes() for head in p.heads))
+        fh.write(_HEADER + b"".join(head.theta.astype("<f8").tobytes() for head in heads))
 
 
-def load_weights(path) -> RoiPredictor:
+def load_weights(path):
+    """The predictor, a tuple of heads in HEADS order, of a weights file; a bad file is an InputError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:6] != _MAGIC + struct.pack("<H", _VERSION):
         raise InputError(f"{path} is not a version {_VERSION} handroi weights file")
-    for angle_mode in ANGLE_MODES:
-        header = _header(angle_mode)
-        if data.startswith(header):
-            break
-    else:
+    if not data.startswith(_HEADER):
         raise InputError(
             f"bad header in {path}: expected feature spec {FEATURE_SPEC!r} "
-            f"and heads laid out as {head_layouts('sincos')} or {head_layouts('scalar')}"
+            f"and heads laid out as {HEAD_LAYOUTS}"
         )
-    layouts = head_layouts(angle_mode)
-    counts = [_n_params(sizes) for sizes in layouts]
-    body = data[len(header) :]
+    counts = [_n_params(sizes) for sizes in HEAD_LAYOUTS]
+    body = data[len(_HEADER) :]
     if len(body) != 8 * sum(counts):
         raise InputError(f"{path} holds {len(body)} parameter bytes, expected {8 * sum(counts)}")
     theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(theta)):
         raise InputError(f"non-finite parameters in {path}")
     thetas = np.split(theta, np.cumsum(counts)[:-1])
-    return RoiPredictor(tuple(map(Mlp, layouts, thetas)), angle_mode)
+    return tuple(map(Mlp, HEAD_LAYOUTS, thetas))

@@ -19,11 +19,12 @@ from handroi.dataset import (
     Sample,
     dataset_from_docs,
     dataset_stats,
+    gold_boxes,
     sample_to_dict,
     write_samples,
 )
 from handroi.errors import DegenerateHand, HandRoiError, InputError
-from handroi.geometry import Vec3, box_quads
+from handroi.geometry import Vec3, box_quads, normalize_deg
 from handroi.heuristic import (
     CENTER_SHIFT,
     INDEX_MCP,
@@ -36,6 +37,7 @@ from handroi.heuristic import (
     PoseHand,
     gold_roi,
 )
+from handroi.model import _train_heads, featurize, roi_targets
 
 
 @pytest.fixture
@@ -299,22 +301,49 @@ def reference_calc_hand_roi(wrist, index, pinky, rho):
     return cx + sx / rho, cy + sy, SIZE_SCALE * size, rotation
 
 
-def reference_rotation(angle_mode, out):
-    """Rotation in [0, 360) of one row of angle-head outputs, with math-module arithmetic."""
-    if angle_mode == "sincos":
-        return _reference_normalize_deg(math.degrees(math.atan2(out[0], out[1])))
-    return _reference_normalize_deg(float(out[0]))
+def reference_rotation(out):
+    """Rotation in [0, 360) of one row of (sin, cos) angle-head outputs, with math-module arithmetic."""
+    return _reference_normalize_deg(math.degrees(math.atan2(out[0], out[1])))
 
 
-def reference_predict_roi(p, f):
+def reference_predict_roi(heads, f):
     """Scalar reference MLP prediction for one (19,) feature row: (cx, cy, size, rotation).
 
     Each head runs on the row alone, and the box is assembled with
     math-module arithmetic, as the one-row-at-a-time predictor did.
     """
     row = np.asarray(f, dtype=np.float64)[None, :]
-    (cx, cy), (size,), angle_out = (head.forward(row)[0] for head in p.heads)
-    return float(cx), float(cy), max(0.0, float(size)), reference_rotation(p.angle_mode, angle_out)
+    (cx, cy), (size,), angle_out = (head.forward(row)[0] for head in heads)
+    return float(cx), float(cy), max(0.0, float(size)), reference_rotation(angle_out)
+
+
+# the predictor's layouts with an angle head of one output, the rotation in degrees
+SCALAR_ANGLE_LAYOUTS = [[19, 10, 10, 2], [19, 10, 10, 1], [19, 10, 10, 1]]
+
+
+def train_scalar_angle_heads(train, cfg):
+    """Baseline: heads trained as the predictor's, but the angle head regresses the gold rotation in degrees.
+
+    Degrees cannot follow the wrap at 0/360, which the predictor's (sin,
+    cos) angle head does; criterion 8 checks that the heuristic's rotation
+    beats this baseline's. Returns `model._train_heads`' (nets, per-head log
+    rows) of a train Dataset.
+    """
+    X, centers, sizes, _ = roi_targets(train)
+    return _train_heads(X, [centers, sizes, gold_boxes(train)[:, 3:]], SCALAR_ANGLE_LAYOUTS, cfg)
+
+
+def scalar_angle_predictor(nets):
+    """Dataset -> (boxes, failed) of `train_scalar_angle_heads`' nets, built as `model.predict_roi` builds its boxes."""
+
+    def predict(data):
+        X = featurize(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            center, size, degrees = (net.forward(X) for net in nets)
+            boxes = np.column_stack([center, np.maximum(size[:, 0], 0.0), normalize_deg(degrees[:, 0])])
+        return boxes, ~np.isfinite(boxes).all(axis=1)
+
+    return predict
 
 
 def reference_ingest(args):

@@ -15,7 +15,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import closed_form_size, monte_carlo_iou, random_box, read_cache, scalar_gold_predictor
+from conftest import (
+    closed_form_size,
+    monte_carlo_iou,
+    random_box,
+    read_cache,
+    scalar_angle_predictor,
+    scalar_gold_predictor,
+    train_scalar_angle_heads,
+)
 from handroi.cli import main as cli_main
 from handroi.dataset import gold_boxes, read_samples
 from handroi.geometry import circular_diff_deg, rotated_iou
@@ -26,11 +34,14 @@ from handroi.metrics import (
     read_rows_csv,
     rotation_error,
     win_rate,
+    write_rows_csv,
 )
 from handroi.model import (
+    HEAD_LAYOUTS,
+    HEADS,
     Mlp,
+    TrainConfig,
     featurize,
-    head_layouts,
     heuristic_roi,
     hybrid_predict,
     load_weights,
@@ -106,7 +117,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_parameter_counts(self):
         # the 1-output size head cannot also have 332 parameters; it has 321
-        center, size, angle = (Mlp.zeros(sizes).theta.size for sizes in head_layouts("sincos"))
+        center, size, angle = (Mlp.zeros(sizes).theta.size for sizes in HEAD_LAYOUTS)
         report(4, "head parameter counts", center == 332 and angle == 332 and size == 321)
 
 
@@ -320,19 +331,25 @@ class TestGoldenOutputs:
 
 
 class TestScalarGoldenOutputs:
-    """A small --angle-mode scalar run's weights, log and mlp rows against tests/golden/scalar.json."""
+    """The log and mlp rows of conftest's scalar-angle baseline on a small run, against tests/golden/scalar.json.
+
+    The log is written as `train` writes one.
+    """
 
     def test_output_hashes(self, tmp_path):
         golden = load_golden("scalar.json")
-        data, weights, rows = tmp_path / "data.jsonl", tmp_path / "model.hroi", tmp_path / "mlp.csv"
-        for argv in (
-            ["synth", "--n", "600", "--seed", "11", "--out", str(data)],
-            ["train", "--dataset", str(data), "--out", str(weights), "--epochs", "40", "--seed", "3",
-             "--angle-mode", "scalar"],
-            ["eval", "--dataset", str(data), "--method", "mlp", "--weights", str(weights), "--out", str(rows)],
-        ):
-            assert cli_main(argv) == 0, argv
-        assert sha256s([weights, tmp_path / "model.hroi.log", rows]) == golden["sha256"]
+        path = tmp_path / "data.jsonl"
+        assert cli_main(["synth", "--n", "600", "--seed", "11", "--out", str(path)]) == 0
+        data = read_samples(path)
+        nets, logs = train_scalar_angle_heads(data.select(data.split == "train"), TrainConfig(epochs=40, seed=3))
+        scores, _ = evaluate(scalar_angle_predictor(nets), data.select(data.split == "test"), method="mlp")
+        log, csv = tmp_path / "model.hroi.log", tmp_path / "mlp.csv"
+        log.write_text(
+            "".join(f"{head} {it} {tr!r} {val!r}\n" for head, rows in zip(HEADS, logs) for it, tr, val in rows),
+            encoding="utf-8",
+        )
+        write_rows_csv(scores, csv)
+        assert sha256s([log, csv]) == golden["sha256"]
 
 
 REAL_TRAIN = os.environ.get("HANDROI_PANOPTIC_TRAIN")
@@ -356,30 +373,24 @@ class TestCriterion8:
 
         data = tmp_path / "real.jsonl"
         weights = tmp_path / "model.hroi"
-        weights_scalar = tmp_path / "model-scalar.hroi"
         assert cli_main([
             "ingest", "--train-labels", REAL_TRAIN, "--test-labels", REAL_TEST,
             "--sidecar", REAL_SIDECAR, "--out", str(data),
         ]) == 0
         assert cli_main(["train", "--dataset", str(data), "--out", str(weights)]) == 0
-        assert cli_main([
-            "train", "--dataset", str(data), "--out", str(weights_scalar),
-            "--angle-mode", "scalar",
-        ]) == 0
 
         outs = {}
-        for method, w in (
-            ("heuristic", None),
-            ("mlp", weights),
-            ("mlp-scalar", weights_scalar),
-        ):
+        for method, w in (("heuristic", None), ("mlp", weights)):
             rows = tmp_path / f"{method}.csv"
-            argv = ["eval", "--dataset", str(data), "--out", str(rows),
-                    "--method", "mlp" if method.startswith("mlp") else method]
+            argv = ["eval", "--dataset", str(data), "--out", str(rows), "--method", method]
             if w is not None:
                 argv += ["--weights", str(w)]
             assert cli_main(argv) == 0
             outs[method] = read_rows_csv(rows)
+        # the baseline whose angle head regresses degrees, trained as `train` trains by default
+        samples = read_samples(data)
+        nets, _ = train_scalar_angle_heads(samples.select(samples.split == "train"), TrainConfig())
+        outs["mlp-scalar"], _ = evaluate(scalar_angle_predictor(nets), samples.select(samples.split == "test"))
 
         def mean(rows, attr):
             return np.nanmean(getattr(rows, attr))

@@ -309,7 +309,7 @@ class TestTrain:
         assert code == 2
         assert "unrecognized arguments: --optimizer adam" in err[-1]
 
-    @pytest.mark.parametrize("flag", ["--lr", "--batch-size", "--val-fraction"])
+    @pytest.mark.parametrize("flag", ["--lr", "--batch-size", "--val-fraction", "--angle-mode"])
     def test_no_recipe_flags(self, tmp_path, small_dataset, flag):
         argv = ["--dataset", str(small_dataset), "--out", str(tmp_path / "m.hroi"), flag, "1"]
         code, err = run_quiet("train", *argv)
@@ -802,7 +802,7 @@ class TestEval:
     def test_contradictory_weights_exit_2(self, tmp_path, small_dataset, trained_weights, capsys):
         data = bytearray(trained_weights.read_bytes())
         mode_at = 4 + 2 + 2 + len(md.FEATURE_SPEC)
-        data[mode_at] = 1  # scalar angles, but the angle head still has 2 outputs
+        data[mode_at] = 1  # the angle mode byte of every weights file is 0
         bad = tmp_path / "bad.hroi"
         bad.write_bytes(bytes(data))
         capsys.readouterr()
@@ -822,17 +822,21 @@ class TestEval:
         return run_quiet("eval", *argv, "--out", str(tmp_path / "rows.csv"))
 
     def test_hidden_layers_not_10x10_exit_2(self, tmp_path, small_dataset):
-        # a well-formed file of the old per-head layout whose center head is [19, 5, 5, 2]
         bad = tmp_path / "bad.hroi"
-        bad.write_bytes(weights_file("sincos", [[19, 5, 5, 2], [19, 10, 10, 1], [19, 10, 10, 2]]))
-        code, err = self.eval_mlp(tmp_path, small_dataset, bad)
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith(f"error: bad header in {bad}")
+        for mode_byte, layouts in (
+            # a well-formed file of the old per-head layout whose center head is [19, 5, 5, 2]
+            (0, [[19, 5, 5, 2], [19, 10, 10, 1], [19, 10, 10, 2]]),
+            # a well-formed file of the old scalar-degrees angle mode: 332 + 321 + 321 parameters
+            (1, [[19, 10, 10, 2], [19, 10, 10, 1], [19, 10, 10, 1]]),
+        ):
+            bad.write_bytes(weights_file(mode_byte, layouts))
+            code, err = self.eval_mlp(tmp_path, small_dataset, bad)
+            assert code == 2, mode_byte
+            assert len(err) == 1 and err[0].startswith(f"error: bad header in {bad}"), mode_byte
 
-    @pytest.mark.parametrize("angle_mode", md.ANGLE_MODES)
-    def test_any_changed_header_byte_exit_2(self, tmp_path, small_dataset, angle_mode):
+    def test_any_changed_header_byte_exit_2(self, tmp_path, small_dataset):
         good = tmp_path / "good.hroi"
-        md.save_weights(md.new_predictor(angle_mode), good)
+        md.save_weights(tuple(map(md.Mlp.zeros, md.HEAD_LAYOUTS)), good)
         assert self.eval_mlp(tmp_path, small_dataset, good) == (0, [])
         clean = good.read_bytes()
         # magic, version, spec length, spec, angle mode, head count, then per head 4 layer sizes
@@ -860,8 +864,8 @@ class TestEval:
 
     def test_all_failed_manifest_is_strict_json(self, tmp_path, small_dataset):
         # every forward pass overflows, so every row fails and the error means are NaN
-        p = md.new_predictor()
-        for head in p.heads:
+        p = tuple(map(md.Mlp.zeros, md.HEAD_LAYOUTS))
+        for head in p:
             head.theta[:] = 1e300
         weights = tmp_path / "huge.hroi"
         md.save_weights(p, weights)
@@ -889,11 +893,11 @@ class TestEval:
         assert code == 0
 
 
-def weights_file(angle_mode, layouts):
-    """Bytes of a weights file with the given per-head layer sizes and zero parameters."""
+def weights_file(mode_byte, layouts):
+    """Bytes of a weights file with the given angle mode byte, per-head layer sizes and zero parameters."""
     spec = md.FEATURE_SPEC.encode()
     data = b"HROI" + struct.pack("<HH", 1, len(spec)) + spec
-    data += struct.pack("<BB", ("sincos", "scalar").index(angle_mode), len(layouts))
+    data += struct.pack("<BB", mode_byte, len(layouts))
     n_params = 0
     for sizes in layouts:
         data += struct.pack(f"<B{len(sizes)}I", len(sizes), *sizes)

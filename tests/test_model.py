@@ -21,17 +21,15 @@ from handroi.heuristic import PoseHand, calc_hand_roi
 from handroi.model import (
     FEATURE_DIM,
     FEATURE_SPEC,
+    HEAD_LAYOUTS,
     Mlp,
-    RoiPredictor,
     TrainConfig,
     _lbfgs,
     _train_heads,
     featurize,
-    head_layouts,
     heuristic_roi,
     hybrid_predict,
     load_weights,
-    new_predictor,
     predict_roi,
     save_weights,
     train_predictor,
@@ -81,14 +79,13 @@ def featurize_samples(samples):
     return featurize(make_dataset([dataclasses.replace(s, id=f"s{k}") for k, s in enumerate(samples)]))
 
 
-def random_predictor(rng, angle_mode="sincos"):
+def random_predictor(rng):
     """Heads initialised in HEADS order, with the 10x10 hidden layers the weights file holds."""
-    angle_out = 2 if angle_mode == "sincos" else 1
-    layouts = ([FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, angle_out])
-    return RoiPredictor(tuple(Mlp.init(sizes, rng) for sizes in layouts), angle_mode)
+    layouts = ([FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 2])
+    return tuple(Mlp.init(sizes, rng) for sizes in layouts)
 
 
-# byte offsets in a weights file: the angle-mode byte, then per head a u8
+# byte offsets in a weights file: the angle mode byte, then per head a u8
 # layer count and four u32 layer sizes
 MODE_AT = 4 + 2 + 2 + len(FEATURE_SPEC)
 
@@ -316,27 +313,24 @@ class TestTraining:
         _lbfgs(net, (X, Y), (X[:9], Y[:9]), k)
         assert len(forwards) == k and len(gradients) >= k + 1
 
-    @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
     # round(0.1 n) held out: 38 holds out 4 rows; 4 holds none out and validates on the train rows
     @pytest.mark.parametrize("n", [38, 4])
-    def test_head_alone_matches_three_head_call(self, rng, angle_mode, n):
+    def test_head_alone_matches_three_head_call(self, rng, n):
         X = rng.uniform(-1, 1, size=(n, FEATURE_DIM))
-        layouts = head_layouts(angle_mode)
-        targets = [np.tanh(X @ rng.normal(size=(FEATURE_DIM, sizes[-1]))) for sizes in layouts]
-        cfg = TrainConfig(epochs=15, seed=5, angle_mode=angle_mode)
-        nets, logs = _train_heads(X, targets, layouts, cfg)
-        net, log = train_one(X, targets[0], layouts[0], cfg)
+        targets = [np.tanh(X @ rng.normal(size=(FEATURE_DIM, sizes[-1]))) for sizes in HEAD_LAYOUTS]
+        cfg = TrainConfig(epochs=15, seed=5)
+        nets, logs = _train_heads(X, targets, HEAD_LAYOUTS, cfg)
+        net, log = train_one(X, targets[0], HEAD_LAYOUTS[0], cfg)
         assert net.theta.tobytes() == nets[0].theta.tobytes()
         assert repr(log) == repr(logs[0])
 
     def test_one_head_overflowing_stops_all_at_epoch_0(self, rng):
         X = rng.uniform(size=(40, FEATURE_DIM))
-        layouts = head_layouts("sincos")
-        targets = [rng.uniform(size=(40, sizes[-1])) for sizes in layouts]
+        targets = [rng.uniform(size=(40, sizes[-1])) for sizes in HEAD_LAYOUTS]
         # only the size head's targets are too large to square
         targets[1] = np.full((40, 1), 1e300)
         with pytest.raises(InputError, match="^training diverged: non-finite loss at epoch 0$"):
-            _train_heads(X, targets, layouts, TrainConfig(epochs=5, seed=0))
+            _train_heads(X, targets, HEAD_LAYOUTS, TrainConfig(epochs=5, seed=0))
 
     def test_empty_dataset(self):
         with pytest.raises(InputError, match="^need at least 2 training samples$"):
@@ -353,7 +347,6 @@ class TestTraining:
         [
             ({"epochs": 0}, "epochs must be positive"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
-            ({"angle_mode": "radians"}, "unknown angle_mode 'radians'"),
         ],
     )
     def test_bad_config(self, kwargs, message):
@@ -363,7 +356,7 @@ class TestTraining:
 
 class TestPredict:
     def test_zero_predictor_convention(self):
-        boxes, failed = predict_roi(new_predictor(), np.zeros((1, FEATURE_DIM)))
+        boxes, failed = predict_roi(tuple(map(Mlp.zeros, HEAD_LAYOUTS)), np.zeros((1, FEATURE_DIM)))
         assert boxes.tolist() == [[0.0, 0.0, 0.0, 0.0]] and not failed[0]
 
     def test_size_clamped_and_rotation_range(self, rng):
@@ -375,7 +368,7 @@ class TestPredict:
 
     def test_overflow_is_failed(self, rng):
         p = random_predictor(rng)
-        p.heads[0].theta[:19] = 1e300  # overflows the first hidden unit of row 0 only
+        p[0].theta[:19] = 1e300  # overflows the first hidden unit of row 0 only
         X = np.zeros((2, FEATURE_DIM))
         X[0] = 1e10
         boxes, failed = predict_roi(p, X)
@@ -390,22 +383,22 @@ class TestPredictReference:
     """The batched forward and predictor against one-row-at-a-time references."""
 
     @settings(deadline=None)
-    @given(features, st.integers(1, 60), st.sampled_from(["sincos", "scalar"]))
-    def test_forward_matches_rows(self, rng, n, angle_mode):
-        p = random_predictor(rng, angle_mode)
+    @given(features, st.integers(1, 60))
+    def test_forward_matches_rows(self, rng, n):
+        p = random_predictor(rng)
         X = rng.uniform(-3, 3, size=(n, FEATURE_DIM))
-        for head in p.heads:
+        for head in p:
             out = head.forward(X)
             rows = np.vstack([head.forward(X[k : k + 1]) for k in range(n)])
             assert np.all(np.abs(out - rows) <= 1e-12)
 
     @settings(deadline=None)
-    @given(features, st.integers(1, 60), st.sampled_from(["sincos", "scalar"]))
-    def test_predict_matches_reference(self, rng, n, angle_mode):
-        p = random_predictor(rng, angle_mode)
+    @given(features, st.integers(1, 60))
+    def test_predict_matches_reference(self, rng, n):
+        p = random_predictor(rng)
         X = rng.uniform(-3, 3, size=(n, FEATURE_DIM))
         boxes, failed = predict_roi(p, X)
-        angle_out = p.heads[2].forward(X)
+        angle_out = p[2].forward(X)
         assert not failed.any()
         for k in range(n):
             cx, cy, size, _ = reference_predict_roi(p, X[k])
@@ -414,7 +407,7 @@ class TestPredictReference:
             # atan2 amplifies the forward's rounding by 1 / |angle outputs|, so
             # the rotation is checked on the batched outputs: the batched and
             # per-row outputs agree within 1e-12 (test_forward_matches_rows)
-            rotation = reference_rotation(p.angle_mode, angle_out[k])
+            rotation = reference_rotation(angle_out[k])
             assert circular_diff_deg(boxes[k, 3], rotation) <= 1e-12
 
 
@@ -446,22 +439,20 @@ class TestHybrid:
     def test_degenerate_propagates(self):
         kp = Vec3(0.5, 0.5, 0.0)
         degenerate = with_pose(PoseHand(kp, kp, kp, kp, kp, kp))
-        _, failed = hybrid_predict(new_predictor(), featurize_samples([SAMPLE, degenerate]))
+        _, failed = hybrid_predict(tuple(map(Mlp.zeros, HEAD_LAYOUTS)), featurize_samples([SAMPLE, degenerate]))
         assert failed.tolist() == [False, True]
 
 
 class TestWeightsIo(object):
-    @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
-    def test_round_trip_bitwise(self, rng, tmp_path, angle_mode):
-        p = random_predictor(rng, angle_mode)
+    def test_round_trip_bitwise(self, rng, tmp_path):
+        p = random_predictor(rng)
         f1 = tmp_path / "a.hroi"
         f2 = tmp_path / "b.hroi"
         save_weights(p, f1)
         q = load_weights(f1)
         save_weights(q, f2)
         assert f1.read_bytes() == f2.read_bytes()
-        assert q.angle_mode == angle_mode
-        for ha, hb in zip(p.heads, q.heads, strict=True):
+        for ha, hb in zip(p, q, strict=True):
             assert ha.theta.tobytes() == hb.theta.tobytes()
 
     def test_reports_shapes(self, rng, tmp_path):
@@ -469,35 +460,33 @@ class TestWeightsIo(object):
         f = tmp_path / "w.hroi"
         save_weights(p, f)
         q = load_weights(f)
-        assert q.heads[1].layer_sizes == [FEATURE_DIM, 10, 10, 1]
-        assert q.heads[1].theta.size == 321
+        assert q[1].layer_sizes == [FEATURE_DIM, 10, 10, 1]
+        assert q[1].theta.size == 321
 
-    @pytest.mark.parametrize("angle_mode", ["sincos", "scalar"])
-    def test_header_bytes(self, tmp_path, angle_mode):
+    def test_header_bytes(self, tmp_path):
         f = tmp_path / "w.hroi"
-        save_weights(new_predictor(angle_mode), f)
+        save_weights(tuple(map(Mlp.zeros, HEAD_LAYOUTS)), f)
         header = b"HROI" + struct.pack("<HH", 1, len(FEATURE_SPEC)) + FEATURE_SPEC.encode()
-        header += struct.pack("<BB", ["sincos", "scalar"].index(angle_mode), 3)
-        angle_out = 2 if angle_mode == "sincos" else 1
-        for out in (2, 1, angle_out):
+        header += struct.pack("<BB", 0, 3)
+        for out in (2, 1, 2):
             header += struct.pack("<B4I", 4, FEATURE_DIM, 10, 10, out)
         data = f.read_bytes()
         assert data[: len(header)] == header
-        assert len(data) == len(header) + 8 * (332 + 321 + 310 + 11 * angle_out)
+        assert len(data) == len(header) + 8 * (332 + 321 + 332)
 
     @pytest.mark.parametrize(
-        "layouts, angle_mode",
+        "layouts",
         [
-            ([[FEATURE_DIM, 5, 5, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 2]], "sincos"),
-            ([[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 1]], "sincos"),
-            ([[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 2]], "scalar"),
-            ([[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1]], "sincos"),
+            [[FEATURE_DIM, 5, 5, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 2]],
+            [[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 1]],
+            [[FEATURE_DIM, 10, 10, 2], [FEATURE_DIM, 10, 10, 1]],
         ],
+        ids=["hidden-5x5", "angle-1-output", "two-heads"],
     )
-    def test_save_rejects_other_layouts(self, tmp_path, layouts, angle_mode):
-        p = RoiPredictor(tuple(map(Mlp.zeros, layouts)), angle_mode)
+    def test_save_rejects_other_layouts(self, tmp_path, layouts):
+        p = tuple(map(Mlp.zeros, layouts))
         f = tmp_path / "w.hroi"
-        with pytest.raises(HandRoiError, match=f"laid out .* for {angle_mode} angles"):
+        with pytest.raises(HandRoiError, match=re.escape(f"heads must be laid out {HEAD_LAYOUTS}")):
             save_weights(p, f)
         assert not f.exists()
 
@@ -527,18 +516,17 @@ class TestWeightsIo(object):
         with pytest.raises(InputError, match="bad header"):
             load_weights(f)
 
-    @pytest.mark.parametrize("mode, angle_out", [("sincos", 1), ("scalar", 2)])
-    def test_output_widths_contradict_angle_mode(self, rng, tmp_path, mode, angle_out):
+    def test_angle_head_of_one_output(self, rng, tmp_path):
         f = tmp_path / "w.hroi"
-        save_weights(random_predictor(rng, mode), f)
-        patched(f, layer_size_at(2, 3), angle_out)  # the angle head's output width
+        save_weights(random_predictor(rng), f)
+        patched(f, layer_size_at(2, 3), 1)  # the angle head's output width
         with pytest.raises(InputError, match="bad header"):
             load_weights(f)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta(self, rng, tmp_path, value):
         p = random_predictor(rng)
-        p.heads[1].theta[7] = value
+        p[1].theta[7] = value
         f = tmp_path / "w.hroi"
         save_weights(p, f)
         with pytest.raises(InputError, match=f"non-finite parameters in {f}"):
@@ -549,6 +537,6 @@ class TestWeightsIo(object):
         p = random_predictor(rng)
         save_weights(p, f)
         f.write_bytes(f.read_bytes()[:-7])
-        n = 8 * sum(head.theta.size for head in p.heads)
+        n = 8 * sum(head.theta.size for head in p)
         with pytest.raises(InputError, match=f"^{re.escape(str(f))} holds {n - 7} parameter bytes, expected {n}$"):
             load_weights(f)
