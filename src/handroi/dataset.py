@@ -24,6 +24,13 @@ Left-hand samples are mirrored at ingestion so everything downstream sees
 right-handed geometry. The synthetic generator replaces both inputs at desk
 scale: it poses a canonical 3-D hand, tilts it out of plane, projects it
 orthographically, and derives the sparse body keypoints from the projection.
+
+No command builds per-sample objects. The object model (`Sample`, of a
+`Hand21` and a `PoseHand` of `Vec3`s, whose checks raise DegenerateHand)
+and the functions that use it (`synth_generate`, `sample_to_dict` and the
+Sample branch of `write_samples`) are kept for the benchmark: its ingest
+set-up writes its annotation files from Sample objects, and its tracer
+binds `synth_generate` by name.
 """
 
 import hashlib
@@ -38,14 +45,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError
-from .geometry import Vec3
+from .errors import DegenerateHand, InputError
 from .heuristic import (
-    Hand21,
     INDEX_MCP,
     MIDDLE_MCP,
     PINKY_MCP,
-    PoseHand,
     THUMB_LOW,
     WRIST,
     _math_map,
@@ -55,6 +59,52 @@ from .heuristic import (
 
 POSE_KEYS = ("shoulder", "elbow", "wrist", "thumb", "index", "pinky")
 SPLITS = ("train", "test")
+
+
+# ---------------------------------------------------------------------------
+# the object model: one sample as frozen objects (see `synth_generate`)
+
+
+@dataclass(frozen=True)
+class Vec3:
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise DegenerateHand(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
+
+
+@dataclass(frozen=True)
+class PoseHand:
+    """Six body keypoints of one hand, normalized coords, already mirrored if left."""
+
+    shoulder: Vec3
+    elbow: Vec3
+    wrist: Vec3
+    thumb: Vec3
+    index: Vec3
+    pinky: Vec3
+
+    def as_tuple(self):
+        return (self.shoulder, self.elbow, self.wrist, self.thumb, self.index, self.pinky)
+
+
+@dataclass(frozen=True)
+class Hand21:
+    """21 annotated hand landmarks in pixel coords: list of (x, y, confidence)."""
+
+    points: tuple
+
+    def __post_init__(self):
+        if len(self.points) != 21:
+            raise DegenerateHand(f"expected 21 landmarks, got {len(self.points)}")
+        for x, y, c in self.points:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DegenerateHand("non-finite landmark coordinate")
+            if not (0.0 <= c <= 1.0):
+                raise DegenerateHand(f"confidence {c} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -402,12 +452,9 @@ def synth_generate(cfg: SynthConfig):
 # ---------------------------------------------------------------------------
 # aggregation and file format
 
-def dataset_stats(samples):
-    """Counts per split and handedness of a list of Sample or a Dataset."""
-    if isinstance(samples, Dataset):
-        split, was_left = samples.split.tolist(), samples.was_left.tolist()
-    else:
-        split, was_left = [s.split for s in samples], [s.was_left for s in samples]
+def dataset_stats(data):
+    """Counts per split and handedness of a Dataset."""
+    split, was_left = data.split.tolist(), data.was_left.tolist()
     return {"n": len(split), "train": split.count("train"), "test": split.count("test"), "was_left": sum(was_left)}
 
 
@@ -872,7 +919,7 @@ def gold_boxes(data: Dataset):
     """The (N, 4) gold boxes of the samples (see `heuristic.gold_rois`).
 
     A degenerate gold hand is an InputError naming the first such sample,
-    and why, in `gold_roi`'s words.
+    and why, in `degenerate_reason`'s words.
     """
     boxes, reason = gold_rois(data.hand, data.width, data.height)
     if reason.any():

@@ -17,22 +17,10 @@ the y-down image frame); the slots after them are padding and are masked.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHand, HandRoiError
-
-
-@dataclass(frozen=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise DegenerateHand(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
+from .errors import HandRoiError
 
 
 def normalize_deg(angle):

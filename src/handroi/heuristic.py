@@ -7,20 +7,18 @@ and the center shift are all computed in aspect-corrected space (x * rho, y)
 so the resulting ROI is square in pixels. It maps N hands at once to a box
 array (see the `geometry` module).
 
-`gold_roi` builds the reference ROI of one hand, a (cx, cy, size, rotation)
-box row, from 21 annotated landmarks by rotating them into the
-wrist->middle-knuckle frame and bounding them with a square. `gold_rois`
-builds the boxes of N hands at once from an (N, 21, 3) landmark array, with
-the same bits as calling `gold_roi` on each hand.
+`gold_rois` defines the gold box, the reference ROI that training targets
+and scores both use: it bounds each hand's 21 annotated landmarks with a
+square aligned to the wrist->middle-knuckle axis, for N hands at once from
+an (N, 21, 3) landmark array. `gold_roi` is its view of one hand.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateHand, HandRoiError
-from .geometry import Vec3, normalize_deg
+from .geometry import normalize_deg
 
 # landmark indices in the standard 21-point hand topology
 WRIST = 0
@@ -31,37 +29,6 @@ PINKY_MCP = 17
 
 SIZE_SCALE = 2.7
 CENTER_SHIFT = -0.1
-
-
-@dataclass(frozen=True)
-class PoseHand:
-    """Six body keypoints of one hand, normalized coords, already mirrored if left."""
-
-    shoulder: Vec3
-    elbow: Vec3
-    wrist: Vec3
-    thumb: Vec3
-    index: Vec3
-    pinky: Vec3
-
-    def as_tuple(self):
-        return (self.shoulder, self.elbow, self.wrist, self.thumb, self.index, self.pinky)
-
-
-@dataclass(frozen=True)
-class Hand21:
-    """21 annotated hand landmarks in pixel coords: list of (x, y, confidence)."""
-
-    points: tuple
-
-    def __post_init__(self):
-        if len(self.points) != 21:
-            raise DegenerateHand(f"expected 21 landmarks, got {len(self.points)}")
-        for x, y, c in self.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DegenerateHand("non-finite landmark coordinate")
-            if not (0.0 <= c <= 1.0):
-                raise DegenerateHand(f"confidence {c} outside [0, 1]")
 
 
 def calc_hand_roi(wrist, index, pinky, rho):
@@ -90,56 +57,6 @@ def calc_hand_roi(wrist, index, pinky, rho):
     return np.column_stack([cx, cy, SIZE_SCALE * size, rotation]), failed
 
 
-def gold_roi(hand: Hand21, width: float, height: float):
-    """Reference box row (cx, cy, size, rotation): a square twice the landmarks' extent.
-
-    The box is aligned to the wrist->middle-MCP axis. It is the one gold
-    box: training targets and scores both use it, and trained weights
-    assume it. A box that has no size or is not finite, or
-    a landmark outside [-width, 2 width] x [-height, 2 height], raises
-    DegenerateHand.
-    """
-    if not (width > 0 and height > 0):
-        raise HandRoiError(f"image dims must be positive, got {width}x{height}")
-    xs = [p[0] for p in hand.points]
-    ys = [p[1] for p in hand.points]
-    wx, wy = xs[WRIST], ys[WRIST]
-    mx, my = xs[MIDDLE_MCP], ys[MIDDLE_MCP]
-    if wx == mx and wy == my:
-        raise DegenerateHand("wrist coincides with middle knuckle")
-    left, right, top, bottom = min(xs), max(xs), min(ys), max(ys)
-    if left == right and top == bottom:
-        raise DegenerateHand("all landmarks coincide")
-
-    rotation = normalize_deg(math.degrees(math.atan2(my - wy, mx - wx)) + 90.0)
-    cx = sum(xs) / 21.0
-    cy = sum(ys) / 21.0
-
-    th = math.radians(-rotation)
-    c, s = math.cos(th), math.sin(th)
-    rx = [(x - cx) * c - (y - cy) * s for x, y in zip(xs, ys)]
-    ry = [(x - cx) * s + (y - cy) * c for x, y in zip(xs, ys)]
-    lo_x, hi_x = min(rx), max(rx)
-    lo_y, hi_y = min(ry), max(ry)
-    side = max(hi_x - lo_x, hi_y - lo_y)
-
-    # box center in the rotated frame, rotated back to the image frame
-    bx = (lo_x + hi_x) / 2.0
-    by = (lo_y + hi_y) / 2.0
-    th = math.radians(rotation)
-    c, s = math.cos(th), math.sin(th)
-    center_x = (cx + (bx * c - by * s)) / width
-    center_y = (cy + (bx * s + by * c)) / height
-    box = (center_x, center_y, side * 2.0 / height, rotation)
-    if not all(map(math.isfinite, box)):
-        raise DegenerateHand("landmarks span a box that is not finite")
-    if not box[2] > 0.0:
-        raise DegenerateHand("landmarks span a box of zero size")
-    if left < -width or right > 2 * width or top < -height or bottom > 2 * height:
-        raise DegenerateHand(f"a landmark lies outside [{-width}, {2 * width}] x [{-height}, {2 * height}]")
-    return box
-
-
 def _extreme(cols, beats):
     """Row-wise min (beats=np.less) or max (np.greater) of a list of (N,) columns.
 
@@ -158,7 +75,7 @@ def _math_map(fn, arr):
     return np.fromiter(map(fn, arr.tolist()), dtype=np.float64, count=arr.size)
 
 
-# why `gold_roi` finds a hand degenerate, in the order it checks; `gold_rois` gives the first that holds
+# why `gold_rois` finds a hand degenerate, in the order it checks; it gives the first that holds
 DEGENERATE_REASONS = (
     "wrist coincides with middle knuckle",
     "all landmarks coincide",
@@ -169,22 +86,28 @@ DEGENERATE_REASONS = (
 
 
 def degenerate_reason(reason, width, height):
-    """`gold_roi`'s DegenerateHand message for a reason of `gold_rois` on a width x height image."""
+    """The DegenerateHand message of a reason of `gold_rois` on a width x height image."""
+    if reason < len(DEGENERATE_REASONS):  # only the bound names the dims, which are then finite
+        return DEGENERATE_REASONS[reason - 1]
     w, h = int(width), int(height)
-    return DEGENERATE_REASONS[reason - 1].format(-w, 2 * w, -h, 2 * h)
+    return DEGENERATE_REASONS[-1].format(-w, 2 * w, -h, 2 * h)
 
 
 def gold_rois(hand, width, height):
     """Gold boxes (N, 4) and reasons (N,) of an (N, 21, 3) landmark array.
 
-    Row i is bitwise `gold_roi` of hand i on a width[i] x height[i] image.
-    reason[i] is 0 where `gold_roi` returns a box and, where it raises
-    DegenerateHand, the number (from 1) of the DEGENERATE_REASONS entry it
-    raises; the boxes of those rows are NaN. The arithmetic keeps the
-    scalar's order: the landmarks are summed left to right (as the builtin
-    sum does before Python 3.12), min and max keep the first of equals, and
-    the angles and their cosines and sines come from the math module, one
-    row at a time (numpy's arctan2 differs in the last bits).
+    Row i is the box (cx, cy, size, rotation) of hand i on a width[i] x
+    height[i] image: a square twice the extent of the landmarks, all 21
+    whatever their confidence, in the frame rotated to the wrist->middle-MCP
+    axis. Trained weights assume it. reason[i] is 0 for a usable box and
+    otherwise the number (from 1) of the first DEGENERATE_REASONS entry
+    that holds: the box has no size or is not finite, or a landmark lies
+    outside [-width, 2 width] x [-height, 2 height]; the boxes of those
+    rows are NaN. The arithmetic is a scalar loop's, row by row: the
+    landmarks are summed left to right (as the builtin sum does before
+    Python 3.12), min and max keep the first of equals, and the angles and
+    their cosines and sines come from the math module, one row at a time
+    (numpy's arctan2 differs in the last bits).
     """
     hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
     width = np.asarray(width, dtype=np.float64)
@@ -197,7 +120,7 @@ def gold_rois(hand, width, height):
 
 
 def _gold_rois(hand, width, height):
-    # one (N,) column per landmark, so each step below is the scalar's step on every row
+    # one (N,) column per landmark, so each step below is one scalar step on every row
     xs, ys = list(hand[:, :, 0].T), list(hand[:, :, 1].T)
     wx, wy, mx, my = xs[WRIST], ys[WRIST], xs[MIDDLE_MCP], ys[MIDDLE_MCP]
     left, right = _extreme(xs, np.less), _extreme(xs, np.greater)
@@ -234,3 +157,16 @@ def _gold_rois(hand, width, height):
     )
     boxes[reason > 0] = math.nan
     return boxes, reason
+
+
+def gold_roi(hand, width, height):
+    """The gold box row (cx, cy, size, rotation) of one hand: `gold_rois` of that hand alone.
+
+    A degenerate hand raises DegenerateHand with `degenerate_reason`'s
+    message. The package computes gold boxes in batches; this view is kept
+    because the benchmark's tracer binds its name.
+    """
+    boxes, reason = gold_rois([hand.points], [width], [height])
+    if reason[0]:
+        raise DegenerateHand(degenerate_reason(reason[0], width, height))
+    return tuple(boxes[0].tolist())

@@ -179,15 +179,16 @@ def _direction(grad, history):
     Two-loop recursion, the initial H scaled by s.y / y.y of the newest pair.
     """
     q = -grad
+    tmp = np.empty_like(q)  # the products below go here, so none allocates a temporary
     alphas = []
     for s, y, rho in reversed(history):
         alphas.append(rho * float(s @ q))
-        q -= alphas[-1] * y
+        q -= np.multiply(alphas[-1], y, out=tmp)
     if history:
         s, y, _ = history[-1]
         q *= float(s @ y) / float(y @ y)
     for (s, y, rho), alpha in zip(history, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
+        q += np.multiply(alpha - rho * float(y @ q), s, out=tmp)
     return q
 
 

@@ -16,7 +16,10 @@ from handroi.dataset import (
     RHO_MAX,
     RHO_MIN,
     SYNTH_HEIGHT,
+    Hand21,
+    PoseHand,
     Sample,
+    Vec3,
     dataset_from_docs,
     dataset_stats,
     gold_boxes,
@@ -24,7 +27,7 @@ from handroi.dataset import (
     write_samples,
 )
 from handroi.errors import DegenerateHand, HandRoiError, InputError
-from handroi.geometry import Vec3, box_quads, normalize_deg
+from handroi.geometry import box_quads, normalize_deg
 from handroi.heuristic import (
     CENTER_SHIFT,
     INDEX_MCP,
@@ -33,9 +36,6 @@ from handroi.heuristic import (
     SIZE_SCALE,
     THUMB_LOW,
     WRIST,
-    Hand21,
-    PoseHand,
-    gold_roi,
 )
 from handroi.model import _train_heads, featurize, roi_targets
 
@@ -75,19 +75,69 @@ def read_cache(dataset_path):
 
 
 def scalar_gold_predictor(data):
-    """(boxes, failed) of the scalar gold_roi on each sample of a Dataset: a predictor that is never off."""
+    """(boxes, failed) of `reference_gold_roi` on each sample of a Dataset: a predictor that is never off."""
     boxes = [
-        gold_roi(Hand21(points=tuple(map(tuple, hand))), int(w), int(h))
+        reference_gold_roi(Hand21(points=tuple(map(tuple, hand))), int(w), int(h))
         for hand, w, h in zip(data.hand.tolist(), data.width, data.height)
     ]
     return np.array(boxes, dtype=np.float64).reshape(-1, 4), np.zeros(len(data), bool)
 
 
 def with_degenerate_gold(sample):
-    """The sample with its middle knuckle moved onto the wrist, so gold_roi fails."""
+    """The sample with its middle knuckle moved onto the wrist, so its gold box is degenerate."""
     pts = list(sample.hand.points)
     pts[MIDDLE_MCP] = pts[WRIST]
     return dataclasses.replace(sample, hand=Hand21(points=tuple(pts)))
+
+
+def reference_gold_roi(hand: Hand21, width: float, height: float):
+    """Reference for `heuristic.gold_rois`: one hand's box row (cx, cy, size, rotation), with Python floats.
+
+    The box is a square twice the landmarks' extent, aligned to the
+    wrist->middle-MCP axis. This is the one-hand-at-a-time routine the
+    batched boxes replaced. A box that has no size or is not finite, or
+    a landmark outside [-width, 2 width] x [-height, 2 height], raises
+    DegenerateHand.
+    """
+    if not (width > 0 and height > 0):
+        raise HandRoiError(f"image dims must be positive, got {width}x{height}")
+    xs = [p[0] for p in hand.points]
+    ys = [p[1] for p in hand.points]
+    wx, wy = xs[WRIST], ys[WRIST]
+    mx, my = xs[MIDDLE_MCP], ys[MIDDLE_MCP]
+    if wx == mx and wy == my:
+        raise DegenerateHand("wrist coincides with middle knuckle")
+    left, right, top, bottom = min(xs), max(xs), min(ys), max(ys)
+    if left == right and top == bottom:
+        raise DegenerateHand("all landmarks coincide")
+
+    rotation = normalize_deg(math.degrees(math.atan2(my - wy, mx - wx)) + 90.0)
+    cx = sum(xs) / 21.0
+    cy = sum(ys) / 21.0
+
+    th = math.radians(-rotation)
+    c, s = math.cos(th), math.sin(th)
+    rx = [(x - cx) * c - (y - cy) * s for x, y in zip(xs, ys)]
+    ry = [(x - cx) * s + (y - cy) * c for x, y in zip(xs, ys)]
+    lo_x, hi_x = min(rx), max(rx)
+    lo_y, hi_y = min(ry), max(ry)
+    side = max(hi_x - lo_x, hi_y - lo_y)
+
+    # box center in the rotated frame, rotated back to the image frame
+    bx = (lo_x + hi_x) / 2.0
+    by = (lo_y + hi_y) / 2.0
+    th = math.radians(rotation)
+    c, s = math.cos(th), math.sin(th)
+    center_x = (cx + (bx * c - by * s)) / width
+    center_y = (cy + (bx * s + by * c)) / height
+    box = (center_x, center_y, side * 2.0 / height, rotation)
+    if not all(map(math.isfinite, box)):
+        raise DegenerateHand("landmarks span a box that is not finite")
+    if not box[2] > 0.0:
+        raise DegenerateHand("landmarks span a box of zero size")
+    if left < -width or right > 2 * width or top < -height or bottom > 2 * height:
+        raise DegenerateHand(f"a landmark lies outside [{-width}, {2 * width}] x [{-height}, {2 * height}]")
+    return box
 
 
 def monte_carlo_iou(a, b, width, height, n_points, rng):
@@ -238,7 +288,7 @@ def reference_synth_sample(rng, cfg, idx, split):
 
 
 def reference_synth_generate(cfg, max_redraws=MAX_REDRAWS):
-    """Reference for `dataset.synth_dataset`: one `reference_synth_sample` and one scalar `gold_roi` per draw.
+    """Reference for `dataset.synth_dataset`: one `reference_synth_sample` and one `reference_gold_roi` per draw.
 
     A draw that raises DegenerateHand is drawn again; max_redraws of them in
     a row raise the InputError that names the sample index.
@@ -251,7 +301,7 @@ def reference_synth_generate(cfg, max_redraws=MAX_REDRAWS):
         for _ in range(max_redraws):
             try:
                 s = reference_synth_sample(rng, cfg, i, split)
-                gold_roi(s.hand, s.width, s.height)
+                reference_gold_roi(s.hand, s.width, s.height)
             except DegenerateHand:
                 continue
             break
@@ -351,7 +401,7 @@ def reference_ingest(args):
 
     Each annotation file becomes a Hand21 and each sidecar line a PoseHand
     of Vec3s, checked value by value as they are built; a left sample is
-    mirrored object by object and the scalar gold_roi filters each joined
+    mirrored object by object and `reference_gold_roi` filters each joined
     sample, which becomes a Sample. It writes the same files and raises the
     same errors as the command. Its one wording of today's command is the
     sidecar's "non-finite <key> keypoint", which also names an integer
@@ -386,7 +436,7 @@ def reference_ingest(args):
     out = cli._resolve(args.out, args)
     write_samples(samples, out)
     config = {"train_labels": args.train_labels, "test_labels": args.test_labels, "sidecar": args.sidecar}
-    cli._write_manifest(out, "ingest", config, {**counts, "total": dataset_stats(samples)})
+    cli._write_manifest(out, "ingest", config, {**counts, "total": dataset_stats(make_dataset(samples))})
     print(f"wrote {len(samples)} samples to {out}")
     return cli.EXIT_OK
 
@@ -498,7 +548,7 @@ def _reference_merge(records, poses, split):
             if was_left:
                 pose = PoseHand(*(Vec3(1.0 - kp.x, kp.y, kp.z) for kp in pose.as_tuple()))
                 hand = Hand21(points=tuple((width - x, y, c) for x, y, c in hand.points))
-            gold_roi(hand, width, height)
+            reference_gold_roi(hand, width, height)
         except DegenerateHand:
             degenerate += 1
             continue

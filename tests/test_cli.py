@@ -16,13 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_gold_roi
 from handroi import cli
 from handroi import errors
 from handroi import model as md
 from handroi.cli import build_parser, main
-from handroi.dataset import CACHE_SUFFIX, SynthConfig, read_samples, synth_generate, write_samples
+from handroi.dataset import (
+    CACHE_SUFFIX,
+    Hand21,
+    SynthConfig,
+    read_samples,
+    synth_dataset,
+    synth_generate,
+    write_samples,
+)
 from handroi.errors import DegenerateHand
-from handroi.heuristic import Hand21, gold_roi
 from handroi.metrics import CSV_COLUMNS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -57,7 +65,7 @@ def collapse_middle_knuckle(doc):
 @pytest.fixture
 def small_dataset(tmp_path):
     path = tmp_path / "data.jsonl"
-    write_samples(synth_generate(SynthConfig(n=60, seed=5, max_tilt_deg=60, noise_px=1)), path)
+    write_samples(synth_dataset(SynthConfig(n=60, seed=5, max_tilt_deg=60, noise_px=1)), path)
     return path
 
 
@@ -503,9 +511,9 @@ class TestBadDataset:
         edit_line(small_dataset, bad, -1, lambda doc: doc.update(width=2**53) or doc["hand"][4].__setitem__(0, x))
         doc = json.loads(bad.read_text().splitlines()[-1])
         code, err = self.run_on(tmp_path, "eval", bad)
-        # as the scalar gold_roi decides on the exact integers
+        # as the scalar reference decides on the exact integers
         try:
-            gold_roi(Hand21(points=tuple(map(tuple, doc["hand"]))), doc["width"], doc["height"])
+            reference_gold_roi(Hand21(points=tuple(map(tuple, doc["hand"]))), doc["width"], doc["height"])
         except DegenerateHand as e:
             assert degenerate and (code, err) == (2, [f"error: sample '{doc['id']}' has a degenerate gold hand: {e}"])
         else:
@@ -530,7 +538,7 @@ class TestBadDataset:
 @pytest.fixture(scope="module")
 def clean_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "clean.jsonl"
-    write_samples(synth_generate(SynthConfig(n=20, seed=5)), path)
+    write_samples(synth_dataset(SynthConfig(n=20, seed=5)), path)
     return path
 
 
@@ -956,7 +964,7 @@ class TestCompare:
     def test_join_error_exit_3(self, tmp_path, small_dataset):
         rows = self.eval_rows(tmp_path, small_dataset, "h")
         other_data = tmp_path / "other.jsonl"
-        write_samples(synth_generate(SynthConfig(n=20, seed=99)), other_data)
+        write_samples(synth_dataset(SynthConfig(n=20, seed=99)), other_data)
         rows_b = tmp_path / "other.csv"
         run("eval", "--dataset", str(other_data), "--out", str(rows_b))
         code = run(

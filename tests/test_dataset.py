@@ -15,13 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handroi.dataset
-from conftest import read_cache, reference_synth_generate, tight_box
+from conftest import read_cache, reference_gold_roi, reference_synth_generate, tight_box
 from handroi.dataset import (
     CACHE_SUFFIX,
     POSE_KEYS,
     Dataset,
+    Hand21,
+    PoseHand,
     Sample,
     SynthConfig,
+    Vec3,
     concat,
     dataset_stats,
     merge_pose_sidecar,
@@ -34,8 +37,8 @@ from handroi.dataset import (
     write_samples,
 )
 from handroi.errors import DegenerateHand, InputError
-from handroi.geometry import Vec3, box_quads
-from handroi.heuristic import Hand21, PoseHand, gold_roi, gold_rois
+from handroi.geometry import box_quads
+from handroi.heuristic import gold_roi, gold_rois
 
 
 def make_label_file(dirpath, name, pts=None, is_left=0):
@@ -452,10 +455,10 @@ class TestMergeSidecar:
         data = read_samples(path)
         # reason 5: a landmark outside the bounds
         assert gold_rois(data.hand, data.width, data.height)[1].tolist() == [5 if degenerate else 0]
-        # as the scalar gold_roi decides on the exact integers
+        # as the scalar reference decides on the exact integers
         hand = Hand21(points=tuple(map(tuple, records.hand[0].tolist())))
         try:
-            gold_roi(hand, width, 480)
+            reference_gold_roi(hand, width, 480)
         except DegenerateHand as e:
             assert degenerate and str(e) == f"a landmark lies outside [{-(2**53)}, {2**54}] x [-480, 960]"
         else:
@@ -587,15 +590,22 @@ class TestSynth:
             SynthConfig(n=10, seed=1, max_tilt_deg=120)
 
 
+class TestVec3:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_degenerate_hand(self, value):
+        # conftest's scalar synth oracle redraws on DegenerateHand alone, so an overflowing keypoint must raise it
+        with pytest.raises(DegenerateHand, match=r"^non-finite Vec3 \("):
+            Vec3(0.5, 0.5, value)
+
+
 class TestStatsAndIo:
     def test_stats_sum(self):
-        samples = synth_generate(SynthConfig(n=40, seed=2))
-        stats = dataset_stats(samples)
+        stats = dataset_stats(synth_dataset(SynthConfig(n=40, seed=2)))
         assert stats["train"] + stats["test"] == stats["n"] == 40
         assert 0 <= stats["was_left"] <= stats["n"]
 
     def test_stats_empty(self):
-        stats = dataset_stats([])
+        stats = dataset_stats(synth_dataset(SynthConfig(n=1, seed=2)).select([]))
         assert stats["n"] == 0 and stats["train"] == 0 and stats["test"] == 0
 
     def test_round_trip(self, tmp_path):
@@ -645,7 +655,7 @@ class TestStatsAndIo:
         write_samples(samples, tmp_path / "samples.jsonl")
         write_samples(concat([data.select([0, 1]), data.select([2, 3])]), tmp_path / "columns.jsonl")
         assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "samples.jsonl").read_bytes()
-        assert dataset_stats(data) == dataset_stats(samples) == {"n": 4, "train": 2, "test": 2, "was_left": 1}
+        assert dataset_stats(data) == {"n": 4, "train": 2, "test": 2, "was_left": 1}
 
     def test_dims_are_one_float64_column(self, tmp_path):
         make_label_file(tmp_path, "s1.json")
@@ -746,7 +756,7 @@ class TestStatsAndIo:
     @pytest.mark.parametrize("line", ["[1, 2]", '"synth"', "7", "null"])
     def test_read_line_not_an_object(self, tmp_path, line):
         path = tmp_path / "data.jsonl"
-        write_samples(synth_generate(SynthConfig(n=3, seed=4)), path)
+        write_samples(synth_dataset(SynthConfig(n=3, seed=4)), path)
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(InputError, match=f"^{re.escape(str(path))} line 4: expected a JSON object$"):
             read_samples(path)
@@ -837,7 +847,7 @@ sample_docs = st.lists(
 
 class TestColumnCache:
     def write(self, path, n=6):
-        write_samples(synth_generate(SynthConfig(n=n, seed=4)), path)
+        write_samples(synth_dataset(SynthConfig(n=n, seed=4)), path)
         return path
 
     @settings(max_examples=60, deadline=None)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handroi.errors import DegenerateHand, HandRoiError
+from handroi.errors import HandRoiError
 from handroi.geometry import (
-    Vec3,
     areas,
     box_quads,
     circular_diff_deg,
@@ -266,11 +265,3 @@ class TestCircularDiff:
             assert circular_diff_deg(a, b) == pytest.approx(circular_diff_deg(b, a))
             assert circular_diff_deg(a, a + 360.0 * k) == pytest.approx(0.0, abs=1e-9)
             assert 0.0 <= circular_diff_deg(a, b) <= 180.0
-
-
-class TestVec3:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_is_degenerate_hand(self, value):
-        # conftest's scalar synth oracle redraws on DegenerateHand alone, so an overflowing keypoint must raise it
-        with pytest.raises(DegenerateHand, match=r"^non-finite Vec3 \("):
-            Vec3(0.5, 0.5, value)

@@ -1,19 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_size, reference_calc_hand_roi, tight_box
+from conftest import closed_form_size, reference_calc_hand_roi, reference_gold_roi, tight_box
 from handroi.errors import DegenerateHand, HandRoiError
 from handroi.geometry import areas, box_quads, circular_diff_deg
-from handroi.dataset import HAND_TEMPLATE, SynthConfig, synth_generate
+from handroi.dataset import HAND_TEMPLATE, Hand21, SynthConfig, synth_generate
 from handroi.heuristic import (
     DEGENERATE_REASONS,
     MIDDLE_MCP,
     WRIST,
-    Hand21,
     calc_hand_roi,
     degenerate_reason,
     gold_roi,
@@ -264,7 +264,7 @@ def gold_hands(draw):
 
 
 class TestGoldRoisReference:
-    """The batched gold boxes against the scalar gold_roi, bit for bit."""
+    """The batched gold boxes and their one-hand view against the scalar reference, bit for bit."""
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(gold_hands(), min_size=1, max_size=8))
@@ -273,22 +273,36 @@ class TestGoldRoisReference:
         boxes, reason = gold_rois(np.array(hands), widths, heights)
         assert boxes.shape == (len(drawn), 4) and reason.shape == (len(drawn),)
         for k, (kind, hand, width, height) in enumerate(drawn):
+            hand = Hand21(points=tuple(map(tuple, hand.tolist())))
             try:
-                ref = gold_roi(Hand21(points=tuple(map(tuple, hand.tolist()))), width, height)
+                ref = reference_gold_roi(hand, width, height)
             except DegenerateHand as e:
                 assert 0 < reason[k] <= len(DEGENERATE_REASONS) and np.isnan(boxes[k]).all(), kind
-                # the first of gold_roi's checks that fails, in its words
+                # the first of the reference's checks that fails, in its words
                 assert degenerate_reason(reason[k], width, height) == str(e), kind
+                with pytest.raises(DegenerateHand, match=f"^{re.escape(str(e))}$"):
+                    gold_roi(hand, width, height)
                 continue
             assert kind not in DEGENERATE_KINDS
             assert reason[k] == 0 and boxes[k].tobytes() == np.array(ref).tobytes(), kind
+            view = gold_roi(hand, width, height)
+            assert type(view) is tuple and all(type(v) is float for v in view), kind
+            assert np.array(view).tobytes() == np.array(ref).tobytes(), kind
 
     def test_synthetic_dataset_bitwise(self):
         samples = synth_generate(SynthConfig(n=300, seed=8, max_tilt_deg=80, noise_px=2))
         hands = np.array([s.hand.points for s in samples])
         boxes, reason = gold_rois(hands, [s.width for s in samples], [s.height for s in samples])
-        ref = np.array([gold_roi(s.hand, s.width, s.height) for s in samples])
+        ref = np.array([reference_gold_roi(s.hand, s.width, s.height) for s in samples])
         assert not reason.any() and boxes.tobytes() == ref.tobytes()
+
+    def test_infinite_dims(self):
+        # the box shrinks to no size; the message names no dims
+        hand = make_hand([(float(i), 2.0 * i) for i in range(21)])
+        with pytest.raises(DegenerateHand, match="^landmarks span a box of zero size$"):
+            reference_gold_roi(hand, math.inf, math.inf)
+        with pytest.raises(DegenerateHand, match="^landmarks span a box of zero size$"):
+            gold_roi(hand, math.inf, math.inf)
 
     def test_empty(self):
         boxes, reason = gold_rois(np.zeros((0, 21, 3)), [], [])
@@ -297,3 +311,5 @@ class TestGoldRoisReference:
     def test_bad_dims(self):
         with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x480$"):
             gold_rois(np.ones((1, 21, 3)), [0], [480])
+        with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x480$"):
+            gold_roi(make_hand([(1.0, 1.0)] * 21), 0, 480)

@@ -14,10 +14,10 @@ from conftest import (
     reference_rotation,
     with_degenerate_gold,
 )
-from handroi.dataset import SynthConfig, synth_generate
+from handroi.dataset import PoseHand, SynthConfig, Vec3, synth_generate
 from handroi.errors import HandRoiError, InputError
-from handroi.geometry import Vec3, circular_diff_deg
-from handroi.heuristic import PoseHand, calc_hand_roi
+from handroi.geometry import circular_diff_deg
+from handroi.heuristic import calc_hand_roi
 from handroi.model import (
     FEATURE_DIM,
     FEATURE_SPEC,
