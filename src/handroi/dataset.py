@@ -42,10 +42,11 @@ import zipfile
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import DegenerateHand, InputError
+from .errors import DegenerateHand, HandRoiError, InputError
 from .heuristic import (
     INDEX_MCP,
     MIDDLE_MCP,
@@ -470,21 +471,37 @@ def sample_to_dict(s: Sample) -> dict:
     }
 
 
-# every dataset line's encoder; one json.dumps(d, sort_keys=True, separators=(",", ":")) builds each call
+# the encoder of a Sample's line; one json.dumps(d, sort_keys=True, separators=(",", ":")) builds each call
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# a Dataset's line: the bytes `_LINE_ENCODER` writes for its row's dict, with the keys in sorted order.
+# %r is float.__repr__, which the JSON encoder calls for a finite float; ids and splits go in escaped
+# by the encoder's own escaper, dims as integers
+_POSE_SORTED = [POSE_KEYS.index(k) for k in sorted(POSE_KEYS)]
+_LINE = (
+    '{"hand":[' + ",".join(["[%r,%r,%r]"] * 21) + '],"height":%d,"id":%s,"pose":{'
+    + ",".join(f'"{POSE_KEYS[k]}":[%r,%r,%r]' for k in _POSE_SORTED)
+    + '},"split":%s,"was_left":%s,"width":%d}\n'
+)
 
 
 def write_samples(samples, path):
-    """Write samples, a list of Sample or a Dataset, one JSON object per line (see `sample_to_dict`)."""
-    docs = _column_docs(samples) if isinstance(samples, Dataset) else map(sample_to_dict, samples)
+    """Write samples, a Dataset or a list of Sample, one JSON object per line (see `sample_to_dict`).
+
+    A Dataset's lines are the bytes its Samples would write; one holding a
+    non-finite value raises HandRoiError.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(_LINE_ENCODER.encode(doc))
-            fh.write("\n")
+        if isinstance(samples, Dataset):
+            fh.writelines(_dataset_lines(samples))
+        else:
+            for doc in map(sample_to_dict, samples):
+                fh.write(_LINE_ENCODER.encode(doc))
+                fh.write("\n")
 
 
-# rows of a Dataset that `_column_docs` converts to Python values at a time; the values of a whole
-# dataset would take several times the memory of its arrays
+# rows of a Dataset that `_column_docs` and `_dataset_lines` convert to Python values at a time; the
+# values of a whole dataset would take several times the memory of its arrays
 _DOC_BLOCK_ROWS = 256
 
 
@@ -504,6 +521,29 @@ def _column_docs(data):
                 "hand": hand,
                 "pose": dict(zip(POSE_KEYS, pose)),
             }
+
+
+def _dataset_lines(data):
+    """The line of each sample of a Dataset, `_LINE` filled in; raises HandRoiError on a non-finite value."""
+    width, height = data.width.astype(np.int64), data.height.astype(np.int64)
+    pose = data.pose[:, _POSE_SORTED]
+    for start in range(0, len(data), _DOC_BLOCK_ROWS):
+        rows = slice(start, start + _DOC_BLOCK_ROWS)
+        hand, pose_rows = data.hand[rows], pose[rows]
+        # json spells NaN and infinity in its own way, and a Dataset holds neither
+        if not (np.isfinite(hand).all() and np.isfinite(pose_rows).all()):
+            raise HandRoiError("a Dataset holds a non-finite value")
+        block = zip(
+            hand.reshape(len(hand), -1).tolist(),
+            height[rows].tolist(),
+            map(encode_basestring_ascii, data.ids[rows].tolist()),
+            pose_rows.reshape(len(hand), -1).tolist(),
+            map(encode_basestring_ascii, data.split[rows].tolist()),
+            data.was_left[rows].tolist(),
+            width[rows].tolist(),
+        )
+        for h, ht, sid, p, split, was_left, w in block:
+            yield _LINE % (*h, ht, sid, *p, split, "true" if was_left else "false", w)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def box_quads(boxes, widths, heights) -> np.ndarray:
     bad = np.flatnonzero(~((widths > 0) & (heights > 0)))
     if bad.size:
         i = bad[0]
-        raise HandRoiError(f"image dims must be positive, got {widths[i]:g}x{heights[i]:g}")
+        raise HandRoiError(f"image dims must be positive, got {float(widths[i])!r}x{float(heights[i])!r}")
     cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T[:, :, None]
     width, height = widths[:, None], heights[:, None]
     th = rot_deg * (math.pi / 180.0)

@@ -114,7 +114,7 @@ def gold_rois(hand, width, height):
     height = np.asarray(height, dtype=np.float64)
     bad = np.flatnonzero(~((width > 0) & (height > 0)))
     if bad.size:
-        raise HandRoiError(f"image dims must be positive, got {width[bad[0]]:g}x{height[bad[0]]:g}")
+        raise HandRoiError(f"image dims must be positive, got {float(width[bad[0]])!r}x{float(height[bad[0]])!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         return _gold_rois(hand, width, height)
 

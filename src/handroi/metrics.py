@@ -13,6 +13,7 @@ counted, so a method cannot improve its numbers by refusing to predict.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -138,13 +139,13 @@ def iou_histogram(rows: Rows):
 # file formats: rows as CSV (fixed column order), summaries as key=value text
 
 def write_rows_csv(rows: Rows, path):
-    cols = [rows.iou.tolist(), *(getattr(rows, c).tolist() for c in ERROR_COLUMNS)]
+    # csv writes a float as its repr and None as an empty field, so a failed row's errors are None
+    errs = [np.where(rows.failed, None, getattr(rows, c)).tolist() for c in ERROR_COLUMNS]
+    methods = itertools.repeat(rows.method)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for sid, iou, *errs, bad in zip(rows.ids, *cols, rows.failed.tolist()):
-            errs = ["" if bad else repr(e) for e in errs]
-            writer.writerow([sid, rows.method, repr(iou), *errs, int(bad)])
+        writer.writerows(zip(rows.ids, methods, rows.iou.tolist(), *errs, rows.failed.astype(int).tolist()))
 
 
 def _parse_row(rec):

@@ -74,6 +74,26 @@ def read_cache(dataset_path):
         return dict(npz)
 
 
+def reference_write_lines(data, path):
+    """Reference for `write_samples` of a Dataset: json.dumps of each row's dict, one line each.
+
+    The dict is laid out as `sample_to_dict` lays out a Sample's, with the
+    dims as integers, and encoded with sort_keys=True and separators=(",", ":").
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for k in range(len(data)):
+            doc = {
+                "id": data.ids[k],
+                "width": int(data.width[k]),
+                "height": int(data.height[k]),
+                "split": data.split[k],
+                "was_left": bool(data.was_left[k]),
+                "hand": data.hand[k].tolist(),
+                "pose": dict(zip(POSE_KEYS, data.pose[k].tolist())),
+            }
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def scalar_gold_predictor(data):
     """(boxes, failed) of `reference_gold_roi` on each sample of a Dataset: a predictor that is never off."""
     boxes = [

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import handroi.dataset
-from conftest import read_cache, reference_gold_roi, reference_synth_generate, tight_box
+from conftest import read_cache, reference_gold_roi, reference_synth_generate, reference_write_lines, tight_box
 from handroi.dataset import (
     CACHE_SUFFIX,
     POSE_KEYS,
+    SPLITS,
     Dataset,
     Hand21,
     PoseHand,
@@ -36,7 +38,7 @@ from handroi.dataset import (
     synth_generate,
     write_samples,
 )
-from handroi.errors import DegenerateHand, InputError
+from handroi.errors import DegenerateHand, HandRoiError, InputError
 from handroi.geometry import box_quads
 from handroi.heuristic import gold_roi, gold_rois
 
@@ -47,6 +49,19 @@ def make_label_file(dirpath, name, pts=None, is_left=0):
     (dirpath / name).write_text(json.dumps({"hand_pts": pts, "is_left": is_left}))
     return pts
 
+
+# characters of an id that JSON escapes: a quote, a backslash, control characters, non-ASCII and astral-plane
+# characters (written as a surrogate pair)
+ODD_ID_CHARS = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "ü", "手", "\U0001f600"]
+
+# floats whose repr is a corner case, and any other finite float
+LINE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 3.0, -12.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+# image dims, the bounds and any integer between
+LINE_DIMS = st.one_of(st.sampled_from([1, 2**53]), st.integers(1, 2**53))
 
 # JSON values that are not numbers but that float() used to accept
 NON_NUMBERS = ["341.2", True, False]
@@ -638,7 +653,7 @@ class TestStatsAndIo:
         assert '"id":"hand-\\u00fc-\\u624b"' in lines[0] and '"was_left":true' in lines[0]
 
     def test_columns_write_the_bytes_of_their_samples(self, tmp_path):
-        # the merged columns of ingest go through the same line encoder as Sample objects
+        # the merged columns of ingest write, through the line template, the bytes the line encoder writes of Samples
         hand = Hand21(points=((-0.0, 5e-324, 1.0), (1e300, 2.0, 0.0), *((float(i), 3.0, 0.5) for i in range(19))))
         pose = PoseHand(Vec3(-0.0, 5e-324, 1e300), *[Vec3(1.0, -2.0, 3.0)] * 5)
         odd = Sample(id="hand-ü-手", width=2**53, height=2**53 - 1, hand=hand, pose=pose, was_left=True, split="test")
@@ -656,6 +671,54 @@ class TestStatsAndIo:
         write_samples(concat([data.select([0, 1]), data.select([2, 3])]), tmp_path / "columns.jsonl")
         assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "samples.jsonl").read_bytes()
         assert dataset_stats(data) == {"n": 4, "train": 2, "test": 2, "was_left": 1}
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.text(st.one_of(st.sampled_from(ODD_ID_CHARS), st.characters()), max_size=6), min_size=n, max_size=n),
+                arrays(np.float64, n, elements=LINE_DIMS),
+                arrays(np.float64, n, elements=LINE_DIMS),
+                st.lists(st.sampled_from(SPLITS), min_size=n, max_size=n),
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                arrays(np.float64, (n, 21, 3), elements=LINE_FLOATS),
+                arrays(np.float64, (n, 6, 3), elements=LINE_FLOATS),
+            )
+        ),
+        st.sampled_from([1, 7, handroi.dataset._DOC_BLOCK_ROWS]),
+    )
+    def test_line_template_writes_the_encoders_bytes(self, columns, block):
+        ids, width, height, split, was_left, hand, pose = columns
+        data = Dataset(
+            ids=np.array(ids, dtype=object),
+            width=width,
+            height=height,
+            split=np.array(split, dtype=object),
+            was_left=np.array(was_left, dtype=bool),
+            hand=hand,
+            pose=pose,
+        )
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(handroi.dataset, "_DOC_BLOCK_ROWS", block)
+            write_samples(data, Path(tmp, "template.jsonl"))
+            reference_write_lines(data, Path(tmp, "encoder.jsonl"))
+            assert Path(tmp, "template.jsonl").read_bytes() == Path(tmp, "encoder.jsonl").read_bytes()
+
+    def test_columns_use_no_json_encoder(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(handroi.dataset._LINE_ENCODER, "encode", lambda *a, **k: pytest.fail("a JSON encoder"))
+        data = synth_dataset(SynthConfig(n=30, seed=2))
+        write_samples(data, tmp_path / "data.jsonl")
+        reference_write_lines(data, tmp_path / "reference.jsonl")
+        assert (tmp_path / "data.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("column", ["hand", "pose"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_columns_with_a_non_finite_value(self, tmp_path, column, value):
+        # json would spell these NaN, Infinity and -Infinity, and no command builds such a Dataset
+        data = synth_dataset(SynthConfig(n=3, seed=2))
+        getattr(data, column)[2, 1, 0] = value
+        with pytest.raises(HandRoiError, match="^a Dataset holds a non-finite value$"):
+            write_samples(data, tmp_path / "data.jsonl")
 
     def test_dims_are_one_float64_column(self, tmp_path):
         make_label_file(tmp_path, "s1.json")

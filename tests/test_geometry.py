@@ -76,8 +76,13 @@ class TestBoxQuads:
         assert np.mean(xs) == pytest.approx(100) and np.mean(ys) == pytest.approx(50)
 
     def test_invalid_dims(self):
-        with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x100$"):
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x100\.0$"):
             box_quad((0.5, 0.5, 0.5, 0.0), 0, 100)
+        # each dim is printed exactly, as its float repr
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x9007199254740992\.0$"):
+            box_quads([(0.5, 0.5, 0.5, 0.0)], [0], [2**53])
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 1234567\.0x-0\.0$"):
+            box_quads([(0.5, 0.5, 0.5, 0.0)], [1234567], [-0.0])
 
     def test_orientation_positive_shoelace(self, rng):
         # CCW contract: signed shoelace sum stays non-negative for any rotation
@@ -243,7 +248,7 @@ class TestRotatedIous:
 
     def test_bad_dims_in_batch(self):
         r = np.array([(0.5, 0.5, 0.3, 0.0)] * 2)
-        with pytest.raises(HandRoiError, match="^image dims must be positive, got 640x0$"):
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 640\.0x0\.0$"):
             rotated_ious(r, r, [640, 640], [480, 0])
 
 

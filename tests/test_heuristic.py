@@ -309,7 +309,12 @@ class TestGoldRoisReference:
         assert boxes.shape == (0, 4) and reason.shape == (0,)
 
     def test_bad_dims(self):
-        with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x480$"):
+        # each dim is printed exactly, as its float repr
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x480\.0$"):
             gold_rois(np.ones((1, 21, 3)), [0], [480])
-        with pytest.raises(HandRoiError, match="^image dims must be positive, got 0x480$"):
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x480\.0$"):
             gold_roi(make_hand([(1.0, 1.0)] * 21), 0, 480)
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x1234567\.0$"):
+            gold_rois(np.ones((1, 21, 3)), [0], [1234567])
+        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 9007199254740992\.0x-1\.5$"):
+            gold_rois(np.ones((2, 21, 3)), [640, 2**53], [480, -1.5])
