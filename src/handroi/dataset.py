@@ -27,10 +27,11 @@ orthographically, and derives the sparse body keypoints from the projection.
 
 No command builds per-sample objects. The object model (`Sample`, of a
 `Hand21` and a `PoseHand` of `Vec3`s, whose checks raise DegenerateHand)
-and the functions that use it (`synth_generate`, `sample_to_dict` and the
-Sample branch of `write_samples`) are kept for the benchmark: its ingest
-set-up writes its annotation files from Sample objects, and its tracer
-binds `synth_generate` by name.
+and the two functions that use it are kept for the benchmark: its ingest
+set-up writes its annotation files from the Samples of `synth_generate`,
+and writes them back with `write_samples`, which stacks a list of Sample
+into a Dataset and writes it as any other. Its tracer binds
+`synth_generate` by name.
 """
 
 import hashlib
@@ -430,24 +431,36 @@ def synth_dataset(cfg: SynthConfig) -> "Dataset":
     )
 
 
+# rows of a Dataset that `synth_generate` and `_dataset_lines` convert to Python values at a time; the
+# values of a whole dataset would take several times the memory of its arrays
+_DOC_BLOCK_ROWS = 256
+
+
 def synth_generate(cfg: SynthConfig):
-    """The samples of `synth_dataset(cfg)` as a list of Sample.
+    """The samples of `synth_dataset(cfg)` as a list of Sample, dims as integers.
 
     Only the benchmark's ingest set-up and the tests still read synthetic
     samples as objects; the synth command writes the Dataset itself.
     """
-    return [
-        Sample(
-            id=d["id"],
-            width=d["width"],
-            height=d["height"],
-            hand=Hand21(points=tuple(map(tuple, d["hand"]))),
-            pose=PoseHand(*(Vec3(*d["pose"][key]) for key in POSE_KEYS)),
-            was_left=d["was_left"],
-            split=d["split"],
-        )
-        for d in _column_docs(synth_dataset(cfg))
-    ]
+    data = synth_dataset(cfg)
+    columns = (data.ids, data.width.astype(np.int64), data.height.astype(np.int64), data.split, data.was_left,
+               data.hand, data.pose)
+    samples = []
+    for start in range(0, len(data), _DOC_BLOCK_ROWS):
+        block = (c[start : start + _DOC_BLOCK_ROWS].tolist() for c in columns)
+        samples += [
+            Sample(
+                id=sid,
+                width=width,
+                height=height,
+                hand=Hand21(points=tuple(map(tuple, hand))),
+                pose=PoseHand(*(Vec3(*kp) for kp in pose)),
+                was_left=was_left,
+                split=split,
+            )
+            for sid, width, height, split, was_left, hand, pose in zip(*block)
+        ]
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -459,24 +472,9 @@ def dataset_stats(data):
     return {"n": len(split), "train": split.count("train"), "test": split.count("test"), "was_left": sum(was_left)}
 
 
-def sample_to_dict(s: Sample) -> dict:
-    return {
-        "id": s.id,
-        "width": s.width,
-        "height": s.height,
-        "split": s.split,
-        "was_left": s.was_left,
-        "hand": [[x, y, c] for x, y, c in s.hand.points],
-        "pose": {k: [kp.x, kp.y, kp.z] for k, kp in zip(POSE_KEYS, s.pose.as_tuple())},
-    }
-
-
-# the encoder of a Sample's line; one json.dumps(d, sort_keys=True, separators=(",", ":")) builds each call
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-# a Dataset's line: the bytes `_LINE_ENCODER` writes for its row's dict, with the keys in sorted order.
-# %r is float.__repr__, which the JSON encoder calls for a finite float; ids and splits go in escaped
-# by the encoder's own escaper, dims as integers
+# a Dataset's line: json.dumps(d, sort_keys=True, separators=(",", ":")) of its row's dict d, whose keys are
+# the DATASET record's. %r is float.__repr__, which the JSON encoder calls for a finite float; ids and
+# splits go in escaped by the encoder's own escaper, dims as integers
 _POSE_SORTED = [POSE_KEYS.index(k) for k in sorted(POSE_KEYS)]
 _LINE = (
     '{"hand":[' + ",".join(["[%r,%r,%r]"] * 21) + '],"height":%d,"id":%s,"pose":{'
@@ -486,41 +484,31 @@ _LINE = (
 
 
 def write_samples(samples, path):
-    """Write samples, a Dataset or a list of Sample, one JSON object per line (see `sample_to_dict`).
+    """Write samples, a Dataset or a list of Sample, one JSON object per line (`_LINE` filled in).
 
-    A Dataset's lines are the bytes its Samples would write; one holding a
-    non-finite value raises HandRoiError.
+    A list of Sample is written as the Dataset of its columns
+    (`_samples_dataset`). A Dataset holding a non-finite value raises
+    HandRoiError.
     """
+    data = samples if isinstance(samples, Dataset) else _samples_dataset(samples)
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(samples, Dataset):
-            fh.writelines(_dataset_lines(samples))
-        else:
-            for doc in map(sample_to_dict, samples):
-                fh.write(_LINE_ENCODER.encode(doc))
-                fh.write("\n")
+        fh.writelines(_dataset_lines(data))
 
 
-# rows of a Dataset that `_column_docs` and `_dataset_lines` convert to Python values at a time; the
-# values of a whole dataset would take several times the memory of its arrays
-_DOC_BLOCK_ROWS = 256
-
-
-def _column_docs(data):
-    """The line of each sample of a Dataset, as `sample_to_dict` gives it for the same Sample; dims as integers."""
-    width, height = data.width.astype(np.int64), data.height.astype(np.int64)
-    columns = (data.ids, width, height, data.split, data.was_left, data.hand, data.pose)
-    for start in range(0, len(data), _DOC_BLOCK_ROWS):
-        block = (c[start : start + _DOC_BLOCK_ROWS].tolist() for c in columns)
-        for sid, width, height, split, was_left, hand, pose in zip(*block):
-            yield {
-                "id": sid,
-                "width": width,
-                "height": height,
-                "split": split,
-                "was_left": was_left,
-                "hand": hand,
-                "pose": dict(zip(POSE_KEYS, pose)),
-            }
+def _samples_dataset(samples):
+    """The Dataset of a list of Sample: one column per field, dims as float64."""
+    n, chain = len(samples), itertools.chain.from_iterable
+    return Dataset(
+        ids=np.array([s.id for s in samples], dtype=object),
+        width=np.array([s.width for s in samples], dtype=np.float64),
+        height=np.array([s.height for s in samples], dtype=np.float64),
+        split=np.array([s.split for s in samples], dtype=object),
+        was_left=np.array([s.was_left for s in samples], dtype=bool),
+        hand=np.fromiter(chain(chain(s.hand.points for s in samples)), np.float64, n * 21 * 3).reshape(n, 21, 3),
+        pose=np.fromiter(
+            chain((kp.x, kp.y, kp.z) for s in samples for kp in s.pose.as_tuple()), np.float64, n * len(POSE_KEYS) * 3
+        ).reshape(n, len(POSE_KEYS), 3),
+    )
 
 
 def _dataset_lines(data):

@@ -15,6 +15,7 @@ counted, so a method cannot improve its numbers by refusing to predict.
 import csv
 import itertools
 import math
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .geometry import circular_diff_deg, rotated_ious
 CSV_COLUMNS = ("sample_id", "method", "iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed")
 ERROR_COLUMNS = CSV_COLUMNS[3:6]
 HIST_BINS = 20
+# a control character, which a method name may not hold: it would forge a report line or break the SVG
+_CONTROL = re.compile("[\x00-\x1f\x7f]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +159,8 @@ def _parse_row(rec):
     if len(rec) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
     sample_id, method, iou, *errs, failed = rec
+    if _CONTROL.search(method):
+        raise ValueError(f"method {method!r} holds a control character")
     if failed not in ("0", "1"):
         raise ValueError(f"failed must be 0 or 1, got {failed!r}")
     iou = float(iou)
@@ -179,9 +184,9 @@ def _parse_row(rec):
 def read_rows_csv(path) -> Rows:
     """The table written by write_rows_csv; raises InputError naming the bad line.
 
-    The file needs at least one row, every row the same method and its own
-    sample id, and every row the invariants of `Rows`, with empty error
-    fields where it failed.
+    The file needs at least one row, every row the same method, which
+    holds no control character, and its own sample id, and every row the
+    invariants of `Rows`, with empty error fields where it failed.
     """
     parsed = []
     ids = set()

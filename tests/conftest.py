@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -20,11 +19,7 @@ from handroi.dataset import (
     PoseHand,
     Sample,
     Vec3,
-    dataset_from_docs,
-    dataset_stats,
     gold_boxes,
-    sample_to_dict,
-    write_samples,
 )
 from handroi.errors import DegenerateHand, HandRoiError, InputError
 from handroi.geometry import box_quads, normalize_deg
@@ -57,15 +52,13 @@ def tight_box(gold):
     return cx, cy, size / 2, rotation
 
 
-def make_dataset(samples):
-    """The Dataset that read_samples gives for the file write_samples writes of the samples.
-
-    It runs read_samples' own column builder on the samples' JSON objects,
-    so its checks and errors are the reader's, naming "<samples>" line k for
-    the k-th sample.
-    """
-    docs = (json.loads(json.dumps(sample_to_dict(s))) for s in samples)
-    return dataset_from_docs(enumerate(docs, 1), "<samples>")
+# the per-sample object model and the one-sample views, as (module, name): only the benchmark's ingest set-up and
+# tracer use them, and no command calls them
+OBJECT_MODEL = (
+    *(("dataset", name) for name in ("Sample", "Hand21", "PoseHand", "Vec3", "synth_generate")),
+    ("heuristic", "gold_roi"),
+    ("geometry", "rotated_iou"),
+)
 
 
 def read_cache(dataset_path):
@@ -74,24 +67,45 @@ def read_cache(dataset_path):
         return dict(npz)
 
 
-def reference_write_lines(data, path):
-    """Reference for `write_samples` of a Dataset: json.dumps of each row's dict, one line each.
+def sample_doc(s: Sample) -> dict:
+    """A Sample's dataset line as a dict, its fields under the keys of a dataset line."""
+    return {
+        "id": s.id,
+        "width": s.width,
+        "height": s.height,
+        "split": s.split,
+        "was_left": s.was_left,
+        "hand": [[x, y, c] for x, y, c in s.hand.points],
+        "pose": {k: [kp.x, kp.y, kp.z] for k, kp in zip(POSE_KEYS, s.pose.as_tuple())},
+    }
 
-    The dict is laid out as `sample_to_dict` lays out a Sample's, with the
-    dims as integers, and encoded with sort_keys=True and separators=(",", ":").
-    """
+
+def row_docs(data):
+    """Each row of a Dataset as the dict of its dataset line, laid out as `sample_doc`'s; dims as integers."""
+    return [
+        {
+            "id": data.ids[k],
+            "width": int(data.width[k]),
+            "height": int(data.height[k]),
+            "split": data.split[k],
+            "was_left": bool(data.was_left[k]),
+            "hand": data.hand[k].tolist(),
+            "pose": dict(zip(POSE_KEYS, data.pose[k].tolist())),
+        }
+        for k in range(len(data))
+    ]
+
+
+def write_doc_lines(docs, path):
+    """Reference for `write_samples`: json.dumps(doc, sort_keys=True, separators=(",", ":")) of each doc, one a line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for k in range(len(data)):
-            doc = {
-                "id": data.ids[k],
-                "width": int(data.width[k]),
-                "height": int(data.height[k]),
-                "split": data.split[k],
-                "was_left": bool(data.was_left[k]),
-                "hand": data.hand[k].tolist(),
-                "pose": dict(zip(POSE_KEYS, data.pose[k].tolist())),
-            }
+        for doc in docs:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def reference_write_lines(data, path):
+    """Reference for `write_samples` of a Dataset: `write_doc_lines` of its `row_docs`."""
+    write_doc_lines(row_docs(data), path)
 
 
 def scalar_gold_predictor(data):
@@ -101,13 +115,6 @@ def scalar_gold_predictor(data):
         for hand, w, h in zip(data.hand.tolist(), data.width, data.height)
     ]
     return np.array(boxes, dtype=np.float64).reshape(-1, 4), np.zeros(len(data), bool)
-
-
-def with_degenerate_gold(sample):
-    """The sample with its middle knuckle moved onto the wrist, so its gold box is degenerate."""
-    pts = list(sample.hand.points)
-    pts[MIDDLE_MCP] = pts[WRIST]
-    return dataclasses.replace(sample, hand=Hand21(points=tuple(pts)))
 
 
 def reference_gold_roi(hand: Hand21, width: float, height: float):
@@ -422,8 +429,9 @@ def reference_ingest(args):
     Each annotation file becomes a Hand21 and each sidecar line a PoseHand
     of Vec3s, checked value by value as they are built; a left sample is
     mirrored object by object and `reference_gold_roi` filters each joined
-    sample, which becomes a Sample. It writes the same files and raises the
-    same errors as the command. Its one wording of today's command is the
+    sample, which becomes a Sample. It writes each Sample's line with
+    `write_doc_lines` and counts the samples itself, so it writes the same
+    files and raises the same errors as the command. Its one wording of today's command is the
     sidecar's "non-finite <key> keypoint", which also names an integer
     beyond float range.
     """
@@ -454,9 +462,12 @@ def reference_ingest(args):
     if not samples:
         raise InputError("no samples survived ingestion")
     out = cli._resolve(args.out, args)
-    write_samples(samples, out)
+    write_doc_lines(map(sample_doc, samples), out)
     config = {"train_labels": args.train_labels, "test_labels": args.test_labels, "sidecar": args.sidecar}
-    cli._write_manifest(out, "ingest", config, {**counts, "total": dataset_stats(make_dataset(samples))})
+    splits = [s.split for s in samples]
+    total = {"n": len(samples), "train": splits.count("train"), "test": splits.count("test"),
+             "was_left": sum(s.was_left for s in samples)}
+    cli._write_manifest(out, "ingest", config, {**counts, "total": total})
     print(f"wrote {len(samples)} samples to {out}")
     return cli.EXIT_OK
 

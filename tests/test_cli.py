@@ -9,6 +9,7 @@ import os
 import re
 import shlex
 import struct
+import sys
 import time
 from xml.etree import ElementTree
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_gold_roi
+from conftest import OBJECT_MODEL, reference_gold_roi, row_docs
 from handroi import cli
 from handroi import errors
 from handroi import model as md
@@ -27,7 +28,6 @@ from handroi.dataset import (
     SynthConfig,
     read_samples,
     synth_dataset,
-    synth_generate,
     write_samples,
 )
 from handroi.errors import DegenerateHand
@@ -687,14 +687,13 @@ def clean_ingest(tmp_path_factory):
     """
     base = tmp_path_factory.mktemp("fuzz_ingest")
     lines = []
-    for i, s in enumerate(synth_generate(SynthConfig(n=8, seed=6))):
+    for i, s in enumerate(row_docs(synth_dataset(SynthConfig(n=8, seed=6)))):
         labels = base / ("train" if i < 5 else "test")
         labels.mkdir(exist_ok=True)
-        (labels / f"s{i}.json").write_text(json.dumps({"hand_pts": [list(p) for p in s.hand.points], "is_left": 0}))
-        doc = {"id": f"s{i}", "width": s.width, "height": s.height, "handedness": "left" if i % 3 == 0 else "right"}
-        for key, kp in zip(("shoulder", "elbow", "wrist", "thumb", "index", "pinky"), s.pose.as_tuple()):
-            doc[key] = [kp.x, kp.y, kp.z]
-        lines.append(json.dumps(doc))
+        (labels / f"s{i}.json").write_text(json.dumps({"hand_pts": s["hand"], "is_left": 0}))
+        handedness = "left" if i % 3 == 0 else "right"
+        lines.append(json.dumps({"id": f"s{i}", "width": s["width"], "height": s["height"], "handedness": handedness,
+                                 **s["pose"]}))
     (base / "poses.jsonl").write_text("\n".join(lines) + "\n")
     return base
 
@@ -1044,6 +1043,20 @@ class TestCompare:
         labels = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
         assert labels[-2:] == ["a&b<c>", "heuristic"]
 
+    @pytest.mark.parametrize("method", ["x\nb_mean_iou=1.0", "x\rb_mean_iou=1.0", "a\x01b"])
+    def test_method_with_a_control_character_exit_2(self, tmp_path, small_dataset, method):
+        # a newline would forge a report line such as b_mean_iou=1.0, and \x01 is no XML character
+        rows = self.eval_rows(tmp_path, small_dataset, "h")
+        odd = tmp_path / "odd.csv"
+        quoted = '"' + method + '"'
+        odd.write_bytes(rows.read_bytes().replace(b",heuristic,", f",{quoted},".encode()))
+        report = tmp_path / "r.txt"
+        code, err = run_quiet("compare", "--rows-a", str(odd), "--rows-b", str(rows), "--report", str(report))
+        line = 3 if method[1] in "\r\n" else 2
+        assert code == 2
+        assert err == [f"error: {odd} line {line}: method {method!r} holds a control character"]
+        assert not report.exists() and not (tmp_path / "r.txt.svg").exists()
+
 
 class TestRender:
     def test_two_boxes_two_ticks(self, tmp_path, small_dataset):
@@ -1108,6 +1121,36 @@ class TestRender:
         for out in (a, b):
             run("render", "--dataset", str(small_dataset), "--id", sid, "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNoPerSampleObject:
+    def test_every_command_runs_without_the_object_model(self, tmp_path, monkeypatch, clean_ingest):
+        # every binding of each target, found by identity in each handroi module and class, fails the test
+        targets = [getattr(sys.modules[f"handroi.{module}"], name) for module, name in OBJECT_MODEL]
+        handroi_modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "handroi"]
+        namespaces = [*handroi_modules, *(v for m in handroi_modules for v in vars(m).values()
+                                          if isinstance(v, type) and v.__module__ == m.__name__)]
+        patched = set()
+        for ns in namespaces:
+            for key, val in list(vars(ns).items()):
+                if any(val is target for target in targets):
+                    monkeypatch.setattr(ns, key, lambda *a, **k: pytest.fail("a per-sample object or view"))
+                    patched.add(id(val))
+        assert patched == set(map(id, targets))
+        d = lambda name: str(tmp_path / name)  # noqa: E731
+        methods = {"heuristic": [], "mlp": ["--weights", d("w.hroi")], "hybrid": ["--weights", d("w.hroi")]}
+        steps = [
+            ["synth", "--n", "60", "--seed", "3", "--out", d("synth.jsonl")],
+            ["ingest", "--train-labels", str(clean_ingest / "train"), "--test-labels", str(clean_ingest / "test"),
+             "--sidecar", str(clean_ingest / "poses.jsonl"), "--out", d("ingest.jsonl")],
+            ["train", "--dataset", d("synth.jsonl"), "--out", d("w.hroi"), "--epochs", "5"],
+            *(["eval", "--dataset", d("synth.jsonl"), "--method", m, *w, "--out", d(f"{m}.csv")]
+              for m, w in methods.items()),
+            ["compare", "--rows-a", d("hybrid.csv"), "--rows-b", d("heuristic.csv"), "--report", d("r.txt")],
+            ["render", "--dataset", d("synth.jsonl"), "--id", "synth-3-00050", "--method", "hybrid",
+             "--weights", d("w.hroi"), "--out", d("box.svg")],
+        ]
+        assert [run_quiet(*argv) for argv in steps] == [(0, [])] * len(steps)
 
 
 def error_types():

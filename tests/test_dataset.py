@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import handroi.dataset
-from conftest import read_cache, reference_gold_roi, reference_synth_generate, reference_write_lines, tight_box
+from conftest import (
+    read_cache,
+    reference_gold_roi,
+    reference_synth_generate,
+    reference_write_lines,
+    row_docs,
+    sample_doc,
+    tight_box,
+    write_doc_lines,
+)
 from handroi.dataset import (
     CACHE_SUFFIX,
     POSE_KEYS,
@@ -33,14 +43,13 @@ from handroi.dataset import (
     parse_panoptic,
     read_pose_sidecar,
     read_samples,
-    sample_to_dict,
     synth_dataset,
     synth_generate,
     write_samples,
 )
 from handroi.errors import DegenerateHand, HandRoiError, InputError
 from handroi.geometry import box_quads
-from handroi.heuristic import gold_roi, gold_rois
+from handroi.heuristic import gold_rois
 
 
 def make_label_file(dirpath, name, pts=None, is_left=0):
@@ -100,7 +109,7 @@ def write_docs(path, docs, later="none"):
     if later == "malformed":
         lines.append('{"id": "late", "hand": [[1.0, 2.0')
     elif later != "none":
-        doc = sample_to_dict(synth_generate(SynthConfig(n=1, seed=99))[0])
+        doc = row_docs(synth_dataset(SynthConfig(n=1, seed=99)))[0]
         if later == "string keypoint":
             doc["pose"]["wrist"][0] = "0.5"
         elif later == "nan landmark":
@@ -111,15 +120,21 @@ def write_docs(path, docs, later="none"):
     path.write_text("".join(line + "\n" for line in lines))
 
 
-def assert_columns(data, samples):
-    """The dataset holds the samples' fields, value for value."""
-    assert data.ids.tolist() == [s.id for s in samples]
-    assert data.width.tolist() == [s.width for s in samples]
-    assert data.height.tolist() == [s.height for s in samples]
-    assert data.split.tolist() == [s.split for s in samples]
-    assert data.was_left.tolist() == [s.was_left for s in samples]
-    assert data.hand.tolist() == [list(map(list, s.hand.points)) for s in samples]
-    assert data.pose.tolist() == [[[kp.x, kp.y, kp.z] for kp in s.pose.as_tuple()] for s in samples]
+def as_samples(data):
+    """The rows of a Dataset as a list of Sample, dims as integers."""
+    columns = (data.ids, data.width, data.height, data.split, data.was_left, data.hand, data.pose)
+    return [
+        Sample(
+            id=sid,
+            width=int(width),
+            height=int(height),
+            hand=Hand21(points=tuple(map(tuple, hand))),
+            pose=PoseHand(*(Vec3(*kp) for kp in pose)),
+            was_left=was_left,
+            split=split,
+        )
+        for sid, width, height, split, was_left, hand, pose in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def sidecar_line(sid, width=640, height=480, handedness="right"):
@@ -458,7 +473,7 @@ class TestMergeSidecar:
         sc = tmp_path / "poses.jsonl"
         sc.write_text(sidecar_line("s1", width=width) + "\n")
         # the read side: a dataset line of the same hand and dims
-        doc = {**sample_to_dict(synth_generate(SynthConfig(n=1, seed=4))[0]), "width": width, "hand": pts}
+        doc = {**row_docs(synth_dataset(SynthConfig(n=1, seed=4)))[0], "width": width, "hand": pts}
         path = tmp_path / "data.jsonl"
         write_docs(path, [doc])
         if degenerate is None:
@@ -523,19 +538,20 @@ class TestMergeSidecar:
 class TestSynth:
     def test_determinism(self):
         cfg = SynthConfig(n=50, seed=11)
-        a = synth_generate(cfg)
-        b = synth_generate(cfg)
-        assert [sample_to_dict(s) for s in a] == [sample_to_dict(s) for s in b]
+        assert_same_columns(synth_dataset(cfg), synth_dataset(cfg))
 
     def test_split_counts(self):
-        samples = synth_generate(SynthConfig(n=1000, seed=1, noise_px=0.5))
-        assert sum(1 for s in samples if s.split == "train") == 700
-        assert sum(1 for s in samples if s.split == "test") == 300
+        split = synth_dataset(SynthConfig(n=1000, seed=1, noise_px=0.5)).split.tolist()
+        assert split.count("train") == 700
+        assert split.count("test") == 300
 
     def test_gold_contains_landmarks(self):
-        for s in synth_generate(SynthConfig(n=30, seed=5, max_tilt_deg=75, noise_px=2)):
-            quad = box_quads([tight_box(gold_roi(s.hand, s.width, s.height))], [s.width], [s.height])[0]
-            for px, py, _ in s.hand.points:
+        data = synth_dataset(SynthConfig(n=30, seed=5, max_tilt_deg=75, noise_px=2))
+        boxes, reason = gold_rois(data.hand, data.width, data.height)
+        assert not reason.any()
+        quads = box_quads([tight_box(box) for box in boxes.tolist()], data.width, data.height)
+        for quad, hand in zip(quads, data.hand.tolist()):
+            for px, py, _ in hand:
                 for i in range(4):
                     ax, ay = quad[i]
                     bx, by = quad[(i + 1) % 4]
@@ -543,8 +559,8 @@ class TestSynth:
                     assert cross >= -1e-6
 
     def test_every_sample_has_valid_gold(self):
-        for s in synth_generate(SynthConfig(n=100, seed=3)):
-            gold_roi(s.hand, s.width, s.height)
+        data = synth_dataset(SynthConfig(n=100, seed=3))
+        assert not gold_rois(data.hand, data.width, data.height)[1].any()
 
     @pytest.mark.parametrize("generate", [synth_dataset, synth_generate])
     def test_gold_rois_bug_propagates(self, buggy_gold_rois, generate):
@@ -590,13 +606,15 @@ class TestSynth:
                         generate(cfg)
                     assert str(got.value) == str(e)
                 return
-            assert synth_generate(cfg) == expected
+            samples = synth_generate(cfg)
+            assert samples == expected
             # the file bytes too, which tell -0.0 from 0.0 and 640 from 640.0
             with tempfile.TemporaryDirectory() as tmp:
                 got, want = Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
-                write_samples(synth_dataset(cfg), got)
-                write_samples(expected, want)
-                assert got.read_bytes() == want.read_bytes()
+                write_doc_lines(map(sample_doc, expected), want)
+                for written in (synth_dataset(cfg), samples):
+                    write_samples(written, got)
+                    assert got.read_bytes() == want.read_bytes()
 
     def test_bad_config(self):
         with pytest.raises(InputError, match="^n must be positive$"):
@@ -624,20 +642,21 @@ class TestStatsAndIo:
         assert stats["n"] == 0 and stats["train"] == 0 and stats["test"] == 0
 
     def test_round_trip(self, tmp_path):
-        samples = synth_generate(SynthConfig(n=10, seed=4))
+        data = synth_dataset(SynthConfig(n=10, seed=4))
         path = tmp_path / "data.jsonl"
-        write_samples(samples, path)
+        write_samples(data, path)
         back = read_samples(path)
         assert len(back) == 10 and back.hand.shape == (10, 21, 3) and back.pose.shape == (10, 6, 3)
-        assert_columns(back, samples)
+        assert_same_columns(back, dataclasses.replace(data, sha256=hashlib.sha256(path.read_bytes()).hexdigest()))
 
     def test_select(self, tmp_path):
-        samples = synth_generate(SynthConfig(n=10, seed=4))
         path = tmp_path / "data.jsonl"
-        write_samples(samples, path)
+        write_samples(synth_dataset(SynthConfig(n=10, seed=4)), path)
         data = read_samples(path)
-        assert_columns(data.select([7, 2]), [samples[7], samples[2]])
-        assert_columns(data.select(data.split == "test"), [s for s in samples if s.split == "test"])
+        docs = row_docs(data)
+        assert row_docs(data.select([7, 2])) == [docs[7], docs[2]]
+        assert row_docs(data.select(data.split == "test")) == [d for d in docs if d["split"] == "test"]
+        assert row_docs(concat([data.select([7]), data.select([2, 0])])) == [docs[7], docs[2], docs[0]]
         assert len(data.select([])) == 0
 
     def test_lines_are_json_dumps(self, tmp_path):
@@ -649,28 +668,8 @@ class TestStatsAndIo:
         path = tmp_path / "data.jsonl"
         write_samples(samples, path)
         lines = path.read_text(encoding="utf-8").split("\n")
-        assert lines == [json.dumps(sample_to_dict(s), sort_keys=True, separators=(",", ":")) for s in samples] + [""]
+        assert lines == [json.dumps(sample_doc(s), sort_keys=True, separators=(",", ":")) for s in samples] + [""]
         assert '"id":"hand-\\u00fc-\\u624b"' in lines[0] and '"was_left":true' in lines[0]
-
-    def test_columns_write_the_bytes_of_their_samples(self, tmp_path):
-        # the merged columns of ingest write, through the line template, the bytes the line encoder writes of Samples
-        hand = Hand21(points=((-0.0, 5e-324, 1.0), (1e300, 2.0, 0.0), *((float(i), 3.0, 0.5) for i in range(19))))
-        pose = PoseHand(Vec3(-0.0, 5e-324, 1e300), *[Vec3(1.0, -2.0, 3.0)] * 5)
-        odd = Sample(id="hand-ü-手", width=2**53, height=2**53 - 1, hand=hand, pose=pose, was_left=True, split="test")
-        samples = [odd, *synth_generate(SynthConfig(n=3, seed=4))]
-        data = Dataset(
-            ids=np.array([s.id for s in samples], dtype=object),
-            width=np.array([s.width for s in samples], dtype=np.float64),
-            height=np.array([s.height for s in samples], dtype=np.float64),
-            split=np.array([s.split for s in samples], dtype=object),
-            was_left=np.array([s.was_left for s in samples]),
-            hand=np.array([s.hand.points for s in samples]),
-            pose=np.array([[[kp.x, kp.y, kp.z] for kp in s.pose.as_tuple()] for s in samples]),
-        )
-        write_samples(samples, tmp_path / "samples.jsonl")
-        write_samples(concat([data.select([0, 1]), data.select([2, 3])]), tmp_path / "columns.jsonl")
-        assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "samples.jsonl").read_bytes()
-        assert dataset_stats(data) == {"n": 4, "train": 2, "test": 2, "was_left": 1}
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -698,18 +697,18 @@ class TestStatsAndIo:
             hand=hand,
             pose=pose,
         )
+        # the Sample leg: the same rows as a list of Sample; Hand21 takes only confidences in [0, 1], so each
+        # other confidence is 1.0 there
+        conf = hand[:, :, 2]
+        conf = np.where((conf >= 0.0) & (conf <= 1.0), conf, 1.0)
+        data_of_samples = dataclasses.replace(data, hand=np.dstack([hand[:, :, :2], conf]))
+        samples = as_samples(data_of_samples)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(handroi.dataset, "_DOC_BLOCK_ROWS", block)
-            write_samples(data, Path(tmp, "template.jsonl"))
-            reference_write_lines(data, Path(tmp, "encoder.jsonl"))
-            assert Path(tmp, "template.jsonl").read_bytes() == Path(tmp, "encoder.jsonl").read_bytes()
-
-    def test_columns_use_no_json_encoder(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(handroi.dataset._LINE_ENCODER, "encode", lambda *a, **k: pytest.fail("a JSON encoder"))
-        data = synth_dataset(SynthConfig(n=30, seed=2))
-        write_samples(data, tmp_path / "data.jsonl")
-        reference_write_lines(data, tmp_path / "reference.jsonl")
-        assert (tmp_path / "data.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+            for written, reference in ((data, data), (samples, data_of_samples)):
+                write_samples(written, Path(tmp, "template.jsonl"))
+                reference_write_lines(reference, Path(tmp, "encoder.jsonl"))
+                assert Path(tmp, "template.jsonl").read_bytes() == Path(tmp, "encoder.jsonl").read_bytes()
 
     @pytest.mark.parametrize("column", ["hand", "pose"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -732,17 +731,17 @@ class TestStatsAndIo:
             assert data.width.dtype == data.height.dtype == np.float64, type(data)
 
     def test_write_deterministic(self, tmp_path):
-        samples = synth_generate(SynthConfig(n=10, seed=4))
+        data = synth_dataset(SynthConfig(n=10, seed=4))
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_samples(samples, p1)
-        write_samples(samples, p2)
+        write_samples(data, p1)
+        write_samples(data, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("later", LATER_BAD_LINES)
     @pytest.mark.parametrize("field", ["width", "height"])
     @pytest.mark.parametrize("value", [0, -480])
     def test_read_non_positive_image_dims(self, tmp_path, field, value, later):
-        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        docs = row_docs(synth_dataset(SynthConfig(n=3, seed=4)))
         docs[1][field] = value
         path = tmp_path / "data.jsonl"
         write_docs(path, docs, later)
@@ -786,7 +785,7 @@ class TestStatsAndIo:
     )
     @pytest.mark.parametrize("later", LATER_BAD_LINES)
     def test_read_mistyped_field(self, tmp_path, field, value, message, later):
-        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        docs = row_docs(synth_dataset(SynthConfig(n=3, seed=4)))
         docs[1][field] = value
         path = tmp_path / "data.jsonl"
         write_docs(path, docs, later)
@@ -797,7 +796,7 @@ class TestStatsAndIo:
     @pytest.mark.parametrize("value", NON_NUMBERS)
     @pytest.mark.parametrize("field, coord", [("hand", (3, 0)), ("hand", (3, 2)), ("pose", ("wrist", 1))])
     def test_read_non_number_landmark(self, tmp_path, field, coord, value, later):
-        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        docs = row_docs(synth_dataset(SynthConfig(n=3, seed=4)))
         outer, inner = coord
         docs[1][field][outer][inner] = value
         message = f"expected a JSON number, got {value!r}"
@@ -808,7 +807,7 @@ class TestStatsAndIo:
 
     @pytest.mark.parametrize("later", LATER_BAD_LINES)
     def test_read_duplicate_line_names_its_bad_value(self, tmp_path, later):
-        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        docs = row_docs(synth_dataset(SynthConfig(n=3, seed=4)))
         repeat = json.loads(json.dumps(docs[0]))
         repeat["hand"][5][1] = math.nan
         path = tmp_path / "data.jsonl"
@@ -825,7 +824,7 @@ class TestStatsAndIo:
             read_samples(path)
 
     def test_read_integer_landmarks(self, tmp_path):
-        doc = sample_to_dict(synth_generate(SynthConfig(n=1, seed=4))[0])
+        doc = row_docs(synth_dataset(SynthConfig(n=1, seed=4)))[0]
         doc["hand"][3] = [300, 200, 1]
         doc["pose"]["wrist"] = [0, 1, 0]
         path = tmp_path / "data.jsonl"
@@ -835,9 +834,8 @@ class TestStatsAndIo:
         assert data.hand.dtype == data.pose.dtype == np.float64
 
     def test_read_invalid_utf8(self, tmp_path):
-        samples = synth_generate(SynthConfig(n=3, seed=4))
         path = tmp_path / "data.jsonl"
-        write_samples(samples, path)
+        write_samples(synth_dataset(SynthConfig(n=3, seed=4)), path)
         path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
         with pytest.raises(InputError, match=f"{path} line 4: 'utf-8' codec"):
             read_samples(path)
@@ -850,7 +848,7 @@ class TestStatsAndIo:
 
     @pytest.mark.parametrize("later", LATER_BAD_LINES)
     def test_read_duplicate_id(self, tmp_path, later):
-        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        docs = row_docs(synth_dataset(SynthConfig(n=3, seed=4)))
         path = tmp_path / "data.jsonl"
         write_docs(path, docs + docs[1:2], later)
         with pytest.raises(InputError, match=f"{path} line 4: duplicate id '{docs[1]['id']}'$"):
@@ -927,7 +925,7 @@ class TestColumnCache:
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["data.jsonl", "data.jsonl.cols.npz"]
 
     def test_odd_ids_round_trip(self, tmp_path):
-        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=len(ODD_IDS), seed=4))]
+        docs = row_docs(synth_dataset(SynthConfig(n=len(ODD_IDS), seed=4)))
         for doc, sid in zip(docs, ODD_IDS):
             doc["id"] = sid
         path = tmp_path / "data.jsonl"
@@ -1064,7 +1062,7 @@ class TestColumnCache:
 
     @pytest.mark.parametrize("later", ["malformed", "nan landmark"])
     def test_failed_parse_leaves_no_cache(self, tmp_path, later):
-        docs = [sample_to_dict(s) for s in synth_generate(SynthConfig(n=3, seed=4))]
+        docs = row_docs(synth_dataset(SynthConfig(n=3, seed=4)))
         write_docs(tmp_path / "data.jsonl", docs, later)
         with pytest.raises(InputError, match="line 4"):
             read_samples(tmp_path / "data.jsonl")

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_size, reference_calc_hand_roi, reference_gold_roi, tight_box
+from conftest import closed_form_size, reference_calc_hand_roi, reference_gold_roi, scalar_gold_predictor, tight_box
 from handroi.errors import DegenerateHand, HandRoiError
 from handroi.geometry import areas, box_quads, circular_diff_deg
-from handroi.dataset import HAND_TEMPLATE, Hand21, SynthConfig, synth_generate
+from handroi.dataset import HAND_TEMPLATE, Hand21, SynthConfig, synth_dataset
 from handroi.heuristic import (
     DEGENERATE_REASONS,
     MIDDLE_MCP,
@@ -290,10 +290,9 @@ class TestGoldRoisReference:
             assert np.array(view).tobytes() == np.array(ref).tobytes(), kind
 
     def test_synthetic_dataset_bitwise(self):
-        samples = synth_generate(SynthConfig(n=300, seed=8, max_tilt_deg=80, noise_px=2))
-        hands = np.array([s.hand.points for s in samples])
-        boxes, reason = gold_rois(hands, [s.width for s in samples], [s.height for s in samples])
-        ref = np.array([reference_gold_roi(s.hand, s.width, s.height) for s in samples])
+        data = synth_dataset(SynthConfig(n=300, seed=8, max_tilt_deg=80, noise_px=2))
+        boxes, reason = gold_rois(data.hand, data.width, data.height)
+        ref, _ = scalar_gold_predictor(data)
         assert not reason.any() and boxes.tobytes() == ref.tobytes()
 
     def test_infinite_dims(self):

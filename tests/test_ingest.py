@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_ingest
+from conftest import reference_ingest, row_docs
 from handroi import cli
-from handroi.dataset import POSE_KEYS, SynthConfig, synth_generate
+from handroi.dataset import POSE_KEYS, SynthConfig, synth_dataset
 from handroi.heuristic import MIDDLE_MCP, WRIST
 
 # no is_left key in the annotation file
@@ -56,8 +56,8 @@ WIDTHS = ["drawn", 2**53, 2**53 + 1]
 
 @pytest.fixture(scope="module")
 def pool():
-    """Synthetic samples whose hands, poses and dims the corpora use."""
-    return synth_generate(SynthConfig(n=6, seed=21))
+    """Synthetic samples, as the dicts of their dataset lines, whose hands, poses and dims the corpora use."""
+    return row_docs(synth_dataset(SynthConfig(n=6, seed=21)))
 
 
 def rarely(kinds):
@@ -98,13 +98,13 @@ def corpora(draw, n_pool):
 
 def annotation_bytes(spec, sample):
     """The annotation file of a sample: its hand_pts and is_left, with its planted fault."""
-    pts = [list(p) for p in sample.hand.points]
+    pts = [list(p) for p in sample["hand"]]
     if spec["hand"] == "knuckle on wrist":
         pts[MIDDLE_MCP] = list(pts[WRIST])
     elif spec["hand"] == "one point":
         pts = [list(pts[0]) for _ in pts]
     elif spec["hand"] == "at -width":
-        pts[4][0] = -float(sample.width if spec["width"] == "drawn" else spec["width"])
+        pts[4][0] = -float(sample["width"] if spec["width"] == "drawn" else spec["width"])
     fault, (i, j), k = spec["annotation_fault"], spec["fault_at"], spec["fault_value"]
     if fault == "20 landmarks":
         pts = pts[:20]
@@ -147,9 +147,9 @@ def sidecar_lines(spec, sample):
     """The sidecar lines of a sample (none, one, or one twice), with its planted fault and blank lines."""
     if spec["pose"] == "missing":
         return []
-    width = sample.width if spec["width"] == "drawn" else spec["width"]
-    doc = {"id": spec["id"], "width": width, "height": sample.height, "handedness": spec["handedness"]}
-    doc.update({key: [kp.x, kp.y, kp.z] for key, kp in zip(POSE_KEYS, sample.pose.as_tuple())})
+    width = sample["width"] if spec["width"] == "drawn" else spec["width"]
+    doc = {"id": spec["id"], "width": width, "height": sample["height"], "handedness": spec["handedness"]}
+    doc.update({key: list(sample["pose"][key]) for key in POSE_KEYS})
     fault, (key, j), k = spec["pose"], spec["pose_at"], spec["fault_value"]
     if fault == "non-finite":
         doc[key][j] = NON_FINITE[k % len(NON_FINITE)]

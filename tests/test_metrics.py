@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_dataset, scalar_gold_predictor, with_degenerate_gold
-from handroi.dataset import SynthConfig, synth_generate
+from conftest import scalar_gold_predictor
+from handroi.dataset import SynthConfig, synth_dataset
 from handroi.errors import InputError, JoinError
 from handroi.geometry import rotated_iou
+from handroi.heuristic import MIDDLE_MCP, WRIST
 from handroi.metrics import (
     CSV_COLUMNS,
     HIST_BINS,
@@ -73,11 +74,8 @@ class TestRotationError:
 
 
 class TestEvaluate:
-    def samples(self, n=20, seed=2):
-        return synth_generate(SynthConfig(n=n, seed=seed, max_tilt_deg=50))
-
     def data(self, n=20, seed=2):
-        return make_dataset(self.samples(n, seed))
+        return synth_dataset(SynthConfig(n=n, seed=seed, max_tilt_deg=50))
 
     def test_gold_as_predictor(self):
         samples = self.data()
@@ -112,10 +110,10 @@ class TestEvaluate:
             evaluate(lambda data: (np.zeros((0, 4)), np.zeros(0, bool)), self.data(n=1).select([]))
 
     def test_degenerate_gold_names_sample(self):
-        samples = self.samples(n=3)
-        samples[1] = with_degenerate_gold(samples[1])
-        with pytest.raises(InputError, match=f"sample '{samples[1].id}' has a degenerate gold hand"):
-            evaluate(heuristic, make_dataset(samples))
+        data = self.data(n=3)
+        data.hand[1, MIDDLE_MCP] = data.hand[1, WRIST]
+        with pytest.raises(InputError, match=f"sample '{data.ids[1]}' has a degenerate gold hand"):
+            evaluate(heuristic, data)
 
     def test_one_predict_call(self):
         samples = self.data(n=7)

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    make_dataset,
     reference_predict_roi,
     reference_rotation,
-    with_degenerate_gold,
 )
-from handroi.dataset import PoseHand, SynthConfig, Vec3, synth_generate
+from handroi.dataset import POSE_KEYS, SynthConfig, concat, synth_dataset
 from handroi.errors import HandRoiError, InputError
 from handroi.geometry import circular_diff_deg
-from handroi.heuristic import calc_hand_roi
+from handroi.heuristic import MIDDLE_MCP, WRIST, calc_hand_roi
 from handroi.model import (
     FEATURE_DIM,
     FEATURE_SPEC,
@@ -66,17 +64,16 @@ def grad_max_rel_err(analytic, numeric):
     return worst
 
 
-SAMPLE = synth_generate(SynthConfig(n=1, seed=3))[0]
+DATA = synth_dataset(SynthConfig(n=1, seed=3))
 
 
-def with_pose(pose, width=640, height=480):
-    """A sample carrying the given pose and image size."""
-    return dataclasses.replace(SAMPLE, pose=pose, width=width, height=height)
-
-
-def featurize_samples(samples):
-    """featurize of the samples read as one dataset, their ids renumbered so that none repeats."""
-    return featurize(make_dataset([dataclasses.replace(s, id=f"s{k}") for k, s in enumerate(samples)]))
+def with_keypoints(poses, widths):
+    """Copies of DATA's one sample, each carrying one of the poses ((6, 3) keypoints) and of the image widths."""
+    return dataclasses.replace(
+        DATA.select(np.zeros(len(poses), np.intp)),
+        width=np.array(widths, dtype=np.float64),
+        pose=np.array(poses, dtype=np.float64).reshape(-1, 6, 3),
+    )
 
 
 def random_predictor(rng):
@@ -186,23 +183,23 @@ class TestGradient:
 
 class TestFeaturize:
     def test_all_zero(self):
-        f = featurize_samples([with_pose(PoseHand(*[Vec3(0, 0, 0)] * 6), width=480)])
+        f = featurize(with_keypoints([np.zeros((6, 3))], [480]))
         assert f.shape == (1, 19)
         assert np.all(f[0, :18] == 0.0) and f[0, 18] == 1.0
 
     def test_wrist_position(self):
-        kps = [Vec3(0, 0, 0)] * 2 + [Vec3(0.5, 0.8, -0.1)] + [Vec3(0, 0, 0)] * 3
-        f = featurize_samples([SAMPLE, with_pose(PoseHand(*kps), width=960)])
+        kps = np.zeros((6, 3))
+        kps[2] = (0.5, 0.8, -0.1)
+        f = featurize(concat([DATA, with_keypoints([kps], [960])]))
         assert tuple(f[1, 6:9]) == (0.5, 0.8, -0.1) and f[1, 18] == 2.0
 
     def test_nonfinite_rho(self):
         # a file cannot hold such a width: the reader takes only integers above 0
-        data = make_dataset([SAMPLE])
         with pytest.raises(HandRoiError, match="^non-finite feature value$"):
-            featurize(dataclasses.replace(data, width=np.array([math.nan])))
+            featurize(dataclasses.replace(DATA, width=np.array([math.nan])))
 
     def test_empty(self):
-        assert featurize(make_dataset([SAMPLE]).select([])).shape == (0, FEATURE_DIM)
+        assert featurize(DATA.select([])).shape == (0, FEATURE_DIM)
 
 
 def train_one(X, Y, layer_sizes, cfg):
@@ -334,13 +331,13 @@ class TestTraining:
 
     def test_empty_dataset(self):
         with pytest.raises(InputError, match="^need at least 2 training samples$"):
-            train_predictor(make_dataset([SAMPLE]).select([]), TrainConfig())
+            train_predictor(DATA.select([]), TrainConfig())
 
     def test_degenerate_gold_names_sample(self):
-        samples = synth_generate(SynthConfig(n=5, seed=2))
-        samples[3] = with_degenerate_gold(samples[3])
-        with pytest.raises(InputError, match=f"sample '{samples[3].id}' has a degenerate gold hand"):
-            train_predictor(make_dataset(samples), TrainConfig(epochs=1))
+        data = synth_dataset(SynthConfig(n=5, seed=2))
+        data.hand[3, MIDDLE_MCP] = data.hand[3, WRIST]
+        with pytest.raises(InputError, match=f"sample '{data.ids[3]}' has a degenerate gold hand"):
+            train_predictor(data, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -414,11 +411,8 @@ class TestPredictReference:
 class TestHybrid:
     def test_delegation(self, rng):
         p = random_predictor(rng)
-        samples = [
-            with_pose(PoseHand(*[Vec3(*kp) for kp in rng.uniform(0, 1, size=(6, 3))]), width=w)
-            for w in rng.integers(240, 960, size=20).tolist()
-        ]
-        X = featurize_samples(samples)
+        widths = rng.integers(240, 960, size=20).tolist()
+        X = featurize(with_keypoints([rng.uniform(0, 1, size=(6, 3)) for _ in widths], widths))
         boxes, failed = hybrid_predict(p, X)
         heur, heur_failed = heuristic_roi(X)
         mlp, mlp_failed = predict_roi(p, X)
@@ -427,19 +421,17 @@ class TestHybrid:
         assert boxes[:, :3].tolist() == mlp[:, :3].tolist()
 
     def test_heuristic_reads_the_pose(self, rng):
-        samples = synth_generate(SynthConfig(n=10, seed=4))
-        boxes, failed = heuristic_roi(featurize(make_dataset(samples)))
+        data = synth_dataset(SynthConfig(n=10, seed=4))
+        boxes, failed = heuristic_roi(featurize(data))
         ref, ref_failed = calc_hand_roi(
-            *([(kp.x, kp.y) for kp in (getattr(s.pose, name) for s in samples)]
-              for name in ("wrist", "index", "pinky")),
-            [s.width / s.height for s in samples],
+            *(data.pose[:, POSE_KEYS.index(name), :2].tolist() for name in ("wrist", "index", "pinky")),
+            (data.width / data.height).tolist(),
         )
         assert boxes.tobytes() == ref.tobytes() and failed.tolist() == ref_failed.tolist()
 
     def test_degenerate_propagates(self):
-        kp = Vec3(0.5, 0.5, 0.0)
-        degenerate = with_pose(PoseHand(kp, kp, kp, kp, kp, kp))
-        _, failed = hybrid_predict(tuple(map(Mlp.zeros, HEAD_LAYOUTS)), featurize_samples([SAMPLE, degenerate]))
+        degenerate = with_keypoints([np.full((6, 3), (0.5, 0.5, 0.0))], [640])
+        _, failed = hybrid_predict(tuple(map(Mlp.zeros, HEAD_LAYOUTS)), featurize(concat([DATA, degenerate])))
         assert failed.tolist() == [False, True]
 
 

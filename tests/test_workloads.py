@@ -1,8 +1,9 @@
 """Tooling guard: the benchmark's workloads (`perfbench/workloads.py`) set up, run and check at small sizes.
 
-Their set-up reads synthetic samples through `synth_generate`'s Sample API
-and drives every CLI command, so a change that breaks either fails here
-before it fails a benchmark run.
+The ingest set-up reads synthetic samples through `synth_generate`'s Sample
+API and writes them back with `write_samples` of a list of Sample, the last
+callers of both, and the workloads drive every CLI command, so a change
+that breaks any of these fails here before it fails a benchmark run.
 """
 
 import contextlib
