@@ -729,14 +729,24 @@ def _checked_lines(source, pairs, kind):
     ids, first = columns[0], {}
     repeated = np.array([first.setdefault(sid, i) != i for i, sid in enumerate(ids)], dtype=bool)
     checks.append((repeated, lambda i: f"duplicate id {ids[i]!r}"))
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not faults or lines[i] < faults[0][0]:
-            faults = [(lines[i], next(describe(i) for mask, describe in checks if mask[i]))]
+    bad = first_fault(checks)
+    if bad and (not faults or lines[bad[0]] < faults[0][0]):
+        faults = [(lines[bad[0]], bad[1])]
     if faults:
         raise InputError(f"{source} line {faults[0][0]}: {faults[0][1]}")
     return columns, values
+
+
+def first_fault(checks):
+    """(row, message) of the first row that a check of [(bad-row mask, describe(row))] flags, or None.
+
+    The message is describe(row) of the first check that flags the row.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, next(describe(i) for mask, describe in checks if mask[i])
 
 
 def _json_lines(raw_lines):
@@ -825,6 +835,8 @@ def _stacked_values(vals, n, landmarks, keypoints):
 CACHE_SUFFIX = ".cols.npz"
 # version of the cache's member layout; a cache of another version is rebuilt
 CACHE_LAYOUT = 1
+# bytes hashed at a time when a dataset file is checked against its cache's key
+HASH_CHUNK = 1 << 20
 # what reading a damaged or foreign cache file raises: np.load and zipfile (a flipped flag bit reads as
 # an encrypted member, RuntimeError, or an unknown compression method, NotImplementedError), the npy
 # header parser and json
@@ -852,17 +864,26 @@ def read_samples(path) -> Dataset:
     """
     cache = f"{path}{CACHE_SUFFIX}"
     if os.path.exists(cache):
-        with open(path, "rb") as fh:
-            data = _cached_dataset(cache, hashlib.sha256(fh.read()).hexdigest())
+        data = _cached_dataset(cache, _file_sha256(path))
         if data is not None:
             return data
-    # parsed line by line, which holds less memory than parsing the bytes hashed above
+    # parsed line by line, which holds less memory than parsing the whole file's bytes
     parsed = hashlib.sha256()
     with open(path, "rb") as fh:
         raw_lines = (parsed.update(raw) or raw for raw in fh)
         data = replace(dataset_from_docs(_json_lines(raw_lines), path), sha256=parsed.hexdigest())
     _write_cache(cache, data)
     return data
+
+
+def _file_sha256(path):
+    """The hex sha256 of the file's bytes, read HASH_CHUNK bytes at a time so the file is never held whole."""
+    digest, chunk = hashlib.sha256(), bytearray(HASH_CHUNK)
+    view = memoryview(chunk)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(chunk):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def _write_cache(cache, data):

@@ -57,16 +57,19 @@ def calc_hand_roi(wrist, index, pinky, rho):
     return np.column_stack([cx, cy, SIZE_SCALE * size, rotation]), failed
 
 
-def _extreme(cols, beats):
-    """Row-wise min (beats=np.less) or max (np.greater) of a list of (N,) columns.
+def _extreme(rows, builtin):
+    """Column-wise builtin min or max (builtin) of a (K, N) array, as the builtin takes each column.
 
-    As the builtin min and max take it: a later value replaces the current
-    one only if it beats it, so the first of equal values (0.0 and -0.0)
-    wins and a NaN only when it comes first.
+    The builtin replaces the current value with a later one only if it
+    beats it, so the first of equal values (0.0 and -0.0) wins and a NaN
+    only when it comes first. A numpy reduction finds the same value except
+    where it meets a NaN or the extreme is a zero, whose sign it may take
+    from any of the equal zeros; those columns are taken by the builtin.
     """
-    out = cols[0]
-    for col in cols[1:]:
-        out = np.where(beats(col, out), col, out)
+    out = (np.min if builtin is min else np.max)(rows, axis=0)
+    odd = np.flatnonzero((out == 0.0) | np.isnan(out))
+    if odd.size:
+        out[odd] = list(map(builtin, rows[:, odd].T.tolist()))
     return out
 
 
@@ -103,11 +106,14 @@ def gold_rois(hand, width, height):
     otherwise the number (from 1) of the first DEGENERATE_REASONS entry
     that holds: the box has no size or is not finite, or a landmark lies
     outside [-width, 2 width] x [-height, 2 height]; the boxes of those
-    rows are NaN. The arithmetic is a scalar loop's, row by row: the
-    landmarks are summed left to right (as the builtin sum does before
-    Python 3.12), min and max keep the first of equals, and the angles and
-    their cosines and sines come from the math module, one row at a time
-    (numpy's arctan2 differs in the last bits).
+    rows are NaN. The arithmetic is a scalar loop's, row by row, though
+    the landmarks are held as two (21, N) arrays, x and y, and each step
+    works on all hands: the landmarks are summed left to right, one row
+    addition at a time (as the builtin sum does before Python 3.12), min
+    and max keep the first of equal values and take a NaN only when it
+    comes first (`_extreme`), and the angles and their cosines and sines
+    come from the math module, one value at a time (numpy's arctan2 differs
+    in the last bits).
     """
     hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
     width = np.asarray(width, dtype=np.float64)
@@ -120,23 +126,24 @@ def gold_rois(hand, width, height):
 
 
 def _gold_rois(hand, width, height):
-    # one (N,) column per landmark, so each step below is one scalar step on every row
-    xs, ys = list(hand[:, :, 0].T), list(hand[:, :, 1].T)
-    wx, wy, mx, my = xs[WRIST], ys[WRIST], xs[MIDDLE_MCP], ys[MIDDLE_MCP]
-    left, right = _extreme(xs, np.less), _extreme(xs, np.greater)
-    top, bottom = _extreme(ys, np.less), _extreme(ys, np.greater)
+    # the landmarks' x and y as (21, N) rows, so each step below is one scalar step on every hand
+    X, Y = np.ascontiguousarray(hand[:, :, 0].T), np.ascontiguousarray(hand[:, :, 1].T)
+    wx, wy, mx, my = X[WRIST], Y[WRIST], X[MIDDLE_MCP], Y[MIDDLE_MCP]
+    left, right = _extreme(X, min), _extreme(X, max)
+    top, bottom = _extreme(Y, min), _extreme(Y, max)
 
     angle = np.fromiter(map(math.atan2, (my - wy).tolist(), (mx - wx).tolist()), np.float64, len(wx))
     rotation = normalize_deg(_math_map(math.degrees, angle) + 90.0)
-    cx, cy = sum(xs) / 21.0, sum(ys) / 21.0
+    # 20 row additions in order: np.add.reduce would sum pairwise where the rows are one hand long
+    cx, cy = sum(X) / 21.0, sum(Y) / 21.0
 
     th = _math_map(math.radians, -rotation)
     c, s = _math_map(math.cos, th), _math_map(math.sin, th)
-    rx = [(x - cx) * c - (y - cy) * s for x, y in zip(xs, ys)]
-    ry = [(x - cx) * s + (y - cy) * c for x, y in zip(xs, ys)]
-    lo_x, hi_x = _extreme(rx, np.less), _extreme(rx, np.greater)
-    lo_y, hi_y = _extreme(ry, np.less), _extreme(ry, np.greater)
-    side = _extreme([hi_x - lo_x, hi_y - lo_y], np.greater)
+    rx = (X - cx) * c - (Y - cy) * s
+    ry = (X - cx) * s + (Y - cy) * c
+    lo_x, hi_x = _extreme(rx, min), _extreme(rx, max)
+    lo_y, hi_y = _extreme(ry, min), _extreme(ry, max)
+    side = _extreme(np.stack([hi_x - lo_x, hi_y - lo_y]), max)
 
     bx = (lo_x + hi_x) / 2.0
     by = (lo_y + hi_y) / 2.0

@@ -13,14 +13,13 @@ counted, so a method cannot improve its numbers by refusing to predict.
 """
 
 import csv
-import itertools
 import math
 import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import gold_boxes
+from .dataset import first_fault, gold_boxes
 from .errors import InputError, JoinError
 from .geometry import circular_diff_deg, rotated_ious
 
@@ -141,44 +140,119 @@ def iou_histogram(rows: Rows):
 # ---------------------------------------------------------------------------
 # file formats: rows as CSV (fixed column order), summaries as key=value text
 
+# a rows file's lines as csv.writer writes them (the excel dialect: "," and "\r\n"). %r is float.__repr__,
+# which csv calls for a float; a failed row's error cells are empty
+_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
+_SCORED_LINE = "%s,%s,%r,%r,%r,%r,0\r\n"
+_FAILED_LINE = "%s,%s,%r,,,,1\r\n"
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+# a surrogate code point, the one kind of character UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _csv_field(text):
+    """text as csv's QUOTE_MINIMAL writes it: in double quotes, each one doubled, if it holds , " CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
 def write_rows_csv(rows: Rows, path):
-    # csv writes a float as its repr and None as an empty field, so a failed row's errors are None
-    errs = [np.where(rows.failed, None, getattr(rows, c)).tolist() for c in ERROR_COLUMNS]
-    methods = itertools.repeat(rows.method)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(rows.ids, methods, rows.iou.tolist(), *errs, rows.failed.astype(int).tolist()))
+    """Write rows as CSV, the bytes csv.writer writes: the CSV_COLUMNS header, then one line per row.
 
-
-def _parse_row(rec):
-    """(sample_id, method, iou, errors, failed) of one CSV record.
-
-    Raises ValueError unless the record keeps the invariants of `Rows`.
+    The text is encoded before the file is opened, so a sample id (or
+    method) that UTF-8 cannot encode, one holding a lone surrogate, raises
+    InputError naming it and leaves no file.
     """
-    if len(rec) != len(CSV_COLUMNS):
-        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
-    sample_id, method, iou, *errs, failed = rec
-    if _CONTROL.search(method):
-        raise ValueError(f"method {method!r} holds a control character")
-    if failed not in ("0", "1"):
-        raise ValueError(f"failed must be 0 or 1, got {failed!r}")
-    iou = float(iou)
-    if not 0.0 <= iou <= 1.0:
-        raise ValueError(f"iou {iou!r} is not in [0, 1]")
-    if failed == "1":
-        if iou != 0.0 or any(errs):
-            raise ValueError("a failed row needs iou 0 and empty error fields")
-        return sample_id, method, 0.0, [math.nan] * 3, True
-    if not all(errs):
-        raise ValueError("a row that is not failed needs all three error fields")
-    errs = [float(e) for e in errs]
-    for name, val in zip(ERROR_COLUMNS, errs):
-        if not 0.0 <= val < math.inf:
-            raise ValueError(f"{name} {val!r} is not finite and >= 0")
-    if errs[2] > 180.0:
-        raise ValueError(f"rot_err_deg {errs[2]!r} is above 180")
-    return sample_id, method, iou, errs, False
+    method = _csv_field(rows.method)
+    cols = (getattr(rows, c).tolist() for c in ("iou", *ERROR_COLUMNS, "failed"))
+    lines = [
+        _FAILED_LINE % (sid, method, iou) if failed else _SCORED_LINE % (sid, method, iou, center, scale, rot)
+        for sid, iou, center, scale, rot, failed in zip(map(_csv_field, rows.ids), *cols)
+    ]
+    try:
+        data = "".join([_HEADER, *lines]).encode("utf-8")
+    except UnicodeEncodeError:
+        bad = next((f"sample id {sid!r}" for sid in rows.ids if _SURROGATE.search(sid)), f"method {rows.method!r}")
+        raise InputError(f"{bad} cannot be written as UTF-8") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _float_error(text):
+    """The ValueError message of float(text), or None if float takes it."""
+    try:
+        float(text)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _floats(cells):
+    """(values, bad) of text cells: Python's float of each (NaN where it refuses one) and the mask of those."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), dtype=bool)
+    except ValueError:
+        bad = [_float_error(c) is not None for c in cells]
+        return np.array([math.nan if b else float(c) for c, b in zip(cells, bad)]), np.array(bad)
+
+
+# a record that stands in for one of the wrong length, so that its columns can be built; it passes every check
+_STAND_IN = ("", "", "0.0", "", "", "", "1")
+
+
+def _checked_rows(records):
+    """(rows, checks) of one or more CSV records, read into the columns of `Rows` and checked all at once.
+
+    A failed row's iou is +0.0 and its errors NaN; rows is a valid Rows
+    only if no mask holds. checks is [(bad-row mask, describe(row))] in the
+    order a row's faults are named: its field count, its method, its failed
+    cell, its iou, its error cells, a method that differs from the first
+    row's, and an id an earlier row has.
+    """
+    n = len(records)
+    shaped = np.fromiter(map(len, records), np.intp, n) == len(CSV_COLUMNS)
+    cells = records if shaped.all() else [rec if ok else _STAND_IN for rec, ok in zip(records, shaped.tolist())]
+    ids, methods, iou_cells, *err_cells, failed_cells = zip(*cells)
+    controlled = {m for m in set(methods) if _CONTROL.search(m)}
+    is0 = np.fromiter(map("0".__eq__, failed_cells), bool, n)
+    is1 = np.fromiter(map("1".__eq__, failed_cells), bool, n)
+    iou, iou_bad = _floats(iou_cells)
+    filled = np.array([list(map(bool, col)) for col in err_cells])
+    # an empty cell reads as NaN: a failed row's are dropped, and another row's is its fault
+    errs, errs_bad = map(np.array, zip(*(_floats([c or "nan" for c in col]) for col in err_cells)))
+    out_of_range = ~((errs >= 0.0) & (errs < math.inf))
+    first = {}
+    repeated = np.array([first.setdefault(sid, i) != i for i, sid in enumerate(ids)])
+
+    def first_err(mask, i):
+        """The first of row i's three error columns where mask holds."""
+        return int(np.argmax(mask[:, i]))
+
+    checks = [
+        (~shaped, lambda i: f"expected {len(CSV_COLUMNS)} fields, got {len(records[i])}"),
+        (
+            np.fromiter(map(controlled.__contains__, methods), bool, n),
+            lambda i: f"method {methods[i]!r} holds a control character",
+        ),
+        (~(is0 | is1), lambda i: f"failed must be 0 or 1, got {failed_cells[i]!r}"),
+        (iou_bad, lambda i: _float_error(iou_cells[i])),
+        (~((iou >= 0.0) & (iou <= 1.0)), lambda i: f"iou {float(iou[i])!r} is not in [0, 1]"),
+        (is1 & ((iou != 0.0) | filled.any(axis=0)), lambda i: "a failed row needs iou 0 and empty error fields"),
+        (is0 & ~filled.all(axis=0), lambda i: "a row that is not failed needs all three error fields"),
+        (is0 & errs_bad.any(axis=0), lambda i: _float_error(err_cells[first_err(errs_bad, i)][i])),
+        (
+            is0 & out_of_range.any(axis=0),
+            lambda i: f"{ERROR_COLUMNS[first_err(out_of_range, i)]} {float(errs[first_err(out_of_range, i), i])!r}"
+            " is not finite and >= 0",
+        ),
+        (is0 & (errs[2] > 180.0), lambda i: f"rot_err_deg {float(errs[2, i])!r} is above 180"),
+        (
+            np.fromiter(map(methods[0].__ne__, methods), bool, n),
+            lambda i: f"method {methods[i]!r} differs from the first row's {methods[0]!r}",
+        ),
+        (repeated, lambda i: f"duplicate sample id {ids[i]!r}"),
+    ]
+    rows = Rows(ids, methods[0], np.where(is1, 0.0, iou), *np.where(is1, math.nan, errs), is1)
+    return rows, checks
 
 
 def read_rows_csv(path) -> Rows:
@@ -186,32 +260,35 @@ def read_rows_csv(path) -> Rows:
 
     The file needs at least one row, every row the same method, which
     holds no control character, and its own sample id, and every row the
-    invariants of `Rows`, with empty error fields where it failed.
+    invariants of `Rows`, with empty error fields where it failed. The
+    records are read first, up to a csv or UTF-8 fault if there is one;
+    then every check runs on all of them at once (`_checked_rows`), and
+    the error names the first bad record (`dataset.first_fault`) or, if
+    none comes before it, the fault.
     """
-    parsed = []
-    ids = set()
+    records, ends, fault = [], [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(CSV_COLUMNS):
-                raise ValueError(f"header is not {','.join(CSV_COLUMNS)}")
-            for rec in reader:
-                if not rec:
-                    continue
-                parsed.append(_parse_row(rec))
-                (sid, method), first = parsed[-1][:2], parsed[0][1]
-                if method != first:
-                    raise ValueError(f"method {method!r} differs from the first row's {first!r}")
-                if sid in ids:
-                    raise ValueError(f"duplicate sample id {sid!r}")
-                ids.add(sid)
-            if not parsed:
-                raise ValueError("no rows after the header")
-        except (ValueError, csv.Error) as e:
-            raise InputError(f"{path} line {max(reader.line_num, 1)}: {e}") from None
-    ids, methods, iou, errs, failed = zip(*parsed)
-    errs = np.array(errs, dtype=np.float64)
-    return Rows(ids, methods[0], np.array(iou), *errs.T, np.array(failed))
+                fault = (max(reader.line_num, 1), f"header is not {','.join(CSV_COLUMNS)}")
+            else:
+                for rec in reader:
+                    if rec:
+                        records.append(rec)
+                        ends.append(reader.line_num)
+        except (csv.Error, UnicodeDecodeError) as e:
+            fault = (max(reader.line_num, 1), str(e))
+        if fault is None and not records:
+            fault = (max(reader.line_num, 1), "no rows after the header")
+    if records:
+        rows, checks = _checked_rows(records)
+        bad = first_fault(checks)
+        if bad:
+            fault = (ends[bad[0]], bad[1])
+    if fault is not None:
+        raise InputError(f"{path} line {fault[0]}: {fault[1]}")
+    return rows
 
 
 def write_summary(summary: MetricsSummary, path):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -32,6 +33,7 @@ from handroi.heuristic import (
     THUMB_LOW,
     WRIST,
 )
+from handroi.metrics import _CONTROL, CSV_COLUMNS, ERROR_COLUMNS, Rows, read_rows_csv
 from handroi.model import _train_heads, featurize, roi_targets
 
 
@@ -585,3 +587,84 @@ def _reference_merge(records, poses, split):
             continue
         samples.append(Sample(id=sid, width=width, height=height, hand=hand, pose=pose, was_left=was_left, split=split))
     return samples, missing, degenerate
+
+
+def reference_write_rows_csv(rows, path):
+    """Reference for `metrics.write_rows_csv`: csv.writer of each row, a failed row's errors None (empty cells)."""
+    errs = [np.where(rows.failed, None, getattr(rows, c)).tolist() for c in ERROR_COLUMNS]
+    methods = itertools.repeat(rows.method)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(zip(rows.ids, methods, rows.iou.tolist(), *errs, rows.failed.astype(int).tolist()))
+
+
+def _reference_parse_row(rec):
+    """(sample_id, method, iou, errors, failed) of one CSV record; ValueError unless it keeps the invariants of Rows."""
+    if len(rec) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(rec)}")
+    sample_id, method, iou, *errs, failed = rec
+    if _CONTROL.search(method):
+        raise ValueError(f"method {method!r} holds a control character")
+    if failed not in ("0", "1"):
+        raise ValueError(f"failed must be 0 or 1, got {failed!r}")
+    iou = float(iou)
+    if not 0.0 <= iou <= 1.0:
+        raise ValueError(f"iou {iou!r} is not in [0, 1]")
+    if failed == "1":
+        if iou != 0.0 or any(errs):
+            raise ValueError("a failed row needs iou 0 and empty error fields")
+        return sample_id, method, 0.0, [math.nan] * 3, True
+    if not all(errs):
+        raise ValueError("a row that is not failed needs all three error fields")
+    errs = [float(e) for e in errs]
+    for name, val in zip(ERROR_COLUMNS, errs):
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"{name} {val!r} is not finite and >= 0")
+    if errs[2] > 180.0:
+        raise ValueError(f"rot_err_deg {errs[2]!r} is above 180")
+    return sample_id, method, iou, errs, False
+
+
+def reference_read_rows_csv(path):
+    """Reference for `metrics.read_rows_csv`: one record at a time, each checked as it is read."""
+    parsed = []
+    ids = set()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(CSV_COLUMNS):
+                raise ValueError(f"header is not {','.join(CSV_COLUMNS)}")
+            for rec in reader:
+                if not rec:
+                    continue
+                parsed.append(_reference_parse_row(rec))
+                (sid, method), first = parsed[-1][:2], parsed[0][1]
+                if method != first:
+                    raise ValueError(f"method {method!r} differs from the first row's {first!r}")
+                if sid in ids:
+                    raise ValueError(f"duplicate sample id {sid!r}")
+                ids.add(sid)
+            if not parsed:
+                raise ValueError("no rows after the header")
+        except (ValueError, csv.Error) as e:
+            raise InputError(f"{path} line {max(reader.line_num, 1)}: {e}") from None
+    ids, methods, iou, errs, failed = zip(*parsed)
+    errs = np.array(errs, dtype=np.float64)
+    return Rows(ids, methods[0], np.array(iou), *errs.T, np.array(failed))
+
+
+def assert_reads_like_reference(path):
+    """`metrics.read_rows_csv` gives the Rows of `reference_read_rows_csv`, bit for bit, or raises its InputError text."""
+    try:
+        want = reference_read_rows_csv(path)
+    except InputError as e:
+        with pytest.raises(InputError) as got:
+            read_rows_csv(path)
+        assert str(got.value) == str(e)
+        return
+    got = read_rows_csv(path)
+    assert type(got.ids) is tuple and got.ids == want.ids and got.method == want.method
+    for column in ("iou", "center_err_pct", "scale_err_pct", "rot_err_deg", "failed"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), column

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OBJECT_MODEL, reference_gold_roi, row_docs
+from conftest import OBJECT_MODEL, assert_reads_like_reference, reference_gold_roi, row_docs
 from handroi import cli
 from handroi import errors
 from handroi import model as md
@@ -679,6 +679,24 @@ class TestCorruptRowsProperty:
         assert_exit_0_or_one_error_line("compare", (0, 2, 3), code, err)
 
 
+class TestRowsReaderProperty:
+    """The columnar rows reader against the one-record-at-a-time reference, on the clean file and its variants."""
+
+    def test_clean(self, clean_rows):
+        assert_reads_like_reference(clean_rows)
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_same_rows_or_same_error(self, clean_rows, data):
+        clean = clean_rows.read_bytes()
+        bad = clean_rows.with_name("variant.csv")
+        if data.draw(st.booleans()):
+            bad.write_bytes(with_mutated_cell(data, clean))
+        else:
+            bad.write_bytes(data.draw(corruptions(clean)))
+        assert_reads_like_reference(bad)
+
+
 @pytest.fixture(scope="module")
 def clean_ingest(tmp_path_factory):
     """Annotation directories (train and test) and a pose sidecar of synthetic samples.
@@ -796,6 +814,34 @@ class TestEval:
         run("eval", "--dataset", str(small_dataset), "--out", str(out))
         keys = [line.split("=")[0] for line in (tmp_path / "rows.csv.summary.txt").read_text().splitlines()]
         assert keys == ["mean_iou", "mean_center_err", "mean_scale_err", "mean_rot_err", "min_iou", "n"]
+
+    def check_unencodable_id(self, dataset, sid):
+        """eval of a dataset whose test split holds sid, an id UTF-8 cannot encode: exit 2 and no rows file."""
+        out = dataset.with_name("rows.csv")
+        code, err = run_quiet("eval", "--dataset", str(dataset), "--out", str(out))
+        assert (code, err) == (2, [f"error: sample id {sid!r} cannot be written as UTF-8"])
+        assert not out.exists() and not out.with_name("rows.csv.summary.txt").exists()
+
+    def test_unencodable_id_from_dataset_escape(self, tmp_path, small_dataset):
+        sid = "lone\ud800"
+        lines = small_dataset.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["split"] == "test")
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, index, lambda doc: doc.__setitem__("id", sid))
+        assert "\\ud800" in bad.read_text()
+        self.check_unencodable_id(bad, sid)
+
+    def test_unencodable_id_from_ingest_file_name(self, tmp_path):
+        # a file name that is not UTF-8 reads as its bytes escaped to lone surrogates, and so does its id
+        sid = "s1\udcff"
+        TestIngest().make_labels(tmp_path / "labels", 1)
+        (tmp_path / "labels" / "s0.json").rename(tmp_path / "labels" / f"{sid}.json")
+        assert os.fsencode(sid) == b"s1\xff"
+        TestIngest().make_sidecar(tmp_path / "poses.jsonl", [sid])
+        out = tmp_path / "d.jsonl"
+        argv = ["--test-labels", str(tmp_path / "labels"), "--sidecar", str(tmp_path / "poses.jsonl")]
+        assert run_quiet("ingest", *argv, "--out", str(out)) == (0, [])
+        self.check_unencodable_id(out, sid)
 
     def test_mlp_missing_weights(self, tmp_path, small_dataset):
         code = run(

@@ -943,6 +943,15 @@ class TestColumnCache:
         assert cache["layout"].tolist() == handroi.dataset.CACHE_LAYOUT
         assert sorted(cache) == sorted(["layout", "sha256", *handroi.dataset.COLUMNS])
 
+    def test_hit_hashes_in_chunks(self, tmp_path):
+        path = self.write(tmp_path / "data.jsonl")
+        want = read_samples(path)
+        with mock.patch.object(handroi.dataset, "HASH_CHUNK", 1000), no_parse():
+            assert path.stat().st_size > 2 * handroi.dataset.HASH_CHUNK
+            got = read_samples(path)
+        assert_same_columns(got, want)
+        assert got.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
     @pytest.mark.parametrize(
         "old, new, error",
         [(",1.0]", ",0.5]", None), (",1.0]", ",9.0]", r"line 2: confidence 9.0 outside \[0, 1\]")],

@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from handroi.heuristic import (
     DEGENERATE_REASONS,
     MIDDLE_MCP,
     WRIST,
+    _extreme,
     calc_hand_roi,
     degenerate_reason,
     gold_roi,
@@ -288,6 +290,51 @@ class TestGoldRoisReference:
             view = gold_roi(hand, width, height)
             assert type(view) is tuple and all(type(v) is float for v in view), kind
             assert np.array(view).tobytes() == np.array(ref).tobytes(), kind
+
+    def check_against_reference(self, points, width=640, height=480):
+        """gold_rois of hands given as (21, 2) x, y lists against the reference, bit for bit: box or reason.
+
+        A stand-in holds the points, since Hand21 refuses a NaN landmark.
+        """
+        hands = np.array([[(x, y, 1.0) for x, y in pts] for pts in points])
+        boxes, reason = gold_rois(hands, [width] * len(points), [height] * len(points))
+        reasons = []
+        for k, pts in enumerate(points):
+            try:
+                ref = reference_gold_roi(SimpleNamespace(points=[(x, y, 1.0) for x, y in pts]), width, height)
+            except DegenerateHand as e:
+                assert degenerate_reason(reason[k], width, height) == str(e) and np.isnan(boxes[k]).all(), k
+            else:
+                assert reason[k] == 0 and boxes[k].tobytes() == np.array(ref).tobytes(), k
+            reasons.append(int(reason[k]))
+        return reasons
+
+    def test_nan_after_the_first_landmark_is_passed_over(self):
+        # min and max skip the middle knuckle's NaN x, so the landmarks coincide; a NaN-propagating min gives reason 3
+        pts = [(100.0, 200.0)] * 21
+        pts[MIDDLE_MCP] = (math.nan, 200.0)
+        assert self.check_against_reference([pts]) == [2]
+
+    def test_nan_first_landmark_is_kept(self):
+        # the wrist's NaN x comes first, so min and max are NaN and the box is not finite; a NaN-ignoring min gives 2
+        pts = [(100.0, 200.0)] * 21
+        pts[WRIST] = (math.nan, 200.0)
+        assert self.check_against_reference([pts]) == [3]
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.lists(st.sampled_from([0.0, -0.0]), min_size=21, max_size=21), min_size=1, max_size=4))
+    def test_signed_zero_landmarks(self, xs):
+        self.check_against_reference([[(x, 200.0 + 10.0 * j) for j, x in enumerate(row)] for row in xs])
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0, math.inf]), min_size=3, max_size=3),
+                    min_size=1, max_size=6))
+    def test_extremes_keep_the_builtin_rules(self, columns):
+        # the first of equal values wins (0.0 and -0.0), and a NaN only when it comes first
+        rows = np.array(columns).T.copy()
+        for builtin in (min, max):
+            want = np.array([builtin(col) for col in columns])
+            assert _extreme(rows, builtin).tobytes() == want.tobytes(), builtin
 
     def test_synthetic_dataset_bitwise(self):
         data = synth_dataset(SynthConfig(n=300, seed=8, max_tilt_deg=80, noise_px=2))

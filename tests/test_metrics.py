@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import scalar_gold_predictor
+from conftest import assert_reads_like_reference, reference_write_rows_csv, scalar_gold_predictor
 from handroi.dataset import SynthConfig, synth_dataset
 from handroi.errors import InputError, JoinError
 from handroi.geometry import rotated_iou
@@ -26,6 +29,8 @@ from handroi.model import featurize, heuristic_roi
 
 
 HEADER = (",".join(CSV_COLUMNS) + "\n").encode()
+CRLF_HEADER = HEADER.replace(b"\n", b"\r\n")
+GOOD_ROW = b"a,m,0.5,1.0,2.0,3.0,0\r\n"
 
 
 def box(cx=0.5, cy=0.5, size=0.3, rot=0.0):
@@ -258,7 +263,67 @@ class TestHistogram:
         assert len(counts) == HIST_BINS and sum(counts) == 123
 
 
+# text a csv field may hold: the characters that make csv quote it, non-ASCII text and the empty string
+FIELD_TEXT = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "\r\n", "é", "手"]), st.text(max_size=6))
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]))
+ZEROS = st.sampled_from([0.0, -0.0])
+# text with no control character (nor, as always, a surrogate)
+PRINTABLE = st.characters(blacklist_categories=("Cc", "Cs"))
+
+
+@st.composite
+def rows_tables(draw):
+    """Rows of 0 to 12 rows with any ids, method and floats, or, half the time, rows the reader takes back.
+
+    A failed row's iou is 0.0, -0.0 or (among any rows) any float.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        scored_iou, failed_iou, err = st.one_of(FLOATS, st.floats(0.0, 1.0)), st.one_of(ZEROS, FLOATS), FLOATS
+        ids = draw(st.lists(FIELD_TEXT, min_size=n, max_size=n))
+        method = draw(st.one_of(st.sampled_from(["heuristic", "a,b", 'q"', "x\ny"]), FIELD_TEXT))
+    else:
+        # in range, unique ids and a method with no control character
+        n = draw(st.integers(1, 12))
+        scored_iou = st.one_of(st.sampled_from([-0.0, 5e-324, 1e-05, 1.0]), st.floats(0.0, 1.0))
+        failed_iou, err = ZEROS, st.one_of(st.sampled_from([-0.0, 5e-324, 1e-05, 180.0]), st.floats(0.0, 180.0))
+        ids = draw(st.lists(FIELD_TEXT, min_size=n, max_size=n, unique=True))
+        method = draw(st.one_of(st.sampled_from(["heuristic", "a,b", 'q"']), st.text(PRINTABLE, max_size=6)))
+    failed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    iou = [draw(failed_iou if f else scored_iou) for f in failed]
+    errs = [[math.nan if f else draw(err) for f in failed] for _ in range(3)]
+    return Rows(tuple(ids), method, np.array(iou, dtype=np.float64), *np.array(errs, dtype=np.float64).reshape(3, n),
+                np.array(failed, dtype=bool))
+
+
 class TestCsvRoundTrip:
+    @settings(deadline=None, max_examples=200)
+    @given(rows_tables())
+    def test_bytes_match_csv_writer(self, tmp_path_factory, rows):
+        base = tmp_path_factory.mktemp("rows")
+        write_rows_csv(rows, base / "new.csv")
+        reference_write_rows_csv(rows, base / "ref.csv")
+        assert (base / "new.csv").read_bytes() == (base / "ref.csv").read_bytes()
+        # and the file reads back as the one-record-at-a-time reader reads it
+        assert_reads_like_reference(base / "new.csv")
+
+    def test_failed_row_reads_back_positive_zero_iou(self, tmp_path):
+        # a hand-built Rows may hold -0.0 as a failed row's iou; it is written as it is and read back as 0.0
+        rows = Rows(("a", "b"), "m", np.array([-0.0, 0.5]), *np.array([[math.nan, 1.0]] * 3), np.array([True, False]))
+        path = tmp_path / "rows.csv"
+        write_rows_csv(rows, path)
+        assert path.read_bytes() == CRLF_HEADER + b"a,m,-0.0,,,,1\r\nb,m,0.5,1.0,1.0,1.0,0\r\n"
+        assert read_rows_csv(path).iou.tobytes() == np.array([0.0, 0.5]).tobytes()
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("ids, method", [(("ok", "lone\ud800", "x\udcff"), "m"), (("ok",), "m\udfff")])
+    def test_unencodable_text_writes_no_file(self, tmp_path, ids, method):
+        rows = table(ids, [0.5] * len(ids), method=method)
+        bad = f"sample id {ids[1]!r}" if len(ids) > 1 else f"method {method!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(bad)} cannot be written as UTF-8$"):
+            write_rows_csv(rows, tmp_path / "rows.csv")
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_round_trip(self, tmp_path):
         rows = Rows(
             ("a", "b"),
@@ -304,6 +369,27 @@ class TestCsvRoundTrip:
         path.write_bytes(data)
         with pytest.raises(InputError, match=f"line {line}:"):
             read_rows_csv(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # a bad record before a UTF-8 fault that the decoder meets some 8 KB later, and a fault before a bad record
+            CRLF_HEADER + GOOD_ROW + b"b,m,2.0,1,2,3,0\r\n" + GOOD_ROW.replace(b"a,", b"c,") * 800 + b"\xff\r\n",
+            CRLF_HEADER + GOOD_ROW + b"\xff" + b"b,m,2.0,1,2,3,0\r\n",
+            CRLF_HEADER + b"".join(GOOD_ROW.replace(b"a,", b"%d," % i) for i in range(800)) + b"\xff\r\n",
+            # records that span lines, and a csv fault
+            CRLF_HEADER + b'"a\r\nb",m,0.5,1,2,3,0\r\n"c\nd",m,0.5,1,2,3,x\r\n',
+            CRLF_HEADER + b"a,m," + b"1" * 200000 + b",1,2,3,0\r\n",
+            # spellings Python's float takes and numpy's cast may not, and the first of two bad error cells
+            CRLF_HEADER + b"a,m, 0.5 ,1,2,3,0\r\n" + "b,m,\u0660.\u0665,1e-400,0,180,0\r\n".encode(),
+            CRLF_HEADER + b"a,m,0_5,1,2,3,0\r\n",
+            CRLF_HEADER + b"a,m,0.5,-1,zz,3,0\r\n",
+        ],
+    )
+    def test_matches_reference_on_traps(self, tmp_path, data):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(data)
+        assert_reads_like_reference(path)
 
     def test_deterministic_bytes(self, tmp_path):
         rows = table(["a"], [1 / 3])

@@ -1,6 +1,6 @@
 """Tooling guard: the benchmark's tracer (`perfbench/spans.py`) must install on
 the package and record a span for every predictor layer and for the synth,
-ingest, write and training functions it times, so a refactor that breaks
+ingest, write, training and rows-file functions it times, so a refactor that breaks
 `perfbench/run.py --trace 1` fails the test suite."""
 
 import contextlib
@@ -34,6 +34,8 @@ def test_tracer_records_every_predictor_layer(tmp_path):
         ["eval", "--dataset", data, "--method", "heuristic", "--out", str(tmp_path / "h.csv")],
         ["eval", "--dataset", data, "--method", "hybrid", "--weights", weights,
          "--out", str(tmp_path / "y.csv")],
+        ["compare", "--rows-a", str(tmp_path / "y.csv"), "--rows-b", str(tmp_path / "h.csv"),
+         "--report", str(tmp_path / "report.txt")],
     ]
     tracer.install()
     try:
@@ -61,6 +63,8 @@ def test_tracer_records_every_predictor_layer(tmp_path):
         "model.hybrid_predict",
     ):
         assert calls[name] > 0, name
+    # each eval writes its rows and compare reads both files; a helper outside these would leave their spans empty
+    assert calls["metrics.write_rows_csv"] == 2 and calls["metrics.read_rows_csv"] == 2
     # training forwards only the validation rows, once per head and iteration; the hybrid eval once per head
     assert calls["model.Mlp.forward"] == 3 * 2 + 3
     notes = spans.notes(tracer.spans, "heuristic.gold_roi")
