@@ -11,7 +11,11 @@ drops the degenerate ones in batches. The read side
 per field, checked in bulk; `gold_boxes` gives its gold boxes in one
 batch. The columns of a file that parsed are kept beside it in a cache
 keyed by the sha256 of its bytes, so a later read of the same bytes skips
-JSON decoding.
+JSON decoding. The cache holds three members: a JSON head of its layout,
+key, ids and splits, the float values of each sample in one row, and
+was_left. A later read hashes the file on a helper thread while it loads
+the cache, so a hit costs about one hash; a cache of an older layout is
+rebuilt once.
 
 Real data comes in two parts joined by sample id: a directory of per-image
 annotation files, ANNOTATION records of 21 (x, y, confidence) pixel
@@ -39,6 +43,7 @@ import itertools
 import json
 import math
 import os
+import threading
 import zipfile
 import zlib
 from collections import namedtuple
@@ -316,10 +321,10 @@ def _uniform(lo, hi, u):
 def _rotation_matrices(phi_deg, tilt_deg, axis_deg):
     """(N, 3, 3) rotations: an in-plane rotation by phi composed with a tilt about an in-plane axis.
 
-    The angles and their cosines and sines come from the math module, one
-    value at a time, as in `heuristic.gold_rois`.
+    The cosines and sines come from the math module, one value at a time,
+    as in `heuristic.gold_rois`.
     """
-    t, a, p = (_math_map(math.radians, deg) for deg in (tilt_deg, axis_deg, phi_deg))
+    t, a, p = (np.radians(deg) for deg in (tilt_deg, axis_deg, phi_deg))
     ux, uy = _math_map(math.cos, a), _math_map(math.sin, a)
     c, s = _math_map(math.cos, t), _math_map(math.sin, t)
     # Rodrigues for axis (ux, uy, 0)
@@ -834,7 +839,9 @@ def _stacked_values(vals, n, landmarks, keypoints):
 # the column cache of a dataset file is the file's path plus this suffix
 CACHE_SUFFIX = ".cols.npz"
 # version of the cache's member layout; a cache of another version is rebuilt
-CACHE_LAYOUT = 1
+CACHE_LAYOUT = 2
+# the keys of the cache's head, the JSON text that holds its key and its string columns
+CACHE_HEAD = ("layout", "sha256", "ids", "split")
 # bytes hashed at a time when a dataset file is checked against its cache's key
 HASH_CHUNK = 1 << 20
 # what reading a damaged or foreign cache file raises: np.load and zipfile (a flipped flag bit reads as
@@ -856,16 +863,26 @@ def read_samples(path) -> Dataset:
     """The dataset file written by write_samples, as columns (see `dataset_from_docs`).
 
     The columns of the file's bytes come from the cache `<path>.cols.npz`
-    if it holds them, that is if its key is the sha256 of the file's bytes
-    and its columns pass the checks a parse makes (`_cached_dataset`).
-    Otherwise the file is parsed, and the columns of a parse that succeeds
-    are written to the cache (`_write_cache`), keyed by the sha256 of the
-    bytes the parse read.
+    if it holds them, that is if its columns pass the checks a parse makes
+    (`_cached_dataset`) and its key is the sha256 of the file's bytes. The
+    file is hashed on a helper thread while this one loads the cache, and
+    the key is compared once the hash is done; what the hash raises is
+    raised here. Otherwise the file is parsed, and the columns of a parse
+    that succeeds are written to the cache (`_write_cache`), keyed by the
+    sha256 of the bytes the parse read.
     """
     cache = f"{path}{CACHE_SUFFIX}"
     if os.path.exists(cache):
-        data = _cached_dataset(cache, _file_sha256(path))
-        if data is not None:
+        hashed = {}
+        hasher = threading.Thread(target=_hash_into, args=(path, hashed))
+        hasher.start()
+        try:
+            data = _cached_dataset(cache)
+        finally:
+            hasher.join()
+        if "error" in hashed:
+            raise hashed["error"]
+        if data is not None and data.sha256 == hashed["digest"]:
             return data
     # parsed line by line, which holds less memory than parsing the whole file's bytes
     parsed = hashlib.sha256()
@@ -874,6 +891,14 @@ def read_samples(path) -> Dataset:
         data = replace(dataset_from_docs(_json_lines(raw_lines), path), sha256=parsed.hexdigest())
     _write_cache(cache, data)
     return data
+
+
+def _hash_into(path, out):
+    """Set out["digest"] to `_file_sha256(path)`, or out["error"] to what it raised; the hash thread's target."""
+    try:
+        out["digest"] = _file_sha256(path)
+    except BaseException as e:  # raised again on the reading thread
+        out["error"] = e
 
 
 def _file_sha256(path):
@@ -889,24 +914,22 @@ def _file_sha256(path):
 def _write_cache(cache, data):
     """Write data's columns, keyed by data.sha256, to the cache file; an OSError leaves none and is not raised.
 
-    The members are layout (CACHE_LAYOUT), sha256, ids (the ASCII JSON text
-    of the id list as uint8, since a numpy string array drops trailing
-    NULs), split as a unicode array, and the other columns as they are.
-    The file is written under a temporary name and then renamed, so a
-    reader never sees part of it.
+    The members are head, the ASCII JSON object of CACHE_LAYOUT, the key,
+    the ids and the splits (CACHE_HEAD) as uint8, since a numpy string
+    array drops trailing NULs; values, the (N, 83) float64 rows of width,
+    height, the 63 landmark values and the 18 keypoint values; and
+    was_left. The file is written under a temporary name and then renamed,
+    so a reader never sees part of it.
     """
     tmp = f"{cache}.{os.getpid()}.tmp"
-    ids = json.dumps(data.ids.tolist()).encode("ascii")
+    head = json.dumps(dict(zip(CACHE_HEAD, (CACHE_LAYOUT, data.sha256, data.ids.tolist(), data.split.tolist()))))
+    n = len(data)
+    values = np.concatenate(
+        [data.width[:, None], data.height[:, None], data.hand.reshape(n, -1), data.pose.reshape(n, -1)], axis=1
+    )
     try:
         with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                layout=np.int64(CACHE_LAYOUT),
-                sha256=np.str_(data.sha256),
-                ids=np.frombuffer(ids, np.uint8),
-                split=data.split.astype(str),
-                **{name: getattr(data, name) for name in ("width", "height", "was_left", "hand", "pose")},
-            )
+            np.savez(fh, head=np.frombuffer(head.encode("ascii"), np.uint8), values=values, was_left=data.was_left)
         os.replace(tmp, cache)
     except OSError:
         try:
@@ -915,13 +938,15 @@ def _write_cache(cache, data):
             pass
 
 
-def _cached_dataset(cache, digest):
-    """The Dataset in the cache file if its key is (CACHE_LAYOUT, digest) and its columns are valid, else None.
+def _cached_dataset(cache):
+    """The Dataset in the cache file if its layout is CACHE_LAYOUT and its columns are valid, else None.
 
-    Valid columns have a Dataset's shapes and dtypes, at least one sample,
-    unique string ids, splits in SPLITS, integer dims in [1, MAX_DIM], and
-    values that pass `_value_checks`, the check a parse makes. A missing,
-    damaged or foreign file is None too.
+    Its sha256 is the cache's key, which the caller compares with the
+    file's. Valid columns have a Dataset's shapes and dtypes, at least one
+    sample, unique string ids, splits in SPLITS, integer dims in [1,
+    MAX_DIM], and the values `_value_checks` asks of a parse: every value
+    finite and every confidence in [0, 1], checked over the whole values
+    member at once. A missing, damaged or foreign file is None too.
     """
     try:
         with open(cache, "rb") as fh:
@@ -929,38 +954,44 @@ def _cached_dataset(cache, digest):
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 return None
             with npz:
-                if npz["layout"].tolist() != CACHE_LAYOUT or npz["sha256"].tolist() != digest:
-                    return None
-                cols = {name: npz[name] for name in COLUMNS}
-        ids = json.loads(cols["ids"].tobytes())
+                head, values, was_left = npz["head"], npz["values"], npz["was_left"]
+        head = json.loads(head.tobytes())
     except _CACHE_ERRORS:
         return None
+    if type(head) is not dict or set(head) != set(CACHE_HEAD) or head["layout"] != CACHE_LAYOUT:
+        return None
+    ids, split = head["ids"], head["split"]
     n = len(ids) if type(ids) is list else 0
-    shapes = {
-        "width": (np.float64, (n,)),
-        "height": (np.float64, (n,)),
-        "was_left": (np.bool_, (n,)),
-        "hand": (np.float64, (n, 21, 3)),
-        "pose": (np.float64, (n, len(POSE_KEYS), 3)),
-    }
     if (
         not n
-        or any(cols[name].dtype != dtype or cols[name].shape != shape for name, (dtype, shape) in shapes.items())
-        or cols["split"].dtype.kind != "U"
-        or cols["split"].shape != (n,)
+        or values.dtype != np.float64
+        or values.shape != (n, 2 + 3 * (21 + len(POSE_KEYS)))
+        or was_left.dtype != np.bool_
+        or was_left.shape != (n,)
+        or type(split) is not list
+        or len(split) != n
+        or sum(map(split.count, SPLITS)) != n
         or set(map(type, ids)) != {str}
         or len(set(ids)) != n
     ):
         return None
-    dims = np.concatenate([cols["width"], cols["height"]])
+    # a row of values is width, height, the 21 landmarks' (x, y, confidence), then the keypoints' (x, y, z)
+    dims, conf = values[:, :2], values[:, 4:65:3]
     if not (
-        np.isin(cols["split"], SPLITS).all()
-        and ((dims > 0) & (dims <= MAX_DIM) & (dims == np.floor(dims))).all()
-        and not any(mask.any() for mask, _ in _value_checks(cols["hand"], cols["pose"]))
+        ((dims > 0) & (dims <= MAX_DIM) & (dims == np.floor(dims))).all()
+        and np.isfinite(values).all()
+        and ((conf >= 0.0) & (conf <= 1.0)).all()
     ):
         return None
     return Dataset(
-        **{**cols, "ids": np.array(ids, dtype=object), "split": cols["split"].astype(object)}, sha256=digest
+        ids=np.array(ids, dtype=object),
+        width=dims[:, 0].copy(),
+        height=dims[:, 1].copy(),
+        split=np.array(split, dtype=object),
+        was_left=was_left,
+        hand=values[:, 2:65].reshape(n, 21, 3),
+        pose=values[:, 65:].reshape(n, -1, 3),
+        sha256=head["sha256"],
     )
 
 

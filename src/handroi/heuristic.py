@@ -111,9 +111,10 @@ def gold_rois(hand, width, height):
     works on all hands: the landmarks are summed left to right, one row
     addition at a time (as the builtin sum does before Python 3.12), min
     and max keep the first of equal values and take a NaN only when it
-    comes first (`_extreme`), and the angles and their cosines and sines
-    come from the math module, one value at a time (numpy's arctan2 differs
-    in the last bits).
+    comes first (`_extreme`), and the angle and the cosines and sines come
+    from the math module, one value at a time (numpy's arctan2 differs in
+    the last bits). np.degrees and np.radians are the math module's single
+    multiply.
     """
     hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
     width = np.asarray(width, dtype=np.float64)
@@ -129,32 +130,40 @@ def _gold_rois(hand, width, height):
     # the landmarks' x and y as (21, N) rows, so each step below is one scalar step on every hand
     X, Y = np.ascontiguousarray(hand[:, :, 0].T), np.ascontiguousarray(hand[:, :, 1].T)
     wx, wy, mx, my = X[WRIST], Y[WRIST], X[MIDDLE_MCP], Y[MIDDLE_MCP]
+    no_axis = (wx == mx) & (wy == my)
     left, right = _extreme(X, min), _extreme(X, max)
     top, bottom = _extreme(Y, min), _extreme(Y, max)
 
     angle = np.fromiter(map(math.atan2, (my - wy).tolist(), (mx - wx).tolist()), np.float64, len(wx))
-    rotation = normalize_deg(_math_map(math.degrees, angle) + 90.0)
+    rotation = normalize_deg(np.degrees(angle) + 90.0)
     # 20 row additions in order: np.add.reduce would sum pairwise where the rows are one hand long
     cx, cy = sum(X) / 21.0, sum(Y) / 21.0
 
-    th = _math_map(math.radians, -rotation)
+    th = np.radians(-rotation)
     c, s = _math_map(math.cos, th), _math_map(math.sin, th)
-    rx = (X - cx) * c - (Y - cy) * s
-    ry = (X - cx) * s + (Y - cy) * c
-    lo_x, hi_x = _extreme(rx, min), _extreme(rx, max)
-    lo_y, hi_y = _extreme(ry, min), _extreme(ry, max)
+    # the landmarks about their mean in the box frame, rx = dx c - dy s and then ry = dx s + dy c, computed in
+    # place (dx and dy in X and Y, rx and then ry in r) so that at most two more (21, N) arrays are live
+    X -= cx
+    Y -= cy
+    r = X * c
+    r -= Y * s
+    lo_x, hi_x = _extreme(r, min), _extreme(r, max)
+    np.multiply(X, s, out=r)
+    Y *= c
+    r += Y
+    lo_y, hi_y = _extreme(r, min), _extreme(r, max)
     side = _extreme(np.stack([hi_x - lo_x, hi_y - lo_y]), max)
 
     bx = (lo_x + hi_x) / 2.0
     by = (lo_y + hi_y) / 2.0
-    th = _math_map(math.radians, rotation)
+    th = np.radians(rotation)
     c, s = _math_map(math.cos, th), _math_map(math.sin, th)
     boxes = np.column_stack(
         [(cx + (bx * c - by * s)) / width, (cy + (bx * s + by * c)) / height, side * 2.0 / height, rotation]
     )
     reason = np.select(
         [
-            (wx == mx) & (wy == my),
+            no_axis,
             (left == right) & (top == bottom),
             ~np.isfinite(boxes).all(axis=1),
             ~(boxes[:, 2] > 0.0),

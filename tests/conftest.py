@@ -64,9 +64,22 @@ OBJECT_MODEL = (
 
 
 def read_cache(dataset_path):
-    """The members of a dataset file's column cache, as a dict of arrays; the file is closed again."""
+    """The members of a dataset file's column cache, as a dict of arrays whose head is decoded from its JSON.
+
+    The file is closed again.
+    """
     with np.load(f"{dataset_path}{CACHE_SUFFIX}", allow_pickle=False) as npz:
-        return dict(npz)
+        members = dict(npz)
+    members["head"] = json.loads(members["head"].tobytes())
+    return members
+
+
+def write_cache(dataset_path, members):
+    """Write members as a dataset file's column cache; a head given as a dict is written as its JSON text."""
+    if isinstance(members.get("head"), dict):
+        members = {**members, "head": np.frombuffer(json.dumps(members["head"]).encode(), np.uint8)}
+    with open(f"{dataset_path}{CACHE_SUFFIX}", "wb") as fh:
+        np.savez(fh, **members)
 
 
 def sample_doc(s: Sample) -> dict:

@@ -25,7 +25,7 @@ from conftest import (
     train_scalar_angle_heads,
 )
 from handroi.cli import main as cli_main
-from handroi.dataset import gold_boxes, read_samples
+from handroi.dataset import CACHE_LAYOUT, gold_boxes, read_samples
 from handroi.geometry import circular_diff_deg, rotated_iou
 from handroi.heuristic import calc_hand_roi
 from handroi.metrics import (
@@ -327,7 +327,8 @@ class TestGoldenOutputs:
         # train parsed the dataset and left its column cache, so both evals, whose rows the hashes above pin, read it
         first, _, _ = synth_pipeline
         cache = read_cache(first["data"])
-        assert cache["sha256"].tolist() == hashlib.sha256(first["data"].read_bytes()).hexdigest()
+        assert cache["head"]["sha256"] == hashlib.sha256(first["data"].read_bytes()).hexdigest()
+        assert cache["head"]["layout"] == CACHE_LAYOUT and sorted(cache) == ["head", "values", "was_left"]
 
 
 class TestScalarGoldenOutputs:

@@ -10,6 +10,7 @@ import re
 import shlex
 import struct
 import sys
+import threading
 import time
 from xml.etree import ElementTree
 
@@ -791,6 +792,24 @@ class TestEval:
             outputs.append([p.read_bytes() for p in (out, tmp_path / "rows.csv.summary.txt",
                                                      tmp_path / "rows.csv.manifest.json")])
         assert cache.is_file() and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("dataset", ["missing", "directory"])
+    def test_unreadable_dataset_beside_its_cache_exit_2(self, tmp_path, small_dataset, dataset):
+        # the cache is loaded while the dataset is hashed on a helper thread; the hash's error is the command's
+        argv = ["eval", "--dataset", str(small_dataset), "--out", str(tmp_path / "rows.csv")]
+        assert run_quiet(*argv) == (0, [])
+        assert small_dataset.with_name(small_dataset.name + CACHE_SUFFIX).is_file()
+        for p in tmp_path.glob("rows.csv*"):
+            p.unlink()
+        small_dataset.unlink()
+        if dataset == "directory":
+            small_dataset.mkdir()
+        threads = threading.active_count()
+        code, err = run_quiet(*argv)
+        why = "No such file or directory" if dataset == "missing" else "Is a directory"
+        errno = 2 if dataset == "missing" else 21
+        assert (code, err) == (2, [f"error: [Errno {errno}] {why}: {str(small_dataset)!r}"])
+        assert threading.active_count() == threads and not (tmp_path / "rows.csv").exists()
 
     def test_manifests_record_dataset_sha256(self, tmp_path, small_dataset, trained_weights):
         sid = json.loads(small_dataset.read_text().splitlines()[0])["id"]

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import sys
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -25,6 +27,7 @@ from conftest import (
     row_docs,
     sample_doc,
     tight_box,
+    write_cache,
     write_doc_lines,
 )
 from handroi.dataset import (
@@ -872,6 +875,15 @@ def no_parse():
         yield
 
 
+@contextmanager
+def counting_parses():
+    """A list that gets one entry each time read_samples decodes the dataset's JSON lines."""
+    calls = []
+    real = handroi.dataset.dataset_from_docs
+    with mock.patch.object(handroi.dataset, "dataset_from_docs", side_effect=lambda *a: calls.append(1) or real(*a)):
+        yield calls
+
+
 def assert_same_columns(got, want):
     """Bitwise-equal float columns, equal ids, split and was_left, and the same sha256."""
     for name in ("width", "height", "hand", "pose"):
@@ -939,9 +951,18 @@ class TestColumnCache:
         path = self.write(tmp_path / "data.jsonl")
         data = read_samples(path)
         cache = read_cache(path)
-        assert cache["sha256"].tolist() == data.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert cache["layout"].tolist() == handroi.dataset.CACHE_LAYOUT
-        assert sorted(cache) == sorted(["layout", "sha256", *handroi.dataset.COLUMNS])
+        head = cache.pop("head")
+        assert list(head) == list(handroi.dataset.CACHE_HEAD)
+        assert head["sha256"] == data.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert head["layout"] == handroi.dataset.CACHE_LAYOUT == 2
+        assert head["ids"] == data.ids.tolist() and head["split"] == data.split.tolist()
+        n = len(data)
+        values = np.concatenate([data.width[:, None], data.height[:, None], data.hand.reshape(n, -1),
+                                 data.pose.reshape(n, -1)], axis=1)
+        assert sorted(cache) == ["values", "was_left"]
+        assert cache["values"].dtype == np.float64 and cache["values"].shape == (n, 83)
+        assert cache["values"].tobytes() == values.tobytes()
+        assert cache["was_left"].tolist() == data.was_left.tolist() and cache["was_left"].dtype == bool
 
     def test_hit_hashes_in_chunks(self, tmp_path):
         path = self.write(tmp_path / "data.jsonl")
@@ -1000,6 +1021,10 @@ class TestColumnCache:
             "id not a string",
             "ids not JSON",
             "no samples",
+            "head not an object",
+            "extra head key",
+            "split long",
+            "was_left dtype",
         ],
     )
     def test_bad_cache_misses_and_is_rewritten(self, tmp_path, damage):
@@ -1008,31 +1033,39 @@ class TestColumnCache:
         cache_path = Path(f"{path}{CACHE_SUFFIX}")
         good = cache_path.read_bytes()
         members = read_cache(path)
-        ids = json.loads(members["ids"].tobytes())
+        head, values = members["head"], members["values"]
+        ids = head["ids"]
+        # the values column of a landmark's or a keypoint's coordinate
+        hand, pose = (lambda p, k: 2 + 3 * p + k), (lambda p, k: 65 + 3 * p + k)
         edits = {
-            "wrong key": lambda m: m.update(sha256=np.str_("0" * 64)),
-            "wrong layout": lambda m: m.update(layout=np.int64(handroi.dataset.CACHE_LAYOUT + 1)),
-            "no layout": lambda m: m.pop("layout"),
-            "hand shape": lambda m: m.update(hand=m["hand"][:, :20]),
-            "width dtype": lambda m: m.update(width=m["width"].astype(np.float32)),
-            "big-endian pose": lambda m: m.update(pose=m["pose"].astype(">f8")),
-            "split dtype": lambda m: m.update(split=m["split"] == "test"),
-            "NaN landmark": lambda m: m["hand"].__setitem__((2, 5, 0), math.nan),
-            "inf keypoint": lambda m: m["pose"].__setitem__((3, 1, 2), math.inf),
-            "confidence 1.5": lambda m: m["hand"].__setitem__((0, 0, 2), 1.5),
-            "width 0": lambda m: m["width"].__setitem__(1, 0.0),
-            "height 480.5": lambda m: m["height"].__setitem__(1, 480.5),
+            "wrong key": lambda: head.update(sha256="0" * 64),
+            "wrong layout": lambda: head.update(layout=handroi.dataset.CACHE_LAYOUT + 1),
+            "no layout": lambda: head.pop("layout"),
+            "hand shape": lambda: members.update(values=np.delete(values, [hand(20, k) for k in range(3)], axis=1)),
+            "width dtype": lambda: members.update(values=values.astype(np.float32)),
+            "big-endian pose": lambda: members.update(values=values.astype(">f8")),
+            "split dtype": lambda: head.update(split=[s == "test" for s in head["split"]]),
+            "NaN landmark": lambda: values.__setitem__((2, hand(5, 0)), math.nan),
+            "inf keypoint": lambda: values.__setitem__((3, pose(1, 2)), math.inf),
+            "confidence 1.5": lambda: values.__setitem__((0, hand(0, 2)), 1.5),
+            "width 0": lambda: values.__setitem__((1, 0), 0.0),
+            "height 480.5": lambda: values.__setitem__((1, 1), 480.5),
             # an integer a parse rejects, exact in float64
-            "width 2**53 + 2": lambda m: m["width"].__setitem__(1, 2.0**53 + 2),
-            "height inf": lambda m: m["height"].__setitem__(1, math.inf),
-            "split val": lambda m: m.update(split=np.array(["val"] * len(ids))),
-            "duplicate id": lambda m: m.update(ids=np.frombuffer(json.dumps([ids[0], *ids[:-1]]).encode(), np.uint8)),
-            "id not a string": lambda m: m.update(ids=np.frombuffer(json.dumps([1, *ids[1:]]).encode(), np.uint8)),
-            "ids not JSON": lambda m: m.update(ids=m["ids"][:-1]),
-            "no samples": lambda m: m.update(
-                {k: v[:0] for k, v in m.items() if k not in ("layout", "sha256", "ids")},
-                ids=np.frombuffer(b"[]", np.uint8),
+            "width 2**53 + 2": lambda: values.__setitem__((1, 0), 2.0**53 + 2),
+            "height inf": lambda: values.__setitem__((1, 1), math.inf),
+            "split val": lambda: head.update(split=["val"] * len(ids)),
+            "duplicate id": lambda: head.update(ids=[ids[0], *ids[:-1]]),
+            "id not a string": lambda: head.update(ids=[1, *ids[1:]]),
+            "ids not JSON": lambda: members.update(head=np.frombuffer(json.dumps(head).encode()[:-1], np.uint8)),
+            "no samples": lambda: members.update(
+                head={**head, "ids": [], "split": []}, values=values[:0], was_left=members["was_left"][:0]
             ),
+            "head not an object": lambda: members.update(
+                head=np.frombuffer(json.dumps(list(head.values())).encode(), np.uint8)
+            ),
+            "extra head key": lambda: head.update(n=len(ids)),
+            "split long": lambda: head["split"].append("val"),
+            "was_left dtype": lambda: members.update(was_left=members["was_left"].astype(np.int8)),
         }
         if damage == "truncated":
             cache_path.write_bytes(good[: len(good) // 2])
@@ -1044,17 +1077,80 @@ class TestColumnCache:
             with cache_path.open("wb") as fh:
                 np.save(fh, want.hand)
         else:
-            edits[damage](members)
-            with cache_path.open("wb") as fh:
-                np.savez(fh, **members)
-        calls = []
-        real = handroi.dataset.dataset_from_docs
-        with mock.patch.object(handroi.dataset, "dataset_from_docs", side_effect=lambda *a: calls.append(1) or real(*a)):
+            edits[damage]()
+            write_cache(path, members)
+        with counting_parses() as calls:
             assert_same_columns(read_samples(path), want)
         assert calls == [1]
         assert cache_path.read_bytes() == good
         with no_parse():
             assert_same_columns(read_samples(path), want)
+
+    def test_layout_1_cache_misses_and_is_rewritten(self, tmp_path):
+        # the nine members of the first layout, with this file's key
+        path = self.write(tmp_path / "data.jsonl")
+        want = read_samples(path)
+        cache_path = Path(f"{path}{CACHE_SUFFIX}")
+        good = cache_path.read_bytes()
+        with cache_path.open("wb") as fh:
+            np.savez(
+                fh,
+                layout=np.int64(1),
+                sha256=np.str_(want.sha256),
+                ids=np.frombuffer(json.dumps(want.ids.tolist()).encode(), np.uint8),
+                split=want.split.astype(str),
+                **{name: getattr(want, name) for name in ("width", "height", "was_left", "hand", "pose")},
+            )
+        with counting_parses() as calls:
+            assert_same_columns(read_samples(path), want)
+        assert calls == [1]
+        assert cache_path.read_bytes() == good and read_cache(path)["head"]["layout"] == 2
+        with no_parse():
+            assert_same_columns(read_samples(path), want)
+
+    def test_stale_key_parses_once_and_is_rewritten(self, tmp_path):
+        path = self.write(tmp_path / "data.jsonl")
+        read_samples(path)
+        write_samples(synth_dataset(SynthConfig(n=5, seed=9)), path)
+        with counting_parses() as calls:
+            want = read_samples(path)
+        assert calls == [1] and len(want) == 5
+        assert read_cache(path)["head"]["sha256"] == want.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        with no_parse():
+            assert_same_columns(read_samples(path), want)
+
+    @pytest.mark.parametrize("how", ["missing", "directory", "hash error"])
+    def test_hash_error_is_raised_unchanged(self, tmp_path, how):
+        # the cache exists, so the file is hashed on the helper thread; what that raises is raised here
+        path = self.write(tmp_path / "data.jsonl")
+        read_samples(path)
+        path.unlink()
+        if how == "directory":
+            path.mkdir()
+        error = OSError(5, "Input/output error")
+        with contextlib.ExitStack() as stack:
+            if how == "hash error":
+                self.write(path)
+                stack.enter_context(mock.patch.object(handroi.dataset, "_file_sha256", side_effect=error))
+            with pytest.raises(OSError) as raised:
+                read_samples(path)
+        if how == "hash error":
+            assert raised.value is error
+        else:
+            assert type(raised.value) is (FileNotFoundError if how == "missing" else IsADirectoryError)
+            assert raised.value.filename == str(path)
+
+    def test_no_thread_is_left_running(self, tmp_path):
+        path = self.write(tmp_path / "data.jsonl")
+        before = threading.enumerate()
+        for step in ("miss", "hit", "error"):
+            if step == "error":
+                path.unlink()
+                with pytest.raises(FileNotFoundError):
+                    read_samples(path)
+            else:
+                read_samples(path)
+            assert threading.enumerate() == before and threading.active_count() == len(before), step
 
     def test_damaged_bytes_never_change_the_result(self, tmp_path):
         path = self.write(tmp_path / "data.jsonl", n=2)

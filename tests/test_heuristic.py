@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_form_size, reference_calc_hand_roi, reference_gold_roi, scalar_gold_predictor, tight_box
@@ -231,6 +231,11 @@ DEGENERATE_KINDS = (
 )
 
 
+# every landmark at 0 but the middle knuckle's x, one subnormal step (5e-324) away
+ZERO_SPAN_HAND = np.zeros((21, 3))
+ZERO_SPAN_HAND[MIDDLE_MCP, 0] = 5e-324
+
+
 @st.composite
 def gold_hands(draw):
     """(kind, (21, 3) landmarks, width, height) of one drawn hand."""
@@ -258,9 +263,10 @@ def gold_hands(draw):
         width = height = 1e308
         pts[3], pts[4] = (1.7e308, 0.0), (-9e307, 0.0)
     elif kind == "zero size":
-        # the landmarks span one subnormal step, so the box's size rounds to 0
-        pts[:] = 0.0
-        pts[MIDDLE_MCP, 0] = 5e-324
+        # the landmarks span one subnormal step, so the box's size, side * 2 / height, rounds to 0; it does so only
+        # on an image 4 or more pixels high (on a lower one the box is usable, see the @example below)
+        height = int(rng.integers(4, 4000))
+        pts[:] = ZERO_SPAN_HAND[:, :2]
     conf = rng.choice([0.0, 1.0, rng.uniform()], size=(21, 1))
     return kind, np.hstack([pts, conf]), width, height
 
@@ -270,6 +276,8 @@ class TestGoldRoisReference:
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(gold_hands(), min_size=1, max_size=8))
+    # one subnormal step on an image 2 pixels high is a usable box of size 5e-324; 4 pixels high, a box of size 0
+    @example([("tiny", ZERO_SPAN_HAND, 1793, 2), ("zero size", ZERO_SPAN_HAND, 1793, 4)])
     def test_matches_scalar_bitwise(self, drawn):
         kinds, hands, widths, heights = zip(*drawn)
         boxes, reason = gold_rois(np.array(hands), widths, heights)

@@ -1,13 +1,18 @@
 """Tooling guard: the benchmark's tracer (`perfbench/spans.py`) must install on
 the package and record a span for every predictor layer and for the synth,
 ingest, write, training and rows-file functions it times, so a refactor that breaks
-`perfbench/run.py --trace 1` fails the test suite."""
+`perfbench/run.py --trace 1` fails the test suite. Its spans must form a tree in
+time, so a traced function moved onto a helper thread fails it too."""
 
 import contextlib
 import importlib.util
 import io
 import json
 import os
+import threading
+from collections import defaultdict
+
+import pytest
 
 import handroi.dataset
 import handroi.heuristic
@@ -22,6 +27,53 @@ def load_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def assert_well_formed(spans):
+    """Fail unless the spans form a tree in time: each one's parent encloses it, and siblings do not overlap.
+
+    The tracer keeps one span stack, so a traced function run on a helper
+    thread while the main thread is in another would break this, and with
+    it the self times the benchmark derives from the tree.
+    """
+    times = {span_id: (start, end) for span_id, _, _, start, end, _, _ in spans}
+    assert len(times) == len(spans)
+    children = defaultdict(list)
+    for span_id, parent, name, start, end, _, _ in spans:
+        if parent:
+            assert times[parent][0] <= start <= end <= times[parent][1], name
+        children[parent].append((start, end))
+    for kids in children.values():
+        kids.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(kids, kids[1:]))
+
+
+def test_a_span_from_a_helper_thread_is_not_well_formed():
+    # outer starts inner on a helper thread and, while inner runs there, calls beside on its own thread: beside is
+    # pushed onto inner's stack entry and outlasts it
+    spans = load_spans()
+    tracer = spans.Tracer()
+    started, done = threading.Event(), threading.Event()
+
+    def inner():
+        started.set()
+        assert done.wait(10)
+
+    def beside():
+        done.set()
+        helper.join(10)
+
+    def outer():
+        helper.start()
+        assert started.wait(10)
+        traced_beside()
+
+    helper = threading.Thread(target=tracer._wrap("inner", inner, None))
+    traced_beside = tracer._wrap("beside", beside, None)
+    tracer._wrap("outer", outer, None)()
+    assert not helper.is_alive() and [span[2] for span in tracer.spans] == ["inner", "beside", "outer"]
+    with pytest.raises(AssertionError):
+        assert_well_formed(tracer.spans)
 
 
 def test_tracer_records_every_predictor_layer(tmp_path):
@@ -48,6 +100,7 @@ def test_tracer_records_every_predictor_layer(tmp_path):
     finally:
         tracer.uninstall()
     assert codes == [0] * len(steps)
+    assert_well_formed(tracer.spans)
     calls, _, _ = spans.aggregate(tracer.spans)
     assert calls["cli.synth"] == 1
     assert len(spans.notes(tracer.spans, "dataset.write_samples", "cli.synth")) == 1
@@ -103,6 +156,7 @@ def test_tracer_records_ingest(tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
+    assert_well_formed(tracer.spans)
     calls, _, _ = spans.aggregate(tracer.spans)
     for name, count in (
         ("cli.ingest", 1),
