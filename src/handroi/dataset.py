@@ -11,11 +11,11 @@ drops the degenerate ones in batches. The read side
 per field, checked in bulk; `gold_boxes` gives its gold boxes in one
 batch. The columns of a file that parsed are kept beside it in a cache
 keyed by the sha256 of its bytes, so a later read of the same bytes skips
-JSON decoding. The cache holds three members: a JSON head of its layout,
-key, ids and splits, the float values of each sample in one row, and
-was_left. A later read hashes the file on a helper thread while it loads
-the cache, so a hit costs about one hash; a cache of an older layout is
-rebuilt once.
+JSON decoding. The cache is one flat file: a JSON head line of its layout,
+key, ids and splits, the float64 values of each sample in one row, was_left
+among them, and a CRC-32 of every byte before it. A later read hashes the
+file on a helper thread while it loads the cache, so a hit costs about one
+hash; a cache of an older layout is rebuilt once.
 
 Real data comes in two parts joined by sample id: a directory of per-image
 annotation files, ANNOTATION records of 21 (x, y, confidence) pixel
@@ -44,7 +44,6 @@ import json
 import math
 import os
 import threading
-import zipfile
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -837,33 +836,26 @@ def _stacked_values(vals, n, landmarks, keypoints):
 
 
 # the column cache of a dataset file is the file's path plus this suffix
-CACHE_SUFFIX = ".cols.npz"
-# version of the cache's member layout; a cache of another version is rebuilt
-CACHE_LAYOUT = 2
-# the keys of the cache's head, the JSON text that holds its key and its string columns
+CACHE_SUFFIX = ".cols"
+# version of the cache's file layout; a cache of another version is rebuilt
+CACHE_LAYOUT = 3
+# the keys of the cache's head line, the JSON text that holds its key and its string columns
 CACHE_HEAD = ("layout", "sha256", "ids", "split")
+# the float64 values of a sample's cache row: width, height, the 21 landmarks' (x, y, confidence), the
+# keypoints' (x, y, z), then was_left as 0.0 or 1.0
+CACHE_ROW = 2 + 3 * (21 + len(POSE_KEYS)) + 1
 # bytes hashed at a time when a dataset file is checked against its cache's key
 HASH_CHUNK = 1 << 20
-# what reading a damaged or foreign cache file raises: np.load and zipfile (a flipped flag bit reads as
-# an encrypted member, RuntimeError, or an unknown compression method, NotImplementedError), the npy
-# header parser and json
-_CACHE_ERRORS = (
-    OSError,
-    EOFError,
-    ValueError,
-    KeyError,
-    RuntimeError,
-    NotImplementedError,
-    zipfile.BadZipFile,
-    zlib.error,
-)
+# what reading a damaged or foreign cache file raises: the read, and json (a ValueError, which a
+# UnicodeDecodeError is too, or a RecursionError on deep nesting)
+_CACHE_ERRORS = (OSError, ValueError, RecursionError)
 
 
 def read_samples(path) -> Dataset:
     """The dataset file written by write_samples, as columns (see `dataset_from_docs`).
 
-    The columns of the file's bytes come from the cache `<path>.cols.npz`
-    if it holds them, that is if its columns pass the checks a parse makes
+    The columns of the file's bytes come from the cache `<path>.cols` if
+    it holds them, that is if its columns pass the checks a parse makes
     (`_cached_dataset`) and its key is the sha256 of the file's bytes. The
     file is hashed on a helper thread while this one loads the cache, and
     the key is compared once the hash is done; what the hash raises is
@@ -914,22 +906,24 @@ def _file_sha256(path):
 def _write_cache(cache, data):
     """Write data's columns, keyed by data.sha256, to the cache file; an OSError leaves none and is not raised.
 
-    The members are head, the ASCII JSON object of CACHE_LAYOUT, the key,
-    the ids and the splits (CACHE_HEAD) as uint8, since a numpy string
-    array drops trailing NULs; values, the (N, 83) float64 rows of width,
-    height, the 63 landmark values and the 18 keypoint values; and
-    was_left. The file is written under a temporary name and then renamed,
-    so a reader never sees part of it.
+    The file is one line, the ASCII JSON object of CACHE_LAYOUT, the key,
+    the ids and the splits (CACHE_HEAD), padded with spaces so that the
+    rows after it start at a multiple of 8 bytes; then the (N, CACHE_ROW)
+    little-endian float64 rows; then the little-endian CRC-32 of every
+    byte before it. The file is written under a temporary name and then
+    renamed, so a reader never sees part of it.
     """
     tmp = f"{cache}.{os.getpid()}.tmp"
     head = json.dumps(dict(zip(CACHE_HEAD, (CACHE_LAYOUT, data.sha256, data.ids.tolist(), data.split.tolist()))))
+    head = f"{head}{' ' * (-(len(head) + 1) % 8)}\n".encode("ascii")
     n = len(data)
-    values = np.concatenate(
-        [data.width[:, None], data.height[:, None], data.hand.reshape(n, -1), data.pose.reshape(n, -1)], axis=1
-    )
+    columns = (data.width, data.height, data.hand, data.pose, data.was_left)
+    rows = np.concatenate([c.reshape(n, -1) for c in columns], axis=1, dtype="<f8")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, head=np.frombuffer(head.encode("ascii"), np.uint8), values=values, was_left=data.was_left)
+            fh.write(head)
+            fh.write(rows)
+            fh.write(zlib.crc32(rows, zlib.crc32(head)).to_bytes(4, "little"))
         os.replace(tmp, cache)
     except OSError:
         try:
@@ -942,20 +936,24 @@ def _cached_dataset(cache):
     """The Dataset in the cache file if its layout is CACHE_LAYOUT and its columns are valid, else None.
 
     Its sha256 is the cache's key, which the caller compares with the
-    file's. Valid columns have a Dataset's shapes and dtypes, at least one
-    sample, unique string ids, splits in SPLITS, integer dims in [1,
-    MAX_DIM], and the values `_value_checks` asks of a parse: every value
-    finite and every confidence in [0, 1], checked over the whole values
-    member at once. A missing, damaged or foreign file is None too.
+    file's. The file (see `_write_cache`) must end in the CRC-32 of the
+    bytes before it, and its head line must be a JSON object of the keys
+    CACHE_HEAD. Valid columns have at least one sample, unique string ids,
+    splits in SPLITS, exactly N rows of CACHE_ROW float64 values after the
+    head line, integer dims in [1, MAX_DIM], every was_left 0.0 or 1.0,
+    and the values `_value_checks` asks of a parse: every value finite and
+    every confidence in [0, 1], checked over all rows at once. A missing,
+    damaged or foreign file is None too.
     """
     try:
         with open(cache, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                return None
-            with npz:
-                head, values, was_left = npz["head"], npz["values"], npz["was_left"]
-        head = json.loads(head.tobytes())
+            # read into a bytearray, so the columns that view it are writable
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            del raw[fh.readinto(raw) :]
+        if len(raw) < 4 or zlib.crc32(memoryview(raw)[:-4]) != int.from_bytes(raw[-4:], "little"):
+            return None
+        start = raw.find(b"\n", 0, len(raw) - 4) + 1
+        head = json.loads(raw[: start - 1]) if start else None
     except _CACHE_ERRORS:
         return None
     if type(head) is not dict or set(head) != set(CACHE_HEAD) or head["layout"] != CACHE_LAYOUT:
@@ -964,10 +962,7 @@ def _cached_dataset(cache):
     n = len(ids) if type(ids) is list else 0
     if (
         not n
-        or values.dtype != np.float64
-        or values.shape != (n, 2 + 3 * (21 + len(POSE_KEYS)))
-        or was_left.dtype != np.bool_
-        or was_left.shape != (n,)
+        or len(raw) - 4 - start != n * CACHE_ROW * 8
         or type(split) is not list
         or len(split) != n
         or sum(map(split.count, SPLITS)) != n
@@ -975,12 +970,13 @@ def _cached_dataset(cache):
         or len(set(ids)) != n
     ):
         return None
-    # a row of values is width, height, the 21 landmarks' (x, y, confidence), then the keypoints' (x, y, z)
-    dims, conf = values[:, :2], values[:, 4:65:3]
+    rows = np.frombuffer(raw, "<f8", n * CACHE_ROW, start).reshape(n, CACHE_ROW)
+    dims, conf, was_left = rows[:, :2], rows[:, 4:65:3], rows[:, -1]
     if not (
         ((dims > 0) & (dims <= MAX_DIM) & (dims == np.floor(dims))).all()
-        and np.isfinite(values).all()
+        and np.isfinite(rows).all()
         and ((conf >= 0.0) & (conf <= 1.0)).all()
+        and ((was_left == 0.0) | (was_left == 1.0)).all()
     ):
         return None
     return Dataset(
@@ -988,9 +984,9 @@ def _cached_dataset(cache):
         width=dims[:, 0].copy(),
         height=dims[:, 1].copy(),
         split=np.array(split, dtype=object),
-        was_left=was_left,
-        hand=values[:, 2:65].reshape(n, 21, 3),
-        pose=values[:, 65:].reshape(n, -1, 3),
+        was_left=was_left == 1.0,
+        hand=rows[:, 2:65].reshape(n, 21, 3),
+        pose=rows[:, 65:-1].reshape(n, -1, 3),
         sha256=head["sha256"],
     )
 

@@ -3,12 +3,14 @@ import itertools
 import json
 import math
 import os
+import zlib
 
 import numpy as np
 import pytest
 
 from handroi import cli
 from handroi.dataset import (
+    CACHE_ROW,
     CACHE_SUFFIX,
     HAND_TEMPLATE,
     MAX_REDRAWS,
@@ -64,22 +66,46 @@ OBJECT_MODEL = (
 
 
 def read_cache(dataset_path):
-    """The members of a dataset file's column cache, as a dict of arrays whose head is decoded from its JSON.
+    """A dataset file's column cache as {"head": its head line's JSON, "rows": a copy of its float64 rows}.
 
-    The file is closed again.
+    The cache's CRC-32 trailer must match the bytes before it.
     """
-    with np.load(f"{dataset_path}{CACHE_SUFFIX}", allow_pickle=False) as npz:
-        members = dict(npz)
-    members["head"] = json.loads(members["head"].tobytes())
-    return members
+    with open(f"{dataset_path}{CACHE_SUFFIX}", "rb") as fh:
+        raw = fh.read()
+    assert zlib.crc32(raw[:-4]) == int.from_bytes(raw[-4:], "little")
+    head, rows = raw[:-4].split(b"\n", 1)
+    return {"head": json.loads(head), "rows": np.frombuffer(rows, "<f8").reshape(-1, CACHE_ROW).copy()}
 
 
 def write_cache(dataset_path, members):
-    """Write members as a dataset file's column cache; a head given as a dict is written as its JSON text."""
-    if isinstance(members.get("head"), dict):
-        members = {**members, "head": np.frombuffer(json.dumps(members["head"]).encode(), np.uint8)}
+    """Write members as a dataset file's column cache, then the CRC-32 of the bytes written before it.
+
+    members is read_cache's dict, whose head is written as its JSON text if
+    it is a dict and as given otherwise, then a newline, then the bytes of
+    its rows in their array's dtype; or the bytes to write before the trailer.
+    """
+    if isinstance(members, dict):
+        head = members["head"]
+        head = json.dumps(head).encode() if isinstance(head, dict) else head
+        members = head + b"\n" + members["rows"].tobytes()
     with open(f"{dataset_path}{CACHE_SUFFIX}", "wb") as fh:
-        np.savez(fh, **members)
+        fh.write(members + zlib.crc32(members).to_bytes(4, "little"))
+
+
+def write_layout_2_cache(path, data):
+    """Write data's columns, keyed by data.sha256, to path as the npz of the cache's layout 2.
+
+    Its members were head, the ASCII JSON of the layout, the key, the ids
+    and the splits as uint8; values, the (N, 83) float64 rows of width,
+    height, the 63 landmark values and the 18 keypoint values; and was_left.
+    """
+    n = len(data)
+    head = json.dumps({"layout": 2, "sha256": data.sha256, "ids": data.ids.tolist(), "split": data.split.tolist()})
+    values = np.concatenate(
+        [data.width[:, None], data.height[:, None], data.hand.reshape(n, -1), data.pose.reshape(n, -1)], axis=1
+    )
+    with open(path, "wb") as fh:
+        np.savez(fh, head=np.frombuffer(head.encode("ascii"), np.uint8), values=values, was_left=data.was_left)
 
 
 def sample_doc(s: Sample) -> dict:

@@ -9,6 +9,7 @@ import os
 import re
 import shlex
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -130,6 +131,13 @@ class TestIngest:
         assert len(read_samples(out)) == 3
         manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
         assert manifest["counts"]["train"]["missing_pose"] == 1
+
+    def test_no_labels_exit_2(self, tmp_path):
+        sidecar = tmp_path / "poses.jsonl"
+        self.make_sidecar(sidecar, ["s0"])
+        code, err = run_quiet("ingest", "--sidecar", str(sidecar), "--out", str(tmp_path / "d.jsonl"))
+        assert (code, err) == (2, ["error: need --train-labels and/or --test-labels"])
+        assert {p.name for p in tmp_path.iterdir()} == {"poses.jsonl"}
 
     def test_invalid_utf8_sidecar_exit_2(self, tmp_path):
         labels = tmp_path / "labels"
@@ -776,6 +784,26 @@ class TestEval:
         assert (code, err) == (2, ["error: method 'heuristic' reads no weights"])
         assert {p.name for p in tmp_path.iterdir()} == ({"data.jsonl", "junk.hroi"} if exists else {"data.jsonl"})
 
+    @pytest.mark.parametrize("command", ["eval", "render"])
+    @pytest.mark.parametrize("method", ["mlp", "hybrid"])
+    def test_missing_weights_exit_2(self, tmp_path, small_dataset, command, method):
+        weights = tmp_path / "missing.hroi"
+        argv = ["--dataset", str(small_dataset), "--method", method, "--weights", str(weights)]
+        if command == "render":
+            argv += ["--id", json.loads(small_dataset.read_text().splitlines()[0])["id"]]
+        code, err = run_quiet(command, *argv, "--out", str(tmp_path / "out"))
+        assert (code, err) == (2, [f"error: weights file not found: {weights}"])
+        assert {p.name for p in tmp_path.iterdir()} == {"data.jsonl"}
+
+    def test_no_test_split_exit_2(self, tmp_path):
+        data = synth_dataset(SynthConfig(n=20, seed=5))
+        path = tmp_path / "data.jsonl"
+        write_samples(data.select(data.split == "train"), path)
+        code, err = run_quiet("eval", "--dataset", str(path), "--out", str(tmp_path / "rows.csv"))
+        assert (code, err) == (2, ["error: dataset has no test split"])
+        # the dataset parsed, so its column cache is the only file written
+        assert {p.name for p in tmp_path.iterdir()} == {"data.jsonl", f"data.jsonl{CACHE_SUFFIX}"}
+
     @pytest.mark.parametrize("method", ["heuristic", "hybrid"])
     def test_same_bytes_with_and_without_cache(self, tmp_path, small_dataset, trained_weights, method):
         cache = small_dataset.with_name(small_dataset.name + CACHE_SUFFIX)
@@ -1240,6 +1268,24 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_synth", fail)
         assert run_quiet("synth", "--n", "1", "--seed", "1", "--out", str(tmp_path / "d")) == (code, ["error: boom"])
+
+
+# standard modules whose import alone costs milliseconds on every command's start (logging ≈5.8 ms)
+HEAVY_MODULES = ("logging", "concurrent.futures", "asyncio", "multiprocessing")
+
+
+class TestImportWeight:
+    def test_cli_adds_no_heavy_module_to_numpy(self):
+        def modules(name):
+            # a fresh interpreter, so no module another test imported is counted
+            env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+            code = f"import json, sys, {name}; print(json.dumps(sorted(sys.modules)))"
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            return set(json.loads(done.stdout))
+
+        added = modules("handroi.cli") - modules("numpy")
+        assert "handroi.cli" in added and "numpy" not in added
+        assert sorted(m for m in added if any(m == h or m.startswith(f"{h}.") for h in HEAVY_MODULES)) == []
 
 
 class TestDataDir:

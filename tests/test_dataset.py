@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from conftest import (
     tight_box,
     write_cache,
     write_doc_lines,
+    write_layout_2_cache,
 )
 from handroi.dataset import (
     CACHE_SUFFIX,
@@ -934,7 +936,7 @@ class TestColumnCache:
             assert first.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
             with no_parse():
                 assert_same_columns(read_samples(path), first)
-            assert sorted(p.name for p in Path(tmp).iterdir()) == ["data.jsonl", "data.jsonl.cols.npz"]
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["data.jsonl", "data.jsonl.cols"]
 
     def test_odd_ids_round_trip(self, tmp_path):
         docs = row_docs(synth_dataset(SynthConfig(n=len(ODD_IDS), seed=4)))
@@ -954,15 +956,18 @@ class TestColumnCache:
         head = cache.pop("head")
         assert list(head) == list(handroi.dataset.CACHE_HEAD)
         assert head["sha256"] == data.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert head["layout"] == handroi.dataset.CACHE_LAYOUT == 2
+        assert head["layout"] == handroi.dataset.CACHE_LAYOUT == 3
         assert head["ids"] == data.ids.tolist() and head["split"] == data.split.tolist()
         n = len(data)
-        values = np.concatenate([data.width[:, None], data.height[:, None], data.hand.reshape(n, -1),
-                                 data.pose.reshape(n, -1)], axis=1)
-        assert sorted(cache) == ["values", "was_left"]
-        assert cache["values"].dtype == np.float64 and cache["values"].shape == (n, 83)
-        assert cache["values"].tobytes() == values.tobytes()
-        assert cache["was_left"].tolist() == data.was_left.tolist() and cache["was_left"].dtype == bool
+        rows = np.concatenate([data.width[:, None], data.height[:, None], data.hand.reshape(n, -1),
+                               data.pose.reshape(n, -1), data.was_left[:, None]], axis=1)
+        assert sorted(cache) == ["rows"] and handroi.dataset.CACHE_ROW == 84
+        assert cache["rows"].shape == (n, 84) and cache["rows"].tobytes() == rows.astype("<f8").tobytes()
+        # the head line is its JSON text padded with spaces, so the rows start at a multiple of 8 bytes
+        raw = Path(f"{path}{CACHE_SUFFIX}").read_bytes()
+        line = raw[: raw.index(b"\n") + 1]
+        assert line.rstrip(b" \n") == json.dumps(head).encode("ascii") and len(line) % 8 == 0
+        assert len(raw) == len(line) + n * 84 * 8 + 4
 
     def test_hit_hashes_in_chunks(self, tmp_path):
         path = self.write(tmp_path / "data.jsonl")
@@ -999,15 +1004,15 @@ class TestColumnCache:
         "damage",
         [
             "truncated",
-            "not a zip",
+            "no head line",
             "empty",
-            "npy",
+            "layout-2 npz",
             "wrong key",
             "wrong layout",
             "no layout",
-            "hand shape",
-            "width dtype",
-            "big-endian pose",
+            "rows short a landmark",
+            "float32 rows",
+            "byte-swapped rows",
             "split dtype",
             "NaN landmark",
             "inf keypoint",
@@ -1024,7 +1029,7 @@ class TestColumnCache:
             "head not an object",
             "extra head key",
             "split long",
-            "was_left dtype",
+            "was_left 2.0",
         ],
     )
     def test_bad_cache_misses_and_is_rewritten(self, tmp_path, damage):
@@ -1033,17 +1038,18 @@ class TestColumnCache:
         cache_path = Path(f"{path}{CACHE_SUFFIX}")
         good = cache_path.read_bytes()
         members = read_cache(path)
-        head, values = members["head"], members["values"]
+        head, values = members["head"], members["rows"]
         ids = head["ids"]
-        # the values column of a landmark's or a keypoint's coordinate
+        # the rows column of a landmark's or a keypoint's coordinate
         hand, pose = (lambda p, k: 2 + 3 * p + k), (lambda p, k: 65 + 3 * p + k)
         edits = {
             "wrong key": lambda: head.update(sha256="0" * 64),
             "wrong layout": lambda: head.update(layout=handroi.dataset.CACHE_LAYOUT + 1),
             "no layout": lambda: head.pop("layout"),
-            "hand shape": lambda: members.update(values=np.delete(values, [hand(20, k) for k in range(3)], axis=1)),
-            "width dtype": lambda: members.update(values=values.astype(np.float32)),
-            "big-endian pose": lambda: members.update(values=values.astype(">f8")),
+            # a body of the wrong length: 81 or 42 values' bytes a row
+            "rows short a landmark": lambda: members.update(rows=np.delete(values, [hand(20, k) for k in range(3)], 1)),
+            "float32 rows": lambda: members.update(rows=values.astype(np.float32)),
+            "byte-swapped rows": lambda: members.update(rows=values.astype(">f8")),
             "split dtype": lambda: head.update(split=[s == "test" for s in head["split"]]),
             "NaN landmark": lambda: values.__setitem__((2, hand(5, 0)), math.nan),
             "inf keypoint": lambda: values.__setitem__((3, pose(1, 2)), math.inf),
@@ -1056,26 +1062,21 @@ class TestColumnCache:
             "split val": lambda: head.update(split=["val"] * len(ids)),
             "duplicate id": lambda: head.update(ids=[ids[0], *ids[:-1]]),
             "id not a string": lambda: head.update(ids=[1, *ids[1:]]),
-            "ids not JSON": lambda: members.update(head=np.frombuffer(json.dumps(head).encode()[:-1], np.uint8)),
-            "no samples": lambda: members.update(
-                head={**head, "ids": [], "split": []}, values=values[:0], was_left=members["was_left"][:0]
-            ),
-            "head not an object": lambda: members.update(
-                head=np.frombuffer(json.dumps(list(head.values())).encode(), np.uint8)
-            ),
+            "ids not JSON": lambda: members.update(head=json.dumps(head).encode()[:-1]),
+            "no samples": lambda: members.update(head={**head, "ids": [], "split": []}, rows=values[:0]),
+            "head not an object": lambda: members.update(head=json.dumps(list(head.values())).encode()),
             "extra head key": lambda: head.update(n=len(ids)),
             "split long": lambda: head["split"].append("val"),
-            "was_left dtype": lambda: members.update(was_left=members["was_left"].astype(np.int8)),
+            "was_left 2.0": lambda: values.__setitem__((2, -1), 2.0),
         }
         if damage == "truncated":
             cache_path.write_bytes(good[: len(good) // 2])
-        elif damage == "not a zip":
-            cache_path.write_bytes(b"\x93NUMPY is not a zip" + good)
+        elif damage == "no head line":
+            write_cache(path, b"no head line")
         elif damage == "empty":
             cache_path.write_bytes(b"")
-        elif damage == "npy":
-            with cache_path.open("wb") as fh:
-                np.save(fh, want.hand)
+        elif damage == "layout-2 npz":
+            write_layout_2_cache(cache_path, want)
         else:
             edits[damage]()
             write_cache(path, members)
@@ -1086,25 +1087,20 @@ class TestColumnCache:
         with no_parse():
             assert_same_columns(read_samples(path), want)
 
-    def test_layout_1_cache_misses_and_is_rewritten(self, tmp_path):
-        # the nine members of the first layout, with this file's key
+    def test_layout_2_npz_beside_the_dataset_is_not_read(self, tmp_path):
+        # the three members of the layout before this one, with this file's key, under that layout's name
         path = self.write(tmp_path / "data.jsonl")
         want = read_samples(path)
         cache_path = Path(f"{path}{CACHE_SUFFIX}")
         good = cache_path.read_bytes()
-        with cache_path.open("wb") as fh:
-            np.savez(
-                fh,
-                layout=np.int64(1),
-                sha256=np.str_(want.sha256),
-                ids=np.frombuffer(json.dumps(want.ids.tolist()).encode(), np.uint8),
-                split=want.split.astype(str),
-                **{name: getattr(want, name) for name in ("width", "height", "was_left", "hand", "pose")},
-            )
+        cache_path.unlink()
+        stale = Path(f"{path}.cols.npz")
+        write_layout_2_cache(stale, want)
+        npz = stale.read_bytes()
         with counting_parses() as calls:
             assert_same_columns(read_samples(path), want)
         assert calls == [1]
-        assert cache_path.read_bytes() == good and read_cache(path)["head"]["layout"] == 2
+        assert cache_path.read_bytes() == good and stale.read_bytes() == npz
         with no_parse():
             assert_same_columns(read_samples(path), want)
 
@@ -1157,13 +1153,19 @@ class TestColumnCache:
         want = read_samples(path)
         cache_path = Path(f"{path}{CACHE_SUFFIX}")
         good = cache_path.read_bytes()
+        # a flip lands in the head line, the rows or the CRC-32 trailer, every byte of which is flipped once
+        rows, trailer = good.index(b"\n") + 1, len(good) - 4
+        ks = [*range(0, trailer, 7), *range(trailer, len(good))]
+        assert {(k >= rows) + (k >= trailer) for k in ks} == {0, 1, 2}
         rng = np.random.default_rng(3)
-        for k in range(0, len(good), 7):
+        for k in ks:
             flipped = bytearray(good)
             flipped[k] ^= 1 << int(rng.integers(8))
             for damaged in (good[:k], bytes(flipped)):
                 cache_path.write_bytes(damaged)
-                assert_same_columns(read_samples(path), want)
+                with counting_parses() as calls:
+                    assert_same_columns(read_samples(path), want)
+                assert calls == [1] and cache_path.read_bytes() == good, k
 
     @pytest.mark.parametrize("later", ["malformed", "nan landmark"])
     def test_failed_parse_leaves_no_cache(self, tmp_path, later):
@@ -1173,22 +1175,28 @@ class TestColumnCache:
             read_samples(tmp_path / "data.jsonl")
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
-    @pytest.mark.parametrize("failing", ["savez", "replace"])
+    @pytest.mark.parametrize("failing", ["write", "replace"])
     def test_write_error_skips_the_cache(self, tmp_path, monkeypatch, failing):
         path = self.write(tmp_path / "data.jsonl")
         want = read_samples(path)
         Path(f"{path}{CACHE_SUFFIX}").unlink()
 
-        def savez(fh, **members):
-            fh.write(b"PK\x03\x04 half a cache")
-            raise OSError(28, "No space left on device")
+        writes = []
+
+        class FullDisk(io.FileIO):
+            def write(self, b):
+                writes.append(super().write(bytes(b)[:8]))
+                raise OSError(28, "No space left on device")
+
+        def open_full(name, mode="r"):
+            return FullDisk(name, mode) if "w" in mode else open(name, mode)
 
         def replace(src, dst):
             raise PermissionError(13, "Permission denied")
 
-        if failing == "savez":
-            monkeypatch.setattr(handroi.dataset.np, "savez", savez)
+        if failing == "write":
+            monkeypatch.setattr(handroi.dataset, "open", open_full, raising=False)
         else:
             monkeypatch.setattr(handroi.dataset.os, "replace", replace)
         assert_same_columns(read_samples(path), want)
-        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"] and writes == ([8] if failing == "write" else [])

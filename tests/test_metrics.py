@@ -26,6 +26,7 @@ from handroi.metrics import (
     write_rows_csv,
 )
 from handroi.model import featurize, heuristic_roi
+from handroi.svg import histogram_svg
 
 
 HEADER = (",".join(CSV_COLUMNS) + "\n").encode()
@@ -247,6 +248,10 @@ class TestSummarize:
         s = summarize(rows)
         assert s.mean_center_err == 3.0 and s.mean_iou == 0.25 and s.min_iou == 0.0 and s.n == 3
 
+    def test_no_rows(self):
+        with pytest.raises(InputError, match="^no rows to summarize$"):
+            summarize(table("", []))
+
 
 class TestHistogram:
     def test_all_ones_in_last_bin(self):
@@ -261,6 +266,10 @@ class TestHistogram:
         rows = table([str(i) for i in range(123)], rng.uniform(0, 1, size=123))
         counts = iou_histogram(rows)
         assert len(counts) == HIST_BINS and sum(counts) == 123
+
+    def test_svg_series_of_different_bin_counts(self):
+        with pytest.raises(ValueError, match=r"^series 'b' has 3 bins, expected 2$"):
+            histogram_svg([("a", [1, 2]), ("b", [1, 2, 3])])
 
 
 # text a csv field may hold: the characters that make csv quote it, non-ASCII text and the empty string

@@ -135,6 +135,10 @@ class TestForward:
         with pytest.raises(HandRoiError, match=r"^theta must be 13 float64 values for layers \[2, 3, 1\]$"):
             Mlp([2, 3, 1], theta)
 
+    def test_one_layer_size(self):
+        with pytest.raises(HandRoiError, match="^need at least input and output layer$"):
+            Mlp([19], np.zeros(0))
+
 
 class TestParamCount:
     def test_paper_heads(self):
@@ -179,6 +183,18 @@ class TestGradient:
             Y = rng.normal(size=(4, sizes[-1]))
             _, grad = net.gradient(X, Y)
             assert grad_max_rel_err(grad, finite_diff_grad(net, X, Y)) < 1e-4
+
+    @pytest.mark.parametrize(
+        "inputs, targets, error",
+        [
+            ((4, 3), (3, 2), "batch inputs and targets disagree in length"),
+            ((4, 4), (4, 2), "batch widths inconsistent with the network layout"),
+            ((4, 3), (4, 1), "batch widths inconsistent with the network layout"),
+        ],
+    )
+    def test_shape_mismatch(self, inputs, targets, error):
+        with pytest.raises(HandRoiError, match=f"^{error}$"):
+            Mlp.zeros([3, 2]).gradient(np.ones(inputs), np.ones(targets))
 
 
 class TestFeaturize:
