@@ -21,7 +21,9 @@ Real data comes in two parts joined by sample id: a directory of per-image
 annotation files, ANNOTATION records of 21 (x, y, confidence) pixel
 landmarks, and a line-delimited JSON sidecar of externally produced body
 keypoints, SIDECAR records of [x, y, z] keypoints in normalized image
-coordinates. One function checks each record kind's structure by its table
+coordinates. One function decodes each JSON input, an annotation file, a
+sidecar or dataset line or the cache's head line, as strict UTF-8 JSON
+(`_json_value`), one checks each record kind's structure by its table
 (`_records`), and one the values of all records at once (`_stacked_values`).
 
 Left-hand samples are mirrored at ingestion so everything downstream sees
@@ -30,7 +32,7 @@ scale: it poses a canonical 3-D hand, tilts it out of plane, projects it
 orthographically, and derives the sparse body keypoints from the projection.
 
 No command builds per-sample objects. The object model (`Sample`, of a
-`Hand21` and a `PoseHand` of `Vec3`s, whose checks raise DegenerateHand)
+`Hand21` and a `PoseHand` of `Vec3`s, whose checks raise HandRoiError)
 and the two functions that use it are kept for the benchmark: its ingest
 set-up writes its annotation files from the Samples of `synth_generate`,
 and writes them back with `write_samples`, which stacks a list of Sample
@@ -51,7 +53,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import DegenerateHand, HandRoiError, InputError
+from .errors import HandRoiError, InputError
 from .heuristic import (
     INDEX_MCP,
     MIDDLE_MCP,
@@ -79,7 +81,7 @@ class Vec3:
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise DegenerateHand(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
+            raise HandRoiError(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,12 @@ class Hand21:
 
     def __post_init__(self):
         if len(self.points) != 21:
-            raise DegenerateHand(f"expected 21 landmarks, got {len(self.points)}")
+            raise HandRoiError(f"expected 21 landmarks, got {len(self.points)}")
         for x, y, c in self.points:
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise DegenerateHand("non-finite landmark coordinate")
+                raise HandRoiError("non-finite landmark coordinate")
             if not (0.0 <= c <= 1.0):
-                raise DegenerateHand(f"confidence {c} outside [0, 1]")
+                raise HandRoiError(f"confidence {c} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -192,9 +194,9 @@ def parse_panoptic(labels_dir):
 
 
 def _annotation_files(entries):
-    """(id, JSON value) of each file among the directory entries: its name without .json, and its contents.
+    """(id, `_json_value`) of each file among the directory entries: its name without .json, and its contents.
 
-    A file that is not strict UTF-8 JSON has the ValueError that says why as its value.
+    A file that cannot be read has the ValueError of its OSError as its value.
     """
     for entry in entries:
         try:
@@ -204,9 +206,8 @@ def _annotation_files(entries):
             continue
         try:
             with open(entry.path, "rb") as fh:
-                # strict UTF-8 text, as a text-mode read gives it: a UTF-8 BOM or a UTF-16 file is malformed
-                doc = json.loads(fh.read().decode("utf-8"))
-        except (OSError, ValueError, RecursionError) as e:  # RecursionError: nested too deep
+                doc = _json_value(fh.read())
+        except OSError as e:
             doc = ValueError(str(e))
         yield os.path.splitext(entry.name)[0], doc
 
@@ -233,23 +234,22 @@ def merge_pose_sidecar(records, poses, split="train") -> MergeResult:
     rows = np.array([poses.rows.get(sid, -1) for sid in records.ids.tolist()], dtype=np.intp)
     found = rows >= 0
     rows = rows[found]
-    width, height = poses.width[rows], poses.height[rows]
-    was_left = poses.left[rows] | records.is_left[found]
-    hand, pose = records.hand[found], poses.pose[rows]
-    hand[was_left, :, 0] = width[was_left, None] - hand[was_left, :, 0]
-    pose[was_left, :, 0] = 1.0 - pose[was_left, :, 0]
-    degenerate = gold_rois(hand, width, height)[1] > 0
-    keep = ~degenerate
     data = Dataset(
-        ids=records.ids[found][keep],
-        width=width[keep],
-        height=height[keep],
-        split=np.full(int(keep.sum()), split, dtype=object),
-        was_left=was_left[keep],
-        hand=hand[keep],
-        pose=pose[keep],
+        ids=records.ids[found],
+        width=poses.width[rows],
+        height=poses.height[rows],
+        split=np.full(len(rows), split, dtype=object),
+        was_left=poses.left[rows] | records.is_left[found],
+        hand=records.hand[found],
+        pose=poses.pose[rows],
     )
-    return MergeResult(data=data, missing_pose=int((~found).sum()), degenerate=int(degenerate.sum()))
+    left = data.was_left
+    data.hand[left, :, 0] = data.width[left, None] - data.hand[left, :, 0]
+    data.pose[left, :, 0] = 1.0 - data.pose[left, :, 0]
+    degenerate = gold_rois(data.hand, data.width, data.height)[1] > 0
+    return MergeResult(
+        data=data.select(~degenerate), missing_pose=int((~found).sum()), degenerate=int(degenerate.sum())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -753,19 +753,28 @@ def first_fault(checks):
     return i, next(describe(i) for mask, describe in checks if mask[i])
 
 
-def _json_lines(raw_lines):
-    """(line number, JSON value) of each non-blank line of raw lines (bytes).
+def _json_value(raw):
+    """The JSON value of raw (bytes) decoded as strict UTF-8, or the ValueError that says why it has none.
 
-    A line that is not UTF-8 JSON has the ValueError that says why as its value.
+    Only JSON whitespace (space, tab, CR, LF) may surround the value. A UTF-8
+    BOM or a UTF-16 text is no UTF-8 JSON, nor is a lone surrogate's bytes.
+    """
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON; RecursionError: nested too deep
+        return ValueError(str(e))
+
+
+def _json_lines(raw_lines):
+    """(line number, `_json_value`) of each line of raw lines (bytes) but the blank ones.
+
+    A blank line is one of JSON whitespace alone: space, tab, CR and LF.
     """
     for lineno, raw in enumerate(raw_lines, 1):
-        try:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON; RecursionError: nested too deep
-            doc = ValueError(str(e))
+        doc = _json_value(raw)
+        # a blank line is no JSON, so only a line that failed is checked for one
+        if type(doc) is ValueError and not raw.strip(b" \t\r\n"):
+            continue
         yield lineno, doc
 
 
@@ -846,9 +855,6 @@ CACHE_HEAD = ("layout", "sha256", "ids", "split")
 CACHE_ROW = 2 + 3 * (21 + len(POSE_KEYS)) + 1
 # bytes hashed at a time when a dataset file is checked against its cache's key
 HASH_CHUNK = 1 << 20
-# what reading a damaged or foreign cache file raises: the read, and json (a ValueError, which a
-# UnicodeDecodeError is too, or a RecursionError on deep nesting)
-_CACHE_ERRORS = (OSError, ValueError, RecursionError)
 
 
 def read_samples(path) -> Dataset:
@@ -937,25 +943,26 @@ def _cached_dataset(cache):
 
     Its sha256 is the cache's key, which the caller compares with the
     file's. The file (see `_write_cache`) must end in the CRC-32 of the
-    bytes before it, and its head line must be a JSON object of the keys
-    CACHE_HEAD. Valid columns have at least one sample, unique string ids,
-    splits in SPLITS, exactly N rows of CACHE_ROW float64 values after the
-    head line, integer dims in [1, MAX_DIM], every was_left 0.0 or 1.0,
-    and the values `_value_checks` asks of a parse: every value finite and
-    every confidence in [0, 1], checked over all rows at once. A missing,
-    damaged or foreign file is None too.
+    bytes before it, and its head line must be the strict UTF-8 JSON
+    (`_json_value`) of an object of the keys CACHE_HEAD. Valid columns
+    have at least one sample, unique string ids, splits in SPLITS, exactly
+    N rows of CACHE_ROW float64 values after the head line, integer dims in
+    [1, MAX_DIM], every was_left 0.0 or 1.0, and the values `_value_checks`
+    asks of a parse: every value finite and every confidence in [0, 1],
+    checked over all rows at once. A missing, damaged or foreign file is
+    None too.
     """
     try:
         with open(cache, "rb") as fh:
             # read into a bytearray, so the columns that view it are writable
             raw = bytearray(os.fstat(fh.fileno()).st_size)
             del raw[fh.readinto(raw) :]
-        if len(raw) < 4 or zlib.crc32(memoryview(raw)[:-4]) != int.from_bytes(raw[-4:], "little"):
-            return None
-        start = raw.find(b"\n", 0, len(raw) - 4) + 1
-        head = json.loads(raw[: start - 1]) if start else None
-    except _CACHE_ERRORS:
+    except OSError:
         return None
+    if len(raw) < 4 or zlib.crc32(memoryview(raw)[:-4]) != int.from_bytes(raw[-4:], "little"):
+        return None
+    start = raw.find(b"\n", 0, len(raw) - 4) + 1
+    head = _json_value(raw[: start - 1]) if start else None
     if type(head) is not dict or set(head) != set(CACHE_HEAD) or head["layout"] != CACHE_LAYOUT:
         return None
     ids, split = head["ids"], head["split"]

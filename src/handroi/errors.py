@@ -5,11 +5,11 @@ input the command cannot use (a flag value, a malformed or empty file, a
 weights file of another layout, training that diverges), 3 for two row
 files that do not cover the same sample ids, 4 for an id that is not
 found, and 1 for a broken internal precondition that no command-line
-input reaches. No package code catches DegenerateHand. Only the checks of
-the one-sample objects raise it, which `dataset.synth_generate` alone
-builds, and the one-hand view `heuristic.gold_roi`; no command calls
-either, and the commands read the reason codes that `heuristic.gold_rois`
-returns.
+input reaches. A degenerate hand is such a precondition where HandRoiError
+itself is raised: by the checks of the one-sample objects, which
+`dataset.synth_generate` alone builds, and by the one-hand view
+`heuristic.gold_roi`. No command calls either; the commands read the
+reason codes that `heuristic.gold_rois` returns.
 """
 
 
@@ -31,7 +31,3 @@ class JoinError(HandRoiError):
 class NotFound(HandRoiError):
     """A requested sample id is not in the dataset."""
     exit_code = 4
-
-
-class DegenerateHand(HandRoiError):
-    """Hand landmarks or keypoints give no usable box: too few, coincident or not finite."""

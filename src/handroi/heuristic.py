@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateHand, HandRoiError
+from .errors import HandRoiError
 from .geometry import normalize_deg
 
 # landmark indices in the standard 21-point hand topology
@@ -89,7 +89,7 @@ DEGENERATE_REASONS = (
 
 
 def degenerate_reason(reason, width, height):
-    """The DegenerateHand message of a reason of `gold_rois` on a width x height image."""
+    """The message of a reason of `gold_rois` on a width x height image."""
     if reason < len(DEGENERATE_REASONS):  # only the bound names the dims, which are then finite
         return DEGENERATE_REASONS[reason - 1]
     w, h = int(width), int(height)
@@ -109,12 +109,12 @@ def gold_rois(hand, width, height):
     rows are NaN. The arithmetic is a scalar loop's, row by row, though
     the landmarks are held as two (21, N) arrays, x and y, and each step
     works on all hands: the landmarks are summed left to right, one row
-    addition at a time (as the builtin sum does before Python 3.12), min
-    and max keep the first of equal values and take a NaN only when it
-    comes first (`_extreme`), and the angle and the cosines and sines come
-    from the math module, one value at a time (numpy's arctan2 differs in
-    the last bits). np.degrees and np.radians are the math module's single
-    multiply.
+    addition at a time (as the builtin sum of floats does only before
+    Python 3.12, which compensates its rounding), min and max keep the
+    first of equal values and take a NaN only when it comes first
+    (`_extreme`), and the angle and the cosines and sines come from the
+    math module, one value at a time (numpy's arctan2 differs in the last
+    bits). np.degrees and np.radians are the math module's single multiply.
     """
     hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
     width = np.asarray(width, dtype=np.float64)
@@ -178,11 +178,11 @@ def _gold_rois(hand, width, height):
 def gold_roi(hand, width, height):
     """The gold box row (cx, cy, size, rotation) of one hand: `gold_rois` of that hand alone.
 
-    A degenerate hand raises DegenerateHand with `degenerate_reason`'s
+    A degenerate hand raises HandRoiError with `degenerate_reason`'s
     message. The package computes gold boxes in batches; this view is kept
     because the benchmark's tracer binds its name.
     """
     boxes, reason = gold_rois([hand.points], [width], [height])
     if reason[0]:
-        raise DegenerateHand(degenerate_reason(reason[0], width, height))
+        raise HandRoiError(degenerate_reason(reason[0], width, height))
     return tuple(boxes[0].tolist())

@@ -104,8 +104,13 @@ def evaluate(predict, data, method: str = ""):
 
 
 def _mean(col) -> float:
-    """Mean of a column, summed left to right; NaN if it is empty."""
-    return sum(col.tolist()) / col.size if col.size else math.nan
+    """Mean of a column, summed left to right from 0.0; NaN if it is empty.
+
+    The builtin sum is not used: from Python 3.12 it compensates the rounding of a float sum.
+    """
+    if not col.size:
+        return math.nan
+    return float(np.add.accumulate(np.concatenate(([0.0], col)))[-1]) / col.size
 
 
 def summarize(rows: Rows) -> MetricsSummary:

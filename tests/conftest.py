@@ -1,7 +1,9 @@
 import csv
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import zlib
 
@@ -24,7 +26,7 @@ from handroi.dataset import (
     Vec3,
     gold_boxes,
 )
-from handroi.errors import DegenerateHand, HandRoiError, InputError
+from handroi.errors import HandRoiError, InputError
 from handroi.geometry import box_quads, normalize_deg
 from handroi.heuristic import (
     CENTER_SHIFT,
@@ -165,7 +167,7 @@ def reference_gold_roi(hand: Hand21, width: float, height: float):
     wrist->middle-MCP axis. This is the one-hand-at-a-time routine the
     batched boxes replaced. A box that has no size or is not finite, or
     a landmark outside [-width, 2 width] x [-height, 2 height], raises
-    DegenerateHand.
+    HandRoiError.
     """
     if not (width > 0 and height > 0):
         raise HandRoiError(f"image dims must be positive, got {width}x{height}")
@@ -174,14 +176,15 @@ def reference_gold_roi(hand: Hand21, width: float, height: float):
     wx, wy = xs[WRIST], ys[WRIST]
     mx, my = xs[MIDDLE_MCP], ys[MIDDLE_MCP]
     if wx == mx and wy == my:
-        raise DegenerateHand("wrist coincides with middle knuckle")
+        raise HandRoiError("wrist coincides with middle knuckle")
     left, right, top, bottom = min(xs), max(xs), min(ys), max(ys)
     if left == right and top == bottom:
-        raise DegenerateHand("all landmarks coincide")
+        raise HandRoiError("all landmarks coincide")
 
     rotation = normalize_deg(math.degrees(math.atan2(my - wy, mx - wx)) + 90.0)
-    cx = sum(xs) / 21.0
-    cy = sum(ys) / 21.0
+    # summed left to right from 0.0: the builtin sum compensates its rounding from Python 3.12
+    cx = functools.reduce(operator.add, xs, 0.0) / 21.0
+    cy = functools.reduce(operator.add, ys, 0.0) / 21.0
 
     th = math.radians(-rotation)
     c, s = math.cos(th), math.sin(th)
@@ -200,11 +203,11 @@ def reference_gold_roi(hand: Hand21, width: float, height: float):
     center_y = (cy + (bx * s + by * c)) / height
     box = (center_x, center_y, side * 2.0 / height, rotation)
     if not all(map(math.isfinite, box)):
-        raise DegenerateHand("landmarks span a box that is not finite")
+        raise HandRoiError("landmarks span a box that is not finite")
     if not box[2] > 0.0:
-        raise DegenerateHand("landmarks span a box of zero size")
+        raise HandRoiError("landmarks span a box of zero size")
     if left < -width or right > 2 * width or top < -height or bottom > 2 * height:
-        raise DegenerateHand(f"a landmark lies outside [{-width}, {2 * width}] x [{-height}, {2 * height}]")
+        raise HandRoiError(f"a landmark lies outside [{-width}, {2 * width}] x [{-height}, {2 * height}]")
     return box
 
 
@@ -304,7 +307,7 @@ def reference_synth_sample(rng, cfg, idx, split):
 
     Each pose keypoint draws its x and y noise with normal(size=2), then its
     z noise with normal(), and every value is converted with float(). A
-    landmark that is not finite raises DegenerateHand before the keypoint
+    landmark that is not finite raises HandRoiError before the keypoint
     noise is drawn, and a keypoint that is not finite raises it too.
     """
     height = SYNTH_HEIGHT
@@ -358,7 +361,7 @@ def reference_synth_sample(rng, cfg, idx, split):
 def reference_synth_generate(cfg, max_redraws=MAX_REDRAWS):
     """Reference for `dataset.synth_dataset`: one `reference_synth_sample` and one `reference_gold_roi` per draw.
 
-    A draw that raises DegenerateHand is drawn again; max_redraws of them in
+    A draw that raises HandRoiError is drawn again; max_redraws of them in
     a row raise the InputError that names the sample index.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -370,7 +373,7 @@ def reference_synth_generate(cfg, max_redraws=MAX_REDRAWS):
             try:
                 s = reference_synth_sample(rng, cfg, i, split)
                 reference_gold_roi(s.hand, s.width, s.height)
-            except DegenerateHand:
+            except HandRoiError:
                 continue
             break
         else:
@@ -561,10 +564,11 @@ def _reference_read_pose_sidecar(path):
         for lineno, raw in enumerate(fh, 1):
             where = f"{path} line {lineno}"
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise InputError(f"{where}: {e}") from None
-            if not line:
+            # a line of JSON whitespace alone is blank; json.loads rejects any other character around a value
+            if not line.strip(" \t\r\n"):
                 continue
             try:
                 doc = json.loads(line)
@@ -581,7 +585,7 @@ def _reference_read_pose_sidecar(path):
                 for key, (x, y, z) in zip(POSE_KEYS, kps):
                     try:
                         pose.append(Vec3(float(x), float(y), float(z)))
-                    except (OverflowError, DegenerateHand):
+                    except (OverflowError, HandRoiError):
                         raise ValueError(f"non-finite {key} keypoint") from None
             except Exception as e:
                 raise InputError(f"{where}: {e}") from e
@@ -621,7 +625,7 @@ def _reference_merge(records, poses, split):
                 pose = PoseHand(*(Vec3(1.0 - kp.x, kp.y, kp.z) for kp in pose.as_tuple()))
                 hand = Hand21(points=tuple((width - x, y, c) for x, y, c in hand.points))
             reference_gold_roi(hand, width, height)
-        except DegenerateHand:
+        except HandRoiError:
             degenerate += 1
             continue
         samples.append(Sample(id=sid, width=width, height=height, hand=hand, pose=pose, was_left=was_left, split=split))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import struct
 import subprocess
@@ -32,7 +33,7 @@ from handroi.dataset import (
     synth_dataset,
     write_samples,
 )
-from handroi.errors import DegenerateHand
+from handroi.errors import HandRoiError
 from handroi.metrics import CSV_COLUMNS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -523,7 +524,7 @@ class TestBadDataset:
         # as the scalar reference decides on the exact integers
         try:
             reference_gold_roi(Hand21(points=tuple(map(tuple, doc["hand"]))), doc["width"], doc["height"])
-        except DegenerateHand as e:
+        except HandRoiError as e:
             assert degenerate and (code, err) == (2, [f"error: sample '{doc['id']}' has a degenerate gold hand: {e}"])
         else:
             assert not degenerate and (code, err) == (0, [])
@@ -761,6 +762,64 @@ class TestCorruptIngestProperty:
         finally:
             path.write_bytes(clean)
         assert_exit_0_or_one_error_line("ingest", (0, 2, 3, 4), code, err)
+
+
+# a character that str.strip() removes and JSON does not allow: before or after a line's value, or alone on a line
+# inserted before it, with json's message for that line ({0} and {1}: the value's length plus 1, and its length)
+NON_JSON_SPACE = [
+    pytest.param(lambda line: "\u00a0" + line, "Expecting value: line 1 column 1 (char 0)", id="U+00A0-before"),
+    pytest.param(lambda line: line + "\u2028", "Extra data: line 1 column {0} (char {1})", id="U+2028-after"),
+    pytest.param(lambda line: "\x0c\n" + line, "Expecting value: line 1 column 1 (char 0)", id="form-feed-line"),
+    pytest.param(lambda line: "\x1c\n" + line, "Expecting value: line 1 column 1 (char 0)", id="U+001C-line"),
+]
+
+
+class TestJsonWhitespace:
+    """Only JSON whitespace may surround a dataset or sidecar line's value, as an annotation file's."""
+
+    def edit(self, src, dst, index, edit):
+        """Copy src to dst with line index (from 0) replaced by edit(line); returns that line."""
+        lines = src.read_text(encoding="utf-8").split("\n")
+        line, lines[index] = lines[index], edit(lines[index])
+        dst.write_bytes("\n".join(lines).encode("utf-8"))
+        return line
+
+    def ingest(self, base, sidecar, out):
+        argv = ["--train-labels", str(base / "train"), "--test-labels", str(base / "test"), "--sidecar", str(sidecar)]
+        return run_quiet("ingest", *argv, "--out", str(out))
+
+    @pytest.mark.parametrize("edit, message", NON_JSON_SPACE)
+    def test_dataset_line_exit_2(self, tmp_path, small_dataset, edit, message):
+        bad = tmp_path / "bad.jsonl"
+        line = self.edit(small_dataset, bad, 4, edit)
+        code, err = run_quiet("eval", "--dataset", str(bad), "--out", str(tmp_path / "rows.csv"))
+        assert (code, err) == (2, [f"error: {bad} line 5: {message.format(len(line) + 1, len(line))}"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "data.jsonl"]
+
+    @pytest.mark.parametrize("edit, message", NON_JSON_SPACE)
+    def test_sidecar_line_exit_2(self, tmp_path, clean_ingest, edit, message):
+        bad = tmp_path / "poses.jsonl"
+        line = self.edit(clean_ingest / "poses.jsonl", bad, 4, edit)
+        code, err = self.ingest(clean_ingest, bad, tmp_path / "out.jsonl")
+        assert (code, err) == (2, [f"error: {bad} line 5: {message.format(len(line) + 1, len(line))}"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["poses.jsonl"]
+
+    def test_json_whitespace_line_is_skipped(self, tmp_path, small_dataset, clean_ingest):
+        def spaced(line):
+            return " \t \r\n" + line
+
+        dataset, sidecar = tmp_path / "spaced.jsonl", tmp_path / "spaced-poses.jsonl"
+        self.edit(small_dataset, dataset, 4, spaced)
+        self.edit(clean_ingest / "poses.jsonl", sidecar, 4, spaced)
+        outs = {name: tmp_path / name for name in ("a.csv", "b.csv", "a.jsonl", "b.jsonl")}
+        assert [
+            run_quiet("eval", "--dataset", str(small_dataset), "--out", str(outs["a.csv"])),
+            run_quiet("eval", "--dataset", str(dataset), "--out", str(outs["b.csv"])),
+            self.ingest(clean_ingest, clean_ingest / "poses.jsonl", outs["a.jsonl"]),
+            self.ingest(clean_ingest, sidecar, outs["b.jsonl"]),
+        ] == [(0, [])] * 4
+        assert outs["a.csv"].read_bytes() == outs["b.csv"].read_bytes()
+        assert outs["a.jsonl"].read_bytes() == outs["b.jsonl"].read_bytes()
 
 
 class TestEval:
@@ -1254,8 +1313,8 @@ def error_types():
 
 # error types that handroi.errors no longer defines; the README must not name them
 DELETED_ERROR_TYPES = (
-    "DegenerateGeometry", "DuplicateId", "EmptyDataset", "InvalidAspect", "InvalidDataset", "InvalidImage",
-    "InvalidSample", "ParseError", "ShapeError", "TrainingDiverged", "UsageError", "VersionError",
+    "DegenerateGeometry", "DegenerateHand", "DuplicateId", "EmptyDataset", "InvalidAspect", "InvalidDataset",
+    "InvalidImage", "InvalidSample", "ParseError", "ShapeError", "TrainingDiverged", "UsageError", "VersionError",
     "WeightsFormatError",
 )
 
@@ -1268,6 +1327,21 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_synth", fail)
         assert run_quiet("synth", "--n", "1", "--seed", "1", "--out", str(tmp_path / "d")) == (code, ["error: boom"])
+
+    def test_one_type_per_exit_code(self):
+        codes = [code for error, code in error_types() if error is not OSError]
+        assert sorted(codes) == sorted(set(codes))
+
+    @pytest.mark.parametrize("n, code", [("3", 0), ("0", 2)])
+    def test_module_run_as_a_script_exits_with_the_command_code(self, tmp_path, monkeypatch, n, code):
+        # run afresh as __main__, as `python -m handroi.cli` runs it
+        monkeypatch.delitem(sys.modules, "handroi.cli")
+        monkeypatch.setattr(sys, "argv", ["handroi", "synth", "--n", n, "--seed", "1", "--out", str(tmp_path / "d")])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_module("handroi.cli", run_name="__main__")
+        assert exited.value.code == code
+        assert err.getvalue().splitlines() == ([] if code == 0 else ["error: n must be positive"])
 
 
 # standard modules whose import alone costs milliseconds on every command's start (logging ≈5.8 ms)

@@ -52,7 +52,7 @@ from handroi.dataset import (
     synth_generate,
     write_samples,
 )
-from handroi.errors import DegenerateHand, HandRoiError, InputError
+from handroi.errors import HandRoiError, InputError
 from handroi.geometry import box_quads
 from handroi.heuristic import gold_rois
 
@@ -237,6 +237,23 @@ class TestParsePanoptic:
         (tmp_path / "bad.json").write_bytes(doc.encode(encoding))
         records, skipped = parse_panoptic(tmp_path)
         assert records.ids.tolist() == ["ok"] and skipped == 1
+
+    @pytest.mark.parametrize(
+        "before, after, malformed", [(" \t\r\n", "\r\n ", 0), ("\u00a0", "", 1), ("", "\u2028", 1)]
+    )
+    def test_only_json_whitespace_around_the_value(self, tmp_path, before, after, malformed):
+        make_label_file(tmp_path, "a.json")
+        (tmp_path / "b.json").write_text(before + (tmp_path / "a.json").read_text() + after, encoding="utf-8")
+        records, skipped = parse_panoptic(tmp_path)
+        assert records.ids.tolist() == ["a", "b"][: 2 - malformed] and skipped == malformed
+
+    def test_entry_that_cannot_be_stated_is_skipped(self, tmp_path):
+        make_label_file(tmp_path, "a.json")
+        (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")  # stat fails: too many levels of symlinks
+        with pytest.raises(OSError):
+            os.stat(tmp_path / "loop.json")
+        records, skipped = parse_panoptic(tmp_path)
+        assert records.ids.tolist() == ["a"] and skipped == 0
 
     def test_directory_entries(self, tmp_path):
         make_label_file(tmp_path, "a.json")
@@ -494,7 +511,7 @@ class TestMergeSidecar:
         hand = Hand21(points=tuple(map(tuple, records.hand[0].tolist())))
         try:
             reference_gold_roi(hand, width, 480)
-        except DegenerateHand as e:
+        except HandRoiError as e:
             assert degenerate and str(e) == f"a landmark lies outside [{-(2**53)}, {2**54}] x [-480, 960]"
         else:
             assert not degenerate
@@ -631,9 +648,21 @@ class TestSynth:
 class TestVec3:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_is_degenerate_hand(self, value):
-        # conftest's scalar synth oracle redraws on DegenerateHand alone, so an overflowing keypoint must raise it
-        with pytest.raises(DegenerateHand, match=r"^non-finite Vec3 \("):
+        # conftest's scalar synth oracle redraws on HandRoiError, so an overflowing keypoint must raise it
+        with pytest.raises(HandRoiError, match=r"^non-finite Vec3 \("):
             Vec3(0.5, 0.5, value)
+
+
+class TestHand21:
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_other_than_21_landmarks(self, n):
+        with pytest.raises(HandRoiError, match=f"^expected 21 landmarks, got {n}$"):
+            Hand21(points=((1.0, 2.0, 1.0),) * n)
+
+    @pytest.mark.parametrize("c", [-0.5, 1.5, math.nan])
+    def test_confidence_outside_0_1(self, c):
+        with pytest.raises(HandRoiError, match=rf"^confidence {c} outside \[0, 1\]$"):
+            Hand21(points=((1.0, 2.0, 1.0),) * 20 + ((1.0, 2.0, c),))
 
 
 class TestStatsAndIo:
@@ -1030,6 +1059,7 @@ class TestColumnCache:
             "extra head key",
             "split long",
             "was_left 2.0",
+            "id as surrogate bytes",
         ],
     )
     def test_bad_cache_misses_and_is_rewritten(self, tmp_path, damage):
@@ -1042,6 +1072,8 @@ class TestColumnCache:
         ids = head["ids"]
         # the rows column of a landmark's or a keypoint's coordinate
         hand, pose = (lambda p, k: 2 + 3 * p + k), (lambda p, k: 65 + 3 * p + k)
+        # a head whose first id is the bytes ED A0 80 of a lone surrogate, which strict UTF-8 rejects
+        surrogate_head = json.dumps({**head, "ids": ["\ud800", *ids[1:]]}, ensure_ascii=False)
         edits = {
             "wrong key": lambda: head.update(sha256="0" * 64),
             "wrong layout": lambda: head.update(layout=handroi.dataset.CACHE_LAYOUT + 1),
@@ -1068,6 +1100,7 @@ class TestColumnCache:
             "extra head key": lambda: head.update(n=len(ids)),
             "split long": lambda: head["split"].append("val"),
             "was_left 2.0": lambda: values.__setitem__((2, -1), 2.0),
+            "id as surrogate bytes": lambda: members.update(head=surrogate_head.encode("utf-8", "surrogatepass")),
         }
         if damage == "truncated":
             cache_path.write_bytes(good[: len(good) // 2])
@@ -1174,6 +1207,17 @@ class TestColumnCache:
         with pytest.raises(InputError, match="line 4"):
             read_samples(tmp_path / "data.jsonl")
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    def test_write_error_with_an_unremovable_temporary_file(self, tmp_path):
+        # a directory where the temporary file goes can be neither written nor unlinked
+        path = self.write(tmp_path / "data.jsonl")
+        blocker = Path(f"{path}{CACHE_SUFFIX}.{os.getpid()}.tmp")
+        blocker.mkdir()
+        with counting_parses() as calls:
+            got = read_samples(path)
+        assert calls == [1] and sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", blocker.name]
+        blocker.rmdir()
+        assert_same_columns(got, read_samples(path))
 
     @pytest.mark.parametrize("failing", ["write", "replace"])
     def test_write_error_skips_the_cache(self, tmp_path, monkeypatch, failing):

@@ -46,7 +46,12 @@ ANNOTATION_FAULTS = [
     "utf-8 bom",
     "utf-16",
 ]
-SIDECAR_FAULTS = ["non-finite", "non-number", "bad dims", "not json", "handedness", "no keypoint", "non-string id"]
+SIDECAR_FAULTS = [
+    "non-finite", "non-number", "bad dims", "not json", "handedness", "no keypoint", "non-string id", "non-json space"
+]
+# a character that str.strip() removes and JSON does not allow: before or after a line's value, or on a line of its own
+NON_JSON_SPACE = [lambda line: "\u00a0" + line, lambda line: line + "\u2028", lambda line: "\x0c\n" + line,
+                  lambda line: "\x1c\n" + line]
 # the hand of a sample: as drawn, with its middle knuckle on the wrist or all landmarks on one point
 # (degenerate), or with a landmark x at -width, on the bound of the gold box's check (mirrored, at 2 width)
 HANDS = ["as drawn", "as drawn", "knuckle on wrist", "one point", "at -width", "at -width"]
@@ -85,7 +90,7 @@ def corpora(draw, n_pool):
                 "pose_at": (draw(st.sampled_from(POSE_KEYS)), draw(st.integers(0, 2))),
                 "handedness": draw(st.sampled_from(["left", "right"])),
                 "width": draw(st.sampled_from(WIDTHS)),
-                "blank_lines": draw(st.sampled_from(["", "\n", "   \n"])),
+                "blank_lines": draw(st.sampled_from(["", "\n", "   \n", " \t\r\n"])),
             }
         )
     # a sidecar fault fails the whole ingest: none in half the corpora, two in a quarter (the first one
@@ -164,6 +169,8 @@ def sidecar_lines(spec, sample):
     elif fault == "non-string id":
         doc["id"] = [None, 7, True, [spec["id"]]][k % 4]
     line = "{bad" if fault == "not json" else json.dumps(doc)
+    if fault == "non-json space":
+        line = NON_JSON_SPACE[k % len(NON_JSON_SPACE)](line)
     lines = [spec["blank_lines"] + line + "\n"]
     return lines * 2 if fault == "duplicate" else lines
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_reads_like_reference, reference_write_rows_csv, scalar_gold_predictor
 from handroi.dataset import SynthConfig, synth_dataset
-from handroi.errors import InputError, JoinError
+from handroi.errors import HandRoiError, InputError, JoinError
 from handroi.geometry import rotated_iou
 from handroi.heuristic import MIDDLE_MCP, WRIST
 from handroi.metrics import (
@@ -237,9 +237,14 @@ class TestWinRate:
 class TestSummarize:
     def test_sums_left_to_right(self):
         # an exact or compensated sum gives a mean of 0.5 here, a left-to-right sum 0.0
-        ious = [1.0, 1e100, 1.0, -1e100]
-        s = summarize(table("abcd", ious))
-        assert s.mean_iou == sum(ious) / 4 == 0.0
+        s = summarize(table("abcd", [1.0, 1e100, 1.0, -1e100]))
+        assert s.mean_iou == 0.0
+
+    def test_sums_from_zero_on_every_python(self):
+        # the builtin sum compensates from Python 3.12 and gives 1/3 here; a left-to-right sum from 0.0 gives 0.0
+        assert summarize(table("abc", [1e16, 1.0, -1e16])).mean_iou == 0.0
+        # 0.0 + -0.0 is 0.0, so a column of negative zeros has a mean of 0.0, as the builtin sum from 0 gives
+        assert str(summarize(table("ab", [-0.0, -0.0])).mean_iou) == "0.0"
 
     def test_failed_rows_out_of_error_means(self):
         rows = table("abc", [0.5, 0.0, 0.25])
@@ -268,7 +273,7 @@ class TestHistogram:
         assert len(counts) == HIST_BINS and sum(counts) == 123
 
     def test_svg_series_of_different_bin_counts(self):
-        with pytest.raises(ValueError, match=r"^series 'b' has 3 bins, expected 2$"):
+        with pytest.raises(HandRoiError, match=r"^series 'b' has 3 bins, expected 2$"):
             histogram_svg([("a", [1, 2]), ("b", [1, 2, 3])])
 
 
