@@ -12,6 +12,7 @@ Relative paths are resolved against --data-dir when it is given.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -274,34 +275,29 @@ def build_parser():
     p.add_argument("--noise-px", type=float, default=1.0)
     p.add_argument("--max-tilt-deg", type=float, default=60.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="ingest annotation labels + pose sidecar")
     p.add_argument("--train-labels", default=None)
     p.add_argument("--test-labels", default=None)
     p.add_argument("--sidecar", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train the three-headed MLP predictor")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate one method on the test split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--method", choices=METHODS, default="heuristic")
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="compare two row files")
     p.add_argument("--rows-a", required=True)
     p.add_argument("--rows-b", required=True)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("render", help="schematic SVG of gold and predicted boxes")
     p.add_argument("--dataset", required=True)
@@ -309,19 +305,25 @@ def build_parser():
     p.add_argument("--method", choices=METHODS, default="heuristic")
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    # looked up per call, so a command patched onto this module is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except HandRoiError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

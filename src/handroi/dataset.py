@@ -25,6 +25,9 @@ coordinates. One function decodes each JSON input, an annotation file, a
 sidecar or dataset line or the cache's head line, as strict UTF-8 JSON
 (`_json_value`), one checks each record kind's structure by its table
 (`_records`), and one the values of all records at once (`_stacked_values`).
+The value rule and the duplicate-id rule, which the column cache and the
+rows CSV reader use too, are each written once (`_value_checks`,
+`duplicate_id_checks`).
 
 Left-hand samples are mirrored at ingestion so everything downstream sees
 right-handed geometry. The synthetic generator replaces both inputs at desk
@@ -730,10 +733,7 @@ def _checked_lines(source, pairs, kind):
     """
     lines, columns, vals, faults = _records(pairs, kind)
     values, checks = _stacked_values(vals, len(lines), kind.landmarks, kind.keypoints)
-    ids, first = columns[0], {}
-    repeated = np.array([first.setdefault(sid, i) != i for i, sid in enumerate(ids)], dtype=bool)
-    checks.append((repeated, lambda i: f"duplicate id {ids[i]!r}"))
-    bad = first_fault(checks)
+    bad = first_fault(checks + duplicate_id_checks(columns[0]))
     if bad and (not faults or lines[bad[0]] < faults[0][0]):
         faults = [(lines[bad[0]], bad[1])]
     if faults:
@@ -751,6 +751,18 @@ def first_fault(checks):
         return None
     i = int(np.argmax(bad))
     return i, next(describe(i) for mask, describe in checks if mask[i])
+
+
+def duplicate_id_checks(ids, name="id"):
+    """[(bad-row mask, describe(row))] of the ids (str) an earlier one has, "duplicate <name> <repr>"; [] if none.
+
+    The one duplicate-id rule of every reader; the mask is built only if an id repeats.
+    """
+    if len(set(ids)) == len(ids):
+        return []
+    first = {}
+    repeated = np.array([first.setdefault(sid, i) != i for i, sid in enumerate(ids)], dtype=bool)
+    return [(repeated, lambda i: f"duplicate {name} {ids[i]!r}")]
 
 
 def _json_value(raw):
@@ -789,15 +801,21 @@ def _as_float(v):
         return math.inf if v > 0 else -math.inf
 
 
-def _value_checks(hand, pose):
-    """[(bad-row mask, describe(row))] of N samples' (N, 21, 3) landmarks and (N, 6, 3) keypoints.
+def _value_checks(values, landmarks):
+    """[(bad-row mask, describe(row))] of N samples' (N, P, 3) values; [] if no row is bad.
 
-    A row is bad if a landmark x or y or a keypoint value is not finite, or
-    a confidence is outside [0, 1]; describe gives the error of a bad row.
-    Either array may hold no points, (N, 0, 3), and then passes.
+    A row's first landmarks points are (x, y, confidence) landmarks, the
+    rest (x, y, z) keypoints in POSE_KEYS order. A row is bad if a landmark
+    x or y or a keypoint value is not finite, or a confidence is outside
+    [0, 1]; describe gives its error. The one value rule of every reader:
+    the masks are built only if the whole-array test fails.
     """
-    conf = hand[:, :, 2]
+    # a contiguous copy, which the comparisons below read several times faster than a view of every third value
+    conf = np.ascontiguousarray(values[:, :landmarks, 2])
     conf_ok = (conf >= 0.0) & (conf <= 1.0)
+    if conf_ok.all() and np.isfinite(values).all():
+        return []
+    hand, pose = values[:, :landmarks], values[:, landmarks:]
     return [
         (~np.isfinite(hand[:, :, :2]).all(axis=(1, 2)), lambda i: "non-finite landmark coordinate"),
         (~conf_ok.all(axis=1), lambda i: f"confidence {conf[i][~conf_ok[i]][0]} outside [0, 1]"),
@@ -839,7 +857,7 @@ def _stacked_values(vals, n, landmarks, keypoints):
             np.zeros(n, bool) if is_number is None else ~is_number.reshape(n, width).all(axis=1),
             lambda i: f"expected a JSON number, got {first_non_number(i)!r}",
         ),
-        *_value_checks(values[:, :landmarks], values[:, landmarks:]),
+        *_value_checks(values, landmarks),
     ]
     return values, checks
 
@@ -945,12 +963,13 @@ def _cached_dataset(cache):
     file's. The file (see `_write_cache`) must end in the CRC-32 of the
     bytes before it, and its head line must be the strict UTF-8 JSON
     (`_json_value`) of an object of the keys CACHE_HEAD. Valid columns
-    have at least one sample, unique string ids, splits in SPLITS, exactly
-    N rows of CACHE_ROW float64 values after the head line, integer dims in
-    [1, MAX_DIM], every was_left 0.0 or 1.0, and the values `_value_checks`
-    asks of a parse: every value finite and every confidence in [0, 1],
-    checked over all rows at once. A missing, damaged or foreign file is
-    None too.
+    pass the checks a parse makes, by the parse's own rules: string ids
+    that `duplicate_id_checks` finds unique, and landmarks and keypoints
+    that `_value_checks` finds good. Those only a cache needs are its own:
+    at least one sample, splits in SPLITS, exactly N rows of CACHE_ROW
+    float64 values after the head line, integer dims in [1, MAX_DIM] and
+    every was_left 0.0 or 1.0; so every value of a row is checked. A
+    missing, damaged or foreign file is None too.
     """
     try:
         with open(cache, "rb") as fh:
@@ -974,26 +993,26 @@ def _cached_dataset(cache):
         or len(split) != n
         or sum(map(split.count, SPLITS)) != n
         or set(map(type, ids)) != {str}
-        or len(set(ids)) != n
+        or duplicate_id_checks(ids)
     ):
         return None
     rows = np.frombuffer(raw, "<f8", n * CACHE_ROW, start).reshape(n, CACHE_ROW)
-    dims, conf, was_left = rows[:, :2], rows[:, 4:65:3], rows[:, -1]
-    if not (
-        ((dims > 0) & (dims <= MAX_DIM) & (dims == np.floor(dims))).all()
-        and np.isfinite(rows).all()
-        and ((conf >= 0.0) & (conf <= 1.0)).all()
-        and ((was_left == 0.0) | (was_left == 1.0)).all()
+    # the dims as a contiguous (2, N) copy, which the checks read faster than the view
+    dims, values, was_left = np.ascontiguousarray(rows[:, :2].T), rows[:, 2:-1].reshape(n, -1, 3), rows[:, -1]
+    if (
+        not ((dims > 0) & (dims <= MAX_DIM) & (dims == np.floor(dims))).all()
+        or not ((was_left == 0.0) | (was_left == 1.0)).all()
+        or _value_checks(values, 21)
     ):
         return None
     return Dataset(
         ids=np.array(ids, dtype=object),
-        width=dims[:, 0].copy(),
-        height=dims[:, 1].copy(),
+        width=dims[0],
+        height=dims[1],
         split=np.array(split, dtype=object),
         was_left=was_left == 1.0,
-        hand=rows[:, 2:65].reshape(n, 21, 3),
-        pose=rows[:, 65:-1].reshape(n, -1, 3),
+        hand=values[:, :21],
+        pose=values[:, 21:],
         sha256=head["sha256"],
     )
 

@@ -92,6 +92,17 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
     return polys, counts
 
 
+def positive_dims(widths, heights):
+    """widths and heights as float64 arrays; HandRoiError naming the first pair that is not both > 0."""
+    widths = np.asarray(widths, dtype=np.float64)
+    heights = np.asarray(heights, dtype=np.float64)
+    bad = np.flatnonzero(~((widths > 0) & (heights > 0)))
+    if bad.size:
+        i = bad[0]
+        raise HandRoiError(f"image dims must be positive, got {float(widths[i])!r}x{float(heights[i])!r}")
+    return widths, heights
+
+
 def box_quads(boxes, widths, heights) -> np.ndarray:
     """Pixel corners (N, 4, 2) of a box array on images of widths x heights.
 
@@ -99,12 +110,7 @@ def box_quads(boxes, widths, heights) -> np.ndarray:
     back to normalized x, then scaled to pixels. Corner order keeps the
     shoelace sum non-negative.
     """
-    widths = np.asarray(widths, dtype=np.float64)
-    heights = np.asarray(heights, dtype=np.float64)
-    bad = np.flatnonzero(~((widths > 0) & (heights > 0)))
-    if bad.size:
-        i = bad[0]
-        raise HandRoiError(f"image dims must be positive, got {float(widths[i])!r}x{float(heights[i])!r}")
+    widths, heights = positive_dims(widths, heights)
     cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T[:, :, None]
     width, height = widths[:, None], heights[:, None]
     th = rot_deg * (math.pi / 180.0)

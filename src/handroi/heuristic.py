@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import HandRoiError
-from .geometry import normalize_deg
+from .geometry import normalize_deg, positive_dims
 
 # landmark indices in the standard 21-point hand topology
 WRIST = 0
@@ -117,11 +117,7 @@ def gold_rois(hand, width, height):
     bits). np.degrees and np.radians are the math module's single multiply.
     """
     hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
-    width = np.asarray(width, dtype=np.float64)
-    height = np.asarray(height, dtype=np.float64)
-    bad = np.flatnonzero(~((width > 0) & (height > 0)))
-    if bad.size:
-        raise HandRoiError(f"image dims must be positive, got {float(width[bad[0]])!r}x{float(height[bad[0]])!r}")
+    width, height = positive_dims(width, height)
     with np.errstate(over="ignore", invalid="ignore"):
         return _gold_rois(hand, width, height)
 

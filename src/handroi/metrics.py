@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import first_fault, gold_boxes
+from .dataset import duplicate_id_checks, first_fault, gold_boxes
 from .errors import InputError, JoinError
 from .geometry import circular_diff_deg, rotated_ious
 
@@ -225,8 +225,6 @@ def _checked_rows(records):
     # an empty cell reads as NaN: a failed row's are dropped, and another row's is its fault
     errs, errs_bad = map(np.array, zip(*(_floats([c or "nan" for c in col]) for col in err_cells)))
     out_of_range = ~((errs >= 0.0) & (errs < math.inf))
-    first = {}
-    repeated = np.array([first.setdefault(sid, i) != i for i, sid in enumerate(ids)])
 
     def first_err(mask, i):
         """The first of row i's three error columns where mask holds."""
@@ -254,7 +252,7 @@ def _checked_rows(records):
             np.fromiter(map(methods[0].__ne__, methods), bool, n),
             lambda i: f"method {methods[i]!r} differs from the first row's {methods[0]!r}",
         ),
-        (repeated, lambda i: f"duplicate sample id {ids[i]!r}"),
+        *duplicate_id_checks(ids, "sample id"),
     ]
     rows = Rows(ids, methods[0], np.where(is1, 0.0, iou), *np.where(is1, math.nan, errs), is1)
     return rows, checks

@@ -1344,6 +1344,23 @@ class TestExitCodes:
         assert err.getvalue().splitlines() == ([] if code == 0 else ["error: n must be positive"])
 
 
+class TestOneParser:
+    def test_built_once_and_commands_looked_up_per_call(self, tmp_path, monkeypatch):
+        # main builds its parser on its first call and keeps it; the command is the module's cmd_<name> of the
+        # moment, so one patched in after the parser was built is the one run
+        real, builds, called = cli.build_parser, [], []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        out = str(tmp_path / "d.jsonl")
+        code, err = run_quiet("synth", "--n", "3", "--seed", "1", "--out", out, "--bogus")
+        assert code == 2 and err[-1] == "handroi: error: unrecognized arguments: --bogus"
+        assert run_quiet("synth", "--n", "3", "--seed", "1", "--out", out) == (0, [])
+        assert (tmp_path / "d.jsonl").read_text().count("\n") == 3
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: called.append(args.n) or 0)
+        assert run_quiet("synth", "--n", "5", "--seed", "1", "--out", out) == (0, [])
+        assert called == [5] and builds == [1]
+
+
 # standard modules whose import alone costs milliseconds on every command's start (logging ≈5.8 ms)
 HEAVY_MODULES = ("logging", "concurrent.futures", "asyncio", "multiprocessing")
 

@@ -44,6 +44,8 @@ from handroi.dataset import (
     Vec3,
     concat,
     dataset_stats,
+    duplicate_id_checks,
+    first_fault,
     merge_pose_sidecar,
     parse_panoptic,
     read_pose_sidecar,
@@ -1119,6 +1121,49 @@ class TestColumnCache:
         assert cache_path.read_bytes() == good
         with no_parse():
             assert_same_columns(read_samples(path), want)
+
+    @pytest.mark.parametrize(
+        "rule, error",
+        [("_value_checks", "line 1: keypoint z is not 0"), ("duplicate_id_checks", "line 2: id ends in 1")],
+    )
+    def test_a_stricter_reader_rule_holds_for_a_current_cache(self, tmp_path, monkeypatch, rule, error):
+        # the cache checks its columns by the reader's own rules, so a rule added there makes a current cache a
+        # miss, and the parse it falls back to raises that rule's error
+        path = self.write(tmp_path / "data.jsonl")
+        read_samples(path)
+        good = Path(f"{path}{CACHE_SUFFIX}").read_bytes()
+        real = getattr(handroi.dataset, rule)
+
+        def stricter(*columns):
+            if rule == "_value_checks":
+                values, landmarks = columns
+                flagged, message = (values[:, landmarks:, 2] != 0.0).any(axis=1), "keypoint z is not 0"
+            else:
+                flagged, message = np.array([sid.endswith("1") for sid in columns[0]]), "id ends in 1"
+            return real(*columns) + [(flagged, lambda i: message)] * bool(flagged.any())
+
+        monkeypatch.setattr(handroi.dataset, rule, stricter)
+        with counting_parses() as calls, pytest.raises(InputError, match=f"^{re.escape(str(path))} {error}$"):
+            read_samples(path)
+        assert calls == [1] and Path(f"{path}{CACHE_SUFFIX}").read_bytes() == good
+        monkeypatch.undo()
+        with no_parse():
+            read_samples(path)
+
+    def test_clean_columns_have_no_checks(self):
+        data = synth_dataset(SynthConfig(n=50, seed=4))
+        values = np.concatenate([data.hand, data.pose], axis=1)
+        assert handroi.dataset._value_checks(values, 21) == []
+        assert duplicate_id_checks(data.ids.tolist()) == []
+        values[7, 3, 2], values[9, 0, 1], values[11, 23, 2] = 1.5, math.nan, -math.inf
+        checks = handroi.dataset._value_checks(values, 21)
+        assert [np.flatnonzero(mask).tolist() for mask, _ in checks] == [[9], [7], [11]]
+        assert first_fault(checks) == (7, "confidence 1.5 outside [0, 1]")
+        assert checks[2][1](11) == "non-finite wrist keypoint"
+        ids = ["a", "b", "a", "b"]
+        assert first_fault(duplicate_id_checks(ids)) == (2, "duplicate id 'a'")
+        assert first_fault(duplicate_id_checks(ids, "sample id")) == (2, "duplicate sample id 'a'")
+        assert duplicate_id_checks(ids)[0][0].tolist() == [False, False, True, True]
 
     def test_layout_2_npz_beside_the_dataset_is_not_read(self, tmp_path):
         # the three members of the layout before this one, with this file's key, under that layout's name

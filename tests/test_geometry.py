@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from handroi.geometry import (
     circular_diff_deg,
     clip_quads,
     normalize_deg,
+    positive_dims,
     rotated_iou,
     rotated_ious,
 )
-from handroi.heuristic import SIZE_SCALE, calc_hand_roi
+from handroi.heuristic import SIZE_SCALE, calc_hand_roi, gold_rois
 from conftest import monte_carlo_iou, random_box, scalar_quad_iou
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -83,6 +85,20 @@ class TestBoxQuads:
             box_quads([(0.5, 0.5, 0.5, 0.0)], [0], [2**53])
         with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 1234567\.0x-0\.0$"):
             box_quads([(0.5, 0.5, 0.5, 0.0)], [1234567], [-0.0])
+
+    @pytest.mark.parametrize("width, height, shown", [(math.nan, 480, "nanx480.0"), (640, -math.inf, "640.0x-inf")])
+    def test_box_quads_and_gold_rois_share_one_dims_check(self, width, height, shown):
+        # the second of two images is named; a NaN dim is not positive
+        match = rf"^image dims must be positive, got {re.escape(shown)}$"
+        widths, heights = [640, width], [480, height]
+        for check in (
+            lambda: positive_dims(widths, heights),
+            lambda: box_quads([(0.5, 0.5, 0.5, 0.0)] * 2, widths, heights),
+            lambda: gold_rois(np.ones((2, 21, 3)), widths, heights),
+        ):
+            with pytest.raises(HandRoiError, match=match):
+                check()
+        assert [d.tolist() for d in positive_dims([640, 2**53], [480, 1])] == [[640.0, 2.0**53], [480.0, 1.0]]
 
     def test_orientation_positive_shoelace(self, rng):
         # CCW contract: signed shoelace sum stays non-negative for any rotation

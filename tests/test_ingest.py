@@ -52,6 +52,9 @@ SIDECAR_FAULTS = [
 # a character that str.strip() removes and JSON does not allow: before or after a line's value, or on a line of its own
 NON_JSON_SPACE = [lambda line: "\u00a0" + line, lambda line: line + "\u2028", lambda line: "\x0c\n" + line,
                   lambda line: "\x1c\n" + line]
+# the variants of each sidecar fault kind, picked by a sample's fault_value (see `sidecar_lines`)
+SIDECAR_FAULT_VARIANTS = {"non-finite": len(NON_FINITE), "non-number": len(NON_NUMBERS), "bad dims": 6,
+                          "non-string id": 4, "non-json space": len(NON_JSON_SPACE)}
 # the hand of a sample: as drawn, with its middle knuckle on the wrist or all landmarks on one point
 # (degenerate), or with a landmark x at -width, on the bound of the gold box's check (mirrored, at 2 width)
 HANDS = ["as drawn", "as drawn", "knuckle on wrist", "one point", "at -width", "at -width"]
@@ -210,20 +213,50 @@ def ingest(base, sidecar, out):
     return code, err.getvalue().splitlines(), [f.read_bytes() if f.exists() else None for f in files]
 
 
+def ingest_both(pool, corpus):
+    """{sidecar: (command's, reference's) `ingest` of the corpus} for poses.jsonl and clean.jsonl."""
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        write_corpus(base, corpus, pool)
+        for sidecar in ("poses.jsonl", "clean.jsonl"):
+            got = ingest(base, sidecar, base / "got.jsonl")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "cmd_ingest", reference_ingest)
+                results[sidecar] = got, ingest(base, sidecar, base / "want.jsonl")
+    return results
+
+
+def fixed_sample(i, **changes):
+    """The spec of sample s<i> in a fixed corpus: a clean right hand in split train or test by i, with changes."""
+    return {"id": f"s{i}", "source": i, "split": ("train", "test")[i % 2], "is_left": False, "annotation_fault": None,
+            "fault_at": (0, 0), "fault_value": 0, "hand": "as drawn", "pose": "good", "pose_at": ("wrist", 0),
+            "handedness": "right", "width": "drawn", "blank_lines": "", **changes}
+
+
 class TestIngestMatchesReference:
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
     def test_same_outputs_and_errors(self, pool, data):
         corpus = data.draw(corpora(len(pool)))
-        with tempfile.TemporaryDirectory() as tmp:
-            base = Path(tmp)
-            write_corpus(base, corpus, pool)
-            too_wide = any(s["width"] == 2**53 + 1 and s["pose"] != "missing" for s in corpus[0])
-            for sidecar in ("poses.jsonl", "clean.jsonl"):
-                got = ingest(base, sidecar, base / "got.jsonl")
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(cli, "cmd_ingest", reference_ingest)
-                    want = ingest(base, sidecar, base / "want.jsonl")
-                assert got == want, sidecar
-                if too_wide:
-                    assert got[0] == 2 and len(got[1]) == 1 and got[1][0].startswith("error: "), sidecar
+        too_wide = any(s["width"] == 2**53 + 1 and s["pose"] != "missing" for s in corpus[0])
+        for sidecar, (got, want) in ingest_both(pool, corpus).items():
+            assert got == want, sidecar
+            if too_wide:
+                assert got[0] == 2 and len(got[1]) == 1 and got[1][0].startswith("error: "), sidecar
+
+    @pytest.mark.parametrize(
+        "fault, k",
+        [(f, k) for f in ["duplicate", *SIDECAR_FAULTS] for k in range(SIDECAR_FAULT_VARIANTS.get(f, 1))],
+    )
+    def test_each_sidecar_fault_on_a_fixed_corpus(self, pool, fault, k):
+        # the drawn corpora plant each fault rarely, so every variant of every kind runs here on every checkout:
+        # on the second of three lines, whose sample is a left hand, after a blank line
+        corpus = [fixed_sample(0), fixed_sample(1, pose=fault, fault_value=k, handedness="left", blank_lines=" \t\n"),
+                  fixed_sample(2)], []
+        results = ingest_both(pool, corpus)
+        for sidecar, (got, want) in results.items():
+            assert got == want, sidecar
+        (code, err, files), (clean_code, _, _) = results["poses.jsonl"][0], results["clean.jsonl"][0]
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ") and files == [None, None]
+        assert clean_code == 0
