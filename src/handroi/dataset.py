@@ -34,13 +34,11 @@ right-handed geometry. The synthetic generator replaces both inputs at desk
 scale: it poses a canonical 3-D hand, tilts it out of plane, projects it
 orthographically, and derives the sparse body keypoints from the projection.
 
-No command builds per-sample objects. The object model (`Sample`, of a
-`Hand21` and a `PoseHand` of `Vec3`s, whose checks raise HandRoiError)
-and the two functions that use it are kept for the benchmark: its ingest
-set-up writes its annotation files from the Samples of `synth_generate`,
-and writes them back with `write_samples`, which stacks a list of Sample
-into a Dataset and writes it as any other. Its tracer binds
-`synth_generate` by name.
+No command builds per-sample objects. The records `Sample`, `Hand21`,
+`PoseHand` and `Vec3`, which check nothing, and the two functions that use
+them are kept for the benchmark: its ingest set-up writes its annotation
+files from the Samples of `synth_generate`, whose name its tracer binds,
+and writes them back with `write_samples` of a list of Sample.
 """
 
 import hashlib
@@ -48,6 +46,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import threading
 import zlib
 from collections import namedtuple
@@ -73,60 +72,21 @@ SPLITS = ("train", "test")
 
 
 # ---------------------------------------------------------------------------
-# the object model: one sample as frozen objects (see `synth_generate`)
+# the object model: one sample as plain records, which check nothing (see `synth_generate`)
+
+Vec3 = namedtuple("Vec3", "x y z")
+# points: 21 (x, y, confidence) pixel landmarks
+Hand21 = namedtuple("Hand21", "points")
+Sample = namedtuple("Sample", "id width height hand pose was_left split")
 
 
-@dataclass(frozen=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
+class PoseHand(namedtuple("PoseHand", POSE_KEYS)):
+    """Six body keypoints of one hand as Vec3s, normalized coords, already mirrored if left."""
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise HandRoiError(f"non-finite Vec3 ({self.x}, {self.y}, {self.z})")
-
-
-@dataclass(frozen=True)
-class PoseHand:
-    """Six body keypoints of one hand, normalized coords, already mirrored if left."""
-
-    shoulder: Vec3
-    elbow: Vec3
-    wrist: Vec3
-    thumb: Vec3
-    index: Vec3
-    pinky: Vec3
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.shoulder, self.elbow, self.wrist, self.thumb, self.index, self.pinky)
-
-
-@dataclass(frozen=True)
-class Hand21:
-    """21 annotated hand landmarks in pixel coords: list of (x, y, confidence)."""
-
-    points: tuple
-
-    def __post_init__(self):
-        if len(self.points) != 21:
-            raise HandRoiError(f"expected 21 landmarks, got {len(self.points)}")
-        for x, y, c in self.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise HandRoiError("non-finite landmark coordinate")
-            if not (0.0 <= c <= 1.0):
-                raise HandRoiError(f"confidence {c} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class Sample:
-    id: str
-    width: int
-    height: int
-    hand: Hand21
-    pose: PoseHand
-    was_left: bool
-    split: str
+        return tuple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +410,15 @@ def synth_generate(cfg: SynthConfig):
     samples as objects; the synth command writes the Dataset itself.
     """
     data = synth_dataset(cfg)
-    columns = (data.ids, data.width.astype(np.int64), data.height.astype(np.int64), data.split, data.was_left,
-               data.hand, data.pose)
+    # in the order of a Sample's fields
+    columns = (data.ids, data.width.astype(np.int64), data.height.astype(np.int64), data.hand, data.pose,
+               data.was_left, data.split)
     samples = []
     for start in range(0, len(data), _DOC_BLOCK_ROWS):
-        block = (c[start : start + _DOC_BLOCK_ROWS].tolist() for c in columns)
+        block = zip(*(c[start : start + _DOC_BLOCK_ROWS].tolist() for c in columns))
         samples += [
-            Sample(
-                id=sid,
-                width=width,
-                height=height,
-                hand=Hand21(points=tuple(map(tuple, hand))),
-                pose=PoseHand(*(Vec3(*kp) for kp in pose)),
-                was_left=was_left,
-                split=split,
-            )
-            for sid, width, height, split, was_left, hand, pose in zip(*block)
+            Sample(sid, w, h, Hand21(tuple(map(tuple, hand))), PoseHand(*(Vec3(*kp) for kp in pose)), left, split)
+            for sid, w, h, hand, pose, left, split in block
         ]
     return samples
 
@@ -512,9 +465,9 @@ def _samples_dataset(samples):
         split=np.array([s.split for s in samples], dtype=object),
         was_left=np.array([s.was_left for s in samples], dtype=bool),
         hand=np.fromiter(chain(chain(s.hand.points for s in samples)), np.float64, n * 21 * 3).reshape(n, 21, 3),
-        pose=np.fromiter(
-            chain((kp.x, kp.y, kp.z) for s in samples for kp in s.pose.as_tuple()), np.float64, n * len(POSE_KEYS) * 3
-        ).reshape(n, len(POSE_KEYS), 3),
+        pose=np.fromiter(chain(chain(s.pose for s in samples)), np.float64, n * len(POSE_KEYS) * 3).reshape(
+            n, len(POSE_KEYS), 3
+        ),
     )
 
 
@@ -879,7 +832,8 @@ def read_samples(path) -> Dataset:
     """The dataset file written by write_samples, as columns (see `dataset_from_docs`).
 
     The columns of the file's bytes come from the cache `<path>.cols` if
-    it holds them, that is if its columns pass the checks a parse makes
+    it holds them, that is if it is a regular file no larger than a cache
+    of the file can be, its columns pass the checks a parse makes
     (`_cached_dataset`) and its key is the sha256 of the file's bytes. The
     file is hashed on a helper thread while this one loads the cache, and
     the key is compared once the hash is done; what the hash raises is
@@ -888,12 +842,19 @@ def read_samples(path) -> Dataset:
     sha256 of the bytes the parse read.
     """
     cache = f"{path}{CACHE_SUFFIX}"
-    if os.path.exists(cache):
+    try:
+        cached = os.stat(cache)
+        # no cache of the file is larger: a dataset line holds at least 346 bytes besides its id, and a cache
+        # row 672 bytes plus at most 3 times the id's bytes once JSON-escaped
+        fits = stat.S_ISREG(cached.st_mode) and cached.st_size <= 3 * os.path.getsize(path) + 256
+    except OSError:  # no cache, or no file, which the parse below reports
+        fits = False
+    if fits:
         hashed = {}
         hasher = threading.Thread(target=_hash_into, args=(path, hashed))
         hasher.start()
         try:
-            data = _cached_dataset(cache)
+            data = _cached_dataset(cache, cached.st_size)
         finally:
             hasher.join()
         if "error" in hashed:
@@ -956,8 +917,8 @@ def _write_cache(cache, data):
             pass
 
 
-def _cached_dataset(cache):
-    """The Dataset in the cache file if its layout is CACHE_LAYOUT and its columns are valid, else None.
+def _cached_dataset(cache, size):
+    """The Dataset in the first size bytes of the cache file if its layout is CACHE_LAYOUT and its columns are valid.
 
     Its sha256 is the cache's key, which the caller compares with the
     file's. The file (see `_write_cache`) must end in the CRC-32 of the
@@ -968,13 +929,13 @@ def _cached_dataset(cache):
     that `_value_checks` finds good. Those only a cache needs are its own:
     at least one sample, splits in SPLITS, exactly N rows of CACHE_ROW
     float64 values after the head line, integer dims in [1, MAX_DIM] and
-    every was_left 0.0 or 1.0; so every value of a row is checked. A
-    missing, damaged or foreign file is None too.
+    every was_left 0.0 or 1.0; so every value of a row is checked. Any
+    other file, missing, damaged or foreign, is None.
     """
     try:
         with open(cache, "rb") as fh:
             # read into a bytearray, so the columns that view it are writable
-            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            raw = bytearray(size)
             del raw[fh.readinto(raw) :]
     except OSError:
         return None

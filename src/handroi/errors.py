@@ -6,10 +6,9 @@ weights file of another layout, training that diverges), 3 for two row
 files that do not cover the same sample ids, 4 for an id that is not
 found, and 1 for a broken internal precondition that no command-line
 input reaches. A degenerate hand is such a precondition where HandRoiError
-itself is raised: by the checks of the one-sample objects, which
-`dataset.synth_generate` alone builds, and by the one-hand view
-`heuristic.gold_roi`. No command calls either; the commands read the
-reason codes that `heuristic.gold_rois` returns.
+itself is raised, by the one-hand view `heuristic.gold_roi`, which no
+command calls; the commands read the reason codes that
+`heuristic.gold_rois` returns.
 """
 
 

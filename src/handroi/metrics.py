@@ -104,13 +104,14 @@ def evaluate(predict, data, method: str = ""):
 
 
 def _mean(col) -> float:
-    """Mean of a column, summed left to right from 0.0; NaN if it is empty.
+    """Mean of a column, summed left to right from 0.0; NaN if it is empty, inf if the sum overflows.
 
     The builtin sum is not used: from Python 3.12 it compensates the rounding of a float sum.
     """
     if not col.size:
         return math.nan
-    return float(np.add.accumulate(np.concatenate(([0.0], col)))[-1]) / col.size
+    with np.errstate(over="ignore"):
+        return float(np.add.accumulate(np.concatenate(([0.0], col)))[-1]) / col.size
 
 
 def summarize(rows: Rows) -> MetricsSummary:

@@ -20,6 +20,7 @@ predictions each map an (N, 19) feature matrix to a box array (see the
 """
 
 import math
+import os
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -356,20 +357,21 @@ def save_weights(heads, path):
 
 def load_weights(path):
     """The predictor, a tuple of heads in HEADS order, of a weights file; a bad file is an InputError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:6] != _MAGIC + struct.pack("<H", _VERSION):
-        raise InputError(f"{path} is not a version {_VERSION} handroi weights file")
-    if not data.startswith(_HEADER):
-        raise InputError(
-            f"bad header in {path}: expected feature spec {FEATURE_SPEC!r} "
-            f"and heads laid out as {HEAD_LAYOUTS}"
-        )
     counts = [_n_params(sizes) for sizes in HEAD_LAYOUTS]
-    body = data[len(_HEADER) :]
-    if len(body) != 8 * sum(counts):
-        raise InputError(f"{path} holds {len(body)} parameter bytes, expected {8 * sum(counts)}")
-    theta = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    # the body's length comes from the file's size, so a file of another length is never read whole
+    with open(path, "rb") as fh:
+        head = fh.read(len(_HEADER))
+        if head[:6] != _MAGIC + struct.pack("<H", _VERSION):
+            raise InputError(f"{path} is not a version {_VERSION} handroi weights file")
+        if head != _HEADER:
+            raise InputError(
+                f"bad header in {path}: expected feature spec {FEATURE_SPEC!r} "
+                f"and heads laid out as {HEAD_LAYOUTS}"
+            )
+        size = os.fstat(fh.fileno()).st_size - len(_HEADER)
+        if size != 8 * sum(counts):
+            raise InputError(f"{path} holds {size} parameter bytes, expected {8 * sum(counts)}")
+        theta = np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(theta)):
         raise InputError(f"non-finite parameters in {path}")
     thetas = np.split(theta, np.cumsum(counts)[:-1])

@@ -330,12 +330,17 @@ def reference_synth_sample(rng, cfg, idx, split):
     shift = np.array([tx, ty])
 
     hand_px = proj + shift + rng.normal(scale=cfg.noise_px, size=(21, 2))
+    if not np.isfinite(hand_px).all():
+        raise HandRoiError("non-finite landmark coordinate")
     hand = Hand21(points=tuple((float(x), float(y), 1.0) for x, y in hand_px))
 
     def pose_point(p3):
         noisy = p3[:2] + shift + rng.normal(scale=cfg.noise_px, size=2)
         z = (p3[2] + rng.normal(scale=cfg.noise_px)) / height
-        return Vec3(float(noisy[0] / width), float(noisy[1] / height), float(z))
+        kp = Vec3(float(noisy[0] / width), float(noisy[1] / height), float(z))
+        if not all(map(math.isfinite, kp)):
+            raise HandRoiError(f"non-finite keypoint {kp}")
+        return kp
 
     wrist3 = pts3[WRIST]
     arm_dir = wrist3 - pts3[MIDDLE_MCP]
@@ -471,7 +476,7 @@ def reference_ingest(args):
     """Reference for `cli.cmd_ingest`: the object-based ingest, one sample at a time.
 
     Each annotation file becomes a Hand21 and each sidecar line a PoseHand
-    of Vec3s, checked value by value as they are built; a left sample is
+    of Vec3s, whose values it checks one by one; a left sample is
     mirrored object by object and `reference_gold_roi` filters each joined
     sample, which becomes a Sample. It writes each Sample's line with
     `write_doc_lines` and counts the samples itself, so it writes the same
@@ -524,7 +529,11 @@ def _check_json_numbers(points):
 
 
 def _reference_parse_panoptic(labels_dir):
-    """[(id, Hand21, is_left)] of the directory's annotation files, and the count of malformed ones."""
+    """[(id, Hand21, is_left)] of the directory's annotation files, and the count of malformed ones.
+
+    A file is malformed unless it holds 21 landmarks of 3 JSON numbers each,
+    with finite x and y and a confidence in [0, 1], and a valid is_left.
+    """
     try:
         names = sorted(os.listdir(labels_dir))
     except OSError as e:
@@ -545,6 +554,8 @@ def _reference_parse_panoptic(labels_dir):
                 raise ValueError("expected [x, y, confidence] landmarks")
             _check_json_numbers(pts)
             hand = Hand21(points=tuple((float(x), float(y), float(c)) for x, y, c in pts))
+            if not all(math.isfinite(x) and math.isfinite(y) and 0.0 <= c <= 1.0 for x, y, c in hand.points):
+                raise ValueError("a non-finite landmark coordinate or a confidence outside [0, 1]")
             is_left = doc.get("is_left", 0)
             if type(is_left) is not bool and not (type(is_left) is int and is_left in (0, 1)):
                 raise ValueError(f"is_left must be a JSON boolean or 0 or 1, got {is_left!r}")
@@ -584,9 +595,12 @@ def _reference_read_pose_sidecar(path):
                 pose = []
                 for key, (x, y, z) in zip(POSE_KEYS, kps):
                     try:
-                        pose.append(Vec3(float(x), float(y), float(z)))
-                    except (OverflowError, HandRoiError):
+                        kp = Vec3(float(x), float(y), float(z))
+                        if not all(map(math.isfinite, kp)):
+                            raise OverflowError
+                    except OverflowError:  # an integer beyond float range is no finite value either
                         raise ValueError(f"non-finite {key} keypoint") from None
+                    pose.append(kp)
             except Exception as e:
                 raise InputError(f"{where}: {e}") from e
             if sid in poses:

@@ -358,7 +358,7 @@ class TestBadFlagValues:
             ["synth", "--n", "10", "--seed", "1", "--noise-px", "inf"],
             # finite, but so large that every draw of a sample is degenerate
             ["synth", "--n", "10", "--seed", "1", "--noise-px", "1e200"],
-            # some draws overflow a pose keypoint, which Vec3 rejects as a degenerate hand
+            # some draws overflow a pose keypoint, which synth redraws as it does a degenerate hand
             ["synth", "--n", "10", "--seed", "1", "--noise-px", "1e308"],
         ],
     )
@@ -1164,6 +1164,13 @@ class TestCompare:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    def test_overflowing_mean_is_inf(self, tmp_path):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(f"s{i},m,0.5,1e308,1.0,1.0,0\n" for i in range(2)))
+        report = tmp_path / "r.txt"
+        assert run_quiet("compare", "--rows-a", str(rows), "--rows-b", str(rows), "--report", str(report)) == (0, [])
+        assert "a_mean_center_err=inf" in report.read_text().splitlines()
 
     def test_repeated_id_exit_2(self, tmp_path, small_dataset):
         rows = self.eval_rows(tmp_path, small_dataset, "h")

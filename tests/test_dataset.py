@@ -647,26 +647,6 @@ class TestSynth:
             SynthConfig(n=10, seed=1, max_tilt_deg=120)
 
 
-class TestVec3:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_is_degenerate_hand(self, value):
-        # conftest's scalar synth oracle redraws on HandRoiError, so an overflowing keypoint must raise it
-        with pytest.raises(HandRoiError, match=r"^non-finite Vec3 \("):
-            Vec3(0.5, 0.5, value)
-
-
-class TestHand21:
-    @pytest.mark.parametrize("n", [20, 22])
-    def test_other_than_21_landmarks(self, n):
-        with pytest.raises(HandRoiError, match=f"^expected 21 landmarks, got {n}$"):
-            Hand21(points=((1.0, 2.0, 1.0),) * n)
-
-    @pytest.mark.parametrize("c", [-0.5, 1.5, math.nan])
-    def test_confidence_outside_0_1(self, c):
-        with pytest.raises(HandRoiError, match=rf"^confidence {c} outside \[0, 1\]$"):
-            Hand21(points=((1.0, 2.0, 1.0),) * 20 + ((1.0, 2.0, c),))
-
-
 class TestStatsAndIo:
     def test_stats_sum(self):
         stats = dataset_stats(synth_dataset(SynthConfig(n=40, seed=2)))
@@ -733,17 +713,12 @@ class TestStatsAndIo:
             hand=hand,
             pose=pose,
         )
-        # the Sample leg: the same rows as a list of Sample; Hand21 takes only confidences in [0, 1], so each
-        # other confidence is 1.0 there
-        conf = hand[:, :, 2]
-        conf = np.where((conf >= 0.0) & (conf <= 1.0), conf, 1.0)
-        data_of_samples = dataclasses.replace(data, hand=np.dstack([hand[:, :, :2], conf]))
-        samples = as_samples(data_of_samples)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(handroi.dataset, "_DOC_BLOCK_ROWS", block)
-            for written, reference in ((data, data), (samples, data_of_samples)):
+            reference_write_lines(data, Path(tmp, "encoder.jsonl"))
+            # the Sample leg: the same rows as a list of Sample
+            for written in (data, as_samples(data)):
                 write_samples(written, Path(tmp, "template.jsonl"))
-                reference_write_lines(reference, Path(tmp, "encoder.jsonl"))
                 assert Path(tmp, "template.jsonl").read_bytes() == Path(tmp, "encoder.jsonl").read_bytes()
 
     @pytest.mark.parametrize("column", ["hand", "pose"])
@@ -968,6 +943,49 @@ class TestColumnCache:
             with no_parse():
                 assert_same_columns(read_samples(path), first)
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["data.jsonl", "data.jsonl.cols"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "8 GiB", "over the bound", "at the bound"])
+    def test_a_file_no_cache_can_be_is_not_opened(self, tmp_path, monkeypatch, kind):
+        # opening a FIFO would block, and reading 8 GiB fill memory; no cache is larger than 3 times its
+        # dataset's size plus 256 bytes, so one at that bound is opened, and read as a damaged cache
+        path = self.write(tmp_path / "data.jsonl")
+        want = read_samples(path)
+        cache_path = Path(f"{path}{CACHE_SUFFIX}")
+        good = cache_path.read_bytes()
+        if kind == "fifo":
+            cache_path.unlink()
+            os.mkfifo(cache_path)
+        else:
+            bound = 3 * path.stat().st_size + 256
+            os.truncate(cache_path, {"8 GiB": 8 << 30, "over the bound": bound + 1, "at the bound": bound}[kind])
+
+        def guarded_open(name, *args, **kwargs):
+            if os.fspath(name) == str(cache_path):
+                pytest.fail(f"opened a cache that is {kind}")
+            return open(name, *args, **kwargs)
+
+        if kind != "at the bound":
+            monkeypatch.setattr(handroi.dataset, "open", guarded_open, raising=False)
+        with counting_parses() as calls:
+            assert_same_columns(read_samples(path), want)
+        assert calls == [1] and cache_path.read_bytes() == good
+        monkeypatch.undo()
+        with no_parse():
+            assert_same_columns(read_samples(path), want)
+
+    def test_the_densest_lines_keep_their_cache(self, tmp_path):
+        # a line of 346 bytes besides its id, the fewest a line can hold, and ids whose JSON escapes in the cache
+        # take 3 times their UTF-8 bytes: the caches of these files still fit the bound and are read
+        line = '{"hand":[%s],"height":1,"id":"%s","pose":{%s},"split":"test","was_left":true,"width":1}'
+        values = (",".join(["[0,0,0]"] * 21), ",".join(f'"{key}":[0,0,0]' for key in POSE_KEYS))
+        assert len(line % (values[0], "", values[1])) == 346
+        path = tmp_path / "data.jsonl"
+        for ids in ([""], ["é" * 50, "ü" * 50], ["\U0001f600" * 20, "\u20ac" * 30, "x"]):
+            path.write_text("\n".join(line % (values[0], sid, values[1]) for sid in ids), encoding="utf-8")
+            want = read_samples(path)
+            assert want.ids.tolist() == ids
+            with no_parse():
+                assert_same_columns(read_samples(path), want)
 
     def test_odd_ids_round_trip(self, tmp_path):
         docs = row_docs(synth_dataset(SynthConfig(n=len(ODD_IDS), seed=4)))

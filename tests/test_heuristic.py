@@ -1,6 +1,5 @@
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,16 +300,13 @@ class TestGoldRoisReference:
             assert np.array(view).tobytes() == np.array(ref).tobytes(), kind
 
     def check_against_reference(self, points, width=640, height=480):
-        """gold_rois of hands given as (21, 2) x, y lists against the reference, bit for bit: box or reason.
-
-        A stand-in holds the points, since Hand21 refuses a NaN landmark.
-        """
+        """gold_rois of hands given as (21, 2) x, y lists against the reference, bit for bit: box or reason."""
         hands = np.array([[(x, y, 1.0) for x, y in pts] for pts in points])
         boxes, reason = gold_rois(hands, [width] * len(points), [height] * len(points))
         reasons = []
         for k, pts in enumerate(points):
             try:
-                ref = reference_gold_roi(SimpleNamespace(points=[(x, y, 1.0) for x, y in pts]), width, height)
+                ref = reference_gold_roi(make_hand(pts), width, height)
             except HandRoiError as e:
                 assert degenerate_reason(reason[k], width, height) == str(e) and np.isnan(boxes[k]).all(), k
             else:

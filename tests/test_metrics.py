@@ -253,6 +253,12 @@ class TestSummarize:
         s = summarize(rows)
         assert s.mean_center_err == 3.0 and s.mean_iou == 0.25 and s.min_iou == 0.0 and s.n == 3
 
+    def test_overflowing_sum_is_inf(self):
+        # with no warning, which this suite makes an error
+        rows = table("ab", [0.5, 0.5])
+        rows.center_err_pct[:] = [1e308, 1e308]
+        assert summarize(rows).mean_center_err == math.inf
+
     def test_no_rows(self):
         with pytest.raises(InputError, match="^no rows to summarize$"):
             summarize(table("", []))

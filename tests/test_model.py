@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import math
+import os
 import re
 import struct
 
@@ -12,6 +14,7 @@ from conftest import (
     reference_predict_roi,
     reference_rotation,
 )
+import handroi.model
 from handroi.dataset import POSE_KEYS, SynthConfig, concat, synth_dataset
 from handroi.errors import HandRoiError, InputError
 from handroi.geometry import circular_diff_deg
@@ -547,4 +550,22 @@ class TestWeightsIo(object):
         f.write_bytes(f.read_bytes()[:-7])
         n = 8 * sum(head.theta.size for head in p)
         with pytest.raises(InputError, match=f"^{re.escape(str(f))} holds {n - 7} parameter bytes, expected {n}$"):
+            load_weights(f)
+
+    def test_oversized_file_is_not_read(self, rng, tmp_path, monkeypatch):
+        # a sparse 6 GiB file whose header is good; its length comes from its size, so no read may take it whole
+        f = tmp_path / "w.hroi"
+        p = random_predictor(rng)
+        save_weights(p, f)
+        os.truncate(f, 6 << 30)
+
+        class BoundedReads(io.FileIO):
+            def read(self, size=-1):
+                if not 0 <= size <= 1 << 20:
+                    pytest.fail(f"read({size}) of a 6 GiB weights file")
+                return super().read(size)
+
+        monkeypatch.setattr(handroi.model, "open", BoundedReads, raising=False)
+        size, n = (6 << 30) - len(handroi.model._HEADER), 8 * sum(head.theta.size for head in p)
+        with pytest.raises(InputError, match=f"^{re.escape(str(f))} holds {size} parameter bytes, expected {n}$"):
             load_weights(f)
