@@ -9,7 +9,10 @@ trial with one `Mlp.gradient` call (loss and gradient from one forward
 pass) and each validation loss with `Mlp.forward`. The weights of the
 lowest validation loss are kept, a loss that is not finite stops training,
 and an iteration that changes nothing ends it early (every later one would
-repeat it).
+repeat it). The hot loop (`Mlp._layers`, `forward`, `gradient`, `_direction`)
+makes the same float operations in the same order as its allocating
+original, in place only where the bits cannot change; the tests check it
+against that original, kept in tests/conftest.py, bit for bit.
 
 A predictor is a tuple of three heads, in `HEADS` order and laid out as
 `HEAD_LAYOUTS`, sharing one 19-value feature vector (six (x, y, z) body
@@ -105,11 +108,13 @@ class Mlp:
     def zeros(cls, layer_sizes):
         return cls(layer_sizes, np.zeros(_n_params(layer_sizes)))
 
-    def _hidden(self, x):
-        """The (N, in) input rows and each hidden layer's ReLU output."""
+    def _layers(self, x):
+        """The (N, in) input rows, each hidden layer's ReLU output, then the (N, out) outputs."""
         acts = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        for w, b in zip(self.weights, self.biases):
+            h = acts[-1] @ w
+            h += b
+            acts.append(np.maximum(h, 0.0, out=h) if len(acts) < len(self.weights) else h)
         return acts
 
     def forward(self, x):
@@ -117,7 +122,7 @@ class Mlp:
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise HandRoiError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
-        return self._hidden(a)[-1] @ self.weights[-1] + self.biases[-1]
+        return self._layers(a)[-1]
 
     def gradient(self, inputs, targets):
         """(loss, exact gradient flat in theta's layout) of the batch's MSE, from one forward pass.
@@ -134,15 +139,17 @@ class Mlp:
             raise HandRoiError("batch widths inconsistent with the network layout")
         grad = np.empty_like(self.theta)
         grads = _layer_views(self.layer_sizes, grad)
-        acts = self._hidden(x)
-        err = acts[-1] @ self.weights[-1] + self.biases[-1] - t
-        delta = 2.0 * err / t.size
+        *acts, err = self._layers(x)
+        err -= t
+        delta = 2.0 * err
+        delta /= t.size
         for i in range(len(grads) - 1, -1, -1):
             dw, db = grads[i]
-            dw[...] = acts[i].T @ delta
-            db[...] = delta.sum(axis=0)
+            np.matmul(acts[i].T, delta, out=dw)
+            np.add.reduce(delta, axis=0, out=db)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (acts[i] > 0.0)
+                delta = delta @ self.weights[i].T
+                delta *= acts[i] > 0.0
         return _mse(err), grad
 
 
@@ -170,10 +177,6 @@ class TrainConfig:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
-def _loss(net, x, y):
-    return _mse(net.forward(x) - y)
-
-
 def _direction(grad, history):
     """The L-BFGS direction -H grad, H the inverse Hessian estimate of the (s, y, 1 / y.s) pairs, oldest first.
 
@@ -183,13 +186,13 @@ def _direction(grad, history):
     tmp = np.empty_like(q)  # the products below go here, so none allocates a temporary
     alphas = []
     for s, y, rho in reversed(history):
-        alphas.append(rho * float(s @ q))
+        alphas.append(rho * s.dot(q))
         q -= np.multiply(alphas[-1], y, out=tmp)
     if history:
         s, y, _ = history[-1]
-        q *= float(s @ y) / float(y @ y)
+        q *= s.dot(y) / y.dot(y)
     for (s, y, rho), alpha in zip(history, reversed(alphas)):
-        q += np.multiply(alpha - rho * float(y @ q), s, out=tmp)
+        q += np.multiply(alpha - rho * y.dot(q), s, out=tmp)
     return q
 
 
@@ -216,19 +219,19 @@ def _lbfgs(net, train, val, iterations):
     for it in range(iterations):
         pairs = len(history)
         d = _direction(grad, history)
-        slope = float(grad @ d)
+        slope = float(grad.dot(d))
         if not slope < 0.0:
             history.clear()
-            d, slope = -grad, -float(grad @ grad)
+            d, slope = -grad, -float(grad.dot(grad))
         start = theta.copy()
         # a unit step along a large raw gradient overshoots
-        step = 1.0 if history else 1.0 / max(1.0, math.sqrt(grad @ grad))
+        step = 1.0 if history else 1.0 / max(1.0, math.sqrt(grad.dot(grad)))
         for _ in range(MAX_HALVINGS + 1):
             np.add(start, step * d, out=theta)
             new_loss, new_grad = net.gradient(*train)
             if new_loss <= loss + ARMIJO * step * slope:
                 s, y = theta - start, new_grad - grad
-                sy = float(s @ y)
+                sy = float(s.dot(y))
                 if sy > 0.0:
                     history.append((s, y, 1.0 / sy))
                 loss, grad = new_loss, new_grad
@@ -237,7 +240,7 @@ def _lbfgs(net, train, val, iterations):
         else:
             theta[...] = start
             history.clear()
-        val_loss = _loss(net, *val)
+        val_loss = _mse(net.forward(val[0]) - val[1])
         if not (math.isfinite(loss) and math.isfinite(val_loss)):
             raise InputError(f"training diverged: non-finite loss at epoch {it}")
         log.append((it, loss, val_loss))

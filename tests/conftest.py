@@ -38,7 +38,7 @@ from handroi.heuristic import (
     WRIST,
 )
 from handroi.metrics import _CONTROL, CSV_COLUMNS, ERROR_COLUMNS, Rows, read_rows_csv
-from handroi.model import _train_heads, featurize, roi_targets
+from handroi.model import _layer_views, _mse, _train_heads, featurize, roi_targets
 
 
 @pytest.fixture
@@ -441,6 +441,67 @@ def reference_predict_roi(heads, f):
     row = np.asarray(f, dtype=np.float64)[None, :]
     (cx, cy), (size,), angle_out = (head.forward(row)[0] for head in heads)
     return float(cx), float(cy), max(0.0, float(size)), reference_rotation(angle_out)
+
+
+# The trainer's hot loop as it was before it computed in place (`Mlp._layers`
+# then `Mlp._hidden`, `Mlp.forward`, `Mlp.gradient` and `model._direction`),
+# each operation allocating its result. The in-place code must give the same bits
+# (test_model.TestHotLoopParity); the forward and gradient take the net as
+# their first argument, so they can stand in for the methods.
+
+
+def reference_hidden(net, x):
+    """The (N, in) input rows and each hidden layer's ReLU output."""
+    acts = [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts
+
+
+def reference_forward(net, x):
+    """Outputs (N, out) of the (N, in) input rows."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != net.layer_sizes[0]:
+        raise HandRoiError(f"input shape {a.shape} is not (N, {net.layer_sizes[0]})")
+    return reference_hidden(net, a)[-1] @ net.weights[-1] + net.biases[-1]
+
+
+def reference_gradient(net, inputs, targets):
+    """(loss, exact gradient flat in theta's layout) of the batch's MSE, from one forward pass."""
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if x.shape[0] != t.shape[0]:
+        raise HandRoiError("batch inputs and targets disagree in length")
+    if x.shape[1] != net.layer_sizes[0] or t.shape[1] != net.layer_sizes[-1]:
+        raise HandRoiError("batch widths inconsistent with the network layout")
+    grad = np.empty_like(net.theta)
+    grads = _layer_views(net.layer_sizes, grad)
+    acts = reference_hidden(net, x)
+    err = acts[-1] @ net.weights[-1] + net.biases[-1] - t
+    delta = 2.0 * err / t.size
+    for i in range(len(grads) - 1, -1, -1):
+        dw, db = grads[i]
+        dw[...] = acts[i].T @ delta
+        db[...] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0.0)
+    return _mse(err), grad
+
+
+def reference_direction(grad, history):
+    """The L-BFGS direction -H grad, H the inverse Hessian estimate of the (s, y, 1 / y.s) pairs, oldest first."""
+    q = -grad
+    tmp = np.empty_like(q)  # the products below go here, so none allocates a temporary
+    alphas = []
+    for s, y, rho in reversed(history):
+        alphas.append(rho * float(s @ q))
+        q -= np.multiply(alphas[-1], y, out=tmp)
+    if history:
+        s, y, _ = history[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), alpha in zip(history, reversed(alphas)):
+        q += np.multiply(alpha - rho * float(y @ q), s, out=tmp)
+    return q
 
 
 # the predictor's layouts with an angle head of one output, the rotation in degrees

@@ -24,6 +24,7 @@ from conftest import (
     read_cache,
     reference_gold_roi,
     reference_synth_generate,
+    reference_synth_sample,
     reference_write_lines,
     row_docs,
     sample_doc,
@@ -36,6 +37,7 @@ from handroi.dataset import (
     CACHE_SUFFIX,
     POSE_KEYS,
     SPLITS,
+    SYNTH_HEIGHT,
     Dataset,
     Hand21,
     PoseHand,
@@ -559,6 +561,30 @@ class TestMergeSidecar:
         assert len(read_samples(tmp_path / "data.jsonl")) == 3
 
 
+class ForgedDraws:
+    """A stand-in rng for `conftest.reference_synth_sample`: a Generator's draws, one standard normal forged.
+
+    uniform and normal return what rng.uniform and rng.normal would, built as
+    `synth_dataset` builds them from rng.random() and rng.standard_normal(),
+    except that the standard normal at index forged_at is inf. u and z keep
+    the raw draws, in `dataset._synth_attempts`' layout.
+    """
+
+    def __init__(self, seed, forged_at=None):
+        self.rng, self.forged_at, self.u, self.z = np.random.default_rng(seed), forged_at, [], []
+
+    def uniform(self, lo, hi):
+        self.u.append(self.rng.random())
+        return lo + (hi - lo) * self.u[-1]
+
+    def normal(self, scale, size=None):
+        z = self.rng.standard_normal(size or 1)
+        if self.forged_at is not None and 0 <= self.forged_at - len(self.z) < z.size:
+            z.flat[self.forged_at - len(self.z)] = math.inf
+        self.z.extend(z.flat)
+        return 0.0 + scale * (z if size else z[0])
+
+
 class TestSynth:
     def test_determinism(self):
         cfg = SynthConfig(n=50, seed=11)
@@ -639,6 +665,28 @@ class TestSynth:
                 for written in (synth_dataset(cfg), samples):
                     write_samples(written, got)
                     assert got.read_bytes() == want.read_bytes()
+
+    # z holds the 21 landmarks' x and y noise, then the keypoints' x, y and z: 5 is landmark 2's y, 48 the wrist's x
+    @pytest.mark.parametrize(
+        "forged_at, message, drawn",
+        [(5, "non-finite landmark coordinate", 42), (48, "non-finite keypoint", 42 + 9)],
+    )
+    def test_reference_rejects_a_non_finite_draw(self, forged_at, message, drawn):
+        cfg = SynthConfig(n=1, seed=4, noise_px=2.0)
+        clean = ForgedDraws(cfg.seed)
+        sample = reference_synth_sample(clean, cfg, 0, "train")
+        reference_gold_roi(sample.hand, sample.width, sample.height)  # the unforged draws make a usable hand
+        forged = ForgedDraws(cfg.seed, forged_at)
+        with pytest.raises(HandRoiError, match=f"^{message}"):
+            reference_synth_sample(forged, cfg, 0, "train")
+        # a landmark is checked before any keypoint noise is drawn, a keypoint before the next keypoint's
+        assert len(forged.z) == drawn
+        # synth_dataset rejects the same attempt: its landmark lies outside the gold bounds, or its keypoint is not finite
+        z = np.array(clean.z)
+        z[forged_at] = math.inf
+        width, hand, pose = handroi.dataset._synth_attempts(cfg, np.array([clean.u]), z[None])
+        outside = gold_rois(hand, width, np.full_like(width, SYNTH_HEIGHT))[1] > 0
+        assert outside.tolist() == [forged_at < 42] and np.isfinite(pose).all() == (forged_at < 42)
 
     def test_bad_config(self):
         with pytest.raises(InputError, match="^n must be positive$"):

@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    reference_direction,
+    reference_forward,
+    reference_gradient,
     reference_predict_roi,
     reference_rotation,
 )
@@ -25,6 +28,7 @@ from handroi.model import (
     HEAD_LAYOUTS,
     Mlp,
     TrainConfig,
+    _direction,
     _lbfgs,
     _train_heads,
     featurize,
@@ -32,6 +36,7 @@ from handroi.model import (
     hybrid_predict,
     load_weights,
     predict_roi,
+    roi_targets,
     save_weights,
     train_predictor,
 )
@@ -187,6 +192,13 @@ class TestGradient:
             _, grad = net.gradient(X, Y)
             assert grad_max_rel_err(grad, finite_diff_grad(net, X, Y)) < 1e-4
 
+    def test_no_product_past_the_input_layer(self):
+        # the input layer's delta, 2 times its weight 1e308, would overflow; nothing reads it, so it is not made
+        net = Mlp([1, 1, 1], np.array([1e308, 1.0, 1.0, 0.0]))
+        with np.errstate(all="raise"):
+            loss, grad = net.gradient(np.zeros((1, 1)), np.zeros((1, 1)))
+        assert loss == 1.0 and grad.tolist() == [0.0, 2.0, 2.0, 2.0]
+
     @pytest.mark.parametrize(
         "inputs, targets, error",
         [
@@ -329,6 +341,38 @@ class TestTraining:
         _lbfgs(net, (X, Y), (X[:9], Y[:9]), k)
         assert len(forwards) == k and len(gradients) >= k + 1
 
+    def test_best_theta_is_the_first_to_reach_a_tied_validation_loss(self, rng, monkeypatch):
+        X, Y = least_squares_problem(rng)
+        theta0 = Mlp.init([5, 3], rng).theta
+        # validation outputs of 0 whatever theta is: every iteration ties on the validation loss
+        monkeypatch.setattr(Mlp, "forward", lambda self, x: np.zeros((len(x), self.layer_sizes[-1])))
+        first, _ = _lbfgs(Mlp([5, 3], theta0.copy()), (X, Y), (X, Y), 1)
+        net = Mlp([5, 3], theta0.copy())
+        best, log = _lbfgs(net, (X, Y), (X, Y), 5)
+        assert len({val for _, _, val in log}) == 1
+        assert best.tobytes() == first.tobytes() != net.theta.tobytes()
+
+    def test_zero_gradient_costs_one_trial_an_iteration(self, monkeypatch):
+        # w = 1, b = 0 fits both rows: the first steepest-descent step (length 1 / |(-2, 0)|) lands on it
+        X = Y = np.array([[1.0], [-1.0]])
+        net = Mlp([1, 1], np.zeros(2))
+        gradients = count_calls(monkeypatch, "gradient")
+        theta, log = _lbfgs(net, (X, Y), (X, Y), 10)
+        assert theta.tolist() == [1.0, 0.0] and log[1:] == [(it, 0.0, 0.0) for it in range(1, 10)]
+        # the start, the step, then at the zero gradient a direction of slope 0: it does not descend, so the
+        # history is cleared; its trial keeps the loss, which meets the Armijo condition with equality and is
+        # accepted; the next iteration repeats that with no history and is the fixed point
+        assert len(gradients) == 4
+
+    def test_direction_of_zero_slope_is_not_taken(self, monkeypatch):
+        # every input is 0, so the weight's gradient is 0 and a step along the weight alone has slope 0
+        monkeypatch.setattr(handroi.model, "_direction", lambda grad, history: np.array([1.0, 0.0]))
+        X, Y = np.zeros((4, 1)), np.ones((4, 1))
+        net = Mlp([1, 1], np.array([0.5, 0.0]))
+        theta, log = _lbfgs(net, (X, Y), (X, Y), 3)
+        # a steepest-descent step instead: it moves the bias alone, onto the targets
+        assert theta.tolist() == net.theta.tolist() == [0.5, 1.0] and log[0][1] == 0.0
+
     # round(0.1 n) held out: 38 holds out 4 rows; 4 holds none out and validates on the train rows
     @pytest.mark.parametrize("n", [38, 4])
     def test_head_alone_matches_three_head_call(self, rng, n):
@@ -352,6 +396,12 @@ class TestTraining:
         with pytest.raises(InputError, match="^need at least 2 training samples$"):
             train_predictor(DATA.select([]), TrainConfig())
 
+    def test_two_samples_are_the_fewest_that_train(self):
+        with pytest.raises(InputError, match="^need at least 2 training samples$"):
+            train_predictor(DATA, TrainConfig())
+        predictor, logs = train_predictor(synth_dataset(SynthConfig(n=2, seed=3)), TrainConfig(epochs=2))
+        assert len(predictor) == 3 and [len(log) for log in logs.values()] == [2, 2, 2]
+
     def test_degenerate_gold_names_sample(self):
         data = synth_dataset(SynthConfig(n=5, seed=2))
         data.hand[3, MIDDLE_MCP] = data.hand[3, WRIST]
@@ -368,6 +418,69 @@ class TestTraining:
     def test_bad_config(self, kwargs, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             TrainConfig(**kwargs)
+
+
+features = st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed))
+
+
+def bits(values):
+    """The int64 views of float64 values, equal exactly when the values are the same bits (NaNs included)."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestHotLoopParity:
+    """The in-place forward, gradient and L-BFGS direction against conftest's allocating originals, bit for bit."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        features,
+        st.sampled_from([[FEATURE_DIM, 10, 10, 1], [FEATURE_DIM, 10, 10, 2], [2, 3, 1]]),
+        # 7, 8 and 9 rows straddle numpy's pairwise-sum block of 8
+        st.sampled_from([1, 2, 7, 8, 9, 441]),
+        # at 1e160 the squared errors overflow; at 1e308 inputs beyond 1.8 standard deviations
+        # overflow too, and their products of both signs make NaN pre-activations
+        st.sampled_from([1.0, 1e160, 1e308]),
+    )
+    def test_forward_and_gradient(self, rng, layout, n, scale):
+        net = Mlp.init(layout, rng)
+        for b in net.biases:
+            b[...] = rng.choice([0.0, -0.5, 0.5], size=b.shape)
+        with np.errstate(over="ignore"):
+            X = scale * rng.normal(size=(n, layout[0]))
+        # rows and values of 0: with a bias of 0, a pre-activation of exactly (+ or -) 0
+        X[rng.random(n) < 0.3] = 0.0
+        X[rng.random(X.shape) < 0.2] = 0.0
+        T = rng.normal(size=(n, layout[-1]))
+        with np.errstate(all="ignore"):
+            loss, grad = net.gradient(X, T)
+            ref_loss, ref_grad = reference_gradient(net, X, T)
+            assert bits(net.forward(X)) == bits(reference_forward(net, X))
+        assert bits(loss) == bits(ref_loss) and bits(grad) == bits(ref_grad)
+
+    @settings(deadline=None, max_examples=60)
+    @given(features, st.sampled_from([7, 332]), st.integers(0, 10), st.sampled_from([1.0, 1e160]))
+    def test_direction(self, rng, size, pairs, scale):
+        history = []
+        for _ in range(pairs):
+            s, y = scale * rng.normal(size=size), rng.normal(size=size)
+            with np.errstate(all="ignore"):
+                history.append((s, y, 1.0 / float(s @ y)))
+        grad = rng.normal(size=size)
+        with np.errstate(all="ignore"):
+            assert bits(_direction(grad, history)) == bits(reference_direction(grad, history))
+
+    def test_pipeline_training(self, monkeypatch):
+        # perfbench's pipeline: 700 samples, 120 epochs on train seed 7, so 441 train rows a head
+        data = synth_dataset(SynthConfig(n=700, seed=1, max_tilt_deg=75, noise_px=2))
+        X, *targets = roi_targets(data.select(data.split == "train"))
+        cfg = TrainConfig(epochs=120, seed=7)
+        nets, logs = _train_heads(X, targets, HEAD_LAYOUTS, cfg)
+        monkeypatch.setattr(Mlp, "gradient", reference_gradient)
+        monkeypatch.setattr(Mlp, "forward", reference_forward)
+        monkeypatch.setattr(handroi.model, "_direction", reference_direction)
+        ref_nets, ref_logs = _train_heads(X, targets, HEAD_LAYOUTS, cfg)
+        assert [net.theta.tobytes() for net in nets] == [net.theta.tobytes() for net in ref_nets]
+        assert repr(logs) == repr(ref_logs)
 
 
 class TestPredict:
@@ -390,9 +503,6 @@ class TestPredict:
         boxes, failed = predict_roi(p, X)
         assert failed.tolist() == [True, False]
         assert np.all(np.isfinite(boxes[1]))
-
-
-features = st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed))
 
 
 class TestPredictReference:
