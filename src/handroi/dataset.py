@@ -13,9 +13,9 @@ batch. The columns of a file that parsed are kept beside it in a cache
 keyed by the sha256 of its bytes, so a later read of the same bytes skips
 JSON decoding. The cache is one flat file: a JSON head line of its layout,
 key, ids and splits, the float64 values of each sample in one row, was_left
-among them, and a CRC-32 of every byte before it. A later read hashes the
-file on a helper thread while it loads the cache, so a hit costs about one
-hash; a cache of an older layout is rebuilt once.
+among them, and a CRC-32 of every byte before it. A later read loads the
+cache and then hashes the file, so a hit costs one hash and one load; a
+cache of an older layout is rebuilt once.
 
 Real data comes in two parts joined by sample id: a directory of per-image
 annotation files, ANNOTATION records of 21 (x, y, confidence) pixel
@@ -47,7 +47,6 @@ import json
 import math
 import os
 import stat
-import threading
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -134,6 +133,10 @@ class MergeResult:
     degenerate: int
 
 
+# bytes asked for at a time when an annotation file is read to its end
+READ_CHUNK = 1 << 16
+
+
 def parse_panoptic(labels_dir):
     """Read every annotation file in the directory, lexicographic order.
 
@@ -159,7 +162,9 @@ def parse_panoptic(labels_dir):
 def _annotation_files(entries):
     """(id, `_json_value`) of each file among the directory entries: its name without .json, and its contents.
 
-    A file that cannot be read has the ValueError of its OSError as its value.
+    Each file is read to its end with `os.read`, without the buffered
+    reader of `open`. A file that cannot be opened or read has the
+    ValueError of its OSError as its value.
     """
     for entry in entries:
         try:
@@ -168,10 +173,17 @@ def _annotation_files(entries):
         except OSError:  # an entry that cannot be stat'ed is no file, as for os.path.isfile
             continue
         try:
-            with open(entry.path, "rb") as fh:
-                doc = _json_value(fh.read())
+            fd = os.open(entry.path, os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
         except OSError as e:
             doc = ValueError(str(e))
+        else:
+            doc = _json_value(b"".join(chunks))
         yield os.path.splitext(entry.name)[0], doc
 
 
@@ -835,9 +847,8 @@ def read_samples(path) -> Dataset:
     it holds them, that is if it is a regular file no larger than a cache
     of the file can be, its columns pass the checks a parse makes
     (`_cached_dataset`) and its key is the sha256 of the file's bytes. The
-    file is hashed on a helper thread while this one loads the cache, and
-    the key is compared once the hash is done; what the hash raises is
-    raised here. Otherwise the file is parsed, and the columns of a parse
+    file is hashed only once the cache has loaded, and what the hash raises
+    is raised here. Otherwise the file is parsed, and the columns of a parse
     that succeeds are written to the cache (`_write_cache`), keyed by the
     sha256 of the bytes the parse read.
     """
@@ -850,16 +861,8 @@ def read_samples(path) -> Dataset:
     except OSError:  # no cache, or no file, which the parse below reports
         fits = False
     if fits:
-        hashed = {}
-        hasher = threading.Thread(target=_hash_into, args=(path, hashed))
-        hasher.start()
-        try:
-            data = _cached_dataset(cache, cached.st_size)
-        finally:
-            hasher.join()
-        if "error" in hashed:
-            raise hashed["error"]
-        if data is not None and data.sha256 == hashed["digest"]:
+        data = _cached_dataset(cache, cached.st_size)
+        if data is not None and data.sha256 == _file_sha256(path):
             return data
     # parsed line by line, which holds less memory than parsing the whole file's bytes
     parsed = hashlib.sha256()
@@ -868,14 +871,6 @@ def read_samples(path) -> Dataset:
         data = replace(dataset_from_docs(_json_lines(raw_lines), path), sha256=parsed.hexdigest())
     _write_cache(cache, data)
     return data
-
-
-def _hash_into(path, out):
-    """Set out["digest"] to `_file_sha256(path)`, or out["error"] to what it raised; the hash thread's target."""
-    try:
-        out["digest"] = _file_sha256(path)
-    except BaseException as e:  # raised again on the reading thread
-        out["error"] = e
 
 
 def _file_sha256(path):

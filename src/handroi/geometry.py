@@ -10,10 +10,14 @@ A box array is an (N, 4) float64 array with one row (cx, cy, size,
 rotation) per box: normalized center, side in height units, and degrees in
 [0, 360).
 
-Polygon batches are (N, K, 2) float64 pixel arrays with an (N,) array of
-vertex counts: row i keeps its counts[i] vertices in its first slots,
-ordered so the signed shoelace sum is non-negative (counter-clockwise in
-the y-down image frame); the slots after them are padding and are masked.
+Polygon batches are slot-major (2, K, N) float64 pixel arrays, the x
+plane then the y plane, each one row per vertex slot and one column per
+polygon, with an (N,) array of vertex counts: polygon i keeps its
+counts[i] vertices in its first slots, ordered so the signed shoelace sum
+is non-negative (counter-clockwise in the y-down image frame). The slots
+after them are padding, zeros in the polygons `clip_quads` makes, and no
+result reads them. Every elementwise step, mask and sum then runs along
+the N polygons, not along a polygon's few slots.
 """
 
 import math
@@ -36,60 +40,88 @@ def circular_diff_deg(a, b):
 
 
 def areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Absolute shoelace areas (N,) of padded polygons; 0 below 3 vertices.
+    """Absolute shoelace areas (N,) of a polygon batch (2, K, N); 0 below 3 vertices.
 
-    The terms are added left to right, one vertex at a time, so each area
-    rounds exactly as a scalar loop over that polygon's vertices would.
+    The terms are added one slot at a time from 0.0, so each area rounds
+    exactly as a scalar loop over that polygon's vertices would.
     """
-    slot = np.arange(polys.shape[1])
-    n = counts[:, None]
-    nxt = np.where(slot + 1 < n, slot + 1, 0)
-    x, y = polys[..., 0], polys[..., 1]
-    xn = np.take_along_axis(x, nxt, axis=1)
-    yn = np.take_along_axis(y, nxt, axis=1)
-    terms = np.where(slot < n, x * yn - xn * y, 0.0)
-    s = np.zeros(polys.shape[0])
-    for col in terms.T:
-        s += col
+    k, n = polys.shape[1:]
+    if not k:
+        return np.zeros(n)
+    # the next vertex of each slot: the next slot's, and after a polygon's last vertex its first
+    nxt = np.zeros(polys.shape)
+    nxt[:, :-1] = polys[:, 1:]
+    wrap = (counts - 1) * n + np.arange(n)
+    for plane, first in zip(nxt.reshape(2, -1), polys[:, 0]):
+        plane[wrap] = first
+    x, y = polys
+    terms = x * nxt[1]
+    terms -= nxt[0] * y
+    terms[np.arange(k)[:, None] >= counts] = 0.0
+    s = np.zeros(n)
+    for row in terms:
+        s += row
     return np.where(counts >= 3, np.abs(s) * 0.5, 0.0)
 
 
 def clip_quads(a: np.ndarray, b: np.ndarray):
-    """Sutherland-Hodgman intersections of N pairs of convex quads (N, 4, 2).
+    """Sutherland-Hodgman intersections of N pairs of convex quads, two (2, 4, N) batches.
 
-    Returns (polys (N, K, 2), counts (N,)): row i is quad a[i] clipped to
-    quad b[i], possibly empty. K is the largest count, 8 for quads in
-    general position. Every clip edge maps each input vertex to two output
-    slots, the edge crossing into it and the vertex itself, and a stable
-    sort moves the live slots to the front of each row in polygon order.
+    Returns (polys (2, K, N), counts (N,)): polygon i is quad a[:, :, i]
+    clipped to quad b[:, :, i], possibly empty. K is the largest count, 8
+    for quads in general position. Each clip edge keeps, in polygon order,
+    the edge's crossing into each vertex and the vertex itself where they
+    are live; a running count of the live entries gives each its new slot.
+    The working rows are the slots after one row that holds each polygon's
+    last live vertex, so a slot's previous vertex is the row before it.
     """
-    polys = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = polys.shape[0]
-    counts = np.full(n, polys.shape[1])
+    n = a.shape[2]
+    cols = np.arange(n)
+    # each edge at most doubles a polygon's vertices, so a count never exceeds 4 * 2**4 = 64 and fits a uint8
+    counts = np.full(n, a.shape[1], dtype=np.uint8)
+    slot = np.arange(1, 65, dtype=np.uint8)[:, None]
+    rows = np.concatenate([a[:, -1:], a], axis=1)
     edges = np.roll(b, -1, axis=1) - b
     for k in range(b.shape[1]):
-        ax, ay = b[:, k, 0:1], b[:, k, 1:2]
-        ex, ey = edges[:, k, 0:1], edges[:, k, 1:2]
-        slot = np.arange(polys.shape[1])
-        live = slot < counts[:, None]
-        prev = np.where(slot == 0, counts[:, None] - 1, slot - 1)
-        qx, qy = polys[..., 0], polys[..., 1]
-        px = np.take_along_axis(qx, prev, axis=1)
-        py = np.take_along_axis(qy, prev, axis=1)
-        d = ex * (qy - ay) - ey * (qx - ax)
-        d_prev = np.take_along_axis(d, prev, axis=1)
-        inside = live & (d >= 0.0)
-        cross = live & (inside != (d_prev >= 0.0))
-        t = np.divide(d_prev, d_prev - d, out=np.zeros_like(d), where=cross)
-        width = 2 * polys.shape[1]
-        cand = np.stack([px + t * (qx - px), py + t * (qy - py), qx, qy], axis=-1)
-        cand = cand.reshape(n, width, 2)
-        cand_live = np.stack([cross, inside], axis=-1).reshape(n, width)
-        counts = cand_live.sum(axis=1)
-        order = np.argsort(~cand_live, axis=1, kind="stable")[:, : counts.max(initial=0)]
-        polys = np.take_along_axis(cand, order[..., None], axis=1)
-    return polys, counts
+        m = rows.shape[1] - 1
+        if not m:
+            break
+        # each row's side of the edge, >= 0 inside: ex * (y - ay) - ey * (x - ax)
+        d = rows[1] - b[1, k]
+        d *= edges[0, k]
+        dx = rows[0] - b[0, k]
+        dx *= edges[1, k]
+        d -= dx
+        ge = d >= 0.0
+        live = slot[:m] <= counts
+        inside = live & ge[1:]
+        cross = live & (inside != ge[:-1])
+        # moved[s]: the rows slot s's vertex moves by, the entries kept in slots 0 to s less s + 1
+        moved = cross.view(np.int8) + inside.view(np.int8)
+        moved -= 1
+        for i in range(1, m):
+            moved[i] += moved[i - 1]
+        counts = (moved[-1] + m).view(np.uint8)
+        fresh = np.zeros((2, int(counts.max(initial=0)) + 1, n))
+        # slot s of pair i is flat index s * n + i; in the rows its previous vertex is at that index and its
+        # vertex n further on. A kept vertex moves by moved[s] rows, and a crossing into the slot lands in
+        # the row before it, or in the vertex's own row if the vertex is dropped
+        (crossed,), (kept,) = cross.ravel().nonzero(), inside.ravel().nonzero()
+        flat_moved = moved.ravel()
+        at_cross, at_kept = crossed + n, kept + n
+        to_cross = at_cross + n * (flat_moved.take(crossed) - inside.ravel().take(crossed)).astype(np.intp)
+        to_kept = at_kept + n * flat_moved.take(kept).astype(np.intp)
+        flat_d = d.ravel()
+        d_prev = flat_d.take(crossed)
+        t = d_prev / (d_prev - flat_d.take(at_cross))
+        last = counts * np.intp(n) + cols
+        for src, dst in zip(rows.reshape(2, -1), fresh.reshape(2, -1)):
+            p = src.take(crossed)
+            dst[to_cross] = p + t * (src.take(at_cross) - p)
+            dst[to_kept] = src.take(at_kept)
+            dst[:n] = dst.take(last)
+        rows = fresh
+    return rows[:, 1:], counts.astype(np.intp)
 
 
 def positive_dims(widths, heights):
@@ -108,20 +140,23 @@ def box_quads(boxes, widths, heights) -> np.ndarray:
 
     Corner offsets are laid out in height units, rotated, aspect-corrected
     back to normalized x, then scaled to pixels. Corner order keeps the
-    shoelace sum non-negative.
+    shoelace sum non-negative. The result is the transpose of a slot-major
+    (2, 4, N) quad batch, which `.T` gives back without a copy.
     """
     widths, heights = positive_dims(widths, heights)
-    cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T[:, :, None]
-    width, height = widths[:, None], heights[:, None]
+    cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T
     th = rot_deg * (math.pi / 180.0)
     c, s = np.cos(th), np.sin(th)
     h = size * 0.5
-    ox = h * np.array([-1.0, 1.0, 1.0, -1.0])
-    oy = h * np.array([-1.0, -1.0, 1.0, 1.0])
+    ox = np.array([[-1.0], [1.0], [1.0], [-1.0]]) * h
+    oy = np.array([[-1.0], [-1.0], [1.0], [1.0]]) * h
     rx = ox * c - oy * s
     ry = ox * s + oy * c
-    rho = width / height
-    return np.stack([(cx + rx / rho) * width, (cy + ry) * height], axis=-1)
+    rho = widths / heights
+    quads = np.empty((2, 4, len(cx)))
+    np.multiply(cx + rx / rho, widths, out=quads[0])
+    np.multiply(cy + ry, heights, out=quads[1])
+    return quads.T
 
 
 def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
@@ -136,13 +171,14 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     """
     preds = np.asarray(preds, dtype=np.float64)
     golds = np.asarray(golds, dtype=np.float64)
-    qa = box_quads(preds, widths, heights)
-    qb = box_quads(golds, widths, heights)
+    qa = box_quads(preds, widths, heights).T
+    qb = box_quads(golds, widths, heights).T
     if np.any((preds[:, 2] == 0.0) & (golds[:, 2] == 0.0)):
         raise HandRoiError("IoU of two zero-area ROIs is undefined")
     origin = (qa[:, :1] + qb[:, :1]) * 0.5
-    qa, qb = qa - origin, qb - origin
-    fours = np.full(qa.shape[0], 4)
+    qa -= origin
+    qb -= origin
+    fours = np.full(qa.shape[2], 4)
     area_a = areas(qa, fours)
     area_b = areas(qb, fours)
     inter = areas(*clip_quads(qa, qb))

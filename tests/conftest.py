@@ -27,7 +27,7 @@ from handroi.dataset import (
     gold_boxes,
 )
 from handroi.errors import HandRoiError, InputError
-from handroi.geometry import box_quads, normalize_deg
+from handroi.geometry import box_quads, normalize_deg, positive_dims
 from handroi.heuristic import (
     CENTER_SHIFT,
     INDEX_MCP,
@@ -280,6 +280,109 @@ def scalar_quad_iou(qa, qb):
     inter = area(clip(qa, qb))
     union = area_a + area_b - inter
     return inter / union if union > 0.0 else 0.0
+
+
+def bits(values):
+    """The int64 views of float64 values, equal exactly when the values are the same bits (NaNs included)."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# The rotated-IoU kernels as they were on (N, K, 2) polygon batches, before they
+# ran slot-major (`geometry.areas`, `clip_quads`, `box_quads` and
+# `rotated_ious`). The slot-major code must give the same bits
+# (test_geometry.TestSlotMajorParity).
+
+
+def reference_areas(polys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Absolute shoelace areas (N,) of padded polygons; 0 below 3 vertices.
+
+    The terms are added left to right, one vertex at a time, so each area
+    rounds exactly as a scalar loop over that polygon's vertices would.
+    """
+    slot = np.arange(polys.shape[1])
+    n = counts[:, None]
+    nxt = np.where(slot + 1 < n, slot + 1, 0)
+    x, y = polys[..., 0], polys[..., 1]
+    xn = np.take_along_axis(x, nxt, axis=1)
+    yn = np.take_along_axis(y, nxt, axis=1)
+    terms = np.where(slot < n, x * yn - xn * y, 0.0)
+    s = np.zeros(polys.shape[0])
+    for col in terms.T:
+        s += col
+    return np.where(counts >= 3, np.abs(s) * 0.5, 0.0)
+
+
+def reference_clip_quads(a: np.ndarray, b: np.ndarray):
+    """Sutherland-Hodgman intersections of N pairs of convex quads (N, 4, 2).
+
+    Returns (polys (N, K, 2), counts (N,)): row i is quad a[i] clipped to
+    quad b[i], possibly empty. K is the largest count, 8 for quads in
+    general position. Every clip edge maps each input vertex to two output
+    slots, the edge crossing into it and the vertex itself, and a stable
+    sort moves the live slots to the front of each row in polygon order.
+    """
+    polys = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = polys.shape[0]
+    counts = np.full(n, polys.shape[1])
+    edges = np.roll(b, -1, axis=1) - b
+    for k in range(b.shape[1]):
+        ax, ay = b[:, k, 0:1], b[:, k, 1:2]
+        ex, ey = edges[:, k, 0:1], edges[:, k, 1:2]
+        slot = np.arange(polys.shape[1])
+        live = slot < counts[:, None]
+        prev = np.where(slot == 0, counts[:, None] - 1, slot - 1)
+        qx, qy = polys[..., 0], polys[..., 1]
+        px = np.take_along_axis(qx, prev, axis=1)
+        py = np.take_along_axis(qy, prev, axis=1)
+        d = ex * (qy - ay) - ey * (qx - ax)
+        d_prev = np.take_along_axis(d, prev, axis=1)
+        inside = live & (d >= 0.0)
+        cross = live & (inside != (d_prev >= 0.0))
+        t = np.divide(d_prev, d_prev - d, out=np.zeros_like(d), where=cross)
+        width = 2 * polys.shape[1]
+        cand = np.stack([px + t * (qx - px), py + t * (qy - py), qx, qy], axis=-1)
+        cand = cand.reshape(n, width, 2)
+        cand_live = np.stack([cross, inside], axis=-1).reshape(n, width)
+        counts = cand_live.sum(axis=1)
+        order = np.argsort(~cand_live, axis=1, kind="stable")[:, : counts.max(initial=0)]
+        polys = np.take_along_axis(cand, order[..., None], axis=1)
+    return polys, counts
+
+
+def reference_box_quads(boxes, widths, heights) -> np.ndarray:
+    """Pixel corners (N, 4, 2) of a box array on images of widths x heights."""
+    widths, heights = positive_dims(widths, heights)
+    cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T[:, :, None]
+    width, height = widths[:, None], heights[:, None]
+    th = rot_deg * (math.pi / 180.0)
+    c, s = np.cos(th), np.sin(th)
+    h = size * 0.5
+    ox = h * np.array([-1.0, 1.0, 1.0, -1.0])
+    oy = h * np.array([-1.0, -1.0, 1.0, 1.0])
+    rx = ox * c - oy * s
+    ry = ox * s + oy * c
+    rho = width / height
+    return np.stack([(cx + rx / rho) * width, (cy + ry) * height], axis=-1)
+
+
+def reference_rotated_ious(preds, golds, widths, heights) -> np.ndarray:
+    """IoUs (N,) of N pairs of boxes in pixel space; 0 where either box has no area."""
+    preds = np.asarray(preds, dtype=np.float64)
+    golds = np.asarray(golds, dtype=np.float64)
+    qa = reference_box_quads(preds, widths, heights)
+    qb = reference_box_quads(golds, widths, heights)
+    if np.any((preds[:, 2] == 0.0) & (golds[:, 2] == 0.0)):
+        raise HandRoiError("IoU of two zero-area ROIs is undefined")
+    origin = (qa[:, :1] + qb[:, :1]) * 0.5
+    qa, qb = qa - origin, qb - origin
+    fours = np.full(qa.shape[0], 4)
+    area_a = reference_areas(qa, fours)
+    area_b = reference_areas(qb, fours)
+    inter = reference_areas(*reference_clip_quads(qa, qb))
+    union = area_a + area_b - inter
+    ok = (area_a != 0.0) & (area_b != 0.0) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=ok)
 
 
 def reference_rotation_matrix(phi_deg, tilt_deg, axis_deg):

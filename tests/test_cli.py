@@ -882,7 +882,7 @@ class TestEval:
 
     @pytest.mark.parametrize("dataset", ["missing", "directory"])
     def test_unreadable_dataset_beside_its_cache_exit_2(self, tmp_path, small_dataset, dataset):
-        # the cache is loaded while the dataset is hashed on a helper thread; the hash's error is the command's
+        # the cache is loaded, then the dataset hashed; the hash's error is the command's
         argv = ["eval", "--dataset", str(small_dataset), "--out", str(tmp_path / "rows.csv")]
         assert run_quiet(*argv) == (0, [])
         assert small_dataset.with_name(small_dataset.name + CACHE_SUFFIX).is_file()

@@ -251,6 +251,40 @@ class TestParsePanoptic:
         records, skipped = parse_panoptic(tmp_path)
         assert records.ids.tolist() == ["a", "b"][: 2 - malformed] and skipped == malformed
 
+    @pytest.mark.parametrize("failing", ["open", "read"])
+    def test_file_that_cannot_be_read_is_malformed(self, tmp_path, monkeypatch, failing):
+        for name in ("a.json", "b.json", "c.json"):
+            make_label_file(tmp_path, name)
+        bad, unread, closed = str(tmp_path / "b.json"), set(), []
+        os_open, os_read, os_close = os.open, os.read, os.close
+
+        def open_(path, *args):
+            if path == bad and failing == "open":
+                raise PermissionError(13, "Permission denied", path)
+            fd = os_open(path, *args)
+            if path == bad:
+                unread.add(fd)
+            return fd
+
+        def read(fd, n):
+            if fd in unread:
+                raise OSError(5, "Input/output error")
+            return os_read(fd, n)
+
+        def close(fd):
+            if fd in unread:
+                unread.remove(fd)
+                closed.append(fd)
+            os_close(fd)
+
+        for name, fn in (("open", open_), ("read", read), ("close", close)):
+            monkeypatch.setattr(handroi.dataset.os, name, fn)
+        records, skipped = parse_panoptic(tmp_path)
+        monkeypatch.undo()
+        assert records.ids.tolist() == ["a", "c"] and skipped == 1
+        # a file that opened is closed even though reading it failed
+        assert not unread and len(closed) == (failing == "read")
+
     def test_entry_that_cannot_be_stated_is_skipped(self, tmp_path):
         make_label_file(tmp_path, "a.json")
         (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")  # stat fails: too many levels of symlinks
@@ -1261,7 +1295,8 @@ class TestColumnCache:
 
     @pytest.mark.parametrize("how", ["missing", "directory", "hash error"])
     def test_hash_error_is_raised_unchanged(self, tmp_path, how):
-        # the cache exists, so the file is hashed on the helper thread; what that raises is raised here
+        # the cache exists and, once it loads, the file is hashed on the reading thread; what the file's
+        # stat, read or hash raises is raised here unchanged
         path = self.write(tmp_path / "data.jsonl")
         read_samples(path)
         path.unlink()
@@ -1281,6 +1316,7 @@ class TestColumnCache:
             assert raised.value.filename == str(path)
 
     def test_no_thread_is_left_running(self, tmp_path):
+        # a miss, a hit and a failed read each run on the calling thread and leave no other behind
         path = self.write(tmp_path / "data.jsonl")
         before = threading.enumerate()
         for step in ("miss", "hit", "error"):

@@ -18,20 +18,30 @@ from handroi.geometry import (
     rotated_ious,
 )
 from handroi.heuristic import SIZE_SCALE, calc_hand_roi, gold_rois
-from conftest import monte_carlo_iou, random_box, scalar_quad_iou
+from conftest import (
+    bits,
+    monte_carlo_iou,
+    random_box,
+    reference_areas,
+    reference_box_quads,
+    reference_clip_quads,
+    reference_rotated_ious,
+    scalar_quad_iou,
+)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def polygon_area(p):
-    """Area of one unpadded polygon through the batch kernel."""
-    p = np.asarray(p, dtype=np.float64).reshape(1, -1, 2)
-    return float(areas(p, np.array([p.shape[1]]))[0])
+    """Area of one unpadded polygon, (K, 2) vertices, through the batch kernel."""
+    p = np.asarray(p, dtype=np.float64).reshape(-1, 2)
+    return float(areas(p.T[:, :, None], np.array([len(p)]))[0])
 
 
 def clip_one(subject, clip):
-    polys, counts = clip_quads(subject[None], clip[None])
-    return polys[0, : counts[0]]
+    """The (K, 2) vertices of one (4, 2) quad clipped to another."""
+    polys, counts = clip_quads(subject.T[:, :, None], clip.T[:, :, None])
+    return polys[:, : counts[0], 0].T
 
 
 class TestAspectDistance:
@@ -151,7 +161,7 @@ class TestPolygonArea:
                 [[5.0, 5.0], [6.0, 5.0], [7.0, 7.0], [8.0, 9.0]],
             ]
         )
-        assert areas(polys, np.array([3, 4, 2])).tolist() == [2.0, 1.0, 0.0]
+        assert areas(polys.T, np.array([3, 4, 2])).tolist() == [2.0, 1.0, 0.0]
 
 
 class TestRotatedIou:
@@ -266,6 +276,117 @@ class TestRotatedIous:
         r = np.array([(0.5, 0.5, 0.3, 0.0)] * 2)
         with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 640\.0x0\.0$"):
             rotated_ious(r, r, [640, 640], [480, 0])
+
+
+def quad_pair(box_a, box_b, width, height, kind):
+    """Two (4, 2) pixel quads of a box row pair, the second moved as `kind` says.
+
+    "identical" repeats the first quad, "touching" puts the second one edge to
+    edge beside it, and "outside" moves the first beyond the second's first
+    edge, if that edge has a length, so that clipping leaves nothing after it.
+    """
+    a, b = reference_box_quads([box_a, box_b], [width] * 2, [height] * 2)
+    ex, ey = b[1] - b[0]
+    norm = ex * ex + ey * ey
+    if kind == "identical":
+        b = a.copy()
+    elif kind == "touching":
+        b = a + (a[1] - a[0])
+    elif kind == "outside" and norm > 0.0:
+        # the side of the edge is ex * (y - y0) - ey * (x - x0), which a step s along (ey, -ex) lowers by s |e|^2
+        side = ex * (a[:, 1] - b[0, 1]) - ey * (a[:, 0] - b[0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = a + (2.0 * max(side.max(), 0.0) / norm + 1.0) * np.array([ey, -ex])
+    return a, b
+
+
+kinds = st.sampled_from(["random", "identical", "touching", "outside"])
+quad_pairs = st.lists(st.tuples(boxes, boxes, st.integers(1, 4000), st.integers(1, 4000), kinds), min_size=1, max_size=30)
+
+
+class TestSlotMajorParity:
+    """The slot-major kernels against conftest's (N, K, 2) originals, bit for bit."""
+
+    @staticmethod
+    def check_clip(a, b):
+        """clip_quads and areas of the quad batches a and b, each (N, 4, 2), against the originals."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_polys, ref_counts = reference_clip_quads(a, b)
+            polys, counts = clip_quads(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+            ref_areas = reference_areas(ref_polys, ref_counts)
+            got_areas = areas(polys, counts)
+            quad_areas = areas(np.ascontiguousarray(a.T), np.full(len(a), 4))
+            ref_quad_areas = reference_areas(a, np.full(len(a), 4))
+        assert counts.tolist() == ref_counts.tolist()
+        assert polys.shape == (2, ref_polys.shape[1], len(a))
+        for i, c in enumerate(counts):
+            assert bits(polys[:, :c, i].T) == bits(ref_polys[i, :c]), i
+        # the slots after a polygon's vertices hold +0.0
+        assert not polys[:, np.arange(polys.shape[1])[:, None] >= counts].view(np.int64).any()
+        assert bits(got_areas) == bits(ref_areas) and bits(quad_areas) == bits(ref_quad_areas)
+        return counts
+
+    @settings(deadline=None)
+    @given(quad_pairs, st.booleans(), st.sampled_from([1.0, 1e150]))
+    def test_clip_and_areas(self, pairs, all_outside, scale):
+        if all_outside:
+            pairs = [(*p[:4], "outside") for p in pairs]
+        a, b = (scale * np.array(q) for q in zip(*(quad_pair(*p) for p in pairs)))
+        counts = self.check_clip(a, b)
+        if all_outside:
+            # a pair whose quad a lies wholly on the outer side of the first clip edge has nothing left
+            (ex, ey), (x0, y0) = (b[:, 1] - b[:, 0]).T[:, :, None], b[:, 0].T[:, :, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                outside = (ex * (a[..., 1] - y0) - ey * (a[..., 0] - x0) < 0.0).all(axis=1)
+            assert not counts[outside].any()
+
+    def test_clip_ends_empty_at_the_first_edge(self):
+        a, b = quad_pair((0.5, 0.5, 0.3, 55.0), (0.5, 0.5, 0.3, 10.0), 640, 480, "outside")
+        inside, _ = quad_pair((0.5, 0.5, 0.3, 55.0), (0.5, 0.5, 0.3, 10.0), 640, 480, "random")
+        assert self.check_clip(np.array([a, inside]), np.array([b, b])).tolist() == [0, 8]
+        # every pair is empty after the first edge, so the polygons have no slot for the other three
+        polys, counts = clip_quads(np.ascontiguousarray(np.array([a, a]).T), np.ascontiguousarray(np.array([b, b]).T))
+        assert polys.shape == (2, 0, 2) and counts.tolist() == [0, 0]
+        self.check_clip(np.array([a, a]), np.array([b, b]))
+
+    @pytest.mark.parametrize("rotation, dx", [(77.0, 0.014), (74.4, 0.015), (78.1, 0.005)])
+    def test_one_octagon(self, rotation, dx):
+        # a lone polygon's eight terms are contiguous, and numpy's own sum of them, pairwise, rounds
+        # otherwise for these
+        a, b = quad_pair((0.5, 0.5, 0.3, rotation), (0.5 + dx, 0.5, 0.3, 10.0), 640, 480, "random")
+        assert self.check_clip(a[None], b[None]).tolist() == [8]
+
+    def test_empty_batch(self):
+        self.check_clip(np.empty((0, 4, 2)), np.empty((0, 4, 2)))
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(boxes, boxes, st.integers(1, 4000), st.integers(1, 4000), st.sampled_from(["random", "identical", "zero"])),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([1.0, 1e150]),
+    )
+    def test_rotated_ious(self, pairs, scale):
+        # "zero" gives the prediction no size; scaled, the boxes' centers and sizes reach 1e150
+        pairs = [
+            (a, a if kind == "identical" else b, w, h) if kind != "zero" else ((*a[:2], 0.0, a[3]), b, w, h)
+            for a, b, w, h, kind in pairs
+        ]
+        pairs = [(a, b, w, h) for a, b, w, h in pairs if a[2] > 0 or b[2] > 0]
+        if not pairs:
+            return
+        preds, golds, widths, heights = batch(pairs)
+        preds[:, :3] *= scale
+        golds[:, :3] *= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            quads = box_quads(preds, widths, heights)
+            ref_quads = reference_box_quads(preds, widths, heights)
+            ious = rotated_ious(preds, golds, widths, heights)
+            ref_ious = reference_rotated_ious(preds, golds, widths, heights)
+        assert bits(quads) == bits(ref_quads)
+        assert bits(ious) == bits(ref_ious)
 
 
 class TestCircularDiff:

@@ -216,7 +216,7 @@ class TestGoldRoi:
 
     def test_quad_positive_area(self):
         r = gold_roi(self.axis_aligned_hand(), 400, 400)
-        assert areas(box_quads([r], [400], [400]), np.array([4]))[0] > 0
+        assert areas(box_quads([r], [400], [400]).T, np.array([4]))[0] > 0
 
 
 # how a drawn hand is posed; the last five kinds always give a degenerate gold hand, one for each of

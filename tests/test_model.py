@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bits,
     reference_direction,
     reference_forward,
     reference_gradient,
@@ -423,11 +424,6 @@ class TestTraining:
 features = st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed))
 
 
-def bits(values):
-    """The int64 views of float64 values, equal exactly when the values are the same bits (NaNs included)."""
-    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
-
-
 class TestHotLoopParity:
     """The in-place forward, gradient and L-BFGS direction against conftest's allocating originals, bit for bit."""
 
@@ -468,6 +464,21 @@ class TestHotLoopParity:
         grad = rng.normal(size=size)
         with np.errstate(all="ignore"):
             assert bits(_direction(grad, history)) == bits(reference_direction(grad, history))
+
+    @pytest.mark.parametrize("n", [1, 2, 441])
+    def test_bias_sums(self, rng, n):
+        # the output layer's delta is one column. Hidden unit 0 is dead (no input weights, bias -1) and its
+        # outgoing weight is -1, so with every output above its target its delta column is -0.0 in every row
+        net = Mlp.init([2, 3, 1], rng)
+        net.weights[0][:, 0] = 0.0
+        net.biases[0][0] = -1.0
+        net.weights[1][0, 0] = -1.0
+        X = rng.normal(size=(n, 2))
+        T = np.full((n, 1), -100.0)
+        assert (net.forward(X) > T).all()
+        loss, grad = net.gradient(X, T)
+        ref_loss, ref_grad = reference_gradient(net, X, T)
+        assert bits(loss) == bits(ref_loss) and bits(grad) == bits(ref_grad)
 
     def test_pipeline_training(self, monkeypatch):
         # perfbench's pipeline: 700 samples, 120 epochs on train seed 7, so 441 train rows a head
