@@ -77,9 +77,9 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
     """
     n = a.shape[2]
     cols = np.arange(n)
-    # each edge at most doubles a polygon's vertices, so a count never exceeds 4 * 2**4 = 64 and fits a uint8
-    counts = np.full(n, a.shape[1], dtype=np.uint8)
-    slot = np.arange(1, 65, dtype=np.uint8)[:, None]
+    counts = np.full(n, a.shape[1])
+    # each edge at most doubles a polygon's vertices, so a count never exceeds 4 * 2**4 = 64
+    slot = np.arange(1, 65)[:, None]
     rows = np.concatenate([a[:, -1:], a], axis=1)
     edges = np.roll(b, -1, axis=1) - b
     for k in range(b.shape[1]):
@@ -97,11 +97,11 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
         inside = live & ge[1:]
         cross = live & (inside != ge[:-1])
         # moved[s]: the rows slot s's vertex moves by, the entries kept in slots 0 to s less s + 1
-        moved = cross.view(np.int8) + inside.view(np.int8)
+        moved = cross + inside.astype(np.intp)
         moved -= 1
-        for i in range(1, m):
+        for i in range(1, m):  # a running sum down the slots; np.cumsum along axis 0 takes three times as long
             moved[i] += moved[i - 1]
-        counts = (moved[-1] + m).view(np.uint8)
+        counts = moved[-1] + m
         fresh = np.zeros((2, int(counts.max(initial=0)) + 1, n))
         # slot s of pair i is flat index s * n + i; in the rows its previous vertex is at that index and its
         # vertex n further on. A kept vertex moves by moved[s] rows, and a crossing into the slot lands in
@@ -109,19 +109,19 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
         (crossed,), (kept,) = cross.ravel().nonzero(), inside.ravel().nonzero()
         flat_moved = moved.ravel()
         at_cross, at_kept = crossed + n, kept + n
-        to_cross = at_cross + n * (flat_moved.take(crossed) - inside.ravel().take(crossed)).astype(np.intp)
-        to_kept = at_kept + n * flat_moved.take(kept).astype(np.intp)
+        to_cross = at_cross + n * (flat_moved.take(crossed) - inside.ravel().take(crossed))
+        to_kept = at_kept + n * flat_moved.take(kept)
         flat_d = d.ravel()
         d_prev = flat_d.take(crossed)
         t = d_prev / (d_prev - flat_d.take(at_cross))
-        last = counts * np.intp(n) + cols
+        last = counts * n + cols
         for src, dst in zip(rows.reshape(2, -1), fresh.reshape(2, -1)):
             p = src.take(crossed)
             dst[to_cross] = p + t * (src.take(at_cross) - p)
             dst[to_kept] = src.take(at_kept)
             dst[:n] = dst.take(last)
         rows = fresh
-    return rows[:, 1:], counts.astype(np.intp)
+    return rows[:, 1:], counts
 
 
 def positive_dims(widths, heights):

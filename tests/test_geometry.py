@@ -356,6 +356,13 @@ class TestSlotMajorParity:
         a, b = quad_pair((0.5, 0.5, 0.3, rotation), (0.5 + dx, 0.5, 0.3, 10.0), 640, 480, "random")
         assert self.check_clip(a[None], b[None]).tolist() == [8]
 
+    def test_many_octagons(self):
+        # 300 octagons: a polygon's flat slot index counts * n + i reaches 2699, past any 8-bit count
+        rotations = np.linspace(20.0, 80.0, 300)
+        quads = [quad_pair((0.5, 0.5, 0.3, r), (0.5, 0.5, 0.3, 10.0), 640, 480, "random") for r in rotations]
+        a, b = (np.array(q) for q in zip(*quads))
+        assert self.check_clip(a, b).tolist() == [8] * 300
+
     def test_empty_batch(self):
         self.check_clip(np.empty((0, 4, 2)), np.empty((0, 4, 2)))
 
