@@ -272,8 +272,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise-px", type=float, default=1.0)
-    p.add_argument("--max-tilt-deg", type=float, default=60.0)
+    p.add_argument("--noise-px", type=float, default=ds.SynthConfig.noise_px)
+    p.add_argument("--max-tilt-deg", type=float, default=ds.SynthConfig.max_tilt_deg)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ingest", help="ingest annotation labels + pose sidecar")
@@ -285,8 +285,8 @@ def build_parser():
     p = sub.add_parser("train", help="train the three-headed MLP predictor")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=md.TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=md.TrainConfig.seed)
 
     p = sub.add_parser("eval", help="evaluate one method on the test split")
     p.add_argument("--dataset", required=True)

@@ -5,10 +5,13 @@ input the command cannot use (a flag value, a malformed or empty file, a
 weights file of another layout, training that diverges), 3 for two row
 files that do not cover the same sample ids, 4 for an id that is not
 found, and 1 for a broken internal precondition that no command-line
-input reaches. A degenerate hand is such a precondition where HandRoiError
-itself is raised, by the one-hand view `heuristic.gold_roi`, which no
-command calls; the commands read the reason codes that
-`heuristic.gold_rois` returns.
+input reaches. Each fact a command uses is checked where it enters, by
+the readers, and HandRoiError itself is raised in three places only:
+`dataset._dataset_lines`, for a Dataset to write that holds a non-finite
+value; `model.save_weights`, for heads of another layout; and the
+one-hand view `heuristic.gold_roi`, which no command calls, for a
+degenerate hand (the commands read the reason codes that
+`heuristic.gold_rois` returns).
 """
 
 

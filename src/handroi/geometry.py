@@ -24,8 +24,6 @@ import math
 
 import numpy as np
 
-from .errors import HandRoiError
-
 
 def normalize_deg(angle):
     """Map finite angles (a float or an array) to [0, 360)."""
@@ -124,17 +122,6 @@ def clip_quads(a: np.ndarray, b: np.ndarray):
     return rows[:, 1:], counts
 
 
-def positive_dims(widths, heights):
-    """widths and heights as float64 arrays; HandRoiError naming the first pair that is not both > 0."""
-    widths = np.asarray(widths, dtype=np.float64)
-    heights = np.asarray(heights, dtype=np.float64)
-    bad = np.flatnonzero(~((widths > 0) & (heights > 0)))
-    if bad.size:
-        i = bad[0]
-        raise HandRoiError(f"image dims must be positive, got {float(widths[i])!r}x{float(heights[i])!r}")
-    return widths, heights
-
-
 def box_quads(boxes, widths, heights) -> np.ndarray:
     """Pixel corners (N, 4, 2) of a box array on images of widths x heights.
 
@@ -143,7 +130,8 @@ def box_quads(boxes, widths, heights) -> np.ndarray:
     shoelace sum non-negative. The result is the transpose of a slot-major
     (2, 4, N) quad batch, which `.T` gives back without a copy.
     """
-    widths, heights = positive_dims(widths, heights)
+    widths = np.asarray(widths, dtype=np.float64)
+    heights = np.asarray(heights, dtype=np.float64)
     cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T
     th = rot_deg * (math.pi / 180.0)
     c, s = np.cos(th), np.sin(th)
@@ -173,8 +161,6 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     golds = np.asarray(golds, dtype=np.float64)
     qa = box_quads(preds, widths, heights).T
     qb = box_quads(golds, widths, heights).T
-    if np.any((preds[:, 2] == 0.0) & (golds[:, 2] == 0.0)):
-        raise HandRoiError("IoU of two zero-area ROIs is undefined")
     origin = (qa[:, :1] + qb[:, :1]) * 0.5
     qa -= origin
     qb -= origin
@@ -183,6 +169,7 @@ def rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     area_b = areas(qb, fours)
     inter = areas(*clip_quads(qa, qb))
     union = area_a + area_b - inter
+    # areas that overflow to inf make a NaN union, which `union > 0.0` turns into IoU 0
     ok = (area_a != 0.0) & (area_b != 0.0) & (union > 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=ok)
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import HandRoiError
-from .geometry import normalize_deg, positive_dims
+from .geometry import normalize_deg
 
 # landmark indices in the standard 21-point hand topology
 WRIST = 0
@@ -38,9 +38,6 @@ def calc_hand_roi(wrist, index, pinky, rho):
     aspect-corrected space, so the box has no size or no direction.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    bad = rho[~((rho > 0) & np.isfinite(rho))]
-    if bad.size:
-        raise HandRoiError(f"aspect ratio must be > 0, got {bad[0]}")
     (wx, wy), (ix, iy), (px, py) = (np.asarray(v, dtype=np.float64).T for v in (wrist, index, pinky))
     cx = (2 * ix + px) / 3.0
     cy = (2 * iy + py) / 3.0
@@ -117,7 +114,8 @@ def gold_rois(hand, width, height):
     bits). np.degrees and np.radians are the math module's single multiply.
     """
     hand = np.asarray(hand, dtype=np.float64).reshape(-1, 21, 3)
-    width, height = positive_dims(width, height)
+    width = np.asarray(width, dtype=np.float64)
+    height = np.asarray(height, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         return _gold_rois(hand, width, height)
 

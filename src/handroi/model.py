@@ -91,11 +91,6 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, theta):
-        if len(layer_sizes) < 2:
-            raise HandRoiError("need at least input and output layer")
-        n = _n_params(layer_sizes)
-        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64 and theta.shape == (n,)):
-            raise HandRoiError(f"theta must be {n} float64 values for layers {list(layer_sizes)}")
         self.layer_sizes = list(layer_sizes)
         self.theta = theta
         self.weights, self.biases = map(list, zip(*_layer_views(layer_sizes, theta)))
@@ -123,31 +118,24 @@ class Mlp:
         return acts
 
     def forward(self, x):
-        """Outputs (N, out) of the (N, in) input rows."""
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
-            raise HandRoiError(f"input shape {a.shape} is not (N, {self.layer_sizes[0]})")
-        return self._layers(a)[-1]
+        """Outputs (N, out) of the (N, in) float64 input rows."""
+        return self._layers(x)[-1]
 
     def gradient(self, inputs, targets):
         """(loss, exact gradient flat in theta's layout) of the batch's MSE, from one forward pass.
+
+        inputs are (N, in) and targets (N, out) float64 rows.
 
         The loss is the mean of squared errors over all batch elements and
         output dimensions, a float equal bitwise to
         `np.mean((forward(inputs) - targets) ** 2)`.
         """
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        if x.shape[0] != t.shape[0]:
-            raise HandRoiError("batch inputs and targets disagree in length")
-        if x.shape[1] != self.layer_sizes[0] or t.shape[1] != self.layer_sizes[-1]:
-            raise HandRoiError("batch widths inconsistent with the network layout")
         grad = np.empty_like(self.theta)
         grads = _layer_views(self.layer_sizes, grad)
-        *acts, err = self._layers(x)
-        err -= t
+        *acts, err = self._layers(inputs)
+        err -= targets
         delta = 2.0 * err
-        delta /= t.size
+        delta /= targets.size
         for i in range(len(grads) - 1, -1, -1):
             dw, db = grads[i]
             np.matmul(acts[i].T, delta, out=dw)
@@ -167,10 +155,7 @@ def featurize(data) -> np.ndarray:
     rho is the image's width / height. Left hands arrive already mirrored by
     ingestion.
     """
-    X = np.column_stack([data.pose.reshape(len(data), FEATURE_DIM - 1), data.width / data.height])
-    if not np.all(np.isfinite(X)):
-        raise HandRoiError("non-finite feature value")
-    return X
+    return np.column_stack([data.pose.reshape(len(data), FEATURE_DIM - 1), data.width / data.height])
 
 
 @dataclass

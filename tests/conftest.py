@@ -27,7 +27,7 @@ from handroi.dataset import (
     gold_boxes,
 )
 from handroi.errors import HandRoiError, InputError
-from handroi.geometry import box_quads, normalize_deg, positive_dims
+from handroi.geometry import box_quads, normalize_deg
 from handroi.heuristic import (
     CENTER_SHIFT,
     INDEX_MCP,
@@ -352,7 +352,8 @@ def reference_clip_quads(a: np.ndarray, b: np.ndarray):
 
 def reference_box_quads(boxes, widths, heights) -> np.ndarray:
     """Pixel corners (N, 4, 2) of a box array on images of widths x heights."""
-    widths, heights = positive_dims(widths, heights)
+    widths = np.asarray(widths, dtype=np.float64)
+    heights = np.asarray(heights, dtype=np.float64)
     cx, cy, size, rot_deg = np.asarray(boxes, dtype=np.float64).T[:, :, None]
     width, height = widths[:, None], heights[:, None]
     th = rot_deg * (math.pi / 180.0)
@@ -372,8 +373,6 @@ def reference_rotated_ious(preds, golds, widths, heights) -> np.ndarray:
     golds = np.asarray(golds, dtype=np.float64)
     qa = reference_box_quads(preds, widths, heights)
     qb = reference_box_quads(golds, widths, heights)
-    if np.any((preds[:, 2] == 0.0) & (golds[:, 2] == 0.0)):
-        raise HandRoiError("IoU of two zero-area ROIs is undefined")
     origin = (qa[:, :1] + qb[:, :1]) * 0.5
     qa, qb = qa - origin, qb - origin
     fours = np.full(qa.shape[0], 4)
@@ -492,8 +491,6 @@ def reference_synth_generate(cfg, max_redraws=MAX_REDRAWS):
 
 def closed_form_size(wx, wy, ix, iy, px, py, rho) -> float:
     """Single-expression equivalent of the estimator's size, from wrist, index and pinky (x, y)."""
-    if not (rho > 0) or not math.isfinite(rho):
-        raise HandRoiError(f"aspect ratio must be > 0, got {rho}")
     cx = (2 * ix + px) / 3.0
     cy = (2 * iy + py) / 3.0
     return 5.4 * math.sqrt(rho ** 2 * (wx - cx) ** 2 + (wy - cy) ** 2)
@@ -564,8 +561,6 @@ def reference_hidden(net, x):
 def reference_forward(net, x):
     """Outputs (N, out) of the (N, in) input rows."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.layer_sizes[0]:
-        raise HandRoiError(f"input shape {a.shape} is not (N, {net.layer_sizes[0]})")
     return reference_hidden(net, a)[-1] @ net.weights[-1] + net.biases[-1]
 
 
@@ -573,10 +568,6 @@ def reference_gradient(net, inputs, targets):
     """(loss, exact gradient flat in theta's layout) of the batch's MSE, from one forward pass."""
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if x.shape[0] != t.shape[0]:
-        raise HandRoiError("batch inputs and targets disagree in length")
-    if x.shape[1] != net.layer_sizes[0] or t.shape[1] != net.layer_sizes[-1]:
-        raise HandRoiError("batch widths inconsistent with the network layout")
     grad = np.empty_like(net.theta)
     grads = _layer_views(net.layer_sizes, grad)
     acts = reference_hidden(net, x)

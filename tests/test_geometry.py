@@ -1,23 +1,20 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handroi.errors import HandRoiError
 from handroi.geometry import (
     areas,
     box_quads,
     circular_diff_deg,
     clip_quads,
     normalize_deg,
-    positive_dims,
     rotated_iou,
     rotated_ious,
 )
-from handroi.heuristic import SIZE_SCALE, calc_hand_roi, gold_rois
+from handroi.heuristic import SIZE_SCALE, calc_hand_roi
 from conftest import (
     bits,
     monte_carlo_iou,
@@ -86,29 +83,6 @@ class TestBoxQuads:
         assert xs.min() == pytest.approx(75) and xs.max() == pytest.approx(125)
         assert ys.min() == pytest.approx(25) and ys.max() == pytest.approx(75)
         assert np.mean(xs) == pytest.approx(100) and np.mean(ys) == pytest.approx(50)
-
-    def test_invalid_dims(self):
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x100\.0$"):
-            box_quad((0.5, 0.5, 0.5, 0.0), 0, 100)
-        # each dim is printed exactly, as its float repr
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x9007199254740992\.0$"):
-            box_quads([(0.5, 0.5, 0.5, 0.0)], [0], [2**53])
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 1234567\.0x-0\.0$"):
-            box_quads([(0.5, 0.5, 0.5, 0.0)], [1234567], [-0.0])
-
-    @pytest.mark.parametrize("width, height, shown", [(math.nan, 480, "nanx480.0"), (640, -math.inf, "640.0x-inf")])
-    def test_box_quads_and_gold_rois_share_one_dims_check(self, width, height, shown):
-        # the second of two images is named; a NaN dim is not positive
-        match = rf"^image dims must be positive, got {re.escape(shown)}$"
-        widths, heights = [640, width], [480, height]
-        for check in (
-            lambda: positive_dims(widths, heights),
-            lambda: box_quads([(0.5, 0.5, 0.5, 0.0)] * 2, widths, heights),
-            lambda: gold_rois(np.ones((2, 21, 3)), widths, heights),
-        ):
-            with pytest.raises(HandRoiError, match=match):
-                check()
-        assert [d.tolist() for d in positive_dims([640, 2**53], [480, 1])] == [[640.0, 2.0**53], [480.0, 1.0]]
 
     def test_orientation_positive_shoelace(self, rng):
         # CCW contract: signed shoelace sum stays non-negative for any rotation
@@ -179,10 +153,9 @@ class TestRotatedIou:
         b = (0.5, 0.5, 0.4, 45.0)
         assert rotated_iou(a, b, 500, 500) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
-    def test_both_degenerate_raises(self):
+    def test_both_degenerate_is_zero(self):
         a = (0.5, 0.5, 0.0, 0.0)
-        with pytest.raises(HandRoiError, match="^IoU of two zero-area ROIs is undefined$"):
-            rotated_iou(a, a, 100, 100)
+        assert rotated_iou(a, a, 100, 100) == 0.0
 
     def test_one_degenerate_is_zero(self):
         a = (0.5, 0.5, 0.0, 0.0)
@@ -271,11 +244,6 @@ class TestRotatedIous:
     def test_empty_batch(self):
         empty = np.empty((0, 4))
         assert rotated_ious(empty, empty, [], []).shape == (0,)
-
-    def test_bad_dims_in_batch(self):
-        r = np.array([(0.5, 0.5, 0.3, 0.0)] * 2)
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 640\.0x0\.0$"):
-            rotated_ious(r, r, [640, 640], [480, 0])
 
 
 def quad_pair(box_a, box_b, width, height, kind):
@@ -394,6 +362,20 @@ class TestSlotMajorParity:
             ref_ious = reference_rotated_ious(preds, golds, widths, heights)
         assert bits(quads) == bits(ref_quads)
         assert bits(ious) == bits(ref_ious)
+
+
+class TestNormalizeDeg:
+    """A tiny negative angle rounds up to 360.0 under % 360, and normalize_deg maps it to 0."""
+
+    def test_tiny_negative_scalar(self):
+        assert -1e-15 % 360.0 == 360.0
+        assert normalize_deg(-1e-15) == 0.0
+        # a larger negative angle keeps its value below 360
+        assert normalize_deg(-5e-14) == 359.99999999999994
+
+    def test_tiny_negative_array(self):
+        got = normalize_deg(np.array([-1e-15, -5e-14, 360.0, -360.0, 725.5, 359.5]))
+        assert got.tolist() == [0.0, 359.99999999999994, 0.0, 0.0, 5.5, 359.5]
 
 
 class TestCircularDiff:

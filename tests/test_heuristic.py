@@ -52,12 +52,6 @@ class TestCalcHandRoi:
         box, failed = one_roi(p, p, p, 1.0)
         assert failed and box[2] == 0.0
 
-    def test_bad_rho(self):
-        with pytest.raises(HandRoiError, match="^aspect ratio must be > 0, got -2.0$"):
-            calc_hand_roi([(0, 0)], [(1, 0)], [(1, 0)], [-2.0])
-        with pytest.raises(HandRoiError, match="^aspect ratio must be > 0, got nan$"):
-            calc_hand_roi([(0, 0)] * 2, [(1, 0)] * 2, [(1, 0)] * 2, [1.0, math.nan])
-
     def test_size_matches_closed_form(self, rng):
         w, i, p, rho = random_hands(rng, 1000)
         boxes, failed = calc_hand_roi(w, i, p, rho)
@@ -358,14 +352,3 @@ class TestGoldRoisReference:
     def test_empty(self):
         boxes, reason = gold_rois(np.zeros((0, 21, 3)), [], [])
         assert boxes.shape == (0, 4) and reason.shape == (0,)
-
-    def test_bad_dims(self):
-        # each dim is printed exactly, as its float repr
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x480\.0$"):
-            gold_rois(np.ones((1, 21, 3)), [0], [480])
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x480\.0$"):
-            gold_roi(make_hand([(1.0, 1.0)] * 21), 0, 480)
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 0\.0x1234567\.0$"):
-            gold_rois(np.ones((1, 21, 3)), [0], [1234567])
-        with pytest.raises(HandRoiError, match=r"^image dims must be positive, got 9007199254740992\.0x-1\.5$"):
-            gold_rois(np.ones((2, 21, 3)), [640, 2**53], [480, -1.5])

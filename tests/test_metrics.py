@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_reads_like_reference, reference_write_rows_csv, scalar_gold_predictor
 from handroi.dataset import SynthConfig, synth_dataset
-from handroi.errors import HandRoiError, InputError, JoinError
+from handroi.errors import InputError, JoinError
 from handroi.geometry import rotated_iou
 from handroi.heuristic import MIDDLE_MCP, WRIST
 from handroi.metrics import (
@@ -26,7 +26,6 @@ from handroi.metrics import (
     write_rows_csv,
 )
 from handroi.model import featurize, heuristic_roi
-from handroi.svg import histogram_svg
 
 
 HEADER = (",".join(CSV_COLUMNS) + "\n").encode()
@@ -277,10 +276,6 @@ class TestHistogram:
         rows = table([str(i) for i in range(123)], rng.uniform(0, 1, size=123))
         counts = iou_histogram(rows)
         assert len(counts) == HIST_BINS and sum(counts) == 123
-
-    def test_svg_series_of_different_bin_counts(self):
-        with pytest.raises(HandRoiError, match=r"^series 'b' has 3 bins, expected 2$"):
-            histogram_svg([("a", [1, 2]), ("b", [1, 2, 3])])
 
 
 # text a csv field may hold: the characters that make csv quote it, non-ASCII text and the empty string
