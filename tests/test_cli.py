@@ -375,9 +375,11 @@ class TestBadFlagValues:
 
 
 # eval reads the test split and train the train split; line 5 is a train
-# sample and the last line a test sample
+# sample and the last line a test sample; eval-mlp runs the test split through featurize and the
+# network, with a weights file of zeros
 BAD_DATASET_CMDS = {
     "eval": (["eval", "--method", "heuristic"], -1),
+    "eval-mlp": (["eval", "--method", "mlp"], -1),
     "train": (["train", "--epochs", "2"], 4),
 }
 
@@ -385,6 +387,10 @@ BAD_DATASET_CMDS = {
 class TestBadDataset:
     def run_on(self, tmp_path, command, bad):
         argv, _ = BAD_DATASET_CMDS[command]
+        if command == "eval-mlp":
+            weights = tmp_path / "zeros.hroi"
+            md.save_weights(tuple(map(md.Mlp.zeros, md.HEAD_LAYOUTS)), weights)
+            argv = [*argv, "--weights", str(weights)]
         return run_quiet(*argv, "--dataset", str(bad), "--out", str(tmp_path / "out"))
 
     @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
@@ -398,6 +404,28 @@ class TestBadDataset:
         code, err = self.run_on(tmp_path, command, bad)
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {bad} line 5: {field} must be")
+
+    @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param(lambda doc: doc.update(width=0), r"non-positive image dims 0x\d+", id="zero-width"),
+            pytest.param(lambda doc: doc.update(height=-480), r"non-positive image dims \d+x-480", id="negative-height"),
+            pytest.param(lambda doc: doc["hand"][3].__setitem__(0, math.nan), "non-finite landmark coordinate",
+                         id="nan-landmark"),
+            pytest.param(lambda doc: doc["hand"][3].__setitem__(1, 10**400), "non-finite landmark coordinate",
+                         id="landmark-beyond-float-range"),
+            pytest.param(lambda doc: doc["pose"]["wrist"].__setitem__(2, -math.inf), "non-finite wrist keypoint",
+                         id="infinite-keypoint"),
+        ],
+    )
+    def test_value_no_geometry_takes_exit_2(self, tmp_path, small_dataset, command, change, message):
+        # the reader is the one check of image dims and finite values before box_quads, gold_rois and featurize
+        bad = tmp_path / "bad.jsonl"
+        edit_line(small_dataset, bad, 4, change)
+        code, err = self.run_on(tmp_path, command, bad)
+        assert code == 2
+        assert len(err) == 1 and re.fullmatch(f"error: {re.escape(str(bad))} line 5: {message}", err[0]), err
 
     @pytest.mark.parametrize("command", sorted(BAD_DATASET_CMDS))
     @pytest.mark.parametrize("value", ["341.2", True])
@@ -429,7 +457,7 @@ class TestBadDataset:
             f"error: sample '{sid}' has a degenerate gold hand: wrist coincides with middle knuckle"
         ]
 
-    @pytest.mark.parametrize("command, lines", [("eval", (-6, -1)), ("train", (4, 20))])
+    @pytest.mark.parametrize("command, lines", [("eval", (-6, -1)), ("eval-mlp", (-6, -1)), ("train", (4, 20))])
     @pytest.mark.parametrize("change", [collapse_middle_knuckle, lambda doc: doc["hand"][3].__setitem__(0, 1e300)])
     def test_first_degenerate_gold_named(self, tmp_path, small_dataset, command, lines, change):
         # two degenerate gold hands in the split the command reads: the error names the earlier

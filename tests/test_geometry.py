@@ -192,13 +192,7 @@ boxes = st.tuples(
     st.floats(0.0, 1.5),
     st.floats(0.0, 360.0, exclude_max=True),
 )
-pairs = st.lists(
-    st.tuples(boxes, boxes, st.integers(1, 4000), st.integers(1, 4000)).filter(
-        lambda p: p[0][2] > 0 or p[1][2] > 0
-    ),
-    min_size=1,
-    max_size=30,
-)
+pairs = st.lists(st.tuples(boxes, boxes, st.integers(1, 4000), st.integers(1, 4000)), min_size=1, max_size=30)
 
 
 def batch(pairs):
@@ -244,6 +238,21 @@ class TestRotatedIous:
     def test_empty_batch(self):
         empty = np.empty((0, 4))
         assert rotated_ious(empty, empty, [], []).shape == (0,)
+
+    def test_zero_area_pairs_in_batch(self):
+        # both boxes, one box or neither without area: a pair with a box of no area scores 0.0
+        pairs = [
+            ((0.5, 0.5, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), 640, 480),
+            ((0.5, 0.5, 0.3, 10.0), (0.5, 0.5, 0.3, 10.0), 640, 480),
+            ((0.4, 0.6, 0.0, 30.0), (0.4, 0.6, 0.2, 30.0), 100, 4000),
+            ((0.5, 0.5, 0.3, 0.0), (0.5, 0.5, 0.0, 45.0), 640, 480),
+            ((0.1, 0.9, 0.0, 90.0), (0.7, 0.2, 0.0, 270.0), 1, 1),
+        ]
+        ious = rotated_ious(*batch(pairs))
+        assert ious.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+        ref = [scalar_quad_iou(box_quad(a, w, h), box_quad(b, w, h)) for a, b, w, h in pairs]
+        assert ious.tobytes() == np.array(ref).tobytes()
+        assert ious.tobytes() == np.array([rotated_iou(*p) for p in pairs]).tobytes()
 
 
 def quad_pair(box_a, box_b, width, height, kind):
@@ -337,21 +346,23 @@ class TestSlotMajorParity:
     @settings(deadline=None)
     @given(
         st.lists(
-            st.tuples(boxes, boxes, st.integers(1, 4000), st.integers(1, 4000), st.sampled_from(["random", "identical", "zero"])),
+            st.tuples(boxes, boxes, st.integers(1, 4000), st.integers(1, 4000), st.sampled_from(["random", "identical", "zero", "both-zero"])),
             min_size=1,
             max_size=30,
         ),
         st.sampled_from([1.0, 1e150]),
     )
     def test_rotated_ious(self, pairs, scale):
-        # "zero" gives the prediction no size; scaled, the boxes' centers and sizes reach 1e150
+        # "zero" gives the prediction no size, "both-zero" both boxes; scaled, the boxes' centers and sizes reach 1e150
         pairs = [
-            (a, a if kind == "identical" else b, w, h) if kind != "zero" else ((*a[:2], 0.0, a[3]), b, w, h)
+            (
+                (*a[:2], 0.0, a[3]) if kind in ("zero", "both-zero") else a,
+                a if kind == "identical" else (*b[:2], 0.0, b[3]) if kind == "both-zero" else b,
+                w,
+                h,
+            )
             for a, b, w, h, kind in pairs
         ]
-        pairs = [(a, b, w, h) for a, b, w, h in pairs if a[2] > 0 or b[2] > 0]
-        if not pairs:
-            return
         preds, golds, widths, heights = batch(pairs)
         preds[:, :3] *= scale
         golds[:, :3] *= scale
